@@ -2,19 +2,14 @@
 //! schedule generation and telemetry-simulation throughput.
 //!
 //! The `fleet/throughput` entries measure simulated node-hours per
-//! wall-second at 64/256/1024 nodes, cached (warm [`FleetCache`]) against
-//! the unmemoized reference path; `cargo run -p pmss-bench --bin
-//! bench_fleet` runs the same comparison standalone and records the
-//! numbers in `BENCH_fleet.json`.
+//! wall-second at 64/256/1024 nodes; `pmss bench-fleet` runs the same
+//! scenarios standalone and records the numbers in `BENCH_fleet.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmss_core::EnergyLedger;
 use pmss_gpu::GpuSettings;
 use pmss_sched::{catalog, generate, TraceParams};
-use pmss_telemetry::{
-    simulate_fleet, simulate_fleet_metered, simulate_fleet_with_cache, FleetCache, FleetConfig,
-    SystemHistogram,
-};
+use pmss_telemetry::{simulate_fleet, simulate_fleet_metered, FleetConfig, SystemHistogram};
 
 fn params(nodes: usize, hours: f64) -> TraceParams {
     TraceParams {
@@ -49,35 +44,22 @@ fn bench_fleet(c: &mut Criterion) {
     });
 
     // Fleet-scale throughput: 2-hour schedules, uncapped and under the
-    // 300 W what-if cap, memoized vs the unmemoized reference path.  Each
-    // iteration simulates `nodes * 2` node-hours; node-hours per
-    // wall-second is that divided by the reported per-iteration time.
+    // 300 W what-if cap.  Each iteration simulates `nodes * 2` node-hours;
+    // node-hours per wall-second is that divided by the reported
+    // per-iteration time.
     for nodes in [64usize, 256, 1024] {
         let schedule = generate(params(nodes, 2.0), &domains);
         for (scenario, settings) in [
             ("uncapped", GpuSettings::uncapped()),
             ("cap300", GpuSettings::power_capped(300.0)),
         ] {
-            let cached_cfg = FleetConfig {
+            let cfg = FleetConfig {
                 settings,
                 ..Default::default()
             };
-            let uncached_cfg = FleetConfig {
-                settings,
-                use_exec_cache: false,
-                ..Default::default()
-            };
-            let cache = FleetCache::new();
-            let _warm: EnergyLedger = simulate_fleet_with_cache(&schedule, &cached_cfg, &cache);
-            g.bench_function(&format!("throughput/{scenario}_{nodes}n_cached"), |b| {
+            g.bench_function(&format!("throughput/{scenario}_{nodes}n"), |b| {
                 b.iter(|| {
-                    let l: EnergyLedger = simulate_fleet_with_cache(&schedule, &cached_cfg, &cache);
-                    black_box(l)
-                })
-            });
-            g.bench_function(&format!("throughput/{scenario}_{nodes}n_uncached"), |b| {
-                b.iter(|| {
-                    let l: EnergyLedger = simulate_fleet(&schedule, &uncached_cfg);
+                    let l: EnergyLedger = simulate_fleet(&schedule, &cfg);
                     black_box(l)
                 })
             });
@@ -87,21 +69,20 @@ fn bench_fleet(c: &mut Criterion) {
     // Metering overhead: the metered entry folds a FleetRunStats sink
     // alongside the observer; the unmetered entry threads the no-op `()`
     // sink.  Comparable times are the observability acceptance headline —
-    // the sink adds only branch-free integer increments per window.
+    // the sink adds only branch-free integer increments per window and
+    // per engine execution.
     {
         let schedule = generate(params(64, 2.0), &domains);
         let cfg = FleetConfig::default();
-        let cache = FleetCache::new();
-        let _warm: EnergyLedger = simulate_fleet_with_cache(&schedule, &cfg, &cache);
         g.bench_function("metering/64n_unmetered", |b| {
             b.iter(|| {
-                let l: EnergyLedger = simulate_fleet_with_cache(&schedule, &cfg, &cache);
+                let l: EnergyLedger = simulate_fleet(&schedule, &cfg);
                 black_box(l)
             })
         });
         g.bench_function("metering/64n_metered", |b| {
             b.iter(|| {
-                let (l, stats) = simulate_fleet_metered::<EnergyLedger>(&schedule, &cfg, &cache);
+                let (l, stats) = simulate_fleet_metered::<EnergyLedger>(&schedule, &cfg);
                 black_box((l, stats))
             })
         });

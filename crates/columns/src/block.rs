@@ -59,14 +59,17 @@ impl Tag {
 pub struct ColumnBlock {
     node: u32,
     slot: u8,
-    sku: u8,
-    windows: Vec<u64>,
-    ranks: Vec<u64>,
-    t_s: Vec<f64>,
-    span_s: Vec<f64>,
-    tags: Vec<u8>,
-    values: Vec<f64>,
-    jobs: Vec<u32>,
+    // The columns are crate-visible for the codec's bulk decode, which
+    // fills a reset block in place; it keeps them equal-length and `tags`
+    // valid [`Tag`] bytes.
+    pub(crate) sku: u8,
+    pub(crate) windows: Vec<u64>,
+    pub(crate) ranks: Vec<u64>,
+    pub(crate) t_s: Vec<f64>,
+    pub(crate) span_s: Vec<f64>,
+    pub(crate) tags: Vec<u8>,
+    pub(crate) values: Vec<f64>,
+    pub(crate) jobs: Vec<u32>,
 }
 
 impl ColumnBlock {
@@ -108,48 +111,6 @@ impl ColumnBlock {
         self.tags.clear();
         self.values.clear();
         self.jobs.clear();
-    }
-
-    /// Assembles a block directly from its columns — the codec's bulk
-    /// decode path.  All columns must be the same length and `tags` must
-    /// hold valid [`Tag`] bytes (debug-asserted; callers validate).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_columns(
-        node: u32,
-        slot: u8,
-        sku: u8,
-        windows: Vec<u64>,
-        ranks: Vec<u64>,
-        t_s: Vec<f64>,
-        span_s: Vec<f64>,
-        tags: Vec<u8>,
-        values: Vec<f64>,
-        jobs: Vec<u32>,
-    ) -> Self {
-        let n = windows.len();
-        debug_assert!([
-            ranks.len(),
-            t_s.len(),
-            span_s.len(),
-            tags.len(),
-            values.len(),
-            jobs.len()
-        ]
-        .iter()
-        .all(|&l| l == n));
-        debug_assert!(tags.iter().all(|&t| Tag::from_u8(t).is_some()));
-        ColumnBlock {
-            node,
-            slot,
-            sku,
-            windows,
-            ranks,
-            t_s,
-            span_s,
-            tags,
-            values,
-            jobs,
-        }
     }
 
     /// Builds a block from one channel's events (all must belong to

@@ -155,6 +155,25 @@ pub fn encode(samples_w: &[f64], cfg: CodecConfig) -> Result<Vec<u8>, PmssError>
 /// attempt a multi-exabyte reservation.  All checks use overflow-safe
 /// arithmetic: no byte string panics the decoder, in debug or release.
 pub fn decode(data: &[u8], cfg: CodecConfig) -> Result<Vec<f64>, PmssError> {
+    let mut out = Vec::new();
+    decode_into(data, cfg, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode`] into a caller-owned buffer, reusing its allocation: `out`
+/// is cleared first and holds exactly the decoded series on success.  On
+/// error it is left empty — never a partial or stale series.
+pub fn decode_into(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), PmssError> {
+    out.clear();
+    let result = decode_runs(data, cfg, out);
+    if result.is_err() {
+        out.clear();
+    }
+    result
+}
+
+/// Appends the decoded series to the (empty) `out`.
+fn decode_runs(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), PmssError> {
     let malformed = |detail: String| PmssError::malformed("power-codec", detail);
     let mut pos = 0usize;
     let count =
@@ -174,7 +193,7 @@ pub fn decode(data: &[u8], cfg: CodecConfig) -> Result<Vec<f64>, PmssError> {
         .len()
         .saturating_sub(pos)
         .saturating_mul(PREALLOC_SAMPLES_PER_BYTE);
-    let mut out = Vec::with_capacity(count.min(plausible));
+    out.reserve(count.min(plausible));
     let mut prev = 0i64;
     while out.len() < count {
         let delta = unzigzag(
@@ -210,7 +229,7 @@ pub fn decode(data: &[u8], cfg: CodecConfig) -> Result<Vec<f64>, PmssError> {
             out.extend(std::iter::repeat_n(value, run));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compression ratio (raw f64 bytes over encoded bytes) for a series.

@@ -189,6 +189,27 @@ impl EncodedBlock {
     /// headroom, and the embedded codec stream performs its own
     /// overflow-hardened validation.
     pub fn decode(&self, cfg: CodecConfig) -> Result<ColumnBlock, PmssError> {
+        let mut block = ColumnBlock::default();
+        self.decode_into(cfg, &mut block)?;
+        Ok(block)
+    }
+
+    /// [`EncodedBlock::decode`] into a caller-owned scratch block, reusing
+    /// its column allocations — the replay paths decode a whole campaign
+    /// through one block.  `out` is re-targeted and cleared first, so no
+    /// row of a previous decode survives; on error it is left empty
+    /// (`len() == 0`), never partially filled.
+    pub fn decode_into(&self, cfg: CodecConfig, out: &mut ColumnBlock) -> Result<(), PmssError> {
+        out.reset(self.node, self.slot);
+        let result = self.decode_columns(cfg, out);
+        if result.is_err() {
+            out.reset(self.node, self.slot);
+        }
+        result
+    }
+
+    /// Fills the (reset) `out` column by column.
+    fn decode_columns(&self, cfg: CodecConfig, out: &mut ColumnBlock) -> Result<(), PmssError> {
         let malformed = |detail: &str| PmssError::malformed("column-block", detail.to_string());
         let n = usize::try_from(self.rows).map_err(|_| malformed("row count exceeds usize"))?;
         if n > cfg.max_samples {
@@ -197,8 +218,10 @@ impl EncodedBlock {
         let data = &self.payload[..];
         let mut pos = 0usize;
         let rest_channel = self.slot == REST_SLOT;
+        out.sku = self.sku;
 
-        let mut windows = Vec::with_capacity(n);
+        let windows = &mut out.windows;
+        windows.reserve(n);
         let mut prev = 0i64;
         while windows.len() < n {
             let delta =
@@ -218,7 +241,8 @@ impl EncodedBlock {
                 windows.push(prev as u64);
             }
         }
-        let mut ranks = Vec::with_capacity(n);
+        let ranks = &mut out.ranks;
+        ranks.reserve(n);
         while ranks.len() < n {
             let off =
                 unzigzag(read_varint(data, &mut pos).ok_or_else(|| malformed("truncated rank"))?);
@@ -237,10 +261,10 @@ impl EncodedBlock {
                 ranks.push(r as u64);
             }
         }
-        let tags: Vec<u8> = read_runs(data, &mut pos, n, &malformed, "tag", |t| {
+        read_runs(data, &mut pos, n, &malformed, "tag", &mut out.tags, |t| {
             u8::try_from(t).ok().filter(|&b| Tag::from_u8(b).is_some())
         })?;
-        let jobs: Vec<u32> = read_runs(data, &mut pos, n, &malformed, "job", |j| {
+        read_runs(data, &mut pos, n, &malformed, "job", &mut out.jobs, |j| {
             u32::try_from(j).ok()
         })?;
         let nan_count =
@@ -266,24 +290,22 @@ impl EncodedBlock {
             nan_rows.push(p as usize);
             prev_pos = p;
         }
-        let mut values = codec::decode(&data[pos..], cfg)?;
-        if values.len() != n {
+        codec::decode_into(&data[pos..], cfg, &mut out.values)?;
+        if out.values.len() != n {
             return Err(malformed("value column length mismatch"));
         }
         for &p in &nan_rows {
-            values[p] = f64::NAN;
+            out.values[p] = f64::NAN;
         }
 
-        let mut t_s = Vec::with_capacity(n);
-        let mut span_s = Vec::with_capacity(n);
-        for &w in &windows {
+        out.t_s.reserve(n);
+        out.span_s.reserve(n);
+        for &w in &out.windows {
             let (t, s) = self.grid.stamp(w, rest_channel);
-            t_s.push(t);
-            span_s.push(s);
+            out.t_s.push(t);
+            out.span_s.push(s);
         }
-        Ok(ColumnBlock::from_columns(
-            self.node, self.slot, self.sku, windows, ranks, t_s, span_s, tags, values, jobs,
-        ))
+        Ok(())
     }
 
     /// The block's node index.
@@ -420,18 +442,20 @@ fn push_runs<T, F: Fn(&T) -> u64>(out: &mut Vec<u8>, col: &[T], to_u64: F) {
     }
 }
 
-/// Decodes a run-length column of exactly `n` entries, validating and
-/// narrowing each distinct value once per *run* rather than once per row
-/// (`map` returns `None` for values the column cannot hold).
+/// Decodes a run-length column of exactly `n` entries into the (empty)
+/// `out`, validating and narrowing each distinct value once per *run*
+/// rather than once per row (`map` returns `None` for values the column
+/// cannot hold).
 fn read_runs<T: Copy>(
     data: &[u8],
     pos: &mut usize,
     n: usize,
     malformed: &impl Fn(&str) -> PmssError,
     what: &str,
+    out: &mut Vec<T>,
     map: impl Fn(u64) -> Option<T>,
-) -> Result<Vec<T>, PmssError> {
-    let mut out = Vec::with_capacity(n);
+) -> Result<(), PmssError> {
+    out.reserve(n);
     while out.len() < n {
         let v =
             read_varint(data, pos).ok_or_else(|| malformed(&format!("truncated {what} value")))?;
@@ -447,7 +471,7 @@ fn read_runs<T: Copy>(
         let t = map(v).ok_or_else(|| malformed(&format!("{what} value out of range")))?;
         out.extend(std::iter::repeat_n(t, run));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -628,6 +652,55 @@ mod tests {
             let mut bad = enc.clone();
             bad.payload.truncate(cut);
             assert!(bad.decode(CodecConfig::default()).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn failed_decode_into_matches_decode_and_leaves_the_scratch_empty() {
+        let events = |n: u64| -> Vec<WindowEvent> {
+            (0..n)
+                .map(|w| {
+                    gpu_event(
+                        w,
+                        w,
+                        WindowKind::Sample {
+                            power_w: 380.0,
+                            job: Some(1),
+                        },
+                    )
+                })
+                .collect()
+        };
+        let cfg = CodecConfig::default();
+        let good = EncodedBlock::encode(&ColumnBlock::from_events(2, 1, &events(64)), grid(), cfg)
+            .expect("encode");
+        let short = EncodedBlock::encode(&ColumnBlock::from_events(2, 1, &events(16)), grid(), cfg)
+            .expect("encode");
+        let tight = CodecConfig {
+            max_samples: 8,
+            ..cfg
+        };
+        // A scratch that already holds 64 good rows must come back empty
+        // from every failure — no stale row, no half-filled column — with
+        // the very error a fresh `decode` reports.
+        let mut scratch = ColumnBlock::default();
+        let mut failures = vec![(short.clone(), tight)];
+        for cut in 0..short.payload.len() {
+            let mut bad = short.clone();
+            bad.payload.truncate(cut);
+            failures.push((bad, cfg));
+        }
+        for (bad, bad_cfg) in failures {
+            good.decode_into(cfg, &mut scratch).expect("good block");
+            assert_eq!(scratch.len(), 64);
+            let want = bad.decode(bad_cfg).unwrap_err().to_string();
+            let got = bad
+                .decode_into(bad_cfg, &mut scratch)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(got, want);
+            assert_eq!(scratch.len(), 0);
+            assert_eq!(scratch, ColumnBlock::new(2, 1), "every column empty");
         }
     }
 

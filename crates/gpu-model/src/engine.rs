@@ -156,34 +156,6 @@ impl Engine {
         self.ppt_w
     }
 
-    /// 64-bit FNV-1a fingerprint of the engine's calibration — the PPT
-    /// limit, every power-model coefficient, and the voltage curve, each
-    /// taken through [`f64::to_bits`].  Two engines with the same
-    /// fingerprint execute every kernel bit-identically, so [`ExecCache`]
-    /// folds it into the key to keep differently-calibrated SKUs from
-    /// sharing executions.
-    ///
-    /// [`ExecCache`]: crate::cache::ExecCache
-    pub fn calibration_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [
-            self.ppt_w.to_bits(),
-            self.power.idle_w.to_bits(),
-            self.power.clock_w.to_bits(),
-            self.power.alu_max_w.to_bits(),
-            self.power.ondie_max_w.to_bits(),
-            self.power.hbm_max_w.to_bits(),
-            self.power.curve.v_intercept.to_bits(),
-            self.power.curve.v_slope.to_bits(),
-        ] {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
-    }
-
     /// Package power demand of `kernel`'s throughput phase at frequency `f`.
     pub fn busy_demand_w(&self, kernel: &KernelProfile, f: Freq) -> f64 {
         let est = perf::estimate(kernel, f);

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod boost;
-pub mod cache;
 pub mod calibrate;
 pub mod cap;
 pub mod consts;
@@ -60,7 +59,6 @@ pub mod trace;
 pub mod tuner;
 
 pub use boost::BoostBudget;
-pub use cache::{CacheStats, EngineStats, ExecCache, ExecKey, FxBuildHasher, FxHasher};
 pub use cap::{solve_freq_for_cap, CapOutcome};
 pub use device::{GpuDevice, Node, NodeRestModel};
 pub use engine::{Engine, Execution, GpuSettings};

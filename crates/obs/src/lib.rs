@@ -194,9 +194,9 @@ impl Metrics {
 
     /// Sets gauge `name` to `value` (non-finite values are skipped).
     ///
-    /// A *set-style* gauge (a ratio like `exec_cache.hit_rate`, a size
-    /// like `template_cache.entries`) does not survive [`Metrics::merge`],
-    /// which sums gauges.  Only set such gauges *after* the final merge —
+    /// A *set-style* gauge (a rate like `fleet.node_hours_per_s`, a size
+    /// like `stream.shards`) does not survive [`Metrics::merge`], which
+    /// sums gauges.  Only set such gauges *after* the final merge —
     /// derive ratios at report time from merged counters — or record them
     /// with [`Metrics::gauge_add`] as additive quantities instead.
     pub fn gauge_set(&mut self, name: &'static str, value: f64) {

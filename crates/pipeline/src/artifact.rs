@@ -1227,18 +1227,13 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
         .collect();
 
     // (b) GPU vs CPU energy on the fleet.  Disjoint field borrows: the
-    // schedule is read from the memoized stage while the shared cache and
-    // the metrics registry are passed alongside.
+    // schedule is read from the memoized stage while the metrics registry
+    // is passed alongside.
     p.ensure_fleet()?;
     let cfg = p.fleet_config();
-    let Pipeline {
-        fleet,
-        cache,
-        metrics,
-        ..
-    } = p;
+    let Pipeline { fleet, metrics, .. } = p;
     let fleet = fleet.as_ref().expect("fleet stage ran");
-    let split: GpuCpuEnergy = metered_sim(&fleet.schedule, &cfg, cache, metrics.as_mut());
+    let split: GpuCpuEnergy = metered_sim(&fleet.schedule, &cfg, metrics.as_mut());
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1785,7 +1780,6 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
     let mut rows = Vec::new();
     let mut base_peak = 0.0;
     let base_cfg = p.fleet_config();
-    let Pipeline { cache, metrics, .. } = p;
     for mhz in [1700.0, 1500.0, 1300.0, 1100.0, 900.0] {
         let fp: FleetPowerSeries = metered_sim(
             &schedule,
@@ -1793,8 +1787,7 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
                 settings: GpuSettings::freq_capped(mhz),
                 ..base_cfg.clone()
             },
-            cache,
-            metrics.as_mut(),
+            p.metrics.as_mut(),
         );
         let peak_mw = fp.peak_w() * node_factor / 1e6;
         let mean_mw = fp.mean_w() * node_factor / 1e6;
@@ -1868,7 +1861,6 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
     let Pipeline {
         fleet,
         table3,
-        cache,
         metrics,
         ..
     } = p;
@@ -1895,7 +1887,7 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
                 ..base_cfg.clone()
             };
             let (ledger, stats): (EnergyLedger, _) =
-                metered_sim_stats(&fleet.schedule, &cfg, cache, metrics.as_mut());
+                metered_sim_stats(&fleet.schedule, &cfg, metrics.as_mut());
             let coverage = ledger.coverage();
             let proj = project(
                 ProjectionInput::from_ledger(&ledger.scaled(fleet.frontier_factor)?),

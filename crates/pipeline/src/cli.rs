@@ -17,8 +17,7 @@ use pmss_obs::Stopwatch;
 use pmss_sched::{catalog, generate, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::{
-    fleet_window_blocks, simulate_fleet, simulate_fleet_with_cache, FleetCache, FleetConfig,
-    FleetObserver, Pair, ResidentFleet,
+    fleet_window_blocks, simulate_fleet, FleetConfig, FleetObserver, Pair, ResidentFleet,
 };
 
 use crate::artifact::ArtifactId;
@@ -448,20 +447,10 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-struct BenchRow {
-    scenario: &'static str,
-    nodes: usize,
-    node_hours: f64,
-    uncached_s: f64,
-    cached_s: f64,
-    templates: usize,
-    exec_entries: usize,
-    hit_rate: f64,
-}
-
 /// Fleet-simulation throughput benchmark (the former `bench_fleet`
 /// binary): simulated node-hours per wall-second at 64/256/1024 nodes,
-/// memoized vs unmemoized, written to `out_path` as JSON.
+/// uncapped and under the 300 W what-if cap, written to `out_path` as
+/// JSON.
 fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
     let out_path = out_path.unwrap_or("BENCH_fleet.json");
     let hours = 2.0;
@@ -471,8 +460,13 @@ fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
         ("uncapped", GpuSettings::uncapped()),
         ("cap300", GpuSettings::power_capped(300.0)),
     ];
-    let mut rows = Vec::new();
 
+    let mut out = String::new();
+    let mut row_json = Vec::new();
+    out.push_str(&format!(
+        "{:>9} {:>6} {:>8} {:>10} {:>10}\n",
+        "scenario", "nodes", "node-h", "wall ms", "nh/s"
+    ));
     for (scenario, settings) in scenarios {
         for nodes in [64usize, 256, 1024] {
             let schedule = generate(
@@ -484,86 +478,29 @@ fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
                 },
                 &domains,
             );
-            let uncached_cfg = FleetConfig {
-                settings,
-                use_exec_cache: false,
-                ..Default::default()
-            };
             let cfg = FleetConfig {
                 settings,
                 ..Default::default()
             };
-
-            let uncached_s = time_best(reps, || {
-                let l: EnergyLedger = simulate_fleet(&schedule, &uncached_cfg);
+            let wall_s = time_best(reps, || {
+                let l: EnergyLedger = simulate_fleet(&schedule, &cfg);
                 std::hint::black_box(l);
             });
-
-            // The warm-up call inside `time_best` fills the cache; the
-            // timed runs then measure the memoized steady state.
-            let cache = FleetCache::new();
-            let cached_s = time_best(reps, || {
-                let l: EnergyLedger = simulate_fleet_with_cache(&schedule, &cfg, &cache);
-                std::hint::black_box(l);
-            });
-
-            rows.push(BenchRow {
-                scenario,
-                nodes,
-                node_hours: nodes as f64 * hours,
-                uncached_s,
-                cached_s,
-                templates: cache.template_len(),
-                exec_entries: cache.exec().len(),
-                hit_rate: cache.template_stats().hit_rate(),
-            });
+            let node_hours = nodes as f64 * hours;
+            let rate = node_hours / wall_s;
+            out.push_str(&format!(
+                "{scenario:>9} {nodes:>6} {node_hours:>8.0} {:>10.3} {rate:>10.0}\n",
+                wall_s * 1e3
+            ));
+            row_json.push(
+                Json::obj()
+                    .field("scenario", scenario)
+                    .field("nodes", nodes)
+                    .field("node_hours", node_hours)
+                    .field("wall_s", wall_s)
+                    .field("node_hours_per_s", rate),
+            );
         }
-    }
-
-    let mut out = String::new();
-    let mut row_json = Vec::new();
-    out.push_str(&format!(
-        "{:>9} {:>6} {:>8} {:>14} {:>14} {:>8} {:>10} {:>9} {:>9}\n",
-        "scenario",
-        "nodes",
-        "node-h",
-        "uncached nh/s",
-        "cached nh/s",
-        "speedup",
-        "templates",
-        "kernels",
-        "hit-rate"
-    ));
-    for r in &rows {
-        let un = r.node_hours / r.uncached_s;
-        let ca = r.node_hours / r.cached_s;
-        let speedup = ca / un;
-        out.push_str(&format!(
-            "{:>9} {:>6} {:>8.0} {:>14.0} {:>14.0} {:>7.2}x {:>10} {:>9} {:>9.3}\n",
-            r.scenario,
-            r.nodes,
-            r.node_hours,
-            un,
-            ca,
-            speedup,
-            r.templates,
-            r.exec_entries,
-            r.hit_rate
-        ));
-        row_json.push(
-            Json::obj()
-                .field("scenario", r.scenario)
-                .field("nodes", r.nodes)
-                .field("node_hours", r.node_hours)
-                .field("uncached_wall_s", r.uncached_s)
-                .field("cached_wall_s", r.cached_s)
-                .field("uncached_node_hours_per_s", un)
-                .field("cached_node_hours_per_s", ca)
-                .field("speedup", speedup)
-                .field("cached_templates", r.templates)
-                .field("cached_kernels", r.exec_entries)
-                .field("template_hit_rate", r.hit_rate),
-        );
     }
     // Windows/s section: throughput of the columnar paths over one
     // stream-bench-scale trace (16 nodes x 12 h by default;
@@ -656,26 +593,9 @@ fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
         resident.compression_ratio()
     ));
 
-    // Per-scenario minimum speedup across node counts: the memoization
-    // acceptance headline.  The what-if (capped) regime is where engine
-    // execution dominates and the cache pays off hardest; uncapped runs
-    // are bounded by telemetry emission itself and gain less.
-    let mut summary = Json::obj();
-    for (scenario, _) in scenarios {
-        let min_speedup = rows
-            .iter()
-            .filter(|r| r.scenario == scenario)
-            .map(|r| (r.node_hours / r.cached_s) / (r.node_hours / r.uncached_s))
-            .fold(f64::INFINITY, f64::min);
-        summary = summary.field(&format!("{scenario}_min_speedup"), min_speedup);
-    }
     let json = Json::obj()
         .field("benchmark", "fleet_throughput")
         .field("unit", "simulated node-hours per wall-second")
-        .field(
-            "baseline",
-            "unmemoized reference path (re-executes each phase every cycle)",
-        )
         .field("schedule_hours", hours)
         .field("rows", Json::Arr(row_json))
         .field(
@@ -694,8 +614,7 @@ fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
                         .field("replay_path", "resident_replay")
                         .field("extrapolated_replay_s", campaign_replay_s),
                 ),
-        )
-        .field("summary", summary);
+        );
     std::fs::write(out_path, json.to_string_pretty())?;
     out.push_str(&format!("wrote {out_path}\n"));
     Ok(out)

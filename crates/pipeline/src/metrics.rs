@@ -134,9 +134,9 @@ mod tests {
 
     fn sample_metrics() -> Metrics {
         let mut m = Metrics::new();
-        m.add("template_cache.hits", 12);
+        m.add("engine.executions", 12);
         m.inc("fleet.runs");
-        m.gauge_set("exec_cache.hit_rate", 0.75);
+        m.gauge_set("fleet.node_hours_per_s", 0.75);
         m.observe("artifact.wall_s", edges::WALL_S, 0.002);
         m.observe("artifact.wall_s", edges::WALL_S, 999.0);
         m
@@ -156,7 +156,7 @@ mod tests {
         );
         let counters = back.get("metrics").and_then(|m| m.get("counters")).unwrap();
         assert_eq!(
-            counters.get("template_cache.hits").and_then(Json::as_f64),
+            counters.get("engine.executions").and_then(Json::as_f64),
             Some(12.0)
         );
         let hist = back
@@ -179,9 +179,9 @@ mod tests {
         assert!(text.starts_with("== metrics =="), "{text}");
         assert!(text.contains("scenario quick (16 nodes x 2 days"), "{text}");
         for needle in [
-            "template_cache.hits",
+            "engine.executions",
             "fleet.runs",
-            "exec_cache.hit_rate",
+            "fleet.node_hours_per_s",
             "artifact.wall_s: n=2",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");

@@ -14,8 +14,8 @@ use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    simulate_fleet_metered, simulate_fleet_with_cache, DomainHistograms, FleetCache, FleetConfig,
-    FleetObserver, FleetRunStats, Pair, SystemHistogram,
+    simulate_fleet, simulate_fleet_metered, DomainHistograms, FleetConfig, FleetObserver,
+    FleetRunStats, Pair, SystemHistogram,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, BenchScale, Table3};
@@ -43,25 +43,23 @@ pub struct FleetArtifacts {
     pub frontier_factor: f64,
 }
 
-/// Routes a fleet simulation through the pipeline's shared [`FleetCache`],
-/// folding the run's [`pmss_telemetry::FleetRunStats`] into `metrics` when
-/// metering is on.  With `metrics` absent this is exactly
-/// [`simulate_fleet_with_cache`] — the metered and unmetered paths produce
-/// bit-identical observers either way (the sink is folded alongside the
-/// observer, never consulted by it).
+/// Runs a fleet simulation, folding the run's
+/// [`pmss_telemetry::FleetRunStats`] into `metrics` when metering is on.
+/// With `metrics` absent this is exactly [`simulate_fleet`] — the metered
+/// and unmetered paths produce bit-identical observers either way (the
+/// sink is folded alongside the observer, never consulted by it).
 pub(crate) fn metered_sim<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
-    cache: &FleetCache,
     metrics: Option<&mut Metrics>,
 ) -> O
 where
     O: FleetObserver + Default,
 {
     let Some(m) = metrics else {
-        return simulate_fleet_with_cache(schedule, cfg, cache);
+        return simulate_fleet(schedule, cfg);
     };
-    metered_sim_stats(schedule, cfg, cache, Some(m)).0
+    metered_sim_stats(schedule, cfg, Some(m)).0
 }
 
 /// Like [`metered_sim`], but always runs the stats-collecting simulation
@@ -72,14 +70,13 @@ where
 pub(crate) fn metered_sim_stats<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
-    cache: &FleetCache,
     metrics: Option<&mut Metrics>,
 ) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
 {
     let sw = Stopwatch::start();
-    let (obs, stats) = simulate_fleet_metered::<O>(schedule, cfg, cache);
+    let (obs, stats) = simulate_fleet_metered::<O>(schedule, cfg);
     let wall_s = sw.elapsed_s();
     if let Some(m) = metrics {
         m.inc("fleet.runs");
@@ -89,6 +86,10 @@ where
         m.add("boost.engagements", stats.boost_engagements);
         m.add("boost.denied", stats.boost_denied);
         m.gauge_add("boost.granted_s", stats.boost_granted_s);
+        m.add("engine.executions", stats.engine_executions);
+        m.add("engine.ppt_throttled", stats.engine_ppt_throttled);
+        m.add("cap_solver.iters", stats.solver_iters);
+        m.add("cap_solver.breaches", stats.cap_breaches);
         // Fault-injection tallies, recorded only when a plan is active so a
         // clean run's metrics envelope keeps its historical set of keys.
         if cfg.faults.as_ref().is_some_and(|p| !p.is_noop()) {
@@ -113,17 +114,15 @@ where
 
 /// A staged scenario run with memoized stage outputs.
 ///
-/// Every fleet simulation a pipeline performs — the fleet stage and any
-/// per-artifact runs (Fig. 2's energy split, the peak-power cap sweep) —
-/// shares one [`FleetCache`], so repeated runs of the same schedule replay
-/// memoized slot templates.  When built [`Pipeline::with_metrics`], the
-/// pipeline additionally accumulates a [`Metrics`] registry (stage wall
-/// times, cache traffic, solver work); metering never changes artifact
+/// When built [`Pipeline::with_metrics`], the pipeline additionally
+/// accumulates a [`Metrics`] registry (stage wall times, fleet-run
+/// tallies, engine and solver work) across every fleet simulation it
+/// performs — the fleet stage and any per-artifact runs (Fig. 2's energy
+/// split, the peak-power cap sweep); metering never changes artifact
 /// bytes.
 pub struct Pipeline {
     pub(crate) spec: ScenarioSpec,
     pub(crate) engine: Engine,
-    pub(crate) cache: FleetCache,
     pub(crate) metrics: Option<Metrics>,
     pub(crate) fleet: Option<FleetArtifacts>,
     pub(crate) table3: Option<Table3>,
@@ -137,7 +136,6 @@ impl Pipeline {
         Ok(Pipeline {
             spec,
             engine: Engine::default(),
-            cache: FleetCache::new(),
             metrics: None,
             fleet: None,
             table3: None,
@@ -156,42 +154,11 @@ impl Pipeline {
         self.metrics.is_some()
     }
 
-    /// The fleet-simulation cache shared by every run this pipeline makes.
-    pub fn fleet_cache(&self) -> &FleetCache {
-        &self.cache
-    }
-
-    /// A snapshot of the accumulated metrics, augmented with the current
-    /// cache and engine tallies; `None` unless built
+    /// A snapshot of the accumulated metrics, augmented with the derived
+    /// fleet throughput gauge; `None` unless built
     /// [`Pipeline::with_metrics`].
     pub fn metrics_report(&self) -> Option<Metrics> {
         let mut m = self.metrics.clone()?;
-        let tpl = self.cache.template_stats();
-        m.add("template_cache.hits", tpl.hits);
-        m.add("template_cache.misses", tpl.misses);
-        m.add("template_cache.inserts", tpl.inserts);
-        m.gauge_set("template_cache.entries", self.cache.template_len() as f64);
-        if tpl.hits + tpl.misses > 0 {
-            m.gauge_set(
-                "template_cache.hit_rate",
-                tpl.hits as f64 / (tpl.hits + tpl.misses) as f64,
-            );
-        }
-        let exec = self.cache.exec().stats();
-        m.add("exec_cache.hits", exec.hits);
-        m.add("exec_cache.misses", exec.misses);
-        m.add("exec_cache.inserts", exec.inserts);
-        if exec.hits + exec.misses > 0 {
-            m.gauge_set(
-                "exec_cache.hit_rate",
-                exec.hits as f64 / (exec.hits + exec.misses) as f64,
-            );
-        }
-        let eng = self.cache.exec().engine_stats();
-        m.add("engine.executions", eng.executions);
-        m.add("engine.ppt_throttled", eng.ppt_throttled);
-        m.add("cap_solver.iters", eng.solver_iters);
-        m.add("cap_solver.breaches", eng.cap_breaches);
         let wall = m.gauge("fleet.wall_s").unwrap_or(0.0);
         if wall > 0.0 {
             m.gauge_set(
@@ -291,7 +258,7 @@ impl Pipeline {
         // historical observers stay bit-identical with the series along.
         type Obs = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
         let cfg = self.fleet_config();
-        let obs: Obs = metered_sim(&schedule, &cfg, &self.cache, self.metrics.as_mut());
+        let obs: Obs = metered_sim(&schedule, &cfg, self.metrics.as_mut());
         self.fleet = Some(FleetArtifacts {
             schedule,
             domains,

@@ -20,7 +20,7 @@ use std::sync::mpsc::Sender as ReplySender;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pmss_columns::{CodecConfig, EncodedBlock};
+use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock};
 use pmss_core::EnergyLedger;
 use pmss_econ::{EconSeries, EconTrace};
 use pmss_error::PmssError;
@@ -142,6 +142,9 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
             return; // validated above; unreachable in practice
         };
         let codec = CodecConfig::default();
+        // One decode scratch for the worker's lifetime: every frame
+        // decompresses into the same column buffers.
+        let mut block = ColumnBlock::default();
         let mut since_publish = 0u64;
         let publish = |engine: &StreamEngine<'_, Pair<EnergyLedger, EconSeries>>| {
             let state = Arc::new(StreamState::capture_pair(engine, frontier_factor));
@@ -155,9 +158,9 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
         while let Some(cmd) = rx.recv().await {
             match cmd {
                 Command::Block(enc, reply) => {
-                    let result = match enc.decode(codec) {
+                    let result = match enc.decode_into(codec, &mut block) {
                         Err(e) => Err((code::MALFORMED, e.to_string())),
-                        Ok(block) => engine
+                        Ok(()) => engine
                             .ingest_block(&block)
                             .map_err(|e| (stream_error_code(&e), e.to_string())),
                     };

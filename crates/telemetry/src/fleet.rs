@@ -15,7 +15,7 @@ use pmss_faults::{FaultLane, FaultPlan, GapPolicy, Glitch};
 
 use pmss_gpu::consts::GPUS_PER_NODE;
 use pmss_gpu::trace::standard_normal;
-use pmss_gpu::{BoostBudget, Engine, FleetMix, GpuSettings, NodeRestModel, SkuCatalog};
+use pmss_gpu::{BoostBudget, Engine, Execution, FleetMix, GpuSettings, NodeRestModel, SkuCatalog};
 use pmss_sched::Schedule;
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
@@ -23,7 +23,6 @@ use pmss_workloads::AppClass;
 use pmss_columns::ColumnBlock;
 
 use crate::events::{WindowEvent, WindowKind, REST_SLOT};
-use crate::fleetcache::FleetCache;
 
 pub use pmss_columns::{FleetObserver, GapFill, SampleCtx};
 
@@ -44,13 +43,6 @@ pub struct FleetConfig {
     pub domain_settings: Vec<Option<GpuSettings>>,
     /// RNG seed.
     pub seed: u64,
-    /// Memoize slot templates and engine executions across phases, cycles,
-    /// nodes, slots, and repeated runs (see [`FleetCache`]).  When
-    /// disabled, the simulation takes the unmemoized reference path that
-    /// re-synthesizes each app and re-executes every phase on every cycle
-    /// iteration; both paths produce bit-identical output, so disabling
-    /// only serves equivalence tests and A/B benchmarking.
-    pub use_exec_cache: bool,
     /// Deterministic telemetry degradation applied to the emitted stream
     /// (see [`pmss_faults::FaultPlan`]).  `None` — or a plan that injects
     /// nothing — leaves the stream untouched, bit for bit: the clean path
@@ -73,7 +65,6 @@ impl Default for FleetConfig {
             settings: GpuSettings::uncapped(),
             domain_settings: Vec::new(),
             seed: 1,
-            use_exec_cache: true,
             faults: None,
             mix: FleetMix::homogeneous(),
         }
@@ -135,6 +126,17 @@ pub struct FleetRunStats {
     pub gaps_excluded: u64,
     /// Lost windows billed as idle (`attribute-idle` gap policy).
     pub gaps_idle: u64,
+    /// Engine executions performed: one per synthesized phase of every
+    /// (placement, GPU slot) template.
+    pub engine_executions: u64,
+    /// Executions throttled by the firmware sustained limit rather than
+    /// the software cap.
+    pub engine_ppt_throttled: u64,
+    /// Cap-solver demand evaluations across those executions.
+    pub solver_iters: u64,
+    /// Executions whose software power cap was breached even at the
+    /// frequency floor (paper Fig. 6d).
+    pub cap_breaches: u64,
 }
 
 impl FleetRunStats {
@@ -154,6 +156,10 @@ impl FleetRunStats {
         self.gaps_interpolated += other.gaps_interpolated;
         self.gaps_excluded += other.gaps_excluded;
         self.gaps_idle += other.gaps_idle;
+        self.engine_executions += other.engine_executions;
+        self.engine_ppt_throttled += other.engine_ppt_throttled;
+        self.solver_iters += other.solver_iters;
+        self.cap_breaches += other.cap_breaches;
     }
 }
 
@@ -188,6 +194,7 @@ trait FleetSink: Default + Send {
     fn boost_engaged(&mut self, _granted_s: f64) {}
     fn boost_denied(&mut self) {}
     fn fault(&mut self, _e: FaultEvent) {}
+    fn engine_executed(&mut self, _ex: &Execution) {}
     fn absorb(&mut self, other: Self);
 }
 
@@ -223,6 +230,12 @@ impl FleetSink for FleetRunStats {
             FaultEvent::GapIdle => self.gaps_idle += 1,
         }
     }
+    fn engine_executed(&mut self, ex: &Execution) {
+        self.engine_executions += 1;
+        self.engine_ppt_throttled += ex.ppt_throttled as u64;
+        self.solver_iters += ex.solver_iters as u64;
+        self.cap_breaches += ex.cap_breached as u64;
+    }
     fn absorb(&mut self, other: Self) {
         self.merge(&other);
     }
@@ -250,21 +263,35 @@ struct Segment {
     boostable: bool,
 }
 
-/// Builds the segment timeline of one GPU slot under `settings`.
-/// `engine` is the calibration of the node's SKU; `sku` keys the template
-/// cache so classes never share memoized executions.
-#[allow(clippy::too_many_arguments)]
-fn slot_segments(
+/// One constant-power stretch of a single phase cycle of a placement's
+/// template.
+#[derive(Debug, Clone, Copy)]
+struct PhaseSeg {
+    dur_s: f64,
+    power_w: f64,
+    /// True when the device is pinned at its firmware limit and may boost.
+    boostable: bool,
+}
+
+/// Builds the segment timeline of one GPU slot.  `engine` is the
+/// calibration of the node's SKU.
+///
+/// Each placement's per-cycle template — the app synthesized once from its
+/// slot seed, one [`Engine::execute`] per phase — is built into a local
+/// buffer and cycled until the job window is filled.  Templates are never
+/// shared: the buffer is cleared for the next placement and dropped with
+/// the call.
+fn slot_segments<M: FleetSink>(
+    sink: &mut M,
     schedule: &Schedule,
     node: usize,
     slot: usize,
-    sku: u8,
     engine: &Engine,
-    cache: Option<&FleetCache>,
     cfg: &FleetConfig,
     idle_power_w: f64,
 ) -> Vec<Segment> {
     let mut segs = Vec::new();
+    let mut tmpl: Vec<PhaseSeg> = Vec::new();
     let mut t = 0.0f64;
 
     for placement in &schedule.per_node[node] {
@@ -281,90 +308,53 @@ fn slot_segments(
         let settings = cfg.settings_for(job.domain);
         let slot_seed = job.seed ^ ((node as u64) << 8) ^ slot as u64;
 
-        // Cycle phases until the job window is filled (under caps the same
-        // wall window holds less completed work).
-        let mut cursor = placement.begin_s;
-        match cache {
-            Some(cache) => {
-                // Memoized path: the whole per-cycle template — phase
-                // synthesis plus one engine execution per phase — is
-                // resolved through the shared cache, and the cycle loop
-                // replays it instead of re-running the engine every
-                // iteration.
-                let tmpl = cache.template(
-                    engine,
-                    sku,
-                    slot_seed,
-                    job.app_class,
-                    job.duration_s(),
-                    settings,
-                );
-                if !tmpl.is_empty() {
-                    'fill: loop {
-                        let cursor_at_cycle_start = cursor;
-                        for seg in tmpl.iter() {
-                            let end = (cursor + seg.dur_s).min(placement.end_s);
-                            if end > cursor {
-                                segs.push(Segment {
-                                    start_s: cursor,
-                                    end_s: end,
-                                    power_w: seg.power_w,
-                                    job: Some(placement.job),
-                                    boostable: seg.boostable,
-                                });
-                                cursor = end;
-                            }
-                            if cursor >= placement.end_s {
-                                break 'fill;
-                            }
-                        }
-                        if cursor <= cursor_at_cycle_start {
-                            break;
-                        }
-                    }
+        // Synthesis is seed-pure and `Engine::execute` is stateless, so one
+        // pass over the phases stands for every cycle of the job.
+        let mut rng = StdRng::seed_from_u64(slot_seed);
+        let phases = synthesize_app(job.app_class, job.duration_s(), &mut rng);
+        tmpl.clear();
+        for phase in &phases {
+            let ex = engine.execute(phase, settings);
+            sink.engine_executed(&ex);
+            for (dur_s, power_w, boostable) in [
+                (ex.perf.roofline_s, ex.busy_power_w, ex.ppt_throttled),
+                (ex.perf.serial_s, ex.serial_power_w, false),
+                (ex.perf.stall_s, ex.idle_power_w, false),
+            ] {
+                if dur_s > 0.0 {
+                    tmpl.push(PhaseSeg {
+                        dur_s,
+                        power_w,
+                        boostable,
+                    });
                 }
             }
-            None => {
-                // Reference path: re-synthesize the app and re-execute
-                // every phase on every cycle iteration, exactly as the
-                // pre-cache implementation did.  Synthesis is seed-pure and
-                // `Engine::execute` is stateless, so this produces
-                // bit-identical segments to the memoized path; it is kept
-                // as the baseline for equivalence tests and A/B
-                // benchmarking.
-                let mut rng = StdRng::seed_from_u64(slot_seed);
-                let phases = synthesize_app(job.app_class, job.duration_s(), &mut rng);
-                'fill: loop {
-                    let cursor_at_cycle_start = cursor;
-                    for phase in &phases {
-                        let ex = engine.execute(phase, settings);
-                        for (dur, power, boostable) in [
-                            (ex.perf.roofline_s, ex.busy_power_w, ex.ppt_throttled),
-                            (ex.perf.serial_s, ex.serial_power_w, false),
-                            (ex.perf.stall_s, ex.idle_power_w, false),
-                        ] {
-                            if dur <= 0.0 {
-                                continue;
-                            }
-                            let end = (cursor + dur).min(placement.end_s);
-                            if end > cursor {
-                                segs.push(Segment {
-                                    start_s: cursor,
-                                    end_s: end,
-                                    power_w: power,
-                                    job: Some(placement.job),
-                                    boostable,
-                                });
-                                cursor = end;
-                            }
-                            if cursor >= placement.end_s {
-                                break 'fill;
-                            }
-                        }
+        }
+
+        // Cycle the template until the job window is filled (under caps the
+        // same wall window holds less completed work).
+        let mut cursor = placement.begin_s;
+        if !tmpl.is_empty() {
+            'fill: loop {
+                let cursor_at_cycle_start = cursor;
+                for seg in &tmpl {
+                    let end = (cursor + seg.dur_s).min(placement.end_s);
+                    if end > cursor {
+                        segs.push(Segment {
+                            start_s: cursor,
+                            end_s: end,
+                            power_w: seg.power_w,
+                            job: Some(placement.job),
+                            boostable: seg.boostable,
+                        });
+                        cursor = end;
                     }
-                    if cursor <= cursor_at_cycle_start {
-                        break;
+                    if cursor >= placement.end_s {
+                        break 'fill;
                     }
+                }
+                if cursor <= cursor_at_cycle_start {
+                    break;
                 }
             }
         }
@@ -660,57 +650,24 @@ fn node_rest_events<M: FleetSink>(
 }
 
 /// Runs the fleet simulation, returning the merged observer.
-///
-/// When [`FleetConfig::use_exec_cache`] is set (the default), the
-/// process-wide [`FleetCache::shared`] memoizes slot templates across
-/// *every* run in the process, so repeated simulations (benchmark
-/// iterations, what-if sweeps, pipeline artifacts) pay template synthesis
-/// once.  Cache keys are exact, so output is bit-identical to a cold
-/// cache regardless of prior contents; use [`simulate_fleet_with_cache`]
-/// to supply a caller-owned cache instead (e.g. to inspect hit rates).
 pub fn simulate_fleet<O>(schedule: &Schedule, cfg: &FleetConfig) -> O
 where
     O: FleetObserver + Default,
 {
-    if cfg.use_exec_cache {
-        simulate_fleet_impl::<O, ()>(schedule, cfg, Some(FleetCache::shared())).0
-    } else {
-        simulate_fleet_impl::<O, ()>(schedule, cfg, None).0
-    }
+    simulate_fleet_impl::<O, ()>(schedule, cfg).0
 }
 
-/// [`simulate_fleet`] with a caller-owned cache.
+/// [`simulate_fleet`], additionally tallying run statistics (sample
+/// counts, boost engagements, engine and cap-solver work) via a per-worker
+/// [`FleetRunStats`] sink merged at reduce time.
 ///
-/// The cache may be shared by any two `simulate_fleet_with_cache` calls:
-/// engines are resolved through the standard [`SkuCatalog`] and the SKU
-/// index is part of every template key, so mixes never collide.  Output
-/// is bit-identical to the uncached path regardless of the cache's prior
-/// contents, because cache keys are exact (see [`FleetCache`]).
-pub fn simulate_fleet_with_cache<O>(schedule: &Schedule, cfg: &FleetConfig, cache: &FleetCache) -> O
+/// The observer output is bit-identical to [`simulate_fleet`]: the sink
+/// only counts, it never touches the simulation state.
+pub fn simulate_fleet_metered<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
 {
-    simulate_fleet_impl::<O, ()>(schedule, cfg, Some(cache)).0
-}
-
-/// [`simulate_fleet_with_cache`], additionally tallying run statistics
-/// (sample counts, boost engagements) via a per-worker [`FleetRunStats`]
-/// sink merged at reduce time.
-///
-/// The observer output is bit-identical to the unmetered entry points:
-/// the sink only counts, it never touches the simulation state.  Cache
-/// hit/miss/insert counters live on `cache` itself and accumulate across
-/// runs; snapshot [`FleetCache::template_stats`] before and after to
-/// attribute them to one run.
-pub fn simulate_fleet_metered<O>(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    cache: &FleetCache,
-) -> (O, FleetRunStats)
-where
-    O: FleetObserver + Default,
-{
-    simulate_fleet_impl::<O, FleetRunStats>(schedule, cfg, Some(cache))
+    simulate_fleet_impl::<O, FleetRunStats>(schedule, cfg)
 }
 
 /// Per-SKU values the window loop reads constantly, resolved once per run
@@ -724,9 +681,25 @@ struct SkuRuntime {
     boosted_w: f64,
 }
 
-impl SkuRuntime {
-    fn resolve(catalog: &SkuCatalog) -> Vec<SkuRuntime> {
-        catalog
+/// What every node of one fleet run shares: the inputs plus the standard
+/// catalog resolved to per-SKU runtime values (indexed by SKU).
+struct FleetRun<'a> {
+    schedule: &'a Schedule,
+    cfg: &'a FleetConfig,
+    runtime: Vec<SkuRuntime>,
+}
+
+/// Reusable per-channel buffers: the block under construction and the
+/// fault plan's columnar decision lanes.
+struct ChannelScratch {
+    block: ColumnBlock,
+    lane: FaultLane,
+    dropout: Vec<bool>,
+}
+
+impl<'a> FleetRun<'a> {
+    fn new(schedule: &'a Schedule, cfg: &'a FleetConfig) -> Self {
+        let runtime = SkuCatalog::standard()
             .skus()
             .iter()
             .map(|spec| SkuRuntime {
@@ -738,56 +711,117 @@ impl SkuRuntime {
                     .demand_w(pmss_gpu::Utilization::idle(), pmss_gpu::Freq::MAX),
                 boosted_w: spec.boosted_w(),
             })
-            .collect()
+            .collect();
+        FleetRun {
+            schedule,
+            cfg,
+            runtime,
+        }
+    }
+
+    /// The SKU index of `node` under the run's mix, folded into the
+    /// catalog's range so arbitrary mix patterns can never index out of
+    /// bounds (and so energy lanes stay dense: two pattern values naming
+    /// the same catalog entry land in the same lane).
+    fn sku_of(&self, node: usize) -> u8 {
+        (self.cfg.mix.sku_of(node) as usize % self.runtime.len().max(1)) as u8
+    }
+
+    fn scratch(&self) -> ChannelScratch {
+        let windows_hint = (self.schedule.duration_s / self.cfg.window_s).floor() as usize + 1;
+        ChannelScratch {
+            block: ColumnBlock::with_capacity(0, 0, windows_hint),
+            lane: FaultLane::new(),
+            dropout: Vec::new(),
+        }
+    }
+
+    /// Generates `node`'s channels in canonical order — GPU slots `0..4`,
+    /// then rest-of-node — each into the scratch block, handed to `each`
+    /// as soon as it is complete.  With `arrival_order` set, GPU channels
+    /// are stable-sorted by `(rank, window)` first, realizing a reordering
+    /// fault plan in the block itself.
+    fn node_channel_blocks<M: FleetSink>(
+        &self,
+        node: usize,
+        scratch: &mut ChannelScratch,
+        sink: &mut M,
+        arrival_order: bool,
+        mut each: impl FnMut(&ColumnBlock),
+    ) {
+        let (schedule, cfg) = (self.schedule, self.cfg);
+        let ChannelScratch {
+            block,
+            lane,
+            dropout,
+        } = scratch;
+        let sku = self.sku_of(node);
+        let rt = &self.runtime[sku as usize];
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((node as u64) << 20));
+        for slot in 0..GPUS_PER_NODE {
+            let segs = slot_segments(sink, schedule, node, slot, &rt.engine, cfg, rt.idle_power_w);
+            let mut boost = BoostBudget::default();
+            block.reset(node as u32, slot as u8);
+            slot_window_events(
+                sink,
+                schedule,
+                &segs,
+                node as u32,
+                slot as u8,
+                sku,
+                cfg,
+                &mut boost,
+                &mut rng,
+                rt.idle_power_w,
+                rt.boosted_w,
+                lane,
+                &mut |ev| block.push(&ev),
+            );
+            if arrival_order {
+                block.sort_arrival();
+            }
+            each(block);
+        }
+        block.reset(node as u32, REST_SLOT);
+        node_rest_events(
+            sink,
+            schedule,
+            node as u32,
+            sku,
+            cfg,
+            &rt.rest,
+            dropout,
+            &mut |ev| block.push(&ev),
+        );
+        each(block);
     }
 }
 
-/// The SKU index of `node` under `mix`, folded into the catalog's range so
-/// arbitrary mix patterns can never index out of bounds (and so energy
-/// lanes stay dense: two pattern values naming the same catalog entry land
-/// in the same lane).
-fn canonical_sku(mix: &FleetMix, catalog: &SkuCatalog, node: usize) -> u8 {
-    (mix.sku_of(node) as usize % catalog.len().max(1)) as u8
-}
-
-fn simulate_fleet_impl<O, M>(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    cache: Option<&FleetCache>,
-) -> (O, M)
+fn simulate_fleet_impl<O, M>(schedule: &Schedule, cfg: &FleetConfig) -> (O, M)
 where
     O: FleetObserver + Default,
     M: FleetSink,
 {
-    let catalog = SkuCatalog::standard();
-    let runtime = SkuRuntime::resolve(&catalog);
+    let run = FleetRun::new(schedule, cfg);
 
-    // One scratch block per worker, reset per channel: generation writes
-    // the channel's windows into SoA columns, then the observer folds the
-    // whole block at once ([`FleetObserver::fold_block`]).  The fold
-    // replays the identical observer-call sequence the per-event path
-    // made, so low-order float bits are pinned; columnar observers merely
-    // skip per-event dispatch.
-    let windows_hint = (schedule.duration_s / cfg.window_s).floor() as usize + 1;
-
+    // Generation writes each channel's windows into SoA columns, then the
+    // observer folds the whole block at once ([`FleetObserver::fold_block`]).
+    // The fold replays the identical observer-call sequence the per-event
+    // path made, so low-order float bits are pinned; columnar observers
+    // merely skip per-event dispatch.
     (0..schedule.per_node.len())
         .into_par_iter()
         .fold(
             || (O::default(), M::default()),
             |(mut obs, mut sink), node| {
-                let sku = canonical_sku(&cfg.mix, &catalog, node);
-                let rt = &runtime[sku as usize];
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((node as u64) << 20));
-                let mut block = ColumnBlock::with_capacity(node as u32, 0, windows_hint);
-                let mut lane = FaultLane::new();
-                let mut dropout = Vec::new();
+                let mut scratch = run.scratch();
                 // Channel-grouped observers accumulate each channel into a
-                // fresh partial, merged in canonical order (GPU slots 0..4,
-                // then rest-of-node) — the shape `pmss-stream` reproduces
-                // bit for bit (see [`FleetObserver::CHANNEL_GROUPED`]).
-                // Everything else folds blocks straight into the running
-                // accumulator, preserving historical low-order bits.
-                let fold = |obs: &mut O, block: &ColumnBlock| {
+                // fresh partial, merged in canonical order — the shape
+                // `pmss-stream` reproduces bit for bit (see
+                // [`FleetObserver::CHANNEL_GROUPED`]).  Everything else
+                // folds blocks straight into the running accumulator,
+                // preserving historical low-order bits.
+                run.node_channel_blocks(node, &mut scratch, &mut sink, false, |block| {
                     if O::CHANNEL_GROUPED {
                         let mut chan = O::default();
                         chan.fold_block(schedule, block);
@@ -795,49 +829,7 @@ where
                     } else {
                         obs.fold_block(schedule, block);
                     }
-                };
-                for slot in 0..GPUS_PER_NODE {
-                    let segs = slot_segments(
-                        schedule,
-                        node,
-                        slot,
-                        sku,
-                        &rt.engine,
-                        cache,
-                        cfg,
-                        rt.idle_power_w,
-                    );
-                    let mut boost = BoostBudget::default();
-                    block.reset(node as u32, slot as u8);
-                    slot_window_events(
-                        &mut sink,
-                        schedule,
-                        &segs,
-                        node as u32,
-                        slot as u8,
-                        sku,
-                        cfg,
-                        &mut boost,
-                        &mut rng,
-                        rt.idle_power_w,
-                        rt.boosted_w,
-                        &mut lane,
-                        &mut |ev| block.push(&ev),
-                    );
-                    fold(&mut obs, &block);
-                }
-                block.reset(node as u32, REST_SLOT);
-                node_rest_events(
-                    &mut sink,
-                    schedule,
-                    node as u32,
-                    sku,
-                    cfg,
-                    &rt.rest,
-                    &mut dropout,
-                    &mut |ev| block.push(&ev),
-                );
-                fold(&mut obs, &block);
+                });
                 (obs, sink)
             },
         )
@@ -869,19 +861,6 @@ pub fn fleet_window_events(
     fleet_window_blocks(schedule, cfg, |b| b.iter().for_each(&mut emit));
 }
 
-/// [`fleet_window_events`] with a caller-owned cache (same contract as
-/// [`simulate_fleet_with_cache`]).
-pub fn fleet_window_events_with_cache(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    cache: &FleetCache,
-    mut emit: impl FnMut(WindowEvent),
-) {
-    fleet_window_blocks_impl(schedule, cfg, Some(cache), &mut |b: &ColumnBlock| {
-        b.iter().for_each(&mut emit)
-    });
-}
-
 /// Streams every telemetry channel of a fleet run to `emit` as one
 /// [`ColumnBlock`] per channel, in canonical channel order (nodes
 /// ascending; GPU slots `0..4`, then rest-of-node).  Within a block, rows
@@ -897,81 +876,15 @@ pub fn fleet_window_blocks(
     cfg: &FleetConfig,
     mut emit: impl FnMut(&ColumnBlock),
 ) {
-    if cfg.use_exec_cache {
-        fleet_window_blocks_impl(schedule, cfg, Some(FleetCache::shared()), &mut emit);
-    } else {
-        fleet_window_blocks_impl(schedule, cfg, None, &mut emit);
-    }
-}
-
-fn fleet_window_blocks_impl(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    cache: Option<&FleetCache>,
-    emit: &mut impl FnMut(&ColumnBlock),
-) {
-    let catalog = SkuCatalog::standard();
-    let runtime = SkuRuntime::resolve(&catalog);
+    let run = FleetRun::new(schedule, cfg);
+    // Generation order is already arrival order unless a plan reorders.
     let reordering = cfg
         .faults
         .as_ref()
         .is_some_and(|p| !p.is_noop() && p.reorder_depth > 0);
-    let windows_hint = (schedule.duration_s / cfg.window_s).floor() as usize + 1;
-    let mut block = ColumnBlock::with_capacity(0, 0, windows_hint);
-    let mut lane = FaultLane::new();
-    let mut dropout = Vec::new();
-
+    let mut scratch = run.scratch();
     for node in 0..schedule.per_node.len() {
-        let sku = canonical_sku(&cfg.mix, &catalog, node);
-        let rt = &runtime[sku as usize];
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((node as u64) << 20));
-        for slot in 0..GPUS_PER_NODE {
-            let segs = slot_segments(
-                schedule,
-                node,
-                slot,
-                sku,
-                &rt.engine,
-                cache,
-                cfg,
-                rt.idle_power_w,
-            );
-            let mut boost = BoostBudget::default();
-            block.reset(node as u32, slot as u8);
-            slot_window_events(
-                &mut (),
-                schedule,
-                &segs,
-                node as u32,
-                slot as u8,
-                sku,
-                cfg,
-                &mut boost,
-                &mut rng,
-                rt.idle_power_w,
-                rt.boosted_w,
-                &mut lane,
-                &mut |ev| block.push(&ev),
-            );
-            if reordering {
-                // Arrival order: stable-sort the channel by (rank, window),
-                // keeping duplicate copies (equal keys) adjacent.
-                block.sort_arrival();
-            }
-            emit(&block);
-        }
-        block.reset(node as u32, REST_SLOT);
-        node_rest_events(
-            &mut (),
-            schedule,
-            node as u32,
-            sku,
-            cfg,
-            &rt.rest,
-            &mut dropout,
-            &mut |ev| block.push(&ev),
-        );
-        emit(&block);
+        run.node_channel_blocks(node, &mut scratch, &mut (), reordering, &mut emit);
     }
 }
 
@@ -1220,22 +1133,134 @@ mod tests {
         }
     }
 
+    /// The pre-template reference: re-synthesizes the app and re-executes
+    /// every phase on every cycle iteration.  Synthesis is seed-pure and
+    /// `Engine::execute` is stateless, so production [`slot_segments`]
+    /// (one pass per placement, cycled) must match it bit for bit.
+    fn reference_slot_segments(
+        schedule: &Schedule,
+        node: usize,
+        slot: usize,
+        engine: &Engine,
+        cfg: &FleetConfig,
+        idle_power_w: f64,
+    ) -> Vec<Segment> {
+        let mut segs = Vec::new();
+        let mut t = 0.0f64;
+
+        for placement in &schedule.per_node[node] {
+            if placement.begin_s > t {
+                segs.push(Segment {
+                    start_s: t,
+                    end_s: placement.begin_s,
+                    power_w: idle_power_w,
+                    job: None,
+                    boostable: false,
+                });
+            }
+            let job = &schedule.jobs[placement.job];
+            let settings = cfg.settings_for(job.domain);
+            let slot_seed = job.seed ^ ((node as u64) << 8) ^ slot as u64;
+
+            let mut cursor = placement.begin_s;
+            let mut rng = StdRng::seed_from_u64(slot_seed);
+            let phases = synthesize_app(job.app_class, job.duration_s(), &mut rng);
+            'fill: loop {
+                let cursor_at_cycle_start = cursor;
+                for phase in &phases {
+                    let ex = engine.execute(phase, settings);
+                    for (dur, power, boostable) in [
+                        (ex.perf.roofline_s, ex.busy_power_w, ex.ppt_throttled),
+                        (ex.perf.serial_s, ex.serial_power_w, false),
+                        (ex.perf.stall_s, ex.idle_power_w, false),
+                    ] {
+                        if dur <= 0.0 {
+                            continue;
+                        }
+                        let end = (cursor + dur).min(placement.end_s);
+                        if end > cursor {
+                            segs.push(Segment {
+                                start_s: cursor,
+                                end_s: end,
+                                power_w: power,
+                                job: Some(placement.job),
+                                boostable,
+                            });
+                            cursor = end;
+                        }
+                        if cursor >= placement.end_s {
+                            break 'fill;
+                        }
+                    }
+                }
+                if cursor <= cursor_at_cycle_start {
+                    break;
+                }
+            }
+            if cursor < placement.end_s {
+                segs.push(Segment {
+                    start_s: cursor,
+                    end_s: placement.end_s,
+                    power_w: idle_power_w,
+                    job: Some(placement.job),
+                    boostable: false,
+                });
+            }
+            t = placement.end_s;
+        }
+
+        if t < schedule.duration_s {
+            segs.push(Segment {
+                start_s: t,
+                end_s: schedule.duration_s,
+                power_w: idle_power_w,
+                job: None,
+                boostable: false,
+            });
+        }
+        segs
+    }
+
     #[test]
-    fn cached_simulation_is_bit_identical_to_uncached() {
+    fn slot_segments_match_the_per_cycle_reference_bit_for_bit() {
         let s = tiny_schedule();
-        let cached: Collector = simulate_fleet(&s, &FleetConfig::default());
-        let uncached: Collector = simulate_fleet(
-            &s,
-            &FleetConfig {
-                use_exec_cache: false,
-                ..Default::default()
-            },
-        );
-        // Exact-bit cache keys make the memoized path indistinguishable
-        // from fresh execution: every sample matches bit for bit.
-        assert_eq!(cached.gpu.len(), uncached.gpu.len());
-        assert_eq!(cached.gpu, uncached.gpu);
-        assert_eq!(cached.node, uncached.node);
+        let with = |settings| FleetConfig {
+            settings,
+            ..Default::default()
+        };
+        let mixed = FleetConfig {
+            mix: FleetMix::preset("mixed-50-50").expect("preset"),
+            ..Default::default()
+        };
+        for cfg in [
+            FleetConfig::default(),
+            with(GpuSettings::freq_capped(900.0)),
+            with(GpuSettings::power_capped(300.0)),
+            mixed,
+        ] {
+            let run = FleetRun::new(&s, &cfg);
+            let mut skus = std::collections::BTreeSet::new();
+            for node in 0..s.per_node.len() {
+                let sku = run.sku_of(node);
+                skus.insert(sku);
+                let rt = &run.runtime[sku as usize];
+                for slot in 0..GPUS_PER_NODE {
+                    let got =
+                        slot_segments(&mut (), &s, node, slot, &rt.engine, &cfg, rt.idle_power_w);
+                    let want =
+                        reference_slot_segments(&s, node, slot, &rt.engine, &cfg, rt.idle_power_w);
+                    assert_eq!(got.len(), want.len(), "node {node} slot {slot}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.start_s.to_bits(), w.start_s.to_bits());
+                        assert_eq!(g.end_s.to_bits(), w.end_s.to_bits());
+                        assert_eq!(g.power_w.to_bits(), w.power_w.to_bits());
+                        assert_eq!((g.job, g.boostable), (w.job, w.boostable));
+                    }
+                }
+            }
+            // The mixed config must really exercise more than one engine.
+            assert_eq!(skus.len() > 1, !cfg.mix.is_homogeneous());
+        }
     }
 
     #[test]
@@ -1243,8 +1268,7 @@ mod tests {
         let s = tiny_schedule();
         let cfg = FleetConfig::default();
         let plain: Collector = simulate_fleet(&s, &cfg);
-        let cache = FleetCache::new();
-        let (metered, stats): (Collector, FleetRunStats) = simulate_fleet_metered(&s, &cfg, &cache);
+        let (metered, stats): (Collector, FleetRunStats) = simulate_fleet_metered(&s, &cfg);
         // The sink only counts: observer output matches bit for bit.
         assert_eq!(plain.gpu, metered.gpu);
         assert_eq!(plain.node, metered.node);
@@ -1263,9 +1287,8 @@ mod tests {
         // exactly when boost bursts engage; a 4-node, 4-hour schedule has
         // plenty of such windows.
         let s = tiny_schedule();
-        let cache = FleetCache::new();
         let (_ledger, stats): (Collector, FleetRunStats) =
-            simulate_fleet_metered(&s, &FleetConfig::default(), &cache);
+            simulate_fleet_metered(&s, &FleetConfig::default());
         assert!(stats.boost_engagements > 0, "{stats:?}");
         assert!(stats.boost_granted_s > 0.0);
         // Engagements spend at most 10 s each.
@@ -1277,35 +1300,6 @@ mod tests {
         a.merge(&stats);
         assert_eq!(a.gpu_samples, 2 * before);
         assert_eq!(a.boost_engagements, 2 * stats.boost_engagements);
-    }
-
-    #[test]
-    fn shared_cache_is_warm_on_repeat_runs() {
-        // Template keys are seeded per (job, node, slot), so within one
-        // cold run every slot template misses exactly once; any repeated
-        // simulation of the same schedule — different observers, benchmark
-        // iterations, what-if sweeps — then runs entirely warm: every
-        // template hits and the engine executes nothing at all.
-        let s = tiny_schedule();
-        let cache = FleetCache::new();
-        let cfg = FleetConfig::default();
-        let _: Collector = simulate_fleet_with_cache(&s, &cfg, &cache);
-        let cold_tmpl = cache.template_stats();
-        let cold_exec = cache.exec().stats();
-        assert_eq!(cold_tmpl.misses as usize, cache.template_len());
-        assert!(cold_tmpl.misses > 0);
-        assert_eq!(cold_exec.misses as usize, cache.exec().len());
-        assert!(cold_exec.misses > 0);
-
-        let _: Collector = simulate_fleet_with_cache(&s, &cfg, &cache);
-        let warm_tmpl = cache.template_stats();
-        assert_eq!(warm_tmpl.misses, cold_tmpl.misses, "no new synthesis");
-        assert_eq!(warm_tmpl.hits, cold_tmpl.hits + cold_tmpl.lookups());
-        assert_eq!(
-            cache.exec().stats(),
-            cold_exec,
-            "warm templates never reach the engine"
-        );
     }
 }
 
@@ -1378,9 +1372,8 @@ mod fault_tests {
             drop_prob: 0.05,
             ..FaultPlan::none()
         };
-        let cache = FleetCache::new();
         let (faulted, stats): (FaultCollector, FleetRunStats) =
-            simulate_fleet_metered(&s, &with_plan(plan), &cache);
+            simulate_fleet_metered(&s, &with_plan(plan));
         assert!(faulted.gpu.len() < clean.gpu.len());
         assert_eq!(faulted.gpu.len() + faulted.gaps.len(), clean.gpu.len());
         assert_eq!(stats.faults_dropped as usize, faulted.gaps.len());
@@ -1471,9 +1464,8 @@ mod fault_tests {
             reorder_depth: 4,
             ..FaultPlan::none()
         };
-        let cache = FleetCache::new();
         let (faulted, stats): (FaultCollector, FleetRunStats) =
-            simulate_fleet_metered(&s, &with_plan(plan), &cache);
+            simulate_fleet_metered(&s, &with_plan(plan));
         assert_eq!(faulted.gpu.len(), clean.gpu.len());
         assert!(stats.faults_reordered > 0, "{stats:?}");
         // Same multiset of samples: sorting both recovers equality.
@@ -1494,9 +1486,8 @@ mod fault_tests {
             dropout_windows: 8,
             ..FaultPlan::none()
         };
-        let cache = FleetCache::new();
         let (faulted, stats): (FaultCollector, FleetRunStats) =
-            simulate_fleet_metered(&s, &with_plan(plan.clone()), &cache);
+            simulate_fleet_metered(&s, &with_plan(plan.clone()));
         assert!(stats.faults_dropout_windows > 0, "{stats:?}");
         assert_eq!(
             faulted.node.len() as u64 + stats.faults_dropout_windows,
@@ -1538,9 +1529,8 @@ mod fault_tests {
             spike_w: 300.0,
             ..FaultPlan::none()
         };
-        let cache = FleetCache::new();
         let (faulted, stats): (FaultCollector, FleetRunStats) =
-            simulate_fleet_metered(&s, &with_plan(plan), &cache);
+            simulate_fleet_metered(&s, &with_plan(plan));
         let nans = faulted.gpu.iter().filter(|x| x.3.is_nan()).count();
         let spikes = faulted.gpu.iter().filter(|x| x.3 > 700.0).count();
         assert!(nans > 0, "no NaN glitches");
@@ -1552,9 +1542,8 @@ mod fault_tests {
     fn frontier_typical_preset_runs_end_to_end() {
         let s = schedule();
         let plan = FaultPlan::preset("frontier-typical").unwrap();
-        let cache = FleetCache::new();
         let (faulted, stats): (FaultCollector, FleetRunStats) =
-            simulate_fleet_metered(&s, &with_plan(plan), &cache);
+            simulate_fleet_metered(&s, &with_plan(plan));
         assert!(!faulted.gpu.is_empty());
         assert!(stats.faults_dropped > 0);
         assert!(stats.gpu_samples > 0);

@@ -26,7 +26,6 @@ pub mod compress;
 pub mod events;
 pub mod export;
 pub mod fleet;
-pub mod fleetcache;
 pub mod fleetpower;
 pub mod hist;
 pub mod join;
@@ -37,11 +36,9 @@ pub mod smi;
 
 pub use events::{apply_event, WindowEvent, WindowKind, REST_SLOT};
 pub use fleet::{
-    delivery_ordered_events, fleet_window_blocks, fleet_window_events,
-    fleet_window_events_with_cache, simulate_fleet, simulate_fleet_metered,
-    simulate_fleet_with_cache, FleetConfig, FleetObserver, FleetRunStats, GapFill, SampleCtx,
+    delivery_ordered_events, fleet_window_blocks, fleet_window_events, simulate_fleet,
+    simulate_fleet_metered, FleetConfig, FleetObserver, FleetRunStats, GapFill, SampleCtx,
 };
-pub use fleetcache::FleetCache;
 pub use fleetpower::FleetPowerSeries;
 pub use hist::PowerHistogram;
 pub use join::{JobPowerIndex, JobPowerStats};

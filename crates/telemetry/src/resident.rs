@@ -83,16 +83,17 @@ impl ResidentFleet {
     }
 
     /// Replays the store into a fresh observer: each block decodes
-    /// independently and folds in canonical channel order (nodes
-    /// ascending; GPU slots `0..4`, then rest-of-node), with
-    /// channel-grouped observers accumulated one fresh partial per
-    /// channel — the batch simulation's accumulation shape.  `schedule`
-    /// must be the one the store was captured from (job attribution
-    /// indexes its job log).
+    /// independently (into one reused scratch block) and folds in
+    /// canonical channel order (nodes ascending; GPU slots `0..4`, then
+    /// rest-of-node), with channel-grouped observers accumulated one
+    /// fresh partial per channel — the batch simulation's accumulation
+    /// shape.  `schedule` must be the one the store was captured from
+    /// (job attribution indexes its job log).
     pub fn replay<O: FleetObserver + Default>(&self, schedule: &Schedule) -> Result<O, PmssError> {
         let mut obs = O::default();
+        let mut block = ColumnBlock::default();
         for enc in &self.blocks {
-            let block = enc.decode(self.codec)?;
+            enc.decode_into(self.codec, &mut block)?;
             if O::CHANNEL_GROUPED {
                 let mut chan = O::default();
                 chan.fold_block(schedule, &block);
@@ -106,10 +107,13 @@ impl ResidentFleet {
 
     /// Decodes each block in canonical order to `emit` — the seam for
     /// feeding a resident store through the streaming engine's
-    /// `ingest_block`.
+    /// `ingest_block`.  The block reference is one reused scratch buffer,
+    /// valid only for the duration of the callback.
     pub fn decode_blocks(&self, mut emit: impl FnMut(&ColumnBlock)) -> Result<(), PmssError> {
+        let mut block = ColumnBlock::default();
         for enc in &self.blocks {
-            emit(&enc.decode(self.codec)?);
+            enc.decode_into(self.codec, &mut block)?;
+            emit(&block);
         }
         Ok(())
     }

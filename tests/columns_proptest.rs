@@ -183,32 +183,67 @@ proptest! {
     /// fill, NaN glitches, a partial tail window, clock skew, power on
     /// the 1 W quantization grid — encodes and decodes back to the
     /// identical block, bit for bit, through the compressed resident
-    /// format.
+    /// format; and decoding a sequence of blocks through *one* shared
+    /// scratch (`decode_into`) yields exactly what a fresh `decode` of
+    /// each does, whatever the previous decode left behind: the sequence
+    /// always includes a long block before a short one, a non-zero SKU
+    /// before SKU 0, and NaN rows before none.
     #[test]
     fn on_grid_blocks_round_trip_bit_for_bit(
         (n_full, rows) in (10u64..300).prop_flat_map(|n| (Just(n), arb_rows(n))),
+        other_rows in arb_rows(10),
         window_s in (0usize..3).prop_map(|i| [5.0f64, 15.0, 60.0][i]),
         tail_frac in 0.0..1.0f64,
         skew_s in -5.0..5.0f64,
         node in 0u32..64,
-        slot in 0u8..5,
-        sku in 0u8..16,
+        (slot, other_slot) in (0u8..5, 0u8..5),
+        (sku, other_sku) in (0u8..16, 0u8..16),
     ) {
         let grid = BlockGrid {
             window_s,
             duration_s: (n_full as f64 + tail_frac) * window_s,
             skew_s,
         };
-        let events: Vec<WindowEvent> = rows
-            .iter()
-            .map(|r| stamp_event(&grid, node, slot, sku, r))
-            .collect();
-        let block = ColumnBlock::from_events(node, slot, &events);
+        let build = |node: u32, slot: u8, sku: u8, rows: &[RowSpec]| {
+            let events: Vec<WindowEvent> = rows
+                .iter()
+                .map(|r| stamp_event(&grid, node, slot, sku, r))
+                .collect();
+            ColumnBlock::from_events(node, slot, &events)
+        };
+        let block = build(node, slot, sku, &rows);
         let enc = EncodedBlock::encode(&block, grid, CodecConfig::default()).expect("encode");
         let dec = enc.decode(CodecConfig::default()).expect("decode");
         prop_assert_eq!(dec.len(), block.len());
         for i in 0..block.len() {
             prop_assert_eq!(event_key(&dec.event(i)), event_key(&block.event(i)));
+        }
+
+        // A short, NaN-free, SKU-0 cut of the same rows, to follow a block
+        // with NaN rows, a non-zero SKU and more rows than it.
+        let mut glitched = rows.clone();
+        glitched[0].kind_pick = 0;
+        let plain: Vec<RowSpec> = rows[..rows.len().div_ceil(4)]
+            .iter()
+            .map(|r| RowSpec { kind_pick: 5, ..*r })
+            .collect();
+        let sequence = [
+            block,
+            build(node + 1, other_slot, other_sku, &other_rows),
+            build(node, 1, 3, &glitched),
+            build(node, 0, 0, &plain),
+        ];
+        let mut scratch = ColumnBlock::default();
+        for block in &sequence {
+            let enc = EncodedBlock::encode(block, grid, CodecConfig::default()).expect("encode");
+            let fresh = enc.decode(CodecConfig::default()).expect("decode");
+            enc.decode_into(CodecConfig::default(), &mut scratch).expect("decode_into");
+            prop_assert_eq!(scratch.channel(), fresh.channel());
+            prop_assert_eq!(scratch.sku(), fresh.sku());
+            prop_assert_eq!(scratch.len(), fresh.len());
+            for i in 0..fresh.len() {
+                prop_assert_eq!(event_key(&scratch.event(i)), event_key(&fresh.event(i)));
+            }
         }
     }
 

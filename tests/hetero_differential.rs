@@ -3,8 +3,8 @@
 //! omitted or spelled `single-sku` — renders every artifact byte-for-byte
 //! identical to the pre-catalog goldens, clean and faulted, and a mixed
 //! run must never perturb homogeneous output computed afterwards (the
-//! shared [`FleetCache`] keys templates by SKU, so cross-class
-//! contamination would show up here first).
+//! simulation holds no state between runs, so this is plain determinism
+//! — and the tripwire should process-wide state ever return).
 //!
 //! CI's tier-1 matrix runs this suite under both `RAYON_NUM_THREADS`
 //! legs, pinning the identity across thread configurations as well.
@@ -133,14 +133,12 @@ fn single_sku_cli_flag_matches_clean_and_faulted_goldens() {
     }
 }
 
-/// A mixed-fleet run — through both the pipeline's private cache and the
-/// process-wide shared [`FleetCache`] used by the cache-less entry points
-/// — never perturbs homogeneous artifacts computed afterwards: the cache
-/// keys slot templates by SKU, and this test is the tripwire if that
-/// ever regresses.
+/// A mixed-fleet run — through a pipeline and through the bare
+/// `simulate_fleet` entry point — never perturbs homogeneous artifacts
+/// computed afterwards: runs share nothing, so their order cannot matter.
 #[test]
 fn mixed_runs_never_perturb_homogeneous_artifacts() {
-    // Warm a mixed pipeline end to end (its own cache) ...
+    // Run a mixed pipeline end to end ...
     let mut mixed_spec = ScenarioSpec::preset(ScalePreset::Quick);
     mixed_spec.fleet_mix = Some("mixed-50-50".to_string());
     let mut mixed = Pipeline::new(mixed_spec.clone()).expect("valid spec");
@@ -155,8 +153,8 @@ fn mixed_runs_never_perturb_homogeneous_artifacts() {
         "mixed-50-50 components rendered the homogeneous bytes"
     );
 
-    // Warm the process-wide shared cache with the same schedule under the
-    // mixed config (the path `pmss query`-style callers take).
+    // The same schedule under the mixed config through the library entry
+    // point (the path `pmss query`-style callers take).
     let schedule = pmss::sched::generate(mixed_spec.trace_params(), &pmss::sched::catalog());
     let cfg = Pipeline::new(mixed_spec)
         .expect("valid spec")
@@ -180,7 +178,7 @@ fn mixed_runs_never_perturb_homogeneous_artifacts() {
         );
     }
 
-    // And so must the cache-less CLI path itself.
+    // And so must the CLI path itself.
     let args: Vec<String> = ["components", "--scale", "quick"]
         .iter()
         .map(|s| s.to_string())

@@ -1,5 +1,5 @@
 //! Observability acceptance tests: metering must be invisible in artifact
-//! bytes, and the `--metrics` envelope must carry the run's cache, solver,
+//! bytes, and the `--metrics` envelope must carry the run's engine, solver,
 //! and stage tallies.
 
 use pmss::pipeline::json::Json;
@@ -41,10 +41,10 @@ fn metered_artifacts_are_byte_identical() {
 }
 
 /// `--metrics --json` adds a parseable `run` + `metrics` envelope whose
-/// cache counters reflect real traffic; without the flag the envelope is
+/// engine counters reflect real work; without the flag the envelope is
 /// unchanged.
 #[test]
-fn cli_metrics_envelope_reports_cache_traffic() {
+fn cli_metrics_envelope_reports_engine_work() {
     let text = cli_run(&["fig", "2", "--metrics", "--json", "--scale", "quick"]);
     let v = Json::parse(&text).expect("envelope parses");
     assert_eq!(v.get("artifact").and_then(Json::as_str), Some("fig2"));
@@ -57,15 +57,15 @@ fn cli_metrics_envelope_reports_cache_traffic() {
         .expect("counters present");
     let counter = |name: &str| counters.get(name).and_then(Json::as_f64).unwrap_or(0.0);
     // Fig. 2 runs the fleet twice over one schedule (stage + energy
-    // split), so the shared template cache must see hits.
-    assert!(counter("template_cache.hits") > 0.0, "{text}");
-    assert!(counter("template_cache.misses") > 0.0, "{text}");
-    // Synthesized phase kernels are near-unique, so the exec cache mostly
-    // misses — its job here is to prove the engine-side tallies flow.
-    assert!(counter("exec_cache.misses") > 0.0, "{text}");
+    // split); each run's sink tallies its own engine and solver work.
     assert!(counter("engine.executions") > 0.0, "{text}");
     assert!(counter("cap_solver.iters") > 0.0, "{text}");
     assert!(counter("fleet.runs") >= 2.0, "{text}");
+    // No memoisation layer exists, so none may report.
+    assert!(
+        !text.contains("template_cache.") && !text.contains("exec_cache."),
+        "{text}"
+    );
 
     let plain = cli_run(&["fig", "2", "--json", "--scale", "quick"]);
     let v = Json::parse(&plain).expect("plain envelope parses");
@@ -141,8 +141,8 @@ fn stats_subcommand_reports_the_full_pipeline() {
 }
 
 /// The fleet-level tallies agree with what the observers themselves see:
-/// attributed samples can never exceed total samples, and boost bookkeeping
-/// is self-consistent.
+/// attributed samples can never exceed total samples, and the engine
+/// bookkeeping is self-consistent.
 #[test]
 fn metrics_tallies_are_self_consistent() {
     let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
@@ -152,15 +152,11 @@ fn metrics_tallies_are_self_consistent() {
     let attributed = m.counter("fleet.attributed_samples");
     assert!(gpu > 0);
     assert!(attributed <= gpu, "attributed {attributed} > total {gpu}");
-    let tpl_hits = m.counter("template_cache.hits");
-    let tpl_misses = m.counter("template_cache.misses");
-    assert!(m.counter("template_cache.inserts") <= tpl_misses);
-    assert_eq!(
-        m.gauge("template_cache.hit_rate"),
-        Some(tpl_hits as f64 / (tpl_hits + tpl_misses) as f64)
-    );
-    assert_eq!(
-        m.counter("exec_cache.inserts"),
-        m.counter("exec_cache.misses")
-    );
+    // Every execution runs both cap solves, each at least one demand
+    // evaluation; throttling and breaches are subsets of executions.
+    let executions = m.counter("engine.executions");
+    assert!(executions > 0);
+    assert!(m.counter("cap_solver.iters") >= 2 * executions);
+    assert!(m.counter("engine.ppt_throttled") <= executions);
+    assert!(m.counter("cap_solver.breaches") <= executions);
 }
