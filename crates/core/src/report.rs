@@ -1,5 +1,5 @@
-//! ASCII table rendering for the paper's tables — used by the `pmss-bench`
-//! binaries that regenerate each artifact.
+//! ASCII table rendering for the paper's tables — used by the `pmss`
+//! CLI's renderers (`pmss-pipeline::render`) that regenerate each artifact.
 
 use pmss_workloads::Table3;
 

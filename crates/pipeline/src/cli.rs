@@ -6,19 +6,14 @@
 //! [`run`] takes argv (minus the program name) and returns the full
 //! output text, which keeps the CLI itself testable.
 
-use std::time::Instant;
-
 use pmss_core::EnergyLedger;
 use pmss_econ::{EconSeries, EconTrace};
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, PRESETS};
-use pmss_gpu::{FleetMix, GpuSettings};
+use pmss_gpu::FleetMix;
 use pmss_obs::Stopwatch;
-use pmss_sched::{catalog, generate, TraceParams};
-use pmss_stream::{StreamConfig, StreamEngine, StreamState};
-use pmss_telemetry::{
-    fleet_window_blocks, simulate_fleet, FleetConfig, FleetObserver, Pair, ResidentFleet,
-};
+use pmss_stream::StreamState;
+use pmss_telemetry::{Pair, ResidentFleet};
 
 use crate::artifact::ArtifactId;
 use crate::json::Json;
@@ -66,10 +61,8 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
     if positional.is_empty() {
         return Ok(help_text());
     }
-    match positional[0].as_str() {
-        "list" => return Ok(list_text()),
-        "bench-fleet" => return bench_fleet(positional.get(1).map(String::as_str)),
-        _ => {}
+    if positional[0] == "list" {
+        return Ok(list_text());
     }
 
     let mut spec = resolve_spec(scale.as_deref(), spec_path.as_deref())?;
@@ -404,7 +397,6 @@ fn help_text() -> String {
          \x20                                    econ | whatif <freq_mhz|power_w> <VALUE>\n\
          \x20   pmss serve [OPTIONS]             run the pmssd analysis daemon (see pmss serve --help)\n\
          \x20   pmss client <CMD> [OPTIONS]      drive a running daemon (ingest, query, metrics)\n\
-         \x20   pmss bench-fleet [PATH]          fleet-simulation throughput benchmark\n\
          \n\
          OPTIONS:\n\
          \x20   --json           structured JSON output instead of ASCII\n\
@@ -435,191 +427,6 @@ fn list_text() -> String {
     out
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds (after one warm-up call).
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Fleet-simulation throughput benchmark (the former `bench_fleet`
-/// binary): simulated node-hours per wall-second at 64/256/1024 nodes,
-/// uncapped and under the 300 W what-if cap, written to `out_path` as
-/// JSON.
-fn bench_fleet(out_path: Option<&str>) -> Result<String, PmssError> {
-    let out_path = out_path.unwrap_or("BENCH_fleet.json");
-    let hours = 2.0;
-    let reps = 3;
-    let domains = catalog();
-    let scenarios: [(&str, GpuSettings); 2] = [
-        ("uncapped", GpuSettings::uncapped()),
-        ("cap300", GpuSettings::power_capped(300.0)),
-    ];
-
-    let mut out = String::new();
-    let mut row_json = Vec::new();
-    out.push_str(&format!(
-        "{:>9} {:>6} {:>8} {:>10} {:>10}\n",
-        "scenario", "nodes", "node-h", "wall ms", "nh/s"
-    ));
-    for (scenario, settings) in scenarios {
-        for nodes in [64usize, 256, 1024] {
-            let schedule = generate(
-                TraceParams {
-                    nodes,
-                    duration_s: hours * 3600.0,
-                    seed: 9,
-                    min_job_s: 900.0,
-                },
-                &domains,
-            );
-            let cfg = FleetConfig {
-                settings,
-                ..Default::default()
-            };
-            let wall_s = time_best(reps, || {
-                let l: EnergyLedger = simulate_fleet(&schedule, &cfg);
-                std::hint::black_box(l);
-            });
-            let node_hours = nodes as f64 * hours;
-            let rate = node_hours / wall_s;
-            out.push_str(&format!(
-                "{scenario:>9} {nodes:>6} {node_hours:>8.0} {:>10.3} {rate:>10.0}\n",
-                wall_s * 1e3
-            ));
-            row_json.push(
-                Json::obj()
-                    .field("scenario", scenario)
-                    .field("nodes", nodes)
-                    .field("node_hours", node_hours)
-                    .field("wall_s", wall_s)
-                    .field("node_hours_per_s", rate),
-            );
-        }
-    }
-    // Windows/s section: throughput of the columnar paths over one
-    // stream-bench-scale trace (16 nodes x 12 h by default;
-    // `PMSS_BENCH_SCALE` in (0, 1] shrinks the trace duration for CI
-    // smoke runs).  `simulate` is generation + fold; `block_ingest` is
-    // generation + the streaming engine's in-order block fast path;
-    // `resident_replay` is compressed-store decode + fold (generation out
-    // of the loop); `fold_blocks` is the pure columnar fold over
-    // materialized blocks — the asymptotic rate once telemetry is
-    // resident.
-    let scale = std::env::var("PMSS_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0 && *s <= 1.0)
-        .unwrap_or(1.0);
-    let w_nodes = 16usize;
-    let w_hours = (12.0 * scale).max(0.5);
-    let w_sched = generate(
-        TraceParams {
-            nodes: w_nodes,
-            duration_s: w_hours * 3600.0,
-            seed: 9,
-            min_job_s: 900.0,
-        },
-        &domains,
-    );
-    let w_cfg = FleetConfig::default();
-    let resident = ResidentFleet::capture(&w_sched, &w_cfg)?;
-    let window_events = resident.rows();
-    let mut blocks = Vec::new();
-    fleet_window_blocks(&w_sched, &w_cfg, |b| blocks.push(b.clone()));
-
-    let simulate_s = time_best(reps, || {
-        let l: EnergyLedger = simulate_fleet(&w_sched, &w_cfg);
-        std::hint::black_box(l);
-    });
-    let ingest_s = time_best(reps, || {
-        let mut eng: StreamEngine<'_, EnergyLedger> =
-            StreamEngine::new(&w_sched, StreamConfig::for_plan(None)).expect("valid config");
-        fleet_window_blocks(&w_sched, &w_cfg, |b| {
-            eng.ingest_block(b).expect("in-order arrival");
-        });
-        std::hint::black_box(eng.finish().0);
-    });
-    let replay_s = time_best(reps, || {
-        let l: EnergyLedger = resident.replay(&w_sched).expect("replay");
-        std::hint::black_box(l);
-    });
-    let fold_s = time_best(reps, || {
-        let mut ledger = EnergyLedger::default();
-        for block in &blocks {
-            let mut chan = EnergyLedger::default();
-            chan.fold_block(&w_sched, block);
-            ledger.merge(chan);
-        }
-        std::hint::black_box(ledger);
-    });
-
-    const CAMPAIGN_WINDOWS: f64 = 2.0e9;
-    let replay_rate = window_events as f64 / replay_s;
-    let campaign_replay_s = CAMPAIGN_WINDOWS / replay_rate;
-    let window_rows = [
-        ("simulate", simulate_s),
-        ("block_ingest", ingest_s),
-        ("resident_replay", replay_s),
-        ("fold_blocks", fold_s),
-    ];
-    out.push_str(&format!(
-        "\nwindows/s ({w_nodes} nodes x {w_hours:.1} h, {window_events} window-events, \
-         best of {reps}):\n"
-    ));
-    let mut windows_json = Vec::new();
-    for (path, wall_s) in window_rows {
-        let rate = window_events as f64 / wall_s;
-        out.push_str(&format!(
-            "{path:>16} {:>10.3} ms {:>8.1} M windows/s\n",
-            wall_s * 1e3,
-            rate / 1e6
-        ));
-        windows_json.push(
-            Json::obj()
-                .field("path", path)
-                .field("wall_s", wall_s)
-                .field("windows_per_s", rate),
-        );
-    }
-    out.push_str(&format!(
-        "resident store: {:.1}x compressed; full campaign ({CAMPAIGN_WINDOWS:.1e} \
-         window-events) replays in ~{campaign_replay_s:.0} s\n",
-        resident.compression_ratio()
-    ));
-
-    let json = Json::obj()
-        .field("benchmark", "fleet_throughput")
-        .field("unit", "simulated node-hours per wall-second")
-        .field("schedule_hours", hours)
-        .field("rows", Json::Arr(row_json))
-        .field(
-            "windows",
-            Json::obj()
-                .field("nodes", w_nodes)
-                .field("hours", w_hours)
-                .field("scale", scale)
-                .field("window_events", window_events)
-                .field("rows", Json::Arr(windows_json))
-                .field("resident_compression_ratio", resident.compression_ratio())
-                .field(
-                    "full_campaign",
-                    Json::obj()
-                        .field("window_events", CAMPAIGN_WINDOWS)
-                        .field("replay_path", "resident_replay")
-                        .field("extrapolated_replay_s", campaign_replay_s),
-                ),
-        );
-    std::fs::write(out_path, json.to_string_pretty())?;
-    out.push_str(&format!("wrote {out_path}\n"));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +451,13 @@ mod tests {
             run(&args(&["fig", "99"])),
             Err(PmssError::InvalidValue { .. })
         ));
+        // The retired throughput subcommand is an unknown artifact like
+        // any other, and the help text no longer offers it.
+        assert!(matches!(
+            run(&args(&["bench-fleet"])),
+            Err(PmssError::InvalidValue { .. })
+        ));
+        assert!(!help_text().contains("bench-fleet"));
         assert!(matches!(
             run(&args(&["--frobnicate"])),
             Err(PmssError::Usage(_))

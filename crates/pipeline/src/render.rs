@@ -1,7 +1,8 @@
 //! Artifact rendering: byte-identical ASCII and structured JSON.
 //!
 //! The ASCII renderers are exact ports of the retired per-artifact
-//! binaries (`crates/bench/src/bin/*`): every `println!` became one line
+//! binaries (one `fig8`, `table5`, … each, deleted with the pipeline
+//! refactor): every `println!` became one line
 //! here, so `pmss fig 8` prints the same bytes `fig8` did.  Golden tests
 //! under `tests/golden/` hold the pre-refactor outputs and assert the
 //! equivalence.  The JSON renderers expose the same numbers structurally

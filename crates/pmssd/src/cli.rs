@@ -89,9 +89,12 @@ pub fn run_serve(args: &[String]) -> Result<String, PmssError> {
 }
 
 fn parse_num(value: &str) -> Result<usize, PmssError> {
-    value
-        .parse::<usize>()
-        .map_err(|_| PmssError::Usage(format!("expected a positive integer, got {value:?}")))
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(PmssError::Usage(format!(
+            "expected a positive integer, got {value:?}"
+        ))),
+    }
 }
 
 /// Runs `pmss client <subcommand> …`.
@@ -196,4 +199,30 @@ fn open_spec(
         spec.econ = Some(resolve_econ_trace(value)?);
     }
     Ok(Some(spec))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_num_rejects_zero_and_non_numbers() {
+        assert_eq!(parse_num("1").unwrap(), 1);
+        assert_eq!(parse_num("64").unwrap(), 64);
+        for bad in ["0", "-1", "", "eight"] {
+            assert!(
+                matches!(parse_num(bad), Err(PmssError::Usage(_))),
+                "{bad:?}"
+            );
+        }
+        // A zero depth would be a rendezvous queue (spurious BACKPRESSURE);
+        // both flags fail before anything is bound.
+        for flag in ["--queue-depth", "--sync-interval"] {
+            let args = [flag.to_string(), "0".to_string()];
+            assert!(
+                matches!(run_serve(&args), Err(PmssError::Usage(_))),
+                "{flag}"
+            );
+        }
+    }
 }

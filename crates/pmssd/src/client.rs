@@ -132,8 +132,8 @@ impl Connection {
     }
 
     fn request(&mut self, ty: u8, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        proto::write_frame_sync(&mut self.stream, ty, payload)?;
-        match proto::read_frame_sync(&mut self.stream)? {
+        proto::write_frame(&mut self.stream, ty, payload)?;
+        match proto::read_frame(&mut self.stream)? {
             None => Err(ClientError::Protocol(
                 "daemon closed the connection before replying".to_string(),
             )),

@@ -1,6 +1,6 @@
 //! The daemon: accept loop, tenant registry, metrics endpoint, shutdown.
 //!
-//! Each accepted connection gets its own task running the frame loop in
+//! Each accepted connection gets its own thread running the frame loop in
 //! `serve_connection`; tenants are spawned on demand (an `OPEN` frame
 //! carrying a spec) and shared across connections through the registry.
 //! Ingest admission is two-stage: the handler `try_send`s onto the
@@ -12,22 +12,24 @@
 //!
 //! Shutdown is cooperative: a `SHUTDOWN` frame flips a flag and pokes
 //! both listeners with a self-connection so their blocking accepts
-//! return; the run loop then joins connection tasks, drops the registry
-//! (closing every tenant queue), and joins the workers — each publishes
-//! a final snapshot on the way out.
+//! return; the run loop then force-closes and joins the connection
+//! threads, drops the registry (closing every tenant queue), and joins
+//! the workers — each publishes a final snapshot on the way out.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use pmss_columns::EncodedBlock;
 use pmss_error::PmssError;
 use pmss_pipeline::json::Json;
 use pmss_pipeline::query::Query;
 use pmss_pipeline::spec::ScenarioSpec;
-use tokio::net::{TcpListener, TcpStream, UnixListener};
 
 use crate::proto::{self, code, frame, status};
 use crate::tenant::{self, Command, Tenant, TenantConfig, TenantShared};
@@ -84,31 +86,20 @@ impl Daemon {
     /// Binds the client and metrics listeners; nothing is served until
     /// [`Daemon::run`].
     pub fn bind(cfg: DaemonConfig) -> Result<Daemon, PmssError> {
-        let rt = tokio::runtime::Runtime::new()
-            .map_err(|e| PmssError::invalid_value("pmssd runtime", e.to_string(), "a runtime"))?;
-        let acceptor = rt
-            .block_on(async {
-                match &cfg.listen {
-                    Listen::Tcp(addr) => TcpListener::bind(addr.as_str()).await.map(Acceptor::Tcp),
-                    Listen::Unix(path) => {
-                        // A stale socket file from a previous run refuses the bind.
-                        let _ = std::fs::remove_file(path);
-                        UnixListener::bind(path)
-                            .await
-                            .map(|l| Acceptor::Unix(l, path.clone()))
-                    }
-                }
-            })
-            .map_err(|e| {
-                PmssError::invalid_value(
-                    "pmssd listen address",
-                    e.to_string(),
-                    "a bindable address",
-                )
-            })?;
+        let acceptor = match &cfg.listen {
+            Listen::Tcp(addr) => TcpListener::bind(addr.as_str()).map(Acceptor::Tcp),
+            Listen::Unix(path) => {
+                // A stale socket file from a previous run refuses the bind.
+                let _ = std::fs::remove_file(path);
+                UnixListener::bind(path).map(|l| Acceptor::Unix(l, path.clone()))
+            }
+        }
+        .map_err(|e| {
+            PmssError::invalid_value("pmssd listen address", e.to_string(), "a bindable address")
+        })?;
         let metrics = match &cfg.metrics_addr {
             None => None,
-            Some(addr) => Some(rt.block_on(TcpListener::bind(addr.as_str())).map_err(|e| {
+            Some(addr) => Some(TcpListener::bind(addr.as_str()).map_err(|e| {
                 PmssError::invalid_value(
                     "pmssd metrics address",
                     e.to_string(),
@@ -139,21 +130,14 @@ impl Daemon {
     }
 
     /// Serves until a `SHUTDOWN` frame arrives, then drains: joins
-    /// connection tasks, closes tenant queues, joins workers.
+    /// connection threads, closes tenant queues, joins workers.
     pub fn run(self) -> Result<(), PmssError> {
-        let rt = tokio::runtime::Runtime::new()
-            .map_err(|e| PmssError::invalid_value("pmssd runtime", e.to_string(), "a runtime"))?;
         let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
         let tenant_cfg = TenantConfig {
             queue_depth: self.cfg.queue_depth,
             sync_interval: self.cfg.sync_interval,
         };
         let shutdown = Arc::clone(&self.shutdown);
-        // Each entry: the connection task plus a cloned socket handle so
-        // shutdown can force-close connections blocked mid-read.
-        type Closer = Box<dyn Fn() + Send>;
-        type ConnTasks = Arc<Mutex<Vec<(tokio::task::JoinHandle<()>, Option<Closer>)>>>;
-        let conn_tasks: ConnTasks = Arc::new(Mutex::new(Vec::new()));
         // Self-connection targets for waking the blocking accepts at
         // shutdown — resolved from the *bound* listeners, since the
         // configured address may have been port 0.
@@ -167,127 +151,136 @@ impl Daemon {
         };
         let metrics_poke = self.metrics_addr().map(|a| a.to_string());
 
-        let metrics_task = self.metrics.map(|listener| {
+        let metrics_thread = self.metrics.map(|listener| {
             let registry = Arc::clone(&registry);
             let shutdown = Arc::clone(&shutdown);
-            tokio::task::spawn(async move {
-                loop {
-                    let Ok((stream, _)) = listener.accept().await else {
-                        break;
-                    };
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    serve_metrics_scrape(stream, &registry);
-                }
-            })
-        });
-
-        let result = rt.block_on(async {
-            loop {
-                let stream = match &self.acceptor {
-                    Acceptor::Tcp(l) => l.accept().await.map(|(s, _)| Conn::Tcp(s)),
-                    Acceptor::Unix(l, _) => l.accept().await.map(Conn::Unix),
+            std::thread::spawn(move || loop {
+                let Ok((stream, _)) = listener.accept() else {
+                    break;
                 };
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
-                let closer: Option<Closer> = match &stream {
-                    Conn::Tcp(s) => s.try_clone().ok().map(|c| {
-                        Box::new(move || {
-                            let _ = c.shutdown_both();
-                        }) as Closer
-                    }),
-                    Conn::Unix(s) => s.try_clone().ok().map(|c| {
-                        Box::new(move || {
-                            let _ = c.shutdown_both();
-                        }) as Closer
-                    }),
-                };
-                let registry = Arc::clone(&registry);
-                let shutdown = Arc::clone(&shutdown);
-                let listen = poke_target.clone();
-                let metrics_addr = metrics_poke.clone();
-                let handle = tokio::task::spawn(async move {
-                    let wake = move || {
-                        poke(&listen);
-                        if let Some(addr) = &metrics_addr {
-                            let _ = std::net::TcpStream::connect(addr.as_str());
-                        }
-                    };
-                    match stream {
-                        Conn::Tcp(mut s) => {
-                            serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake).await
-                        }
-                        Conn::Unix(mut s) => {
-                            serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake).await
-                        }
-                    }
-                });
-                conn_tasks.lock().push((handle, closer));
-            }
-            Ok::<(), PmssError>(())
+                serve_metrics_scrape(stream, &registry);
+            })
         });
+
+        // Each entry: the connection thread plus a cloned socket handle so
+        // shutdown can force-close connections blocked mid-read.
+        let mut conns: Vec<(JoinHandle<()>, Option<Conn>)> = Vec::new();
+        loop {
+            let stream = match &self.acceptor {
+                Acceptor::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+            };
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let closer = stream.try_clone().ok();
+            let registry = Arc::clone(&registry);
+            let shutdown = Arc::clone(&shutdown);
+            let listen = poke_target.clone();
+            let metrics_addr = metrics_poke.clone();
+            let handle = std::thread::spawn(move || {
+                let wake = move || {
+                    poke(&listen);
+                    if let Some(addr) = &metrics_addr {
+                        let _ = TcpStream::connect(addr.as_str());
+                    }
+                };
+                match stream {
+                    Conn::Tcp(mut s) => {
+                        serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake)
+                    }
+                    Conn::Unix(mut s) => {
+                        serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake)
+                    }
+                }
+            });
+            conns.push((handle, closer));
+        }
 
         // Force-close lingering connections (a client holding an idle
         // connection open must not be able to wedge shutdown), then join.
-        let tasks = std::mem::take(&mut *conn_tasks.lock());
-        for (_, closer) in &tasks {
-            if let Some(close) = closer {
-                close();
-            }
+        // A join error is a panic the hook already reported on that
+        // thread; the drain goes on.
+        for closer in conns.iter().filter_map(|(_, c)| c.as_ref()) {
+            closer.shutdown_both();
         }
-        for (handle, _) in tasks {
-            rt.block_on(handle).ok();
+        for (handle, _) in conns {
+            let _ = handle.join();
         }
         // Dropping every sender closes the workers' queues; each worker
         // publishes a final snapshot and exits.
-        let tenants: Vec<Tenant> = registry.lock().drain().map(|(_, t)| t).collect();
+        let tenants: Vec<Tenant> = registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain()
+            .map(|(_, t)| t)
+            .collect();
         for t in tenants {
             drop(t.tx);
-            rt.block_on(t.handle).ok();
+            let _ = t.handle.join();
         }
-        if let Some(task) = metrics_task {
-            rt.block_on(task).ok();
+        if let Some(thread) = metrics_thread {
+            let _ = thread.join();
         }
         if let Acceptor::Unix(_, path) = &self.acceptor {
             let _ = std::fs::remove_file(path);
         }
-        result
+        Ok(())
     }
 }
 
 enum Conn {
     Tcp(TcpStream),
-    Unix(tokio::net::UnixStream),
+    Unix(UnixStream),
+}
+
+impl Conn {
+    /// A second handle on the same socket: lets the run loop force-close
+    /// a connection whose thread is blocked in a read.
+    fn try_clone(&self) -> std::io::Result<Conn> {
+        match self {
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
+    /// Closes both directions, unblocking any pending read.
+    fn shutdown_both(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
 }
 
 /// Pokes a blocking acceptor awake with a throwaway self-connection.
 fn poke(listen: &Listen) {
     match listen {
         Listen::Tcp(addr) => {
-            let _ = std::net::TcpStream::connect(addr.as_str());
+            let _ = TcpStream::connect(addr.as_str());
         }
         Listen::Unix(path) => {
-            let _ = std::os::unix::net::UnixStream::connect(path);
+            let _ = UnixStream::connect(path);
         }
     }
 }
 
 /// One connection's frame loop.  `wake` unblocks the daemon's accept
 /// loops after a `SHUTDOWN` frame.
-async fn serve_connection<S: Read + Write, W: Fn() + Send + Sync>(
+fn serve_connection<S: Read + Write>(
     stream: &mut S,
     registry: &Registry,
     tenant_cfg: TenantConfig,
     shutdown: &AtomicBool,
-    wake: &W,
+    wake: &dyn Fn(),
 ) {
-    // The tenant this connection bound with OPEN.
-    let mut bound: Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Command>)> = None;
+    let mut bound: Bound = None;
     loop {
-        let (ty, payload) = match proto::read_frame(stream).await {
+        let (ty, payload) = match proto::read_frame(stream) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
@@ -299,7 +292,7 @@ async fn serve_connection<S: Read + Write, W: Fn() + Send + Sync>(
             frame::SHUTDOWN => {
                 // Ack first: once the flag flips, the run loop may
                 // force-close this very socket.
-                let _ = proto::write_frame(stream, status::OK, b"").await;
+                let _ = proto::write_frame(stream, status::OK, b"");
                 shutdown.store(true, Ordering::SeqCst);
                 wake();
                 return;
@@ -310,9 +303,9 @@ async fn serve_connection<S: Read + Write, W: Fn() + Send + Sync>(
             )),
         };
         let io = match reply {
-            Ok(body) => proto::write_frame(stream, status::OK, &body).await,
+            Ok(body) => proto::write_frame(stream, status::OK, &body),
             Err((c, detail)) => {
-                proto::write_frame(stream, status::ERR, &proto::err_payload(c, &detail)).await
+                proto::write_frame(stream, status::ERR, &proto::err_payload(c, &detail))
             }
         };
         if io.is_err() {
@@ -323,11 +316,15 @@ async fn serve_connection<S: Read + Write, W: Fn() + Send + Sync>(
 
 type Reply = Result<Vec<u8>, (&'static str, String)>;
 
+/// The tenant a connection bound with OPEN: its read side and a sender
+/// into its ingest queue.
+type Bound = Option<(Arc<TenantShared>, SyncSender<Command>)>;
+
 fn handle_open(
     payload: &[u8],
     registry: &Registry,
     tenant_cfg: TenantConfig,
-    bound: &mut Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Command>)>,
+    bound: &mut Bound,
 ) -> Reply {
     let text = std::str::from_utf8(payload)
         .map_err(|_| (code::MALFORMED, "OPEN payload is not UTF-8".to_string()))?;
@@ -341,7 +338,7 @@ fn handle_open(
                 "OPEN payload needs a \"tenant\" string".to_string(),
             )
         })?;
-    let mut reg = registry.lock();
+    let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(t) = reg.get(&name) {
         *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
         return Ok(Vec::new());
@@ -360,10 +357,7 @@ fn handle_open(
     Ok(Vec::new())
 }
 
-fn handle_block(
-    payload: &[u8],
-    bound: &Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Command>)>,
-) -> Reply {
+fn handle_block(payload: &[u8], bound: &Bound) -> Reply {
     let Some((_, tx)) = bound else {
         return Err((code::USAGE, "BLOCK before OPEN".to_string()));
     };
@@ -373,13 +367,13 @@ fn handle_block(
     let (reply_tx, reply_rx) = std::sync::mpsc::channel();
     match tx.try_send(Command::Block(enc, reply_tx)) {
         Ok(()) => {}
-        Err(tokio::sync::mpsc::TrySendError::Full(_)) => {
+        Err(TrySendError::Full(_)) => {
             return Err((
                 code::BACKPRESSURE,
                 "tenant ingest queue is full; retry after a drain".to_string(),
             ));
         }
-        Err(tokio::sync::mpsc::TrySendError::Closed(_)) => {
+        Err(TrySendError::Disconnected(_)) => {
             return Err((code::INTERNAL, "tenant worker has exited".to_string()));
         }
     }
@@ -393,7 +387,7 @@ fn handle_block(
     }
 }
 
-fn handle_flush(bound: &Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Command>)>) -> Reply {
+fn handle_flush(bound: &Bound) -> Reply {
     let Some((_, tx)) = bound else {
         return Err((code::USAGE, "FLUSH before OPEN".to_string()));
     };
@@ -404,11 +398,11 @@ fn handle_flush(bound: &Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Com
     loop {
         match tx.try_send(cmd) {
             Ok(()) => break,
-            Err(tokio::sync::mpsc::TrySendError::Full(c)) => {
+            Err(TrySendError::Full(c)) => {
                 cmd = c;
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            Err(tokio::sync::mpsc::TrySendError::Closed(_)) => {
+            Err(TrySendError::Disconnected(_)) => {
                 return Err((code::INTERNAL, "tenant worker has exited".to_string()));
             }
         }
@@ -422,10 +416,7 @@ fn handle_flush(bound: &Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Com
     }
 }
 
-fn handle_query(
-    payload: &[u8],
-    bound: &Option<(Arc<TenantShared>, tokio::sync::mpsc::Sender<Command>)>,
-) -> Reply {
+fn handle_query(payload: &[u8], bound: &Bound) -> Reply {
     let Some((shared, _)) = bound else {
         return Err((code::USAGE, "QUERY before OPEN".to_string()));
     };
@@ -435,7 +426,11 @@ fn handle_query(
     let q = Query::from_json(&v).map_err(|e| (code::MALFORMED, e.to_string()))?;
     // Clone the published snapshot out from under the lock; the answer
     // is computed without blocking the writer.
-    let state = shared.state.read().clone();
+    let state = shared
+        .state
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     let answer = pmss_pipeline::query::answer(&state, &shared.table3, shared.econ.as_ref(), &q)
         .map_err(|e| (code::MALFORMED, e.to_string()))?;
     Ok(answer.to_string_pretty().into_bytes())
@@ -446,11 +441,12 @@ fn handle_query(
 fn serve_metrics_scrape(mut stream: TcpStream, registry: &Registry) {
     let mut body = String::new();
     {
-        let reg = registry.lock();
+        let reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
         let mut names: Vec<&String> = reg.keys().collect();
         names.sort();
         for name in names {
-            body.push_str(&reg[name].shared.metrics_text.read());
+            let text = &reg[name].shared.metrics_text;
+            body.push_str(&text.read().unwrap_or_else(PoisonError::into_inner));
         }
     }
     if body.is_empty() {
@@ -461,5 +457,5 @@ fn serve_metrics_scrape(mut stream: TcpStream, registry: &Registry) {
         body.len()
     );
     let _ = stream.write_all(response.as_bytes());
-    let _ = stream.shutdown_write();
+    let _ = stream.shutdown(Shutdown::Write);
 }

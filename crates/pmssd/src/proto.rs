@@ -117,8 +117,8 @@ pub fn parse_err(payload: &[u8]) -> (String, String) {
     }
 }
 
-/// Writes one frame (blocking form, used by the synchronous client).
-pub fn write_frame_sync<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io::Result<()> {
+/// Writes one frame.
+pub fn write_frame<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() < MAX_FRAME);
     let len = (payload.len() + 1) as u32;
     s.write_all(&len.to_le_bytes())?;
@@ -129,10 +129,9 @@ pub fn write_frame_sync<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io:
     s.flush()
 }
 
-/// Reads one frame (blocking form); `Ok(None)` on clean end-of-stream
-/// before a length prefix, an error on truncation, a hostile length, or
-/// an empty frame.
-pub fn read_frame_sync<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> {
+/// Reads one frame; `Ok(None)` on clean end-of-stream before a length
+/// prefix, an error on truncation, a hostile length, or an empty frame.
+pub fn read_frame<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> {
     let mut len_buf = [0u8; 4];
     match s.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -153,62 +152,41 @@ pub fn read_frame_sync<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8
     Ok(Some((ty, payload)))
 }
 
-/// Writes one frame.  Under the thread-per-task runtime the write is
-/// blocking, which is exactly the semantics the daemon's connection
-/// tasks want.
-pub async fn write_frame<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io::Result<()> {
-    write_frame_sync(s, ty, payload)
-}
-
-/// Reads one frame; see [`read_frame_sync`] for the end-of-stream and
-/// hostile-length contract.
-pub async fn read_frame<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-    read_frame_sync(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn frames_round_trip_over_a_pipe() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        rt.block_on(async {
-            let mut buf: Vec<u8> = Vec::new();
-            write_frame(&mut buf, frame::BLOCK, b"payload")
-                .await
-                .unwrap();
-            write_frame(&mut buf, frame::FLUSH, b"").await.unwrap();
-            let mut cursor = std::io::Cursor::new(buf);
-            assert_eq!(
-                read_frame(&mut cursor).await.unwrap(),
-                Some((frame::BLOCK, b"payload".to_vec()))
-            );
-            assert_eq!(
-                read_frame(&mut cursor).await.unwrap(),
-                Some((frame::FLUSH, Vec::new()))
-            );
-            assert_eq!(read_frame(&mut cursor).await.unwrap(), None);
-        });
+        let mut buf: Vec<u8> = Vec::new();
+        write_frame(&mut buf, frame::BLOCK, b"payload").unwrap();
+        write_frame(&mut buf, frame::FLUSH, b"").unwrap();
+        let mut cursor = std::io::Cursor::new(buf);
+        assert_eq!(
+            read_frame(&mut cursor).unwrap(),
+            Some((frame::BLOCK, b"payload".to_vec()))
+        );
+        assert_eq!(
+            read_frame(&mut cursor).unwrap(),
+            Some((frame::FLUSH, Vec::new()))
+        );
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
     }
 
     #[test]
     fn hostile_lengths_and_truncation_are_errors() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        rt.block_on(async {
-            // Zero length.
-            let mut z = std::io::Cursor::new(0u32.to_le_bytes().to_vec());
-            assert!(read_frame(&mut z).await.is_err());
-            // Length far beyond MAX_FRAME must error before allocating.
-            let mut huge = std::io::Cursor::new(u32::MAX.to_le_bytes().to_vec());
-            assert!(read_frame(&mut huge).await.is_err());
-            // Truncated body.
-            let mut t = Vec::new();
-            write_frame(&mut t, frame::QUERY, b"abcdef").await.unwrap();
-            t.truncate(t.len() - 2);
-            let mut t = std::io::Cursor::new(t);
-            assert!(read_frame(&mut t).await.is_err());
-        });
+        // Zero length.
+        let mut z = std::io::Cursor::new(0u32.to_le_bytes().to_vec());
+        assert!(read_frame(&mut z).is_err());
+        // Length far beyond MAX_FRAME must error before allocating.
+        let mut huge = std::io::Cursor::new(u32::MAX.to_le_bytes().to_vec());
+        assert!(read_frame(&mut huge).is_err());
+        // Truncated body.
+        let mut t = Vec::new();
+        write_frame(&mut t, frame::QUERY, b"abcdef").unwrap();
+        t.truncate(t.len() - 2);
+        let mut t = std::io::Cursor::new(t);
+        assert!(read_frame(&mut t).is_err());
     }
 
     #[test]

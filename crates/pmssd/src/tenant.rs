@@ -1,6 +1,6 @@
 //! Per-tenant ingest workers.
 //!
-//! Each tenant fleet gets one worker task owning its [`StreamEngine`]
+//! Each tenant fleet gets one worker thread owning its [`StreamEngine`]
 //! (the engine borrows the tenant's `Schedule`, so both live on the
 //! worker's stack), fed through a *bounded* command queue — the daemon's
 //! backpressure seam: when the queue is full, admission fails with a
@@ -9,17 +9,17 @@
 //! independently, so a slow or hostile feed can only ever stall its own
 //! fleet.
 //!
-//! Snapshot publication is epoch-style (the vendored stand-in for
-//! arc-swap): the worker builds a fresh immutable [`StreamState`] every
-//! `sync_interval` blocks and swaps it into a shared `RwLock<Arc<_>>`
-//! slot whose critical section is one pointer store; readers clone the
-//! `Arc` and answer queries entirely outside any lock the writer takes.
-//! Queries therefore never stall ingest, and ingest never tears a query.
+//! Snapshot publication is epoch-style: the worker builds a fresh
+//! immutable [`StreamState`] every `sync_interval` blocks and swaps it
+//! into a shared `RwLock<Arc<_>>` slot whose critical section is one
+//! pointer store; readers clone the `Arc` and answer queries entirely
+//! outside any lock the writer takes.  Queries therefore never stall
+//! ingest, and ingest never tears a query.
 
-use std::sync::mpsc::Sender as ReplySender;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Sender as ReplySender, SyncSender};
+use std::sync::{Arc, PoisonError, RwLock};
+use std::thread::JoinHandle;
 
-use parking_lot::RwLock;
 use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock};
 use pmss_core::EnergyLedger;
 use pmss_econ::{EconSeries, EconTrace};
@@ -31,7 +31,6 @@ use pmss_sched::{catalog, generate};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState, StreamStats};
 use pmss_telemetry::Pair;
 use pmss_workloads::Table3;
-use tokio::sync::mpsc;
 
 use crate::proto::{code, stream_error_code};
 
@@ -58,8 +57,10 @@ pub struct TenantShared {
     /// The spec's active econ trace — `econ` queries price the ingested
     /// energy against it (`None` when the scenario carries no trace).
     pub econ: Option<EconTrace>,
-    /// The published snapshot slot.  Readers `read().clone()` the `Arc`
-    /// and drop the guard immediately.
+    /// The published snapshot slot.  Readers clone the `Arc` out and drop
+    /// the guard immediately.  A poisoned lock is read through
+    /// (`PoisonError::into_inner`): every write is one whole-value store,
+    /// so the slot is valid at every step.
     pub state: RwLock<Arc<StreamState>>,
     /// Ingest tallies at the last publish.
     pub stats: RwLock<StreamStats>,
@@ -76,9 +77,9 @@ pub struct Tenant {
     /// Read-side handle.
     pub shared: Arc<TenantShared>,
     /// Bounded ingest queue into the worker.
-    pub tx: mpsc::Sender<Command>,
-    /// The worker task, joined at daemon shutdown.
-    pub handle: tokio::task::JoinHandle<()>,
+    pub tx: SyncSender<Command>,
+    /// The worker thread, joined at daemon shutdown.
+    pub handle: JoinHandle<()>,
 }
 
 /// Worker tuning.
@@ -126,10 +127,10 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
         metrics_text: RwLock::new(String::new()),
         spec_json: spec.to_json().to_string_compact(),
     });
-    let (tx, mut rx) = mpsc::channel::<Command>(cfg.queue_depth);
+    let (tx, rx) = sync_channel::<Command>(cfg.queue_depth);
 
     let worker_shared = Arc::clone(&shared);
-    let handle = tokio::task::spawn(async move {
+    let handle = std::thread::spawn(move || {
         // Owned by the worker; the engine borrows it.  The worker always
         // runs the paired observer: the ledger member's accumulation is
         // bit-identical to a ledger-only engine (each `Pair` member folds
@@ -148,14 +149,18 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
         let mut since_publish = 0u64;
         let publish = |engine: &StreamEngine<'_, Pair<EnergyLedger, EconSeries>>| {
             let state = Arc::new(StreamState::capture_pair(engine, frontier_factor));
-            *worker_shared.state.write() = state;
-            *worker_shared.stats.write() = engine.stats();
+            let shared = &worker_shared;
+            *shared.state.write().unwrap_or_else(PoisonError::into_inner) = state;
+            *shared.stats.write().unwrap_or_else(PoisonError::into_inner) = engine.stats();
             let mut m = Metrics::new();
             engine.publish_metrics(&mut m);
-            *worker_shared.metrics_text.write() = render_metrics(&worker_shared.name, &m);
+            *shared
+                .metrics_text
+                .write()
+                .unwrap_or_else(PoisonError::into_inner) = render_metrics(&shared.name, &m);
         };
         publish(&engine);
-        while let Some(cmd) = rx.recv().await {
+        while let Ok(cmd) = rx.recv() {
             match cmd {
                 Command::Block(enc, reply) => {
                     let result = match enc.decode_into(codec, &mut block) {

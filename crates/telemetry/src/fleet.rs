@@ -4,8 +4,8 @@
 //! This is the stand-in for three months of Frontier out-of-band telemetry
 //! (paper Table II a): per node, per GPU slot, one mean-power sample every
 //! 15 seconds, attributable to the job occupying the node.  Simulation is
-//! rayon-parallel across nodes; observers are fold/reduce-merged, so no
-//! locking is involved.
+//! a per-node fold/reduce written against the rayon API, so no locking is
+//! involved; the vendored executor runs it sequentially (ROADMAP item 2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,7 +87,7 @@ impl FleetConfig {
 // substrate so observers can override `FleetObserver::fold_block`.
 
 /// Per-worker tallies of one fleet-simulation run, following the same
-/// fold/merge discipline as [`FleetObserver`]: each rayon worker
+/// fold/merge discipline as [`FleetObserver`]: each per-node fold
 /// accumulates its own partial and partials are [`FleetRunStats::merge`]d
 /// at reduce time — no locks, no atomics on the hot path.
 ///

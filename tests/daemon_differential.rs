@@ -3,10 +3,11 @@
 //! prefix — clean and under fault presets — and adversarial frames
 //! bounce off with typed errors, leaving published answers untouched.
 //!
-//! The daemon runs in-process on a port-0 TCP listener; the client is
-//! the same synchronous client `pmss client` uses, so these tests cover
-//! the real wire path end to end: capture → encode → frame → decode →
-//! ingest → snapshot → query → render.
+//! The daemon runs in-process on a port-0 TCP listener (one test binds a
+//! unix socket instead); the client is the same synchronous client
+//! `pmss client` uses, so these tests cover the real wire path end to
+//! end: capture → encode → frame → decode → ingest → snapshot → query →
+//! render.
 
 use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock};
 use pmss_core::EnergyLedger;
@@ -19,7 +20,8 @@ use pmssd::client::{ingest_campaign, ClientError, Connection, Target};
 use pmssd::daemon::{Daemon, DaemonConfig, Listen};
 use pmssd::proto::code;
 
-/// An in-process daemon on a fresh port, plus its run thread.
+/// An in-process daemon on a fresh port (or socket path), plus its run
+/// thread.
 struct Harness {
     target: Target,
     metrics_addr: String,
@@ -27,18 +29,32 @@ struct Harness {
 }
 
 fn start_daemon(queue_depth: usize, sync_interval: u64) -> Harness {
+    start_daemon_on(
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        queue_depth,
+        sync_interval,
+    )
+}
+
+fn start_daemon_on(listen: Listen, queue_depth: usize, sync_interval: u64) -> Harness {
     let cfg = DaemonConfig {
-        listen: Listen::Tcp("127.0.0.1:0".to_string()),
+        listen: listen.clone(),
         metrics_addr: Some("127.0.0.1:0".to_string()),
         queue_depth,
         sync_interval,
     };
     let daemon = Daemon::bind(cfg).expect("bind on port 0");
-    let addr = daemon.local_addr().expect("tcp listener has an address");
+    let target = match listen {
+        Listen::Tcp(_) => {
+            let addr = daemon.local_addr().expect("tcp listener has an address");
+            Target::Tcp(addr.to_string())
+        }
+        Listen::Unix(path) => Target::Unix(path),
+    };
     let metrics_addr = daemon.metrics_addr().expect("metrics bound").to_string();
     let thread = std::thread::spawn(move || daemon.run());
     Harness {
-        target: Target::Tcp(addr.to_string()),
+        target,
         metrics_addr,
         thread,
     }
@@ -256,4 +272,72 @@ fn concurrent_split_feeds_converge_and_backpressure_is_typed() {
         assert_eq!(&conn.query(q).expect("answer"), expected, "query {q:?}");
     }
     h.stop();
+}
+
+#[test]
+fn unix_listener_round_trip_matches_batch_and_removes_its_socket() {
+    let path = std::env::temp_dir().join(format!("pmssd-diff-{}.sock", std::process::id()));
+    // A stale socket file (what a killed daemon leaves behind) must not
+    // refuse the bind.
+    let _ = std::fs::remove_file(&path);
+    drop(std::os::unix::net::UnixListener::bind(&path).expect("pre-create the stale socket"));
+    assert!(path.exists(), "dropping a listener leaves its file");
+
+    let h = start_daemon_on(Listen::Unix(path.clone()), 64, 8);
+    let spec = spec_for(None);
+    let mut conn = Connection::connect(&h.target).expect("connect over unix");
+    conn.open("unix", Some(&spec)).expect("open with spec");
+    let report = ingest_campaign(&mut conn, &spec).expect("ingest + flush");
+    assert!(report.blocks > 0 && report.rows > 0);
+    // Batch answers are what the TCP differential pins too, so the two
+    // transports agree byte for byte.
+    let queries = all_queries(&spec);
+    let batch = batch_answers(&spec, &queries);
+    for (q, expected) in queries.iter().zip(&batch) {
+        assert_eq!(&conn.query(q).expect("answer"), expected, "query {q:?}");
+    }
+    h.stop();
+    assert!(
+        !path.exists(),
+        "run() removes the socket file on the way out"
+    );
+}
+
+#[test]
+fn shutdown_force_closes_a_connection_idle_mid_header() {
+    use std::io::{Read, Write};
+
+    let h = start_daemon(64, 8);
+    let Target::Tcp(addr) = &h.target else {
+        unreachable!("start_daemon binds TCP")
+    };
+    // Half a length prefix, then silence: the connection thread is parked
+    // in `read_exact` and only a force-close can get it out.  (The accept
+    // loop is sequential, so this connection is registered before the
+    // shutdown connection below is even accepted.)
+    let mut idle = std::net::TcpStream::connect(addr.as_str()).expect("idle connect");
+    idle.write_all(&[5, 0]).expect("half a frame header");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        h.stop();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("run() returns Ok promptly despite the wedged connection");
+    stopper.join().expect("stopper thread");
+
+    // The idle side sees its socket closed under it.
+    idle.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("set timeout");
+    match idle.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e)
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected the daemon to have closed the socket, got {other:?}"),
+    }
 }

@@ -7,9 +7,6 @@
 //! `pmssd` daemon over a streamed campaign is byte-identical to the
 //! batch `pmss query econ` comparator over the same events — the same
 //! differential guarantee the daemon gives for every other query kind.
-//!
-//! CI's tier-1 matrix runs this suite under both `RAYON_NUM_THREADS`
-//! legs, pinning the identities across thread configurations as well.
 
 use pmss::econ::EconTrace;
 use pmss::pipeline::{cli, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};

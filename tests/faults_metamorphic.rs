@@ -142,10 +142,9 @@ fn duplicate_only_plans_collapse_to_the_clean_stream() {
 }
 
 /// The same faulted scenario computed twice — fresh pipelines, fresh
-/// caches — renders bit-identical bytes.  The CI matrix re-runs this whole
-/// suite under `RAYON_NUM_THREADS=1`, pinning the same bytes across
-/// thread-count configurations (fault decisions are counter-based hashes,
-/// never draws from a shared RNG stream).
+/// caches — renders bit-identical bytes (fault decisions are
+/// counter-based hashes, never draws from a shared RNG stream, so they
+/// cannot depend on iteration order).
 #[test]
 fn faulted_runs_are_deterministic_across_repeat_runs() {
     let a = cli::run(&args(&[

@@ -3,8 +3,8 @@
 //! headline artifacts must stay stable.
 //!
 //! The `tests/golden/*.txt` files were captured from the original
-//! `crates/bench/src/bin/*` binaries at the default (quick) scale before
-//! they were collapsed into the pipeline; `tests/golden/*.json` pins the
+//! per-artifact binaries (since deleted) at the default (quick) scale
+//! before they were collapsed into the pipeline; `tests/golden/*.json` pins the
 //! structured output introduced with it.
 
 use pmss::pipeline::{cli, metrics, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};

@@ -1,9 +1,7 @@
 //! Differential and acceptance suite for the online cluster governor:
-//! repeat runs are byte-identical (clean and faulted — the CI matrix
-//! re-runs this under `RAYON_NUM_THREADS=1`, pinning the same bytes
-//! across thread counts), the online presets realize most of the paper's
-//! static no-slowdown ceiling, and the cluster budget invariant holds in
-//! every rendered row.
+//! repeat runs are byte-identical (clean and faulted), the online
+//! presets realize most of the paper's static no-slowdown ceiling, and
+//! the cluster budget invariant holds in every rendered row.
 
 use pmss::pipeline::artifact::GovernArtifact;
 use pmss::pipeline::{cli, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};

@@ -5,9 +5,6 @@
 //! run must never perturb homogeneous output computed afterwards (the
 //! simulation holds no state between runs, so this is plain determinism
 //! — and the tripwire should process-wide state ever return).
-//!
-//! CI's tier-1 matrix runs this suite under both `RAYON_NUM_THREADS`
-//! legs, pinning the identity across thread configurations as well.
 
 use pmss::core::EnergyLedger;
 use pmss::pipeline::{cli, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
