@@ -14,14 +14,14 @@
 //!   [`FleetObserver::fold_block`] to fold whole blocks columnar-wise;
 //!   the default replays per-event, so block and event iteration are the
 //!   same sequence by construction.
-//! - [`codec`]: the overflow-hardened quantized delta/RLE power codec
-//!   (moved here from `pmss-telemetry`), and [`EncodedBlock`], the
-//!   codec-resident compressed block format with block-level decode.
+//! - [`codec`]: the overflow-hardened quantized delta/RLE power codec,
+//!   and [`EncodedBlock`], the codec-resident compressed block format
+//!   with block-level decode.
 //!
 //! The crate sits below `pmss-telemetry` in the dependency order;
-//! telemetry re-exports these types under their historical paths, so
-//! existing `pmss_telemetry::{WindowEvent, FleetObserver, compress}`
-//! imports keep working.
+//! telemetry re-exports the event and observer types at its root
+//! (`pmss_telemetry::{WindowEvent, FleetObserver, ColumnBlock, …}`), the
+//! codec is reached as `pmss_columns::codec`.
 
 pub mod block;
 pub mod codec;

@@ -1,8 +1,8 @@
 //! The telemetry consumer trait and the sample/gap vocabulary it speaks.
 //!
-//! Moved here from `pmss-telemetry::fleet` so that every layer consuming
-//! window telemetry (batch observers, the streaming engine, governor
-//! sensing) can depend on the seam without depending on the generator.
+//! It lives below `pmss-telemetry` so that every layer consuming window
+//! telemetry (batch observers, the streaming engine, governor sensing)
+//! can depend on the seam without depending on the generator.
 
 use pmss_sched::{Job, Schedule};
 
@@ -41,7 +41,7 @@ pub enum GapFill {
 
 /// Consumer of fleet telemetry.  Implementations accumulate whatever view
 /// they need (histograms, energy ledgers, joined series); `merge` combines
-/// per-node partials after the parallel fold.
+/// partials (per channel, per shard, per run).
 pub trait FleetObserver: Send + Sized {
     /// Whether the simulation accumulates this observer one fresh partial
     /// per telemetry channel, merged in canonical order (nodes ascending;
@@ -80,12 +80,12 @@ pub trait FleetObserver: Send + Sized {
     /// Folds a contiguous row range of one channel block into this
     /// observer, in the block's stored order.  The default replays every
     /// row through [`apply_event`], so a fold is *definitionally* the same
-    /// observer-call sequence as per-event iteration; columnar observers
-    /// (the energy ledger, the governor's channel ledger) override this
-    /// with a fold over the block's columns that performs the identical
-    /// floating-point operations in the identical order, just without
-    /// per-event dispatch.  The range form exists for consumers that
-    /// release a block prefix (the streaming engine's in-order fast path).
+    /// observer-call sequence as per-event iteration; a columnar observer
+    /// (the energy ledger) overrides this with a fold over the block's
+    /// columns that performs the identical floating-point operations in
+    /// the identical order, just without per-event dispatch.  The range
+    /// form exists for consumers that release a block prefix (the
+    /// streaming engine's in-order fast path).
     fn fold_rows(
         &mut self,
         schedule: &Schedule,
@@ -100,6 +100,24 @@ pub trait FleetObserver: Send + Sized {
     /// every row.
     fn fold_block(&mut self, schedule: &Schedule, block: &ColumnBlock) {
         self.fold_rows(schedule, block, 0..block.len());
+    }
+    /// Accumulates one complete channel into a fleet-wide observer in the
+    /// shape [`FleetObserver::CHANNEL_GROUPED`] demands: a fresh partial
+    /// folded and then merged when the flag is set, a plain
+    /// [`FleetObserver::fold_block`] into `self` otherwise.  Every
+    /// whole-fleet fold (batch simulation, resident replay) goes through
+    /// here, so the two shapes are chosen in exactly one place.
+    fn fold_channel(&mut self, schedule: &Schedule, block: &ColumnBlock)
+    where
+        Self: Default,
+    {
+        if Self::CHANNEL_GROUPED {
+            let mut chan = Self::default();
+            chan.fold_block(schedule, block);
+            self.merge(chan);
+        } else {
+            self.fold_block(schedule, block);
+        }
     }
     /// Folds another observer's state into this one.
     fn merge(&mut self, other: Self);

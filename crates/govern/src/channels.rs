@@ -15,10 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use pmss_columns::Tag;
 use pmss_core::Region;
-use pmss_sched::Schedule;
-use pmss_telemetry::{ColumnBlock, FleetObserver, GapFill, SampleCtx};
+use pmss_telemetry::{FleetObserver, GapFill, SampleCtx};
 
 /// Telemetry window length assumed for samples, seconds (the fleet
 /// simulation's default; gap events carry their own spans).
@@ -123,52 +121,6 @@ impl FleetObserver for ChannelLedger {
         }
     }
 
-    // Columnar fold: a block is one channel, so the whole fold touches a
-    // single accumulator — looked up once, not once per window.  Each
-    // contributing row performs the same two adds as the per-event path, in
-    // the same order, starting from the channel's existing value, so the
-    // fold is bit-identical to row-by-row replay; rows that sense nothing
-    // (rest-of-node, excluded gaps, non-finite samples) must not create the
-    // channel entry, matching the event path's lazy `entry(..)`.
-    fn fold_rows(
-        &mut self,
-        _schedule: &Schedule,
-        block: &ColumnBlock,
-        rows: std::ops::Range<usize>,
-    ) {
-        const SAMPLE: u8 = Tag::Sample as u8;
-        const GAP_INTERPOLATED: u8 = Tag::GapInterpolated as u8;
-        const GAP_IDLE: u8 = Tag::GapIdle as u8;
-        let key = block.channel();
-        let mut acc = self.channels.get(&key).copied();
-        let tags = block.tags();
-        let values = block.values();
-        let spans = block.spans();
-        for i in rows {
-            match tags[i] {
-                SAMPLE => {
-                    let p = values[i];
-                    if !p.is_finite() {
-                        continue;
-                    }
-                    let a = acc.get_or_insert_with(ChannelAccum::default);
-                    let r = Region::bin_power(p);
-                    a.region_s[r] += WINDOW_S;
-                    a.region_j[r] += p * WINDOW_S;
-                }
-                GAP_INTERPOLATED | GAP_IDLE => {
-                    let a = acc.get_or_insert_with(ChannelAccum::default);
-                    a.record(values[i], spans[i]);
-                }
-                // NodeRest and excluded gaps sense nothing.
-                _ => {}
-            }
-        }
-        if let Some(a) = acc {
-            self.channels.insert(key, a);
-        }
-    }
-
     fn merge(&mut self, other: Self) {
         for (key, acc) in other.channels {
             let mine = self.channels.entry(key).or_default();
@@ -234,106 +186,6 @@ mod tests {
         a.merge(b);
         assert_eq!(a.channel(0, 0).region_s[1], 2.0 * WINDOW_S);
         assert_eq!(a.channels().len(), 2);
-    }
-
-    #[test]
-    fn fold_block_is_bit_identical_to_per_event_replay() {
-        use pmss_telemetry::{apply_event, WindowEvent, WindowKind};
-        let schedule = Schedule {
-            jobs: Vec::new(),
-            per_node: Vec::new(),
-            duration_s: 600.0,
-        };
-        let mk = |window: u64, kind: WindowKind| WindowEvent {
-            node: 4,
-            slot: 2,
-            sku: 0,
-            window,
-            rank: window,
-            t_s: window as f64 * 15.0 + 7.5,
-            span_s: 15.0,
-            kind,
-        };
-        let events = [
-            mk(
-                0,
-                WindowKind::Sample {
-                    power_w: 312.5,
-                    job: None,
-                },
-            ),
-            mk(
-                1,
-                WindowKind::Sample {
-                    power_w: f64::NAN,
-                    job: None,
-                },
-            ),
-            mk(
-                2,
-                WindowKind::Gap {
-                    fill: GapFill::Excluded,
-                    job: None,
-                },
-            ),
-            mk(
-                3,
-                WindowKind::Gap {
-                    fill: GapFill::Interpolated(433.7),
-                    job: None,
-                },
-            ),
-            mk(
-                4,
-                WindowKind::Gap {
-                    fill: GapFill::Idle(88.0),
-                    job: None,
-                },
-            ),
-            mk(
-                5,
-                WindowKind::Sample {
-                    power_w: 577.25,
-                    job: None,
-                },
-            ),
-        ];
-        let block = pmss_telemetry::ColumnBlock::from_events(4, 2, &events);
-
-        let mut by_event = ChannelLedger::default();
-        for ev in &events {
-            apply_event(&mut by_event, &schedule, ev);
-        }
-        let mut by_block = ChannelLedger::default();
-        by_block.fold_block(&schedule, &block);
-        assert_eq!(by_block, by_event);
-        let (a, b) = (by_block.channel(4, 2), by_event.channel(4, 2));
-        for i in 0..4 {
-            assert_eq!(a.region_s[i].to_bits(), b.region_s[i].to_bits());
-            assert_eq!(a.region_j[i].to_bits(), b.region_j[i].to_bits());
-        }
-
-        // A block that senses nothing must not materialize the channel.
-        let silent = [
-            mk(
-                6,
-                WindowKind::Gap {
-                    fill: GapFill::Excluded,
-                    job: None,
-                },
-            ),
-            mk(
-                7,
-                WindowKind::Sample {
-                    power_w: f64::INFINITY,
-                    job: None,
-                },
-            ),
-        ];
-        let silent_block = pmss_telemetry::ColumnBlock::from_events(4, 2, &silent);
-        let mut l = ChannelLedger::default();
-        l.fold_block(&schedule, &silent_block);
-        assert!(l.channels().is_empty());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! round.
 //!
 //! Everything is a pure function of the event sequence: no wall clock, no
-//! thread-order dependence, no randomness — the same discipline that makes
-//! the streaming ledger bit-identical to the batch path makes the governor
-//! byte-identical across thread counts and repeat runs.
+//! randomness — the same discipline that makes the streaming ledger
+//! bit-identical to the batch path makes the governor byte-identical
+//! across repeat runs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -10,8 +10,8 @@
 //!   (Barabási–Albert and RMAT for power-law "social" networks, a perturbed
 //!   lattice for bounded-degree "road" networks, Erdős–Rényi and planted
 //!   partitions for testing);
-//! * [`mod@louvain`] — a full, deterministic multi-level Louvain implementation
-//!   with rayon-parallel modularity evaluation;
+//! * [`mod@louvain`] — a full, deterministic multi-level Louvain
+//!   implementation;
 //! * [`gpu_map`] — the degree-distribution-based thread-mapping model that
 //!   turns Louvain levels into GPU kernel phases;
 //! * [`case_study`] — the Fig. 7 driver (frequency and power-cap sweeps,

@@ -9,10 +9,7 @@
 //!    process repeats on the condensed graph.
 //!
 //! The implementation is deterministic (sequential sweep in node order) so
-//! tests and the Fig. 7 case study are reproducible; modularity evaluation
-//! is rayon-parallel over nodes.
-
-use rayon::prelude::*;
+//! tests and the Fig. 7 case study are reproducible.
 
 use crate::csr::Csr;
 
@@ -73,7 +70,7 @@ impl LouvainResult {
     }
 }
 
-/// Modularity `Q` of an assignment on `g` (rayon-parallel).
+/// Modularity `Q` of an assignment on `g`.
 ///
 /// `Q = (1/2m) * sum_{ij in same community} A_ij - sum_c (tot_c / 2m)^2`.
 pub fn modularity(g: &Csr, communities: &[u32]) -> f64 {
@@ -84,7 +81,6 @@ pub fn modularity(g: &Csr, communities: &[u32]) -> f64 {
     }
 
     let internal: f64 = (0..g.num_nodes() as u32)
-        .into_par_iter()
         .map(|u| {
             let cu = communities[u as usize];
             g.neighbors(u)

@@ -9,10 +9,10 @@
 //! ## The fold/merge discipline
 //!
 //! A [`Metrics`] registry is a plain value: no locks, no atomics, no
-//! global state.  Parallel producers follow the same discipline as the
-//! fleet simulation's `FleetObserver`s — each rayon worker accumulates
-//! into its own partial and the partials are [`Metrics::merge`]d at reduce
-//! time.  Hot loops therefore pay only a branch-free integer add, and the
+//! global state.  Producers follow the same discipline as the fleet
+//! simulation's `FleetObserver`s — each run or stage accumulates into its
+//! own partial and the partials are [`Metrics::merge`]d afterwards.  Hot
+//! loops therefore pay only a branch-free integer add, and the
 //! disabled configuration pays nothing at all: callers that thread a
 //! no-op sink through a monomorphized simulation compile the recording
 //! away entirely.

@@ -34,7 +34,6 @@ use pmss_workloads::vai::{self, VaiParams};
 use pmss_workloads::{AppClass, NormalizedPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::json::Json;
 use crate::render;
@@ -1631,25 +1630,26 @@ fn validate(p: &mut Pipeline) -> Result<Validate, PmssError> {
     let rows = [1500.0, 1300.0, 1100.0, 900.0, 700.0]
         .iter()
         .map(|&mhz| {
-            let (e_b, e_c, t_b, t_c) = jobs
-                .par_iter()
-                .map(|job| {
-                    let mut rng = StdRng::seed_from_u64(job.seed);
-                    let mut acc = (0.0, 0.0, 0.0, 0.0);
-                    for phase in synthesize_app(job.app_class, job.duration_s(), &mut rng) {
-                        let b = engine.execute(&phase, GpuSettings::uncapped());
-                        let c = engine.execute(&phase, GpuSettings::freq_capped(mhz));
-                        acc.0 += b.energy_j;
-                        acc.1 += c.energy_j;
-                        acc.2 += b.time_s;
-                        acc.3 += c.time_s;
-                    }
-                    acc
-                })
-                .reduce(
-                    || (0.0, 0.0, 0.0, 0.0),
-                    |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                );
+            // Each job sums its own phases first and the job totals are
+            // added afterwards: the association the golden's low-order
+            // bits are pinned to.
+            let (mut e_b, mut e_c, mut t_b, mut t_c) = (0.0, 0.0, 0.0, 0.0);
+            for job in &jobs {
+                let mut rng = StdRng::seed_from_u64(job.seed);
+                let mut acc = (0.0, 0.0, 0.0, 0.0);
+                for phase in synthesize_app(job.app_class, job.duration_s(), &mut rng) {
+                    let b = engine.execute(&phase, GpuSettings::uncapped());
+                    let c = engine.execute(&phase, GpuSettings::freq_capped(mhz));
+                    acc.0 += b.energy_j;
+                    acc.1 += c.energy_j;
+                    acc.2 += b.time_s;
+                    acc.3 += c.time_s;
+                }
+                e_b += acc.0;
+                e_c += acc.1;
+                t_b += acc.2;
+                t_c += acc.3;
+            }
             let row = projection.freq_row(mhz).ok_or_else(|| {
                 PmssError::missing(
                     "projection row",

@@ -125,7 +125,11 @@ impl Connection {
     /// Connects to `target`.
     pub fn connect(target: &Target) -> Result<Connection, ClientError> {
         let stream = match target {
-            Target::Tcp(addr) => Stream::Tcp(std::net::TcpStream::connect(addr.as_str())?),
+            Target::Tcp(addr) => {
+                let s = std::net::TcpStream::connect(addr.as_str())?;
+                s.set_nodelay(true)?;
+                Stream::Tcp(s)
+            }
             Target::Unix(path) => Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
         };
         Ok(Connection { stream })

@@ -14,7 +14,7 @@
 //! both listeners with a self-connection so their blocking accepts
 //! return; the run loop then force-closes and joins the connection
 //! threads, drops the registry (closing every tenant queue), and joins
-//! the workers — each publishes a final snapshot on the way out.
+//! the workers.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -170,7 +170,12 @@ impl Daemon {
         let mut conns: Vec<(JoinHandle<()>, Option<Conn>)> = Vec::new();
         loop {
             let stream = match &self.acceptor {
-                Acceptor::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                // Frames larger than one segment would otherwise wait on
+                // Nagle for the peer's ACK of the first.
+                Acceptor::Tcp(l) => l.accept().and_then(|(s, _)| {
+                    s.set_nodelay(true)?;
+                    Ok(Conn::Tcp(s))
+                }),
                 Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
             };
             if shutdown.load(Ordering::SeqCst) {
@@ -212,7 +217,7 @@ impl Daemon {
             let _ = handle.join();
         }
         // Dropping every sender closes the workers' queues; each worker
-        // publishes a final snapshot and exits.
+        // exits on the closed queue.
         let tenants: Vec<Tenant> = registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -338,18 +343,30 @@ fn handle_open(
                 "OPEN payload needs a \"tenant\" string".to_string(),
             )
         })?;
+    let spec = v
+        .get("spec")
+        .map(ScenarioSpec::from_json)
+        .transpose()
+        .map_err(|e| (code::MALFORMED, e.to_string()))?;
     let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(t) = reg.get(&name) {
+        // Re-OPEN binds to the live tenant; a spec, when carried, must be
+        // the one the tenant was created from.
+        if spec.is_some_and(|s| s.to_json().to_string_compact() != t.shared.spec_json) {
+            return Err((
+                code::USAGE,
+                format!("tenant {name:?} is already open with a different spec"),
+            ));
+        }
         *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
         return Ok(Vec::new());
     }
-    let Some(spec_json) = v.get("spec") else {
+    let Some(spec) = spec else {
         return Err((
             code::UNKNOWN_TENANT,
             format!("tenant {name:?} does not exist and OPEN carried no spec"),
         ));
     };
-    let spec = ScenarioSpec::from_json(spec_json).map_err(|e| (code::MALFORMED, e.to_string()))?;
     let t =
         tenant::spawn(&name, &spec, tenant_cfg).map_err(|e| (code::MALFORMED, e.to_string()))?;
     *bound = Some((Arc::clone(&t.shared), t.tx.clone()));

@@ -117,15 +117,17 @@ pub fn parse_err(payload: &[u8]) -> (String, String) {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame as a single `write`: length prefix, type byte and
+/// payload leave in one segment, so a peer's delayed-ACK timer never sits
+/// between a frame's header and its body.
 pub fn write_frame<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() < MAX_FRAME);
     let len = (payload.len() + 1) as u32;
-    s.write_all(&len.to_le_bytes())?;
-    let mut body = Vec::with_capacity(payload.len() + 1);
-    body.push(ty);
-    body.extend_from_slice(payload);
-    s.write_all(&body)?;
+    let mut frame = Vec::with_capacity(payload.len() + 5);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.push(ty);
+    frame.extend_from_slice(payload);
+    s.write_all(&frame)?;
     s.flush()
 }
 
@@ -145,11 +147,11 @@ pub fn read_frame<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> 
             format!("frame length {len} outside (0, {MAX_FRAME}]"),
         ));
     }
-    let mut body = vec![0u8; len];
-    s.read_exact(&mut body)?;
-    let ty = body[0];
-    let payload = body.split_off(1);
-    Ok(Some((ty, payload)))
+    let mut ty = [0u8; 1];
+    s.read_exact(&mut ty)?;
+    let mut payload = vec![0u8; len - 1];
+    s.read_exact(&mut payload)?;
+    Ok(Some((ty[0], payload)))
 }
 
 #[cfg(test)]
@@ -171,6 +173,26 @@ mod tests {
             Some((frame::FLUSH, Vec::new()))
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_is_written_with_exactly_one_write() {
+        /// Counts `write` calls; accepts every byte offered.
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"payload", &[0u8; 70_000]] {
+            let mut sink = Counting(0);
+            write_frame(&mut sink, frame::BLOCK, payload).unwrap();
+            assert_eq!(sink.0, 1, "{} payload bytes", payload.len());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use pmss_obs::Metrics;
 use pmss_pipeline::spec::ScenarioSpec;
 use pmss_pipeline::stage::Pipeline;
 use pmss_sched::{catalog, generate};
-use pmss_stream::{StreamConfig, StreamEngine, StreamState, StreamStats};
+use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::Pair;
 use pmss_workloads::Table3;
 
@@ -62,13 +62,11 @@ pub struct TenantShared {
     /// (`PoisonError::into_inner`): every write is one whole-value store,
     /// so the slot is valid at every step.
     pub state: RwLock<Arc<StreamState>>,
-    /// Ingest tallies at the last publish.
-    pub stats: RwLock<StreamStats>,
     /// Rendered metrics lines at the last publish (scrape endpoint
     /// fodder).
     pub metrics_text: RwLock<String>,
-    /// The spec the tenant was opened with, JSON-compact (OPEN
-    /// idempotency check).
+    /// The spec the tenant was opened with, JSON-compact: a later OPEN
+    /// carrying a spec must match it.
     pub spec_json: String,
 }
 
@@ -123,7 +121,6 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
             EnergyLedger::default(),
             frontier_factor,
         ))),
-        stats: RwLock::new(StreamStats::default()),
         metrics_text: RwLock::new(String::new()),
         spec_json: spec.to_json().to_string_compact(),
     });
@@ -151,7 +148,6 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
             let state = Arc::new(StreamState::capture_pair(engine, frontier_factor));
             let shared = &worker_shared;
             *shared.state.write().unwrap_or_else(PoisonError::into_inner) = state;
-            *shared.stats.write().unwrap_or_else(PoisonError::into_inner) = engine.stats();
             let mut m = Metrics::new();
             engine.publish_metrics(&mut m);
             *shared
@@ -183,7 +179,8 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
                 }
             }
         }
-        publish(&engine);
+        // The queue closes only once the registry is drained and every
+        // connection joined: no reader is left to publish for.
     });
     Ok(Tenant { shared, tx, handle })
 }

@@ -306,8 +306,7 @@ impl Slot {
 /// buffered (at release steady-state at most the reorder horizon, since a
 /// window whose successor `horizon` ahead has been seen is released), and
 /// its allocation is retained across releases — the steady state allocates
-/// nothing per window, where the previous `BTreeMap<u64, Vec<WindowEvent>>`
-/// paid a node plus a one-element `Vec` per buffered window.
+/// nothing per window.
 #[derive(Debug, Clone)]
 struct Channel<O> {
     /// Windows below the floor, applied in ascending order.
@@ -387,8 +386,7 @@ fn apply_slot<O: FleetObserver>(
 /// once a window `max_seen` is delivered no window at or below
 /// `max_seen - horizon` can still appear.  The floor advances only past
 /// *released* (present) windows — a window index that was never delivered
-/// stays acceptable until some later window is finalized past it, exactly
-/// as the previous ordered-map implementation behaved.
+/// stays acceptable until some later window is finalized past it.
 fn release_ready<O: FleetObserver>(
     ch: &mut Channel<O>,
     spare: &mut Vec<Vec<WindowEvent>>,
@@ -657,9 +655,8 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// sequence the per-event path would, so results — and every ingest
     /// statistic, including the buffered-window peaks — are bit-identical.
     /// Other blocks fall back to row-by-row [`StreamEngine::ingest`],
-    /// stopping at the first rejection exactly like
-    /// [`StreamEngine::ingest_all`] (the rows before it stay applied; the
-    /// rejected row leaves no trace).  A block naming a channel outside
+    /// stopping at the first rejection (the rows before it stay applied;
+    /// the rejected row leaves no trace).  A block naming a channel outside
     /// the schedule is refused atomically with
     /// [`StreamError::InvalidChannel`] before any row is touched.
     pub fn ingest_block(&mut self, block: &ColumnBlock) -> Result<(), StreamError> {
@@ -816,17 +813,6 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
         true
     }
 
-    /// Ingests a sequence of events, stopping at the first rejection.
-    pub fn ingest_all(
-        &mut self,
-        events: impl IntoIterator<Item = WindowEvent>,
-    ) -> Result<(), StreamError> {
-        for ev in events {
-            self.ingest(ev)?;
-        }
-        Ok(())
-    }
-
     /// Drains every reorder buffer into its channel partial — the
     /// end-of-stream signal, after which a snapshot covers every ingested
     /// window.
@@ -941,7 +927,7 @@ mod tests {
     use super::*;
     use pmss_core::EnergyLedger;
     use pmss_sched::{catalog, generate, TraceParams};
-    use pmss_telemetry::{fleet_window_events, simulate_fleet, FleetConfig};
+    use pmss_telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig};
 
     fn schedule() -> Schedule {
         generate(
@@ -985,9 +971,9 @@ mod tests {
         assert_eq!(eng.buffer_bound(), 0); // no live channels yet
         let fleet_cfg = FleetConfig::default();
         let mut first = None;
-        fleet_window_events(&sched, &fleet_cfg, |ev| {
+        fleet_window_blocks(&sched, &fleet_cfg, |b| {
             if first.is_none() {
-                first = Some(ev);
+                first = b.iter().next();
             }
         });
         eng.ingest(first.expect("fleet emits events")).unwrap();
@@ -1009,8 +995,8 @@ mod tests {
         let batch: EnergyLedger = simulate_fleet(&sched, &cfg);
         let mut eng: StreamEngine<'_, EnergyLedger> =
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
-        fleet_window_events(&sched, &cfg, |ev| {
-            eng.ingest(ev).unwrap();
+        fleet_window_blocks(&sched, &cfg, |b| {
+            b.iter().for_each(|ev| eng.ingest(ev).unwrap());
         });
         let (ledger, stats) = eng.finish();
         assert_eq!(ledger, batch);
@@ -1026,8 +1012,8 @@ mod tests {
         for shards in [1, 3] {
             let mut eng: StreamEngine<'_, EnergyLedger> =
                 StreamEngine::new(&sched, StreamConfig::default().with_shards(shards)).unwrap();
-            fleet_window_events(&sched, &cfg, |ev| {
-                eng.ingest(ev).unwrap();
+            fleet_window_blocks(&sched, &cfg, |b| {
+                b.iter().for_each(|ev| eng.ingest(ev).unwrap());
             });
             ledgers.push(eng.finish().0);
         }
@@ -1084,9 +1070,11 @@ mod tests {
         )
         .unwrap();
         let cfg = FleetConfig::default();
-        fleet_window_events(&sched, &cfg, |ev| {
-            eng.ingest(ev).unwrap();
-            assert!(eng.stats().buffered_windows <= eng.buffer_bound());
+        fleet_window_blocks(&sched, &cfg, |b| {
+            for ev in b.iter() {
+                eng.ingest(ev).unwrap();
+                assert!(eng.stats().buffered_windows <= eng.buffer_bound());
+            }
         });
         assert!(eng.stats().peak_channel_windows <= horizon as usize);
     }
@@ -1115,14 +1103,14 @@ mod tests {
             let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
             let mut by_event: StreamEngine<'_, EnergyLedger> =
                 StreamEngine::new(&sched, stream_cfg).unwrap();
-            pmss_telemetry::fleet_window_blocks(&sched, &cfg, |block| {
+            fleet_window_blocks(&sched, &cfg, |block| {
                 for ev in block.iter() {
                     by_event.ingest(ev).unwrap();
                 }
             });
             let mut by_block: StreamEngine<'_, EnergyLedger> =
                 StreamEngine::new(&sched, stream_cfg).unwrap();
-            pmss_telemetry::fleet_window_blocks(&sched, &cfg, |block| {
+            fleet_window_blocks(&sched, &cfg, |block| {
                 by_block.ingest_block(block).unwrap();
             });
             assert_eq!(by_block.stats(), by_event.stats(), "plan {plan:?}");
@@ -1141,8 +1129,8 @@ mod tests {
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
         assert_eq!(eng.buffer_bytes(), 0);
         let cfg = FleetConfig::default();
-        fleet_window_events(&sched, &cfg, |ev| {
-            eng.ingest(ev).unwrap();
+        fleet_window_blocks(&sched, &cfg, |b| {
+            b.iter().for_each(|ev| eng.ingest(ev).unwrap());
         });
         // Rings are retained after release, so the gauge stays nonzero
         // even at steady state, and the metric mirrors it.
@@ -1196,8 +1184,8 @@ mod tests {
         let cfg = FleetConfig::default();
         let mut eng: StreamEngine<'_, EnergyLedger> =
             StreamEngine::new(&sched, StreamConfig::default().with_shards(2)).unwrap();
-        fleet_window_events(&sched, &cfg, |ev| {
-            eng.ingest(ev).unwrap();
+        fleet_window_blocks(&sched, &cfg, |b| {
+            b.iter().for_each(|ev| eng.ingest(ev).unwrap());
         });
         let mut m = Metrics::default();
         eng.publish_metrics(&mut m);

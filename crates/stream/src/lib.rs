@@ -37,4 +37,4 @@ pub mod engine;
 pub mod state;
 
 pub use engine::{StreamConfig, StreamEngine, StreamError, StreamStats};
-pub use state::{StreamSnapshot, StreamState};
+pub use state::StreamState;

@@ -14,7 +14,7 @@ use pmss_error::PmssError;
 use pmss_telemetry::Pair;
 use pmss_workloads::Table3;
 
-use crate::engine::{StreamEngine, StreamStats};
+use crate::engine::StreamEngine;
 
 /// A point-in-time view of a streamed fleet decomposition.
 #[derive(Debug, Clone)]
@@ -107,24 +107,12 @@ impl StreamState {
     }
 }
 
-/// A [`StreamState`] paired with the ingest tallies it was captured under
-/// (what the `pmss stream` subcommand prints per snapshot).
-#[derive(Debug, Clone)]
-pub struct StreamSnapshot {
-    /// The queryable state.
-    pub state: StreamState,
-    /// Ingest tallies at capture time.
-    pub stats: StreamStats,
-    /// Simulated stream time at capture, seconds from trace start.
-    pub t_s: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::StreamConfig;
     use pmss_sched::{catalog, generate, TraceParams};
-    use pmss_telemetry::{fleet_window_events, FleetConfig};
+    use pmss_telemetry::{fleet_window_blocks, FleetConfig};
     use pmss_workloads::table3;
 
     #[test]
@@ -140,8 +128,8 @@ mod tests {
         );
         let mut eng: StreamEngine<'_, EnergyLedger> =
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
-        fleet_window_events(&sched, &FleetConfig::default(), |ev| {
-            eng.ingest(ev).unwrap();
+        fleet_window_blocks(&sched, &FleetConfig::default(), |b| {
+            b.iter().for_each(|ev| eng.ingest(ev).unwrap());
         });
         eng.flush();
         let factor = 3.5;
@@ -175,9 +163,11 @@ mod tests {
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
         let mut paired: StreamEngine<'_, Pair<EnergyLedger, EconSeries>> =
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
-        fleet_window_events(&sched, &FleetConfig::default(), |ev| {
-            solo.ingest(ev).unwrap();
-            paired.ingest(ev).unwrap();
+        fleet_window_blocks(&sched, &FleetConfig::default(), |b| {
+            for ev in b.iter() {
+                solo.ingest(ev).unwrap();
+                paired.ingest(ev).unwrap();
+            }
         });
         solo.flush();
         paired.flush();

@@ -4,12 +4,13 @@
 //! This is the stand-in for three months of Frontier out-of-band telemetry
 //! (paper Table II a): per node, per GPU slot, one mean-power sample every
 //! 15 seconds, attributable to the job occupying the node.  Simulation is
-//! a per-node fold/reduce written against the rayon API, so no locking is
-//! involved; the vendored executor runs it sequentially (ROADMAP item 2).
+//! one sequential pass over the nodes; each node's state (RNG, boost
+//! budget, fault lanes) is independent of every other's, so the node loop
+//! in `simulate_fleet_impl` is where a `std::thread::scope` would go
+//! (ROADMAP item 2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use pmss_faults::{FaultLane, FaultPlan, GapPolicy, Glitch};
 
@@ -20,9 +21,7 @@ use pmss_sched::Schedule;
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
 
-use pmss_columns::ColumnBlock;
-
-use crate::events::{WindowEvent, WindowKind, REST_SLOT};
+use pmss_columns::{ColumnBlock, WindowEvent, WindowKind, REST_SLOT};
 
 pub use pmss_columns::{FleetObserver, GapFill, SampleCtx};
 
@@ -82,14 +81,10 @@ impl FleetConfig {
     }
 }
 
-// `SampleCtx`, `GapFill`, and `FleetObserver` moved to `pmss-columns`
-// (re-exported above): the consumer trait now lives with the columnar
-// substrate so observers can override `FleetObserver::fold_block`.
-
-/// Per-worker tallies of one fleet-simulation run, following the same
-/// fold/merge discipline as [`FleetObserver`]: each per-node fold
-/// accumulates its own partial and partials are [`FleetRunStats::merge`]d
-/// at reduce time — no locks, no atomics on the hot path.
+/// Tallies of one fleet-simulation run, following the same fold/merge
+/// discipline as [`FleetObserver`]: a run accumulates its own value and
+/// runs are combined with [`FleetRunStats::merge`] — no locks, no atomics
+/// on the hot path.
 ///
 /// Produced by [`simulate_fleet_metered`]; the unmetered entry points
 /// thread a zero-sized no-op sink through the same monomorphized code, so
@@ -140,7 +135,7 @@ pub struct FleetRunStats {
 }
 
 impl FleetRunStats {
-    /// Folds another worker's tallies into this one (the reduce step).
+    /// Folds another run's tallies into this one.
     pub fn merge(&mut self, other: &FleetRunStats) {
         self.gpu_samples += other.gpu_samples;
         self.attributed_samples += other.attributed_samples;
@@ -188,20 +183,17 @@ enum FaultEvent {
 /// the `()` impl is all empty inlined bodies, so the unmetered build
 /// compiles the recording away entirely — which is what keeps the
 /// "metrics must not perturb output or cost" guarantee trivially true.
-trait FleetSink: Default + Send {
+trait FleetSink: Default {
     fn gpu_sample(&mut self, _attributed: bool) {}
     fn node_sample(&mut self) {}
     fn boost_engaged(&mut self, _granted_s: f64) {}
     fn boost_denied(&mut self) {}
     fn fault(&mut self, _e: FaultEvent) {}
     fn engine_executed(&mut self, _ex: &Execution) {}
-    fn absorb(&mut self, other: Self);
 }
 
 /// The no-op sink of the unmetered entry points.
-impl FleetSink for () {
-    fn absorb(&mut self, _other: Self) {}
-}
+impl FleetSink for () {}
 
 impl FleetSink for FleetRunStats {
     fn gpu_sample(&mut self, attributed: bool) {
@@ -235,9 +227,6 @@ impl FleetSink for FleetRunStats {
         self.engine_ppt_throttled += ex.ppt_throttled as u64;
         self.solver_iters += ex.solver_iters as u64;
         self.cap_breaches += ex.cap_breached as u64;
-    }
-    fn absorb(&mut self, other: Self) {
-        self.merge(&other);
     }
 }
 
@@ -427,7 +416,7 @@ fn slot_window_events<M: FleetSink>(
 
     // `n_full` whole windows plus, when the duration is not an exact
     // multiple of the window, one final partial window averaging the
-    // remaining covered span (previously the tail was silently dropped).
+    // remaining covered span.
     for w in 0..=n_full {
         let w_start = w as f64 * cfg.window_s;
         let w_end = if w == n_full {
@@ -658,8 +647,8 @@ where
 }
 
 /// [`simulate_fleet`], additionally tallying run statistics (sample
-/// counts, boost engagements, engine and cap-solver work) via a per-worker
-/// [`FleetRunStats`] sink merged at reduce time.
+/// counts, boost engagements, engine and cap-solver work) in a
+/// [`FleetRunStats`] sink.
 ///
 /// The observer output is bit-identical to [`simulate_fleet`]: the sink
 /// only counts, it never touches the simulation state.
@@ -803,71 +792,35 @@ where
     M: FleetSink,
 {
     let run = FleetRun::new(schedule, cfg);
-
+    let mut scratch = run.scratch();
+    let (mut obs, mut sink) = (O::default(), M::default());
     // Generation writes each channel's windows into SoA columns, then the
-    // observer folds the whole block at once ([`FleetObserver::fold_block`]).
-    // The fold replays the identical observer-call sequence the per-event
-    // path made, so low-order float bits are pinned; columnar observers
-    // merely skip per-event dispatch.
-    (0..schedule.per_node.len())
-        .into_par_iter()
-        .fold(
-            || (O::default(), M::default()),
-            |(mut obs, mut sink), node| {
-                let mut scratch = run.scratch();
-                // Channel-grouped observers accumulate each channel into a
-                // fresh partial, merged in canonical order — the shape
-                // `pmss-stream` reproduces bit for bit (see
-                // [`FleetObserver::CHANNEL_GROUPED`]).  Everything else
-                // folds blocks straight into the running accumulator,
-                // preserving historical low-order bits.
-                run.node_channel_blocks(node, &mut scratch, &mut sink, false, |block| {
-                    if O::CHANNEL_GROUPED {
-                        let mut chan = O::default();
-                        chan.fold_block(schedule, block);
-                        obs.merge(chan);
-                    } else {
-                        obs.fold_block(schedule, block);
-                    }
-                });
-                (obs, sink)
-            },
-        )
-        .reduce(
-            || (O::default(), M::default()),
-            |(mut a, mut a_sink), (b, b_sink)| {
-                a.merge(b);
-                a_sink.absorb(b_sink);
-                (a, a_sink)
-            },
-        )
-}
-
-/// Streams every telemetry event of a fleet run to `emit` in *arrival*
-/// order — the order a collection fabric would deliver them: channel by
-/// channel (nodes ascending; GPU slots `0..4`, then rest-of-node), each
-/// channel's events sorted by `(rank, window)` so an active fault plan's
-/// bounded reordering is realized in the stream itself.
-///
-/// Event *generation* (power modeling, RNG consumption, fault decisions)
-/// is bit-identical to [`simulate_fleet`]; only the emission order
-/// differs.  Feeding these events through `pmss-stream`'s reorder-buffered
-/// ingest reproduces the batch observer exactly.
-pub fn fleet_window_events(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    mut emit: impl FnMut(WindowEvent),
-) {
-    fleet_window_blocks(schedule, cfg, |b| b.iter().for_each(&mut emit));
+    // observer folds the whole block at once.  The fold replays the
+    // identical observer-call sequence per-event iteration would make, so
+    // low-order float bits are pinned; columnar observers merely skip
+    // per-event dispatch.
+    for node in 0..schedule.per_node.len() {
+        run.node_channel_blocks(node, &mut scratch, &mut sink, false, |block| {
+            obs.fold_channel(schedule, block)
+        });
+    }
+    (obs, sink)
 }
 
 /// Streams every telemetry channel of a fleet run to `emit` as one
 /// [`ColumnBlock`] per channel, in canonical channel order (nodes
-/// ascending; GPU slots `0..4`, then rest-of-node).  Within a block, rows
-/// are in the channel's *arrival* order — ascending window without
-/// faults, `(rank, window)`-sorted (duplicates adjacent) under an active
-/// reordering plan — so [`fleet_window_events`] is exactly a flattening
-/// of these blocks.
+/// ascending; GPU slots `0..4`, then rest-of-node) — the order a
+/// collection fabric would deliver them.  Within a block, rows are in the
+/// channel's *arrival* order — ascending window without faults,
+/// `(rank, window)`-sorted (duplicates adjacent) under an active
+/// reordering plan, so the plan's bounded reordering is realized in the
+/// stream itself.
+///
+/// Row *generation* (power modeling, RNG consumption, fault decisions) is
+/// bit-identical to [`simulate_fleet`]; only the emission order differs.
+/// Flattening the blocks (`block.iter()`) and feeding the events through
+/// `pmss-stream`'s reorder-buffered ingest reproduces the batch observer
+/// exactly.
 ///
 /// The block reference is a reusable scratch buffer: it is only valid for
 /// the duration of the callback (clone it to retain).
@@ -891,11 +844,10 @@ pub fn fleet_window_blocks(
 /// Materializes one run's full event stream in *delivery* order — every
 /// event sorted by `(rank, node, slot, window)`, the order the pipeline's
 /// stream/govern artifacts replay and the governor rounds on.  This is
-/// the one shared constructor for that ordering (benches, artifacts, and
-/// differential tests previously each carried their own copy).
+/// the one shared constructor for that ordering.
 pub fn delivery_ordered_events(schedule: &Schedule, cfg: &FleetConfig) -> Vec<WindowEvent> {
     let mut events = Vec::new();
-    fleet_window_events(schedule, cfg, |ev| events.push(ev));
+    fleet_window_blocks(schedule, cfg, |b| events.extend(b.iter()));
     events.sort_unstable_by(|a, b| {
         (a.rank, a.node, a.slot, a.window).cmp(&(b.rank, b.node, b.slot, b.window))
     });
@@ -952,7 +904,7 @@ mod tests {
     #[test]
     fn partial_tail_window_is_emitted() {
         // Duration not a multiple of the window: the 7-second tail gets its
-        // own sample (it used to be dropped entirely).
+        // own sample.
         let s = generate(
             TraceParams {
                 nodes: 2,

@@ -7,23 +7,25 @@
 //!
 //! * [`sampler`] — 2 s → 15 s aggregation;
 //! * [`hist`] — power histograms with smoothing and peak finding (Figs. 8–9);
-//! * [`fleet`] — the rayon-parallel fleet simulation streaming 15 s samples
-//!   (with boost excursions and sensor noise) to a [`fleet::FleetObserver`];
+//! * [`fleet`] — the fleet simulation streaming 15 s samples (with boost
+//!   excursions and sensor noise) to a [`fleet::FleetObserver`];
+//! * [`resident`] — a fleet run captured as compressed per-channel blocks,
+//!   replayed block by block;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
 //! * [`join`] — telemetry ↔ job-log join with per-job power statistics;
 //! * [`export`] — CSV persistence and storage-cost estimation;
 //! * [`fleetpower`] — facility-level aggregate power (peak demand, load
-//!   duration, peak shaving under caps);
-//! * [`compress`] — delta/run-length codec for power series (the storage
-//!   cost the paper's discussion raises).
+//!   duration, peak shaving under caps).
+//!
+//! The window-event seam ([`WindowEvent`], [`FleetObserver`],
+//! [`ColumnBlock`]) and the power-series codec live in `pmss-columns`; the
+//! seam types are re-exported at this crate's root.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compress;
-pub mod events;
 pub mod export;
 pub mod fleet;
 pub mod fleetpower;
@@ -34,15 +36,17 @@ pub mod resident;
 pub mod sampler;
 pub mod smi;
 
-pub use events::{apply_event, WindowEvent, WindowKind, REST_SLOT};
 pub use fleet::{
-    delivery_ordered_events, fleet_window_blocks, fleet_window_events, simulate_fleet,
-    simulate_fleet_metered, FleetConfig, FleetObserver, FleetRunStats, GapFill, SampleCtx,
+    delivery_ordered_events, fleet_window_blocks, simulate_fleet, simulate_fleet_metered,
+    FleetConfig, FleetObserver, FleetRunStats, GapFill, SampleCtx,
 };
 pub use fleetpower::FleetPowerSeries;
 pub use hist::PowerHistogram;
 pub use join::{JobPowerIndex, JobPowerStats};
 pub use observers::{DomainHistograms, GpuCpuEnergy, Pair, SystemHistogram};
-pub use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock, Tag, NO_JOB};
+pub use pmss_columns::{
+    apply_event, BlockGrid, CodecConfig, ColumnBlock, EncodedBlock, Tag, WindowEvent, WindowKind,
+    NO_JOB, REST_SLOT,
+};
 pub use resident::ResidentFleet;
 pub use smi::{compare_sensors, Comparison};

@@ -85,22 +85,15 @@ impl ResidentFleet {
     /// Replays the store into a fresh observer: each block decodes
     /// independently (into one reused scratch block) and folds in
     /// canonical channel order (nodes ascending; GPU slots `0..4`, then
-    /// rest-of-node), with channel-grouped observers accumulated one
-    /// fresh partial per channel — the batch simulation's accumulation
-    /// shape.  `schedule` must be the one the store was captured from
-    /// (job attribution indexes its job log).
+    /// rest-of-node) through [`FleetObserver::fold_channel`] — the batch
+    /// simulation's accumulation shape.  `schedule` must be the one the
+    /// store was captured from (job attribution indexes its job log).
     pub fn replay<O: FleetObserver + Default>(&self, schedule: &Schedule) -> Result<O, PmssError> {
         let mut obs = O::default();
         let mut block = ColumnBlock::default();
         for enc in &self.blocks {
             enc.decode_into(self.codec, &mut block)?;
-            if O::CHANNEL_GROUPED {
-                let mut chan = O::default();
-                chan.fold_block(schedule, &block);
-                obs.merge(chan);
-            } else {
-                obs.fold_block(schedule, &block);
-            }
+            obs.fold_channel(schedule, &block);
         }
         Ok(obs)
     }

@@ -147,7 +147,7 @@ proptest! {
     /// finite wattage series.
     #[test]
     fn codec_round_trip_is_lossless(samples in prop::collection::vec(0.0..700.0f64, 0..400)) {
-        use pmss_telemetry::compress::{decode, encode, CodecConfig};
+        use pmss_columns::codec::{decode, encode, CodecConfig};
         let cfg = CodecConfig::default();
         let encoded = encode(&samples, cfg).unwrap();
         let decoded = decode(&encoded, cfg).unwrap();
@@ -164,7 +164,7 @@ proptest! {
         prefix in prop::collection::vec(0.0..700.0f64, 0..20),
         which in 0..3usize,
     ) {
-        use pmss_telemetry::compress::{encode, CodecConfig};
+        use pmss_columns::codec::{encode, CodecConfig};
         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
         let mut samples = prefix.clone();
         samples.push(bad);
@@ -178,7 +178,7 @@ proptest! {
     /// series within the bound or a typed error.
     #[test]
     fn codec_decode_survives_arbitrary_bytes(data in prop::collection::vec(0..=255u8, 0..64)) {
-        use pmss_telemetry::compress::{decode, CodecConfig};
+        use pmss_columns::codec::{decode, CodecConfig};
         let cfg = CodecConfig { max_samples: 4096, ..Default::default() };
         match decode(&data, cfg) {
             Ok(series) => prop_assert!(series.len() <= cfg.max_samples),
@@ -198,7 +198,7 @@ proptest! {
         pairs in prop::collection::vec((extreme_varint(), extreme_varint()), 0..8),
         trailing in prop::collection::vec(0..=255u8, 0..4),
     ) {
-        use pmss_telemetry::compress::{decode, CodecConfig};
+        use pmss_columns::codec::{decode, CodecConfig};
         let mut data = Vec::new();
         push_varint(&mut data, count);
         for (delta, run) in pairs {

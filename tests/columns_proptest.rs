@@ -13,8 +13,8 @@ use pmss::core::EnergyLedger;
 use pmss::faults::{FaultPlan, GapPolicy};
 use pmss::sched::{catalog, generate, Schedule, TraceParams};
 use pmss::telemetry::{
-    apply_event, fleet_window_blocks, fleet_window_events, simulate_fleet, FleetConfig,
-    FleetObserver, GapFill, WindowEvent, WindowKind, REST_SLOT,
+    apply_event, fleet_window_blocks, simulate_fleet, FleetConfig, FleetObserver, GapFill,
+    WindowEvent, WindowKind, REST_SLOT,
 };
 
 /// One generated row of a synthetic block, before grid stamping.
@@ -248,12 +248,11 @@ proptest! {
     }
 
     /// The block-shaped fleet surface is the per-event surface: for any
-    /// fault plan, concatenating every block's rows reproduces the legacy
-    /// event stream bit for bit, every block's columnar fold equals the
-    /// per-event `apply_event` loop over the same rows bit for bit, and —
-    /// when the plan does not reorder delivery (arrival order is window
-    /// order, so accumulation order matches) — the channel-merged ledger
-    /// equals the batch ledger bit for bit.
+    /// fault plan, every block's columnar fold equals the per-event
+    /// `apply_event` loop over the same rows bit for bit, and — when the
+    /// plan does not reorder delivery (arrival order is window order, so
+    /// accumulation order matches) — the channel-merged ledger equals the
+    /// batch ledger bit for bit.
     #[test]
     fn block_iteration_matches_per_event_iteration(
         plan in arb_plan(),
@@ -266,13 +265,8 @@ proptest! {
             faults: (!plan.is_noop()).then(|| plan.clone()),
             ..FleetConfig::default()
         };
-        let mut by_event = Vec::new();
-        fleet_window_events(&schedule, &cfg, |ev| by_event.push(event_key(&ev)));
-
-        let mut by_block = Vec::new();
         let mut ledger = EnergyLedger::default();
         fleet_window_blocks(&schedule, &cfg, |block| {
-            by_block.extend(block.iter().map(|ev| event_key(&ev)));
             let mut folded = EnergyLedger::default();
             folded.fold_block(&schedule, block);
             let mut applied = EnergyLedger::default();
@@ -280,9 +274,8 @@ proptest! {
                 apply_event(&mut applied, &schedule, &ev);
             }
             assert_eq!(folded, applied, "columnar fold vs per-event apply");
-            ledger.merge(folded);
+            ledger.fold_channel(&schedule, block);
         });
-        prop_assert_eq!(by_block, by_event);
 
         // Under reordering faults the blocks arrive (and fold) in delivery
         // order while the batch path folds in window order, so f64

@@ -214,6 +214,33 @@ fn adversarial_frames_bounce_with_typed_errors_and_answers_hold() {
 }
 
 #[test]
+fn reopen_binds_only_when_a_carried_spec_matches_the_tenants() {
+    let h = start_daemon(64, 8);
+    let spec = spec_for(None);
+    let mut first = Connection::connect(&h.target).expect("connect");
+    first.open("shared", Some(&spec)).expect("create");
+
+    // FLUSH needs a bound tenant, so its verdict shows whether OPEN bound.
+    let mut same = Connection::connect(&h.target).expect("connect");
+    same.open("shared", Some(&spec)).expect("same-spec re-OPEN");
+    same.flush().expect("bound by the same-spec re-OPEN");
+
+    let mut bare = Connection::connect(&h.target).expect("connect");
+    bare.open("shared", None).expect("spec-less OPEN");
+    bare.flush().expect("bound by the spec-less OPEN");
+
+    let other = spec_for(Some("frontier-typical"));
+    let mut differing = Connection::connect(&h.target).expect("connect");
+    for attempt in [differing.open("shared", Some(&other)), differing.flush()] {
+        match attempt {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::USAGE),
+            other => panic!("expected a usage rejection, got {other:?}"),
+        }
+    }
+    h.stop();
+}
+
+#[test]
 fn concurrent_split_feeds_converge_and_backpressure_is_typed() {
     // Queue depth 1 forces admission collisions between two feeder
     // connections; both retry on the typed backpressure error, so the

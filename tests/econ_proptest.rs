@@ -17,7 +17,7 @@ use pmss::econ::{shift, EconSeries, EconTrace, JOULES_PER_MWH, SLOT_S};
 use pmss::faults::{FaultPlan, GapPolicy};
 use pmss::sched::{catalog, generate, Schedule, TraceParams};
 use pmss::stream::{StreamConfig, StreamEngine};
-use pmss::telemetry::{fleet_window_events, simulate_fleet, FleetConfig, Pair};
+use pmss::telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig, Pair};
 
 fn small_schedule(nodes: usize, hours: u64, seed: u64) -> Schedule {
     generate(
@@ -247,7 +247,7 @@ proptest! {
             StreamEngine::new(&schedule, StreamConfig::for_plan(cfg.faults.as_ref()))
                 .expect("valid config");
         let mut events = Vec::new();
-        fleet_window_events(&schedule, &cfg, |ev| events.push(ev));
+        fleet_window_blocks(&schedule, &cfg, |b| events.extend(b.iter()));
         for ev in events {
             eng.ingest(ev).expect("plan-sized horizon accepts the stream");
         }

@@ -14,7 +14,7 @@ use pmss::faults::{FaultPlan, GapPolicy};
 use pmss::gpu::{FleetMix, SkuCatalog};
 use pmss::sched::{catalog, generate, Schedule, TraceParams};
 use pmss::stream::{StreamConfig, StreamEngine};
-use pmss::telemetry::{fleet_window_events, simulate_fleet, FleetConfig, ResidentFleet};
+use pmss::telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig, ResidentFleet};
 
 /// A small-but-real trace: enough channels and windows to exercise every
 /// event kind while keeping the per-property case budget fast.
@@ -73,7 +73,7 @@ fn close(a: f64, b: f64) -> bool {
 
 fn materialize(schedule: &Schedule, cfg: &FleetConfig) -> Vec<pmss::telemetry::WindowEvent> {
     let mut events = Vec::new();
-    fleet_window_events(schedule, cfg, |ev| events.push(ev));
+    fleet_window_blocks(schedule, cfg, |b| events.extend(b.iter()));
     events
 }
 

@@ -14,7 +14,7 @@ use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock};
 use pmss_core::EnergyLedger;
 use pmss_sched::{catalog, generate, Schedule, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine};
-use pmss_telemetry::{fleet_window_events, FleetConfig, WindowEvent, WindowKind};
+use pmss_telemetry::{fleet_window_blocks, FleetConfig, WindowEvent, WindowKind};
 
 fn small_schedule(seed: u64) -> Schedule {
     generate(
@@ -33,7 +33,7 @@ fn small_schedule(seed: u64) -> Schedule {
 fn clean_events(schedule: &Schedule) -> Vec<WindowEvent> {
     let cfg = FleetConfig::default();
     let mut events = Vec::new();
-    fleet_window_events(schedule, &cfg, |ev| events.push(ev));
+    fleet_window_blocks(schedule, &cfg, |b| events.extend(b.iter()));
     events
 }
 

@@ -14,7 +14,7 @@ use pmss_faults::{FaultPlan, PRESETS};
 use pmss_pipeline::spec::{ScalePreset, ScenarioSpec};
 use pmss_sched::{catalog, Schedule};
 use pmss_stream::{StreamConfig, StreamEngine};
-use pmss_telemetry::{fleet_window_events, simulate_fleet, FleetConfig, WindowEvent};
+use pmss_telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig, WindowEvent};
 use pmss_workloads::{table3, Table3};
 
 /// Asserts two f64s carry identical bit patterns (not just `==`, which
@@ -102,16 +102,17 @@ fn scenario(preset: ScalePreset, faults: &str) -> (Schedule, FleetConfig, f64) {
 fn stream_ledger(schedule: &Schedule, cfg: &FleetConfig, stream_cfg: StreamConfig) -> EnergyLedger {
     let mut eng: StreamEngine<'_, EnergyLedger> =
         StreamEngine::new(schedule, stream_cfg).expect("valid config");
-    fleet_window_events(schedule, cfg, |ev| {
-        eng.ingest(ev).expect("delivery within horizon");
+    fleet_window_blocks(schedule, cfg, |b| {
+        b.iter()
+            .for_each(|ev| eng.ingest(ev).expect("delivery within horizon"));
     });
     eng.finish().0
 }
 
 /// Streams the run with an extra deterministic within-horizon shuffle
-/// applied per channel.  Arrival order emits each channel contiguously,
-/// so only one channel's events are ever buffered — the test itself stays
-/// bounded-memory even at the large preset.
+/// applied per channel.  A block is one channel, so only one channel's
+/// events are ever buffered — the test itself stays bounded-memory even at
+/// the large preset.
 fn stream_ledger_shuffled(
     schedule: &Schedule,
     cfg: &FleetConfig,
@@ -120,22 +121,12 @@ fn stream_ledger_shuffled(
 ) -> EnergyLedger {
     let mut eng: StreamEngine<'_, EnergyLedger> =
         StreamEngine::new(schedule, stream_cfg).expect("valid config");
-    let mut pending: Vec<WindowEvent> = Vec::new();
-    let mut current: Option<(u32, u8)> = None;
-    let drain = |eng: &mut StreamEngine<'_, EnergyLedger>, pending: &mut Vec<WindowEvent>| {
-        for ev in shuffle_within(pending, slack) {
+    fleet_window_blocks(schedule, cfg, |b| {
+        let pending: Vec<WindowEvent> = b.iter().collect();
+        for ev in shuffle_within(&pending, slack) {
             eng.ingest(ev).expect("delivery within horizon");
         }
-        pending.clear();
-    };
-    fleet_window_events(schedule, cfg, |ev| {
-        if current != Some(ev.channel()) {
-            drain(&mut eng, &mut pending);
-            current = Some(ev.channel());
-        }
-        pending.push(ev);
     });
-    drain(&mut eng, &mut pending);
     eng.finish().0
 }
 
@@ -227,7 +218,7 @@ fn mid_stream_snapshots_equal_batch_over_the_ingested_prefix() {
     // replay the prefix through a second engine and flush it.
     let (schedule, cfg, _) = scenario(ScalePreset::Quick, "frontier-typical");
     let mut events = Vec::new();
-    fleet_window_events(&schedule, &cfg, |ev| events.push(ev));
+    fleet_window_blocks(&schedule, &cfg, |b| events.extend(b.iter()));
     let base = StreamConfig::for_plan(cfg.faults.as_ref());
 
     let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&schedule, base).unwrap();

@@ -12,7 +12,7 @@ use pmss_core::EnergyLedger;
 use pmss_faults::{FaultPlan, GapPolicy};
 use pmss_sched::{catalog, generate, Schedule, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamError};
-use pmss_telemetry::{fleet_window_events, simulate_fleet, FleetConfig, WindowEvent};
+use pmss_telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig, WindowEvent};
 
 /// A small-but-real trace: enough channels and windows to exercise every
 /// event kind while keeping 64 cases per property fast.
@@ -79,7 +79,7 @@ fn shuffle_within(events: &[WindowEvent], slack: u64, salt: u64) -> Vec<WindowEv
 
 fn materialize(schedule: &Schedule, cfg: &FleetConfig) -> Vec<WindowEvent> {
     let mut events = Vec::new();
-    fleet_window_events(schedule, cfg, |ev| events.push(ev));
+    fleet_window_blocks(schedule, cfg, |b| events.extend(b.iter()));
     events
 }
 
