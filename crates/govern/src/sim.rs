@@ -234,11 +234,14 @@ fn factor_row(table3: &Table3, cap: CapSetting) -> Result<Table3Row, PmssError> 
     })
 }
 
-/// Runs one governed replay of `events` (sorted by delivery rank) and
-/// returns the outcome.  The result is a pure function of the arguments.
+/// Runs one governed replay of `events` — the run in delivery order,
+/// `(rank, node, slot, window)` ascending, consumed one event at a time so
+/// the caller never has to hold them as a slice (the pipeline passes
+/// `pmss_telemetry::DeliveryTrace::iter`) — and returns the outcome.  The
+/// result is a pure function of the arguments.
 pub fn run_governor(
     schedule: &Schedule,
-    events: &[WindowEvent],
+    events: impl IntoIterator<Item = WindowEvent>,
     stream_cfg: StreamConfig,
     resolved: &ResolvedPlan,
     table3: &Table3,
@@ -336,7 +339,7 @@ pub fn run_governor(
             }
         }
 
-        if eng.ingest(*ev).is_err() {
+        if eng.ingest(ev).is_err() {
             // Counted by the engine; an event past the reorder horizon is
             // neither sensed nor governed.
             continue;
@@ -356,7 +359,7 @@ pub fn run_governor(
 
 /// Applies one delivered event to the outcome tallies.
 fn account(
-    ev: &WindowEvent,
+    ev: WindowEvent,
     assign: &Assignment,
     cap: CapSetting,
     cap_row: &Table3Row,
@@ -629,7 +632,7 @@ mod tests {
         let sched = schedule(nodes);
         run_governor(
             &sched,
-            events,
+            events.iter().copied(),
             StreamConfig::for_plan(None),
             &resolved(name, nodes),
             &table(),
@@ -701,7 +704,7 @@ mod tests {
         }
         let out = run_governor(
             &schedule(2),
-            &evs,
+            evs.iter().copied(),
             StreamConfig::for_plan(None),
             &r,
             &table(),
@@ -731,7 +734,7 @@ mod tests {
         let r = plan.resolve(1, CapSetting::FreqMhz(700.0)).unwrap();
         let err = run_governor(
             &schedule(1),
-            &[],
+            [],
             StreamConfig::for_plan(None),
             &r,
             &table(),

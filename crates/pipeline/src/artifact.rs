@@ -23,9 +23,7 @@ use pmss_obs::{edges, Stopwatch};
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
-use pmss_telemetry::{
-    compare_sensors, delivery_ordered_events, FleetConfig, FleetPowerSeries, GpuCpuEnergy,
-};
+use pmss_telemetry::{compare_sensors, DeliveryTrace, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::sweep::{normalize, sweep_kernel, CapSetting, MEMBENCH_POWER_CAPS_W};
@@ -1937,15 +1935,15 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
     let window_s = cfg.window_s;
 
     // Replay the trace as a timed stream: the generator emits each channel
-    // contiguously, so the replay driver materializes and interleaves all
-    // channels by delivery rank — the order a collection fabric would hand
-    // windows to an ingest tier.  (Only the driver holds the trace; the
-    // engine itself stays O(channels x horizon).)
-    let events = delivery_ordered_events(&fleet.schedule, &cfg);
+    // contiguously, so the replay driver retains the run's channel blocks
+    // and merges them by delivery rank as it goes — the order a collection
+    // fabric would hand windows to an ingest tier.  (Only the driver holds
+    // the trace; the engine itself stays O(channels x horizon).)
+    let sw = Stopwatch::start();
+    let trace = DeliveryTrace::capture(&fleet.schedule, &cfg);
 
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref()).with_shards(4);
     let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&fleet.schedule, stream_cfg)?;
-    let sw = Stopwatch::start();
 
     // Snapshot row from the engine's current (possibly mid-stream) state.
     let capture = |eng: &StreamEngine<'_, EnergyLedger>,
@@ -1969,21 +1967,22 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
     // sequence, then the flushed final state.  Simulated time only — no
     // wall clock reaches the pinned bytes.
     let mut rows = Vec::new();
-    let n = events.len();
+    let n = trace.len();
     let mut next_cut = 1;
-    for (i, ev) in events.iter().enumerate() {
-        eng.ingest(*ev)?;
+    for (i, ev) in trace.iter().enumerate() {
+        eng.ingest(ev)?;
         if next_cut <= STREAM_SNAPSHOTS && (i + 1) == n * next_cut / (STREAM_SNAPSHOTS + 1) {
             rows.push(capture(&eng, (ev.rank + 1) as f64 * window_s)?);
             next_cut += 1;
         }
     }
     eng.flush();
-    let last_rank = events.iter().map(|ev| ev.rank).max().unwrap_or(0);
-    rows.push(capture(&eng, (last_rank + 1) as f64 * window_s)?);
+    rows.push(capture(&eng, (trace.last_rank() + 1) as f64 * window_s)?);
 
     if let Some(m) = metrics.as_mut() {
         eng.publish_metrics(m);
+        // Released windows over the artifact's whole replay — capture,
+        // delivery-order merge, ingest and snapshots — not ingest alone.
         let wall = sw.elapsed_s();
         if wall > 0.0 {
             m.gauge_set(
@@ -2030,9 +2029,10 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     let fleet = fleet.as_ref().expect("fleet stage ran");
     let t3 = table3.as_ref().expect("benchmark stage ran");
 
-    // One delivery-ordered event trace shared by every policy replay, the
-    // same ordering discipline the stream artifact uses.
-    let events = delivery_ordered_events(&fleet.schedule, &cfg);
+    // One captured trace shared by every policy replay, each merging it
+    // into delivery order afresh — the same ordering discipline the stream
+    // artifact uses.
+    let trace = DeliveryTrace::capture(&fleet.schedule, &cfg);
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
 
     let mut interval_s = 0.0;
@@ -2041,7 +2041,7 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
         let resolved = plan.resolve(nodes, auto_cap)?;
         let outcome: GovernOutcome = run_governor(
             &fleet.schedule,
-            &events,
+            trace.iter(),
             stream_cfg,
             &resolved,
             t3,

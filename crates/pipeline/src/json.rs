@@ -140,7 +140,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(PmssError::malformed(
@@ -251,6 +251,12 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses per level and its input arrives from `--spec` files and `pmssd`
+/// frames, so without a bound a few megabytes of `[` overflow the stack and
+/// abort the process; a `ScenarioSpec` nests four levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -289,7 +295,11 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, PmssError> {
+    /// Parses one value sitting `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Result<Json, PmssError> {
+        if depth == MAX_DEPTH && matches!(self.peek(), Some(b'[' | b'{')) {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -305,7 +315,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -331,7 +341,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    let value = self.value()?;
+                    let value = self.value(depth + 1)?;
                     fields.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -480,6 +490,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"abc"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error_not_a_stack_overflow() {
+        for unit in ["[", "{\"a\":"] {
+            let err = Json::parse(&unit.repeat(10_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        }
+        // The bound is on open containers, not on document size.
+        let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+        assert!(Json::parse(&deep).is_ok());
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

@@ -841,19 +841,6 @@ pub fn fleet_window_blocks(
     }
 }
 
-/// Materializes one run's full event stream in *delivery* order — every
-/// event sorted by `(rank, node, slot, window)`, the order the pipeline's
-/// stream/govern artifacts replay and the governor rounds on.  This is
-/// the one shared constructor for that ordering.
-pub fn delivery_ordered_events(schedule: &Schedule, cfg: &FleetConfig) -> Vec<WindowEvent> {
-    let mut events = Vec::new();
-    fleet_window_blocks(schedule, cfg, |b| events.extend(b.iter()));
-    events.sort_unstable_by(|a, b| {
-        (a.rank, a.node, a.slot, a.window).cmp(&(b.rank, b.node, b.slot, b.window))
-    });
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

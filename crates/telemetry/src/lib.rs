@@ -11,10 +11,11 @@
 //!   excursions and sensor noise) to a [`fleet::FleetObserver`];
 //! * [`resident`] — a fleet run captured as compressed per-channel blocks,
 //!   replayed block by block;
+//! * [`delivery`] — a fleet run's retained channel blocks, replayed event by
+//!   event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
-//! * [`join`] — telemetry ↔ job-log join with per-job power statistics;
 //! * [`export`] — CSV persistence and storage-cost estimation;
 //! * [`fleetpower`] — facility-level aggregate power (peak demand, load
 //!   duration, peak shaving under caps).
@@ -26,23 +27,23 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod delivery;
 pub mod export;
 pub mod fleet;
 pub mod fleetpower;
 pub mod hist;
-pub mod join;
 pub mod observers;
 pub mod resident;
 pub mod sampler;
 pub mod smi;
 
+pub use delivery::DeliveryTrace;
 pub use fleet::{
-    delivery_ordered_events, fleet_window_blocks, simulate_fleet, simulate_fleet_metered,
-    FleetConfig, FleetObserver, FleetRunStats, GapFill, SampleCtx,
+    fleet_window_blocks, simulate_fleet, simulate_fleet_metered, FleetConfig, FleetObserver,
+    FleetRunStats, GapFill, SampleCtx,
 };
 pub use fleetpower::FleetPowerSeries;
 pub use hist::PowerHistogram;
-pub use join::{JobPowerIndex, JobPowerStats};
 pub use observers::{DomainHistograms, GpuCpuEnergy, Pair, SystemHistogram};
 pub use pmss_columns::{
     apply_event, BlockGrid, CodecConfig, ColumnBlock, EncodedBlock, Tag, WindowEvent, WindowKind,

@@ -1,0 +1,26 @@
+//! Process-level error paths of the `pmss` binary: hostile input ends in
+//! a one-line typed error and exit code 1, never a signal.
+
+use std::process::Command;
+
+/// A `--spec` file nested two million levels deep used to overflow the
+/// recursive JSON parser's stack and abort (exit 134).
+#[test]
+fn deeply_nested_spec_file_is_a_typed_error_not_an_abort() {
+    let path = std::env::temp_dir().join(format!("pmss-deep-spec-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(2_000_000)).expect("spec file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+        .args(["table", "5", "--spec"])
+        .arg(&path)
+        .output()
+        .expect("pmss runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("pmss: malformed json data: nesting deeper than 128 levels"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}

@@ -18,7 +18,7 @@ use pmss_stream::StreamState;
 use pmss_telemetry::{ResidentFleet, WindowEvent, WindowKind};
 use pmssd::client::{ingest_campaign, ClientError, Connection, Target};
 use pmssd::daemon::{Daemon, DaemonConfig, Listen};
-use pmssd::proto::code;
+use pmssd::proto::{self, code, frame, status};
 
 /// An in-process daemon on a fresh port (or socket path), plus its run
 /// thread.
@@ -205,11 +205,40 @@ fn adversarial_frames_bounce_with_typed_errors_and_answers_hold() {
         other => panic!("expected unknown_tenant, got {other:?}"),
     }
 
-    // After all of that, the published answer is bit-for-bit what it was.
+    // JSON nested far past any spec: a typed rejection, where an unbounded
+    // recursive parse would overflow the connection thread's stack and
+    // abort the whole daemon.  OPEN first, then QUERY on a bound
+    // connection (the only frames that carry JSON).
+    let Target::Tcp(addr) = &h.target else {
+        panic!("tcp harness");
+    };
+    let mut raw = std::net::TcpStream::connect(addr.as_str()).expect("raw connection");
+    let deep = "[".repeat(2_000_000);
+    let mut exchange = |ty: u8, payload: &[u8]| {
+        proto::write_frame(&mut raw, ty, payload).expect("frame written");
+        let (status, body) = proto::read_frame(&mut raw)
+            .expect("daemon replies")
+            .expect("connection stays open");
+        (status, proto::parse_err(&body))
+    };
+    let (st, (open_code, detail)) = exchange(frame::OPEN, deep.as_bytes());
+    assert_eq!((st, open_code.as_str()), (status::ERR, code::MALFORMED));
+    assert!(detail.contains("nesting deeper than"), "{detail}");
+    let (st, _) = exchange(frame::OPEN, br#"{"tenant":"victim"}"#);
+    assert_eq!(st, status::OK, "spec-less OPEN binds the raw connection");
+    let (st, (query_code, _)) = exchange(frame::QUERY, deep.as_bytes());
+    assert_eq!((st, query_code.as_str()), (status::ERR, code::MALFORMED));
+
+    // After all of that, the published answer is bit-for-bit what it was,
+    // and a new connection is served a normal OPEN/FLUSH/QUERY.
     assert_eq!(
         conn.query(&Query::Projection).expect("still serving"),
         baseline
     );
+    let mut after = Connection::connect(&h.target).expect("connect after the deep frames");
+    after.open("victim", None).expect("open");
+    after.flush().expect("flush");
+    assert_eq!(after.query(&Query::Projection).expect("query"), baseline);
     h.stop();
 }
 

@@ -1,0 +1,299 @@
+//! Oracle suite for delivery order: `DeliveryTrace`'s tiled counting merge
+//! yields exactly the sequence the naive construction does — flatten every
+//! channel block into one `Vec<WindowEvent>` and comparison-sort it by
+//! `(rank, node, slot, window)`.  The naive construction lives only here,
+//! as the reference the production path is compared to event for event.
+//!
+//! Failing proptest seeds persist to `tests/proptest-regressions/` (see
+//! `vendor/proptest`) and replay before fresh cases on every run.
+
+use proptest::prelude::*;
+
+use pmss_faults::{FaultPlan, GapPolicy, PRESETS};
+use pmss_govern::{run_governor, GovernorPlan};
+use pmss_pipeline::spec::{ScalePreset, ScenarioSpec};
+use pmss_sched::{catalog, generate, Schedule, TraceParams};
+use pmss_stream::StreamConfig;
+use pmss_telemetry::{
+    fleet_window_blocks, DeliveryTrace, FleetConfig, GapFill, WindowEvent, WindowKind,
+};
+use pmss_workloads::sweep::CapSetting;
+use pmss_workloads::table3;
+
+/// The oracle: one run's events materialized and comparison-sorted into
+/// delivery order (what the `stream`/`govern` artifacts did before the
+/// merge).
+fn delivery_ordered_events(schedule: &Schedule, cfg: &FleetConfig) -> Vec<WindowEvent> {
+    let mut events = Vec::new();
+    fleet_window_blocks(schedule, cfg, |b| events.extend(b.iter()));
+    events.sort_unstable_by(|a, b| {
+        (a.rank, a.node, a.slot, a.window).cmp(&(b.rank, b.node, b.slot, b.window))
+    });
+    events
+}
+
+/// `a == b`, except that floats compare by bit pattern so a NaN glitch
+/// equals itself (and `-0.0` does not pass for `0.0`).
+fn identical(a: &WindowEvent, b: &WindowEvent) -> bool {
+    fn kind_bits(kind: WindowKind) -> (u8, u64, Option<usize>) {
+        match kind {
+            WindowKind::Sample { power_w, job } => (0, power_w.to_bits(), job),
+            WindowKind::Gap { fill, job } => match fill {
+                GapFill::Excluded => (1, 0, job),
+                GapFill::Interpolated(w) => (2, w.to_bits(), job),
+                GapFill::Idle(w) => (3, w.to_bits(), job),
+            },
+            WindowKind::NodeRest { rest_w } => (4, rest_w.to_bits(), None),
+        }
+    }
+    (a.node, a.slot, a.sku, a.window, a.rank) == (b.node, b.slot, b.sku, b.window, b.rank)
+        && a.t_s.to_bits() == b.t_s.to_bits()
+        && a.span_s.to_bits() == b.span_s.to_bits()
+        && kind_bits(a.kind) == kind_bits(b.kind)
+}
+
+/// Captures the run, merges it, and checks sequence, length and last rank
+/// against the oracle.  Returns the event count so callers can assert a
+/// scenario really has the shape it was built for.
+#[track_caller]
+fn assert_merge_equals_sort(schedule: &Schedule, cfg: &FleetConfig, ctx: &str) -> usize {
+    let oracle = delivery_ordered_events(schedule, cfg);
+    let trace = DeliveryTrace::capture(schedule, cfg);
+    assert_eq!(trace.len(), oracle.len(), "{ctx}: len");
+    assert_eq!(
+        trace.last_rank(),
+        oracle.iter().map(|ev| ev.rank).max().unwrap_or(0),
+        "{ctx}: last_rank"
+    );
+    for (i, (got, want)) in trace.iter().zip(&oracle).enumerate() {
+        assert!(
+            identical(&got, want),
+            "{ctx}: event {i} differs: merge {got:?}, sort {want:?}"
+        );
+    }
+    // A second pass over the same trace, which also catches a merge that
+    // ends early (the zip above would stop with it).
+    assert_eq!(trace.iter().count(), oracle.len(), "{ctx}: event count");
+    oracle.len()
+}
+
+fn faulted(plan: FaultPlan) -> FleetConfig {
+    plan.validate().expect("test plans are valid");
+    FleetConfig {
+        faults: (!plan.is_noop()).then_some(plan),
+        ..FleetConfig::default()
+    }
+}
+
+fn small_schedule(nodes: usize, duration_s: f64, seed: u64) -> Schedule {
+    generate(
+        TraceParams {
+            nodes,
+            duration_s,
+            seed,
+            min_job_s: 900.0,
+        },
+        &catalog(),
+    )
+}
+
+/// Idle nodes over an arbitrary (even sub-window) duration.
+fn idle_schedule(nodes: usize, duration_s: f64) -> Schedule {
+    Schedule {
+        jobs: Vec::new(),
+        per_node: vec![Vec::new(); nodes],
+        duration_s,
+    }
+}
+
+#[test]
+fn merge_equals_sort_on_quick_for_every_preset_and_gap_policy() {
+    let spec = ScenarioSpec::preset(ScalePreset::Quick);
+    let schedule = generate(spec.trace_params(), &catalog());
+    for preset in PRESETS {
+        let base = FaultPlan::preset(preset).expect("known preset");
+        if base.is_noop() {
+            assert_merge_equals_sort(&schedule, &faulted(base), "quick/clean");
+            continue;
+        }
+        for gap_policy in GapPolicy::all() {
+            let plan = FaultPlan {
+                gap_policy,
+                ..base.clone()
+            };
+            let ctx = format!("quick/{preset}/{}", gap_policy.name());
+            assert_merge_equals_sort(&schedule, &faulted(plan), &ctx);
+        }
+    }
+}
+
+#[test]
+fn reorder_depth_wider_than_a_tile() {
+    // Every channel's rows for one tile of ranks come from windows up to
+    // 300 back, and rows of one window land in up to three tiles.
+    let plan = FaultPlan {
+        seed: 11,
+        reorder_depth: 300,
+        dup_prob: 0.1,
+        drop_prob: 0.05,
+        ..FaultPlan::none()
+    };
+    assert_merge_equals_sort(&small_schedule(3, 4.0 * 3600.0, 5), &faulted(plan), "deep");
+}
+
+#[test]
+fn duplicates_straddling_tile_edges() {
+    // Half of all deliveries arrive twice: equal-key neighbours sit on
+    // both sides of every tile boundary.
+    let plan = FaultPlan {
+        seed: 3,
+        dup_prob: 0.5,
+        reorder_depth: 2,
+        nan_prob: 0.05,
+        ..FaultPlan::none()
+    };
+    assert_merge_equals_sort(&small_schedule(2, 3.0 * 3600.0, 9), &faulted(plan), "dups");
+}
+
+#[test]
+fn whole_node_dropouts_leave_channels_without_rows_in_a_tile() {
+    // Dropout intervals of 400 windows span three tiles, during which the
+    // node's rest channel contributes no row at all.
+    let plan = FaultPlan {
+        seed: 7,
+        dropout_prob: 0.5,
+        dropout_windows: 400,
+        reorder_depth: 4,
+        ..FaultPlan::none()
+    };
+    let schedule = small_schedule(4, 8.0 * 3600.0, 2);
+    assert_merge_equals_sort(&schedule, &faulted(plan.clone()), "dropout");
+    // Every interval dropped: the rest channels are empty blocks.
+    let all = FaultPlan {
+        dropout_prob: 1.0,
+        ..plan
+    };
+    let n = assert_merge_equals_sort(&schedule, &faulted(all), "dropout/all");
+    assert_eq!(n, 4 * 4 * 8 * 240, "only the GPU channels' gap records");
+}
+
+#[test]
+fn sparse_ranks_leave_whole_tiles_empty() {
+    // Four windows per channel, each delivered up to 4096 ranks late: most
+    // 128-rank tiles between the first and the last delivery hold nothing.
+    let plan = FaultPlan {
+        seed: 13,
+        reorder_depth: 4096,
+        ..FaultPlan::none()
+    };
+    let cfg = faulted(plan);
+    let schedule = idle_schedule(1, 60.0);
+    let n = assert_merge_equals_sort(&schedule, &cfg, "sparse");
+    assert_eq!(n, 5 * 4);
+    assert!(DeliveryTrace::capture(&schedule, &cfg).last_rank() > 1024);
+}
+
+#[test]
+fn partial_tail_window_and_single_node() {
+    // 2 h + 7 s: window 480 is a 7 s tail on every channel.
+    let schedule = small_schedule(1, 2.0 * 3600.0 + 7.0, 4);
+    let n = assert_merge_equals_sort(&schedule, &FleetConfig::default(), "tail/clean");
+    assert_eq!(n, 5 * 481);
+    let plan = FaultPlan::preset("harsh").expect("known preset");
+    assert_merge_equals_sort(&schedule, &faulted(plan), "tail/harsh");
+}
+
+#[test]
+fn empty_run_yields_nothing() {
+    let schedule = idle_schedule(2, 0.0);
+    let n = assert_merge_equals_sort(&schedule, &FleetConfig::default(), "empty");
+    assert_eq!(n, 0);
+}
+
+/// The governor sees the same run whether it is handed the merge or the
+/// sorted slice.
+#[test]
+fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    spec.faults = Some(FaultPlan::preset("frontier-typical").expect("known preset"));
+    let schedule = generate(spec.trace_params(), &catalog());
+    let cfg = FleetConfig {
+        faults: spec.faults.clone(),
+        ..FleetConfig::default()
+    };
+    let t3 = table3::compute_default();
+    let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
+    let oracle = delivery_ordered_events(&schedule, &cfg);
+    let trace = DeliveryTrace::capture(&schedule, &cfg);
+    for preset in pmss_govern::PRESETS {
+        let resolved = GovernorPlan::preset(preset)
+            .expect("known preset")
+            .resolve(spec.nodes, CapSetting::FreqMhz(900.0))
+            .expect("resolves");
+        let from_trace = run_governor(
+            &schedule,
+            trace.iter(),
+            stream_cfg,
+            &resolved,
+            &t3,
+            cfg.window_s,
+        )
+        .expect("replays");
+        let from_oracle = run_governor(
+            &schedule,
+            oracle.iter().copied(),
+            stream_cfg,
+            &resolved,
+            &t3,
+            cfg.window_s,
+        )
+        .expect("replays");
+        assert_eq!(from_trace, from_oracle, "{preset}");
+        assert!(from_trace.rounds > 0);
+    }
+}
+
+/// Strategy for an arbitrary valid fault plan, reaching reorder depths on
+/// both sides of the tile width.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        (0.0..0.3f64, 0.0..0.6f64, 0.0..0.05f64, 0.0..0.05f64),
+        (0u32..400, 0.0..400.0f64, 0.0..0.5f64, 1u32..600),
+        (0.0..5.0f64, 0usize..3, 0u64..1 << 32),
+    )
+        .prop_map(
+            |(
+                (drop_prob, dup_prob, nan_prob, spike_prob),
+                (reorder_depth, spike_w, dropout_prob, dropout_windows),
+                (clock_skew_max_s, policy, seed),
+            )| FaultPlan {
+                seed,
+                drop_prob,
+                dup_prob,
+                reorder_depth,
+                nan_prob,
+                spike_prob,
+                spike_w,
+                dropout_prob,
+                dropout_windows,
+                clock_skew_max_s,
+                gap_policy: GapPolicy::all()[policy],
+            },
+        )
+}
+
+proptest! {
+    #[test]
+    fn merge_equals_sort_for_arbitrary_plans(
+        plan in arb_plan(),
+        nodes in 1usize..7,
+        minutes in 1u64..180,
+        trace_seed in 0u64..1 << 32,
+    ) {
+        // Whole minutes plus 7 s: durations that are and are not multiples
+        // of the 15 s window both occur (60 s is four windows, +7 is not).
+        let duration_s = minutes as f64 * 60.0 + if trace_seed % 2 == 0 { 7.0 } else { 0.0 };
+        let schedule = small_schedule(nodes, duration_s, trace_seed);
+        assert_merge_equals_sort(&schedule, &faulted(plan), "proptest");
+    }
+}
