@@ -52,6 +52,37 @@ impl Tag {
             _ => None,
         }
     }
+
+    /// The event payload a row of this tag carries, from its `value` and
+    /// `jobs` column entries ([`NO_JOB`] when unattributed) — the one
+    /// tag → [`WindowKind`] translation every columnar store rebuilds
+    /// events through.
+    #[inline]
+    pub fn kind(self, value: f64, job: u32) -> WindowKind {
+        let job = match job {
+            NO_JOB => None,
+            j => Some(j as usize),
+        };
+        match self {
+            Tag::Sample => WindowKind::Sample {
+                power_w: value,
+                job,
+            },
+            Tag::GapExcluded => WindowKind::Gap {
+                fill: GapFill::Excluded,
+                job,
+            },
+            Tag::GapInterpolated => WindowKind::Gap {
+                fill: GapFill::Interpolated(value),
+                job,
+            },
+            Tag::GapIdle => WindowKind::Gap {
+                fill: GapFill::Idle(value),
+                job,
+            },
+            Tag::NodeRest => WindowKind::NodeRest { rest_w: value },
+        }
+    }
 }
 
 /// One channel's window sequence in columnar (SoA) form.
@@ -226,31 +257,7 @@ impl ColumnBlock {
     /// Reconstructs row `i` as a [`WindowEvent`].
     #[inline]
     pub fn event(&self, i: usize) -> WindowEvent {
-        let job = match self.jobs[i] {
-            NO_JOB => None,
-            j => Some(j as usize),
-        };
-        let kind = match Tag::from_u8(self.tags[i]).expect("valid stored tag") {
-            Tag::Sample => WindowKind::Sample {
-                power_w: self.values[i],
-                job,
-            },
-            Tag::GapExcluded => WindowKind::Gap {
-                fill: GapFill::Excluded,
-                job,
-            },
-            Tag::GapInterpolated => WindowKind::Gap {
-                fill: GapFill::Interpolated(self.values[i]),
-                job,
-            },
-            Tag::GapIdle => WindowKind::Gap {
-                fill: GapFill::Idle(self.values[i]),
-                job,
-            },
-            Tag::NodeRest => WindowKind::NodeRest {
-                rest_w: self.values[i],
-            },
-        };
+        let tag = Tag::from_u8(self.tags[i]).expect("valid stored tag");
         WindowEvent {
             node: self.node,
             slot: self.slot,
@@ -259,7 +266,7 @@ impl ColumnBlock {
             rank: self.ranks[i],
             t_s: self.t_s[i],
             span_s: self.span_s[i],
-            kind,
+            kind: tag.kind(self.values[i], self.jobs[i]),
         }
     }
 

@@ -122,3 +122,12 @@ pub trait FleetObserver: Send + Sized {
     /// Folds another observer's state into this one.
     fn merge(&mut self, other: Self);
 }
+
+/// The observer that observes nothing: drives a block generator for the
+/// blocks alone (`pmss_telemetry::fleet_window_blocks`, a trace capture
+/// beside an already-folded stage) at no per-row cost.
+impl FleetObserver for () {
+    fn gpu_sample(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, _power_w: f64) {}
+    fn fold_rows(&mut self, _: &Schedule, _: &ColumnBlock, _: std::ops::Range<usize>) {}
+    fn merge(&mut self, _other: ()) {}
+}

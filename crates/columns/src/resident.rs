@@ -57,7 +57,7 @@ impl BlockGrid {
     /// `w_start + 0.5 * span`; the rest-of-node channel as
     /// `0.5 * (w_start + w_end)` — algebraically equal, bitwise distinct,
     /// so the reconstruction must follow the row's channel kind.
-    fn stamp(&self, w: u64, rest_channel: bool) -> (f64, f64) {
+    pub fn stamp(&self, w: u64, rest_channel: bool) -> (f64, f64) {
         let w_start = w as f64 * self.window_s;
         let w_end = if w == self.n_full() {
             self.duration_s

@@ -124,6 +124,11 @@ impl Default for FaultPlan {
 /// Named severity presets accepted anywhere a plan is (`--faults NAME`).
 pub const PRESETS: [&str; 4] = ["none", "mild", "frontier-typical", "harsh"];
 
+/// The deepest reorder buffer [`FaultPlan::validate`] accepts: no sample
+/// of a valid plan is delivered more than this many ranks after its
+/// window, which is what lets consumers store the lag in a narrow column.
+pub const MAX_REORDER_DEPTH: u32 = 4096;
+
 impl FaultPlan {
     /// The empty plan: injects nothing, output must stay bit-identical.
     pub fn none() -> FaultPlan {
@@ -246,11 +251,11 @@ impl FaultPlan {
                 "at least 1 window when dropout_prob > 0",
             ));
         }
-        if self.reorder_depth > 4096 {
+        if self.reorder_depth > MAX_REORDER_DEPTH {
             return Err(PmssError::invalid_value(
                 "faults.reorder_depth",
                 format!("{}", self.reorder_depth),
-                "a reorder buffer of at most 4096 samples",
+                format!("a reorder buffer of at most {MAX_REORDER_DEPTH} samples"),
             ));
         }
         Ok(())

@@ -23,7 +23,7 @@ use pmss_obs::{edges, Stopwatch};
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
-use pmss_telemetry::{compare_sensors, DeliveryTrace, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
+use pmss_telemetry::{compare_sensors, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::sweep::{normalize, sweep_kernel, CapSetting, MEMBENCH_POWER_CAPS_W};
@@ -1921,26 +1921,27 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
 const STREAM_SNAPSHOTS: usize = 4;
 
 fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
-    p.ensure_fleet()?;
     p.ensure_table3()?;
+    // Replay the trace as a timed stream: the generator emits each channel
+    // contiguously, so the traced fleet stage retains the run's channels
+    // and the replay merges them by delivery rank as it goes — the order a
+    // collection fabric would hand windows to an ingest tier.  (Only the
+    // pipeline holds the trace; the engine itself stays O(channels x
+    // horizon).)
+    let sw = Stopwatch::start();
+    p.ensure_traced_fleet()?;
     let cfg = p.fleet_config();
     let Pipeline {
         fleet,
+        trace,
         table3,
         metrics,
         ..
     } = p;
     let fleet = fleet.as_ref().expect("fleet stage ran");
+    let trace = trace.as_ref().expect("traced fleet stage ran");
     let t3 = table3.as_ref().expect("benchmark stage ran");
     let window_s = cfg.window_s;
-
-    // Replay the trace as a timed stream: the generator emits each channel
-    // contiguously, so the replay driver retains the run's channel blocks
-    // and merges them by delivery rank as it goes — the order a collection
-    // fabric would hand windows to an ingest tier.  (Only the driver holds
-    // the trace; the engine itself stays O(channels x horizon).)
-    let sw = Stopwatch::start();
-    let trace = DeliveryTrace::capture(&fleet.schedule, &cfg);
 
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref()).with_shards(4);
     let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&fleet.schedule, stream_cfg)?;
@@ -1981,7 +1982,8 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
 
     if let Some(m) = metrics.as_mut() {
         eng.publish_metrics(m);
-        // Released windows over the artifact's whole replay — capture,
+        // Released windows over the artifact's whole replay — the traced
+        // fleet stage (generation, the batch fold and the capture), the
         // delivery-order merge, ingest and snapshots — not ingest alone.
         let wall = sw.elapsed_s();
         if wall > 0.0 {
@@ -2010,6 +2012,11 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
 }
 
 fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
+    // One captured trace shared by every policy replay, each merging it
+    // into delivery order afresh — the same ordering discipline the stream
+    // artifact uses.  Asked for before the projection, which would
+    // otherwise run the stage untraced.
+    p.ensure_traced_fleet()?;
     // The ceiling the governors chase: the projection's best no-slowdown
     // row.  Its setting doubles as the auto cap for plans that name none.
     let projection = p.projection()?;
@@ -2022,17 +2029,14 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     let custom = p.spec.govern.clone();
     let Pipeline {
         fleet,
+        trace,
         table3,
         metrics,
         ..
     } = p;
     let fleet = fleet.as_ref().expect("fleet stage ran");
+    let trace = trace.as_ref().expect("traced fleet stage ran");
     let t3 = table3.as_ref().expect("benchmark stage ran");
-
-    // One captured trace shared by every policy replay, each merging it
-    // into delivery order afresh — the same ordering discipline the stream
-    // artifact uses.
-    let trace = DeliveryTrace::capture(&fleet.schedule, &cfg);
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
 
     let mut interval_s = 0.0;

@@ -168,19 +168,17 @@ fn query_cmd(rest: &[String], spec: ScenarioSpec) -> Result<String, PmssError> {
     let q = crate::query::Query::from_args(rest)?;
     let econ = spec.active_econ().cloned();
     let mut p = Pipeline::new(spec)?;
-    p.fleet()?;
-    p.table3()?;
-    let cfg = p.fleet_config();
-    let fleet = p.fleet.as_ref().expect("fleet stage just ran");
-    let resident = ResidentFleet::capture(&fleet.schedule, &cfg)?;
+    // The schedule alone: the fleet stage would fold four observers over a
+    // run whose blocks this command generates again for the capture.
+    let schedule = p.schedule();
+    let resident = ResidentFleet::capture(&schedule, &p.fleet_config())?;
     // Replay into the same paired observer the daemon's ingest engine
     // runs: the ledger member's fold is unchanged by pairing, and the
     // econ series rides along so `pmss query econ` answers from the
     // identical per-slot accumulation the daemon snapshots.
-    let pair: Pair<EnergyLedger, EconSeries> = resident.replay(&fleet.schedule)?;
-    let state = StreamState::with_econ(pair.a, pair.b, fleet.frontier_factor);
-    let t3 = p.table3.as_ref().expect("table3 stage just ran");
-    Ok(crate::query::answer(&state, t3, econ.as_ref(), &q)?.to_string_pretty())
+    let pair: Pair<EnergyLedger, EconSeries> = resident.replay(&schedule)?;
+    let state = StreamState::with_econ(pair.a, pair.b, p.spec().frontier_factor());
+    Ok(crate::query::answer(&state, p.table3()?, econ.as_ref(), &q)?.to_string_pretty())
 }
 
 /// The `stats` subcommand: run the full staged pipeline (fleet, benchmark,

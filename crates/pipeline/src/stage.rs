@@ -2,9 +2,11 @@
 //!
 //! A [`Pipeline`] owns one [`ScenarioSpec`] and computes each stage at most
 //! once: the fleet stage (schedule synthesis + telemetry simulation with
-//! all standard observers) and the benchmark stage (Table III from the
-//! spec's cap ladders) are memoized, so rendering every figure and table
-//! of a scenario costs a single fleet run and a single benchmark sweep.
+//! all standard observers), the delivery trace the same run can retain
+//! (the *traced* fleet stage `stream` and `govern` ask for) and the
+//! benchmark stage (Table III from the spec's cap ladders) are memoized,
+//! so rendering every figure and table of a scenario costs a single fleet
+//! run and a single benchmark sweep.
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
@@ -14,8 +16,8 @@ use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    simulate_fleet, simulate_fleet_metered, DomainHistograms, FleetConfig, FleetObserver,
-    FleetRunStats, Pair, SystemHistogram,
+    simulate_fleet, simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig,
+    FleetObserver, FleetRunStats, Pair, SystemHistogram,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, BenchScale, Table3};
@@ -77,39 +79,71 @@ where
 {
     let sw = Stopwatch::start();
     let (obs, stats) = simulate_fleet_metered::<O>(schedule, cfg);
-    let wall_s = sw.elapsed_s();
     if let Some(m) = metrics {
-        m.inc("fleet.runs");
-        m.add("fleet.gpu_samples", stats.gpu_samples);
-        m.add("fleet.attributed_samples", stats.attributed_samples);
-        m.add("fleet.node_samples", stats.node_samples);
-        m.add("boost.engagements", stats.boost_engagements);
-        m.add("boost.denied", stats.boost_denied);
-        m.gauge_add("boost.granted_s", stats.boost_granted_s);
-        m.add("engine.executions", stats.engine_executions);
-        m.add("engine.ppt_throttled", stats.engine_ppt_throttled);
-        m.add("cap_solver.iters", stats.solver_iters);
-        m.add("cap_solver.breaches", stats.cap_breaches);
-        // Fault-injection tallies, recorded only when a plan is active so a
-        // clean run's metrics envelope keeps its historical set of keys.
-        if cfg.faults.as_ref().is_some_and(|p| !p.is_noop()) {
-            m.add("faults.dropped", stats.faults_dropped);
-            m.add("faults.duplicated", stats.faults_duplicated);
-            m.add("faults.glitched", stats.faults_glitched);
-            m.add("faults.reordered", stats.faults_reordered);
-            m.add("faults.dropout_windows", stats.faults_dropout_windows);
-            m.add("faults.gaps_interpolated", stats.gaps_interpolated);
-            m.add("faults.gaps_excluded", stats.gaps_excluded);
-            m.add("faults.gaps_idle", stats.gaps_idle);
-        }
-        m.gauge_add("fleet.wall_s", wall_s);
-        m.gauge_add(
-            "fleet.node_hours",
-            schedule.per_node.len() as f64 * schedule.duration_s / 3600.0,
-        );
-        m.observe("fleet.run_wall_s", edges::WALL_S, wall_s);
+        publish_run(m, schedule, cfg, &stats, sw.elapsed_s());
     }
     (obs, stats)
+}
+
+/// [`metered_sim`] from a run that also retains its [`DeliveryTrace`]:
+/// one generation folds `O`, tallies the stats and fills the trace.  The
+/// run counts in `fleet.runs` like any other.
+fn traced_sim<O>(
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    metrics: Option<&mut Metrics>,
+) -> Result<(DeliveryTrace, O), PmssError>
+where
+    O: FleetObserver + Default,
+{
+    let sw = Stopwatch::start();
+    let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
+    if let Some(m) = metrics {
+        publish_run(m, schedule, cfg, &stats, sw.elapsed_s());
+        // The retained footprint is the tool's own output.
+        m.gauge_set("delivery.rows", trace.len() as f64);
+        m.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
+    }
+    Ok((trace, obs))
+}
+
+/// Folds one fleet run's tallies and wall time into `m`.
+fn publish_run(
+    m: &mut Metrics,
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    stats: &FleetRunStats,
+    wall_s: f64,
+) {
+    m.inc("fleet.runs");
+    m.add("fleet.gpu_samples", stats.gpu_samples);
+    m.add("fleet.attributed_samples", stats.attributed_samples);
+    m.add("fleet.node_samples", stats.node_samples);
+    m.add("boost.engagements", stats.boost_engagements);
+    m.add("boost.denied", stats.boost_denied);
+    m.gauge_add("boost.granted_s", stats.boost_granted_s);
+    m.add("engine.executions", stats.engine_executions);
+    m.add("engine.ppt_throttled", stats.engine_ppt_throttled);
+    m.add("cap_solver.iters", stats.solver_iters);
+    m.add("cap_solver.breaches", stats.cap_breaches);
+    // Fault-injection tallies, recorded only when a plan is active so a
+    // clean run's metrics envelope keeps its historical set of keys.
+    if cfg.faults.as_ref().is_some_and(|p| !p.is_noop()) {
+        m.add("faults.dropped", stats.faults_dropped);
+        m.add("faults.duplicated", stats.faults_duplicated);
+        m.add("faults.glitched", stats.faults_glitched);
+        m.add("faults.reordered", stats.faults_reordered);
+        m.add("faults.dropout_windows", stats.faults_dropout_windows);
+        m.add("faults.gaps_interpolated", stats.gaps_interpolated);
+        m.add("faults.gaps_excluded", stats.gaps_excluded);
+        m.add("faults.gaps_idle", stats.gaps_idle);
+    }
+    m.gauge_add("fleet.wall_s", wall_s);
+    m.gauge_add(
+        "fleet.node_hours",
+        schedule.per_node.len() as f64 * schedule.duration_s / 3600.0,
+    );
+    m.observe("fleet.run_wall_s", edges::WALL_S, wall_s);
 }
 
 /// A staged scenario run with memoized stage outputs.
@@ -125,6 +159,8 @@ pub struct Pipeline {
     pub(crate) engine: Engine,
     pub(crate) metrics: Option<Metrics>,
     pub(crate) fleet: Option<FleetArtifacts>,
+    /// The fleet run in delivery order; filled by the traced fleet stage.
+    pub(crate) trace: Option<DeliveryTrace>,
     pub(crate) table3: Option<Table3>,
 }
 
@@ -138,6 +174,7 @@ impl Pipeline {
             engine: Engine::default(),
             metrics: None,
             fleet: None,
+            trace: None,
             table3: None,
         })
     }
@@ -211,6 +248,13 @@ impl Pipeline {
         }
     }
 
+    /// Synthesizes the scenario's schedule — the fleet stage's first step,
+    /// for a caller that drives the generator itself and needs nothing
+    /// else of the stage (`pmss query` captures a resident store).
+    pub fn schedule(&self) -> Schedule {
+        generate(self.spec.trace_params(), &catalog())
+    }
+
     /// Runs (or replays) the fleet stage: workload synthesis, fleet
     /// telemetry simulation with all standard observers, and the modal
     /// decomposition ledger.
@@ -244,24 +288,50 @@ impl Pipeline {
     }
 
     pub(crate) fn ensure_fleet(&mut self) -> Result<(), PmssError> {
-        if self.fleet.is_some() {
+        self.fleet_stage(false)
+    }
+
+    /// The fleet stage with its run retained in delivery order as
+    /// [`Pipeline::trace`].  On a fresh pipeline — every `pmss stream` and
+    /// `pmss govern` process — the run that folds the stage's observers is
+    /// the run that fills the trace.  A pipeline whose stage already ran
+    /// untraced (a library caller rendering another artifact first)
+    /// generates the fleet once more, folding nothing: the stage's blocks
+    /// are gone by then and only a trace is worth keeping them for.
+    pub(crate) fn ensure_traced_fleet(&mut self) -> Result<(), PmssError> {
+        self.fleet_stage(true)
+    }
+
+    fn fleet_stage(&mut self, traced: bool) -> Result<(), PmssError> {
+        let capture = traced && self.trace.is_none();
+        if self.fleet.is_some() && !capture {
             if let Some(m) = self.metrics.as_mut() {
                 m.inc("stage.fleet.reuses");
             }
             return Ok(());
         }
+        let cfg = self.fleet_config();
+        if let Some(fleet) = &self.fleet {
+            let metrics = self.metrics.as_mut();
+            self.trace = Some(traced_sim::<()>(&fleet.schedule, &cfg, metrics)?.0);
+            return Ok(());
+        }
         let sw = Stopwatch::start();
-        let domains = catalog();
-        let schedule = generate(self.spec.trace_params(), &domains);
+        let schedule = self.schedule();
         // Pairing the econ series changes no ledger/histogram operation:
         // `Pair` forwards each event to both members independently, so the
         // historical observers stay bit-identical with the series along.
         type Obs = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
-        let cfg = self.fleet_config();
-        let obs: Obs = metered_sim(&schedule, &cfg, self.metrics.as_mut());
+        let obs: Obs = if capture {
+            let (trace, obs) = traced_sim(&schedule, &cfg, self.metrics.as_mut())?;
+            self.trace = Some(trace);
+            obs
+        } else {
+            metered_sim(&schedule, &cfg, self.metrics.as_mut())
+        };
         self.fleet = Some(FleetArtifacts {
             schedule,
-            domains,
+            domains: catalog(),
             system: obs.a.a,
             per_domain: obs.a.b,
             ledger: obs.b.a,
@@ -317,6 +387,60 @@ mod tests {
         // Second call replays the memoized stage (same object, same totals).
         let again = p.fleet().unwrap().ledger.total().joules;
         assert_eq!(total, again);
+    }
+
+    /// The traced stage is the untraced stage plus a capture, whichever
+    /// was asked for first and with metering on or off.
+    #[test]
+    fn traced_stage_matches_the_untraced_stage_and_a_standalone_capture() {
+        let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+        spec.nodes = 4;
+        spec.days = 0.25;
+        spec.faults = Some(pmss_faults::FaultPlan::preset("frontier-typical").unwrap());
+        for metered in [false, true] {
+            let fresh = || match metered {
+                true => Pipeline::with_metrics(spec.clone()).unwrap(),
+                false => Pipeline::new(spec.clone()).unwrap(),
+            };
+            let mut plain = fresh();
+            plain.ensure_fleet().unwrap();
+            assert!(plain.trace.is_none());
+            // Traced first: one run fills artifacts and trace.  Untraced
+            // first: the trace costs one more.
+            let mut first = fresh();
+            first.ensure_traced_fleet().unwrap();
+            first.ensure_fleet().unwrap();
+            let mut late = fresh();
+            late.ensure_fleet().unwrap();
+            late.ensure_traced_fleet().unwrap();
+            late.ensure_traced_fleet().unwrap();
+
+            let want = plain.fleet.as_ref().unwrap();
+            let alone = DeliveryTrace::capture(&want.schedule, &plain.fleet_config()).unwrap();
+            for (p, runs) in [(&first, 1), (&late, 2)] {
+                let got = p.fleet.as_ref().unwrap();
+                assert_eq!(got.ledger, want.ledger);
+                assert_eq!(got.econ, want.econ);
+                assert_eq!(got.system.hist, want.system.hist);
+                for d in 0..want.per_domain.len().max(got.per_domain.len()) {
+                    assert_eq!(got.per_domain.domain(d), want.per_domain.domain(d));
+                }
+                // `PartialEq` on events: this plan glitches to NaN, which
+                // never equals itself, so compare the debug rendering.
+                let trace = p.trace.as_ref().unwrap();
+                assert_eq!(trace.len(), alone.len());
+                assert!(trace
+                    .iter()
+                    .zip(alone.iter())
+                    .all(|(a, b)| format!("{a:?}") == format!("{b:?}")));
+                if let Some(m) = &p.metrics {
+                    assert_eq!(m.counter("fleet.runs"), runs);
+                    assert_eq!(m.counter("stage.fleet.runs"), 1);
+                    assert_eq!(m.counter("stage.fleet.reuses"), 1);
+                    assert_eq!(m.gauge("delivery.rows"), Some(trace.len() as f64));
+                }
+            }
+        }
     }
 
     #[test]

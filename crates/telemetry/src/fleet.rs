@@ -6,8 +6,8 @@
 //! 15 seconds, attributable to the job occupying the node.  Simulation is
 //! one sequential pass over the nodes; each node's state (RNG, boost
 //! budget, fault lanes) is independent of every other's, so the node loop
-//! in `simulate_fleet_impl` is where a `std::thread::scope` would go
-//! (ROADMAP item 2).
+//! in `run_channels` is where a `std::thread::scope` would go (ROADMAP
+//! item 6).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ use pmss_sched::Schedule;
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
 
-use pmss_columns::{ColumnBlock, WindowEvent, WindowKind, REST_SLOT};
+use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, REST_SLOT};
 
 pub use pmss_columns::{FleetObserver, GapFill, SampleCtx};
 
@@ -160,7 +160,7 @@ impl FleetRunStats {
 
 /// One fault-injection event, tallied by the metric sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultEvent {
+pub(crate) enum FaultEvent {
     /// A GPU window sample was lost (drop or dropout).
     Dropped,
     /// A delivered GPU sample arrived twice.
@@ -183,7 +183,7 @@ enum FaultEvent {
 /// the `()` impl is all empty inlined bodies, so the unmetered build
 /// compiles the recording away entirely — which is what keeps the
 /// "metrics must not perturb output or cost" guarantee trivially true.
-trait FleetSink: Default {
+pub(crate) trait FleetSink: Default {
     fn gpu_sample(&mut self, _attributed: bool) {}
     fn node_sample(&mut self) {}
     fn boost_engaged(&mut self, _granted_s: f64) {}
@@ -643,7 +643,7 @@ pub fn simulate_fleet<O>(schedule: &Schedule, cfg: &FleetConfig) -> O
 where
     O: FleetObserver + Default,
 {
-    simulate_fleet_impl::<O, ()>(schedule, cfg).0
+    run_channels::<O, ()>(schedule, cfg, None).0
 }
 
 /// [`simulate_fleet`], additionally tallying run statistics (sample
@@ -656,7 +656,7 @@ pub fn simulate_fleet_metered<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, 
 where
     O: FleetObserver + Default,
 {
-    simulate_fleet_impl::<O, FleetRunStats>(schedule, cfg)
+    run_channels(schedule, cfg, None)
 }
 
 /// Per-SKU values the window loop reads constantly, resolved once per run
@@ -726,17 +726,14 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Generates `node`'s channels in canonical order — GPU slots `0..4`,
-    /// then rest-of-node — each into the scratch block, handed to `each`
-    /// as soon as it is complete.  With `arrival_order` set, GPU channels
-    /// are stable-sorted by `(rank, window)` first, realizing a reordering
-    /// fault plan in the block itself.
+    /// then rest-of-node — each into the scratch block in window order,
+    /// handed to `each` as soon as it is complete.
     fn node_channel_blocks<M: FleetSink>(
         &self,
         node: usize,
         scratch: &mut ChannelScratch,
         sink: &mut M,
-        arrival_order: bool,
-        mut each: impl FnMut(&ColumnBlock),
+        mut each: impl FnMut(&mut ColumnBlock),
     ) {
         let (schedule, cfg) = (self.schedule, self.cfg);
         let ChannelScratch {
@@ -766,9 +763,6 @@ impl<'a> FleetRun<'a> {
                 lane,
                 &mut |ev| block.push(&ev),
             );
-            if arrival_order {
-                block.sort_arrival();
-            }
             each(block);
         }
         block.reset(node as u32, REST_SLOT);
@@ -786,22 +780,53 @@ impl<'a> FleetRun<'a> {
     }
 }
 
-fn simulate_fleet_impl<O, M>(schedule: &Schedule, cfg: &FleetConfig) -> (O, M)
+/// The window grid `node`'s channels lie on: the run's window layout plus
+/// the node's clock skew under an active plan — what a store that derives
+/// timestamps instead of keeping them ([`crate::ResidentFleet`],
+/// [`crate::DeliveryTrace`]) declares per block.
+pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) -> BlockGrid {
+    let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
+    BlockGrid {
+        window_s: cfg.window_s,
+        duration_s: schedule.duration_s,
+        skew_s: plan.map_or(0.0, |p| p.clock_skew_s(node)),
+    }
+}
+
+/// The one channel loop every fleet entry point runs.  Each finished
+/// channel is first folded into the observer in window order — generation
+/// writes the channel's windows into SoA columns and the fold replays the
+/// identical observer-call sequence per-event iteration would make, so
+/// low-order float bits are pinned — and then, when a consumer `retain`s
+/// the run's blocks, put into *arrival* order (a stable `(rank, window)`
+/// sort of the scratch block, needed only for GPU channels under a
+/// reordering plan) and handed to it.
+pub(crate) fn run_channels<O, M>(
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    mut retain: Option<&mut dyn FnMut(&ColumnBlock)>,
+) -> (O, M)
 where
     O: FleetObserver + Default,
     M: FleetSink,
 {
     let run = FleetRun::new(schedule, cfg);
+    // Generation order is already arrival order unless a plan reorders.
+    let reordering = cfg
+        .faults
+        .as_ref()
+        .is_some_and(|p| !p.is_noop() && p.reorder_depth > 0);
     let mut scratch = run.scratch();
     let (mut obs, mut sink) = (O::default(), M::default());
-    // Generation writes each channel's windows into SoA columns, then the
-    // observer folds the whole block at once.  The fold replays the
-    // identical observer-call sequence per-event iteration would make, so
-    // low-order float bits are pinned; columnar observers merely skip
-    // per-event dispatch.
     for node in 0..schedule.per_node.len() {
-        run.node_channel_blocks(node, &mut scratch, &mut sink, false, |block| {
-            obs.fold_channel(schedule, block)
+        run.node_channel_blocks(node, &mut scratch, &mut sink, |block| {
+            obs.fold_channel(schedule, block);
+            if let Some(retain) = retain.as_mut() {
+                if reordering && block.slot() != REST_SLOT {
+                    block.sort_arrival();
+                }
+                retain(block);
+            }
         });
     }
     (obs, sink)
@@ -823,22 +848,13 @@ where
 /// exactly.
 ///
 /// The block reference is a reusable scratch buffer: it is only valid for
-/// the duration of the callback (clone it to retain).
+/// the duration of the callback.
 pub fn fleet_window_blocks(
     schedule: &Schedule,
     cfg: &FleetConfig,
     mut emit: impl FnMut(&ColumnBlock),
 ) {
-    let run = FleetRun::new(schedule, cfg);
-    // Generation order is already arrival order unless a plan reorders.
-    let reordering = cfg
-        .faults
-        .as_ref()
-        .is_some_and(|p| !p.is_noop() && p.reorder_depth > 0);
-    let mut scratch = run.scratch();
-    for node in 0..schedule.per_node.len() {
-        run.node_channel_blocks(node, &mut scratch, &mut (), reordering, &mut emit);
-    }
+    run_channels::<(), ()>(schedule, cfg, Some(&mut emit));
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!   excursions and sensor noise) to a [`fleet::FleetObserver`];
 //! * [`resident`] — a fleet run captured as compressed per-channel blocks,
 //!   replayed block by block;
-//! * [`delivery`] — a fleet run's retained channel blocks, replayed event by
-//!   event in delivery order;
+//! * [`delivery`] — a fleet run's channels retained as narrow columns,
+//!   replayed event by event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);

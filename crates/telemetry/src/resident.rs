@@ -18,11 +18,11 @@
 //! to within half a quantum per sample — the precision the fleet's sensors
 //! had in the first place.
 
-use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock, FleetObserver};
+use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock, FleetObserver};
 use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
-use crate::fleet::{fleet_window_blocks, FleetConfig};
+use crate::fleet::{channel_grid, fleet_window_blocks, FleetConfig};
 
 /// One fleet run's telemetry, compressed block-per-channel (see module
 /// docs).
@@ -48,7 +48,6 @@ impl ResidentFleet {
         cfg: &FleetConfig,
         codec: CodecConfig,
     ) -> Result<ResidentFleet, PmssError> {
-        let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
         let mut blocks = Vec::new();
         let mut raw_bytes = 0usize;
         let mut rows = 0u64;
@@ -57,11 +56,7 @@ impl ResidentFleet {
             if first_err.is_some() {
                 return;
             }
-            let grid = BlockGrid {
-                window_s: cfg.window_s,
-                duration_s: schedule.duration_s,
-                skew_s: plan.map_or(0.0, |p| p.clock_skew_s(block.node())),
-            };
+            let grid = channel_grid(schedule, cfg, block.node());
             match EncodedBlock::encode(block, grid, codec) {
                 Ok(enc) => {
                     raw_bytes += block.column_bytes();

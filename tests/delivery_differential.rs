@@ -4,18 +4,26 @@
 //! `(rank, node, slot, window)`.  The naive construction lives only here,
 //! as the reference the production path is compared to event for event.
 //!
+//! The same cases pin the one-generation path: the run that retains the
+//! trace folds the fleet stage's observers and tallies its statistics
+//! exactly as a run that retains nothing.
+//!
 //! Failing proptest seeds persist to `tests/proptest-regressions/` (see
 //! `vendor/proptest`) and replay before fresh cases on every run.
 
 use proptest::prelude::*;
 
+use pmss_core::EnergyLedger;
+use pmss_econ::EconSeries;
 use pmss_faults::{FaultPlan, GapPolicy, PRESETS};
 use pmss_govern::{run_governor, GovernorPlan};
+use pmss_gpu::FleetMix;
 use pmss_pipeline::spec::{ScalePreset, ScenarioSpec};
 use pmss_sched::{catalog, generate, Schedule, TraceParams};
 use pmss_stream::StreamConfig;
 use pmss_telemetry::{
-    fleet_window_blocks, DeliveryTrace, FleetConfig, GapFill, WindowEvent, WindowKind,
+    fleet_window_blocks, simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig,
+    GapFill, Pair, SystemHistogram, WindowEvent, WindowKind,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3;
@@ -52,13 +60,19 @@ fn identical(a: &WindowEvent, b: &WindowEvent) -> bool {
         && kind_bits(a.kind) == kind_bits(b.kind)
 }
 
-/// Captures the run, merges it, and checks sequence, length and last rank
-/// against the oracle.  Returns the event count so callers can assert a
-/// scenario really has the shape it was built for.
+/// The observers the pipeline's fleet stage folds.
+type StageObs = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
+
+/// Captures the run *while folding the fleet stage's observers*, merges
+/// it, and checks sequence, length and last rank against the oracle — and
+/// the folded observers and run statistics against a run that retains
+/// nothing.  Returns the event count so callers can assert a scenario
+/// really has the shape it was built for.
 #[track_caller]
 fn assert_merge_equals_sort(schedule: &Schedule, cfg: &FleetConfig, ctx: &str) -> usize {
     let oracle = delivery_ordered_events(schedule, cfg);
-    let trace = DeliveryTrace::capture(schedule, cfg);
+    let (trace, obs, stats) =
+        DeliveryTrace::capture_folding::<StageObs>(schedule, cfg).expect("capture");
     assert_eq!(trace.len(), oracle.len(), "{ctx}: len");
     assert_eq!(
         trace.last_rank(),
@@ -74,6 +88,24 @@ fn assert_merge_equals_sort(schedule: &Schedule, cfg: &FleetConfig, ctx: &str) -
     // A second pass over the same trace, which also catches a merge that
     // ends early (the zip above would stop with it).
     assert_eq!(trace.iter().count(), oracle.len(), "{ctx}: event count");
+    // In-order blocks keep no lag column.
+    let row_bytes = trace.retained_bytes() as f64 / oracle.len().max(1) as f64;
+    let reorders = cfg.faults.as_ref().is_some_and(|p| p.reorder_depth > 0);
+    assert!(
+        row_bytes <= if reorders { 19.5 } else { 17.5 },
+        "{ctx}: {row_bytes} B/row"
+    );
+
+    // The traced run is the untraced run plus a capture.
+    let (want, want_stats) = simulate_fleet_metered::<StageObs>(schedule, cfg);
+    assert_eq!(stats, want_stats, "{ctx}: run stats");
+    assert_eq!(obs.b.a, want.b.a, "{ctx}: ledger");
+    assert_eq!(obs.b.b, want.b.b, "{ctx}: econ series");
+    assert_eq!(obs.a.a.hist, want.a.a.hist, "{ctx}: system histogram");
+    assert_eq!(obs.a.b.len(), want.a.b.len(), "{ctx}: domains");
+    for d in 0..want.a.b.len() {
+        assert_eq!(obs.a.b.domain(d), want.a.b.domain(d), "{ctx}: domain {d}");
+    }
     oracle.len()
 }
 
@@ -125,6 +157,40 @@ fn merge_equals_sort_on_quick_for_every_preset_and_gap_policy() {
             assert_merge_equals_sort(&schedule, &faulted(plan), &ctx);
         }
     }
+}
+
+#[test]
+fn sku_mixed_fleet_keeps_the_sku_byte() {
+    let mixed = |faults: Option<FaultPlan>| FleetConfig {
+        mix: FleetMix::preset("mixed-50-50").expect("known mix"),
+        faults,
+        ..FleetConfig::default()
+    };
+    let spec = ScenarioSpec::preset(ScalePreset::Quick);
+    let schedule = generate(spec.trace_params(), &catalog());
+    assert_merge_equals_sort(&schedule, &mixed(None), "quick/mixed");
+    let cfg = mixed(Some(FaultPlan::preset("harsh").expect("known preset")));
+    let skus: std::collections::BTreeSet<u8> = DeliveryTrace::capture(&schedule, &cfg)
+        .expect("capture")
+        .iter()
+        .map(|ev| ev.sku)
+        .collect();
+    assert!(skus.len() > 1, "one SKU only: {skus:?}");
+    assert_merge_equals_sort(&small_schedule(4, 3.0 * 3600.0, 6), &cfg, "mixed/harsh");
+}
+
+#[test]
+fn in_order_faulted_plan_elides_the_lag_column() {
+    // `mild` duplicates, drops and glitches but never reorders: every
+    // block's ranks equal its windows, duplicates included.
+    let plan = FaultPlan::preset("mild").expect("known preset");
+    assert_eq!(plan.reorder_depth, 0);
+    let cfg = faulted(plan);
+    let schedule = small_schedule(3, 6.0 * 3600.0, 8);
+    let n = assert_merge_equals_sort(&schedule, &cfg, "mild");
+    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+    assert!(n > 3 * 5 * 6 * 240, "duplicates delivered");
+    assert_eq!(trace.retained_bytes(), 17 * n);
 }
 
 #[test]
@@ -190,7 +256,8 @@ fn sparse_ranks_leave_whole_tiles_empty() {
     let schedule = idle_schedule(1, 60.0);
     let n = assert_merge_equals_sort(&schedule, &cfg, "sparse");
     assert_eq!(n, 5 * 4);
-    assert!(DeliveryTrace::capture(&schedule, &cfg).last_rank() > 1024);
+    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+    assert!(trace.last_rank() > 1024);
 }
 
 #[test]
@@ -224,7 +291,7 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
     let t3 = table3::compute_default();
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
     let oracle = delivery_ordered_events(&schedule, &cfg);
-    let trace = DeliveryTrace::capture(&schedule, &cfg);
+    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
     for preset in pmss_govern::PRESETS {
         let resolved = GovernorPlan::preset(preset)
             .expect("known preset")

@@ -160,3 +160,42 @@ fn metrics_tallies_are_self_consistent() {
     assert!(m.counter("engine.ppt_throttled") <= executions);
     assert!(m.counter("cap_solver.breaches") <= executions);
 }
+
+/// A fresh `stream` or `govern` pipeline generates the fleet exactly once
+/// — the traced fleet stage folds the batch ledger and fills the delivery
+/// trace from one run — and reports the trace's footprint: 17 B/row clean,
+/// 19 B/row on the channels a plan reorders.
+#[test]
+fn stream_and_govern_generate_the_fleet_once_and_report_the_trace() {
+    let clean = ScenarioSpec::preset(ScalePreset::Quick);
+    let mut faulted = clean.clone();
+    faulted.faults = Some(pmss::faults::FaultPlan::preset("frontier-typical").unwrap());
+    let cases = [
+        (ArtifactId::Stream, clean.clone(), 17.5),
+        (ArtifactId::Govern, clean, 17.5),
+        (ArtifactId::Stream, faulted, 19.5),
+    ];
+    for (id, spec, max_row_bytes) in cases {
+        let mut p = Pipeline::with_metrics(spec.clone()).unwrap();
+        p.artifact(id).expect("artifact");
+        let m = p.metrics_report().expect("metrics enabled");
+        assert_eq!(m.counter("fleet.runs"), 1, "{}", id.name());
+        assert_eq!(m.counter("stage.fleet.runs"), 1, "{}", id.name());
+        let rows = m.gauge("delivery.rows").expect("delivery.rows");
+        let bytes = m.gauge("delivery.trace_bytes").expect("trace_bytes");
+        assert!(rows > 0.0);
+        assert!(
+            bytes / rows > 16.9 && bytes / rows <= max_row_bytes,
+            "{}: {} B/row",
+            id.name(),
+            bytes / rows
+        );
+        // The one run left the stage what an untraced, unmetered run does.
+        let mut plain = Pipeline::new(spec).unwrap();
+        let want = plain.fleet().expect("fleet stage");
+        let got = p.fleet().expect("fleet stage");
+        assert_eq!(got.ledger, want.ledger);
+        assert_eq!(got.econ, want.econ);
+        assert_eq!(got.system.hist, want.system.hist);
+    }
+}
