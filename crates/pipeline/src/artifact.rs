@@ -5,6 +5,10 @@
 //! per-artifact binaries printed.  Rendering lives in [`crate::render`]:
 //! every artifact renders both to the byte-identical ASCII of the old
 //! binaries and to structured JSON.
+//!
+//! `faults`, `govern` and `peakpower` loop over independent fleet runs:
+//! they build their jobs, run them on the pipeline's workers
+//! (`stage::sim_each` / `scoped_map`), then push rows in job order.
 
 use pmss_core::heatmap::{energy_saved, energy_used, Heatmap};
 use pmss_core::project::{project, Projection, ProjectionInput};
@@ -36,7 +40,7 @@ use rand::SeedableRng;
 use crate::json::Json;
 use crate::render;
 use crate::spec::ScenarioSpec;
-use crate::stage::{metered_sim, metered_sim_stats, Pipeline};
+use crate::stage::{metered_sim, scoped_map, sim_each, Pipeline};
 
 /// Identifies one reproducible paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1771,22 +1775,20 @@ fn governor(p: &Pipeline) -> Result<GovernorArtifact, PmssError> {
 }
 
 fn peakpower(p: &mut Pipeline) -> PeakPower {
-    let params = p.spec.trace_params();
-    let schedule = generate(params, &catalog());
+    let schedule = p.schedule();
     // Extrapolate fleet power to the full 9408-node system.
-    let node_factor = 9408.0 / params.nodes as f64;
+    let node_factor = 9408.0 / p.spec.nodes as f64;
+    let base_cfg = p.fleet_config();
+    let caps = [1700.0, 1500.0, 1300.0, 1100.0, 900.0];
+    let cfgs = caps.map(|mhz| FleetConfig {
+        settings: GpuSettings::freq_capped(mhz),
+        ..base_cfg.clone()
+    });
+    // One run per cap, each worker folding its own `FleetPowerSeries`.
+    let runs = sim_each::<FleetPowerSeries>(p.workers, &schedule, &cfgs, p.metrics.as_mut());
     let mut rows = Vec::new();
     let mut base_peak = 0.0;
-    let base_cfg = p.fleet_config();
-    for mhz in [1700.0, 1500.0, 1300.0, 1100.0, 900.0] {
-        let fp: FleetPowerSeries = metered_sim(
-            &schedule,
-            &FleetConfig {
-                settings: GpuSettings::freq_capped(mhz),
-                ..base_cfg.clone()
-            },
-            p.metrics.as_mut(),
-        );
+    for (mhz, (fp, _)) in caps.into_iter().zip(runs) {
         let peak_mw = fp.peak_w() * node_factor / 1e6;
         let mean_mw = fp.mean_w() * node_factor / 1e6;
         if mhz == 1700.0 {
@@ -1860,12 +1862,14 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
         fleet,
         table3,
         metrics,
+        workers,
         ..
     } = p;
     let fleet = fleet.as_ref().expect("fleet stage ran");
     let t3 = table3.as_ref().expect("benchmark stage ran");
 
-    let mut rows = Vec::new();
+    let mut jobs = Vec::new();
+    let mut cfgs = Vec::new();
     for preset in PRESETS {
         let base = FaultPlan::preset(preset)?;
         // The clean baseline needs no gap policy; every faulted severity is
@@ -1880,29 +1884,34 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
                 gap_policy: policy,
                 ..base.clone()
             };
-            let cfg = FleetConfig {
+            jobs.push((preset, policy));
+            cfgs.push(FleetConfig {
                 faults: Some(plan),
                 ..base_cfg.clone()
-            };
-            let (ledger, stats): (EnergyLedger, _) =
-                metered_sim_stats(&fleet.schedule, &cfg, metrics.as_mut());
-            let coverage = ledger.coverage();
-            let proj = project(
-                ProjectionInput::from_ledger(&ledger.scaled(fleet.frontier_factor)?),
-                t3,
-            )?;
-            rows.push(FaultsRow {
-                preset,
-                policy,
-                dropped: stats.faults_dropped,
-                duplicated: stats.faults_duplicated,
-                glitched: stats.faults_glitched,
-                reordered: stats.faults_reordered,
-                dropout_windows: stats.faults_dropout_windows,
-                coverage,
-                bounds: proj.best_free().coverage_bounds_dt0(coverage.fraction()),
             });
         }
+    }
+    // One run per row, each worker folding its own `EnergyLedger`; the
+    // rows are projected here, in job order.
+    let runs = sim_each::<EnergyLedger>(*workers, &fleet.schedule, &cfgs, metrics.as_mut());
+    let mut rows = Vec::new();
+    for ((preset, policy), (ledger, stats)) in jobs.into_iter().zip(runs) {
+        let coverage = ledger.coverage();
+        let proj = project(
+            ProjectionInput::from_ledger(&ledger.scaled(fleet.frontier_factor)?),
+            t3,
+        )?;
+        rows.push(FaultsRow {
+            preset,
+            policy,
+            dropped: stats.faults_dropped,
+            duplicated: stats.faults_duplicated,
+            glitched: stats.faults_glitched,
+            reordered: stats.faults_reordered,
+            dropout_windows: stats.faults_dropout_windows,
+            coverage,
+            bounds: proj.best_free().coverage_bounds_dt0(coverage.fraction()),
+        });
     }
     // The `none` preset row is bit-identical to a clean run, so its (fully
     // covered) bound is the nominal headline every other row degrades from.
@@ -2032,6 +2041,7 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
         trace,
         table3,
         metrics,
+        workers,
         ..
     } = p;
     let fleet = fleet.as_ref().expect("fleet stage ran");
@@ -2039,18 +2049,34 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     let t3 = table3.as_ref().expect("benchmark stage ran");
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
 
-    let mut interval_s = 0.0;
-    let mut rows = Vec::new();
-    let mut replay = |label: String, plan: &GovernorPlan| -> Result<(), PmssError> {
-        let resolved = plan.resolve(nodes, auto_cap)?;
-        let outcome: GovernOutcome = run_governor(
+    let mut jobs = Vec::new();
+    for preset in pmss_govern::PRESETS {
+        jobs.push((preset.to_string(), GovernorPlan::preset(preset)?));
+    }
+    // A spec-supplied plan rides along as an extra labelled row so custom
+    // budgets/rates can be compared against the presets.
+    if let Some(plan) = custom {
+        jobs.push((format!("custom:{}", plan.policy.name()), plan));
+    }
+    // One replay per policy, each worker driving its own stream engine
+    // over its own iterator of the shared trace.
+    let outcomes = scoped_map(*workers, jobs.len(), |i| {
+        let resolved = jobs[i].1.resolve(nodes, auto_cap)?;
+        run_governor(
             &fleet.schedule,
             trace.iter(),
             stream_cfg,
             &resolved,
             t3,
             cfg.window_s,
-        )?;
+        )
+    });
+
+    let mut interval_s = 0.0;
+    let mut rows = Vec::new();
+    for ((label, _), outcome) in jobs.into_iter().zip(outcomes) {
+        // The first failure in job order, whichever worker met it first.
+        let outcome: GovernOutcome = outcome?;
         if let Some(m) = metrics.as_mut() {
             outcome.publish_metrics(m);
         }
@@ -2078,15 +2104,6 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
             budget_exceeded: outcome.budget_exceeded,
             late_rejects: outcome.stream.late_rejects,
         });
-        Ok(())
-    };
-    for preset in pmss_govern::PRESETS {
-        replay(preset.to_string(), &GovernorPlan::preset(preset)?)?;
-    }
-    // A spec-supplied plan rides along as an extra labelled row so custom
-    // budgets/rates can be compared against the presets.
-    if let Some(plan) = &custom {
-        replay(format!("custom:{}", plan.policy.name()), plan)?;
     }
 
     Ok(GovernArtifact {

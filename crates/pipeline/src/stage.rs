@@ -7,6 +7,15 @@
 //! benchmark stage (Table III from the spec's cap ladders) are memoized,
 //! so rendering every figure and table of a scenario costs a single fleet
 //! run and a single benchmark sweep.
+//!
+//! The only fleet threads live here too: an artifact that loops over
+//! *independent* fleet runs of one schedule (`faults`, `govern`,
+//! `peakpower`) hands the loop to `scoped_map` — whole runs per worker,
+//! results and metric tallies applied on the caller in loop order, so
+//! output is byte-identical at any worker count.  The node loop inside a
+//! run is not threaded.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
@@ -61,28 +70,86 @@ where
     let Some(m) = metrics else {
         return simulate_fleet(schedule, cfg);
     };
-    metered_sim_stats(schedule, cfg, Some(m)).0
+    let (obs, stats, wall_s) = timed_sim(schedule, cfg);
+    publish_run(m, schedule, cfg, &stats, wall_s);
+    obs
 }
 
-/// Like [`metered_sim`], but always runs the stats-collecting simulation
-/// and hands the per-run [`FleetRunStats`] back to the caller (the fault
-/// artifact reports injected-fault tallies even with metering off).  The
-/// stats sink never feeds back into the observer, so the observer bytes
-/// match [`metered_sim`] exactly.
-pub(crate) fn metered_sim_stats<O>(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    metrics: Option<&mut Metrics>,
-) -> (O, FleetRunStats)
+/// One stats-collecting fleet run and its wall time.  It takes no
+/// registry, so it is the shape a worker thread runs; the caller hands
+/// the tallies to [`publish_run`].
+fn timed_sim<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats, f64)
 where
     O: FleetObserver + Default,
 {
     let sw = Stopwatch::start();
     let (obs, stats) = simulate_fleet_metered::<O>(schedule, cfg);
-    if let Some(m) = metrics {
-        publish_run(m, schedule, cfg, &stats, sw.elapsed_s());
-    }
-    (obs, stats)
+    (obs, stats, sw.elapsed_s())
+}
+
+/// One independent fleet run of `schedule` per entry of `cfgs` on
+/// [`scoped_map`]'s workers, results in `cfgs` order.  A worker owns its
+/// whole run — observer, stats, scratch — and nothing is merged across
+/// threads; the tallies reach `metrics` here on the caller, one
+/// [`publish_run`] per run in `cfgs` order, the same sequence of
+/// additions at any worker count.
+pub(crate) fn sim_each<O>(
+    workers: usize,
+    schedule: &Schedule,
+    cfgs: &[FleetConfig],
+    mut metrics: Option<&mut Metrics>,
+) -> Vec<(O, FleetRunStats)>
+where
+    O: FleetObserver + Default + Send,
+{
+    let runs = scoped_map(workers, cfgs.len(), |i| timed_sim::<O>(schedule, &cfgs[i]));
+    cfgs.iter()
+        .zip(runs)
+        .map(|(cfg, (obs, stats, wall_s))| {
+            if let Some(m) = metrics.as_deref_mut() {
+                publish_run(m, schedule, cfg, &stats, wall_s);
+            }
+            (obs, stats)
+        })
+        .collect()
+}
+
+/// `(0..n).map(job)` on real threads: the calling thread and up to
+/// `workers - 1` scoped ones each claim the next index from one counter.
+/// Results come back in index order whatever order the jobs finished in;
+/// a job's panic is re-raised on the caller.  With one worker or one job
+/// nothing is spawned and the caller runs every index through this code.
+pub(crate) fn scoped_map<T, F>(workers: usize, n: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter hands out indices and publishes nothing
+            // else; results reach the caller through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(claim)).collect();
+        let mut done = claim();
+        for handle in spawned {
+            match handle.join() {
+                Ok(part) => done.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// [`metered_sim`] from a run that also retains its [`DeliveryTrace`]:
@@ -107,7 +174,12 @@ where
     Ok((trace, obs))
 }
 
-/// Folds one fleet run's tallies and wall time into `m`.
+/// Folds one fleet run's tallies and wall time into `m` — the single place
+/// they reach the registry.  Runs of one artifact may overlap
+/// ([`sim_each`]), so `fleet.wall_s` is *busy* time summed over runs, not
+/// elapsed, and `fleet.node_hours_per_s` a per-worker rate that can sit
+/// below what the manifest's `wall_s` implies; `fleet.workers` is reported
+/// beside them.
 fn publish_run(
     m: &mut Metrics,
     schedule: &Schedule,
@@ -162,6 +234,9 @@ pub struct Pipeline {
     /// The fleet run in delivery order; filled by the traced fleet stage.
     pub(crate) trace: Option<DeliveryTrace>,
     pub(crate) table3: Option<Table3>,
+    /// Threads an artifact may spread independent fleet runs over:
+    /// `available_parallelism`, read once.  Deliberately not settable.
+    pub(crate) workers: usize,
 }
 
 impl Pipeline {
@@ -176,6 +251,7 @@ impl Pipeline {
             fleet: None,
             trace: None,
             table3: None,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         })
     }
 
@@ -191,11 +267,13 @@ impl Pipeline {
         self.metrics.is_some()
     }
 
-    /// A snapshot of the accumulated metrics, augmented with the derived
-    /// fleet throughput gauge; `None` unless built
-    /// [`Pipeline::with_metrics`].
+    /// A snapshot of the accumulated metrics, augmented with the worker
+    /// count and the derived fleet throughput gauge — node-hours over
+    /// *summed* run time, so a per-worker rate once an artifact's runs
+    /// overlap; `None` unless built [`Pipeline::with_metrics`].
     pub fn metrics_report(&self) -> Option<Metrics> {
         let mut m = self.metrics.clone()?;
+        m.gauge_set("fleet.workers", self.workers as f64);
         let wall = m.gauge("fleet.wall_s").unwrap_or(0.0);
         if wall > 0.0 {
             m.gauge_set(
@@ -370,6 +448,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ArtifactId;
     use crate::spec::ScalePreset;
 
     #[test]
@@ -441,6 +520,166 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Jobs that finish out of index order (the early indices sleep
+    /// longest) still come back in index order, each having run once.
+    #[test]
+    fn scoped_map_runs_every_index_once_and_returns_them_in_order() {
+        use std::time::Duration;
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 5, 10] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = scoped_map(workers, n, |i| {
+                    std::thread::sleep(Duration::from_millis(((n - i) % 4) as u64 * 3));
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    (i * i, std::thread::current().id())
+                });
+                let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+                assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+                // Never more threads than workers or jobs; one worker is
+                // the caller alone.
+                let threads: std::collections::HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+                assert!(
+                    threads.len() <= workers.min(n),
+                    "{workers} workers, {n} jobs"
+                );
+                if workers == 1 {
+                    assert!(threads.iter().all(|&id| id == std::thread::current().id()));
+                }
+            }
+        }
+    }
+
+    /// Real threads, not a facade: two jobs that each wait for the other
+    /// can only finish when two workers run them at once.
+    #[test]
+    fn scoped_map_runs_jobs_concurrently() {
+        let barrier = std::sync::Barrier::new(2);
+        let out = scoped_map(2, 2, |i| {
+            barrier.wait();
+            i
+        });
+        assert_eq!(out, [0, 1]);
+    }
+
+    #[test]
+    fn scoped_map_reraises_a_job_panic_on_the_caller() {
+        for workers in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                scoped_map(workers, 6, |i| {
+                    if i == 3 {
+                        panic!("job {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic crosses the scope");
+            // The job's own payload, not the scope's "a scoped thread
+            // panicked".
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 3 failed");
+        }
+    }
+
+    /// A `quick`-shaped scenario small enough to run a dozen times in a
+    /// debug build.
+    fn small_spec() -> ScenarioSpec {
+        let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+        spec.nodes = 8;
+        spec.days = 1.0;
+        spec
+    }
+
+    const THREADED: [ArtifactId; 3] = [
+        ArtifactId::Faults,
+        ArtifactId::Govern,
+        ArtifactId::PeakPower,
+    ];
+
+    /// One worker against four real threads (more than this box has cores,
+    /// which is the point): the three threaded artifacts render the same
+    /// bytes, and the registries agree on everything that is not a clock.
+    #[test]
+    fn threaded_artifacts_are_byte_identical_at_one_and_four_workers() {
+        let clean = small_spec();
+        let mut faulted = small_spec();
+        faulted.faults = Some(pmss_faults::FaultPlan::preset("frontier-typical").unwrap());
+        let mut mixed = small_spec();
+        mixed.fleet_mix = Some("mixed-50-50".to_string());
+        for spec in [clean, faulted, mixed] {
+            let mut unmetered = None;
+            for metered in [false, true] {
+                let run = |workers: usize| {
+                    let mut p = match metered {
+                        true => Pipeline::with_metrics(spec.clone()).unwrap(),
+                        false => Pipeline::new(spec.clone()).unwrap(),
+                    };
+                    p.workers = workers;
+                    let rendered: Vec<(String, String)> = THREADED
+                        .iter()
+                        .map(|&id| {
+                            let art = p.artifact(id).unwrap();
+                            (art.render_ascii(), art.to_json().to_string_pretty())
+                        })
+                        .collect();
+                    (rendered, p.metrics_report())
+                };
+                let (one, m1) = run(1);
+                let (four, m4) = run(4);
+                assert_eq!(one, four, "{} metered={metered}", spec.name);
+                match (m1, m4) {
+                    (Some(m1), Some(m4)) => {
+                        assert_eq!(unmetered.as_ref(), Some(&one), "{}", spec.name);
+                        assert_eq!(m1.gauge("fleet.workers"), Some(1.0));
+                        assert_eq!(m4.gauge("fleet.workers"), Some(4.0));
+                        // The stage, `govern`'s late trace, ten rows, five caps.
+                        assert_eq!(m1.counter("fleet.runs"), 1 + 1 + 10 + 5);
+                        assert!(m1.counters().eq(m4.counters()));
+                        let steady = |m: &Metrics| -> Vec<(String, f64)> {
+                            m.gauges()
+                                .filter(|(k, _)| {
+                                    !(k.ends_with("wall_s")
+                                        || k.ends_with("_per_s")
+                                        || *k == "fleet.workers")
+                                })
+                                .map(|(k, v)| (k.to_string(), v))
+                                .collect()
+                        };
+                        assert_eq!(steady(&m1), steady(&m4));
+                        let counts = |m: &Metrics| -> Vec<(String, u64)> {
+                            m.hists().map(|(k, h)| (k.to_string(), h.count())).collect()
+                        };
+                        assert_eq!(counts(&m1), counts(&m4));
+                    }
+                    // Metering moves no byte either.
+                    (None, None) => unmetered = Some(one),
+                    _ => unreachable!("both runs are metered or neither is"),
+                }
+            }
+        }
+    }
+
+    /// A custom plan that validates but cannot be resolved against the
+    /// fleet fails `govern` with the same error whichever worker meets it
+    /// first — the first failure in job order is the one returned.
+    #[test]
+    fn govern_returns_the_same_resolve_error_at_any_worker_count() {
+        let mut spec = small_spec();
+        let mut plan = pmss_govern::GovernorPlan::preset("greedy").unwrap();
+        plan.budget_w = Some(1.0);
+        spec.govern = Some(plan);
+        let fail = |workers: usize| {
+            let mut p = Pipeline::new(spec.clone()).unwrap();
+            p.workers = workers;
+            match p.artifact(ArtifactId::Govern) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("a 1 W budget cannot grant every node its floor"),
+            }
+        };
+        let one = fail(1);
+        assert!(one.contains("governor budget_w"), "{one}");
+        assert_eq!(one, fail(4));
     }
 
     #[test]

@@ -343,6 +343,15 @@ fn handle_open(
                 "OPEN payload needs a \"tenant\" string".to_string(),
             )
         })?;
+    // The name is printed inside `{tenant="…"}` on `/metrics`: anything
+    // that could close the label or start a line stops here.
+    let label_safe = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-');
+    if !(1..=64).contains(&name.len()) || !name.bytes().all(label_safe) {
+        return Err((
+            code::MALFORMED,
+            "tenant name must match [A-Za-z0-9_.-]{1,64}".to_string(),
+        ));
+    }
     let spec = v
         .get("spec")
         .map(ScenarioSpec::from_json)

@@ -242,6 +242,54 @@ fn adversarial_frames_bounce_with_typed_errors_and_answers_hold() {
     h.stop();
 }
 
+/// A tenant name is printed inside `{tenant="…"}` on `/metrics`, so one
+/// that could close the label and start a line of its own is refused at
+/// OPEN — and the scrape carries nothing derived from it.
+#[test]
+fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
+    let h = start_daemon(64, 8);
+    let spec = spec_for(None);
+    let forged = "a\"} 1\npmssd_forged_metric{x=\"y";
+    let too_long = "n".repeat(65);
+    for name in [forged, "", "white space", "caf\u{e9}", too_long.as_str()] {
+        let mut conn = Connection::connect(&h.target).expect("connect");
+        match conn.open(name, Some(&spec)) {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::MALFORMED),
+            other => panic!("expected a malformed rejection for {name:?}, got {other:?}"),
+        }
+        // Nothing was bound either.
+        match conn.flush() {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::USAGE),
+            other => panic!("expected FLUSH before OPEN, got {other:?}"),
+        }
+    }
+
+    // The daemon serves the next connection, and every line it exports is
+    // one of the stream engine's own keys under the honest tenant's label.
+    let honest = "Honest_tenant-1.a";
+    let mut conn = Connection::connect(&h.target).expect("second connection");
+    conn.open(honest, Some(&spec))
+        .expect("a well-formed name opens");
+    ingest_campaign(&mut conn, &spec).expect("ingest");
+    let scraped = pmssd::client::scrape_metrics(&h.metrics_addr).expect("scrape");
+    assert!(scraped.lines().count() > 5, "{scraped}");
+    let label = format!("{{tenant=\"{honest}\"}} ");
+    for line in scraped.lines() {
+        let (key, value) = line
+            .split_once(label.as_str())
+            .unwrap_or_else(|| panic!("unlabelled line {line:?}"));
+        let known = key.strip_prefix("pmssd_stream_").is_some_and(|k| {
+            !k.is_empty() && k.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')
+        });
+        assert!(known, "unknown key in {line:?}");
+        assert!(
+            value.parse::<f64>().is_ok(),
+            "non-numeric value in {line:?}"
+        );
+    }
+    h.stop();
+}
+
 #[test]
 fn reopen_binds_only_when_a_carried_spec_matches_the_tenants() {
     let h = start_daemon(64, 8);

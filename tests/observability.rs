@@ -199,3 +199,30 @@ fn stream_and_govern_generate_the_fleet_once_and_report_the_trace() {
         assert_eq!(got.system.hist, want.system.hist);
     }
 }
+
+/// The artifacts that spread their fleet runs over worker threads count
+/// every run exactly once — tallies are published on the calling thread,
+/// one per run — and say how many threads shared the work.
+#[test]
+fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
+    let cases = [
+        // The stage's run plus ten preset x gap-policy rows.
+        (ArtifactId::Faults, 11),
+        // Five caps; `peakpower` reads no stage.
+        (ArtifactId::PeakPower, 5),
+        // The traced stage; the policy replays generate nothing.
+        (ArtifactId::Govern, 1),
+    ];
+    for (id, runs) in cases {
+        let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
+        p.artifact(id).expect("artifact");
+        let m = p.metrics_report().expect("metrics enabled");
+        assert_eq!(m.counter("fleet.runs"), runs, "{}", id.name());
+        let walls = m.hist("fleet.run_wall_s").expect("fleet.run_wall_s");
+        assert_eq!(walls.count(), runs, "{}", id.name());
+        let workers = m.gauge("fleet.workers").expect("fleet.workers");
+        assert!(workers >= 1.0 && workers.fract() == 0.0, "{workers}");
+        // Busy time summed over runs: never less than the longest run.
+        assert!(m.gauge("fleet.wall_s").unwrap() >= walls.max().unwrap());
+    }
+}
