@@ -12,10 +12,10 @@
 //! global state.  Producers follow the same discipline as the fleet
 //! simulation's `FleetObserver`s — each run or stage accumulates into its
 //! own partial and the partials are [`Metrics::merge`]d afterwards.  Hot
-//! loops therefore pay only a branch-free integer add, and the
-//! disabled configuration pays nothing at all: callers that thread a
-//! no-op sink through a monomorphized simulation compile the recording
-//! away entirely.
+//! loops therefore pay only a branch-free integer add into a plain struct
+//! (the fleet run's tallies), and do so whether or not anyone is
+//! listening: metering is a registry, not a code path.  Every run tallies;
+//! `--metrics` decides whether the tallies are published here.
 //!
 //! ## What lives here
 //!

@@ -40,7 +40,7 @@ use rand::SeedableRng;
 use crate::json::Json;
 use crate::render;
 use crate::spec::ScenarioSpec;
-use crate::stage::{metered_sim, scoped_map, sim_each, Pipeline};
+use crate::stage::{ladder, node_hours, publish_run, scoped_map, sim_each, timed_sim, Pipeline};
 
 /// Identifies one reproducible paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1227,14 +1227,15 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
         })
         .collect();
 
-    // (b) GPU vs CPU energy on the fleet.  Disjoint field borrows: the
-    // schedule is read from the memoized stage while the metrics registry
-    // is passed alongside.
-    p.ensure_fleet()?;
+    // (b) GPU vs CPU energy: one more run of the stage's schedule,
+    // published once the stage borrow has ended.
     let cfg = p.fleet_config();
-    let Pipeline { fleet, metrics, .. } = p;
-    let fleet = fleet.as_ref().expect("fleet stage ran");
-    let split: GpuCpuEnergy = metered_sim(&fleet.schedule, &cfg, metrics.as_mut());
+    let schedule = &p.fleet()?.schedule;
+    let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(schedule, &cfg);
+    let node_hours = node_hours(schedule);
+    if let Some(m) = p.metrics.as_mut() {
+        publish_run(m, &cfg, node_hours, &stats, wall_s);
+    }
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1314,8 +1315,14 @@ fn fig4(p: &Pipeline) -> Fig4 {
 
 fn fig5(p: &mut Pipeline) -> Result<Fig5, PmssError> {
     let ladders = [
-        ("Fig. 5 left: frequency caps (MHz)", p.freq_ladder()),
-        ("Fig. 5 right: power caps (W)", p.power_ladder()),
+        (
+            "Fig. 5 left: frequency caps (MHz)",
+            ladder(&p.spec.freq_caps_mhz, CapSetting::FreqMhz),
+        ),
+        (
+            "Fig. 5 right: power caps (W)",
+            ladder(&p.spec.power_caps_w, CapSetting::PowerW),
+        ),
     ];
     let mut blocks = Vec::new();
     for (title, settings) in ladders {
@@ -1433,9 +1440,7 @@ fn fig7(p: &Pipeline) -> Fig7 {
 }
 
 fn fig8(p: &mut Pipeline) -> Result<Fig8, PmssError> {
-    p.ensure_fleet()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let hist = &fleet.system.hist;
+    let hist = &p.fleet()?.system.hist;
     let regions = Region::all()
         .iter()
         .map(|r| {
@@ -1456,8 +1461,7 @@ fn fig8(p: &mut Pipeline) -> Result<Fig8, PmssError> {
 }
 
 fn fig9(p: &mut Pipeline) -> Result<Fig9, PmssError> {
-    p.ensure_fleet()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
+    let fleet = p.fleet()?;
     let domains = fleet
         .domains
         .iter()
@@ -1475,20 +1479,17 @@ fn fig9(p: &mut Pipeline) -> Result<Fig9, PmssError> {
 }
 
 fn fig10(p: &mut Pipeline) -> Result<Fig10, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let t3 = p.table3.as_ref().expect("benchmark stage ran");
-    let ledger = fleet.ledger.scaled(fleet.frontier_factor)?;
+    let s = p.stages()?;
+    let ledger = s.fleet.ledger.scaled(s.fleet.frontier_factor)?;
     let used = energy_used(&ledger);
-    let row_1100 = t3.freq_row(1100.0).ok_or_else(|| {
+    let row_1100 = s.table3.freq_row(1100.0).ok_or_else(|| {
         PmssError::missing("Table III row", "1100 MHz (not in the spec's freq ladder)")
     })?;
     let saved = energy_saved(&ledger, row_1100);
     let concentration_pct =
         100.0 * saved.rows.iter().map(|r| r[0] + r[1] + r[2]).sum::<f64>() / saved.total();
     Ok(Fig10 {
-        labels: fleet.domains.iter().map(|d| d.code.to_string()).collect(),
+        labels: s.fleet.domains.iter().map(|d| d.code.to_string()).collect(),
         used,
         saved,
         concentration_pct,
@@ -1574,12 +1575,9 @@ fn table4(p: &mut Pipeline) -> Result<Table4, PmssError> {
 }
 
 fn table6(p: &mut Pipeline) -> Result<Table6, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let t3 = p.table3.as_ref().expect("benchmark stage ran");
-    let ledger = fleet.ledger.scaled(fleet.frontier_factor)?;
-    let row_1100 = t3.freq_row(1100.0).ok_or_else(|| {
+    let s = p.stages()?;
+    let ledger = s.fleet.ledger.scaled(s.fleet.frontier_factor)?;
+    let row_1100 = s.table3.freq_row(1100.0).ok_or_else(|| {
         PmssError::missing("Table III row", "1100 MHz (not in the spec's freq ladder)")
     })?;
     let saved = energy_saved(&ledger, row_1100);
@@ -1597,9 +1595,9 @@ fn table6(p: &mut Pipeline) -> Result<Table6, PmssError> {
     Ok(Table6 {
         hot_codes: hot
             .iter()
-            .map(|&d| fleet.domains[d].code.to_string())
+            .map(|&d| s.fleet.domains[d].code.to_string())
             .collect(),
-        projection: project(input, t3)?,
+        projection: project(input, s.table3)?,
     })
 }
 
@@ -1621,14 +1619,10 @@ fn table7() -> Table7 {
 }
 
 fn validate(p: &mut Pipeline) -> Result<Validate, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let t3 = p.table3.as_ref().expect("benchmark stage ran");
-    let projection = project(ProjectionInput::from_ledger(&fleet.ledger), t3)?;
-    let engine = &p.engine;
+    let s = p.stages()?;
+    let projection = project(ProjectionInput::from_ledger(&s.fleet.ledger), s.table3)?;
 
-    let jobs: Vec<_> = fleet.schedule.jobs.iter().take(400).collect();
+    let jobs: Vec<_> = s.fleet.schedule.jobs.iter().take(400).collect();
     let rows = [1500.0, 1300.0, 1100.0, 900.0, 700.0]
         .iter()
         .map(|&mhz| {
@@ -1640,8 +1634,8 @@ fn validate(p: &mut Pipeline) -> Result<Validate, PmssError> {
                 let mut rng = StdRng::seed_from_u64(job.seed);
                 let mut acc = (0.0, 0.0, 0.0, 0.0);
                 for phase in synthesize_app(job.app_class, job.duration_s(), &mut rng) {
-                    let b = engine.execute(&phase, GpuSettings::uncapped());
-                    let c = engine.execute(&phase, GpuSettings::freq_capped(mhz));
+                    let b = s.engine.execute(&phase, GpuSettings::uncapped());
+                    let c = s.engine.execute(&phase, GpuSettings::freq_capped(mhz));
                     acc.0 += b.energy_j;
                     acc.1 += c.energy_j;
                     acc.2 += b.time_s;
@@ -1674,17 +1668,14 @@ fn validate(p: &mut Pipeline) -> Result<Validate, PmssError> {
 }
 
 fn whatif(p: &mut Pipeline) -> Result<Whatif, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let t3 = p.table3.as_ref().expect("benchmark stage ran");
-    let total_j = fleet.ledger.total().joules;
+    let s = p.stages()?;
+    let total_j = s.fleet.ledger.total().joules;
 
     let budget_rows = [1.0, 2.0, 5.0, 10.0, 20.0, 40.0]
         .iter()
         .map(|&budget| {
-            let mixed = optimize_per_domain(&fleet.ledger, t3, budget);
-            let (setting, uniform_j) = best_uniform(&fleet.ledger, t3, budget)?;
+            let mixed = optimize_per_domain(&s.fleet.ledger, s.table3, budget);
+            let (setting, uniform_j) = best_uniform(&s.fleet.ledger, s.table3, budget)?;
             Ok(WhatifBudgetRow {
                 budget_pct: budget,
                 mixed_saves_pct: 100.0 * mixed.savings_fraction(total_j),
@@ -1694,23 +1685,23 @@ fn whatif(p: &mut Pipeline) -> Result<Whatif, PmssError> {
         })
         .collect::<Result<Vec<_>, PmssError>>()?;
 
-    let mixed = optimize_per_domain(&fleet.ledger, t3, 10.0);
+    let mixed = optimize_per_domain(&s.fleet.ledger, s.table3, 10.0);
     let assignment = mixed
         .assignment
         .iter()
         .enumerate()
         .map(|(d, choice)| WhatifAssignment {
-            code: fleet.domains[d].code.to_string(),
+            code: s.fleet.domains[d].code.to_string(),
             choice: choice.as_ref().map(|e| (e.setting.value(), e.delta_t_pct)),
         })
         .collect();
     // Value each budget's savings under the active econ trace.  Savings
     // scale the whole placement, so a saved fraction of the energy is the
     // same fraction of the trace-priced cost.
-    let econ = match p.spec.active_econ() {
+    let econ = match s.spec.active_econ() {
         None => None,
         Some(trace) => {
-            let series = fleet.econ.scaled(fleet.frontier_factor)?;
+            let series = s.fleet.econ.scaled(s.fleet.frontier_factor)?;
             let total_cost_usd = series.cost_usd(trace);
             let total_carbon_t = series.carbon_kg(trace) / 1e3;
             Some(WhatifEcon {
@@ -1806,13 +1797,10 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
 }
 
 fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
-    let t3 = p.table3.as_ref().expect("benchmark stage ran");
-    let total_j = fleet.ledger.total().joules;
+    let s = p.stages()?;
+    let total_j = s.fleet.ledger.total().joules;
 
-    let report = boundary_sweep(&fleet.system.hist, total_j, t3, 40.0, 8)?;
+    let report = boundary_sweep(&s.fleet.system.hist, total_j, s.table3, 40.0, 8)?;
     let variants = [
         Boundaries {
             latency_mi_w: 160.0,
@@ -1837,7 +1825,10 @@ fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
     ]
     .into_iter()
     .map(|b| {
-        let proj = project(input_from_histogram(&fleet.system.hist, b, total_j)?, t3)?;
+        let proj = project(
+            input_from_histogram(&s.fleet.system.hist, b, total_j)?,
+            s.table3,
+        )?;
         Ok(SensitivityVariant {
             latency_mi_w: b.latency_mi_w,
             mi_ci_w: b.mi_ci_w,
@@ -1855,18 +1846,8 @@ fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
 }
 
 fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
-    p.ensure_fleet()?;
-    p.ensure_table3()?;
     let base_cfg = p.fleet_config();
-    let Pipeline {
-        fleet,
-        table3,
-        metrics,
-        workers,
-        ..
-    } = p;
-    let fleet = fleet.as_ref().expect("fleet stage ran");
-    let t3 = table3.as_ref().expect("benchmark stage ran");
+    let s = p.stages()?;
 
     let mut jobs = Vec::new();
     let mut cfgs = Vec::new();
@@ -1893,13 +1874,13 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
     }
     // One run per row, each worker folding its own `EnergyLedger`; the
     // rows are projected here, in job order.
-    let runs = sim_each::<EnergyLedger>(*workers, &fleet.schedule, &cfgs, metrics.as_mut());
+    let runs = sim_each::<EnergyLedger>(s.workers, &s.fleet.schedule, &cfgs, s.metrics);
     let mut rows = Vec::new();
     for ((preset, policy), (ledger, stats)) in jobs.into_iter().zip(runs) {
         let coverage = ledger.coverage();
         let proj = project(
-            ProjectionInput::from_ledger(&ledger.scaled(fleet.frontier_factor)?),
-            t3,
+            ProjectionInput::from_ledger(&ledger.scaled(s.fleet.frontier_factor)?),
+            s.table3,
         )?;
         rows.push(FaultsRow {
             preset,
@@ -1930,48 +1911,38 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
 const STREAM_SNAPSHOTS: usize = 4;
 
 fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
-    p.ensure_table3()?;
     // Replay the trace as a timed stream: the generator emits each channel
     // contiguously, so the traced fleet stage retains the run's channels
     // and the replay merges them by delivery rank as it goes — the order a
     // collection fabric would hand windows to an ingest tier.  (Only the
     // pipeline holds the trace; the engine itself stays O(channels x
     // horizon).)
-    let sw = Stopwatch::start();
-    p.ensure_traced_fleet()?;
     let cfg = p.fleet_config();
-    let Pipeline {
-        fleet,
-        trace,
-        table3,
-        metrics,
-        ..
-    } = p;
-    let fleet = fleet.as_ref().expect("fleet stage ran");
-    let trace = trace.as_ref().expect("traced fleet stage ran");
-    let t3 = table3.as_ref().expect("benchmark stage ran");
     let window_s = cfg.window_s;
+    let sw = Stopwatch::start();
+    let (s, trace) = p.traced_stages()?;
 
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref()).with_shards(4);
-    let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&fleet.schedule, stream_cfg)?;
+    let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&s.fleet.schedule, stream_cfg)?;
 
     // Snapshot row from the engine's current (possibly mid-stream) state.
-    let capture = |eng: &StreamEngine<'_, EnergyLedger>,
-                   t_s: f64|
-     -> Result<StreamRow, PmssError> {
-        let state = StreamState::capture(eng, fleet.frontier_factor);
-        let stats = eng.stats();
-        Ok(StreamRow {
-            t_s,
-            events: stats.events,
-            released: stats.released_windows,
-            buffered: stats.buffered_windows,
-            coverage: state.coverage().fraction(),
-            total_mwh: ProjectionInput::from_ledger(&state.ledger().scaled(fleet.frontier_factor)?)
+    let capture =
+        |eng: &StreamEngine<'_, EnergyLedger>, t_s: f64| -> Result<StreamRow, PmssError> {
+            let state = StreamState::capture(eng, s.fleet.frontier_factor);
+            let stats = eng.stats();
+            Ok(StreamRow {
+                t_s,
+                events: stats.events,
+                released: stats.released_windows,
+                buffered: stats.buffered_windows,
+                coverage: state.coverage().fraction(),
+                total_mwh: ProjectionInput::from_ledger(
+                    &state.ledger().scaled(s.fleet.frontier_factor)?,
+                )
                 .total_mwh(),
-            bounds: state.coverage_bounds(t3).ok(),
-        })
-    };
+                bounds: state.coverage_bounds(s.table3).ok(),
+            })
+        };
 
     // Deterministic snapshot cadence: evenly spaced cuts of the delivery
     // sequence, then the flushed final state.  Simulated time only — no
@@ -1989,7 +1960,7 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
     eng.flush();
     rows.push(capture(&eng, (trace.last_rank() + 1) as f64 * window_s)?);
 
-    if let Some(m) = metrics.as_mut() {
+    if let Some(m) = s.metrics {
         eng.publish_metrics(m);
         // Released windows over the artifact's whole replay — the traced
         // fleet stage (generation, the batch fold and the capture), the
@@ -2016,37 +1987,24 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
         late_rejects: stats.late_rejects,
         peak_buffered_windows: stats.peak_buffered_windows,
         peak_channel_windows: stats.peak_channel_windows,
-        batch_identical: ledger == fleet.ledger,
+        batch_identical: ledger == s.fleet.ledger,
     })
 }
 
 fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     // One captured trace shared by every policy replay, each merging it
     // into delivery order afresh — the same ordering discipline the stream
-    // artifact uses.  Asked for before the projection, which would
-    // otherwise run the stage untraced.
-    p.ensure_traced_fleet()?;
+    // artifact uses.
+    let cfg = p.fleet_config();
+    let (mut s, trace) = p.traced_stages()?;
     // The ceiling the governors chase: the projection's best no-slowdown
     // row.  Its setting doubles as the auto cap for plans that name none.
-    let projection = p.projection()?;
+    let projection = s.projection()?;
     let best = projection.best_free();
     let ceiling_pct = best.savings_dt0_pct;
     let auto_cap = best.setting;
 
-    let cfg = p.fleet_config();
-    let nodes = p.spec.nodes;
-    let custom = p.spec.govern.clone();
-    let Pipeline {
-        fleet,
-        trace,
-        table3,
-        metrics,
-        workers,
-        ..
-    } = p;
-    let fleet = fleet.as_ref().expect("fleet stage ran");
-    let trace = trace.as_ref().expect("traced fleet stage ran");
-    let t3 = table3.as_ref().expect("benchmark stage ran");
+    let nodes = s.spec.nodes;
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
 
     let mut jobs = Vec::new();
@@ -2055,19 +2013,19 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     }
     // A spec-supplied plan rides along as an extra labelled row so custom
     // budgets/rates can be compared against the presets.
-    if let Some(plan) = custom {
-        jobs.push((format!("custom:{}", plan.policy.name()), plan));
+    if let Some(plan) = &s.spec.govern {
+        jobs.push((format!("custom:{}", plan.policy.name()), plan.clone()));
     }
     // One replay per policy, each worker driving its own stream engine
     // over its own iterator of the shared trace.
-    let outcomes = scoped_map(*workers, jobs.len(), |i| {
+    let outcomes = scoped_map(s.workers, jobs.len(), |i| {
         let resolved = jobs[i].1.resolve(nodes, auto_cap)?;
         run_governor(
-            &fleet.schedule,
+            &s.fleet.schedule,
             trace.iter(),
             stream_cfg,
             &resolved,
-            t3,
+            s.table3,
             cfg.window_s,
         )
     });
@@ -2077,7 +2035,7 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     for ((label, _), outcome) in jobs.into_iter().zip(outcomes) {
         // The first failure in job order, whichever worker met it first.
         let outcome: GovernOutcome = outcome?;
-        if let Some(m) = metrics.as_mut() {
+        if let Some(m) = s.metrics.as_deref_mut() {
             outcome.publish_metrics(m);
         }
         // The header reports the presets' shared sync window; a custom
@@ -2126,15 +2084,15 @@ const J_PER_MWH: f64 = 3.6e9;
 fn components(p: &mut Pipeline) -> Result<ComponentsArtifact, PmssError> {
     // The savings headline under this mix: mixed fleets shift the region
     // masses, so the projection's best no-slowdown row moves with the mix.
-    let projection = p.projection()?;
+    let mut s = p.stages()?;
+    let projection = s.projection()?;
     let best = projection.best_free();
 
-    let mix = p.spec.resolved_mix();
-    let mix_name = p.spec.active_mix().unwrap_or("single-sku").to_string();
-    let nodes = p.spec.nodes;
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
+    let mix = s.spec.resolved_mix();
+    let mix_name = s.spec.active_mix().unwrap_or("single-sku").to_string();
+    let nodes = s.spec.nodes;
     let catalog = SkuCatalog::standard();
-    let ledger = fleet.ledger.scaled(fleet.frontier_factor)?;
+    let ledger = s.fleet.ledger.scaled(s.fleet.frontier_factor)?;
 
     // The fleet simulation folds every node's SKU into catalog range, so
     // counting through the same reduction keeps rows and lanes aligned.
@@ -2200,9 +2158,8 @@ fn components(p: &mut Pipeline) -> Result<ComponentsArtifact, PmssError> {
 }
 
 fn econ(p: &mut Pipeline) -> Result<EconArtifact, PmssError> {
-    p.ensure_fleet()?;
     let active = p.spec.active_econ().cloned();
-    let fleet = p.fleet.as_ref().expect("fleet stage ran");
+    let fleet = p.fleet()?;
     let series = fleet.econ.scaled(fleet.frontier_factor)?;
     let flat = EconTrace::flat();
     let ref_cost_usd = series.cost_usd(&flat);

@@ -14,6 +14,7 @@ use pmss_econ::EconTrace;
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy};
 use pmss_govern::{GovernorPlan, Policy};
+use pmss_gpu::consts::FRONTIER_NODES;
 use pmss_gpu::FleetMix;
 use pmss_graph::case_study::CaseScale;
 use pmss_sched::TraceParams;
@@ -23,6 +24,18 @@ use crate::json::Json;
 
 /// The environment variable selecting a scale preset.
 pub const SCALE_ENV: &str = "PMSS_SCALE";
+
+/// Days of the paper's campaign: three months of Frontier telemetry
+/// (Table II).
+const PAPER_CAMPAIGN_DAYS: f64 = 90.0;
+
+/// What a spec may ask for: ten times the paper's machine (Table I), its
+/// campaign, and their product in node-days.  Every allocation a run makes
+/// is sized by these, and a spec can arrive in a daemon OPEN frame, so one
+/// hostile spec must not be able to abort the process.
+const MAX_NODES: usize = 10 * FRONTIER_NODES;
+const MAX_DAYS: f64 = 10.0 * PAPER_CAMPAIGN_DAYS;
+const MAX_NODE_DAYS: f64 = 10.0 * FRONTIER_NODES as f64 * PAPER_CAMPAIGN_DAYS;
 
 /// Named experiment scales (the former `pmss_bench::Scale`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,16 +65,10 @@ impl ScalePreset {
 
     /// Parses a preset name; unrecognized names are an explicit error.
     pub fn from_name(name: &str) -> Result<ScalePreset, PmssError> {
-        match name {
-            "quick" => Ok(ScalePreset::Quick),
-            "medium" => Ok(ScalePreset::Medium),
-            "large" => Ok(ScalePreset::Large),
-            other => Err(PmssError::invalid_value(
-                SCALE_ENV,
-                other,
-                "quick | medium | large",
-            )),
-        }
+        ScalePreset::all()
+            .into_iter()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| PmssError::invalid_value(SCALE_ENV, name, "quick | medium | large"))
     }
 
     /// Fleet shape of the preset: `(nodes, days)`.
@@ -192,6 +199,19 @@ impl ScenarioSpec {
                 field: "days",
                 reason: format!("must be finite and positive, got {}", self.days),
             });
+        }
+        let node_days = self.nodes as f64 * self.days;
+        for (field, got, max, unit) in [
+            ("nodes", self.nodes as f64, MAX_NODES as f64, "nodes"),
+            ("days", self.days, MAX_DAYS, "days"),
+            ("nodes x days", node_days, MAX_NODE_DAYS, "node-days"),
+        ] {
+            if got > max {
+                return Err(PmssError::InvalidSpec {
+                    field,
+                    reason: format!("must be at most {max} {unit} (10x the paper's), got {got:e}"),
+                });
+            }
         }
         if !(self.min_job_s.is_finite() && self.min_job_s > 0.0) {
             return Err(PmssError::InvalidSpec {
@@ -328,97 +348,24 @@ impl ScenarioSpec {
     /// fall back to the `quick` preset's values.
     pub fn from_json(v: &Json) -> Result<ScenarioSpec, PmssError> {
         let base = ScenarioSpec::preset(ScalePreset::Quick);
-        let num = |key: &str, fallback: f64| -> Result<f64, PmssError> {
-            match v.get(key) {
-                None => Ok(fallback),
-                Some(j) => j.as_f64().ok_or_else(|| {
-                    PmssError::malformed("json", format!("spec field `{key}` must be a number"))
-                }),
-            }
-        };
-        // Integer fields must not go through a bare `as` cast: `-1` would
-        // wrap to 18446744073709551615, `1.5` would silently truncate, and
-        // anything past 2^53 was never exactly representable in JSON's f64
-        // to begin with.  Reject all three explicitly.
-        let int = |key: &str, fallback: u64| -> Result<u64, PmssError> {
-            let n = num(key, fallback as f64)?;
-            const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-            if !(n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)) {
-                return Err(PmssError::invalid_value(
-                    format!("spec field `{key}`"),
-                    format!("{n}"),
-                    "a non-negative integer representable exactly in JSON (<= 2^53)",
-                ));
-            }
-            Ok(n as u64)
-        };
-        let arr = |key: &str, fallback: &[f64]| -> Result<Vec<f64>, PmssError> {
-            match v.get(key) {
-                None => Ok(fallback.to_vec()),
-                Some(j) => j
-                    .as_arr()
-                    .and_then(|items| items.iter().map(Json::as_f64).collect::<Option<Vec<_>>>())
-                    .ok_or_else(|| {
-                        PmssError::malformed(
-                            "json",
-                            format!("spec field `{key}` must be an array of numbers"),
-                        )
-                    }),
-            }
-        };
-        let name = match v.get("name") {
-            None => base.name.clone(),
-            Some(j) => j
-                .as_str()
-                .ok_or_else(|| PmssError::malformed("json", "spec field `name` must be a string"))?
-                .to_string(),
-        };
-        let bounds = v.get("boundaries_w");
-        let bound = |key: &str, fallback: f64| -> Result<f64, PmssError> {
-            match bounds.and_then(|b| b.get(key)) {
-                None => Ok(fallback),
-                Some(j) => j.as_f64().ok_or_else(|| {
-                    PmssError::malformed(
-                        "json",
-                        format!("spec field `boundaries_w.{key}` must be a number"),
-                    )
-                }),
-            }
-        };
-        let faults = match v.get("faults") {
-            None => None,
-            Some(j) => Some(fault_plan_from_json(j)?),
-        };
-        let govern = match v.get("govern") {
-            None => None,
-            Some(j) => Some(governor_plan_from_json(j)?),
-        };
-        let fleet_mix = match v.get("fleet_mix") {
-            None => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| {
-                        PmssError::malformed("json", "spec field `fleet_mix` must be a string")
-                    })?
-                    .to_string(),
-            ),
-        };
-        let econ = match v.get("econ") {
-            None => None,
-            Some(j) => Some(econ_trace_from_json(j)?),
-        };
+        let f = Fields { v, ctx: "spec" };
+        let name = f.string("name")?.map_or(base.name, str::to_string);
+        let faults = v.get("faults").map(fault_plan_from_json).transpose()?;
+        let govern = v.get("govern").map(governor_plan_from_json).transpose()?;
+        let fleet_mix = f.string("fleet_mix")?.map(str::to_string);
+        let econ = v.get("econ").map(econ_trace_from_json).transpose()?;
         let spec = ScenarioSpec {
             name,
-            nodes: int("nodes", base.nodes as u64)? as usize,
-            days: num("days", base.days)?,
-            seed: int("seed", base.seed)?,
-            min_job_s: num("min_job_s", base.min_job_s)?,
-            freq_caps_mhz: arr("freq_caps_mhz", &base.freq_caps_mhz)?,
-            power_caps_w: arr("power_caps_w", &base.power_caps_w)?,
+            nodes: f.int("nodes", base.nodes as u64)? as usize,
+            days: f.num("days", base.days)?,
+            seed: f.int("seed", base.seed)?,
+            min_job_s: f.num("min_job_s", base.min_job_s)?,
+            freq_caps_mhz: f.nums("freq_caps_mhz", base.freq_caps_mhz)?,
+            power_caps_w: f.nums("power_caps_w", base.power_caps_w)?,
             boundaries: Boundaries {
-                latency_mi_w: bound("latency_mi", base.boundaries.latency_mi_w)?,
-                mi_ci_w: bound("mi_ci", base.boundaries.mi_ci_w)?,
-                ci_boost_w: bound("ci_boost", base.boundaries.ci_boost_w)?,
+                latency_mi_w: f.num("boundaries_w.latency_mi", base.boundaries.latency_mi_w)?,
+                mi_ci_w: f.num("boundaries_w.mi_ci", base.boundaries.mi_ci_w)?,
+                ci_boost_w: f.num("boundaries_w.ci_boost", base.boundaries.ci_boost_w)?,
             },
             faults,
             govern,
@@ -427,6 +374,83 @@ impl ScenarioSpec {
         };
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// The fields of one JSON object, read under one rule: an absent key falls
+/// back, a present one of the wrong kind is an error naming `ctx` and the
+/// key (`spec field `nodes` must be a number`).  A dotted key
+/// (`boundaries_w.mi_ci`) reads a field of a nested object.
+struct Fields<'a> {
+    v: &'a Json,
+    ctx: &'static str,
+}
+
+impl<'a> Fields<'a> {
+    /// The value at `key`, or `None` when absent.  A present value `read`
+    /// rejects is malformed: `{ctx} field `{key}` must be {what}`.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, PmssError> {
+        let Some(j) = key.split('.').try_fold(self.v, Json::get) else {
+            return Ok(None);
+        };
+        read(j).map(Some).ok_or_else(|| self.malformed(key, what))
+    }
+
+    fn malformed(&self, key: &str, what: &str) -> PmssError {
+        PmssError::malformed("json", format!("{} field `{key}` must be {what}", self.ctx))
+    }
+
+    fn opt_num(&self, key: &str) -> Result<Option<f64>, PmssError> {
+        self.read(key, "a number", Json::as_f64)
+    }
+
+    fn num(&self, key: &str, fallback: f64) -> Result<f64, PmssError> {
+        Ok(self.opt_num(key)?.unwrap_or(fallback))
+    }
+
+    fn nums(&self, key: &str, fallback: Vec<f64>) -> Result<Vec<f64>, PmssError> {
+        let nums = |j: &Json| j.as_arr()?.iter().map(Json::as_f64).collect();
+        Ok(self
+            .read(key, "an array of numbers", nums)?
+            .unwrap_or(fallback))
+    }
+
+    fn string(&self, key: &str) -> Result<Option<&'a str>, PmssError> {
+        self.read(key, "a string", Json::as_str)
+    }
+
+    /// An integer field.  Never a bare `as` cast: `-1` would wrap to
+    /// 18446744073709551615, `1.5` would silently truncate, and anything
+    /// past 2^53 was never exactly representable in JSON's f64 to begin
+    /// with.  All three are rejected.
+    fn int(&self, key: &str, fallback: u64) -> Result<u64, PmssError> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        let n = self.num(key, fallback as f64)?;
+        if !(n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)) {
+            return Err(PmssError::invalid_value(
+                format!("{} field `{key}`", self.ctx),
+                format!("{n}"),
+                "a non-negative integer representable exactly in JSON (<= 2^53)",
+            ));
+        }
+        Ok(n as u64)
+    }
+
+    /// A bounded count: must not wrap through an `as u32` cast before
+    /// validation sees it.
+    fn count_u32(&self, key: &str, fallback: u32) -> Result<u32, PmssError> {
+        u32::try_from(self.int(key, fallback as u64)?).map_err(|_| {
+            PmssError::invalid_value(
+                format!("{} field `{key}`", self.ctx),
+                "overflow",
+                "a u32 count",
+            )
+        })
     }
 }
 
@@ -451,50 +475,22 @@ pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
 /// only the fault channels it wants.
 pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, PmssError> {
     let base = FaultPlan::none();
-    let num = |key: &str, fallback: f64| -> Result<f64, PmssError> {
-        match v.get(key) {
-            None => Ok(fallback),
-            Some(j) => j.as_f64().ok_or_else(|| {
-                PmssError::malformed("json", format!("faults field `{key}` must be a number"))
-            }),
-        }
-    };
-    let int = |key: &str, fallback: u64| -> Result<u64, PmssError> {
-        let n = num(key, fallback as f64)?;
-        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        if !(n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)) {
-            return Err(PmssError::invalid_value(
-                format!("faults field `{key}`"),
-                format!("{n}"),
-                "a non-negative integer representable exactly in JSON (<= 2^53)",
-            ));
-        }
-        Ok(n as u64)
-    };
-    let gap_policy = match v.get("gap_policy") {
+    let f = Fields { v, ctx: "faults" };
+    let gap_policy = match f.string("gap_policy")? {
         None => base.gap_policy,
-        Some(j) => GapPolicy::from_name(j.as_str().ok_or_else(|| {
-            PmssError::malformed("json", "faults field `gap_policy` must be a string")
-        })?)?,
-    };
-    // Bounded counts must not wrap through an `as u32` cast before
-    // validation sees them.
-    let small = |key: &str, fallback: u32| -> Result<u32, PmssError> {
-        u32::try_from(int(key, fallback as u64)?).map_err(|_| {
-            PmssError::invalid_value(format!("faults field `{key}`"), "overflow", "a u32 count")
-        })
+        Some(name) => GapPolicy::from_name(name)?,
     };
     let plan = FaultPlan {
-        seed: int("seed", base.seed)?,
-        drop_prob: num("drop_prob", base.drop_prob)?,
-        dup_prob: num("dup_prob", base.dup_prob)?,
-        reorder_depth: small("reorder_depth", base.reorder_depth)?,
-        nan_prob: num("nan_prob", base.nan_prob)?,
-        spike_prob: num("spike_prob", base.spike_prob)?,
-        spike_w: num("spike_w", base.spike_w)?,
-        dropout_prob: num("dropout_prob", base.dropout_prob)?,
-        dropout_windows: small("dropout_windows", base.dropout_windows)?,
-        clock_skew_max_s: num("clock_skew_max_s", base.clock_skew_max_s)?,
+        seed: f.int("seed", base.seed)?,
+        drop_prob: f.num("drop_prob", base.drop_prob)?,
+        dup_prob: f.num("dup_prob", base.dup_prob)?,
+        reorder_depth: f.count_u32("reorder_depth", base.reorder_depth)?,
+        nan_prob: f.num("nan_prob", base.nan_prob)?,
+        spike_prob: f.num("spike_prob", base.spike_prob)?,
+        spike_w: f.num("spike_w", base.spike_w)?,
+        dropout_prob: f.num("dropout_prob", base.dropout_prob)?,
+        dropout_windows: f.count_u32("dropout_windows", base.dropout_windows)?,
+        clock_skew_max_s: f.num("clock_skew_max_s", base.clock_skew_max_s)?,
         gap_policy,
     };
     plan.validate()?;
@@ -518,76 +514,25 @@ pub fn econ_trace_to_json(trace: &EconTrace) -> Json {
 /// to the `flat` trace's values, so a file may spell out only the series
 /// it changes.
 pub fn econ_trace_from_json(v: &Json) -> Result<EconTrace, PmssError> {
-    let base = match v.get("preset") {
+    let f = Fields { v, ctx: "econ" };
+    let base = match f.string("preset")? {
         None => EconTrace::flat(),
-        Some(j) => {
-            let name = j.as_str().ok_or_else(|| {
-                PmssError::malformed("json", "econ field `preset` must be a string")
-            })?;
-            EconTrace::preset(name).ok_or_else(|| {
-                PmssError::invalid_value(
-                    "econ field `preset`",
-                    name,
-                    EconTrace::preset_names().join(" | "),
-                )
-            })?
-        }
-    };
-    let num = |key: &str, fallback: f64| -> Result<f64, PmssError> {
-        match v.get(key) {
-            None => Ok(fallback),
-            Some(j) => j.as_f64().ok_or_else(|| {
-                PmssError::malformed("json", format!("econ field `{key}` must be a number"))
-            }),
-        }
-    };
-    let arr = |key: &str, fallback: &[f64]| -> Result<Vec<f64>, PmssError> {
-        match v.get(key) {
-            None => Ok(fallback.to_vec()),
-            Some(j) => j
-                .as_arr()
-                .and_then(|items| items.iter().map(Json::as_f64).collect::<Option<Vec<_>>>())
-                .ok_or_else(|| {
-                    PmssError::malformed(
-                        "json",
-                        format!("econ field `{key}` must be an array of numbers"),
-                    )
-                }),
-        }
-    };
-    // Counts must not wrap through an `as u32` cast before validation.
-    let deadline = {
-        let n = num("shift_deadline_slots", base.shift_deadline_slots as f64)?;
-        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        if !(n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)) {
-            return Err(PmssError::invalid_value(
-                "econ field `shift_deadline_slots`",
-                format!("{n}"),
-                "a non-negative integer representable exactly in JSON (<= 2^53)",
-            ));
-        }
-        u32::try_from(n as u64).map_err(|_| {
+        Some(name) => EconTrace::preset(name).ok_or_else(|| {
             PmssError::invalid_value(
-                "econ field `shift_deadline_slots`",
-                "overflow",
-                "a u32 count",
+                "econ field `preset`",
+                name,
+                EconTrace::preset_names().join(" | "),
             )
-        })?
+        })?,
     };
-    let name = match v.get("name") {
-        None => base.name.clone(),
-        Some(j) => j
-            .as_str()
-            .ok_or_else(|| PmssError::malformed("json", "econ field `name` must be a string"))?
-            .to_string(),
-    };
+    let shift_deadline_slots = f.count_u32("shift_deadline_slots", base.shift_deadline_slots)?;
     let trace = EconTrace {
-        name,
-        bucket_s: num("bucket_s", base.bucket_s)?,
-        price_usd_per_mwh: arr("price_usd_per_mwh", &base.price_usd_per_mwh)?,
-        carbon_g_per_kwh: arr("carbon_g_per_kwh", &base.carbon_g_per_kwh)?,
-        shift_deadline_slots: deadline,
-        shift_budget_frac: num("shift_budget_frac", base.shift_budget_frac)?,
+        name: f.string("name")?.map_or(base.name, str::to_string),
+        bucket_s: f.num("bucket_s", base.bucket_s)?,
+        price_usd_per_mwh: f.nums("price_usd_per_mwh", base.price_usd_per_mwh)?,
+        carbon_g_per_kwh: f.nums("carbon_g_per_kwh", base.carbon_g_per_kwh)?,
+        shift_deadline_slots,
+        shift_budget_frac: f.num("shift_budget_frac", base.shift_budget_frac)?,
     };
     trace.validate()?;
     Ok(trace)
@@ -627,53 +572,20 @@ pub fn governor_plan_to_json(plan: &GovernorPlan) -> Json {
 /// fields fall back to the named policy's preset values (`policy` itself
 /// defaults to `polimer`), so a file may spell out only what it changes.
 pub fn governor_plan_from_json(v: &Json) -> Result<GovernorPlan, PmssError> {
-    let policy = match v.get("policy") {
+    let f = Fields { v, ctx: "govern" };
+    let policy = match f.string("policy")? {
         None => Policy::Polimer,
-        Some(j) => Policy::from_name(j.as_str().ok_or_else(|| {
-            PmssError::malformed("json", "govern field `policy` must be a string")
-        })?)?,
+        Some(name) => Policy::from_name(name)?,
     };
     let base = GovernorPlan::preset(policy.name())?;
-    let num = |key: &str, fallback: f64| -> Result<f64, PmssError> {
-        match v.get(key) {
-            None => Ok(fallback),
-            Some(j) => j.as_f64().ok_or_else(|| {
-                PmssError::malformed("json", format!("govern field `{key}` must be a number"))
-            }),
-        }
-    };
-    let int = |key: &str, fallback: u64| -> Result<u64, PmssError> {
-        let n = num(key, fallback as f64)?;
-        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        if !(n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)) {
-            return Err(PmssError::invalid_value(
-                format!("govern field `{key}`"),
-                format!("{n}"),
-                "a non-negative integer representable exactly in JSON (<= 2^53)",
-            ));
-        }
-        Ok(n as u64)
-    };
-    let small = |key: &str, fallback: u32| -> Result<u32, PmssError> {
-        u32::try_from(int(key, fallback as u64)?).map_err(|_| {
-            PmssError::invalid_value(format!("govern field `{key}`"), "overflow", "a u32 count")
-        })
-    };
-    let budget_w = match v.get("budget_w") {
-        None => base.budget_w,
-        Some(j) => Some(j.as_f64().ok_or_else(|| {
-            PmssError::malformed("json", "govern field `budget_w` must be a number")
-        })?),
-    };
+    let budget_w = f.opt_num("budget_w")?.or(base.budget_w);
     let cap = match v.get("cap") {
         None => base.cap,
-        Some(j) => {
-            let knob = j.get("knob").and_then(Json::as_str).ok_or_else(|| {
-                PmssError::malformed("json", "govern field `cap.knob` must be a string")
-            })?;
-            let value = j.get("value").and_then(Json::as_f64).ok_or_else(|| {
-                PmssError::malformed("json", "govern field `cap.value` must be a number")
-            })?;
+        Some(_) => {
+            let knob = f.string("cap.knob")?;
+            let knob = knob.ok_or_else(|| f.malformed("cap.knob", "a string"))?;
+            let value = f.opt_num("cap.value")?;
+            let value = value.ok_or_else(|| f.malformed("cap.value", "a number"))?;
             Some(match knob {
                 "freq_mhz" => CapSetting::FreqMhz(value),
                 "power_w" => CapSetting::PowerW(value),
@@ -690,14 +602,14 @@ pub fn governor_plan_from_json(v: &Json) -> Result<GovernorPlan, PmssError> {
     let plan = GovernorPlan {
         policy,
         budget_w,
-        interval_windows: small("interval_windows", base.interval_windows)?,
-        increase_rate: num("increase_rate", base.increase_rate)?,
-        decrease_rate: num("decrease_rate", base.decrease_rate)?,
-        lower_thresh: num("lower_thresh", base.lower_thresh)?,
-        upper_thresh: num("upper_thresh", base.upper_thresh)?,
-        hysteresis_rounds: small("hysteresis_rounds", base.hysteresis_rounds)?,
-        node_floor_w: num("node_floor_w", base.node_floor_w)?,
-        node_ceiling_w: num("node_ceiling_w", base.node_ceiling_w)?,
+        interval_windows: f.count_u32("interval_windows", base.interval_windows)?,
+        increase_rate: f.num("increase_rate", base.increase_rate)?,
+        decrease_rate: f.num("decrease_rate", base.decrease_rate)?,
+        lower_thresh: f.num("lower_thresh", base.lower_thresh)?,
+        upper_thresh: f.num("upper_thresh", base.upper_thresh)?,
+        hysteresis_rounds: f.count_u32("hysteresis_rounds", base.hysteresis_rounds)?,
+        node_floor_w: f.num("node_floor_w", base.node_floor_w)?,
+        node_ceiling_w: f.num("node_ceiling_w", base.node_ceiling_w)?,
         cap,
     };
     plan.validate()?;

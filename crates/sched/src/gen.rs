@@ -147,18 +147,15 @@ pub fn generate(params: TraceParams, domains: &[DomainSpec]) -> Schedule {
     loop {
         // Earliest-available nodes first.
         let mut order: Vec<usize> = (0..params.nodes).collect();
-        order.sort_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).expect("no NaN times"));
+        order.sort_by(|&a, &b| free_at[a].total_cmp(&free_at[b]));
         let earliest = free_at[order[0]];
         if earliest >= params.duration_s {
             break;
         }
 
+        let deficit = |d: usize| domains[d].activity * total_ns - ns_by_domain[d];
         let d_idx = (0..domains.len())
-            .max_by(|&a, &b| {
-                let da = domains[a].activity * total_ns - ns_by_domain[a];
-                let db = domains[b].activity * total_ns - ns_by_domain[b];
-                da.partial_cmp(&db).expect("no NaN deficits")
-            })
+            .max_by(|&a, &b| deficit(a).total_cmp(&deficit(b)))
             .expect("non-empty catalog");
         let dom = &domains[d_idx];
 
@@ -204,14 +201,11 @@ pub fn generate(params: TraceParams, domains: &[DomainSpec]) -> Schedule {
         // node-seconds (choose the class whose post-assignment deficit
         // stays largest, i.e. argmax deficit_c + ns * weight_c).
         let ns_preview = num_nodes as f64 * (end - begin);
+        let deficit = |c: usize| {
+            dom.mix[c].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][c] + ns_preview * dom.mix[c].1
+        };
         let class_idx = (0..dom.mix.len())
-            .max_by(|&a, &b| {
-                let da = dom.mix[a].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][a]
-                    + ns_preview * dom.mix[a].1;
-                let db = dom.mix[b].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][b]
-                    + ns_preview * dom.mix[b].1;
-                da.partial_cmp(&db).expect("no NaN deficits")
-            })
+            .max_by(|&a, &b| deficit(a).total_cmp(&deficit(b)))
             .expect("non-empty mix");
         jobs.push(Job {
             id,
@@ -267,23 +261,18 @@ pub fn generate(params: TraceParams, domains: &[DomainSpec]) -> Schedule {
                 };
                 let end = cursor + dur;
 
+                let deficit = |d: usize| domains[d].activity * total_ns - ns_by_domain[d];
                 let d_idx = (0..domains.len())
-                    .max_by(|&a, &b| {
-                        let da = domains[a].activity * total_ns - ns_by_domain[a];
-                        let db = domains[b].activity * total_ns - ns_by_domain[b];
-                        da.partial_cmp(&db).expect("no NaN deficits")
-                    })
+                    .max_by(|&a, &b| deficit(a).total_cmp(&deficit(b)))
                     .expect("non-empty catalog");
                 let dom = &domains[d_idx];
                 let ns_preview = dur;
+                let deficit = |c: usize| {
+                    dom.mix[c].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][c]
+                        + ns_preview * dom.mix[c].1
+                };
                 let class_idx = (0..dom.mix.len())
-                    .max_by(|&a, &b| {
-                        let da = dom.mix[a].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][a]
-                            + ns_preview * dom.mix[a].1;
-                        let db = dom.mix[b].1 * ns_by_domain[d_idx] - ns_by_class[d_idx][b]
-                            + ns_preview * dom.mix[b].1;
-                        da.partial_cmp(&db).expect("no NaN deficits")
-                    })
+                    .max_by(|&a, &b| deficit(a).total_cmp(&deficit(b)))
                     .expect("non-empty mix");
 
                 let job_idx = jobs.len();
@@ -311,7 +300,7 @@ pub fn generate(params: TraceParams, domains: &[DomainSpec]) -> Schedule {
         }
     }
 
-    jobs.sort_by(|a, b| a.begin_s.partial_cmp(&b.begin_s).expect("no NaN"));
+    jobs.sort_by(|a, b| a.begin_s.total_cmp(&b.begin_s));
     // Re-index placements after the sort.
     let mut index_of_id = vec![0usize; jobs.len() + 1];
     for (i, j) in jobs.iter().enumerate() {
@@ -322,7 +311,7 @@ pub fn generate(params: TraceParams, domains: &[DomainSpec]) -> Schedule {
             // placements recorded pre-sort job indices == id-1.
             p.job = index_of_id[p.job + 1];
         }
-        node.sort_by(|a, b| a.begin_s.partial_cmp(&b.begin_s).expect("no NaN"));
+        node.sort_by(|a, b| a.begin_s.total_cmp(&b.begin_s));
     }
 
     Schedule {

@@ -16,7 +16,7 @@ use pmss_faults::{FaultLane, FaultPlan, GapPolicy, Glitch};
 
 use pmss_gpu::consts::GPUS_PER_NODE;
 use pmss_gpu::trace::standard_normal;
-use pmss_gpu::{BoostBudget, Engine, Execution, FleetMix, GpuSettings, NodeRestModel, SkuCatalog};
+use pmss_gpu::{BoostBudget, Engine, FleetMix, GpuSettings, NodeRestModel, SkuCatalog};
 use pmss_sched::Schedule;
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
@@ -81,14 +81,11 @@ impl FleetConfig {
     }
 }
 
-/// Tallies of one fleet-simulation run, following the same fold/merge
-/// discipline as [`FleetObserver`]: a run accumulates its own value and
-/// runs are combined with [`FleetRunStats::merge`] — no locks, no atomics
-/// on the hot path.
-///
-/// Produced by [`simulate_fleet_metered`]; the unmetered entry points
-/// thread a zero-sized no-op sink through the same monomorphized code, so
-/// disabling metrics costs literally nothing.
+/// Tallies of one fleet-simulation run: every run counts into one, and
+/// [`simulate_fleet_metered`] hands it back beside the observer.  Counting
+/// is a handful of integer adds per window and never touches the
+/// simulation state, so the observer is bit-identical either way; whether
+/// the tallies are *published* is the caller's choice (`--metrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetRunStats {
     /// GPU window samples emitted.
@@ -135,98 +132,9 @@ pub struct FleetRunStats {
 }
 
 impl FleetRunStats {
-    /// Folds another run's tallies into this one.
-    pub fn merge(&mut self, other: &FleetRunStats) {
-        self.gpu_samples += other.gpu_samples;
-        self.attributed_samples += other.attributed_samples;
-        self.node_samples += other.node_samples;
-        self.boost_engagements += other.boost_engagements;
-        self.boost_granted_s += other.boost_granted_s;
-        self.boost_denied += other.boost_denied;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.faults_glitched += other.faults_glitched;
-        self.faults_reordered += other.faults_reordered;
-        self.faults_dropout_windows += other.faults_dropout_windows;
-        self.gaps_interpolated += other.gaps_interpolated;
-        self.gaps_excluded += other.gaps_excluded;
-        self.gaps_idle += other.gaps_idle;
-        self.engine_executions += other.engine_executions;
-        self.engine_ppt_throttled += other.engine_ppt_throttled;
-        self.solver_iters += other.solver_iters;
-        self.cap_breaches += other.cap_breaches;
-    }
-}
-
-/// One fault-injection event, tallied by the metric sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultEvent {
-    /// A GPU window sample was lost (drop or dropout).
-    Dropped,
-    /// A delivered GPU sample arrived twice.
-    Duplicated,
-    /// A delivered sample was glitched (NaN or spike).
-    Glitched,
-    /// A sample was delivered out of generation order.
-    Reordered,
-    /// A whole-node dropout suppressed one node-window.
-    DropoutWindow,
-    /// A lost window was filled by interpolation.
-    GapInterpolated,
-    /// A lost window was excluded from the stream.
-    GapExcluded,
-    /// A lost window was billed as unattributed idle.
-    GapIdle,
-}
-
-/// Internal metric sink threaded through the simulation.  Monomorphized:
-/// the `()` impl is all empty inlined bodies, so the unmetered build
-/// compiles the recording away entirely — which is what keeps the
-/// "metrics must not perturb output or cost" guarantee trivially true.
-pub(crate) trait FleetSink: Default {
-    fn gpu_sample(&mut self, _attributed: bool) {}
-    fn node_sample(&mut self) {}
-    fn boost_engaged(&mut self, _granted_s: f64) {}
-    fn boost_denied(&mut self) {}
-    fn fault(&mut self, _e: FaultEvent) {}
-    fn engine_executed(&mut self, _ex: &Execution) {}
-}
-
-/// The no-op sink of the unmetered entry points.
-impl FleetSink for () {}
-
-impl FleetSink for FleetRunStats {
     fn gpu_sample(&mut self, attributed: bool) {
         self.gpu_samples += 1;
         self.attributed_samples += attributed as u64;
-    }
-    fn node_sample(&mut self) {
-        self.node_samples += 1;
-    }
-    fn boost_engaged(&mut self, granted_s: f64) {
-        self.boost_engagements += 1;
-        self.boost_granted_s += granted_s;
-    }
-    fn boost_denied(&mut self) {
-        self.boost_denied += 1;
-    }
-    fn fault(&mut self, e: FaultEvent) {
-        match e {
-            FaultEvent::Dropped => self.faults_dropped += 1,
-            FaultEvent::Duplicated => self.faults_duplicated += 1,
-            FaultEvent::Glitched => self.faults_glitched += 1,
-            FaultEvent::Reordered => self.faults_reordered += 1,
-            FaultEvent::DropoutWindow => self.faults_dropout_windows += 1,
-            FaultEvent::GapInterpolated => self.gaps_interpolated += 1,
-            FaultEvent::GapExcluded => self.gaps_excluded += 1,
-            FaultEvent::GapIdle => self.gaps_idle += 1,
-        }
-    }
-    fn engine_executed(&mut self, ex: &Execution) {
-        self.engine_executions += 1;
-        self.engine_ppt_throttled += ex.ppt_throttled as u64;
-        self.solver_iters += ex.solver_iters as u64;
-        self.cap_breaches += ex.cap_breached as u64;
     }
 }
 
@@ -270,8 +178,8 @@ struct PhaseSeg {
 /// buffer and cycled until the job window is filled.  Templates are never
 /// shared: the buffer is cleared for the next placement and dropped with
 /// the call.
-fn slot_segments<M: FleetSink>(
-    sink: &mut M,
+fn slot_segments(
+    stats: &mut FleetRunStats,
     schedule: &Schedule,
     node: usize,
     slot: usize,
@@ -304,7 +212,10 @@ fn slot_segments<M: FleetSink>(
         tmpl.clear();
         for phase in &phases {
             let ex = engine.execute(phase, settings);
-            sink.engine_executed(&ex);
+            stats.engine_executions += 1;
+            stats.engine_ppt_throttled += ex.ppt_throttled as u64;
+            stats.solver_iters += ex.solver_iters as u64;
+            stats.cap_breaches += ex.cap_breached as u64;
             for (dur_s, power_w, boostable) in [
                 (ex.perf.roofline_s, ex.busy_power_w, ex.ppt_throttled),
                 (ex.perf.serial_s, ex.serial_power_w, false),
@@ -384,8 +295,8 @@ fn slot_segments<M: FleetSink>(
 /// is identical with and without a plan; faults only change what is
 /// emitted for each generated window.
 #[allow(clippy::too_many_arguments)]
-fn slot_window_events<M: FleetSink>(
-    sink: &mut M,
+fn slot_window_events(
+    stats: &mut FleetRunStats,
     schedule: &Schedule,
     segments: &[Segment],
     node: u32,
@@ -451,10 +362,11 @@ fn slot_window_events<M: FleetSink>(
                     const BURST_MIN_S: f64 = 8.0;
                     if boost.stored_s() >= BURST_MIN_S {
                         let granted = boost.spend(overlap.min(10.0));
-                        sink.boost_engaged(granted);
+                        stats.boost_engagements += 1;
+                        stats.boost_granted_s += granted;
                         p = (granted * boosted_w + (overlap - granted) * s.power_w) / overlap;
                     } else {
-                        sink.boost_denied();
+                        stats.boost_denied += 1;
                         boost.recharge(overlap);
                     }
                 } else {
@@ -474,7 +386,7 @@ fn slot_window_events<M: FleetSink>(
         let mean = (energy / span + cfg.noise_sd_w * standard_normal(rng)).max(0.0);
         let window = w as u64;
         let Some(plan) = plan else {
-            sink.gpu_sample(attributed.is_some());
+            stats.gpu_sample(attributed.is_some());
             emit(WindowEvent {
                 node,
                 slot,
@@ -492,19 +404,19 @@ fn slot_window_events<M: FleetSink>(
         };
 
         if lane.lost(window) {
-            sink.fault(FaultEvent::Dropped);
-            let (fill, event, job) = match plan.gap_policy {
-                GapPolicy::Exclude => (GapFill::Excluded, FaultEvent::GapExcluded, attributed),
+            stats.faults_dropped += 1;
+            let (fill, gaps, job) = match plan.gap_policy {
+                GapPolicy::Exclude => (GapFill::Excluded, &mut stats.gaps_excluded, attributed),
                 GapPolicy::Interpolate => (
                     GapFill::Interpolated(last_good.unwrap_or(idle_power_w)),
-                    FaultEvent::GapInterpolated,
+                    &mut stats.gaps_interpolated,
                     attributed,
                 ),
                 GapPolicy::AttributeIdle => {
-                    (GapFill::Idle(idle_power_w), FaultEvent::GapIdle, None)
+                    (GapFill::Idle(idle_power_w), &mut stats.gaps_idle, None)
                 }
             };
-            sink.fault(event);
+            *gaps += 1;
             emit(WindowEvent {
                 node,
                 slot,
@@ -520,7 +432,7 @@ fn slot_window_events<M: FleetSink>(
         last_good = Some(mean);
         let mut power_w = mean;
         if let Some(glitch) = lane.glitch(window) {
-            sink.fault(FaultEvent::Glitched);
+            stats.faults_glitched += 1;
             power_w = match glitch {
                 Glitch::Nan => f64::NAN,
                 Glitch::Spike(w) => power_w + w,
@@ -541,14 +453,14 @@ fn slot_window_events<M: FleetSink>(
             },
         };
         if lane.duplicated(window) {
-            sink.fault(FaultEvent::Duplicated);
-            sink.gpu_sample(attributed.is_some());
+            stats.faults_duplicated += 1;
+            stats.gpu_sample(attributed.is_some());
             if plan.reorder_depth > 0 {
                 ranks.push((rank, window));
             }
             emit(ev);
         }
-        sink.gpu_sample(attributed.is_some());
+        stats.gpu_sample(attributed.is_some());
         if plan.reorder_depth > 0 {
             ranks.push((rank, window));
         }
@@ -564,7 +476,7 @@ fn slot_window_events<M: FleetSink>(
     let mut prev_window = 0u64;
     for (i, &(_, w)) in ranks.iter().enumerate() {
         if i > 0 && w < prev_window {
-            sink.fault(FaultEvent::Reordered);
+            stats.faults_reordered += 1;
         }
         prev_window = w;
     }
@@ -574,8 +486,8 @@ fn slot_window_events<M: FleetSink>(
 /// the node's [`REST_SLOT`] channel.  Dropped-out windows emit nothing at
 /// all (a silent node is a hole in the stream, not a gap record).
 #[allow(clippy::too_many_arguments)] // one bundle of per-node channel context
-fn node_rest_events<M: FleetSink>(
-    sink: &mut M,
+fn node_rest_events(
+    stats: &mut FleetRunStats,
     schedule: &Schedule,
     node: u32,
     sku: u8,
@@ -614,7 +526,7 @@ fn node_rest_events<M: FleetSink>(
         // A dropped-out node is silent on every channel: the rest-of-node
         // sample vanishes along with the GPU samples of the interval.
         if plan.is_some() && dropout[w] {
-            sink.fault(FaultEvent::DropoutWindow);
+            stats.faults_dropout_windows += 1;
             continue;
         }
         let util = placements
@@ -622,7 +534,7 @@ fn node_rest_events<M: FleetSink>(
             .filter(|p| p.begin_s <= t)
             .map(|p| cpu_util_of(schedule.jobs[p.job].app_class))
             .unwrap_or(0.03);
-        sink.node_sample();
+        stats.node_samples += 1;
         emit(WindowEvent {
             node,
             slot: REST_SLOT,
@@ -638,20 +550,18 @@ fn node_rest_events<M: FleetSink>(
     }
 }
 
-/// Runs the fleet simulation, returning the merged observer.
+/// Runs the fleet simulation, returning the merged observer: the observer
+/// half of [`simulate_fleet_metered`], whose run tallies are dropped.
 pub fn simulate_fleet<O>(schedule: &Schedule, cfg: &FleetConfig) -> O
 where
     O: FleetObserver + Default,
 {
-    run_channels::<O, ()>(schedule, cfg, None).0
+    simulate_fleet_metered(schedule, cfg).0
 }
 
-/// [`simulate_fleet`], additionally tallying run statistics (sample
-/// counts, boost engagements, engine and cap-solver work) in a
-/// [`FleetRunStats`] sink.
-///
-/// The observer output is bit-identical to [`simulate_fleet`]: the sink
-/// only counts, it never touches the simulation state.
+/// Runs the fleet simulation, returning the merged observer and the run's
+/// [`FleetRunStats`] (sample counts, boost engagements, engine and
+/// cap-solver work).
 pub fn simulate_fleet_metered<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
@@ -728,11 +638,11 @@ impl<'a> FleetRun<'a> {
     /// Generates `node`'s channels in canonical order — GPU slots `0..4`,
     /// then rest-of-node — each into the scratch block in window order,
     /// handed to `each` as soon as it is complete.
-    fn node_channel_blocks<M: FleetSink>(
+    fn node_channel_blocks(
         &self,
         node: usize,
         scratch: &mut ChannelScratch,
-        sink: &mut M,
+        stats: &mut FleetRunStats,
         mut each: impl FnMut(&mut ColumnBlock),
     ) {
         let (schedule, cfg) = (self.schedule, self.cfg);
@@ -745,11 +655,19 @@ impl<'a> FleetRun<'a> {
         let rt = &self.runtime[sku as usize];
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((node as u64) << 20));
         for slot in 0..GPUS_PER_NODE {
-            let segs = slot_segments(sink, schedule, node, slot, &rt.engine, cfg, rt.idle_power_w);
+            let segs = slot_segments(
+                stats,
+                schedule,
+                node,
+                slot,
+                &rt.engine,
+                cfg,
+                rt.idle_power_w,
+            );
             let mut boost = BoostBudget::default();
             block.reset(node as u32, slot as u8);
             slot_window_events(
-                sink,
+                stats,
                 schedule,
                 &segs,
                 node as u32,
@@ -767,7 +685,7 @@ impl<'a> FleetRun<'a> {
         }
         block.reset(node as u32, REST_SLOT);
         node_rest_events(
-            sink,
+            stats,
             schedule,
             node as u32,
             sku,
@@ -801,14 +719,13 @@ pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) ->
 /// the run's blocks, put into *arrival* order (a stable `(rank, window)`
 /// sort of the scratch block, needed only for GPU channels under a
 /// reordering plan) and handed to it.
-pub(crate) fn run_channels<O, M>(
+pub(crate) fn run_channels<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
     mut retain: Option<&mut dyn FnMut(&ColumnBlock)>,
-) -> (O, M)
+) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
-    M: FleetSink,
 {
     let run = FleetRun::new(schedule, cfg);
     // Generation order is already arrival order unless a plan reorders.
@@ -817,9 +734,9 @@ where
         .as_ref()
         .is_some_and(|p| !p.is_noop() && p.reorder_depth > 0);
     let mut scratch = run.scratch();
-    let (mut obs, mut sink) = (O::default(), M::default());
+    let (mut obs, mut stats) = (O::default(), FleetRunStats::default());
     for node in 0..schedule.per_node.len() {
-        run.node_channel_blocks(node, &mut scratch, &mut sink, |block| {
+        run.node_channel_blocks(node, &mut scratch, &mut stats, |block| {
             obs.fold_channel(schedule, block);
             if let Some(retain) = retain.as_mut() {
                 if reordering && block.slot() != REST_SLOT {
@@ -829,7 +746,7 @@ where
             }
         });
     }
-    (obs, sink)
+    (obs, stats)
 }
 
 /// Streams every telemetry channel of a fleet run to `emit` as one
@@ -854,7 +771,7 @@ pub fn fleet_window_blocks(
     cfg: &FleetConfig,
     mut emit: impl FnMut(&ColumnBlock),
 ) {
-    run_channels::<(), ()>(schedule, cfg, Some(&mut emit));
+    run_channels::<()>(schedule, cfg, Some(&mut emit));
 }
 
 #[cfg(test)]
@@ -1200,8 +1117,16 @@ mod tests {
                 skus.insert(sku);
                 let rt = &run.runtime[sku as usize];
                 for slot in 0..GPUS_PER_NODE {
-                    let got =
-                        slot_segments(&mut (), &s, node, slot, &rt.engine, &cfg, rt.idle_power_w);
+                    let mut stats = FleetRunStats::default();
+                    let got = slot_segments(
+                        &mut stats,
+                        &s,
+                        node,
+                        slot,
+                        &rt.engine,
+                        &cfg,
+                        rt.idle_power_w,
+                    );
                     let want =
                         reference_slot_segments(&s, node, slot, &rt.engine, &cfg, rt.idle_power_w);
                     assert_eq!(got.len(), want.len(), "node {node} slot {slot}");
@@ -1224,7 +1149,7 @@ mod tests {
         let cfg = FleetConfig::default();
         let plain: Collector = simulate_fleet(&s, &cfg);
         let (metered, stats): (Collector, FleetRunStats) = simulate_fleet_metered(&s, &cfg);
-        // The sink only counts: observer output matches bit for bit.
+        // `simulate_fleet` is the metered run's observer, bit for bit.
         assert_eq!(plain.gpu, metered.gpu);
         assert_eq!(plain.node, metered.node);
         // Tallies agree with what the collector saw.
@@ -1237,7 +1162,7 @@ mod tests {
     }
 
     #[test]
-    fn metered_run_tallies_boost_under_ppt_throttling() {
+    fn every_run_tallies_boost_under_ppt_throttling() {
         // Compute-heavy work pins devices at the firmware limit, which is
         // exactly when boost bursts engage; a 4-node, 4-hour schedule has
         // plenty of such windows.
@@ -1248,13 +1173,6 @@ mod tests {
         assert!(stats.boost_granted_s > 0.0);
         // Engagements spend at most 10 s each.
         assert!(stats.boost_granted_s <= 10.0 * stats.boost_engagements as f64);
-
-        // Merge discipline: two halves fold to the whole.
-        let mut a = stats;
-        let before = a.gpu_samples;
-        a.merge(&stats);
-        assert_eq!(a.gpu_samples, 2 * before);
-        assert_eq!(a.boost_engagements, 2 * stats.boost_engagements);
     }
 }
 

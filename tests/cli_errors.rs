@@ -24,3 +24,35 @@ fn deeply_nested_spec_file_is_a_typed_error_not_an_abort() {
     );
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
+
+/// A spec sized far past the paper's machine used to abort (`nodes`: an
+/// allocation failure, exit 134) or grow until killed (`days`: exit 137).
+/// Both are bounded in `ScenarioSpec::validate` now.
+#[test]
+fn oversized_specs_are_typed_errors_not_aborts() {
+    for (name, body, field) in [
+        ("nodes", r#"{"nodes": 4000000000000}"#, "`nodes`"),
+        ("days", r#"{"days": 1e300}"#, "`days`"),
+        (
+            "node-days",
+            r#"{"nodes": 90000, "days": 800}"#,
+            "`nodes x days`",
+        ),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("pmss-oversized-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, body).expect("spec file written");
+        let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+            .args(["table", "5", "--spec"])
+            .arg(&path)
+            .output()
+            .expect("pmss runs");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{body}: {:?}", out.status);
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let prefix = format!("pmss: invalid scenario spec: {field} must be at most");
+        assert!(stderr.starts_with(&prefix), "{body}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+}

@@ -290,6 +290,44 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
     h.stop();
 }
 
+/// One OPEN whose spec asks for a fleet or campaign far past the paper's
+/// used to abort the daemon and every tenant in it (an allocation failure
+/// in schedule generation).  It bounces as `malformed`, binds nothing, and
+/// the daemon serves a normal tenant on the next connection.
+#[test]
+fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
+    let h = start_daemon(64, 8);
+    let spec = spec_for(None);
+    for (nodes, days) in [(4_000_000_000_000, 2.0), (16, 1e300), (90_000, 800.0)] {
+        let huge = ScenarioSpec {
+            nodes,
+            days,
+            ..spec.clone()
+        };
+        let mut conn = Connection::connect(&h.target).expect("connect");
+        match conn.open("huge", Some(&huge)) {
+            Err(ClientError::Rejected { code, detail }) => {
+                assert_eq!(code, code::MALFORMED);
+                assert!(detail.contains("invalid scenario spec"), "{detail}");
+            }
+            other => panic!("expected a malformed rejection, got {other:?}"),
+        }
+        match conn.flush() {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::USAGE),
+            other => panic!("expected FLUSH before OPEN, got {other:?}"),
+        }
+    }
+
+    let mut next = Connection::connect(&h.target).expect("second connection");
+    next.open("normal", Some(&spec))
+        .expect("a normal spec opens");
+    ingest_campaign(&mut next, &spec).expect("ingest");
+    next.flush().expect("flush");
+    let got = next.query(&Query::Projection).expect("query");
+    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    h.stop();
+}
+
 #[test]
 fn reopen_binds_only_when_a_carried_spec_matches_the_tenants() {
     let h = start_daemon(64, 8);

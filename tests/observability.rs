@@ -200,6 +200,31 @@ fn stream_and_govern_generate_the_fleet_once_and_report_the_trace() {
     }
 }
 
+/// Every artifact reaches its stages through one accessor, which runs each
+/// stage at most once and starts none the artifact does not read.
+#[test]
+fn every_artifact_runs_each_stage_at_most_once_and_only_the_ones_it_reads() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    spec.nodes = 8;
+    spec.days = 1.0;
+    for id in ArtifactId::all() {
+        let mut p = Pipeline::with_metrics(spec.clone()).unwrap();
+        p.artifact(id).expect("artifact");
+        let m = p.metrics_report().expect("metrics enabled");
+        let runs = |stage: &str| m.counters().find(|(k, _)| *k == stage).map(|(_, n)| n);
+        let (fleet, table3) = (runs("stage.fleet.runs"), runs("stage.table3.runs"));
+        assert!(fleet.unwrap_or(0) <= 1, "{}: {fleet:?}", id.name());
+        assert!(table3.unwrap_or(0) <= 1, "{}: {table3:?}", id.name());
+        use ArtifactId::*;
+        if matches!(id, Fig2 | Fig8 | Fig9 | Table4 | Econ) {
+            assert_eq!(table3, None, "{} reads no benchmark stage", id.name());
+        }
+        if id == PeakPower {
+            assert_eq!(fleet, None, "peakpower reads no fleet stage");
+        }
+    }
+}
+
 /// The artifacts that spread their fleet runs over worker threads count
 /// every run exactly once — tallies are published on the calling thread,
 /// one per run — and say how many threads shared the work.
