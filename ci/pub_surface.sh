@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Public-surface census: how many `pub` items the library crates declare,
+# and how many of them nothing outside their own file names.
+#
+# An item is a line in crates/*/src/*.rs that starts (after indentation)
+# with `pub fn|const fn|struct|enum|trait|type|const|static|mod NAME`;
+# `pub(crate)` items and `pub use` re-exports are not items.  A name counts
+# as used where it occurs as a whole word, so the counts are upper bounds
+# (`new` or `run` is "named" by every file).  Printed:
+#
+#   pub items                  every item;
+#   unnamed outside file       items whose name no other production file
+#                              (crates/*/src, src, benchmark/src) contains;
+#   ... outside artifact.rs    the same, leaving out artifact.rs's
+#                              artifact row types;
+#   named only at definition   unnamed items whose name occurs exactly once
+#                              in all Rust sources, tests and examples too.
+#
+# The last count must be 0: a `pub` item nobody names is dead code that
+# rustc cannot see, because `pub` tells it another crate might call it.
+# Make it `pub(crate)` and let the `dead_code` lint decide.
+#
+# Usage: ci/pub_surface.sh [-v]   (-v also lists the unnamed items)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+python3 - "${1:-}" <<'PY'
+import glob
+import re
+import sys
+from collections import Counter
+
+verbose = sys.argv[1] == "-v"
+item = re.compile(r"^\s*pub (?:const fn|fn|struct|enum|trait|type|const|static|mod) ([A-Za-z_]\w*)")
+word = re.compile(r"[A-Za-z_]\w*")
+
+library = sorted(glob.glob("crates/*/src/*.rs"))
+production = library + sorted(glob.glob("src/*.rs") + glob.glob("benchmark/src/*.rs"))
+everything = production + sorted(
+    glob.glob("crates/*/tests/*.rs") + glob.glob("tests/*.rs") + glob.glob("examples/*.rs")
+)
+
+words = {}
+occurrences = Counter()
+for path in everything:
+    with open(path, encoding="utf-8") as f:
+        tokens = word.findall(f.read())
+    occurrences.update(tokens)
+    if path in production:
+        words[path] = set(tokens)
+
+total = unnamed = unnamed_outside_artifact = definition_only = 0
+for path in library:
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            m = item.match(line)
+            if not m:
+                continue
+            name = m.group(1)
+            total += 1
+            if any(name in toks for other, toks in words.items() if other != path):
+                continue
+            unnamed += 1
+            only_definition = occurrences[name] <= 1
+            if not path.endswith("/artifact.rs"):
+                unnamed_outside_artifact += 1
+                if verbose:
+                    print(f"unnamed: {path}:{lineno} {name}")
+            if only_definition:
+                definition_only += 1
+                print(f"named only at its definition: {path}:{lineno} {name}")
+
+print(f"pub items: {total}")
+print(f"unnamed outside file: {unnamed}")
+print(f"unnamed outside file, outside artifact.rs: {unnamed_outside_artifact}")
+print(f"named only at definition: {definition_only}")
+sys.exit(1 if definition_only else 0)
+PY

@@ -163,7 +163,11 @@ pub fn decode(data: &[u8], cfg: CodecConfig) -> Result<Vec<f64>, PmssError> {
 /// [`decode`] into a caller-owned buffer, reusing its allocation: `out`
 /// is cleared first and holds exactly the decoded series on success.  On
 /// error it is left empty — never a partial or stale series.
-pub fn decode_into(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), PmssError> {
+pub(crate) fn decode_into(
+    data: &[u8],
+    cfg: CodecConfig,
+    out: &mut Vec<f64>,
+) -> Result<(), PmssError> {
     out.clear();
     let result = decode_runs(data, cfg, out);
     if result.is_err() {

@@ -313,16 +313,6 @@ impl EncodedBlock {
         self.node
     }
 
-    /// The block's channel slot.
-    pub fn slot(&self) -> u8 {
-        self.slot
-    }
-
-    /// SKU index of the channel's node class.
-    pub fn sku(&self) -> u8 {
-        self.sku
-    }
-
     /// Number of window rows the block decodes to.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -766,8 +756,8 @@ mod tests {
         let wire = enc.to_bytes();
         assert_eq!(wire[4], 1 | (3 << 4));
         let back = EncodedBlock::from_bytes(&wire).expect("from_bytes");
-        assert_eq!(back.sku(), 3);
-        assert_eq!(back.slot(), 1);
+        assert_eq!(back.sku, 3);
+        assert_eq!(back.slot, 1);
         let dec = back.decode(CodecConfig::default()).expect("decode");
         assert_eq!(dec.sku(), 3);
         assert_eq!(dec.event(0).sku, 3);

@@ -90,11 +90,6 @@ impl Cell {
         self.seconds += other.seconds;
         self.joules += other.joules;
     }
-
-    /// Energy in MWh.
-    pub fn mwh(&self) -> f64 {
-        self.joules / pmss_gpu::consts::JOULES_PER_MWH
-    }
 }
 
 const N_REGIONS: usize = 4;
@@ -165,7 +160,7 @@ impl EnergyLedger {
     }
 
     /// Number of domains seen.
-    pub fn num_domains(&self) -> usize {
+    pub(crate) fn num_domains(&self) -> usize {
         self.domains.len()
     }
 
@@ -195,7 +190,7 @@ impl EnergyLedger {
     }
 
     /// Cell for (domain, size, region).
-    pub fn cell(&self, domain: usize, size: JobSizeClass, region: Region) -> Cell {
+    pub(crate) fn cell(&self, domain: usize, size: JobSizeClass, region: Region) -> Cell {
         self.domains
             .get(domain)
             .map(|d| d[size.index()][region.index()])
@@ -603,22 +598,6 @@ mod tests {
         assert_eq!(totals, [Cell::default(); 4]);
         assert_eq!(empty.gpu_hours_fractions(), [0.0; 4]);
         assert_eq!(empty.energy_matrix_j().len(), 0);
-    }
-
-    #[test]
-    fn mwh_is_exact_on_sub_window_cells() {
-        // Cells smaller than one telemetry window (a job's final partial
-        // window) must convert without losing the energy to rounding.
-        let mut l = EnergyLedger::new(15.0);
-        let j = fake_job(0, JobSizeClass::A);
-        l.gpu_sample(&ctx(Some(&j)), 0.0, 400.0);
-        let sub = Cell {
-            seconds: 0.25,
-            joules: 400.0 * 0.25,
-        };
-        assert_eq!(sub.mwh(), 100.0 / pmss_gpu::consts::JOULES_PER_MWH);
-        assert!(sub.mwh() > 0.0);
-        assert_eq!(Cell::default().mwh(), 0.0);
     }
 
     #[test]

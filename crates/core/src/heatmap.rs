@@ -31,7 +31,7 @@ impl Heatmap {
 
     /// Cells above `threshold`, as `(domain, size)` — the paper's "red
     /// cells" selection feeding Table VI.
-    pub fn hot_cells(&self, threshold: f64) -> Vec<(usize, JobSizeClass)> {
+    pub(crate) fn hot_cells(&self, threshold: f64) -> Vec<(usize, JobSizeClass)> {
         let mut out = Vec::new();
         for (d, row) in self.rows.iter().enumerate() {
             for (s, &v) in row.iter().enumerate() {

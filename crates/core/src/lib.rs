@@ -36,10 +36,10 @@ pub mod report;
 pub mod sensitivity;
 pub mod whatif;
 
-pub use decompose::{Cell, Coverage, EnergyLedger};
+pub use decompose::{Coverage, EnergyLedger};
 pub use heatmap::{energy_saved, energy_used, Heatmap};
 pub use modes::Region;
-pub use policy::{minimal_policy, rank_cells, CappingPolicy};
+pub use policy::minimal_policy;
 pub use project::{project, Projection, ProjectionInput, ProjectionRow, SavingsBounds};
-pub use sensitivity::{boundary_sweep, Boundaries, SensitivityReport};
-pub use whatif::{optimize_per_domain, MixedPolicy};
+pub use sensitivity::{boundary_sweep, Boundaries};
+pub use whatif::optimize_per_domain;

@@ -13,11 +13,11 @@
 //! boost excursions exceed the 560 W TDP.
 
 /// Boundary between the latency-bound and memory-intensive regions, W.
-pub const LATENCY_MI_BOUND_W: f64 = 200.0;
+pub(crate) const LATENCY_MI_BOUND_W: f64 = 200.0;
 /// Boundary between the memory- and compute-intensive regions, W.
-pub const MI_CI_BOUND_W: f64 = 420.0;
+pub(crate) const MI_CI_BOUND_W: f64 = 420.0;
 /// Boundary between the compute-intensive and boosted regions, W (the TDP).
-pub const CI_BOOST_BOUND_W: f64 = 560.0;
+pub(crate) const CI_BOOST_BOUND_W: f64 = 560.0;
 
 /// The four regions of operation (Table IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,7 +67,7 @@ impl Region {
     /// region-accounting observers already do, because a NaN sample must
     /// not be classified at all.
     #[inline]
-    pub fn bin_power(power_w: f64) -> usize {
+    pub(crate) fn bin_power(power_w: f64) -> usize {
         debug_assert!(
             power_w.is_finite(),
             "bin_power requires a finite sample (got {power_w})"

@@ -63,7 +63,7 @@ impl CappingPolicy {
 }
 
 /// Projected savings per cell for the cap characterized by `factors`.
-pub fn rank_cells(ledger: &EnergyLedger, factors: &Table3Row) -> Vec<CellSaving> {
+pub(crate) fn rank_cells(ledger: &EnergyLedger, factors: &Table3Row) -> Vec<CellSaving> {
     let ci_scale = 1.0 - factors.vai.energy_pct / 100.0;
     let mi_scale = 1.0 - factors.mb.energy_pct / 100.0;
     let mut cells = Vec::new();

@@ -26,7 +26,7 @@ use crate::decompose::EnergyLedger;
 use crate::modes::Region;
 
 /// Runtime-regression tolerance for the `ΔT = 0` column, in percent.
-pub const DT0_TOLERANCE_PCT: f64 = 1.0;
+pub(crate) const DT0_TOLERANCE_PCT: f64 = 1.0;
 
 /// Energy inputs of a projection: telemetered GPU energy per mode.
 #[derive(Debug, Clone, Copy)]
@@ -123,11 +123,6 @@ impl SavingsBounds {
 }
 
 impl ProjectionRow {
-    /// Coverage-adjusted bounds on this row's total savings percentage.
-    pub fn coverage_bounds(&self, coverage: f64) -> SavingsBounds {
-        SavingsBounds::of(self.savings_pct, coverage)
-    }
-
     /// Coverage-adjusted bounds on this row's no-slowdown (`ΔT = 0`)
     /// savings percentage.
     pub fn coverage_bounds_dt0(&self, coverage: f64) -> SavingsBounds {
@@ -348,11 +343,11 @@ mod tests {
         let p = projection();
         let r = p.freq_row(900.0).unwrap();
         // Full coverage: the interval collapses onto the nominal figure.
-        let full = r.coverage_bounds(1.0);
+        let full = SavingsBounds::of(r.savings_pct, 1.0);
         assert_eq!(full.lo_pct, r.savings_pct);
         assert_eq!(full.hi_pct, r.savings_pct);
         // Partial coverage: missing time saves nothing in the low bound.
-        let part = r.coverage_bounds(0.8);
+        let part = SavingsBounds::of(r.savings_pct, 0.8);
         assert_eq!(part.lo_pct, 0.8 * r.savings_pct);
         assert_eq!(part.hi_pct, r.savings_pct);
         assert!(part.lo_pct <= part.hi_pct);
@@ -361,7 +356,7 @@ mod tests {
         assert_eq!(neg.lo_pct, -3.0);
         assert_eq!(neg.hi_pct, -1.5);
         // Out-of-range coverage clamps instead of extrapolating.
-        assert_eq!(r.coverage_bounds(1.7).coverage, 1.0);
+        assert_eq!(SavingsBounds::of(r.savings_pct, 1.7).coverage, 1.0);
         assert_eq!(r.coverage_bounds_dt0(0.9).hi_pct, r.savings_dt0_pct);
     }
 

@@ -1,11 +1,7 @@
 //! ASCII table rendering for the paper's tables — used by the `pmss`
 //! CLI's renderers (`pmss-pipeline::render`) that regenerate each artifact.
 
-use pmss_workloads::Table3;
-
-use crate::decompose::EnergyLedger;
 use crate::heatmap::Heatmap;
-use crate::modes::Region;
 use crate::project::Projection;
 
 /// Fixed-width table builder.
@@ -60,63 +56,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Renders Table III (benchmark factors).
-pub fn render_table3(t: &Table3) -> String {
-    let mut out = String::from("(a) Frequency Cap\n");
-    for (title, rows) in [
-        ("(a) Frequency Cap", &t.freq_rows),
-        ("(b) Power Cap", &t.power_rows),
-    ] {
-        let mut tb = Table::new(&[
-            "cap", "P% VAI", "P% MB", "T% VAI", "T% MB", "E% VAI", "E% MB",
-        ]);
-        for r in rows {
-            tb.row(vec![
-                format!("{:.0}", r.setting.value()),
-                format!("{:.1}", r.vai.power_pct),
-                format!("{:.1}", r.mb.power_pct),
-                format!("{:.1}", r.vai.runtime_pct),
-                format!("{:.1}", r.mb.runtime_pct),
-                format!("{:.1}", r.vai.energy_pct),
-                format!("{:.1}", r.mb.energy_pct),
-            ]);
-        }
-        if title.starts_with("(b)") {
-            out.push_str("(b) Power Cap\n");
-        }
-        out.push_str(&tb.render());
-    }
-    out
-}
-
-/// Renders Table IV (modal decomposition) from a ledger.
-pub fn render_table4(ledger: &EnergyLedger) -> String {
-    let fractions = ledger.gpu_hours_fractions();
-    let mut tb = Table::new(&[
-        "Region",
-        "Mode (region of operation)",
-        "Range (W)",
-        "GPU Hrs. (%)",
-    ]);
-    for (i, region) in Region::all().iter().enumerate() {
-        let (lo, hi) = region.range_w();
-        let range = if hi.is_infinite() {
-            format!(">= {lo:.0}")
-        } else if lo == 0.0 {
-            format!("<= {hi:.0}")
-        } else {
-            format!("{lo:.0}-{hi:.0}")
-        };
-        tb.row(vec![
-            format!("{}", i + 1),
-            region.label().to_string(),
-            range,
-            format!("{:.1}", 100.0 * fractions[region.index()]),
-        ]);
-    }
-    tb.render()
 }
 
 /// Renders Table V / VI (savings projection).
@@ -189,14 +128,5 @@ mod tests {
     fn row_width_is_enforced() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn table4_rendering_contains_all_regions() {
-        let ledger = EnergyLedger::new(15.0);
-        let s = render_table4(&ledger);
-        for label in ["Latency", "Memory", "Compute", "Boosted"] {
-            assert!(s.contains(label), "{s}");
-        }
     }
 }

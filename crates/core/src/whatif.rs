@@ -54,7 +54,11 @@ fn domain_mode_energy(ledger: &EnergyLedger, domain: usize) -> (f64, f64, f64) {
 }
 
 /// Effect of applying the cap in `row` to one domain.
-pub fn domain_effect(ledger: &EnergyLedger, domain: usize, row: &Table3Row) -> DomainCapEffect {
+pub(crate) fn domain_effect(
+    ledger: &EnergyLedger,
+    domain: usize,
+    row: &Table3Row,
+) -> DomainCapEffect {
     let (e_ci, e_mi, e_all) = domain_mode_energy(ledger, domain);
     let saving =
         e_ci * (1.0 - row.vai.energy_pct / 100.0) + e_mi * (1.0 - row.mb.energy_pct / 100.0);

@@ -17,8 +17,8 @@
 //!   to cheap/clean slots under a configurable deadline and power
 //!   budget, reported against the uniform-placement baseline.
 //!
-//! A `flat` trace at the reference price ([`REF_PRICE_USD_PER_MWH`],
-//! [`REF_CARBON_G_PER_KWH`]) is a no-op by construction: it prices every
+//! A `flat` trace at the reference price (`REF_PRICE_USD_PER_MWH`,
+//! `REF_CARBON_G_PER_KWH`) is a no-op by construction: it prices every
 //! slot identically, so every delta it reports is zero and the scenario
 //! layer treats it exactly like an absent trace.
 //!
@@ -31,6 +31,6 @@ pub mod report;
 pub mod series;
 pub mod trace;
 
-pub use report::{shift, ShiftMove, ShiftOutcome, ShiftPlan};
+pub use report::{shift, ShiftOutcome};
 pub use series::EconSeries;
-pub use trace::{EconTrace, JOULES_PER_MWH, REF_CARBON_G_PER_KWH, REF_PRICE_USD_PER_MWH, SLOT_S};
+pub use trace::{EconTrace, JOULES_PER_MWH, SLOT_S};

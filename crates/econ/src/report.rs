@@ -21,7 +21,7 @@ use crate::trace::{EconTrace, JOULES_PER_MWH, SLOT_S};
 
 /// Shifting knobs, resolved from an [`EconTrace`]'s scenario fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShiftPlan {
+pub(crate) struct ShiftPlan {
     /// Maximum slots a unit of work may be deferred (≥ 1).
     pub deadline_slots: usize,
     /// Cluster power budget as a fraction of the pre-shift GPU peak.
@@ -30,7 +30,7 @@ pub struct ShiftPlan {
 
 impl ShiftPlan {
     /// Resolves the plan carried on a trace.
-    pub fn from_trace(trace: &EconTrace) -> ShiftPlan {
+    pub(crate) fn from_trace(trace: &EconTrace) -> ShiftPlan {
         ShiftPlan {
             deadline_slots: trace.shift_deadline_slots.max(1) as usize,
             budget_frac: trace.shift_budget_frac,

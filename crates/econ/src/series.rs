@@ -103,16 +103,11 @@ impl EconSeries {
     }
 
     /// GPU joules of one slot in one region.
-    pub fn slot_region_j(&self, slot: usize, region: Region) -> f64 {
+    pub(crate) fn slot_region_j(&self, slot: usize, region: Region) -> f64 {
         self.slot_gpu_j
             .get(slot)
             .map(|r| r[region.index()])
             .unwrap_or(0.0)
-    }
-
-    /// Rest-of-node joules of one slot.
-    pub fn slot_rest_j(&self, slot: usize) -> f64 {
-        self.slot_rest_j.get(slot).copied().unwrap_or(0.0)
     }
 
     /// Total GPU joules across all slots.
@@ -148,15 +143,6 @@ impl EconSeries {
             .sum()
     }
 
-    /// Rest-of-node cost under `trace`, dollars.
-    pub fn rest_cost_usd(&self, trace: &EconTrace) -> f64 {
-        self.slot_rest_j
-            .iter()
-            .enumerate()
-            .map(|(s, j)| j / JOULES_PER_MWH * trace.price_at_slot(s))
-            .sum()
-    }
-
     /// One SKU lane's GPU cost under `trace`, dollars.
     pub fn sku_cost_usd(&self, sku: usize, trace: &EconTrace) -> f64 {
         self.sku_slot_j
@@ -181,33 +167,6 @@ impl EconSeries {
                     .sum()
             })
             .unwrap_or(0.0)
-    }
-
-    /// Energy-weighted effective price of one region under `trace`,
-    /// $/MWh — what one saved MWh of that region is actually worth.
-    /// `None` when the region never saw energy.
-    pub fn effective_price_usd_per_mwh(&self, trace: &EconTrace, region: Region) -> Option<f64> {
-        let mut energy = 0.0;
-        let mut cost = 0.0;
-        for (s, regions) in self.slot_gpu_j.iter().enumerate() {
-            let j = regions[region.index()];
-            energy += j;
-            cost += j / JOULES_PER_MWH * trace.price_at_slot(s);
-        }
-        (energy > 0.0).then(|| cost / (energy / JOULES_PER_MWH))
-    }
-
-    /// Energy-weighted effective carbon intensity of one region under
-    /// `trace`, gCO₂/kWh.
-    pub fn effective_carbon_g_per_kwh(&self, trace: &EconTrace, region: Region) -> Option<f64> {
-        let mut energy = 0.0;
-        let mut kg = 0.0;
-        for (s, regions) in self.slot_gpu_j.iter().enumerate() {
-            let j = regions[region.index()];
-            energy += j;
-            kg += j / JOULES_PER_MWH * trace.carbon_at_slot(s);
-        }
-        (energy > 0.0).then(|| kg / (energy / JOULES_PER_MWH))
     }
 
     /// Scales every lane by `factor` (Frontier extrapolation).  Like the
@@ -358,7 +317,7 @@ mod tests {
         // A partial tail window: 7 s of rest-of-node at the campaign
         // edge bills 7 s, not a full window.
         s.node_sample(&ctx(0), 907.5, 7.0, 200.0);
-        assert_eq!(s.slot_rest_j(1), 200.0 * 7.0);
+        assert_eq!(s.slot_rest_j[1], 200.0 * 7.0);
         // Gap fills bill value × span, like the ledger.
         s.gpu_gap(&ctx(0), 7.5, 30.0, GapFill::Interpolated(250.0));
         s.gpu_gap(&ctx(0), 7.5, 15.0, GapFill::Idle(90.0));
@@ -367,7 +326,7 @@ mod tests {
         s.gpu_gap(&ctx(0), 7.5, 0.0, GapFill::Idle(90.0));
         s.node_sample(&ctx(0), 7.5, 0.0, 200.0);
         assert_eq!(s.slot_gpu_j(0), 250.0 * 30.0 + 90.0 * 15.0);
-        assert_eq!(s.slot_rest_j(0), 0.0);
+        assert_eq!(s.slot_rest_j[0], 0.0);
     }
 
     #[test]
@@ -385,13 +344,6 @@ mod tests {
             (s.cost_usd(&flat) - (mwh0 + mwh1) * REF_PRICE_USD_PER_MWH).abs() < 1e-12,
             "flat trace prices every slot at the reference"
         );
-        let eff = s
-            .effective_price_usd_per_mwh(&trace, Region::MemoryIntensive)
-            .unwrap();
-        assert_eq!(eff, trace.price_at_slot(0));
-        assert!(s
-            .effective_price_usd_per_mwh(&trace, Region::Boosted)
-            .is_none());
     }
 
     #[test]
@@ -406,7 +358,7 @@ mod tests {
         assert_eq!(merged.num_slots(), 3);
         assert_eq!(merged.slot_gpu_j(0), 300.0 * 15.0);
         assert_eq!(merged.slot_gpu_j(2), 480.0 * 15.0);
-        assert_eq!(merged.slot_rest_j(0), 150.0 * 15.0);
+        assert_eq!(merged.slot_rest_j[0], 150.0 * 15.0);
         assert_eq!(merged.num_skus(), 2);
         assert_eq!(merged.sku_gpu_j(1), 480.0 * 15.0);
     }

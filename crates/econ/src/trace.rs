@@ -15,23 +15,31 @@ use pmss_error::PmssError;
 /// buckets must be whole multiples of this.
 pub const SLOT_S: f64 = 900.0;
 
+/// Slots in the paper's 90-day campaign (Table II): 8 640 of [`SLOT_S`].
+const CAMPAIGN_SLOTS: usize = (90.0 * 86_400.0 / SLOT_S) as usize;
+
+/// Buckets a price or carbon series may hold: ten times the campaign's
+/// slots.  A series arrives in a spec, so one daemon OPEN frame must not
+/// be able to size it.
+const MAX_SERIES_LEN: usize = 10 * CAMPAIGN_SLOTS;
+
 /// Reference (flat) electricity price, $/MWh — the value against which
 /// cost deltas are reported.
-pub const REF_PRICE_USD_PER_MWH: f64 = 60.0;
+pub(crate) const REF_PRICE_USD_PER_MWH: f64 = 60.0;
 
 /// Reference (flat) grid carbon intensity, gCO₂/kWh.
-pub const REF_CARBON_G_PER_KWH: f64 = 400.0;
+pub(crate) const REF_CARBON_G_PER_KWH: f64 = 400.0;
 
 /// Joules per megawatt-hour (same constant as `pmss_gpu::consts`,
 /// restated here to keep this crate's dependency set minimal).
 pub const JOULES_PER_MWH: f64 = 3.6e9;
 
 /// Default temporal-shifting deadline, in slots (16 × 15 min = 4 h).
-pub const DEFAULT_SHIFT_DEADLINE_SLOTS: u32 = 16;
+pub(crate) const DEFAULT_SHIFT_DEADLINE_SLOTS: u32 = 16;
 
 /// Default temporal-shifting power budget as a fraction of the baseline
 /// peak slot power.
-pub const DEFAULT_SHIFT_BUDGET_FRAC: f64 = 1.0;
+pub(crate) const DEFAULT_SHIFT_BUDGET_FRAC: f64 = 1.0;
 
 /// A validated price/carbon scenario input (see module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +180,15 @@ impl EconTrace {
             });
         }
         let series = |field: &'static str, values: &[f64]| -> Result<(), PmssError> {
+            if values.len() > MAX_SERIES_LEN {
+                return Err(PmssError::InvalidSpec {
+                    field,
+                    reason: format!(
+                        "must be at most {MAX_SERIES_LEN} buckets (10x the paper's campaign), got {}",
+                        values.len()
+                    ),
+                });
+            }
             if values.is_empty() {
                 return Err(PmssError::InvalidSpec {
                     field,
@@ -245,7 +262,7 @@ impl EconTrace {
     }
 
     /// Accounting slots per trace bucket (≥ 1 for a validated trace).
-    pub fn slots_per_bucket(&self) -> usize {
+    pub(crate) fn slots_per_bucket(&self) -> usize {
         let ratio = self.bucket_s / SLOT_S;
         if ratio.is_finite() && ratio >= 1.0 {
             ratio.round().min(1e6) as usize

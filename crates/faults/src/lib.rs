@@ -269,12 +269,14 @@ impl FaultPlan {
     }
 
     /// Whether the delivered sample of `(node, slot, window)` arrives twice.
-    pub fn duplicates(&self, node: u32, slot: u8, window: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn duplicates(&self, node: u32, slot: u8, window: u64) -> bool {
         decide(self.seed, node, slot, window, salt::DUP) < self.dup_prob
     }
 
     /// The sensor glitch applied to a delivered sample, if any.
-    pub fn glitch(&self, node: u32, slot: u8, window: u64) -> Option<Glitch> {
+    #[cfg(test)]
+    pub(crate) fn glitch(&self, node: u32, slot: u8, window: u64) -> Option<Glitch> {
         if decide(self.seed, node, slot, window, salt::NAN) < self.nan_prob {
             return Some(Glitch::Nan);
         }
@@ -286,8 +288,10 @@ impl FaultPlan {
 
     /// Whether the whole node is dropped out during `window`.  Dropouts are
     /// decided once per [`FaultPlan::dropout_windows`]-long interval, so a
-    /// hit suppresses a contiguous stretch of node telemetry.
-    pub fn node_dropout(&self, node: u32, window: u64) -> bool {
+    /// hit suppresses a contiguous stretch of node telemetry.  The
+    /// per-window oracle for [`FaultPlan::fill_node_dropout`].
+    #[cfg(test)]
+    pub(crate) fn node_dropout(&self, node: u32, window: u64) -> bool {
         if self.dropout_prob == 0.0 || self.dropout_windows == 0 {
             return false;
         }
@@ -310,7 +314,8 @@ impl FaultPlan {
     /// Sorting by `(delivery_rank, window)` yields a permutation in which
     /// no sample moves more than `reorder_depth` positions — the bounded
     /// out-of-order delivery real aggregation fabrics exhibit.
-    pub fn delivery_rank(&self, node: u32, slot: u8, window: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delivery_rank(&self, node: u32, slot: u8, window: u64) -> u64 {
         if self.reorder_depth == 0 {
             return window;
         }
@@ -321,9 +326,11 @@ impl FaultPlan {
 
     // --- columnar (per-block) decision filling --------------------------
 
-    /// Fills `out` with [`FaultPlan::node_dropout`] for every window in
-    /// `windows`, deciding each dropout *interval* once and replicating the
-    /// answer across its run instead of re-hashing per window.
+    /// Fills `out` with whether the whole node is dropped out during each
+    /// window in `windows`.  Dropouts are decided once per
+    /// [`FaultPlan::dropout_windows`]-long interval, and that answer is
+    /// replicated across the interval's run instead of re-hashed per
+    /// window.
     pub fn fill_node_dropout(&self, node: u32, windows: std::ops::Range<u64>, out: &mut Vec<bool>) {
         let n = usize::try_from(windows.end - windows.start).expect("window range fits memory");
         out.clear();
@@ -465,7 +472,7 @@ impl FaultLane {
         usize::try_from(window - self.start).expect("window within the filled lane")
     }
 
-    /// Whether `window` is lost ([`FaultPlan::node_dropout`] or
+    /// Whether `window` is lost (a node dropout or
     /// [`FaultPlan::drops`]).
     #[inline]
     pub fn lost(&self, window: u64) -> bool {
@@ -494,13 +501,13 @@ impl FaultLane {
 /// Domain-separation salts: one per fault channel so e.g. drop and
 /// duplicate decisions of the same window are independent.
 mod salt {
-    pub const DROP: u64 = 0xD20F;
-    pub const DUP: u64 = 0xD0B1;
+    pub(crate) const DROP: u64 = 0xD20F;
+    pub(crate) const DUP: u64 = 0xD0B1;
     pub const NAN: u64 = 0x0A17;
-    pub const SPIKE: u64 = 0x5B1C;
-    pub const DROPOUT: u64 = 0xD06A;
-    pub const SKEW: u64 = 0x5CE3;
-    pub const REORDER: u64 = 0x2E02;
+    pub(crate) const SPIKE: u64 = 0x5B1C;
+    pub(crate) const DROPOUT: u64 = 0xD06A;
+    pub(crate) const SKEW: u64 = 0x5CE3;
+    pub(crate) const REORDER: u64 = 0x2E02;
 }
 
 /// splitmix64 avalanche: maps a counter to a well-mixed 64-bit value.

@@ -24,7 +24,7 @@ const WINDOW_S: f64 = 15.0;
 
 /// One channel's accumulated per-region telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ChannelAccum {
+pub(crate) struct ChannelAccum {
     /// GPU seconds per Table IV region.
     pub region_s: [f64; 4],
     /// GPU joules per Table IV region.
@@ -33,13 +33,13 @@ pub struct ChannelAccum {
 
 impl ChannelAccum {
     /// Total sensed energy, joules.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.region_j.iter().sum()
     }
 
     /// The region holding the most sensed energy (ties break toward the
     /// lower-power region), or `None` when nothing was sensed.
-    pub fn dominant_region(&self) -> Option<Region> {
+    pub(crate) fn dominant_region(&self) -> Option<Region> {
         if self.total_j() <= 0.0 {
             return None;
         }
@@ -73,7 +73,7 @@ impl ChannelAccum {
 /// Per-channel region accounting of a telemetry stream — the observer the
 /// governor snapshots at every sync window.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChannelLedger {
+pub(crate) struct ChannelLedger {
     channels: BTreeMap<(u32, u8), ChannelAccum>,
 }
 

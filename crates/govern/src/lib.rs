@@ -25,7 +25,7 @@
 //!
 //! * [`GovernorPlan`] — typed, validated configuration with
 //!   `static | greedy | polimer` presets;
-//! * [`ChannelLedger`] — the per-channel mode-sensing observer the stream
+//! * `ChannelLedger` — the per-channel mode-sensing observer the stream
 //!   engine maintains;
 //! * [`run_governor`] — the deterministic replay loop producing a
 //!   [`GovernOutcome`].
@@ -34,6 +34,5 @@ mod channels;
 mod plan;
 mod sim;
 
-pub use channels::{ChannelAccum, ChannelLedger};
-pub use plan::{GovernorPlan, Policy, ResolvedPlan, PRESETS};
-pub use sim::{run_governor, GovernOutcome, RegionTally};
+pub use plan::{GovernorPlan, Policy, PRESETS};
+pub use sim::{run_governor, GovernOutcome};

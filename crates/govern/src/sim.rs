@@ -79,12 +79,12 @@ pub struct GovernOutcome {
 
 impl GovernOutcome {
     /// Total delivered GPU energy, joules.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.regions.iter().map(|r| r.joules).sum()
     }
 
     /// Total delivered GPU time, seconds.
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.regions.iter().map(|r| r.seconds).sum()
     }
 

@@ -59,12 +59,6 @@ impl BoostBudget {
         self.stored_s -= granted;
         granted
     }
-
-    /// Long-run fraction of time a PPT-saturated workload can spend boosted:
-    /// the steady-state duty cycle of the token bucket.
-    pub fn duty_cycle(&self) -> f64 {
-        self.recharge_rate / (1.0 + self.recharge_rate)
-    }
 }
 
 #[cfg(test)]
@@ -85,18 +79,6 @@ mod tests {
         b.spend(5.0);
         b.recharge(100.0);
         assert_eq!(b.stored_s(), 5.0);
-    }
-
-    #[test]
-    fn duty_cycle_matches_token_bucket_steady_state() {
-        let b = BoostBudget::new(10.0, 0.12);
-        let d = b.duty_cycle();
-        // Spend d of the time, recharge (1-d) of the time at `rate`:
-        // balance requires d = rate * (1 - d).
-        assert!((d - 0.12 * (1.0 - d)).abs() < 1e-12);
-        // Near the paper's ~1% boosted GPU hours once diluted by the fleet's
-        // non-saturated workloads.
-        assert!((0.05..0.2).contains(&d));
     }
 
     #[test]

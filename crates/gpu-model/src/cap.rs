@@ -13,7 +13,7 @@ use crate::freq::Freq;
 
 /// Result of a power-cap solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapOutcome {
+pub(crate) struct CapOutcome {
     /// Chosen operating frequency.
     pub freq: Freq,
     /// Power demand at that frequency, in watts.
@@ -32,7 +32,7 @@ pub struct CapOutcome {
 ///
 /// `demand` takes the candidate frequency and returns package watts;
 /// callers close over the kernel's utilization profile.
-pub fn solve_freq_for_cap(
+pub(crate) fn solve_freq_for_cap(
     limit_w: f64,
     f_max_allowed: Freq,
     mut demand: impl FnMut(Freq) -> f64,

@@ -16,9 +16,6 @@ pub const GCDS_PER_GPU: usize = 2;
 /// Number of MI250X packages per Frontier compute node.
 pub const GPUS_PER_NODE: usize = 4;
 
-/// Number of compute nodes in the full Frontier system.
-pub const FRONTIER_NODES: usize = 9408;
-
 /// Peak FP64 vector throughput of a single GCD at maximum frequency, in
 /// FLOP/s (paper: 23.9 TFLOP/s per GCD).
 pub const GCD_PEAK_FLOPS: f64 = 23.9e12;
@@ -38,7 +35,7 @@ pub const GPU_HBM_BW: f64 = GCD_HBM_BW * GCDS_PER_GPU as f64;
 /// The 4x-HBM ratio keeps the on-die path non-binding for HBM streaming
 /// even at the bottom of the DVFS range (Table III: the membench runtime is
 /// frequency-insensitive down to 700 MHz).
-pub const GPU_L2_BW: f64 = 4.0 * GPU_HBM_BW;
+pub(crate) const GPU_L2_BW: f64 = 4.0 * GPU_HBM_BW;
 
 /// Effective L2 capacity seen by a GPU-wide benchmark, in bytes (paper
 /// Sec. IV-B: "the size of the data is less than 16 MB (size of L2-cache)").
@@ -51,7 +48,7 @@ pub const GCD_HBM_BYTES: u64 = 64 * 1024 * 1024 * 1024;
 pub const F_MAX_MHZ: f64 = 1700.0;
 
 /// Minimum sustainable core clock, in MHz.
-pub const F_MIN_MHZ: f64 = 500.0;
+pub(crate) const F_MIN_MHZ: f64 = 500.0;
 
 /// Thermal design power of the GPU package, in watts (paper: 560 W).  This
 /// is also the boundary of the "boosted frequency" telemetry region.
@@ -65,7 +62,7 @@ pub const GPU_TDP_W: f64 = 560.0;
 pub const GPU_PPT_W: f64 = 540.0;
 
 /// Maximum transient (boost) package power, in watts.
-pub const GPU_BOOST_W: f64 = 600.0;
+pub(crate) const GPU_BOOST_W: f64 = 600.0;
 
 /// Idle package power band, in watts (paper Sec. V-A: "the idle power of a
 /// GPU is between 88 to 90 W").
@@ -74,17 +71,13 @@ pub const GPU_IDLE_W: f64 = 89.0;
 /// Baseline node power outside the GPUs (CPU package idle, DIMMs, NIC,
 /// fans/pumps share), in watts.  Only used for whole-node telemetry, which
 /// the paper notes is dwarfed (<20 %) by GPU power on a busy node.
-pub const NODE_REST_IDLE_W: f64 = 220.0;
+pub(crate) const NODE_REST_IDLE_W: f64 = 220.0;
 
 /// Peak additional CPU package power under full load, in watts.
-pub const NODE_CPU_DYN_W: f64 = 170.0;
+pub(crate) const NODE_CPU_DYN_W: f64 = 170.0;
 
 /// Joules per megawatt-hour, for reporting in the paper's units.
 pub const JOULES_PER_MWH: f64 = 3.6e9;
-
-/// Arithmetic intensity (FLOP/byte) of the roofline ridge point at maximum
-/// frequency: peak FLOPs divided by peak HBM bandwidth.
-pub const RIDGE_AI: f64 = GPU_PEAK_FLOPS / GPU_HBM_BW;
 
 #[cfg(test)]
 mod tests {
@@ -93,7 +86,8 @@ mod tests {
     #[test]
     fn ridge_sits_near_four_flops_per_byte() {
         // Paper Sec. IV-A: power peaks at AI = 4, the memory/compute ridge.
-        assert!((RIDGE_AI - 14.9).abs() < 0.1, "ridge {RIDGE_AI}");
+        let ridge = GPU_PEAK_FLOPS / GPU_HBM_BW;
+        assert!((ridge - 14.9).abs() < 0.1, "ridge {ridge}");
         // NOTE: the *hardware* ridge (47.8 TF / 3.2 TB/s ~ 14.9) differs from
         // the paper's observed power peak at AI = 4; the power peak location
         // is reproduced by the power model (see power.rs tests), not by the

@@ -1,64 +1,7 @@
-//! Stateful device wrappers: a GPU with its power-management settings and
-//! boost budget, and a compute node holding four of them (paper Fig. 1).
+//! The rest-of-node power model: everything on a compute node that is not
+//! one of its four GPUs (paper Fig. 1).
 
-use rand::Rng;
-
-use crate::boost::BoostBudget;
-use crate::consts::{GPUS_PER_NODE, NODE_CPU_DYN_W, NODE_REST_IDLE_W};
-use crate::engine::{Engine, Execution, GpuSettings};
-use crate::kernel::KernelProfile;
-use crate::trace::{sample_execution, PowerSample, TraceConfig};
-
-/// One MI250X-class GPU with sticky power-management settings.
-#[derive(Debug, Clone, Default)]
-pub struct GpuDevice {
-    engine: Engine,
-    settings: GpuSettings,
-    boost: BoostBudget,
-}
-
-impl GpuDevice {
-    /// Device with a custom engine (e.g. a re-calibrated power model).
-    pub fn with_engine(engine: Engine) -> Self {
-        GpuDevice {
-            engine,
-            ..Default::default()
-        }
-    }
-
-    /// Current power-management settings.
-    pub fn settings(&self) -> GpuSettings {
-        self.settings
-    }
-
-    /// Applies new power-management settings (sticky across runs).
-    pub fn apply(&mut self, settings: GpuSettings) {
-        self.settings = settings;
-    }
-
-    /// The underlying execution engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Runs a kernel under the current settings.
-    pub fn run(&self, kernel: &KernelProfile) -> Execution {
-        self.engine.execute(kernel, self.settings)
-    }
-
-    /// Runs a kernel and synthesizes its sensor trace, advancing the boost
-    /// budget.
-    pub fn run_traced<R: Rng + ?Sized>(
-        &mut self,
-        kernel: &KernelProfile,
-        cfg: TraceConfig,
-        rng: &mut R,
-    ) -> (Execution, Vec<PowerSample>) {
-        let ex = self.engine.execute(kernel, self.settings);
-        let trace = sample_execution(&ex, &mut self.boost, cfg, rng);
-        (ex, trace)
-    }
-}
+use crate::consts::{NODE_CPU_DYN_W, NODE_REST_IDLE_W};
 
 /// Rest-of-node power model (CPU package, DIMMs, NIC, cooling share).
 ///
@@ -90,103 +33,25 @@ impl NodeRestModel {
     }
 }
 
-/// A Frontier-like compute node: four GPUs plus the rest-of-node model.
-#[derive(Debug, Clone)]
-pub struct Node {
-    gpus: Vec<GpuDevice>,
-    rest: NodeRestModel,
-}
-
-impl Default for Node {
-    fn default() -> Self {
-        Node {
-            gpus: (0..GPUS_PER_NODE).map(|_| GpuDevice::default()).collect(),
-            rest: NodeRestModel::default(),
-        }
-    }
-}
-
-impl Node {
-    /// The node's GPUs.
-    pub fn gpus(&self) -> &[GpuDevice] {
-        &self.gpus
-    }
-
-    /// Mutable access to the node's GPUs.
-    pub fn gpus_mut(&mut self) -> &mut [GpuDevice] {
-        &mut self.gpus
-    }
-
-    /// Applies the same settings to every GPU in the node.
-    pub fn apply_all(&mut self, settings: GpuSettings) {
-        for g in &mut self.gpus {
-            g.apply(settings);
-        }
-    }
-
-    /// Rest-of-node power model.
-    pub fn rest(&self) -> NodeRestModel {
-        self.rest
-    }
-
-    /// Whole-node power given per-GPU powers and host CPU utilization.
-    pub fn node_power_w(&self, gpu_powers_w: &[f64], cpu_util: f64) -> f64 {
-        debug_assert_eq!(gpu_powers_w.len(), self.gpus.len());
-        gpu_powers_w.iter().sum::<f64>() + self.rest.power_w(cpu_util)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn settings_are_sticky() {
-        let mut g = GpuDevice::default();
-        g.apply(GpuSettings::freq_capped(1100.0));
-        let k = KernelProfile::builder("k")
-            .flops(1e13)
-            .hbm_bytes(1e10)
-            .build();
-        let ex = g.run(&k);
-        assert_eq!(ex.freq.mhz(), 1100.0);
-    }
-
-    #[test]
-    fn node_has_four_gpus() {
-        let n = Node::default();
-        assert_eq!(n.gpus().len(), 4);
-    }
+    use crate::consts::GPUS_PER_NODE;
 
     #[test]
     fn node_power_sums_components() {
-        let n = Node::default();
-        let p = n.node_power_w(&[400.0, 400.0, 400.0, 400.0], 0.5);
-        assert_eq!(p, 1600.0 + NODE_REST_IDLE_W + 0.5 * NODE_CPU_DYN_W);
+        let rest = NodeRestModel::default();
+        assert_eq!(rest.power_w(0.5), NODE_REST_IDLE_W + 0.5 * NODE_CPU_DYN_W);
+        assert_eq!(rest.power_w(2.0), rest.power_w(1.0));
+        assert_eq!(rest.power_w(-1.0), NODE_REST_IDLE_W);
     }
 
     #[test]
     fn gpu_dominates_busy_node_power() {
         // Paper Sec. VI: non-GPU components are < 20 % of a busy node.
-        let n = Node::default();
-        let gpu = [500.0; 4];
-        let total = n.node_power_w(&gpu, 1.0);
-        let non_gpu = total - 2000.0;
-        assert!(non_gpu / total < 0.2, "non-GPU share {}", non_gpu / total);
-    }
-
-    #[test]
-    fn run_traced_produces_samples() {
-        let mut g = GpuDevice::default();
-        let k = KernelProfile::builder("long")
-            .hbm_bytes(3.2e12 * 60.0)
-            .flops(1.0)
-            .build();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (ex, trace) = g.run_traced(&k, TraceConfig::default(), &mut rng);
-        assert!(ex.time_s >= 59.0);
-        assert!(!trace.is_empty());
+        let gpu = 500.0 * GPUS_PER_NODE as f64;
+        let non_gpu = NodeRestModel::default().power_w(1.0);
+        let share = non_gpu / (gpu + non_gpu);
+        assert!(share < 0.2, "non-GPU share {share}");
     }
 }

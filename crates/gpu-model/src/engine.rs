@@ -60,7 +60,7 @@ impl GpuSettings {
 
     /// The effective package power limit: the software cap if set, clamped
     /// from above by the firmware sustained limit.
-    pub fn effective_limit_w(&self, ppt_w: f64) -> f64 {
+    pub(crate) fn effective_limit_w(&self, ppt_w: f64) -> f64 {
         self.power_cap_w.map_or(ppt_w, |c| c.min(ppt_w))
     }
 }
@@ -112,11 +112,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Energy in the paper's reporting unit.
-    pub fn energy_mwh(&self) -> f64 {
-        self.energy_j / crate::consts::JOULES_PER_MWH
-    }
-
     /// Dominant bottleneck shorthand.
     pub fn bottleneck(&self) -> Bottleneck {
         self.perf.bottleneck
@@ -157,7 +152,7 @@ impl Engine {
     }
 
     /// Package power demand of `kernel`'s throughput phase at frequency `f`.
-    pub fn busy_demand_w(&self, kernel: &KernelProfile, f: Freq) -> f64 {
+    pub(crate) fn busy_demand_w(&self, kernel: &KernelProfile, f: Freq) -> f64 {
         let est = perf::estimate(kernel, f);
         if est.roofline_s > 0.0 {
             self.power.demand_w(est.util, f)
@@ -442,14 +437,6 @@ mod combined_cap_tests {
         assert_eq!(s.effective_limit_w(540.0), 540.0);
         let s = GpuSettings::power_capped(300.0);
         assert_eq!(s.effective_limit_w(540.0), 300.0);
-    }
-
-    #[test]
-    fn execution_reports_paper_units() {
-        let eng = Engine::default();
-        let ex = eng.execute(&streaming(), GpuSettings::uncapped());
-        let mwh = ex.energy_mwh();
-        assert!((mwh - ex.energy_j / 3.6e9).abs() < 1e-18);
     }
 }
 

@@ -26,20 +26,13 @@ impl Freq {
         Freq(mhz.clamp(F_MIN_MHZ, F_MAX_MHZ))
     }
 
-    /// Creates a frequency from MHz without clamping.
-    ///
-    /// Returns `None` when outside `[F_MIN, F_MAX]`.
-    pub fn try_from_mhz(mhz: f64) -> Option<Self> {
-        (F_MIN_MHZ..=F_MAX_MHZ).contains(&mhz).then_some(Freq(mhz))
-    }
-
     /// The frequency in MHz.
     pub fn mhz(self) -> f64 {
         self.0
     }
 
     /// The frequency as a fraction of the maximum clock, in `(0, 1]`.
-    pub fn ratio(self) -> f64 {
+    pub(crate) fn ratio(self) -> f64 {
         self.0 / F_MAX_MHZ
     }
 }
@@ -78,12 +71,12 @@ impl Default for VoltageCurve {
 
 impl VoltageCurve {
     /// Normalized voltage at frequency `f`, in `(0, 1]`.
-    pub fn voltage(&self, f: Freq) -> f64 {
+    pub(crate) fn voltage(&self, f: Freq) -> f64 {
         self.v_intercept + self.v_slope * f.ratio()
     }
 
     /// Per-operation switching-energy scale `V(f)² / V(F_MAX)²`, in `(0, 1]`.
-    pub fn energy_scale(&self, f: Freq) -> f64 {
+    pub(crate) fn energy_scale(&self, f: Freq) -> f64 {
         let v = self.voltage(f) / self.voltage(Freq::MAX);
         v * v
     }
@@ -124,18 +117,8 @@ impl DvfsLadder {
     }
 
     /// All steps, highest first.
-    pub fn steps(&self) -> &[Freq] {
+    pub(crate) fn steps(&self) -> &[Freq] {
         &self.steps
-    }
-
-    /// The highest ladder step that does not exceed `f`; falls back to the
-    /// lowest step when `f` is below the whole ladder.
-    pub fn quantize_down(&self, f: Freq) -> Freq {
-        self.steps
-            .iter()
-            .copied()
-            .find(|s| s.mhz() <= f.mhz() + 1e-9)
-            .unwrap_or_else(|| *self.steps.last().expect("non-empty ladder"))
     }
 }
 
@@ -148,8 +131,6 @@ mod tests {
         assert_eq!(Freq::from_mhz(2000.0).mhz(), F_MAX_MHZ);
         assert_eq!(Freq::from_mhz(100.0).mhz(), F_MIN_MHZ);
         assert_eq!(Freq::from_mhz(1300.0).mhz(), 1300.0);
-        assert!(Freq::try_from_mhz(100.0).is_none());
-        assert!(Freq::try_from_mhz(900.0).is_some());
     }
 
     #[test]
@@ -174,15 +155,6 @@ mod tests {
         let vc = VoltageCurve::default();
         let half = Freq::from_mhz(F_MAX_MHZ / 2.0);
         assert!(vc.dyn_scale(half) < 0.5 * vc.dyn_scale(Freq::MAX));
-    }
-
-    #[test]
-    fn ladder_quantizes_downward() {
-        let l = DvfsLadder::default();
-        assert_eq!(l.quantize_down(Freq::from_mhz(1400.0)).mhz(), 1300.0);
-        assert_eq!(l.quantize_down(Freq::from_mhz(1700.0)).mhz(), 1700.0);
-        assert_eq!(l.quantize_down(Freq::from_mhz(500.0)).mhz(), 500.0);
-        assert_eq!(l.quantize_down(Freq::from_mhz(650.0)).mhz(), 500.0);
     }
 
     #[test]

@@ -51,12 +51,14 @@ pub struct Governed {
 
 impl Governed {
     /// Fractional energy saving versus uncapped (positive = saved).
-    pub fn energy_saving(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn energy_saving(&self) -> f64 {
         1.0 - self.execution.energy_j / self.baseline.energy_j
     }
 
     /// Fractional slowdown versus uncapped (positive = slower).
-    pub fn slowdown(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn slowdown(&self) -> f64 {
         self.execution.time_s / self.baseline.time_s - 1.0
     }
 }

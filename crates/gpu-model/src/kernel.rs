@@ -89,7 +89,7 @@ impl KernelProfile {
     }
 
     /// FLOPs issued including divergence waste.
-    pub fn issued_flops(&self) -> f64 {
+    pub(crate) fn issued_flops(&self) -> f64 {
         self.flops / (1.0 - self.divergence)
     }
 

@@ -16,8 +16,8 @@
 //!   therefore *breaches* low caps under HBM-heavy load (Fig. 6d);
 //! * a **boost model** ([`boost`]) and **trace synthesis** ([`trace`]) that
 //!   generate the ≥ 560 W telemetry excursions of Table IV region 4;
-//! * **device wrappers** ([`device`]) composing GPUs into Frontier-like
-//!   nodes for the fleet simulation.
+//! * the **rest-of-node model** ([`device`]) the fleet simulation adds to
+//!   the four GPUs of a Frontier-like node.
 //!
 //! ## Quick example
 //!
@@ -54,21 +54,18 @@ pub mod perf;
 pub mod power;
 pub mod roofline;
 pub mod sku;
-pub mod thermal;
 pub mod trace;
 pub mod tuner;
 
 pub use boost::BoostBudget;
-pub use cap::{solve_freq_for_cap, CapOutcome};
-pub use device::{GpuDevice, Node, NodeRestModel};
+pub use device::NodeRestModel;
 pub use engine::{Engine, Execution, GpuSettings};
 pub use freq::{DvfsLadder, Freq, VoltageCurve};
-pub use governor::{Governed, GovernedTotals, Governor};
-pub use kernel::{KernelBuilder, KernelProfile};
-pub use perf::{Bottleneck, PerfEstimate};
-pub use power::{PowerBreakdown, PowerModel, Utilization};
+pub use governor::{GovernedTotals, Governor};
+pub use kernel::KernelProfile;
+pub use perf::Bottleneck;
+pub use power::{PowerModel, Utilization};
 pub use roofline::Roofline;
-pub use sku::{Component, FleetMix, SkuCatalog, SkuSpec, MAX_SKUS};
-pub use thermal::ThermalModel;
+pub use sku::{Component, FleetMix, SkuCatalog, MAX_SKUS};
 pub use trace::{PowerSample, TraceConfig};
-pub use tuner::{sweet_spot_for, sweet_spots, SweetSpot};
+pub use tuner::{sweet_spots, SweetSpot};

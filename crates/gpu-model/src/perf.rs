@@ -63,23 +63,23 @@ pub struct PerfEstimate {
 /// Deliverable HBM bandwidth at frequency `f` for a kernel with the given
 /// memory-level-parallelism oversubscription and sustainable-rate ceiling,
 /// in bytes/s.
-pub fn deliverable_hbm_bw(f: Freq, bw_oversub: f64, bw_sustain: f64) -> f64 {
+pub(crate) fn deliverable_hbm_bw(f: Freq, bw_oversub: f64, bw_sustain: f64) -> f64 {
     GPU_HBM_BW * bw_sustain.min(f.ratio() * bw_oversub)
 }
 
 /// Effective compute ceiling at frequency `f` for a kernel, in FLOP/s
 /// (issued, i.e. including divergence waste).
-pub fn compute_ceiling(f: Freq, flop_efficiency: f64) -> f64 {
+pub(crate) fn compute_ceiling(f: Freq, flop_efficiency: f64) -> f64 {
     GPU_PEAK_FLOPS * flop_efficiency * f.ratio()
 }
 
 /// On-die bandwidth ceiling at frequency `f`, in bytes/s.
-pub fn ondie_ceiling(f: Freq) -> f64 {
+pub(crate) fn ondie_ceiling(f: Freq) -> f64 {
     GPU_L2_BW * f.ratio()
 }
 
 /// Estimates execution of `kernel` at frequency `f`.
-pub fn estimate(kernel: &KernelProfile, f: Freq) -> PerfEstimate {
+pub(crate) fn estimate(kernel: &KernelProfile, f: Freq) -> PerfEstimate {
     let compute_roof = compute_ceiling(f, kernel.flop_efficiency);
     let ondie_roof = ondie_ceiling(f);
     let hbm_roof = deliverable_hbm_bw(f, kernel.bw_oversub, kernel.bw_sustain);

@@ -27,7 +27,7 @@
 //!   observed power saturates at ≈ 540 W — "only when stressing both the
 //!   memory subsystem and the ALUs is the TDP reached".
 
-use crate::consts::{GPU_HBM_BW, GPU_IDLE_W, GPU_L2_BW};
+use crate::consts::GPU_IDLE_W;
 use crate::freq::{Freq, VoltageCurve};
 
 /// Achieved utilizations of the three dynamic datapaths, each in `[0, 1]`
@@ -125,7 +125,7 @@ impl PowerModel {
     ///
     /// "Demand" is the unconstrained draw; the engine clamps it against the
     /// firmware sustained limit and any software power cap by lowering `f`.
-    pub fn demand(&self, util: Utilization, f: Freq) -> PowerBreakdown {
+    pub(crate) fn demand(&self, util: Utilization, f: Freq) -> PowerBreakdown {
         util.validate();
         let dyn_scale = self.curve.dyn_scale(f);
         PowerBreakdown {
@@ -141,35 +141,12 @@ impl PowerModel {
     pub fn demand_w(&self, util: Utilization, f: Freq) -> f64 {
         self.demand(util, f).total()
     }
-
-    /// Maximum possible demand at frequency `f` (every datapath saturated).
-    pub fn max_demand_w(&self, f: Freq) -> f64 {
-        self.demand_w(
-            Utilization {
-                alu: 1.0,
-                ondie: 1.0,
-                hbm: 1.0,
-                active: 1.0,
-            },
-            f,
-        )
-    }
-
-    /// Energy per byte moved on-die at maximum frequency, in joules/byte.
-    pub fn ondie_energy_per_byte(&self) -> f64 {
-        self.ondie_max_w / GPU_L2_BW
-    }
-
-    /// Energy per byte moved over HBM, in joules/byte.
-    pub fn hbm_energy_per_byte(&self) -> f64 {
-        self.hbm_max_w / GPU_HBM_BW
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consts::{GPU_PPT_W, GPU_TDP_W};
+    use crate::consts::{GPU_HBM_BW, GPU_PPT_W, GPU_TDP_W};
 
     fn streaming_util() -> Utilization {
         // Memory-bound streaming: HBM saturated, on-die carrying the same
@@ -215,7 +192,13 @@ mod tests {
         // unconstrained demand must exceed the firmware limit so the device
         // throttles and the observed power saturates near 540 W (paper).
         let pm = PowerModel::default();
-        let demand = pm.max_demand_w(Freq::MAX);
+        let saturated = Utilization {
+            alu: 1.0,
+            ondie: 1.0,
+            hbm: 1.0,
+            active: 1.0,
+        };
+        let demand = pm.demand_w(saturated, Freq::MAX);
         assert!(demand > GPU_TDP_W, "ridge demand {demand} W");
         assert!(demand > GPU_PPT_W);
     }
@@ -257,7 +240,7 @@ mod tests {
     fn energy_per_byte_is_physically_plausible() {
         let pm = PowerModel::default();
         // HBM2e reads land in the single-digit pJ/bit range.
-        let pj_per_bit = pm.hbm_energy_per_byte() * 1e12 / 8.0;
+        let pj_per_bit = pm.hbm_max_w / GPU_HBM_BW * 1e12 / 8.0;
         assert!((2.0..=12.0).contains(&pj_per_bit), "{pj_per_bit} pJ/bit");
     }
 }

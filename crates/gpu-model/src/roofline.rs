@@ -43,21 +43,14 @@ impl Roofline {
         }
     }
 
-    /// Roofline for a specific kernel profile at frequency `f`.
-    pub fn for_kernel(f: Freq, kernel: &crate::kernel::KernelProfile) -> Self {
-        Roofline {
-            peak_flops: GPU_PEAK_FLOPS * kernel.flop_efficiency * f.ratio(),
-            peak_bw: crate::perf::deliverable_hbm_bw(f, kernel.bw_oversub, kernel.bw_sustain),
-        }
-    }
-
     /// The ridge point (FLOP/byte) where the memory slope meets the plateau.
-    pub fn ridge_ai(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ridge_ai(&self) -> f64 {
         self.peak_flops / self.peak_bw
     }
 
     /// Attainable performance at arithmetic intensity `ai`, in FLOP/s.
-    pub fn attainable_flops(&self, ai: f64) -> f64 {
+    pub(crate) fn attainable_flops(&self, ai: f64) -> f64 {
         (ai * self.peak_bw).min(self.peak_flops)
     }
 
@@ -71,12 +64,6 @@ impl Roofline {
             })
             .collect()
     }
-}
-
-/// The paper's VAI arithmetic-intensity sweep: 1/16 to 1024 in powers of
-/// two (Fig. 5), FLOP/byte.
-pub fn vai_intensity_sweep() -> Vec<f64> {
-    (0..=14).map(|i| 2f64.powi(i - 4)).collect()
 }
 
 #[cfg(test)]
@@ -113,13 +100,5 @@ mod tests {
         let hi = Roofline::at(Freq::MAX, 1.0, 3.0);
         let lo = Roofline::at(Freq::from_mhz(700.0), 1.0, 3.0);
         assert_eq!(hi.peak_bw, lo.peak_bw);
-    }
-
-    #[test]
-    fn sweep_covers_paper_range() {
-        let s = vai_intensity_sweep();
-        assert_eq!(s.first().copied(), Some(0.0625));
-        assert_eq!(s.last().copied(), Some(1024.0));
-        assert_eq!(s.len(), 15);
     }
 }

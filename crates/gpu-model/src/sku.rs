@@ -51,7 +51,8 @@ impl Component {
     }
 
     /// Stable lane index.
-    pub fn index(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn index(self) -> usize {
         match self {
             Component::Hbm => 0,
             Component::L2 => 1,

@@ -167,14 +167,6 @@ pub fn sample_execution<R: Rng + ?Sized>(
     out
 }
 
-/// Mean power of a trace, in watts; `None` for an empty trace.
-pub fn trace_mean_w(samples: &[PowerSample]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    Some(samples.iter().map(|s| s.power_w).sum::<f64>() / samples.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +190,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut boost = BoostBudget::default();
         let trace = sample_execution(&ex, &mut boost, TraceConfig::default(), &mut rng);
-        let mean = trace_mean_w(&trace).unwrap();
+        let mean = trace.iter().map(|s| s.power_w).sum::<f64>() / trace.len() as f64;
         assert!(
             (mean - ex.busy_power_w).abs() < 3.0,
             "mean {mean} vs busy {}",

@@ -60,7 +60,7 @@ fn mode_kernel(name: &str, ai: f64) -> KernelProfile {
 /// The grid is walked from the maximum clock downward in
 /// 25 MHz steps; ties keep the higher frequency, so the
 /// result is deterministic and never slower than it needs to be.
-pub fn sweet_spot_for(
+pub(crate) fn sweet_spot_for(
     engine: &Engine,
     mode: &'static str,
     kernel: &KernelProfile,

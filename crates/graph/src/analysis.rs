@@ -32,7 +32,8 @@ pub fn connected_components(g: &Csr) -> (Vec<u32>, usize) {
 }
 
 /// Size of the largest connected component.
-pub fn giant_component_size(g: &Csr) -> usize {
+#[cfg(test)]
+pub(crate) fn giant_component_size(g: &Csr) -> usize {
     let (comp, k) = connected_components(g);
     let mut sizes = vec![0usize; k];
     for c in comp {
@@ -58,7 +59,8 @@ pub fn degree_histogram(g: &Csr) -> Vec<usize> {
 /// via the maximum-likelihood (Hill) estimator over degrees >= `d_min`.
 ///
 /// Returns `None` when fewer than 10 nodes lie in the tail.
-pub fn powerlaw_exponent(g: &Csr, d_min: usize) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn powerlaw_exponent(g: &Csr, d_min: usize) -> Option<f64> {
     assert!(d_min >= 1);
     let tail: Vec<f64> = (0..g.num_nodes() as u32)
         .map(|u| g.degree(u) as f64)
@@ -73,7 +75,8 @@ pub fn powerlaw_exponent(g: &Csr, d_min: usize) -> Option<f64> {
 
 /// Global clustering coefficient (transitivity): `3 * triangles / wedges`,
 /// computed exactly by neighbor-set intersection on sorted adjacency.
-pub fn global_clustering(g: &Csr) -> f64 {
+#[cfg(test)]
+pub(crate) fn global_clustering(g: &Csr) -> f64 {
     let mut triangles = 0u64;
     let mut wedges = 0u64;
     for u in 0..g.num_nodes() as u32 {

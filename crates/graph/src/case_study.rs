@@ -17,10 +17,10 @@ use crate::gpu_map::{louvain_phases, LouvainCostModel};
 use crate::louvain::{louvain, LouvainConfig, LouvainResult};
 
 /// Frequencies swept in Fig. 7, in MHz.
-pub const FIG7_FREQS_MHZ: [f64; 7] = [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0];
+pub(crate) const FIG7_FREQS_MHZ: [f64; 7] = [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0];
 
 /// Power caps discussed for the road network (Sec. IV-C), in watts.
-pub const FIG7_POWER_CAPS_W: [f64; 4] = [560.0, 220.0, 180.0, 140.0];
+pub(crate) const FIG7_POWER_CAPS_W: [f64; 4] = [560.0, 220.0, 180.0, 140.0];
 
 /// One input network of the case study.
 #[derive(Debug, Clone)]
@@ -41,23 +41,6 @@ pub enum CaseScale {
     Medium,
     /// Millions of edges, approaching the paper's 8 M ceiling.
     Large,
-}
-
-impl CaseScale {
-    /// Parses a scale name (`small` | `medium` | `large`), as used by the
-    /// `PMSS_SCALE` environment variable and scenario specs.
-    pub fn from_name(name: &str) -> Result<CaseScale, pmss_error::PmssError> {
-        match name {
-            "small" | "quick" => Ok(CaseScale::Small),
-            "medium" => Ok(CaseScale::Medium),
-            "large" => Ok(CaseScale::Large),
-            other => Err(pmss_error::PmssError::invalid_value(
-                "case scale",
-                other,
-                "quick | small | medium | large",
-            )),
-        }
-    }
 }
 
 /// Generates the case-study network suite: social (power-law) networks of

@@ -39,7 +39,7 @@ impl Csr {
     /// Builds a graph from an undirected edge list over `n` nodes.
     ///
     /// Duplicate edges and self-loops in the input are dropped (input
-    /// networks; aggregated Louvain graphs use [`Csr::from_weighted_arcs`]).
+    /// networks; aggregated Louvain graphs use `Csr::from_weighted_arcs`).
     ///
     /// # Panics
     /// Panics if an endpoint is out of range.
@@ -69,7 +69,7 @@ impl Csr {
     /// The caller is responsible for symmetry (`(u,v)` and `(v,u)` both
     /// present for `u != v`); self-loops appear once.  Used for Louvain's
     /// aggregated graphs.
-    pub fn from_weighted_arcs(n: usize, mut arcs: Vec<(u32, u32, f64)>) -> Csr {
+    pub(crate) fn from_weighted_arcs(n: usize, mut arcs: Vec<(u32, u32, f64)>) -> Csr {
         arcs.sort_unstable_by_key(|a| (a.0, a.1));
 
         let mut offsets = vec![0usize; n + 1];
@@ -128,13 +128,13 @@ impl Csr {
     }
 
     /// Arc-weight slice of node `u`, parallel to [`Csr::neighbors`].
-    pub fn weights_of(&self, u: u32) -> &[f64] {
+    pub(crate) fn weights_of(&self, u: u32) -> &[f64] {
         let (a, b) = self.range(u);
         &self.weights[a..b]
     }
 
     /// Unweighted degree (arc count) of node `u`.
-    pub fn degree(&self, u: u32) -> usize {
+    pub(crate) fn degree(&self, u: u32) -> usize {
         let (a, b) = self.range(u);
         b - a
     }

@@ -7,8 +7,6 @@
 //! parameter ranges:
 //!
 //! * [`barabasi_albert`] — preferential attachment, heavy-tailed degrees;
-//! * [`rmat`] — Kronecker-style recursive matrix, scale-free with
-//!   controllable skew;
 //! * [`road`] — perturbed 2-D lattice thinned to the low average degree of
 //!   real road networks;
 //! * [`erdos_renyi`] — uniform random baseline.
@@ -56,48 +54,6 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Csr 
         }
     }
 
-    Csr::from_edges(n, &edges)
-}
-
-/// RMAT recursive-matrix generator (`scale` ⇒ `2^scale` nodes,
-/// `edge_factor` edges per node) with partition probabilities `(a, b, c)`
-/// (and `d = 1 - a - b - c`).
-///
-/// The classic Graph500 parameters `(0.57, 0.19, 0.19)` give a skewed
-/// scale-free graph.
-pub fn rmat<R: Rng + ?Sized>(
-    scale: u32,
-    edge_factor: usize,
-    (a, b, c): (f64, f64, f64),
-    rng: &mut R,
-) -> Csr {
-    let d = 1.0 - a - b - c;
-    assert!(
-        a > 0.0 && b > 0.0 && c > 0.0 && d > 0.0,
-        "bad RMAT partition"
-    );
-    let n = 1usize << scale;
-    let m = n * edge_factor;
-
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        edges.push((u as u32, v as u32));
-    }
     Csr::from_edges(n, &edges)
 }
 
@@ -175,7 +131,8 @@ pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut 
 /// A planted-partition graph: `communities` groups of `group_size` nodes,
 /// dense inside (`p_in`), sparse across (`p_out`).  Ground truth for
 /// Louvain tests.
-pub fn planted_partition<R: Rng + ?Sized>(
+#[cfg(test)]
+pub(crate) fn planted_partition<R: Rng + ?Sized>(
     communities: usize,
     group_size: usize,
     p_in: f64,
@@ -220,16 +177,6 @@ mod tests {
         assert!(s.d_max <= 9, "paper road profile: d_max {}", s.d_max);
         assert!((1.5..=3.0).contains(&s.d_avg), "d_avg {}", s.d_avg);
         assert!(s.cv < 0.5, "balanced degrees: cv {}", s.cv);
-    }
-
-    #[test]
-    fn rmat_produces_requested_scale() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = rmat(10, 8, (0.57, 0.19, 0.19), &mut rng);
-        assert_eq!(g.num_nodes(), 1024);
-        // Duplicates/self-loops removed, so slightly fewer than n*ef edges.
-        assert!(g.num_edges() > 4000, "{}", g.num_edges());
-        assert!(g.degree_stats().cv > 1.0, "skewed by construction");
     }
 
     #[test]

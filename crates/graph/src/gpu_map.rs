@@ -22,7 +22,7 @@ use crate::louvain::LouvainResult;
 
 /// How vertices are assigned to SIMD lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadMapping {
+pub(crate) enum ThreadMapping {
     /// Degree-binned groups / full wavefronts per vertex (balanced).
     WavefrontBalanced,
     /// One thread per vertex (bounded-degree networks).
@@ -32,7 +32,7 @@ pub enum ThreadMapping {
 /// Picks the mapping the paper's implementation would use for a degree
 /// profile: bounded-degree, low-average-degree networks get a thread per
 /// vertex, everything else the balanced wavefront scheme.
-pub fn choose_mapping(stats: &DegreeStats) -> ThreadMapping {
+pub(crate) fn choose_mapping(stats: &DegreeStats) -> ThreadMapping {
     if stats.d_max <= 16 && stats.d_avg < 4.0 {
         ThreadMapping::ThreadPerVertex
     } else {
@@ -46,7 +46,7 @@ pub fn choose_mapping(stats: &DegreeStats) -> ThreadMapping {
 /// slowdown at 900 MHz; the 8 M-edge road network peaks near 205 W with a
 /// strongly frequency-sensitive runtime.
 #[derive(Debug, Clone, Copy)]
-pub struct LouvainCostModel {
+pub(crate) struct LouvainCostModel {
     /// HBM bytes per arc per sweep during local moving (scattered gathers
     /// of neighbor communities, weights, and totals).
     pub hbm_bytes_per_arc: f64,
@@ -83,7 +83,7 @@ impl Default for LouvainCostModel {
 
 /// Machine-behaviour parameters for each thread mapping.
 #[derive(Debug, Clone, Copy)]
-pub struct MappingProfile {
+pub(crate) struct MappingProfile {
     /// Sustainable fraction of peak HBM bandwidth.
     pub bw_sustain: f64,
     /// Memory-level-parallelism oversubscription.
@@ -117,7 +117,7 @@ impl MappingProfile {
 /// Builds the kernel phases for a Louvain run on `g` — one phase per level,
 /// repeated `runs` times (benchmark-style repetition for steady-state power
 /// measurement).
-pub fn louvain_phases(
+pub(crate) fn louvain_phases(
     g: &Csr,
     result: &LouvainResult,
     cost: &LouvainCostModel,

@@ -12,7 +12,7 @@
 //!   partitions for testing);
 //! * [`mod@louvain`] — a full, deterministic multi-level Louvain
 //!   implementation;
-//! * [`gpu_map`] — the degree-distribution-based thread-mapping model that
+//! * `gpu_map` — the degree-distribution-based thread-mapping model that
 //!   turns Louvain levels into GPU kernel phases;
 //! * [`case_study`] — the Fig. 7 driver (frequency and power-cap sweeps,
 //!   energy-saving summaries);
@@ -26,10 +26,9 @@ pub mod analysis;
 pub mod case_study;
 pub mod csr;
 pub mod gen;
-pub mod gpu_map;
+mod gpu_map;
 pub mod louvain;
 
-pub use case_study::{CaseScale, CaseStudy, NetworkCase};
-pub use csr::{Csr, DegreeStats};
-pub use gpu_map::{choose_mapping, LouvainCostModel, ThreadMapping};
-pub use louvain::{louvain, modularity, LouvainConfig, LouvainResult};
+pub use case_study::{CaseScale, CaseStudy};
+pub use csr::Csr;
+pub use louvain::{louvain, modularity, LouvainConfig};

@@ -83,7 +83,7 @@ impl ValueHist {
     }
 
     /// Records one value; non-finite values are skipped.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -97,11 +97,6 @@ impl ValueHist {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// The edge set this histogram was built over.
-    pub fn edges(&self) -> &'static [f64] {
-        self.edges
     }
 
     /// Number of recorded values.

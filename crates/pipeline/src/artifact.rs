@@ -1500,7 +1500,10 @@ fn table1() -> Table1 {
     use pmss_gpu::consts as c;
     Table1 {
         rows: vec![
-            ("Compute node", c::FRONTIER_NODES.to_string()),
+            (
+                "Compute node",
+                pmss_sched::policy::FRONTIER_NODES.to_string(),
+            ),
             (
                 "Each Compute node",
                 format!("{} AMD MI250X", c::GPUS_PER_NODE),

@@ -6,7 +6,6 @@
 //! shortest round-trip formatting), which is what makes the `--json`
 //! golden tests stable across runs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use pmss_error::PmssError;
@@ -430,15 +429,6 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number {text:?}")))
-    }
-}
-
-/// Parses a JSON object into a key → value map (one level deep), for
-/// spec-style lookups.
-pub fn to_map(v: &Json) -> Option<BTreeMap<&str, &Json>> {
-    match v {
-        Json::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v)).collect()),
-        _ => None,
     }
 }
 

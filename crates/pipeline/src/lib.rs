@@ -46,4 +46,4 @@ pub use artifact::{Artifact, ArtifactId, Artifacts};
 pub use json::Json;
 pub use pmss_error::PmssError;
 pub use spec::{ScalePreset, ScenarioSpec};
-pub use stage::{FleetArtifacts, Pipeline};
+pub use stage::Pipeline;

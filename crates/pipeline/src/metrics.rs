@@ -15,7 +15,7 @@ use crate::spec::ScenarioSpec;
 
 /// The environment variable enabling metrics collection (any value except
 /// `0`); output is still gated on the explicit `--metrics` flag.
-pub const METRICS_ENV: &str = "PMSS_METRICS";
+pub(crate) const METRICS_ENV: &str = "PMSS_METRICS";
 
 /// Whether `PMSS_METRICS` asks for metrics collection.
 pub fn metrics_env_enabled() -> bool {
@@ -23,7 +23,7 @@ pub fn metrics_env_enabled() -> bool {
 }
 
 /// Builds the run manifest for one CLI invocation.
-pub fn manifest(command: &str, spec: &ScenarioSpec, wall_s: f64) -> RunManifest {
+pub(crate) fn manifest(command: &str, spec: &ScenarioSpec, wall_s: f64) -> RunManifest {
     RunManifest {
         command: command.to_string(),
         scenario: spec.name.clone(),
@@ -36,7 +36,7 @@ pub fn manifest(command: &str, spec: &ScenarioSpec, wall_s: f64) -> RunManifest 
 }
 
 /// The manifest as a JSON object.
-pub fn manifest_to_json(m: &RunManifest) -> Json {
+pub(crate) fn manifest_to_json(m: &RunManifest) -> Json {
     Json::obj()
         .field("command", m.command.as_str())
         .field("scenario", m.scenario.as_str())
@@ -67,7 +67,7 @@ fn hist_to_json(h: &ValueHist) -> Json {
 
 /// The metrics registry as a JSON object with `counters`, `gauges`, and
 /// `hists` members (each sorted by name, so output is deterministic).
-pub fn metrics_to_json(m: &Metrics) -> Json {
+pub(crate) fn metrics_to_json(m: &Metrics) -> Json {
     let mut counters = Json::obj();
     for (name, v) in m.counters() {
         counters = counters.field(name, v);

@@ -31,7 +31,7 @@ macro_rules! wl {
 
 /// Renders a crude ASCII sparkline of a density vector (for distribution
 /// artifacts to show shape in a terminal).
-pub fn sparkline(density: &[f64], buckets: usize) -> String {
+pub(crate) fn sparkline(density: &[f64], buckets: usize) -> String {
     const GLYPHS: [char; 8] = ['.', ':', '-', '=', '+', '*', '#', '@'];
     let chunk = (density.len() / buckets).max(1);
     let sums: Vec<f64> = density

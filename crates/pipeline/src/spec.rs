@@ -14,16 +14,16 @@ use pmss_econ::EconTrace;
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy};
 use pmss_govern::{GovernorPlan, Policy};
-use pmss_gpu::consts::FRONTIER_NODES;
 use pmss_gpu::FleetMix;
 use pmss_graph::case_study::CaseScale;
+use pmss_sched::policy::FRONTIER_NODES;
 use pmss_sched::TraceParams;
 use pmss_workloads::sweep::{CapSetting, FREQ_CAPS_MHZ, POWER_CAPS_W};
 
 use crate::json::Json;
 
 /// The environment variable selecting a scale preset.
-pub const SCALE_ENV: &str = "PMSS_SCALE";
+pub(crate) const SCALE_ENV: &str = "PMSS_SCALE";
 
 /// Days of the paper's campaign: three months of Frontier telemetry
 /// (Table II).
@@ -36,6 +36,12 @@ const PAPER_CAMPAIGN_DAYS: f64 = 90.0;
 const MAX_NODES: usize = 10 * FRONTIER_NODES;
 const MAX_DAYS: f64 = 10.0 * PAPER_CAMPAIGN_DAYS;
 const MAX_NODE_DAYS: f64 = 10.0 * FRONTIER_NODES as f64 * PAPER_CAMPAIGN_DAYS;
+
+/// Entries a cap ladder may hold: ten times the paper's six-rung ladders
+/// (Table III).  Each entry is one more Table III setting swept when a
+/// pipeline or a daemon tenant starts.
+const MAX_FREQ_CAPS: usize = 10 * FREQ_CAPS_MHZ.len();
+const MAX_POWER_CAPS: usize = 10 * POWER_CAPS_W.len();
 
 /// Named experiment scales (the former `pmss_bench::Scale`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +70,7 @@ impl ScalePreset {
     }
 
     /// Parses a preset name; unrecognized names are an explicit error.
-    pub fn from_name(name: &str) -> Result<ScalePreset, PmssError> {
+    pub(crate) fn from_name(name: &str) -> Result<ScalePreset, PmssError> {
         ScalePreset::all()
             .into_iter()
             .find(|p| p.name() == name)
@@ -145,7 +151,7 @@ impl ScenarioSpec {
     /// Unset selects `quick`; a set-but-unrecognized value is an explicit
     /// [`PmssError::InvalidValue`] (the historical behaviour silently fell
     /// back to `quick`).
-    pub fn from_env() -> Result<ScenarioSpec, PmssError> {
+    pub(crate) fn from_env() -> Result<ScenarioSpec, PmssError> {
         match std::env::var(SCALE_ENV) {
             Ok(value) => Ok(ScenarioSpec::preset(ScalePreset::from_name(&value)?)),
             Err(std::env::VarError::NotPresent) => Ok(ScenarioSpec::preset(ScalePreset::Quick)),
@@ -159,7 +165,16 @@ impl ScenarioSpec {
 
     /// Validates every field; returns the first violation.
     pub fn validate(&self) -> Result<(), PmssError> {
-        fn ladder(field: &'static str, caps: &[f64]) -> Result<(), PmssError> {
+        fn ladder(field: &'static str, caps: &[f64], max: usize) -> Result<(), PmssError> {
+            if caps.len() > max {
+                return Err(PmssError::InvalidSpec {
+                    field,
+                    reason: format!(
+                        "must be at most {max} entries (10x the paper's), got {}",
+                        caps.len()
+                    ),
+                });
+            }
             if caps.is_empty() {
                 return Err(PmssError::InvalidSpec {
                     field,
@@ -219,8 +234,8 @@ impl ScenarioSpec {
                 reason: format!("must be finite and positive, got {}", self.min_job_s),
             });
         }
-        ladder("freq_caps_mhz", &self.freq_caps_mhz)?;
-        ladder("power_caps_w", &self.power_caps_w)?;
+        ladder("freq_caps_mhz", &self.freq_caps_mhz, MAX_FREQ_CAPS)?;
+        ladder("power_caps_w", &self.power_caps_w, MAX_POWER_CAPS)?;
         self.boundaries.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -251,7 +266,7 @@ impl ScenarioSpec {
     /// The fleet mix in force, when it actually mixes SKUs (the
     /// `single-sku` preset is spelled-out homogeneity, so it stays as
     /// inert as `None`).
-    pub fn active_mix(&self) -> Option<&str> {
+    pub(crate) fn active_mix(&self) -> Option<&str> {
         self.fleet_mix
             .as_deref()
             .filter(|name| FleetMix::preset(name).is_some_and(|m| !m.is_homogeneous()))
@@ -268,7 +283,7 @@ impl ScenarioSpec {
     /// simulates under; `None` and unknown names resolve homogeneous
     /// (unknown names never pass [`ScenarioSpec::validate`], so the
     /// fallback is belt and braces, not policy).
-    pub fn resolved_mix(&self) -> FleetMix {
+    pub(crate) fn resolved_mix(&self) -> FleetMix {
         self.fleet_mix
             .as_deref()
             .and_then(FleetMix::preset)
@@ -293,7 +308,7 @@ impl ScenarioSpec {
     }
 
     /// The Louvain case-study scale matching this scenario's fleet size.
-    pub fn case_scale(&self) -> CaseScale {
+    pub(crate) fn case_scale(&self) -> CaseScale {
         if self.nodes <= 16 {
             CaseScale::Small
         } else if self.nodes <= 64 {
@@ -455,7 +470,7 @@ impl<'a> Fields<'a> {
 }
 
 /// Serializes a fault plan to a JSON value.
-pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
+pub(crate) fn fault_plan_to_json(plan: &FaultPlan) -> Json {
     Json::obj()
         .field("seed", plan.seed)
         .field("drop_prob", plan.drop_prob)
@@ -473,7 +488,7 @@ pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
 /// Deserializes and validates a fault plan from a JSON value.  Missing
 /// fields fall back to the empty plan's values, so a file may spell out
 /// only the fault channels it wants.
-pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, PmssError> {
+pub(crate) fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, PmssError> {
     let base = FaultPlan::none();
     let f = Fields { v, ctx: "faults" };
     let gap_policy = match f.string("gap_policy")? {
@@ -498,7 +513,7 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, PmssError> {
 }
 
 /// Serializes an econ trace to a JSON value.
-pub fn econ_trace_to_json(trace: &EconTrace) -> Json {
+pub(crate) fn econ_trace_to_json(trace: &EconTrace) -> Json {
     Json::obj()
         .field("name", trace.name.as_str())
         .field("bucket_s", trace.bucket_s)
@@ -513,7 +528,7 @@ pub fn econ_trace_to_json(trace: &EconTrace) -> Json {
 /// still be overridden alongside it); otherwise missing fields fall back
 /// to the `flat` trace's values, so a file may spell out only the series
 /// it changes.
-pub fn econ_trace_from_json(v: &Json) -> Result<EconTrace, PmssError> {
+pub(crate) fn econ_trace_from_json(v: &Json) -> Result<EconTrace, PmssError> {
     let f = Fields { v, ctx: "econ" };
     let base = match f.string("preset")? {
         None => EconTrace::flat(),
@@ -540,7 +555,7 @@ pub fn econ_trace_from_json(v: &Json) -> Result<EconTrace, PmssError> {
 
 /// Serializes a governor plan to a JSON value.  Optional fields (`budget_w`,
 /// `cap`) are emitted only when set, so auto-resolved plans stay terse.
-pub fn governor_plan_to_json(plan: &GovernorPlan) -> Json {
+pub(crate) fn governor_plan_to_json(plan: &GovernorPlan) -> Json {
     let j = Json::obj()
         .field("policy", plan.policy.name())
         .field("interval_windows", plan.interval_windows as u64)
@@ -571,7 +586,7 @@ pub fn governor_plan_to_json(plan: &GovernorPlan) -> Json {
 /// Deserializes and validates a governor plan from a JSON value.  Missing
 /// fields fall back to the named policy's preset values (`policy` itself
 /// defaults to `polimer`), so a file may spell out only what it changes.
-pub fn governor_plan_from_json(v: &Json) -> Result<GovernorPlan, PmssError> {
+pub(crate) fn governor_plan_from_json(v: &Json) -> Result<GovernorPlan, PmssError> {
     let f = Fields { v, ctx: "govern" };
     let policy = match f.string("policy")? {
         None => Policy::Polimer,

@@ -15,7 +15,7 @@ use crate::client::{self, Connection, Target};
 use crate::daemon::{Daemon, DaemonConfig, Listen};
 
 /// Usage text for the daemon-facing subcommands.
-pub fn help_text() -> String {
+pub(crate) fn help_text() -> String {
     "\
 pmssd — streaming multi-tenant analysis daemon
 

@@ -458,7 +458,13 @@ fn handle_query(payload: &[u8], bound: &Bound) -> Reply {
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
     let answer = pmss_pipeline::query::answer(&state, &shared.table3, shared.econ.as_ref(), &q)
-        .map_err(|e| (code::MALFORMED, e.to_string()))?;
+        .map_err(|e| {
+            let code = match e {
+                PmssError::EmptyInput { .. } => code::NOT_READY,
+                _ => code::MALFORMED,
+            };
+            (code, e.to_string())
+        })?;
     Ok(answer.to_string_pretty().into_bytes())
 }
 

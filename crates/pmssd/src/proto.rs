@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `len` counts the type byte plus the payload and is bounded by
-//! [`MAX_FRAME`]; an oversized or truncated frame is a transport error
+//! `MAX_FRAME`; an oversized or truncated frame is a transport error
 //! and closes the connection.  Request types are in [`frame`], response
 //! statuses in [`status`].  An `ERR` payload is JSON
 //! `{"code": <typed code>, "error": <human detail>}` with the code drawn
@@ -21,7 +21,7 @@ use pmss_stream::StreamError;
 
 /// Hard bound on one frame's `type + payload` size (64 MiB): a hostile
 /// length prefix must not drive an unbounded allocation.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Request frame types (client → daemon).
 pub mod frame {
@@ -54,16 +54,16 @@ pub mod code {
     /// Tenant ingest queue at capacity — retry after draining.
     pub const BACKPRESSURE: &str = "backpressure";
     /// Event window already released (stream-engine rejection).
-    pub const LATE_ARRIVAL: &str = "late_arrival";
+    pub(crate) const LATE_ARRIVAL: &str = "late_arrival";
     /// Event window beyond the reorder-span bound (stream-engine
     /// rejection).
-    pub const SPAN_OVERFLOW: &str = "span_overflow";
+    pub(crate) const SPAN_OVERFLOW: &str = "span_overflow";
     /// Event names a channel outside the tenant's fleet (stream-engine
     /// rejection).
     pub const INVALID_CHANNEL: &str = "invalid_channel";
     /// Event attributes a job outside the tenant's job log
     /// (stream-engine rejection).
-    pub const INVALID_JOB: &str = "invalid_job";
+    pub(crate) const INVALID_JOB: &str = "invalid_job";
     /// Frame payload failed structural validation (codec or JSON).
     pub const MALFORMED: &str = "malformed";
     /// Query or block for a tenant this connection never opened, or an
@@ -71,12 +71,15 @@ pub mod code {
     pub const UNKNOWN_TENANT: &str = "unknown_tenant";
     /// Protocol misuse (e.g. BLOCK before OPEN, unknown frame type).
     pub const USAGE: &str = "usage";
+    /// QUERY before the tenant has published a snapshot with any energy
+    /// in it — a state, not a bad request: retry after the next FLUSH.
+    pub const NOT_READY: &str = "not_ready";
     /// Daemon-side failure (tenant worker gone).
-    pub const INTERNAL: &str = "internal";
+    pub(crate) const INTERNAL: &str = "internal";
 }
 
 /// The typed code for a stream-engine rejection.
-pub fn stream_error_code(e: &StreamError) -> &'static str {
+pub(crate) fn stream_error_code(e: &StreamError) -> &'static str {
     match e {
         StreamError::LateArrival { .. } => code::LATE_ARRIVAL,
         StreamError::SpanOverflow { .. } => code::SPAN_OVERFLOW,
@@ -86,7 +89,7 @@ pub fn stream_error_code(e: &StreamError) -> &'static str {
 }
 
 /// Renders an `ERR` payload.
-pub fn err_payload(code: &str, detail: &str) -> Vec<u8> {
+pub(crate) fn err_payload(code: &str, detail: &str) -> Vec<u8> {
     pmss_pipeline::json::Json::obj()
         .field("code", code)
         .field("error", detail)

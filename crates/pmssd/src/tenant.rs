@@ -35,7 +35,7 @@ use pmss_workloads::Table3;
 use crate::proto::{code, stream_error_code};
 
 /// A typed ingest rejection: the wire code plus human detail.
-pub type Rejection = (&'static str, String);
+pub(crate) type Rejection = (&'static str, String);
 
 /// Commands a connection handler sends to a tenant worker.  Replies go
 /// over per-request rendezvous channels so every frame gets its own

@@ -28,20 +28,6 @@ pub struct DomainSpec {
     pub activity: f64,
 }
 
-impl DomainSpec {
-    /// Samples a workload class index by `u` in `[0, 1)`.
-    pub fn class_for(&self, u: f64) -> AppClass {
-        let mut acc = 0.0;
-        for &(class, w) in &self.mix {
-            acc += w;
-            if u < acc {
-                return class;
-            }
-        }
-        self.mix.last().expect("non-empty mix").0
-    }
-}
-
 /// The eight-domain catalog mirroring the paper's Fig. 9 archetypes.
 ///
 /// Activity shares and mixtures are the calibration that reproduces the
@@ -116,42 +102,42 @@ pub fn catalog() -> Vec<DomainSpec> {
     ]
 }
 
-/// Expected fleet-wide GPU-hour share per workload class implied by the
-/// catalog (`Mixed` spreads evenly across the three base classes).
-pub fn expected_class_shares(domains: &[DomainSpec]) -> ClassShares {
-    let mut s = ClassShares::default();
-    for d in domains {
-        for &(class, w) in &d.mix {
-            let a = d.activity * w;
-            match class {
-                AppClass::ComputeIntensive => s.compute += a,
-                AppClass::MemoryIntensive => s.memory += a,
-                AppClass::LatencyBound => s.latency += a,
-                AppClass::Mixed => {
-                    s.compute += a / 3.0;
-                    s.memory += a / 3.0;
-                    s.latency += a / 3.0;
-                }
-            }
-        }
-    }
-    s
-}
-
-/// GPU-hour shares per base workload class.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClassShares {
-    /// Compute-intensive share.
-    pub compute: f64,
-    /// Memory-intensive share.
-    pub memory: f64,
-    /// Latency/network/IO-bound share.
-    pub latency: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expected fleet-wide GPU-hour share per workload class implied by the
+    /// catalog (`Mixed` spreads evenly across the three base classes).
+    fn expected_class_shares(domains: &[DomainSpec]) -> ClassShares {
+        let mut s = ClassShares::default();
+        for d in domains {
+            for &(class, w) in &d.mix {
+                let a = d.activity * w;
+                match class {
+                    AppClass::ComputeIntensive => s.compute += a,
+                    AppClass::MemoryIntensive => s.memory += a,
+                    AppClass::LatencyBound => s.latency += a,
+                    AppClass::Mixed => {
+                        s.compute += a / 3.0;
+                        s.memory += a / 3.0;
+                        s.latency += a / 3.0;
+                    }
+                }
+            }
+        }
+        s
+    }
+
+    /// GPU-hour shares per base workload class.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct ClassShares {
+        /// Compute-intensive share.
+        compute: f64,
+        /// Memory-intensive share.
+        memory: f64,
+        /// Latency/network/IO-bound share.
+        latency: f64,
+    }
 
     #[test]
     fn activities_sum_to_one() {
@@ -192,16 +178,6 @@ mod tests {
         assert!(s.memory > s.latency && s.memory > s.compute, "MI dominates");
         let total = s.latency + s.memory + s.compute;
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn class_sampling_follows_mixture() {
-        let d = &catalog()[0]; // CPH: 85 % compute-intensive
-        let n = 10_000;
-        let ci = (0..n)
-            .filter(|&i| d.class_for(i as f64 / n as f64) == AppClass::ComputeIntensive)
-            .count();
-        assert!((ci as f64 / n as f64 - 0.85).abs() < 0.01);
     }
 
     #[test]

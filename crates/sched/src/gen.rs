@@ -71,18 +71,14 @@ pub struct Schedule {
 
 impl Schedule {
     /// Total scheduled node-seconds divided by available node-seconds.
-    pub fn utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self) -> f64 {
         let used: f64 = self
             .per_node
             .iter()
             .flat_map(|p| p.iter().map(|pl| pl.end_s - pl.begin_s))
             .sum();
         used / (self.per_node.len() as f64 * self.duration_s)
-    }
-
-    /// Jobs of a given domain.
-    pub fn jobs_of_domain(&self, domain: usize) -> impl Iterator<Item = &Job> {
-        self.jobs.iter().filter(move |j| j.domain == domain)
     }
 }
 
@@ -420,7 +416,7 @@ mod tests {
         );
         for d in 0..catalog().len() {
             assert!(
-                s.jobs_of_domain(d).next().is_some(),
+                s.jobs.iter().any(|j| j.domain == d),
                 "domain {d} never scheduled"
             );
         }

@@ -3,18 +3,17 @@
 //! The paper's pipeline ingests scheduler logs as text records with
 //! `job_id`, `project_id`, `num_nodes`, `begin_time`, and `end_time`.
 //! This module renders a [`Schedule`](crate::gen::Schedule)'s job list in
-//! that format and parses it back — a lossless round trip, so synthetic
-//! traces can be stored, inspected, and re-analyzed like production logs.
+//! that format (Table II prints its first records).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 use pmss_workloads::AppClass;
 
 use crate::gen::Job;
-use crate::policy::JobSizeClass;
 
 /// Column header of the log format.
-pub const HEADER: &str = "job_id|project_id|num_nodes|size_class|begin_s|end_s|app_class|seed";
+pub(crate) const HEADER: &str =
+    "job_id|project_id|num_nodes|size_class|begin_s|end_s|app_class|seed";
 
 fn app_class_code(c: AppClass) -> &'static str {
     match c {
@@ -23,22 +22,6 @@ fn app_class_code(c: AppClass) -> &'static str {
         AppClass::LatencyBound => "LB",
         AppClass::Mixed => "MX",
     }
-}
-
-fn parse_app_class(s: &str) -> Option<AppClass> {
-    match s {
-        "CI" => Some(AppClass::ComputeIntensive),
-        "MI" => Some(AppClass::MemoryIntensive),
-        "LB" => Some(AppClass::LatencyBound),
-        "MX" => Some(AppClass::Mixed),
-        _ => None,
-    }
-}
-
-fn parse_size_class(s: &str) -> Option<JobSizeClass> {
-    JobSizeClass::all()
-        .into_iter()
-        .find(|c| c.label().to_string() == s)
 }
 
 /// Writes the job log, one pipe-separated record per job.
@@ -61,53 +44,70 @@ pub fn write_log<W: Write>(mut w: W, jobs: &[Job]) -> io::Result<()> {
     Ok(())
 }
 
-/// Parses a log written by [`write_log`].
-///
-/// The `domain` field is reconstructed from the project-id prefix against
-/// `domain_codes` (the paper does exactly this join).
-pub fn read_log<R: BufRead>(r: R, domain_codes: &[&str]) -> io::Result<Vec<Job>> {
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        if lineno == 0 || line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').collect();
-        let err = |msg: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {msg}: {line:?}", lineno + 1),
-            )
-        };
-        if fields.len() != 8 {
-            return Err(err("expected 8 fields"));
-        }
-        let project_id = fields[1].to_string();
-        let domain = domain_codes
-            .iter()
-            .position(|c| project_id.starts_with(c))
-            .ok_or_else(|| err("unknown project prefix"))?;
-        out.push(Job {
-            id: fields[0].parse().map_err(|_| err("bad job_id"))?,
-            domain,
-            project_id,
-            num_nodes: fields[2].parse().map_err(|_| err("bad num_nodes"))?,
-            size_class: parse_size_class(fields[3]).ok_or_else(|| err("bad size_class"))?,
-            begin_s: fields[4].parse().map_err(|_| err("bad begin_s"))?,
-            end_s: fields[5].parse().map_err(|_| err("bad end_s"))?,
-            app_class: parse_app_class(fields[6]).ok_or_else(|| err("bad app_class"))?,
-            seed: fields[7].parse().map_err(|_| err("bad seed"))?,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domains::catalog;
     use crate::gen::{generate, TraceParams};
-    use std::io::BufReader;
+    use crate::policy::JobSizeClass;
+    use std::io::{BufRead, BufReader};
+
+    fn parse_app_class(s: &str) -> Option<AppClass> {
+        match s {
+            "CI" => Some(AppClass::ComputeIntensive),
+            "MI" => Some(AppClass::MemoryIntensive),
+            "LB" => Some(AppClass::LatencyBound),
+            "MX" => Some(AppClass::Mixed),
+            _ => None,
+        }
+    }
+
+    fn parse_size_class(s: &str) -> Option<JobSizeClass> {
+        JobSizeClass::all()
+            .into_iter()
+            .find(|c| c.label().to_string() == s)
+    }
+
+    /// Parses a log written by [`write_log`]: the oracle that every field
+    /// survives the text format.  The `domain` field is reconstructed from
+    /// the project-id prefix against `domain_codes` (the paper does exactly
+    /// this join).
+    fn read_log<R: BufRead>(r: R, domain_codes: &[&str]) -> io::Result<Vec<Job>> {
+        let mut out = Vec::new();
+        for (lineno, line) in r.lines().enumerate() {
+            let line = line?;
+            if lineno == 0 || line.trim().is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = line.split('|').collect();
+            let err = |msg: &str| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("line {}: {msg}: {line:?}", lineno + 1),
+                )
+            };
+            if fields.len() != 8 {
+                return Err(err("expected 8 fields"));
+            }
+            let project_id = fields[1].to_string();
+            let domain = domain_codes
+                .iter()
+                .position(|c| project_id.starts_with(c))
+                .ok_or_else(|| err("unknown project prefix"))?;
+            out.push(Job {
+                id: fields[0].parse().map_err(|_| err("bad job_id"))?,
+                domain,
+                project_id,
+                num_nodes: fields[2].parse().map_err(|_| err("bad num_nodes"))?,
+                size_class: parse_size_class(fields[3]).ok_or_else(|| err("bad size_class"))?,
+                begin_s: fields[4].parse().map_err(|_| err("bad begin_s"))?,
+                end_s: fields[5].parse().map_err(|_| err("bad end_s"))?,
+                app_class: parse_app_class(fields[6]).ok_or_else(|| err("bad app_class"))?,
+                seed: fields[7].parse().map_err(|_| err("bad seed"))?,
+            });
+        }
+        Ok(out)
+    }
 
     #[test]
     fn log_round_trips() {

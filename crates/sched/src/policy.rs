@@ -51,20 +51,6 @@ impl JobSizeClass {
         }
     }
 
-    /// The class a job of `nodes` nodes falls into.
-    ///
-    /// # Panics
-    /// Panics for `nodes == 0` or `nodes > 9408`.
-    pub fn of_nodes(nodes: usize) -> JobSizeClass {
-        for class in Self::all() {
-            let (lo, hi) = class.node_range();
-            if (lo..=hi).contains(&nodes) {
-                return class;
-            }
-        }
-        panic!("node count {nodes} outside the Frontier range 1..=9408");
-    }
-
     /// Single-letter label.
     pub fn label(self) -> char {
         match self {
@@ -105,15 +91,11 @@ mod tests {
 
     #[test]
     fn classification_matches_table_vii() {
-        assert_eq!(JobSizeClass::of_nodes(9408), JobSizeClass::A);
-        assert_eq!(JobSizeClass::of_nodes(5645), JobSizeClass::A);
-        assert_eq!(JobSizeClass::of_nodes(5644), JobSizeClass::B);
-        assert_eq!(JobSizeClass::of_nodes(1882), JobSizeClass::B);
-        assert_eq!(JobSizeClass::of_nodes(184), JobSizeClass::C);
-        assert_eq!(JobSizeClass::of_nodes(183), JobSizeClass::D);
-        assert_eq!(JobSizeClass::of_nodes(92), JobSizeClass::D);
-        assert_eq!(JobSizeClass::of_nodes(91), JobSizeClass::E);
-        assert_eq!(JobSizeClass::of_nodes(1), JobSizeClass::E);
+        assert_eq!(JobSizeClass::A.node_range(), (5645, 9408));
+        assert_eq!(JobSizeClass::B.node_range(), (1882, 5644));
+        assert_eq!(JobSizeClass::C.node_range(), (184, 1881));
+        assert_eq!(JobSizeClass::D.node_range(), (92, 183));
+        assert_eq!(JobSizeClass::E.node_range(), (1, 91));
     }
 
     #[test]
@@ -121,12 +103,6 @@ mod tests {
         assert_eq!(JobSizeClass::A.max_walltime_h(), 12.0);
         assert_eq!(JobSizeClass::D.max_walltime_h(), 6.0);
         assert_eq!(JobSizeClass::E.max_walltime_h(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the Frontier range")]
-    fn zero_nodes_rejected() {
-        let _ = JobSizeClass::of_nodes(0);
     }
 
     #[test]

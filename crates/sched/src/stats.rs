@@ -7,7 +7,7 @@ use crate::policy::JobSizeClass;
 
 /// Aggregate statistics of one schedule.
 #[derive(Debug, Clone)]
-pub struct ScheduleStats {
+pub(crate) struct ScheduleStats {
     /// Jobs per (domain, size-class) cell.
     pub job_counts: Vec<[usize; 5]>,
     /// Node-seconds per (domain, size-class) cell.
@@ -21,7 +21,7 @@ pub struct ScheduleStats {
 }
 
 /// Computes statistics over a schedule with `n_domains` catalog entries.
-pub fn schedule_stats(schedule: &Schedule, n_domains: usize) -> ScheduleStats {
+pub(crate) fn schedule_stats(schedule: &Schedule, n_domains: usize) -> ScheduleStats {
     let mut job_counts = vec![[0usize; 5]; n_domains];
     let mut node_seconds = vec![[0.0f64; 5]; n_domains];
     let mut total = 0.0;
@@ -57,7 +57,7 @@ pub fn schedule_stats(schedule: &Schedule, n_domains: usize) -> ScheduleStats {
 
 impl ScheduleStats {
     /// Node-hour share of a domain, in `[0, 1]`.
-    pub fn domain_share(&self, domain: usize) -> f64 {
+    pub(crate) fn domain_share(&self, domain: usize) -> f64 {
         if self.total_node_seconds == 0.0 {
             return 0.0;
         }
@@ -68,7 +68,7 @@ impl ScheduleStats {
     }
 
     /// Node-hour share of a size class, in `[0, 1]`.
-    pub fn size_share(&self, size: JobSizeClass) -> f64 {
+    pub(crate) fn size_share(&self, size: JobSizeClass) -> f64 {
         if self.total_node_seconds == 0.0 {
             return 0.0;
         }
@@ -80,7 +80,7 @@ impl ScheduleStats {
     }
 
     /// Total job count.
-    pub fn total_jobs(&self) -> usize {
+    pub(crate) fn total_jobs(&self) -> usize {
         self.job_counts.iter().flat_map(|r| r.iter()).sum()
     }
 }

@@ -35,7 +35,7 @@ const CHANNELS_PER_NODE: usize = REST_SLOT as usize + 1;
 /// any real campaign (three months is ~5×10⁵ windows) but small enough
 /// that a single adversarial far-future window can never grow a ring past
 /// a few hundred megabytes.
-pub const DEFAULT_MAX_SPAN: u64 = 1 << 22;
+pub(crate) const DEFAULT_MAX_SPAN: u64 = 1 << 22;
 
 /// Spill vectors kept per shard for reuse.  Spills only happen on
 /// duplicate deliveries of one window, so a handful of slabs covers any
@@ -61,7 +61,7 @@ pub struct StreamConfig {
     /// far-future windows (a window near `u64::MAX` would otherwise
     /// demand an unpayable allocation).  Generator streams never span
     /// more than the horizon plus the longest dropped run, so the
-    /// [`DEFAULT_MAX_SPAN`] default is invisible to legitimate traffic.
+    /// `DEFAULT_MAX_SPAN` default is invisible to legitimate traffic.
     pub max_span_windows: u64,
 }
 
@@ -438,11 +438,6 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
             shards: (0..cfg.shards).map(|_| Shard::default()).collect(),
             stats: StreamStats::default(),
         })
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> StreamConfig {
-        self.cfg
     }
 
     /// Current ingest tallies.

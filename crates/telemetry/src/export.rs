@@ -1,64 +1,8 @@
-//! CSV persistence for telemetry products.
+//! Storage cost of a telemetry campaign.
 //!
 //! The paper notes that telemetry-driven studies "struggle with collecting
-//! and managing extensive datasets"; this module makes the storage cost
-//! concrete: samples, histograms, and job statistics serialize to plain
-//! CSV with `std` only, and [`sample_storage_bytes`] estimates the footprint
-//! of a Frontier-scale collection campaign.
-
-use std::io::{BufRead, Write};
-
-use pmss_error::PmssError;
-use pmss_gpu::PowerSample;
-
-use crate::hist::PowerHistogram;
-
-/// Writes a power-sample series as `t_s,power_w` CSV.
-pub fn write_samples<W: Write>(mut w: W, samples: &[PowerSample]) -> Result<(), PmssError> {
-    writeln!(w, "t_s,power_w")?;
-    for s in samples {
-        writeln!(w, "{:.3},{:.3}", s.t_s, s.power_w)?;
-    }
-    Ok(())
-}
-
-/// Reads a `t_s,power_w` CSV written by [`write_samples`].
-///
-/// Malformed lines are a [`PmssError::MalformedData`]; underlying reader
-/// failures surface as [`PmssError::Io`].
-pub fn read_samples<R: BufRead>(r: R) -> Result<Vec<PowerSample>, PmssError> {
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        if lineno == 0 && line.starts_with("t_s") {
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut parts = line.splitn(2, ',');
-        let parse = |s: Option<&str>| -> Result<f64, PmssError> {
-            s.and_then(|v| v.trim().parse().ok()).ok_or_else(|| {
-                PmssError::malformed("csv", format!("line {}: {line:?}", lineno + 1))
-            })
-        };
-        let t_s = parse(parts.next())?;
-        let power_w = parse(parts.next())?;
-        out.push(PowerSample { t_s, power_w });
-    }
-    Ok(out)
-}
-
-/// Writes a histogram as `bin_center_w,count` CSV.
-pub fn write_histogram<W: Write>(mut w: W, hist: &PowerHistogram) -> Result<(), PmssError> {
-    writeln!(w, "bin_center_w,count")?;
-    for (center, &count) in hist.centers().zip(hist.counts()) {
-        if count > 0 {
-            writeln!(w, "{center:.1},{count}")?;
-        }
-    }
-    Ok(())
-}
+//! and managing extensive datasets"; [`sample_storage_bytes`] makes the
+//! cost concrete for a Frontier-scale collection campaign (Table II).
 
 /// Estimated raw storage for a telemetry campaign, in bytes.
 ///
@@ -82,49 +26,6 @@ pub fn sample_storage_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
-
-    fn series() -> Vec<PowerSample> {
-        (0..50)
-            .map(|i| PowerSample {
-                t_s: i as f64 * 15.0,
-                power_w: 300.0 + (i % 7) as f64,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn samples_round_trip_through_csv() {
-        let original = series();
-        let mut buf = Vec::new();
-        write_samples(&mut buf, &original).unwrap();
-        let read = read_samples(BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(read.len(), original.len());
-        for (a, b) in original.iter().zip(&read) {
-            assert!((a.t_s - b.t_s).abs() < 1e-3);
-            assert!((a.power_w - b.power_w).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn malformed_csv_is_an_error() {
-        let bad = "t_s,power_w\n1.0\n";
-        assert!(read_samples(BufReader::new(bad.as_bytes())).is_err());
-        let bad2 = "1.0,abc\n";
-        assert!(read_samples(BufReader::new(bad2.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn histogram_export_skips_empty_bins() {
-        let mut h = PowerHistogram::gpu_default();
-        h.record(300.0);
-        h.record(300.0);
-        let mut buf = Vec::new();
-        write_histogram(&mut buf, &h).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2, "{text}");
-        assert!(text.contains(",2"));
-    }
 
     #[test]
     fn frontier_scale_storage_is_terabytes_raw() {

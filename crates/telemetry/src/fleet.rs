@@ -72,7 +72,7 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// The settings in force for a job of `domain`.
-    pub fn settings_for(&self, domain: usize) -> GpuSettings {
+    pub(crate) fn settings_for(&self, domain: usize) -> GpuSettings {
         self.domain_settings
             .get(domain)
             .copied()

@@ -49,11 +49,6 @@ impl FleetPowerSeries {
         (t_s / w).min(Self::MAX_SLOT) as usize
     }
 
-    /// The aggregate series, watts per window.
-    pub fn series_w(&self) -> &[f64] {
-        &self.totals_w
-    }
-
     /// Peak fleet power, watts.
     pub fn peak_w(&self) -> f64 {
         self.totals_w.iter().cloned().fold(0.0, f64::max)
@@ -69,7 +64,8 @@ impl FleetPowerSeries {
     }
 
     /// Total energy, joules.
-    pub fn energy_j(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn energy_j(&self) -> f64 {
         let w = if self.window_s > 0.0 {
             self.window_s
         } else {
@@ -86,21 +82,6 @@ impl FleetPowerSeries {
         } else {
             0.0
         }
-    }
-
-    /// Load-duration curve: the fraction of time fleet power exceeds each
-    /// of the given wattages.
-    pub fn exceedance(&self, thresholds_w: &[f64]) -> Vec<(f64, f64)> {
-        if self.totals_w.is_empty() {
-            return thresholds_w.iter().map(|&t| (t, 0.0)).collect();
-        }
-        thresholds_w
-            .iter()
-            .map(|&t| {
-                let over = self.totals_w.iter().filter(|&&p| p > t).count();
-                (t, over as f64 / self.totals_w.len() as f64)
-            })
-            .collect()
     }
 }
 
@@ -217,8 +198,8 @@ mod tests {
             fp.gpu_sample(&ctx, t, 100.0);
             fp.node_sample(&ctx, t, 15.0, 50.0);
         }
-        assert_eq!(fp.series_w().len(), 1);
-        assert!((fp.series_w()[0] - 750.0).abs() < 1e-9);
+        assert_eq!(fp.totals_w.len(), 1);
+        assert!((fp.totals_w[0] - 750.0).abs() < 1e-9);
         // An absurdly large timestamp clamps to the bounded ceiling —
         // checked at the index-mapping level so the test itself never
         // has to materialize the capped tail.
@@ -229,18 +210,5 @@ mod tests {
         assert_eq!(FleetPowerSeries::slot_index(f64::MAX, 15.0), 1e9 as usize);
         // Ordinary in-campaign timestamps are untouched by the clamps.
         assert_eq!(FleetPowerSeries::slot_index(45.0, 15.0), 3);
-    }
-
-    #[test]
-    fn exceedance_curve_is_monotone_decreasing() {
-        let s = schedule();
-        let fp: FleetPowerSeries = simulate_fleet(&s, &FleetConfig::default());
-        let thresholds: Vec<f64> = (0..20).map(|i| i as f64 * fp.peak_w() / 19.0).collect();
-        let curve = fp.exceedance(&thresholds);
-        for w in curve.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-12);
-        }
-        assert!(curve[0].1 > 0.99, "everything exceeds 0 W");
-        assert!(curve.last().unwrap().1 < 0.01, "nothing exceeds the peak");
     }
 }

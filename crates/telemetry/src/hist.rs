@@ -70,11 +70,6 @@ impl PowerHistogram {
         (self.total > 0).then(|| self.sum_w / self.total as f64)
     }
 
-    /// Bin width in watts.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_w
-    }
-
     /// Bin centers, in watts.
     pub fn centers(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.counts.len()).map(move |i| (i as f64 + 0.5) * self.bin_w)

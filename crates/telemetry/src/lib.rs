@@ -17,8 +17,8 @@
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
 //! * [`export`] — CSV persistence and storage-cost estimation;
-//! * [`fleetpower`] — facility-level aggregate power (peak demand, load
-//!   duration, peak shaving under caps).
+//! * [`FleetPowerSeries`] — facility-level aggregate power (peak demand
+//!   and load factor under caps, for `pmss peakpower`).
 //!
 //! The window-event seam ([`WindowEvent`], [`FleetObserver`],
 //! [`ColumnBlock`]) and the power-series codec live in `pmss-columns`; the
@@ -30,7 +30,7 @@
 pub mod delivery;
 pub mod export;
 pub mod fleet;
-pub mod fleetpower;
+mod fleetpower;
 pub mod hist;
 pub mod observers;
 pub mod resident;
@@ -50,4 +50,4 @@ pub use pmss_columns::{
     NO_JOB, REST_SLOT,
 };
 pub use resident::ResidentFleet;
-pub use smi::{compare_sensors, Comparison};
+pub use smi::compare_sensors;

@@ -43,7 +43,7 @@ impl ResidentFleet {
     }
 
     /// [`ResidentFleet::capture`] under an explicit codec configuration.
-    pub fn capture_with(
+    pub(crate) fn capture_with(
         schedule: &Schedule,
         cfg: &FleetConfig,
         codec: CodecConfig,
@@ -91,19 +91,6 @@ impl ResidentFleet {
             obs.fold_channel(schedule, &block);
         }
         Ok(obs)
-    }
-
-    /// Decodes each block in canonical order to `emit` — the seam for
-    /// feeding a resident store through the streaming engine's
-    /// `ingest_block`.  The block reference is one reused scratch buffer,
-    /// valid only for the duration of the callback.
-    pub fn decode_blocks(&self, mut emit: impl FnMut(&ColumnBlock)) -> Result<(), PmssError> {
-        let mut block = ColumnBlock::default();
-        for enc in &self.blocks {
-            enc.decode_into(self.codec, &mut block)?;
-            emit(&block);
-        }
-        Ok(())
     }
 
     /// The compressed per-channel blocks, in canonical channel order.
@@ -198,24 +185,5 @@ mod tests {
             diff <= tol,
             "energy drift {diff} J exceeds quantization bound {tol} J"
         );
-    }
-
-    #[test]
-    fn decode_blocks_visits_every_captured_row_in_order() {
-        let sched = schedule();
-        let cfg = FleetConfig::default();
-        let resident = ResidentFleet::capture(&sched, &cfg).expect("capture");
-        let mut rows = 0u64;
-        let mut channels = Vec::new();
-        resident
-            .decode_blocks(|b| {
-                rows += b.len() as u64;
-                channels.push(b.channel());
-            })
-            .expect("decode");
-        assert_eq!(rows, resident.rows());
-        let mut sorted = channels.clone();
-        sorted.sort();
-        assert_eq!(channels, sorted, "canonical channel order");
     }
 }

@@ -39,14 +39,6 @@ pub fn aggregate(samples: &[PowerSample], window_s: f64) -> Vec<PowerSample> {
     out
 }
 
-/// Mean power of a trace, in watts.
-pub fn mean_power(samples: &[PowerSample]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    Some(samples.iter().map(|s| s.power_w).sum::<f64>() / samples.len() as f64)
-}
-
 /// Energy implied by a uniformly-sampled trace, in joules.
 pub fn trace_energy_j(samples: &[PowerSample], period_s: f64) -> f64 {
     samples.iter().map(|s| s.power_w * period_s).sum()
@@ -111,6 +103,5 @@ mod tests {
     #[test]
     fn empty_trace_yields_empty_aggregate() {
         assert!(aggregate(&[], 15.0).is_empty());
-        assert_eq!(mean_power(&[]), None);
     }
 }

@@ -16,7 +16,7 @@ use crate::sampler::aggregate;
 
 /// The two sensor channels of Fig. 2(a).
 #[derive(Debug, Clone, Copy)]
-pub struct SensorPair {
+pub(crate) struct SensorPair {
     /// Facility out-of-band channel: 2 s period, aggregated to 15 s.
     pub out_of_band: TraceConfig,
     /// ROCm-SMI-like in-band channel: 1 s period, aggregated to 15 s.

@@ -130,19 +130,6 @@ proptest! {
         prop_assert!((mass - 1.0).abs() < 0.02, "mass {mass}");
     }
 
-    /// CSV round-trip is lossless to the printed precision.
-    #[test]
-    fn csv_round_trip(trace in arb_trace()) {
-        use pmss_telemetry::export::{read_samples, write_samples};
-        let mut buf = Vec::new();
-        write_samples(&mut buf, &trace).unwrap();
-        let back = read_samples(std::io::BufReader::new(buf.as_slice())).unwrap();
-        prop_assert_eq!(back.len(), trace.len());
-        for (a, b) in trace.iter().zip(&back) {
-            prop_assert!((a.power_w - b.power_w).abs() < 1e-3);
-        }
-    }
-
     /// Codec round-trip is lossless at the quantization step for any
     /// finite wattage series.
     #[test]

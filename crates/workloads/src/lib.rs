@@ -14,9 +14,7 @@
 //!   normalization;
 //! * [`table3`] — the benchmark-derived scaling factors (Table III);
 //! * [`phases`] — synthetic phased applications for the fleet simulation;
-//! * [`ert`] — an Empirical Roofline Tool probe against the device model;
-//! * [`proxy`] — named proxy applications with documented phase structure;
-//! * [`stream`] — the STREAM quartet (Copy/Scale/Add/Triad).
+//! * [`ert`] — an Empirical Roofline Tool probe against the device model.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,13 +22,10 @@
 pub mod ert;
 pub mod membench;
 pub mod phases;
-pub mod proxy;
-pub mod stream;
 pub mod sweep;
 pub mod table3;
 pub mod vai;
 
 pub use phases::AppClass;
-pub use proxy::ProxyApp;
-pub use sweep::{CapSetting, NormalizedPoint, SweepPoint};
+pub use sweep::{CapSetting, NormalizedPoint};
 pub use table3::{Factors, Table3, Table3Row};

@@ -23,7 +23,7 @@ pub const THREADS_PER_BLOCK: u64 = 1_024;
 /// between 1700 and 900 MHz.  The oversubscription runs out near the bottom
 /// of the ladder, where runtime starts to regress (the paper's MB energy
 /// column jumps at 700 MHz).
-pub const MB_BW_OVERSUB: f64 = 2.0;
+pub(crate) const MB_BW_OVERSUB: f64 = 2.0;
 
 /// Working-set size at which the sustained bandwidth starts to decay, in
 /// bytes.  Below this the streaming is page-friendly and reaches peak HBM

@@ -54,7 +54,7 @@ fn phase_duration<R: Rng + ?Sized>(rng: &mut R, remaining_s: f64) -> f64 {
 /// A compute-intensive phase: FLOP-bound VAI-like kernel with an arithmetic
 /// intensity drawn log-uniformly from [2, 512] FLOP/byte, sized for
 /// `duration_s` at the maximum clock.
-pub fn compute_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
+pub(crate) fn compute_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
     let ai = 2f64.powf(rng.gen_range(1.0..9.0));
     let eff_peak = GPU_PEAK_FLOPS * VAI_FLOP_EFFICIENCY;
     let flops = eff_peak * duration_s;
@@ -73,7 +73,7 @@ pub fn compute_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelPro
 /// A memory-intensive phase: bandwidth-bound kernel sustaining a fraction
 /// of peak HBM bandwidth set by its memory-level parallelism, with a low
 /// arithmetic intensity.
-pub fn memory_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
+pub(crate) fn memory_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
     let sustain = rng.gen_range(0.45..1.0); // fraction of HBM peak sustained
     let ai = 2f64.powf(rng.gen_range(-4.0..-0.5));
     let bytes = GPU_HBM_BW * sustain * duration_s;
@@ -92,7 +92,7 @@ pub fn memory_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProf
 
 /// A latency / network / I/O bound phase: mostly serial dependent work and
 /// GPU-idle stalls, with a sliver of memory traffic.
-pub fn latency_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
+pub(crate) fn latency_phase<R: Rng + ?Sized>(rng: &mut R, duration_s: f64) -> KernelProfile {
     let serial_frac = rng.gen_range(0.3..0.8);
     let stall_frac = rng.gen_range(0.1..(0.95 - serial_frac));
     let burst_s = duration_s * (1.0 - serial_frac - stall_frac);

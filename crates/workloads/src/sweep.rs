@@ -133,7 +133,7 @@ pub fn normalize(points: &[SweepPoint]) -> Result<Vec<NormalizedPoint>, PmssErro
 ///
 /// Errors on an empty kernel set ([`PmssError::EmptyInput`]) or ragged
 /// sweeps where kernels saw different setting counts.
-pub fn average_across_kernels(
+pub(crate) fn average_across_kernels(
     per_kernel: &[Vec<NormalizedPoint>],
 ) -> Result<Vec<NormalizedPoint>, PmssError> {
     if per_kernel.is_empty() {
@@ -171,7 +171,7 @@ pub fn freq_settings() -> Vec<CapSetting> {
 }
 
 /// Convenience: all power-cap settings.
-pub fn power_settings() -> Vec<CapSetting> {
+pub(crate) fn power_settings() -> Vec<CapSetting> {
     POWER_CAPS_W
         .iter()
         .map(|&w| CapSetting::PowerW(w))

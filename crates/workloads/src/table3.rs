@@ -115,7 +115,7 @@ fn averaged_family(
 }
 
 /// Computes Table III by sweeping both benchmark families over both knobs.
-pub fn compute(engine: &Engine, scale: BenchScale) -> Result<Table3, PmssError> {
+pub(crate) fn compute(engine: &Engine, scale: BenchScale) -> Result<Table3, PmssError> {
     compute_with_ladders(engine, scale, &freq_settings(), &power_settings())
 }
 

@@ -20,16 +20,16 @@ use pmss_gpu::KernelProfile;
 /// The kernel is a dependent FMA chain without packed math; the paper's
 /// measured roofline ridge sits at AI = 4 FLOP/byte, i.e. an effective
 /// compute peak of 4 x 3.2 TB/s = 12.8 TF — 26.8 % of the Table I peak.
-pub const VAI_FLOP_EFFICIENCY: f64 = 0.268;
+pub(crate) const VAI_FLOP_EFFICIENCY: f64 = 0.268;
 
 /// Memory-level-parallelism oversubscription of the VAI kernel: issue
 /// limited, so deliverable bandwidth scales with the core clock (the
 /// paper: "both memory and FLOPS-bound parts are affected by frequency
 /// throttling similarly").
-pub const VAI_BW_OVERSUB: f64 = 1.0;
+pub(crate) const VAI_BW_OVERSUB: f64 = 1.0;
 
 /// Bytes touched per work-item per repeat: 3 reads + 1 write of `f64`.
-pub const BYTES_PER_ITEM: f64 = 32.0;
+pub(crate) const BYTES_PER_ITEM: f64 = 32.0;
 
 /// Parameters of one VAI run (paper Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,18 +61,18 @@ impl VaiParams {
     }
 
     /// Arithmetic intensity in FLOP/byte.
-    pub fn intensity(&self) -> f64 {
+    pub(crate) fn intensity(&self) -> f64 {
         self.loopsize as f64 / 16.0
     }
 
     /// Total useful FLOPs (2 ops per unrolled iteration).
-    pub fn total_flops(&self) -> f64 {
+    pub(crate) fn total_flops(&self) -> f64 {
         2.0 * self.loopsize as f64 * self.global_wis as f64 * self.repeat as f64
     }
 
     /// Total bytes moved (stream copy touches 16 B/item, the FMA variant
     /// 32 B/item).
-    pub fn total_bytes(&self) -> f64 {
+    pub(crate) fn total_bytes(&self) -> f64 {
         let per_item = if self.loopsize == 0 {
             16.0
         } else {
@@ -80,16 +80,6 @@ impl VaiParams {
         };
         per_item * self.global_wis as f64 * self.repeat as f64
     }
-}
-
-/// Paper-scale default: enough work-items to fill a GCD's HBM working set
-/// and enough repeats for a >= 20 s run at peak bandwidth.
-pub fn paper_scale_params(ai: f64) -> VaiParams {
-    let global_wis: u64 = 1 << 31; // 3 arrays x 16 GiB
-    let target_seconds = 25.0;
-    let bytes_per_pass = BYTES_PER_ITEM * global_wis as f64;
-    let passes = (target_seconds * pmss_gpu::consts::GPU_HBM_BW / bytes_per_pass).ceil() as u64;
-    VaiParams::for_intensity(ai, global_wis, passes.max(1))
 }
 
 /// GPU-model kernel descriptor for a VAI run.
@@ -202,14 +192,6 @@ mod tests {
         assert_eq!(s[1], 0.0625);
         assert_eq!(*s.last().unwrap(), 1024.0);
         assert_eq!(s.len(), 16);
-    }
-
-    #[test]
-    fn paper_scale_runs_at_least_twenty_seconds() {
-        let k = kernel(paper_scale_params(0.0625));
-        let eng = pmss_gpu::Engine::default();
-        let ex = eng.execute(&k, pmss_gpu::GpuSettings::uncapped());
-        assert!(ex.time_s >= 20.0, "steady-state requirement: {}", ex.time_s);
     }
 
     #[test]

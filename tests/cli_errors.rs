@@ -26,33 +26,60 @@ fn deeply_nested_spec_file_is_a_typed_error_not_an_abort() {
 }
 
 /// A spec sized far past the paper's machine used to abort (`nodes`: an
-/// allocation failure, exit 134) or grow until killed (`days`: exit 137).
-/// Both are bounded in `ScenarioSpec::validate` now.
+/// allocation failure, exit 134) or grow until killed (`days`: exit 137),
+/// and a cap ladder or price series of any length was accepted.  All are
+/// bounded in `ScenarioSpec::validate` now.
 #[test]
 fn oversized_specs_are_typed_errors_not_aborts() {
+    let list = |n: usize| {
+        let entries: Vec<String> = (0..n).map(|i| (1_000_000 - i).to_string()).collect();
+        format!("[{}]", entries.join(","))
+    };
     for (name, body, field) in [
-        ("nodes", r#"{"nodes": 4000000000000}"#, "`nodes`"),
-        ("days", r#"{"days": 1e300}"#, "`days`"),
+        (
+            "nodes",
+            r#"{"nodes": 4000000000000}"#.to_string(),
+            "`nodes`",
+        ),
+        ("days", r#"{"days": 1e300}"#.to_string(), "`days`"),
         (
             "node-days",
-            r#"{"nodes": 90000, "days": 800}"#,
+            r#"{"nodes": 90000, "days": 800}"#.to_string(),
             "`nodes x days`",
+        ),
+        (
+            "freq-ladder",
+            format!(r#"{{"freq_caps_mhz": {}}}"#, list(100_000)),
+            "`freq_caps_mhz`",
+        ),
+        (
+            "power-ladder",
+            format!(r#"{{"power_caps_w": {}}}"#, list(61)),
+            "`power_caps_w`",
+        ),
+        (
+            "price-series",
+            format!(
+                r#"{{"econ": {{"price_usd_per_mwh": {0}, "carbon_g_per_kwh": {0}}}}}"#,
+                list(86_401)
+            ),
+            "`econ.price_usd_per_mwh`",
         ),
     ] {
         let path =
             std::env::temp_dir().join(format!("pmss-oversized-{name}-{}.json", std::process::id()));
-        std::fs::write(&path, body).expect("spec file written");
+        std::fs::write(&path, &body).expect("spec file written");
         let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
             .args(["table", "5", "--spec"])
             .arg(&path)
             .output()
             .expect("pmss runs");
         std::fs::remove_file(&path).ok();
-        assert_eq!(out.status.code(), Some(1), "{body}: {:?}", out.status);
+        assert_eq!(out.status.code(), Some(1), "{name}: {:?}", out.status);
         assert!(out.stdout.is_empty());
         let stderr = String::from_utf8_lossy(&out.stderr);
         let prefix = format!("pmss: invalid scenario spec: {field} must be at most");
-        assert!(stderr.starts_with(&prefix), "{body}: {stderr}");
+        assert!(stderr.starts_with(&prefix), "{name}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
 }

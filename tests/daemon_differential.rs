@@ -292,18 +292,33 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
 
 /// One OPEN whose spec asks for a fleet or campaign far past the paper's
 /// used to abort the daemon and every tenant in it (an allocation failure
-/// in schedule generation).  It bounces as `malformed`, binds nothing, and
-/// the daemon serves a normal tenant on the next connection.
+/// in schedule generation), and one with a 100 000-rung cap ladder swept
+/// it under the registry lock.  Each bounces as `malformed`, binds
+/// nothing, and the daemon serves a normal tenant on the next connection:
+/// `not_ready` before its first snapshot, the batch answer after FLUSH.
 #[test]
 fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     let h = start_daemon(64, 8);
     let spec = spec_for(None);
-    for (nodes, days) in [(4_000_000_000_000, 2.0), (16, 1e300), (90_000, 800.0)] {
-        let huge = ScenarioSpec {
-            nodes,
-            days,
-            ..spec.clone()
-        };
+    let sized = |nodes, days| ScenarioSpec {
+        nodes,
+        days,
+        ..spec.clone()
+    };
+    let mut long_ladder = spec.clone();
+    long_ladder.freq_caps_mhz = (0..100_000).map(|i| 1e6 - f64::from(i)).collect();
+    let mut long_series = spec.clone();
+    let mut trace = pmss_econ::EconTrace::preset("diurnal").expect("known econ preset");
+    trace.price_usd_per_mwh = (0..86_401).map(|i| f64::from(i % 24)).collect();
+    trace.carbon_g_per_kwh = trace.price_usd_per_mwh.clone();
+    long_series.econ = Some(trace);
+    for huge in [
+        sized(4_000_000_000_000, 2.0),
+        sized(16, 1e300),
+        sized(90_000, 800.0),
+        long_ladder,
+        long_series,
+    ] {
         let mut conn = Connection::connect(&h.target).expect("connect");
         match conn.open("huge", Some(&huge)) {
             Err(ClientError::Rejected { code, detail }) => {
@@ -321,6 +336,13 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     let mut next = Connection::connect(&h.target).expect("second connection");
     next.open("normal", Some(&spec))
         .expect("a normal spec opens");
+    match next.query(&Query::Projection) {
+        Err(ClientError::Rejected { code, detail }) => {
+            assert_eq!(code, code::NOT_READY);
+            assert!(detail.contains("empty input"), "{detail}");
+        }
+        other => panic!("expected not_ready before any data, got {other:?}"),
+    }
     ingest_campaign(&mut next, &spec).expect("ingest");
     next.flush().expect("flush");
     let got = next.query(&Query::Projection).expect("query");

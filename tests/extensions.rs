@@ -1,18 +1,25 @@
 //! Integration tests for the beyond-the-paper extensions: governors,
-//! calibration, thermal-derived boost, policy exploration, and the
-//! projection-validation loop.
+//! calibration, policy exploration, and the projection-validation loop.
 
-use pmss::gpu::{DvfsLadder, Engine, GovernedTotals, Governor, GpuSettings, ThermalModel};
-use pmss::workloads::proxy::ProxyApp;
+use pmss::gpu::{DvfsLadder, Engine, GovernedTotals, Governor, GpuSettings, KernelProfile};
+use pmss::workloads::phases::synthesize_app;
+use pmss::workloads::AppClass;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The phases `pmss governor` governs for one application class.
+fn class_phases(class: AppClass) -> Vec<KernelProfile> {
+    synthesize_app(class, 3600.0, &mut StdRng::seed_from_u64(17))
+}
 
 #[test]
-fn governor_beats_static_caps_on_every_proxy_app() {
+fn governor_beats_static_caps_on_every_app_class() {
     // The per-phase energy-optimal governor must never lose to any static
-    // frequency cap on any named proxy application.
+    // frequency cap on any application class.
     let engine = Engine::default();
     let ladder = DvfsLadder::default();
-    for app in ProxyApp::all() {
-        let phases = app.run(2, 60.0);
+    for class in AppClass::all() {
+        let phases = class_phases(class);
         let opt = GovernedTotals::from_governed(
             &Governor::EnergyOptimal
                 .govern_phases(&engine, &phases, &ladder)
@@ -26,28 +33,27 @@ fn governor_beats_static_caps_on_every_proxy_app() {
             );
             assert!(
                 opt.energy_j <= fixed.energy_j + 1e-6,
-                "{}: optimal loses to {mhz} MHz",
-                app.name()
+                "{class:?}: optimal loses to {mhz} MHz"
             );
         }
     }
 }
 
 #[test]
-fn slowdown_budget_governor_respects_budget_on_proxies() {
+fn slowdown_budget_governor_respects_budget_on_every_app_class() {
     let engine = Engine::default();
     let ladder = DvfsLadder::default();
-    for app in ProxyApp::all() {
+    for class in AppClass::all() {
+        let phases = class_phases(class);
         for budget in [0.02, 0.1] {
             let t = GovernedTotals::from_governed(
                 &Governor::SlowdownBudget { budget }
-                    .govern_phases(&engine, &app.run(1, 60.0), &ladder)
+                    .govern_phases(&engine, &phases, &ladder)
                     .unwrap(),
             );
             assert!(
                 t.slowdown() <= budget + 1e-9,
-                "{} at budget {budget}: slowdown {}",
-                app.name(),
+                "{class:?} at budget {budget}: slowdown {}",
                 t.slowdown()
             );
             assert!(t.energy_saving() >= -1e-9);
@@ -90,68 +96,6 @@ fn calibration_recovers_the_engine_model_from_benchmark_runs() {
         "predicted {predicted} vs measured {}",
         ex.busy_power_w
     );
-}
-
-#[test]
-fn thermal_model_grounds_the_boost_budget() {
-    let b = ThermalModel::default().derive_boost_budget();
-    // The derived budget must sit in the regime that produced the ~1%
-    // boosted GPU-hours of Table IV.
-    assert!((3.0..30.0).contains(&b.stored_s()));
-    assert!((0.02..0.4).contains(&b.duty_cycle()));
-}
-
-#[test]
-fn proxy_apps_cover_all_table_iv_regions() {
-    use pmss::core::Region;
-    let engine = Engine::default();
-    let mut seen = std::collections::HashSet::new();
-    for app in ProxyApp::all() {
-        let (mut e, mut t) = (0.0, 0.0);
-        for k in app.run(2, 60.0) {
-            let ex = engine.execute(&k, GpuSettings::uncapped());
-            e += ex.energy_j;
-            t += ex.time_s;
-        }
-        seen.insert(Region::of_power(e / t));
-    }
-    assert!(seen.contains(&Region::LatencyBound));
-    assert!(seen.contains(&Region::MemoryIntensive));
-    assert!(seen.contains(&Region::ComputeIntensive));
-}
-
-#[test]
-fn job_log_round_trips_through_the_scheduler_pipeline() {
-    use pmss::sched::{catalog, generate, log, TraceParams};
-    use std::io::BufReader;
-
-    let cat = catalog();
-    let codes: Vec<&str> = cat.iter().map(|d| d.code).collect();
-    let s = generate(
-        TraceParams {
-            nodes: 8,
-            duration_s: 86_400.0,
-            seed: 31,
-            min_job_s: 900.0,
-        },
-        &cat,
-    );
-    let mut buf = Vec::new();
-    log::write_log(&mut buf, &s.jobs).unwrap();
-    let parsed = log::read_log(BufReader::new(buf.as_slice()), &codes).unwrap();
-    assert_eq!(parsed.len(), s.jobs.len());
-
-    // The parsed log carries everything the decomposition needs: rebuild
-    // statistics and compare.
-    let st_orig = pmss::sched::schedule_stats(&s, cat.len());
-    let rebuilt = pmss::sched::Schedule {
-        jobs: parsed,
-        per_node: s.per_node.clone(),
-        duration_s: s.duration_s,
-    };
-    let st_back = pmss::sched::schedule_stats(&rebuilt, cat.len());
-    assert_eq!(st_orig.total_jobs(), st_back.total_jobs());
-    assert!((st_orig.total_node_seconds - st_back.total_node_seconds).abs() < 1.0);
 }
 
 #[test]
