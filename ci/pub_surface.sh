@@ -5,8 +5,10 @@
 # An item is a line in crates/*/src/*.rs that starts (after indentation)
 # with `pub fn|const fn|struct|enum|trait|type|const|static|mod NAME`;
 # `pub(crate)` items and `pub use` re-exports are not items.  A name counts
-# as used where it occurs as a whole word, so the counts are upper bounds
-# (`new` or `run` is "named" by every file).  Printed:
+# as used where it occurs as a whole word in code: text after `//` (line
+# and doc comments) and `pub use` statements do not count, since a comment
+# or a re-export calls nothing.  The counts are still upper bounds (`new`
+# or `run` is "named" by every file).  Printed:
 #
 #   pub items                  every item;
 #   unnamed outside file       items whose name no other production file
@@ -40,11 +42,24 @@ everything = production + sorted(
     glob.glob("crates/*/tests/*.rs") + glob.glob("tests/*.rs") + glob.glob("examples/*.rs")
 )
 
+def code_tokens(text):
+    """Whole words outside `//` comments and `pub use` statements."""
+    tokens, in_pub_use = [], False
+    for line in text.splitlines():
+        if line.lstrip().startswith("pub use "):
+            in_pub_use = True
+        if in_pub_use:
+            in_pub_use = ";" not in line
+            continue
+        tokens += word.findall(line.split("//", 1)[0])
+    return tokens
+
+
 words = {}
 occurrences = Counter()
 for path in everything:
     with open(path, encoding="utf-8") as f:
-        tokens = word.findall(f.read())
+        tokens = code_tokens(f.read())
     occurrences.update(tokens)
     if path in production:
         words[path] = set(tokens)

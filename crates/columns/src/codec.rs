@@ -6,16 +6,17 @@
 //! for minutes — so a delta + run-length scheme shrinks them drastically.
 //! This module implements that codec (quantized deltas, zigzag varints,
 //! run-length encoding of repeats) with a lossless round trip at the
-//! chosen quantization.
+//! sensor's 1 W quantization.
 
 use pmss_error::PmssError;
+
+/// Quantization step, watts.  1 W matches the sensor's own resolution,
+/// making the codec lossless end to end.
+pub const QUANTUM_W: f64 = 1.0;
 
 /// Codec parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CodecConfig {
-    /// Quantization step, watts.  1 W matches the sensor's own resolution,
-    /// making the codec lossless end to end.
-    pub quantum_w: f64,
     /// Upper bound on the sample count [`decode`] accepts.  Run-length
     /// encoding means an 11-byte input can *legitimately* declare billions
     /// of samples, so untrusted data must be bounded by policy, not by
@@ -28,7 +29,6 @@ pub struct CodecConfig {
 impl Default for CodecConfig {
     fn default() -> Self {
         CodecConfig {
-            quantum_w: 1.0,
             max_samples: 1 << 24,
         }
     }
@@ -95,24 +95,25 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
 /// Format: varint sample count, then per distinct value a zigzag-varint
 /// quantized delta followed by a varint run length.
 ///
-/// A non-positive or non-finite `quantum_w` is a configuration error.
 /// Non-finite samples are rejected: quantizing them would saturate
 /// (NaN→0, +inf→`i64::MAX`) and silently corrupt the "lossless" stream —
 /// the same no-silent-NaN policy as `PowerHistogram::record`, except that
 /// a codec must refuse rather than skip (skipping would change the
 /// count).  So is any finite sample whose quantized magnitude exceeds
-/// 2^53, past which `i64`→`f64` reconstruction stops being exact.
+/// 2^53, past which `i64`→`f64` reconstruction stops being exact, and a
+/// series longer than [`CodecConfig::max_samples`], which [`decode`]
+/// under the same configuration would refuse.
 pub fn encode(samples_w: &[f64], cfg: CodecConfig) -> Result<Vec<u8>, PmssError> {
-    if !(cfg.quantum_w > 0.0 && cfg.quantum_w.is_finite()) {
+    if samples_w.len() > cfg.max_samples {
         return Err(PmssError::invalid_value(
-            "quantum_w",
-            format!("{}", cfg.quantum_w),
-            "a finite quantization step > 0 W",
+            "power series length",
+            samples_w.len().to_string(),
+            format!("at most {} samples (max_samples)", cfg.max_samples),
         ));
     }
     let quantize = |i: usize| -> Result<i64, PmssError> {
         let x = samples_w[i];
-        let q = (x / cfg.quantum_w).round();
+        let q = (x / QUANTUM_W).round();
         if !x.is_finite() || q.abs() > MAX_QUANTIZED {
             return Err(PmssError::invalid_value(
                 format!("power sample [{i}]"),
@@ -224,7 +225,7 @@ fn decode_runs(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), 
                 "accumulated value {prev} exceeds ±2^53 quanta"
             )));
         }
-        let value = prev as f64 * cfg.quantum_w;
+        let value = prev as f64 * QUANTUM_W;
         if run == 1 {
             // Noisy series degenerate to run-of-one: skip the repeat
             // iterator machinery on the hot path.
@@ -255,7 +256,7 @@ mod tests {
         let decoded = decode(&encoded, cfg).expect("decode");
         assert_eq!(decoded.len(), samples.len());
         for (a, b) in samples.iter().zip(&decoded) {
-            assert!((a - b).abs() <= 0.5 * cfg.quantum_w + 1e-9, "{a} vs {b}");
+            assert!((a - b).abs() <= 0.5 * QUANTUM_W + 1e-9, "{a} vs {b}");
         }
     }
 
@@ -307,13 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_quantum_is_rejected() {
-        let cfg = CodecConfig {
-            quantum_w: 0.0,
-            ..Default::default()
-        };
-        let err = encode(&[1.0], cfg).unwrap_err();
-        assert!(err.to_string().contains("quantum_w"), "{err}");
+    fn encode_refuses_a_series_decode_would_refuse() {
+        let cfg = CodecConfig { max_samples: 8 };
+        assert!(encode(&[89.0; 8], cfg).is_ok());
+        let err = encode(&[89.0; 9], cfg).unwrap_err();
+        assert!(err.to_string().contains("max_samples"), "{err}");
     }
 
     #[test]

@@ -308,19 +308,9 @@ impl EncodedBlock {
         Ok(())
     }
 
-    /// The block's node index.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// Number of window rows the block decodes to.
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// The window grid timestamps derive from.
-    pub fn grid(&self) -> BlockGrid {
-        self.grid
     }
 
     /// Compressed payload size, bytes (excluding the fixed header).
@@ -666,10 +656,7 @@ mod tests {
             .expect("encode");
         let short = EncodedBlock::encode(&ColumnBlock::from_events(2, 1, &events(16)), grid(), cfg)
             .expect("encode");
-        let tight = CodecConfig {
-            max_samples: 8,
-            ..cfg
-        };
+        let tight = CodecConfig { max_samples: 8 };
         // A scratch that already holds 64 good rows must come back empty
         // from every failure — no stale row, no half-filled column — with
         // the very error a fresh `decode` reports.
@@ -777,10 +764,7 @@ mod tests {
 
     #[test]
     fn row_count_is_bounded_by_policy_before_allocating() {
-        let cfg = CodecConfig {
-            max_samples: 8,
-            ..CodecConfig::default()
-        };
+        let cfg = CodecConfig { max_samples: 8 };
         let events: Vec<WindowEvent> = (0..16)
             .map(|w| {
                 gpu_event(

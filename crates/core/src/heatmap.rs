@@ -16,14 +16,6 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// Value of a cell.
-    pub fn get(&self, domain: usize, size: JobSizeClass) -> f64 {
-        self.rows
-            .get(domain)
-            .map(|r| r[size.index()])
-            .unwrap_or(0.0)
-    }
-
     /// Sum of all cells.
     pub fn total(&self) -> f64 {
         self.rows.iter().flat_map(|r| r.iter()).sum()
@@ -127,7 +119,7 @@ mod tests {
         let l = ledger_with(1, JobSizeClass::B, &[300.0, 300.0]);
         let h = energy_used(&l);
         let expect = 2.0 * 300.0 * 15.0 / pmss_gpu::consts::JOULES_PER_MWH;
-        assert!((h.get(1, JobSizeClass::B) - expect).abs() < 1e-15);
+        assert!((h.rows[1][JobSizeClass::B.index()] - expect).abs() < 1e-15);
         assert!((h.total() - expect).abs() < 1e-15);
     }
 
@@ -142,7 +134,7 @@ mod tests {
         let expect = (mi_j * (1.0 - row.mb.energy_pct / 100.0)
             + ci_j * (1.0 - row.vai.energy_pct / 100.0))
             / pmss_gpu::consts::JOULES_PER_MWH;
-        assert!((h.get(0, JobSizeClass::A) - expect).abs() < 1e-15);
+        assert!((h.rows[0][JobSizeClass::A.index()] - expect).abs() < 1e-15);
         // The latency-bound 100 W sample contributes nothing.
     }
 
@@ -152,7 +144,7 @@ mod tests {
         let l2 = ledger_with(1, JobSizeClass::E, &[500.0; 2]);
         l.merge(l2);
         let h = energy_used(&l);
-        let threshold = h.get(1, JobSizeClass::E) * 10.0;
+        let threshold = h.rows[1][JobSizeClass::E.index()] * 10.0;
         let hot = h.hot_cells(threshold);
         assert_eq!(hot, vec![(0, JobSizeClass::A)]);
         assert_eq!(h.hot_domains(threshold), vec![0]);

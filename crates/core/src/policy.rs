@@ -82,7 +82,7 @@ pub(crate) fn rank_cells(ledger: &EnergyLedger, factors: &Table3Row) -> Vec<Cell
             }
         }
     }
-    cells.sort_by(|a, b| b.saving_j.partial_cmp(&a.saving_j).expect("no NaN"));
+    cells.sort_by(|a, b| b.saving_j.total_cmp(&a.saving_j));
     cells
 }
 

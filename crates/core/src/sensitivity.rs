@@ -38,7 +38,7 @@ impl Default for Boundaries {
 impl Boundaries {
     /// Validates ordering: the three boundaries must be positive and
     /// strictly increasing.
-    pub fn validate(&self) -> Result<(), PmssError> {
+    pub(crate) fn validate(&self) -> Result<(), PmssError> {
         if !(0.0 < self.latency_mi_w
             && self.latency_mi_w < self.mi_ci_w
             && self.mi_ci_w < self.ci_boost_w)

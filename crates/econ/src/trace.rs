@@ -252,12 +252,12 @@ impl EconTrace {
     }
 
     /// Number of buckets in the series.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.price_usd_per_mwh.len()
     }
 
     /// Whether the series is empty (never true for a validated trace).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.price_usd_per_mwh.is_empty()
     }
 

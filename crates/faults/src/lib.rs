@@ -457,16 +457,6 @@ impl FaultLane {
         FaultLane::default()
     }
 
-    /// Number of filled windows.
-    pub fn len(&self) -> usize {
-        self.lost.len()
-    }
-
-    /// Whether the lane holds no windows.
-    pub fn is_empty(&self) -> bool {
-        self.lost.is_empty()
-    }
-
     #[inline]
     fn idx(&self, window: u64) -> usize {
         usize::try_from(window - self.start).expect("window within the filled lane")
@@ -685,7 +675,7 @@ mod tests {
         for plan in &plans {
             for (node, slot, range) in [(0u32, 0u8, 0u64..500), (3, 4, 13..313), (17, 2, 95..96)] {
                 plan.fill_lane(node, slot, range.clone(), &mut lane);
-                assert_eq!(lane.len(), (range.end - range.start) as usize);
+                assert_eq!(lane.lost.len(), (range.end - range.start) as usize);
                 plan.fill_node_dropout(node, range.clone(), &mut dropout);
                 for w in range.clone() {
                     let i = (w - range.start) as usize;

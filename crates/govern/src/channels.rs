@@ -1,19 +1,19 @@
-//! The governor's sensing observer: per-channel, per-region energy.
+//! The governor's sensing observer: one channel's per-region energy.
 //!
-//! A [`ChannelLedger`] is the observer the streaming engine maintains for
-//! the governor.  Unlike the decomposition ledger it keeps every
-//! `(node, slot)` channel separate, because the governor's whole job is
-//! per-channel mode classification; and it keeps only what classification
-//! needs — GPU seconds and joules per Table IV region — so snapshots stay
-//! cheap at sync-window cadence.
+//! A [`ChannelAccum`] is the observer the streaming engine maintains for
+//! the governor.  The engine already keeps one partial per `(node, slot)`
+//! channel, and the governor's whole job is per-channel mode
+//! classification, so it reads those partials directly
+//! (`StreamEngine::channel_snapshots`) instead of merging them into a
+//! map.  Each accumulator keeps only what classification needs — GPU
+//! seconds and joules per Table IV region — so snapshots stay cheap at
+//! sync-window cadence.
 //!
 //! Sensing sees exactly what the collection fabric delivered: non-finite
 //! (glitched) readings are discarded, excluded gaps contribute nothing,
 //! and interpolated or idle-attributed gap fills are sensed at their fill
 //! power — the governor's view degrades with the telemetry, which is the
 //! point of measuring it under fault presets.
-
-use std::collections::BTreeMap;
 
 use pmss_core::Region;
 use pmss_telemetry::{FleetObserver, GapFill, SampleCtx};
@@ -54,7 +54,7 @@ impl ChannelAccum {
 
     /// This accumulator minus `prev` (element-wise; sensing deltas between
     /// two snapshots of a monotone accumulation).
-    pub fn minus(&self, prev: &ChannelAccum) -> ChannelAccum {
+    pub(crate) fn minus(&self, prev: &ChannelAccum) -> ChannelAccum {
         let mut out = *self;
         for i in 0..4 {
             out.region_s[i] -= prev.region_s[i];
@@ -70,64 +70,26 @@ impl ChannelAccum {
     }
 }
 
-/// Per-channel region accounting of a telemetry stream — the observer the
-/// governor snapshots at every sync window.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct ChannelLedger {
-    channels: BTreeMap<(u32, u8), ChannelAccum>,
-}
-
-impl ChannelLedger {
-    /// All channels with sensed telemetry, keyed by `(node, slot)`.
-    pub fn channels(&self) -> &BTreeMap<(u32, u8), ChannelAccum> {
-        &self.channels
-    }
-
-    /// One channel's accumulator (zero when nothing was sensed).
-    pub fn channel(&self, node: u32, slot: u8) -> ChannelAccum {
-        self.channels
-            .get(&(node, slot))
-            .copied()
-            .unwrap_or_default()
-    }
-}
-
-impl FleetObserver for ChannelLedger {
-    // Per-channel maps merge exactly (disjoint keys per partial), so the
-    // batch and streamed accumulation shapes coincide.
-    const CHANNEL_GROUPED: bool = true;
-
-    fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, _t_s: f64, power_w: f64) {
+impl FleetObserver for ChannelAccum {
+    fn gpu_sample(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, power_w: f64) {
         // A non-finite reading cannot be classified into a region; the
         // governor simply does not sense that window.
-        if !power_w.is_finite() {
-            return;
+        if power_w.is_finite() {
+            self.record(power_w, WINDOW_S);
         }
-        self.channels
-            .entry((ctx.node, ctx.slot))
-            .or_default()
-            .record(power_w, WINDOW_S);
     }
 
-    fn gpu_gap(&mut self, ctx: &SampleCtx<'_>, _t_s: f64, span_s: f64, fill: GapFill) {
+    fn gpu_gap(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, span_s: f64, fill: GapFill) {
         match fill {
             GapFill::Excluded => {}
-            GapFill::Interpolated(w) | GapFill::Idle(w) => {
-                self.channels
-                    .entry((ctx.node, ctx.slot))
-                    .or_default()
-                    .record(w, span_s);
-            }
+            GapFill::Interpolated(w) | GapFill::Idle(w) => self.record(w, span_s),
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (key, acc) in other.channels {
-            let mine = self.channels.entry(key).or_default();
-            for i in 0..4 {
-                mine.region_s[i] += acc.region_s[i];
-                mine.region_j[i] += acc.region_j[i];
-            }
+        for i in 0..4 {
+            self.region_s[i] += other.region_s[i];
+            self.region_j[i] += other.region_j[i];
         }
     }
 }
@@ -147,54 +109,54 @@ mod tests {
 
     #[test]
     fn samples_land_in_their_region_and_channel() {
-        let mut l = ChannelLedger::default();
-        l.gpu_sample(&ctx(0, 1), 0.0, 300.0); // MI
-        l.gpu_sample(&ctx(0, 1), 15.0, 500.0); // CI
-        l.gpu_sample(&ctx(2, 0), 0.0, 100.0); // latency
-        l.gpu_sample(&ctx(2, 0), 15.0, f64::NAN); // discarded
-        let a = l.channel(0, 1);
+        // The engine keeps one accumulator per channel; each senses only
+        // what its own channel delivered.
+        let (mut a, mut b) = (ChannelAccum::default(), ChannelAccum::default());
+        a.gpu_sample(&ctx(0, 1), 0.0, 300.0); // MI
+        a.gpu_sample(&ctx(0, 1), 15.0, 500.0); // CI
+        b.gpu_sample(&ctx(2, 0), 0.0, 100.0); // latency
+        b.gpu_sample(&ctx(2, 0), 15.0, f64::NAN); // discarded
         assert_eq!(a.region_s[Region::MemoryIntensive.index()], WINDOW_S);
         assert_eq!(
             a.region_j[Region::ComputeIntensive.index()],
             500.0 * WINDOW_S
         );
         assert_eq!(a.dominant_region(), Some(Region::ComputeIntensive));
-        let b = l.channel(2, 0);
         assert_eq!(b.total_j(), 100.0 * WINDOW_S);
-        assert_eq!(l.channel(9, 9).dominant_region(), None);
+        assert_eq!(ChannelAccum::default().dominant_region(), None);
     }
 
     #[test]
     fn gaps_follow_their_fill_policy() {
-        let mut l = ChannelLedger::default();
-        l.gpu_gap(&ctx(1, 0), 0.0, 30.0, GapFill::Excluded);
-        assert!(l.channels().is_empty());
-        l.gpu_gap(&ctx(1, 0), 0.0, 30.0, GapFill::Interpolated(250.0));
-        l.gpu_gap(&ctx(1, 0), 30.0, 15.0, GapFill::Idle(90.0));
-        let a = l.channel(1, 0);
+        let mut a = ChannelAccum::default();
+        a.gpu_gap(&ctx(1, 0), 0.0, 30.0, GapFill::Excluded);
+        assert_eq!(a, ChannelAccum::default());
+        a.gpu_gap(&ctx(1, 0), 0.0, 30.0, GapFill::Interpolated(250.0));
+        a.gpu_gap(&ctx(1, 0), 30.0, 15.0, GapFill::Idle(90.0));
         assert_eq!(a.region_s[Region::MemoryIntensive.index()], 30.0);
         assert_eq!(a.region_s[Region::LatencyBound.index()], 15.0);
     }
 
     #[test]
     fn merge_sums_by_channel_key() {
-        let mut a = ChannelLedger::default();
+        // Merging two partials of one channel sums them region by region.
+        let mut a = ChannelAccum::default();
         a.gpu_sample(&ctx(0, 0), 0.0, 300.0);
-        let mut b = ChannelLedger::default();
+        let mut b = ChannelAccum::default();
         b.gpu_sample(&ctx(0, 0), 15.0, 300.0);
-        b.gpu_sample(&ctx(1, 0), 0.0, 450.0);
+        b.gpu_sample(&ctx(0, 0), 30.0, 450.0);
         a.merge(b);
-        assert_eq!(a.channel(0, 0).region_s[1], 2.0 * WINDOW_S);
-        assert_eq!(a.channels().len(), 2);
+        assert_eq!(a.region_s[1], 2.0 * WINDOW_S);
+        assert_eq!(a.region_s[2], WINDOW_S);
     }
 
     #[test]
     fn delta_between_snapshots_isolates_one_round() {
-        let mut l = ChannelLedger::default();
-        l.gpu_sample(&ctx(0, 0), 0.0, 300.0);
-        let prev = l.channel(0, 0);
-        l.gpu_sample(&ctx(0, 0), 15.0, 500.0);
-        let d = l.channel(0, 0).minus(&prev);
+        let mut a = ChannelAccum::default();
+        a.gpu_sample(&ctx(0, 0), 0.0, 300.0);
+        let prev = a;
+        a.gpu_sample(&ctx(0, 0), 15.0, 500.0);
+        let d = a.minus(&prev);
         assert_eq!(d.region_j[Region::MemoryIntensive.index()], 0.0);
         assert_eq!(
             d.region_j[Region::ComputeIntensive.index()],

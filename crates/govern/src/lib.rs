@@ -25,8 +25,8 @@
 //!
 //! * [`GovernorPlan`] — typed, validated configuration with
 //!   `static | greedy | polimer` presets;
-//! * `ChannelLedger` — the per-channel mode-sensing observer the stream
-//!   engine maintains;
+//! * `ChannelAccum` — the mode-sensing observer the stream engine keeps
+//!   one of per channel;
 //! * [`run_governor`] — the deterministic replay loop producing a
 //!   [`GovernOutcome`].
 

@@ -2,13 +2,13 @@
 //!
 //! [`run_governor`] replays a fleet's telemetry [`WindowEvent`]s in
 //! delivery-rank order through a [`StreamEngine`] carrying the
-//! [`ChannelLedger`] sensing observer.  At every sync-window boundary it
-//! snapshots the engine, diffs against the previous snapshot to get the
-//! round's per-channel telemetry, and decides the next round's caps; the
-//! decisions then meet the telemetry again on the accounting side, where
-//! each delivered window is charged the Table III energy/runtime factor of
-//! whatever cap the governor actually had in force for that window's
-//! round.
+//! [`ChannelAccum`] sensing observer.  At every sync-window boundary it
+//! takes the engine's per-channel snapshots, diffs them against the
+//! previous round's to get the round's per-channel telemetry, and decides
+//! the next round's caps; the decisions then meet the telemetry again on
+//! the accounting side, where each delivered window is charged the Table
+//! III energy/runtime factor of whatever cap the governor actually had in
+//! force for that window's round.
 //!
 //! Everything is a pure function of the event sequence: no wall clock, no
 //! randomness — the same discipline that makes the streaming ledger
@@ -27,7 +27,7 @@ use pmss_telemetry::{GapFill, WindowEvent, WindowKind, REST_SLOT};
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::{Table3, Table3Row};
 
-use crate::channels::ChannelLedger;
+use crate::channels::ChannelAccum;
 use crate::plan::{GovernorPlan, Policy, ResolvedPlan};
 
 /// Per-region accounting of the governed replay.
@@ -272,8 +272,9 @@ pub fn run_governor(
     // How many past rounds an in-horizon late delivery can still reach.
     let keep_rounds = (stream_cfg.reorder_horizon / interval) as usize + 2;
 
-    let mut eng: StreamEngine<'_, ChannelLedger> = StreamEngine::new(schedule, stream_cfg)?;
-    let mut prev_snap = ChannelLedger::default();
+    let mut eng: StreamEngine<'_, ChannelAccum> = StreamEngine::new(schedule, stream_cfg)?;
+    // Every channel's sensed totals at the previous sync window.
+    let mut prev_snap: BTreeMap<(u32, u8), ChannelAccum> = BTreeMap::new();
 
     // Control state.
     let mut caps: Vec<f64> =
@@ -317,7 +318,7 @@ pub fn run_governor(
             round += 1;
             out.rounds += 1;
             if plan.policy != Policy::Static {
-                let snap = eng.snapshot();
+                let snap: BTreeMap<(u32, u8), ChannelAccum> = eng.channel_snapshots().collect();
                 decide(
                     &snap,
                     &prev_snap,
@@ -414,8 +415,8 @@ fn account(
 /// under `polimer` — rebalance the cluster budget and derive throttles.
 #[allow(clippy::too_many_arguments)]
 fn decide(
-    snap: &ChannelLedger,
-    prev: &ChannelLedger,
+    snap: &BTreeMap<(u32, u8), ChannelAccum>,
+    prev: &BTreeMap<(u32, u8), ChannelAccum>,
     plan: &GovernorPlan,
     budget_w: f64,
     round_span_s: f64,
@@ -429,8 +430,8 @@ fn decide(
     let mut observed_w = vec![0.0f64; nodes];
 
     // Classify every channel that sensed telemetry this round.
-    for (&(node, slot), acc) in snap.channels() {
-        let delta = acc.minus(&prev.channel(node, slot));
+    for (&(node, slot), acc) in snap {
+        let delta = acc.minus(&prev.get(&(node, slot)).copied().unwrap_or_default());
         if slot == REST_SLOT {
             continue;
         }

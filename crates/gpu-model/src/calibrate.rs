@@ -77,12 +77,7 @@ fn features(util: Utilization, freq: Freq, curve: &VoltageCurve) -> [f64; N_COEF
 fn solve(mut a: [[f64; N_COEFFS]; N_COEFFS], mut b: [f64; N_COEFFS]) -> Option<[f64; N_COEFFS]> {
     for col in 0..N_COEFFS {
         // Pivot.
-        let pivot = (col..N_COEFFS).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .expect("no NaN")
-        })?;
+        let pivot = (col..N_COEFFS).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
         if a[pivot][col].abs() < 1e-12 {
             return None;
         }

@@ -137,7 +137,7 @@ impl Default for Engine {
 
 impl Engine {
     /// Engine with a custom power model and firmware limit.
-    pub fn new(power: PowerModel, ppt_w: f64) -> Self {
+    pub(crate) fn new(power: PowerModel, ppt_w: f64) -> Self {
         Engine { power, ppt_w }
     }
 

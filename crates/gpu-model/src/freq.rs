@@ -88,40 +88,6 @@ impl VoltageCurve {
     }
 }
 
-/// The discrete DVFS ladder exposed to software, mirroring the frequency
-/// caps swept in the paper (1700 down to 700 MHz in 200 MHz steps, plus the
-/// 500 MHz floor used by the Louvain case study).
-#[derive(Debug, Clone)]
-pub struct DvfsLadder {
-    steps: Vec<Freq>,
-}
-
-impl Default for DvfsLadder {
-    fn default() -> Self {
-        let steps = [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0]
-            .iter()
-            .map(|&m| Freq::from_mhz(m))
-            .collect();
-        DvfsLadder { steps }
-    }
-}
-
-impl DvfsLadder {
-    /// Creates a ladder from explicit MHz steps (sorted descending).
-    pub fn new(mut mhz: Vec<f64>) -> Self {
-        mhz.sort_by(|a, b| b.partial_cmp(a).expect("non-NaN frequency"));
-        mhz.dedup();
-        DvfsLadder {
-            steps: mhz.into_iter().map(Freq::from_mhz).collect(),
-        }
-    }
-
-    /// All steps, highest first.
-    pub(crate) fn steps(&self) -> &[Freq] {
-        &self.steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,12 +121,5 @@ mod tests {
         let vc = VoltageCurve::default();
         let half = Freq::from_mhz(F_MAX_MHZ / 2.0);
         assert!(vc.dyn_scale(half) < 0.5 * vc.dyn_scale(Freq::MAX));
-    }
-
-    #[test]
-    fn custom_ladder_sorts_and_dedups() {
-        let l = DvfsLadder::new(vec![900.0, 1700.0, 900.0, 1300.0]);
-        let mhz: Vec<f64> = l.steps().iter().map(|f| f.mhz()).collect();
-        assert_eq!(mhz, vec![1700.0, 1300.0, 900.0]);
     }
 }

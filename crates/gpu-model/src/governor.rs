@@ -18,8 +18,12 @@
 use pmss_error::PmssError;
 
 use crate::engine::{Engine, Execution, GpuSettings};
-use crate::freq::DvfsLadder;
 use crate::kernel::KernelProfile;
+
+/// The discrete DVFS ladder the search-based policies scan, highest first,
+/// in MHz: the frequency caps swept in the paper (1700 down to 700 MHz in
+/// 200 MHz steps) plus the 500 MHz floor used by the Louvain case study.
+const LADDER_MHZ: [f64; 7] = [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0];
 
 /// A frequency-selection policy.
 #[derive(Debug, Clone)]
@@ -66,7 +70,7 @@ impl Governed {
 impl Governor {
     /// Validates the policy's parameters; the first violation is returned
     /// as a typed error.
-    pub fn validate(&self) -> Result<(), PmssError> {
+    pub(crate) fn validate(&self) -> Result<(), PmssError> {
         match self {
             Governor::Fixed(mhz) => {
                 if !(mhz.is_finite() && *mhz > 0.0) {
@@ -100,14 +104,14 @@ impl Governor {
         Ok(())
     }
 
-    /// Applies the policy to `kernel` on `engine`, scanning `ladder` for
-    /// the search-based policies.  Invalid policy parameters (a negative
-    /// slowdown budget, a non-finite cap) are a typed error, not a panic.
-    pub fn govern(
+    /// Applies the policy to `kernel` on `engine`, scanning the DVFS ladder
+    /// for the search-based policies.  Invalid policy parameters (a
+    /// negative slowdown budget, a non-finite cap) are a typed error, not a
+    /// panic.
+    pub(crate) fn govern(
         &self,
         engine: &Engine,
         kernel: &KernelProfile,
-        ladder: &DvfsLadder,
     ) -> Result<Governed, PmssError> {
         self.validate()?;
         let baseline = engine.execute(kernel, GpuSettings::uncapped());
@@ -115,28 +119,26 @@ impl Governor {
             Governor::Fixed(mhz) => GpuSettings::freq_capped(*mhz),
             Governor::PowerBudget(watts) => GpuSettings::power_capped(*watts),
             Governor::EnergyOptimal => {
-                let best = ladder
-                    .steps()
+                let best = LADDER_MHZ
                     .iter()
-                    .map(|f| {
-                        let s = GpuSettings::freq_capped(f.mhz());
+                    .map(|&mhz| {
+                        let s = GpuSettings::freq_capped(mhz);
                         (s, engine.execute(kernel, s).energy_j)
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN energy"))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("non-empty ladder");
                 best.0
             }
             Governor::SlowdownBudget { budget } => {
                 let limit = baseline.time_s * (1.0 + budget);
-                ladder
-                    .steps()
+                LADDER_MHZ
                     .iter()
-                    .filter_map(|f| {
-                        let s = GpuSettings::freq_capped(f.mhz());
+                    .filter_map(|&mhz| {
+                        let s = GpuSettings::freq_capped(mhz);
                         let ex = engine.execute(kernel, s);
                         (ex.time_s <= limit + 1e-12).then_some((s, ex.energy_j))
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN energy"))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .map(|(s, _)| s)
                     // The uncapped point always satisfies the budget.
                     .unwrap_or_else(GpuSettings::uncapped)
@@ -157,12 +159,8 @@ impl Governor {
         &self,
         engine: &Engine,
         phases: &[KernelProfile],
-        ladder: &DvfsLadder,
     ) -> Result<Vec<Governed>, PmssError> {
-        phases
-            .iter()
-            .map(|k| self.govern(engine, k, ladder))
-            .collect()
+        phases.iter().map(|k| self.govern(engine, k)).collect()
     }
 }
 
@@ -212,10 +210,6 @@ mod tests {
         Engine::default()
     }
 
-    fn ladder() -> DvfsLadder {
-        DvfsLadder::default()
-    }
-
     fn mem_kernel() -> KernelProfile {
         KernelProfile::builder("mem")
             .hbm_bytes(3.2e12 * 30.0)
@@ -235,11 +229,10 @@ mod tests {
     #[test]
     fn energy_optimal_never_loses_to_fixed_caps() {
         let eng = engine();
-        let lad = ladder();
         for k in [mem_kernel(), compute_kernel()] {
-            let opt = Governor::EnergyOptimal.govern(&eng, &k, &lad).unwrap();
+            let opt = Governor::EnergyOptimal.govern(&eng, &k).unwrap();
             for mhz in [1700.0, 1300.0, 900.0, 700.0] {
-                let fixed = Governor::Fixed(mhz).govern(&eng, &k, &lad).unwrap();
+                let fixed = Governor::Fixed(mhz).govern(&eng, &k).unwrap();
                 assert!(
                     opt.execution.energy_j <= fixed.execution.energy_j + 1e-9,
                     "{}: optimal loses to {mhz} MHz",
@@ -252,7 +245,7 @@ mod tests {
     #[test]
     fn energy_optimal_drops_clock_for_memory_bound_work() {
         let g = Governor::EnergyOptimal
-            .govern(&engine(), &mem_kernel(), &ladder())
+            .govern(&engine(), &mem_kernel())
             .unwrap();
         assert!(g.settings.freq_cap.mhz() < 1000.0, "{:?}", g.settings);
         assert!(g.energy_saving() > 0.1);
@@ -266,10 +259,9 @@ mod tests {
     #[test]
     fn slowdown_budget_is_respected() {
         let eng = engine();
-        let lad = ladder();
         for budget in [0.0, 0.05, 0.2, 0.5] {
             let g = Governor::SlowdownBudget { budget }
-                .govern(&eng, &compute_kernel(), &lad)
+                .govern(&eng, &compute_kernel())
                 .unwrap();
             assert!(
                 g.slowdown() <= budget + 1e-9,
@@ -282,12 +274,11 @@ mod tests {
     #[test]
     fn larger_budgets_never_save_less_energy() {
         let eng = engine();
-        let lad = ladder();
         let k = compute_kernel();
         let mut prev = f64::NEG_INFINITY;
         for budget in [0.0, 0.1, 0.3, 0.6, 1.0] {
             let g = Governor::SlowdownBudget { budget }
-                .govern(&eng, &k, &lad)
+                .govern(&eng, &k)
                 .unwrap();
             let saving = g.energy_saving();
             assert!(saving >= prev - 1e-12, "budget {budget}");
@@ -298,7 +289,7 @@ mod tests {
     #[test]
     fn zero_budget_on_compute_bound_work_stays_uncapped() {
         let g = Governor::SlowdownBudget { budget: 0.0 }
-            .govern(&engine(), &compute_kernel(), &ladder())
+            .govern(&engine(), &compute_kernel())
             .unwrap();
         assert_eq!(g.settings.freq_cap.mhz(), Freq::MAX.mhz());
     }
@@ -308,18 +299,15 @@ mod tests {
         // The extension's headline: a per-phase energy-optimal governor
         // saves more than any single static frequency on a mixed workload.
         let eng = engine();
-        let lad = ladder();
         let phases = vec![mem_kernel(), compute_kernel(), mem_kernel()];
         let opt = GovernedTotals::from_governed(
             &Governor::EnergyOptimal
-                .govern_phases(&eng, &phases, &lad)
+                .govern_phases(&eng, &phases)
                 .unwrap(),
         );
         for mhz in [1700.0, 1300.0, 1100.0, 900.0, 700.0] {
             let fixed = GovernedTotals::from_governed(
-                &Governor::Fixed(mhz)
-                    .govern_phases(&eng, &phases, &lad)
-                    .unwrap(),
+                &Governor::Fixed(mhz).govern_phases(&eng, &phases).unwrap(),
             );
             assert!(
                 opt.energy_j <= fixed.energy_j + 1e-9,
@@ -332,7 +320,6 @@ mod tests {
     #[test]
     fn invalid_policy_parameters_are_typed_errors_not_panics() {
         let eng = engine();
-        let lad = ladder();
         let k = compute_kernel();
         for bad in [
             Governor::SlowdownBudget { budget: -0.1 },
@@ -341,18 +328,16 @@ mod tests {
             Governor::Fixed(f64::INFINITY),
             Governor::PowerBudget(-300.0),
         ] {
-            let err = bad.govern(&eng, &k, &lad).unwrap_err();
+            let err = bad.govern(&eng, &k).unwrap_err();
             assert!(err.to_string().contains("governor"), "{err}");
-            assert!(bad
-                .govern_phases(&eng, std::slice::from_ref(&k), &lad)
-                .is_err());
+            assert!(bad.govern_phases(&eng, std::slice::from_ref(&k)).is_err());
         }
     }
 
     #[test]
     fn power_budget_governor_wraps_power_caps() {
         let g = Governor::PowerBudget(300.0)
-            .govern(&engine(), &mem_kernel(), &ladder())
+            .govern(&engine(), &mem_kernel())
             .unwrap();
         assert!(g.execution.busy_power_w <= 300.0 + 1e-6);
     }

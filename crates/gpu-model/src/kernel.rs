@@ -108,7 +108,7 @@ impl KernelProfile {
     }
 
     /// Validates parameter ranges; the engine calls this before execution.
-    pub fn validate(&self) -> Result<(), PmssError> {
+    pub(crate) fn validate(&self) -> Result<(), PmssError> {
         let invalid = |reason: String| PmssError::InvalidKernel {
             kernel: self.name.clone(),
             reason,

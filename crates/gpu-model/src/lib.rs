@@ -52,7 +52,6 @@ pub mod governor;
 pub mod kernel;
 pub mod perf;
 pub mod power;
-pub mod roofline;
 pub mod sku;
 pub mod trace;
 pub mod tuner;
@@ -60,12 +59,11 @@ pub mod tuner;
 pub use boost::BoostBudget;
 pub use device::NodeRestModel;
 pub use engine::{Engine, Execution, GpuSettings};
-pub use freq::{DvfsLadder, Freq, VoltageCurve};
+pub use freq::{Freq, VoltageCurve};
 pub use governor::{GovernedTotals, Governor};
 pub use kernel::KernelProfile;
 pub use perf::Bottleneck;
 pub use power::{PowerModel, Utilization};
-pub use roofline::Roofline;
 pub use sku::{Component, FleetMix, SkuCatalog, MAX_SKUS};
 pub use trace::{PowerSample, TraceConfig};
 pub use tuner::{sweet_spots, SweetSpot};

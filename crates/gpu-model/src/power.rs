@@ -82,7 +82,7 @@ pub struct PowerBreakdown {
 
 impl PowerBreakdown {
     /// Total package power, in watts.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.idle_w + self.clock_w + self.alu_w + self.ondie_w + self.hbm_w
     }
 }

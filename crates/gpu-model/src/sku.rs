@@ -40,16 +40,6 @@ pub enum Component {
 }
 
 impl Component {
-    /// All components, in lane order.
-    pub fn all() -> [Component; 4] {
-        [
-            Component::Hbm,
-            Component::L2,
-            Component::Alu,
-            Component::ClockTree,
-        ]
-    }
-
     /// Stable lane index.
     #[cfg(test)]
     pub(crate) fn index(self) -> usize {
@@ -58,16 +48,6 @@ impl Component {
             Component::L2 => 1,
             Component::Alu => 2,
             Component::ClockTree => 3,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Component::Hbm => "HBM",
-            Component::L2 => "L2",
-            Component::Alu => "ALU",
-            Component::ClockTree => "clock-tree",
         }
     }
 }

@@ -14,7 +14,7 @@ use pmss_gpu::{Engine, GpuSettings};
 use crate::csr::Csr;
 use crate::gen;
 use crate::gpu_map::{louvain_phases, LouvainCostModel};
-use crate::louvain::{louvain, LouvainConfig, LouvainResult};
+use crate::louvain::{louvain, LouvainResult};
 
 /// Frequencies swept in Fig. 7, in MHz.
 pub(crate) const FIG7_FREQS_MHZ: [f64; 7] = [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0];
@@ -122,7 +122,7 @@ pub struct CaseStudy {
 impl CaseStudy {
     /// Prepares the study: runs Louvain and maps it onto GPU phases.
     pub fn prepare(case: &NetworkCase, runs: usize) -> CaseStudy {
-        let result = louvain(&case.graph, &LouvainConfig::default());
+        let result = louvain(&case.graph);
         let phases = louvain_phases(&case.graph, &result, &LouvainCostModel::default(), runs);
         CaseStudy {
             name: case.name.clone(),

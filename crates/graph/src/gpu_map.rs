@@ -96,7 +96,7 @@ pub(crate) struct MappingProfile {
 
 impl MappingProfile {
     /// Profile for a thread mapping.
-    pub fn of(mapping: ThreadMapping) -> Self {
+    pub(crate) fn of(mapping: ThreadMapping) -> Self {
         match mapping {
             ThreadMapping::WavefrontBalanced => MappingProfile {
                 bw_sustain: 0.55,
@@ -157,13 +157,13 @@ pub(crate) fn louvain_phases(
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::louvain::{louvain, LouvainConfig};
+    use crate::louvain::louvain;
     use pmss_gpu::{Engine, GpuSettings};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn phases_for(g: &Csr) -> Vec<KernelProfile> {
-        let r = louvain(g, &LouvainConfig::default());
+        let r = louvain(g);
         louvain_phases(g, &r, &LouvainCostModel::default(), 1)
     }
 
@@ -186,7 +186,7 @@ mod tests {
     fn one_phase_per_level() {
         let mut rng = StdRng::seed_from_u64(22);
         let g = gen::barabasi_albert(600, 4, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         let phases = louvain_phases(&g, &r, &LouvainCostModel::default(), 1);
         assert_eq!(phases.len(), r.levels.len());
     }
@@ -239,7 +239,7 @@ mod tests {
     fn runs_scale_work_linearly() {
         let mut rng = StdRng::seed_from_u64(25);
         let g = gen::barabasi_albert(500, 4, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         let one = louvain_phases(&g, &r, &LouvainCostModel::default(), 1);
         let five = louvain_phases(&g, &r, &LouvainCostModel::default(), 5);
         assert!((five[0].hbm_bytes / one[0].hbm_bytes - 5.0).abs() < 1e-9);

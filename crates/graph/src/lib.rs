@@ -31,4 +31,4 @@ pub mod louvain;
 
 pub use case_study::{CaseScale, CaseStudy};
 pub use csr::Csr;
-pub use louvain::{louvain, modularity, LouvainConfig};
+pub use louvain::{louvain, modularity};

@@ -13,26 +13,12 @@
 
 use crate::csr::Csr;
 
-/// Louvain stopping parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct LouvainConfig {
-    /// Maximum number of aggregation levels.
-    pub max_levels: usize,
-    /// Maximum local-moving sweeps per level.
-    pub max_sweeps: usize,
-    /// Minimum modularity improvement to start another level.
-    pub min_gain: f64,
-}
-
-impl Default for LouvainConfig {
-    fn default() -> Self {
-        LouvainConfig {
-            max_levels: 12,
-            max_sweeps: 24,
-            min_gain: 1e-6,
-        }
-    }
-}
+/// Maximum number of aggregation levels.
+const MAX_LEVELS: usize = 12;
+/// Maximum local-moving sweeps per level.
+const MAX_SWEEPS: usize = 24;
+/// Minimum modularity improvement to start another level.
+const MIN_GAIN: f64 = 1e-6;
 
 /// Statistics of one Louvain level — the workload signature the GPU mapper
 /// consumes (nodes and arcs processed per sweep).
@@ -208,15 +194,15 @@ fn aggregate(g: &Csr, comm: &[u32], n_comms: usize) -> Csr {
 }
 
 /// Runs the full multi-level Louvain algorithm on `g`.
-pub fn louvain(g: &Csr, cfg: &LouvainConfig) -> LouvainResult {
+pub fn louvain(g: &Csr) -> LouvainResult {
     let n = g.num_nodes();
     let mut assignment: Vec<u32> = (0..n as u32).collect();
     let mut levels = Vec::new();
     let mut current = g.clone();
     let mut q_prev = modularity(g, &assignment);
 
-    for _ in 0..cfg.max_levels {
-        let (comm, sweeps) = local_move(&current, cfg.max_sweeps);
+    for _ in 0..MAX_LEVELS {
+        let (comm, sweeps) = local_move(&current, MAX_SWEEPS);
         let (compact, n_comms) = compact_labels(&comm);
 
         // Push the level's labels down to the original nodes.
@@ -233,7 +219,7 @@ pub fn louvain(g: &Csr, cfg: &LouvainConfig) -> LouvainResult {
             modularity: q,
         });
 
-        let converged = n_comms == current.num_nodes() || q - q_prev < cfg.min_gain;
+        let converged = n_comms == current.num_nodes() || q - q_prev < MIN_GAIN;
         current = condensed;
         q_prev = q;
         if converged {
@@ -267,7 +253,7 @@ mod tests {
         }
         edges.push((0, 4));
         let g = Csr::from_edges(8, &edges);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         assert_eq!(r.num_communities(), 2);
         for u in 0..4 {
             assert_eq!(r.communities[u], r.communities[0]);
@@ -295,7 +281,7 @@ mod tests {
     fn louvain_recovers_planted_partition() {
         let mut rng = StdRng::seed_from_u64(42);
         let g = gen::planted_partition(5, 30, 0.4, 0.01, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         assert_eq!(r.num_communities(), 5, "planted communities recovered");
         // Every planted group maps to a single label.
         for group in 0..5 {
@@ -311,7 +297,7 @@ mod tests {
     fn modularity_never_decreases_across_levels() {
         let mut rng = StdRng::seed_from_u64(7);
         let g = gen::barabasi_albert(800, 4, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         for w in r.levels.windows(2) {
             assert!(
                 w[1].modularity >= w[0].modularity - 1e-9,
@@ -326,7 +312,7 @@ mod tests {
     fn final_modularity_matches_direct_evaluation() {
         let mut rng = StdRng::seed_from_u64(8);
         let g = gen::erdos_renyi(300, 900, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         let q = modularity(&g, &r.communities);
         assert!((q - r.modularity).abs() < 1e-9, "{q} vs {}", r.modularity);
     }
@@ -335,7 +321,7 @@ mod tests {
     fn level_sizes_shrink_monotonically() {
         let mut rng = StdRng::seed_from_u64(9);
         let g = gen::barabasi_albert(1200, 5, &mut rng);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         assert!(r.levels.len() >= 2);
         for w in r.levels.windows(2) {
             assert!(w[1].nodes < w[0].nodes);
@@ -346,8 +332,8 @@ mod tests {
     fn louvain_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(10);
         let g = gen::barabasi_albert(500, 3, &mut rng);
-        let a = louvain(&g, &LouvainConfig::default());
-        let b = louvain(&g, &LouvainConfig::default());
+        let a = louvain(&g);
+        let b = louvain(&g);
         assert_eq!(a.communities, b.communities);
         assert_eq!(a.modularity, b.modularity);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use pmss_graph::csr::Csr;
-use pmss_graph::louvain::{louvain, modularity, LouvainConfig};
+use pmss_graph::louvain::{louvain, modularity};
 use pmss_graph::{analysis, gen};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,7 +50,7 @@ proptest! {
     fn louvain_beats_trivial_baselines((n, edges) in arb_edges(48)) {
         let g = Csr::from_edges(n, &edges);
         prop_assume!(g.num_edges() >= 2);
-        let r = louvain(&g, &LouvainConfig::default());
+        let r = louvain(&g);
         let singletons: Vec<u32> = (0..n as u32).collect();
         let one = vec![0u32; n];
         prop_assert!(r.modularity >= modularity(&g, &singletons) - 1e-9);

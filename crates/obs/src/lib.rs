@@ -6,16 +6,16 @@
 //! courtesy — first-class counters instead of post-hoc inference — without
 //! perturbing the thing being measured.
 //!
-//! ## The fold/merge discipline
+//! ## One registry, written once per run
 //!
 //! A [`Metrics`] registry is a plain value: no locks, no atomics, no
-//! global state.  Producers follow the same discipline as the fleet
-//! simulation's `FleetObserver`s — each run or stage accumulates into its
-//! own partial and the partials are [`Metrics::merge`]d afterwards.  Hot
-//! loops therefore pay only a branch-free integer add into a plain struct
-//! (the fleet run's tallies), and do so whether or not anyone is
-//! listening: metering is a registry, not a code path.  Every run tallies;
-//! `--metrics` decides whether the tallies are published here.
+//! global state.  Hot loops never touch it: a fleet run tallies into its
+//! own plain struct (the run's `FleetRunStats`) by branch-free integer
+//! adds, whether or not anyone is listening, and the caller publishes
+//! those tallies into the one registry afterwards — on the calling
+//! thread, in run order, even when the runs themselves ran on worker
+//! threads.  Metering is a registry, not a code path: every run tallies,
+//! and `--metrics` decides whether the tallies are published here.
 //!
 //! ## What lives here
 //!
@@ -66,7 +66,7 @@ impl ValueHist {
     /// Panics if `edges` is empty or not strictly increasing and finite —
     /// edge sets are compile-time constants, so this is a programming
     /// error, not input validation.
-    pub fn new(edges: &'static [f64]) -> ValueHist {
+    pub(crate) fn new(edges: &'static [f64]) -> ValueHist {
         assert!(!edges.is_empty(), "histogram needs at least one edge");
         assert!(
             edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|e| e.is_finite()),
@@ -132,22 +132,6 @@ impl ValueHist {
             .enumerate()
             .map(|(i, &c)| (self.edges.get(i).copied(), c))
     }
-
-    /// Folds another histogram's state into this one.
-    ///
-    /// # Panics
-    /// Panics if the edge sets differ: merging incompatible layouts is a
-    /// programming error, matching `PowerHistogram::merge`.
-    pub fn merge(&mut self, other: &ValueHist) {
-        assert_eq!(self.edges, other.edges, "histogram edge sets must match");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A registry of named counters, gauges, and histograms.
@@ -187,13 +171,10 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets gauge `name` to `value` (non-finite values are skipped).
-    ///
-    /// A *set-style* gauge (a rate like `fleet.node_hours_per_s`, a size
-    /// like `stream.shards`) does not survive [`Metrics::merge`], which
-    /// sums gauges.  Only set such gauges *after* the final merge —
-    /// derive ratios at report time from merged counters — or record them
-    /// with [`Metrics::gauge_add`] as additive quantities instead.
+    /// Sets gauge `name` to `value` (non-finite values are skipped): a
+    /// *set-style* gauge, like a rate (`fleet.node_hours_per_s`) or a size
+    /// (`stream.shards`).  Accumulated quantities use
+    /// [`Metrics::gauge_add`] instead.
     pub fn gauge_set(&mut self, name: &'static str, value: f64) {
         if value.is_finite() {
             self.gauges.insert(name, value);
@@ -239,34 +220,6 @@ impl Metrics {
     /// All histograms, in sorted name order.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &ValueHist)> + '_ {
         self.hists.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Folds another registry's state into this one: counters and gauges
-    /// add, histograms merge bucket-wise.  This is the reduce step of the
-    /// fold/merge discipline.
-    ///
-    /// Gauge merging is **additive**, which is correct for accumulated
-    /// quantities (`fleet.wall_s`, `boost.granted_s`) and wrong for
-    /// set-style gauges (ratios, sizes) — merging two reports would
-    /// double a `*.hit_rate`.  The discipline: worker-side partials carry
-    /// only counters, additive gauges, and histograms; set-style gauges
-    /// are written once on the merged registry at report time (see
-    /// [`Metrics::gauge_set`]).
-    pub fn merge(&mut self, other: Metrics) {
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.gauges {
-            *self.gauges.entry(k).or_insert(0.0) += v;
-        }
-        for (k, v) in other.hists {
-            match self.hists.get_mut(k) {
-                Some(h) => h.merge(&v),
-                None => {
-                    self.hists.insert(k, v);
-                }
-            }
-        }
     }
 }
 
@@ -362,30 +315,6 @@ mod tests {
     fn unsorted_edges_are_rejected() {
         const BAD: &[f64] = &[2.0, 1.0];
         let _ = ValueHist::new(BAD);
-    }
-
-    #[test]
-    fn merge_follows_the_fold_discipline() {
-        const EDGES: &[f64] = &[1.0];
-        let mut a = Metrics::new();
-        a.inc("n");
-        a.gauge_add("g", 1.0);
-        a.observe("h", EDGES, 0.5);
-        let mut b = Metrics::new();
-        b.add("n", 2);
-        b.add("only_b", 7);
-        b.gauge_add("g", 2.0);
-        b.observe("h", EDGES, 2.0);
-        b.observe("h2", EDGES, 0.1);
-        a.merge(b);
-        assert_eq!(a.counter("n"), 3);
-        assert_eq!(a.counter("only_b"), 7);
-        assert_eq!(a.gauge("g"), Some(3.0));
-        let h = a.hist("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(2.0));
-        assert!(a.hist("h2").is_some(), "histograms new to self carry over");
     }
 
     #[test]

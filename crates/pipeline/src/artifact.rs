@@ -19,9 +19,7 @@ use pmss_econ::{shift, EconTrace, ShiftOutcome};
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy, PRESETS};
 use pmss_govern::{run_governor, GovernOutcome, GovernorPlan};
-use pmss_gpu::{
-    sweet_spots, DvfsLadder, GovernedTotals, Governor, GpuSettings, SkuCatalog, SweetSpot,
-};
+use pmss_gpu::{sweet_spots, GovernedTotals, Governor, GpuSettings, SkuCatalog, SweetSpot};
 use pmss_graph::case_study::{networks, CaseStudy};
 use pmss_obs::{edges, Stopwatch};
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
@@ -171,7 +169,7 @@ impl ArtifactId {
     }
 
     /// One-line description, shown by `pmss list`.
-    pub fn title(self) -> &'static str {
+    pub(crate) fn title(self) -> &'static str {
         use ArtifactId::*;
         match self {
             Fig2 => "telemetry vs ROCm SMI; GPU vs rest-of-node energy",
@@ -206,7 +204,7 @@ impl ArtifactId {
     }
 
     /// Parses a canonical artifact name.
-    pub fn from_name(name: &str) -> Result<ArtifactId, PmssError> {
+    pub(crate) fn from_name(name: &str) -> Result<ArtifactId, PmssError> {
         ArtifactId::all()
             .into_iter()
             .find(|id| id.name() == name)
@@ -1141,17 +1139,6 @@ impl Artifacts {
     pub fn get(&self, id: ArtifactId) -> Option<&Artifact> {
         self.items.iter().find(|a| a.id() == id)
     }
-
-    /// Serializes the whole bundle (spec + every artifact) to JSON.
-    pub fn to_json(&self) -> Json {
-        let mut arts = Json::obj();
-        for a in &self.items {
-            arts = arts.field(a.id().name(), a.to_json());
-        }
-        Json::obj()
-            .field("spec", self.spec.to_json())
-            .field("artifacts", arts)
-    }
 }
 
 impl Pipeline {
@@ -1252,7 +1239,7 @@ fn fig3(p: &Pipeline) -> Fig3 {
     let rows = membench::size_sweep()
         .into_iter()
         .map(|bytes| {
-            let params = MembenchParams::sized_for(bytes, 5.0);
+            let params = MembenchParams::paper(bytes);
             let k = membench::kernel(params);
             let ex = p.engine.execute(&k, GpuSettings::uncapped());
             Fig3Row {
@@ -1286,7 +1273,7 @@ fn fig4(p: &Pipeline) -> Fig4 {
                 let rows = vai::intensity_sweep()
                     .into_iter()
                     .map(|ai| {
-                        let k = vai::kernel(VaiParams::for_intensity(ai, 1 << 28, 4));
+                        let k = vai::kernel(VaiParams::paper(ai));
                         let base = p
                             .engine
                             .execute(&k, CapSetting::FreqMhz(1700.0).to_settings());
@@ -1329,7 +1316,7 @@ fn fig5(p: &mut Pipeline) -> Result<Fig5, PmssError> {
         let rows = vai::intensity_sweep()
             .into_iter()
             .map(|ai| {
-                let k = vai::kernel(VaiParams::for_intensity(ai, 1 << 28, 4));
+                let k = vai::kernel(VaiParams::paper(ai));
                 let points = normalize(&sweep_kernel(&p.engine, &k, &settings)?)?;
                 Ok(Fig5Row { ai, points })
             })
@@ -1359,7 +1346,7 @@ fn fig6(p: &Pipeline) -> Fig6 {
                 let rows = membench::size_sweep()
                     .into_iter()
                     .map(|bytes| {
-                        let k = membench::kernel(MembenchParams::sized_for(bytes, 5.0));
+                        let k = membench::kernel(MembenchParams::paper(bytes));
                         let base = p
                             .engine
                             .execute(&k, CapSetting::FreqMhz(1700.0).to_settings());
@@ -1730,7 +1717,6 @@ fn whatif(p: &mut Pipeline) -> Result<Whatif, PmssError> {
 }
 
 fn governor(p: &Pipeline) -> Result<GovernorArtifact, PmssError> {
-    let ladder = DvfsLadder::default();
     let policies: Vec<(&'static str, Governor)> = vec![
         ("static 1100 MHz", Governor::Fixed(1100.0)),
         ("static 900 MHz", Governor::Fixed(900.0)),
@@ -1748,9 +1734,8 @@ fn governor(p: &Pipeline) -> Result<GovernorArtifact, PmssError> {
             let rows = policies
                 .iter()
                 .map(|(name, policy)| {
-                    let t = GovernedTotals::from_governed(
-                        &policy.govern_phases(&p.engine, &phases, &ladder)?,
-                    );
+                    let t =
+                        GovernedTotals::from_governed(&policy.govern_phases(&p.engine, &phases)?);
                     Ok(GovernorPolicyRow {
                         policy: name,
                         energy_saved_pct: 100.0 * t.energy_saving(),

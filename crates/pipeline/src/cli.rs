@@ -6,6 +6,7 @@
 //! [`run`] takes argv (minus the program name) and returns the full
 //! output text, which keeps the CLI itself testable.
 
+use pmss_core::sensitivity::Boundaries;
 use pmss_core::EnergyLedger;
 use pmss_econ::{EconSeries, EconTrace};
 use pmss_error::PmssError;
@@ -65,23 +66,13 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
         return Ok(list_text());
     }
 
-    let mut spec = resolve_spec(scale.as_deref(), spec_path.as_deref())?;
-    if let Some(value) = faults_arg.as_deref() {
-        spec.faults = Some(resolve_fault_plan(value)?);
-    }
-    if let Some(value) = mix_arg {
-        if FleetMix::preset(&value).is_none() {
-            return Err(PmssError::invalid_value(
-                "--mix",
-                &value,
-                FleetMix::preset_names().join(" | "),
-            ));
-        }
-        spec.fleet_mix = Some(value);
-    }
-    if let Some(value) = econ_arg.as_deref() {
-        spec.econ = Some(resolve_econ_trace(value)?);
-    }
+    let spec = resolve_scenario(
+        scale.as_deref(),
+        spec_path.as_deref(),
+        faults_arg.as_deref(),
+        mix_arg.as_deref(),
+        econ_arg.as_deref(),
+    )?;
     if positional[0] == "query" {
         return query_cmd(&positional[1..], spec);
     }
@@ -202,9 +193,8 @@ fn stats(spec: ScenarioSpec, json: bool) -> Result<String, PmssError> {
 }
 
 /// Resolves a `--faults` value: a severity preset name, or the path of a
-/// JSON file holding a full [`FaultPlan`].  Shared with the `pmssd`
-/// client so both front ends accept the same vocabulary.
-pub fn resolve_fault_plan(value: &str) -> Result<FaultPlan, PmssError> {
+/// JSON file holding a full [`FaultPlan`].
+fn resolve_fault_plan(value: &str) -> Result<FaultPlan, PmssError> {
     if PRESETS.contains(&value) {
         return FaultPlan::preset(value);
     }
@@ -219,9 +209,8 @@ pub fn resolve_fault_plan(value: &str) -> Result<FaultPlan, PmssError> {
 }
 
 /// Resolves an `--econ` value: a trace preset name, or the path of a
-/// JSON file holding a full [`EconTrace`].  Shared with the `pmssd`
-/// client so both front ends accept the same vocabulary.
-pub fn resolve_econ_trace(value: &str) -> Result<EconTrace, PmssError> {
+/// JSON file holding a full [`EconTrace`].
+fn resolve_econ_trace(value: &str) -> Result<EconTrace, PmssError> {
     if let Some(trace) = EconTrace::preset(value) {
         return Ok(trace);
     }
@@ -285,7 +274,9 @@ fn faults_envelope(p: &mut Pipeline) -> Result<Option<Json>, PmssError> {
     ))
 }
 
-fn flag_value<'a>(
+/// The value following `flag` on the command line; a missing one is a
+/// [`PmssError::Usage`] error.  Shared with the `pmssd` front end.
+pub fn flag_value<'a>(
     it: &mut impl Iterator<Item = &'a String>,
     flag: &str,
 ) -> Result<String, PmssError> {
@@ -294,14 +285,41 @@ fn flag_value<'a>(
         .ok_or_else(|| PmssError::Usage(format!("{flag} requires a value")))
 }
 
-/// Resolves `--scale` / `--spec` into a [`ScenarioSpec`] exactly like the
-/// batch CLI (mutual exclusion, `PMSS_SCALE` fallback).  Shared with the
-/// `pmssd` client so a daemon campaign and its batch comparator resolve
-/// the identical scenario.
-pub fn resolve_spec(
+/// Resolves the scenario flags into a [`ScenarioSpec`]: `--scale` or
+/// `--spec` (mutually exclusive; with neither, `PMSS_SCALE`) picks the
+/// base spec, and `--faults`, `--mix` and `--econ` (a preset name, or for
+/// faults and econ the path of a JSON file) replace its fault plan, fleet
+/// mix and econ trace.  Shared with the `pmssd` client so a daemon
+/// tenant and its batch comparator resolve the identical scenario.
+pub fn resolve_scenario(
     scale: Option<&str>,
     spec_path: Option<&str>,
+    faults: Option<&str>,
+    mix: Option<&str>,
+    econ: Option<&str>,
 ) -> Result<ScenarioSpec, PmssError> {
+    let mut spec = resolve_spec(scale, spec_path)?;
+    if let Some(value) = faults {
+        spec.faults = Some(resolve_fault_plan(value)?);
+    }
+    if let Some(value) = mix {
+        if FleetMix::preset(value).is_none() {
+            return Err(PmssError::invalid_value(
+                "--mix",
+                value,
+                FleetMix::preset_names().join(" | "),
+            ));
+        }
+        spec.fleet_mix = Some(value.to_string());
+    }
+    if let Some(value) = econ {
+        spec.econ = Some(resolve_econ_trace(value)?);
+    }
+    Ok(spec)
+}
+
+/// Resolves `--scale` / `--spec` into the base [`ScenarioSpec`].
+fn resolve_spec(scale: Option<&str>, spec_path: Option<&str>) -> Result<ScenarioSpec, PmssError> {
     match (spec_path, scale) {
         (Some(_), Some(_)) => Err(PmssError::Usage(
             "--spec and --scale are mutually exclusive (the spec file already fixes the scale)"
@@ -331,6 +349,7 @@ fn parse_artifact(positional: &[String]) -> Result<ArtifactId, PmssError> {
 }
 
 fn render_spec(spec: &ScenarioSpec) -> String {
+    let bands = Boundaries::default();
     let caps = |v: &[f64]| {
         v.iter()
             .map(|c| format!("{c:.0}"))
@@ -348,9 +367,9 @@ fn render_spec(spec: &ScenarioSpec) -> String {
         spec.min_job_s,
         caps(&spec.freq_caps_mhz),
         caps(&spec.power_caps_w),
-        spec.boundaries.latency_mi_w,
-        spec.boundaries.mi_ci_w,
-        spec.boundaries.ci_boost_w,
+        bands.latency_mi_w,
+        bands.mi_ci_w,
+        bands.ci_boost_w,
     );
     if let Some(name) = spec.active_mix() {
         let pattern = spec

@@ -1,11 +1,13 @@
 //! The typed scenario specification: one value that describes everything a
 //! pipeline run needs.
 //!
-//! A [`ScenarioSpec`] carries the fleet shape (nodes, trace length, seed),
-//! the cap ladders swept by the benchmark stage, and the modal-region
-//! boundaries — validated at construction and round-trippable through
-//! JSON.  The three named presets (`quick`, `medium`, `large`) reproduce
-//! the historical `PMSS_SCALE` environment handling, but parsing is now
+//! A [`ScenarioSpec`] carries the fleet shape (nodes, trace length, seed)
+//! and the cap ladders swept by the benchmark stage — validated at
+//! construction and round-trippable through JSON.  The modal-region
+//! boundaries are not part of it: the ledger bins at Table IV's fixed
+//! bands, so a spec's `boundaries_w` may restate them but not move them.
+//! The three named presets (`quick`, `medium`, `large`) reproduce the
+//! historical `PMSS_SCALE` environment handling, but parsing is now
 //! explicit: an unrecognized value is a [`PmssError::InvalidValue`], not a
 //! silent fall back to `quick`.
 
@@ -78,7 +80,7 @@ impl ScalePreset {
     }
 
     /// Fleet shape of the preset: `(nodes, days)`.
-    pub fn shape(self) -> (usize, f64) {
+    pub(crate) fn shape(self) -> (usize, f64) {
         match self {
             ScalePreset::Quick => (16, 2.0),
             ScalePreset::Medium => (64, 7.0),
@@ -104,8 +106,6 @@ pub struct ScenarioSpec {
     pub freq_caps_mhz: Vec<f64>,
     /// Power-cap ladder, watts; the first entry is the uncapped baseline.
     pub power_caps_w: Vec<f64>,
-    /// Modal-decomposition region boundaries.
-    pub boundaries: Boundaries,
     /// Deterministic telemetry-degradation plan applied to every fleet
     /// simulation of the scenario; `None` (the presets' value) leaves the
     /// stream untouched, bit for bit.
@@ -126,8 +126,7 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// The spec of a named preset, with the paper's cap ladders and
-    /// default boundaries.
+    /// The spec of a named preset, with the paper's cap ladders.
     pub fn preset(preset: ScalePreset) -> ScenarioSpec {
         let (nodes, days) = preset.shape();
         ScenarioSpec {
@@ -138,7 +137,6 @@ impl ScenarioSpec {
             min_job_s: 900.0,
             freq_caps_mhz: FREQ_CAPS_MHZ.to_vec(),
             power_caps_w: POWER_CAPS_W.to_vec(),
-            boundaries: Boundaries::default(),
             faults: None,
             govern: None,
             fleet_mix: None,
@@ -236,7 +234,6 @@ impl ScenarioSpec {
         }
         ladder("freq_caps_mhz", &self.freq_caps_mhz, MAX_FREQ_CAPS)?;
         ladder("power_caps_w", &self.power_caps_w, MAX_POWER_CAPS)?;
-        self.boundaries.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -318,10 +315,13 @@ impl ScenarioSpec {
         }
     }
 
-    /// Serializes the spec to a JSON value.  The `faults` field is emitted
-    /// only when a plan actually injects something, so fault-free specs
-    /// keep their historical byte-exact JSON shape.
+    /// Serializes the spec to a JSON value.  `boundaries_w` restates Table
+    /// IV's fixed bands, which [`ScenarioSpec::from_json`] accepts back.
+    /// The `faults` field is emitted only when a plan actually injects
+    /// something, so fault-free specs keep their historical byte-exact JSON
+    /// shape.
     pub fn to_json(&self) -> Json {
+        let bands = Boundaries::default();
         let j = Json::obj()
             .field("name", self.name.as_str())
             .field("nodes", self.nodes)
@@ -333,9 +333,9 @@ impl ScenarioSpec {
             .field(
                 "boundaries_w",
                 Json::obj()
-                    .field("latency_mi", self.boundaries.latency_mi_w)
-                    .field("mi_ci", self.boundaries.mi_ci_w)
-                    .field("ci_boost", self.boundaries.ci_boost_w),
+                    .field("latency_mi", bands.latency_mi_w)
+                    .field("mi_ci", bands.mi_ci_w)
+                    .field("ci_boost", bands.ci_boost_w),
             );
         let j = match self.active_faults() {
             Some(plan) => j.field("faults", fault_plan_to_json(plan)),
@@ -360,10 +360,34 @@ impl ScenarioSpec {
     }
 
     /// Deserializes and validates a spec from a JSON value; missing fields
-    /// fall back to the `quick` preset's values.
+    /// fall back to the `quick` preset's values.  A `boundaries_w` other
+    /// than Table IV's bands is an [`PmssError::InvalidSpec`]: no
+    /// computation would read it.
     pub fn from_json(v: &Json) -> Result<ScenarioSpec, PmssError> {
         let base = ScenarioSpec::preset(ScalePreset::Quick);
         let f = Fields { v, ctx: "spec" };
+        let bands = Boundaries::default();
+        let asked = Boundaries {
+            latency_mi_w: f.num("boundaries_w.latency_mi", bands.latency_mi_w)?,
+            mi_ci_w: f.num("boundaries_w.mi_ci", bands.mi_ci_w)?,
+            ci_boost_w: f.num("boundaries_w.ci_boost", bands.ci_boost_w)?,
+        };
+        if asked != bands {
+            return Err(PmssError::InvalidSpec {
+                field: "boundaries_w",
+                reason: format!(
+                    "must be Table IV's {}/{}/{} W, got {}/{}/{} W: the ledger bins \
+                     at those bands (`pmss sensitivity` shows how far the headline \
+                     moves when they shift)",
+                    bands.latency_mi_w,
+                    bands.mi_ci_w,
+                    bands.ci_boost_w,
+                    asked.latency_mi_w,
+                    asked.mi_ci_w,
+                    asked.ci_boost_w,
+                ),
+            });
+        }
         let name = f.string("name")?.map_or(base.name, str::to_string);
         let faults = v.get("faults").map(fault_plan_from_json).transpose()?;
         let govern = v.get("govern").map(governor_plan_from_json).transpose()?;
@@ -377,11 +401,6 @@ impl ScenarioSpec {
             min_job_s: f.num("min_job_s", base.min_job_s)?,
             freq_caps_mhz: f.nums("freq_caps_mhz", base.freq_caps_mhz)?,
             power_caps_w: f.nums("power_caps_w", base.power_caps_w)?,
-            boundaries: Boundaries {
-                latency_mi_w: f.num("boundaries_w.latency_mi", base.boundaries.latency_mi_w)?,
-                mi_ci_w: f.num("boundaries_w.mi_ci", base.boundaries.mi_ci_w)?,
-                ci_boost_w: f.num("boundaries_w.ci_boost", base.boundaries.ci_boost_w)?,
-            },
             faults,
             govern,
             fleet_mix,
@@ -688,21 +707,16 @@ mod tests {
                 ..
             }
         ));
-
-        let mut s = ScenarioSpec::preset(ScalePreset::Quick);
-        s.boundaries.latency_mi_w = 500.0;
-        assert!(matches!(
-            s.validate().unwrap_err(),
-            PmssError::InvalidBoundaries { .. }
-        ));
     }
 
     #[test]
     fn json_round_trip_preserves_the_spec() {
         let mut s = ScenarioSpec::preset(ScalePreset::Medium);
         s.seed = 7;
-        s.boundaries.mi_ci_w = 430.0;
-        let back = ScenarioSpec::from_json(&s.to_json()).unwrap();
+        let j = s.to_json();
+        let bands = j.get("boundaries_w").unwrap();
+        assert_eq!(bands.get("mi_ci").and_then(Json::as_f64), Some(420.0));
+        let back = ScenarioSpec::from_json(&j).unwrap();
         assert_eq!(back, s);
     }
 
@@ -712,6 +726,23 @@ mod tests {
         assert!(ScenarioSpec::from_json(&j).is_err());
         let j = Json::parse(r#"{"freq_caps_mhz": "high"}"#).unwrap();
         assert!(ScenarioSpec::from_json(&j).is_err());
+        // Table IV's bands are fixed: restating them is fine, moving one
+        // is an invalid spec that names the sensitivity artifact.
+        let j = Json::parse(r#"{"boundaries_w": {"mi_ci": 420}}"#).unwrap();
+        assert!(ScenarioSpec::from_json(&j).is_ok());
+        let j = Json::parse(r#"{"boundaries_w": {"mi_ci": 430}}"#).unwrap();
+        let err = ScenarioSpec::from_json(&j).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PmssError::InvalidSpec {
+                    field: "boundaries_w",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("pmss sensitivity"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use pmss_telemetry::{
     FleetRunStats, Pair, SystemHistogram,
 };
 use pmss_workloads::sweep::CapSetting;
-use pmss_workloads::table3::{self, BenchScale, Table3};
+use pmss_workloads::table3::{self, Table3};
 
 use crate::spec::ScenarioSpec;
 
@@ -261,7 +261,7 @@ impl Pipeline {
     }
 
     /// The scenario driving this pipeline.
-    pub fn spec(&self) -> &ScenarioSpec {
+    pub(crate) fn spec(&self) -> &ScenarioSpec {
         &self.spec
     }
 
@@ -278,7 +278,7 @@ impl Pipeline {
     /// Synthesizes the scenario's schedule — the fleet stage's first step,
     /// for a caller that drives the generator itself and needs nothing
     /// else of the stage (`pmss query` captures a resident store).
-    pub fn schedule(&self) -> Schedule {
+    pub(crate) fn schedule(&self) -> Schedule {
         generate(self.spec.trace_params(), &catalog())
     }
 
@@ -302,7 +302,7 @@ impl Pipeline {
 
     /// Runs the projection stage (Table V): Table III factors applied to
     /// the fleet decomposition at full-Frontier scale.
-    pub fn projection(&mut self) -> Result<Projection, PmssError> {
+    pub(crate) fn projection(&mut self) -> Result<Projection, PmssError> {
         self.stages()?.projection()
     }
 
@@ -505,7 +505,6 @@ fn table3_stage<'a>(
             let sw = Stopwatch::start();
             let t3 = table3::compute_with_ladders(
                 engine,
-                BenchScale::default(),
                 &ladder(&spec.freq_caps_mhz, CapSetting::FreqMhz),
                 &ladder(&spec.power_caps_w, CapSetting::PowerW),
             )?;

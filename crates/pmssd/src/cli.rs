@@ -7,9 +7,8 @@
 //! CLI is the smoke test.
 
 use pmss_error::PmssError;
-use pmss_pipeline::cli::{resolve_econ_trace, resolve_fault_plan, resolve_spec};
+use pmss_pipeline::cli::{flag_value, resolve_scenario};
 use pmss_pipeline::query::Query;
-use pmss_pipeline::spec::ScenarioSpec;
 
 use crate::client::{self, Connection, Target};
 use crate::daemon::{Daemon, DaemonConfig, Listen};
@@ -25,7 +24,7 @@ pmssd — streaming multi-tenant analysis daemon
       address is 127.0.0.1:7878.
 
   pmss client ingest --tenant NAME [--addr ADDR] [--scale PRESET]
-             [--spec FILE] [--faults PRESET] [--econ TRACE]
+             [--spec FILE] [--faults PRESET] [--mix MIX] [--econ TRACE]
       Create/bind the tenant and stream its campaign telemetry.
 
   pmss client query --tenant NAME [--addr ADDR] \
@@ -42,12 +41,6 @@ projection|coverage|ledger|econ|whatif KNOB VALUE
 ADDR is HOST:PORT or unix:PATH (default 127.0.0.1:7878).
 "
     .to_string()
-}
-
-fn flag_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, PmssError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| PmssError::Usage(format!("{flag} needs a value")))
 }
 
 /// Runs `pmss serve …`; blocks until shutdown.
@@ -104,6 +97,7 @@ pub fn run_client(args: &[String]) -> Result<String, PmssError> {
     let mut scale: Option<String> = None;
     let mut spec_path: Option<String> = None;
     let mut faults: Option<String> = None;
+    let mut mix: Option<String> = None;
     let mut econ: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -114,6 +108,7 @@ pub fn run_client(args: &[String]) -> Result<String, PmssError> {
             "--scale" => scale = Some(flag_value(&mut it, "--scale")?),
             "--spec" => spec_path = Some(flag_value(&mut it, "--spec")?),
             "--faults" => faults = Some(flag_value(&mut it, "--faults")?),
+            "--mix" => mix = Some(flag_value(&mut it, "--mix")?),
             "--econ" => econ = Some(flag_value(&mut it, "--econ")?),
             "-h" | "--help" => return Ok(help_text()),
             other if other.starts_with('-') => {
@@ -128,16 +123,19 @@ pub fn run_client(args: &[String]) -> Result<String, PmssError> {
         return Ok(help_text());
     };
     let target = Target::parse(&addr);
+    let scenario = || {
+        resolve_scenario(
+            scale.as_deref(),
+            spec_path.as_deref(),
+            faults.as_deref(),
+            mix.as_deref(),
+            econ.as_deref(),
+        )
+    };
     match cmd.as_str() {
         "ingest" => {
             let tenant = require_tenant(tenant)?;
-            let mut spec = resolve_spec(scale.as_deref(), spec_path.as_deref())?;
-            if let Some(value) = faults.as_deref() {
-                spec.faults = Some(resolve_fault_plan(value)?);
-            }
-            if let Some(value) = econ.as_deref() {
-                spec.econ = Some(resolve_econ_trace(value)?);
-            }
+            let spec = scenario()?;
             let mut conn = connect(&target)?;
             conn.open(&tenant, Some(&spec)).map_err(PmssError::from)?;
             let report = client::ingest_campaign(&mut conn, &spec)?;
@@ -149,9 +147,14 @@ pub fn run_client(args: &[String]) -> Result<String, PmssError> {
         "query" => {
             let tenant = require_tenant(tenant)?;
             let q = Query::from_args(&positional[1..])?;
+            // A query normally binds an existing tenant, but passing
+            // `--scale` / `--spec` lets it create one (useful for
+            // empty-state queries).
+            let spec = (scale.is_some() || spec_path.is_some())
+                .then(scenario)
+                .transpose()?;
             let mut conn = connect(&target)?;
-            conn.open(&tenant, open_spec(scale, spec_path, faults, econ)?.as_ref())
-                .map_err(PmssError::from)?;
+            conn.open(&tenant, spec.as_ref()).map_err(PmssError::from)?;
             Ok(conn.query(&q).map_err(PmssError::from)?)
         }
         "metrics" => client::scrape_metrics(&addr).map_err(|e| {
@@ -180,27 +183,6 @@ fn connect(target: &Target) -> Result<Connection, PmssError> {
     Connection::connect(target).map_err(PmssError::from)
 }
 
-/// A query normally binds an existing tenant, but passing `--scale` /
-/// `--spec` lets it create one (useful for empty-state queries).
-fn open_spec(
-    scale: Option<String>,
-    spec_path: Option<String>,
-    faults: Option<String>,
-    econ: Option<String>,
-) -> Result<Option<ScenarioSpec>, PmssError> {
-    if scale.is_none() && spec_path.is_none() {
-        return Ok(None);
-    }
-    let mut spec = resolve_spec(scale.as_deref(), spec_path.as_deref())?;
-    if let Some(value) = faults.as_deref() {
-        spec.faults = Some(resolve_fault_plan(value)?);
-    }
-    if let Some(value) = econ.as_deref() {
-        spec.econ = Some(resolve_econ_trace(value)?);
-    }
-    Ok(Some(spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,5 +206,26 @@ mod tests {
                 "{flag}"
             );
         }
+    }
+
+    #[test]
+    fn client_ingest_resolves_mix_before_connecting() {
+        // Nothing listens on this address: a resolution error must come
+        // first, naming the presets, not a connection failure or `Usage`.
+        let args: Vec<String> = [
+            "ingest",
+            "--tenant",
+            "t",
+            "--addr",
+            "127.0.0.1:9",
+            "--mix",
+            "bogus",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run_client(&args).unwrap_err();
+        assert!(matches!(err, PmssError::InvalidValue { .. }), "{err}");
+        assert!(err.to_string().contains("mixed-50-50"), "{err}");
     }
 }

@@ -79,7 +79,7 @@ pub enum Target {
 impl Target {
     /// Parses an address argument: a `unix:` prefix selects a socket
     /// path, anything else is a TCP address.
-    pub fn parse(addr: &str) -> Target {
+    pub(crate) fn parse(addr: &str) -> Target {
         match addr.strip_prefix("unix:") {
             Some(path) => Target::Unix(PathBuf::from(path)),
             None => Target::Tcp(addr.to_string()),

@@ -32,7 +32,7 @@ use pmss_pipeline::query::Query;
 use pmss_pipeline::spec::ScenarioSpec;
 
 use crate::proto::{self, code, frame, status};
-use crate::tenant::{self, Command, Tenant, TenantConfig, TenantShared};
+use crate::tenant::{self, Command, Tenant, TenantShared};
 
 /// Where the daemon listens for client frames.
 #[derive(Debug, Clone)]
@@ -133,10 +133,7 @@ impl Daemon {
     /// connection threads, closes tenant queues, joins workers.
     pub fn run(self) -> Result<(), PmssError> {
         let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-        let tenant_cfg = TenantConfig {
-            queue_depth: self.cfg.queue_depth,
-            sync_interval: self.cfg.sync_interval,
-        };
+        let queue = (self.cfg.queue_depth, self.cfg.sync_interval);
         let shutdown = Arc::clone(&self.shutdown);
         // Self-connection targets for waking the blocking accepts at
         // shutdown — resolved from the *bound* listeners, since the
@@ -196,10 +193,10 @@ impl Daemon {
                 };
                 match stream {
                     Conn::Tcp(mut s) => {
-                        serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake)
+                        serve_connection(&mut s, &registry, queue, &shutdown, &wake)
                     }
                     Conn::Unix(mut s) => {
-                        serve_connection(&mut s, &registry, tenant_cfg, &shutdown, &wake)
+                        serve_connection(&mut s, &registry, queue, &shutdown, &wake)
                     }
                 }
             });
@@ -274,12 +271,13 @@ fn poke(listen: &Listen) {
     }
 }
 
-/// One connection's frame loop.  `wake` unblocks the daemon's accept
-/// loops after a `SHUTDOWN` frame.
+/// One connection's frame loop.  `queue` is the `(queue_depth,
+/// sync_interval)` pair a tenant this connection opens is spawned with;
+/// `wake` unblocks the daemon's accept loops after a `SHUTDOWN` frame.
 fn serve_connection<S: Read + Write>(
     stream: &mut S,
     registry: &Registry,
-    tenant_cfg: TenantConfig,
+    queue: (usize, u64),
     shutdown: &AtomicBool,
     wake: &dyn Fn(),
 ) {
@@ -290,7 +288,7 @@ fn serve_connection<S: Read + Write>(
             Ok(None) | Err(_) => return,
         };
         let reply = match ty {
-            frame::OPEN => handle_open(&payload, registry, tenant_cfg, &mut bound),
+            frame::OPEN => handle_open(&payload, registry, queue, &mut bound),
             frame::BLOCK => handle_block(&payload, &bound),
             frame::FLUSH => handle_flush(&bound),
             frame::QUERY => handle_query(&payload, &bound),
@@ -328,7 +326,7 @@ type Bound = Option<(Arc<TenantShared>, SyncSender<Command>)>;
 fn handle_open(
     payload: &[u8],
     registry: &Registry,
-    tenant_cfg: TenantConfig,
+    (queue_depth, sync_interval): (usize, u64),
     bound: &mut Bound,
 ) -> Reply {
     let text = std::str::from_utf8(payload)
@@ -376,8 +374,8 @@ fn handle_open(
             format!("tenant {name:?} does not exist and OPEN carried no spec"),
         ));
     };
-    let t =
-        tenant::spawn(&name, &spec, tenant_cfg).map_err(|e| (code::MALFORMED, e.to_string()))?;
+    let t = tenant::spawn(&name, &spec, queue_depth, sync_interval)
+        .map_err(|e| (code::MALFORMED, e.to_string()))?;
     *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
     reg.insert(name, t);
     Ok(Vec::new())

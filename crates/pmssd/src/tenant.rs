@@ -80,30 +80,20 @@ pub struct Tenant {
     pub handle: JoinHandle<()>,
 }
 
-/// Worker tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct TenantConfig {
-    /// Bounded queue depth (frames admitted but not yet applied).
-    pub queue_depth: usize,
-    /// Blocks between snapshot publications (FLUSH always publishes).
-    pub sync_interval: u64,
-}
-
-impl Default for TenantConfig {
-    fn default() -> Self {
-        TenantConfig {
-            queue_depth: 64,
-            sync_interval: 8,
-        }
-    }
-}
-
 /// Builds and spawns a tenant worker for `spec`.
 ///
 /// The expensive artifacts a tenant needs — the schedule and Table III —
 /// are built here, *before* the worker starts; the fleet simulation
-/// itself is never run (telemetry arrives over the wire).
-pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenant, PmssError> {
+/// itself is never run (telemetry arrives over the wire).  The ingest
+/// queue holds `queue_depth` frames, and the worker publishes a snapshot
+/// every `sync_interval` blocks (at least every block; FLUSH always
+/// publishes).
+pub fn spawn(
+    name: &str,
+    spec: &ScenarioSpec,
+    queue_depth: usize,
+    sync_interval: u64,
+) -> Result<Tenant, PmssError> {
     spec.validate()?;
     let stream_cfg = StreamConfig::for_plan(spec.active_faults());
     stream_cfg.validate()?;
@@ -124,7 +114,7 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
         metrics_text: RwLock::new(String::new()),
         spec_json: spec.to_json().to_string_compact(),
     });
-    let (tx, rx) = sync_channel::<Command>(cfg.queue_depth);
+    let (tx, rx) = sync_channel::<Command>(queue_depth);
 
     let worker_shared = Arc::clone(&shared);
     let handle = std::thread::spawn(move || {
@@ -166,7 +156,7 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
                             .map_err(|e| (stream_error_code(&e), e.to_string())),
                     };
                     since_publish += 1;
-                    if since_publish >= cmd_sync_interval(cfg) {
+                    if since_publish >= sync_interval.max(1) {
                         publish(&engine);
                         since_publish = 0;
                     }
@@ -183,10 +173,6 @@ pub fn spawn(name: &str, spec: &ScenarioSpec, cfg: TenantConfig) -> Result<Tenan
         // connection joined: no reader is left to publish for.
     });
     Ok(Tenant { shared, tx, handle })
-}
-
-fn cmd_sync_interval(cfg: TenantConfig) -> u64 {
-    cfg.sync_interval.max(1)
 }
 
 /// Renders a tenant's stream metrics as scrapeable text lines:

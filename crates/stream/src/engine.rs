@@ -832,30 +832,25 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
         }
     }
 
-    /// The merged observer over every window ingested so far — released
-    /// *and* still-buffered ones, so a mid-stream snapshot equals the
-    /// batch result over exactly the ingested window set.
-    ///
-    /// Channels merge in the batch simulation's canonical order (nodes
-    /// ascending; GPU slots `0..4`, then rest-of-node), which makes the
-    /// result independent of the shard count and, for channel-grouped
-    /// observers, bit-identical to [`pmss_telemetry::simulate_fleet`].
-    pub fn snapshot(&self) -> O {
+    /// Every live channel's observer over the windows ingested so far —
+    /// its released partial plus a replay of its still-buffered windows —
+    /// keyed by `(node, slot)` in the batch simulation's canonical order
+    /// (nodes ascending; GPU slots `0..4`, then rest-of-node), whatever the
+    /// shard count.
+    pub fn channel_snapshots(&self) -> impl Iterator<Item = ((u32, u8), O)> + '_ {
         let nshards = self.cfg.shards;
-        let mut keys: Vec<(u32, u8, usize, usize)> = Vec::new();
+        let mut channels: Vec<((u32, u8), &Channel<O>)> = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
             for (li, ch) in shard.channels.iter().enumerate() {
-                if ch.is_some() {
+                if let Some(ch) = ch {
                     let node = (li / CHANNELS_PER_NODE) * nshards + si;
                     let slot = (li % CHANNELS_PER_NODE) as u8;
-                    keys.push((node as u32, slot, si, li));
+                    channels.push(((node as u32, slot), ch));
                 }
             }
         }
-        keys.sort_unstable_by_key(|&(node, slot, ..)| (node, slot));
-        let mut out = O::default();
-        for (_, _, si, li) in keys {
-            let ch = self.shards[si].channels[li].as_ref().expect("live channel");
+        channels.sort_unstable_by_key(|&(key, _)| key);
+        channels.into_iter().map(|(key, ch)| {
             let mut part = ch.partial.clone();
             for slot in &ch.ring {
                 match slot {
@@ -868,6 +863,21 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
                     }
                 }
             }
+            (key, part)
+        })
+    }
+
+    /// The merged observer over every window ingested so far — released
+    /// *and* still-buffered ones, so a mid-stream snapshot equals the
+    /// batch result over exactly the ingested window set.
+    ///
+    /// Channels merge in [`StreamEngine::channel_snapshots`]' canonical
+    /// order, which makes the result independent of the shard count and,
+    /// for channel-grouped observers, bit-identical to
+    /// [`pmss_telemetry::simulate_fleet`].
+    pub fn snapshot(&self) -> O {
+        let mut out = O::default();
+        for (_, part) in self.channel_snapshots() {
             out.merge(part);
         }
         out
@@ -1004,14 +1014,23 @@ mod tests {
         let sched = schedule();
         let cfg = FleetConfig::default();
         let mut ledgers = Vec::new();
+        let mut channels = Vec::new();
         for shards in [1, 3] {
             let mut eng: StreamEngine<'_, EnergyLedger> =
                 StreamEngine::new(&sched, StreamConfig::default().with_shards(shards)).unwrap();
             fleet_window_blocks(&sched, &cfg, |b| {
                 b.iter().for_each(|ev| eng.ingest(ev).unwrap());
             });
+            let parts: Vec<((u32, u8), EnergyLedger)> = eng.channel_snapshots().collect();
+            let mut merged = EnergyLedger::default();
+            for (_, part) in parts.iter().cloned() {
+                merged.merge(part);
+            }
+            assert_eq!(merged, eng.snapshot());
+            channels.push(parts);
             ledgers.push(eng.finish().0);
         }
+        assert_eq!(channels[0], channels[1]);
         assert_eq!(ledgers[0], ledgers[1]);
     }
 

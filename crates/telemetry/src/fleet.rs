@@ -25,6 +25,10 @@ use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, REST_SLOT};
 
 pub use pmss_columns::{FleetObserver, GapFill, SampleCtx};
 
+/// Seed of the per-node window-noise RNG (node `n` draws from
+/// `NOISE_SEED ^ (n << 20)`).
+const NOISE_SEED: u64 = 1;
+
 /// Fleet-simulation parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -35,13 +39,6 @@ pub struct FleetConfig {
     pub noise_sd_w: f64,
     /// Power-management settings applied fleet-wide during the simulation.
     pub settings: GpuSettings,
-    /// Per-domain setting overrides (indexed by catalog position): the
-    /// selective-capping deployments of Table VI / the what-if optimizer.
-    /// Jobs of domain `d` use `domain_settings[d]` when present; everything
-    /// else (including idle time) uses `settings`.
-    pub domain_settings: Vec<Option<GpuSettings>>,
-    /// RNG seed.
-    pub seed: u64,
     /// Deterministic telemetry degradation applied to the emitted stream
     /// (see [`pmss_faults::FaultPlan`]).  `None` — or a plan that injects
     /// nothing — leaves the stream untouched, bit for bit: the clean path
@@ -62,22 +59,9 @@ impl Default for FleetConfig {
             window_s: 15.0,
             noise_sd_w: 1.5,
             settings: GpuSettings::uncapped(),
-            domain_settings: Vec::new(),
-            seed: 1,
             faults: None,
             mix: FleetMix::homogeneous(),
         }
-    }
-}
-
-impl FleetConfig {
-    /// The settings in force for a job of `domain`.
-    pub(crate) fn settings_for(&self, domain: usize) -> GpuSettings {
-        self.domain_settings
-            .get(domain)
-            .copied()
-            .flatten()
-            .unwrap_or(self.settings)
     }
 }
 
@@ -202,7 +186,6 @@ fn slot_segments(
             });
         }
         let job = &schedule.jobs[placement.job];
-        let settings = cfg.settings_for(job.domain);
         let slot_seed = job.seed ^ ((node as u64) << 8) ^ slot as u64;
 
         // Synthesis is seed-pure and `Engine::execute` is stateless, so one
@@ -211,7 +194,7 @@ fn slot_segments(
         let phases = synthesize_app(job.app_class, job.duration_s(), &mut rng);
         tmpl.clear();
         for phase in &phases {
-            let ex = engine.execute(phase, settings);
+            let ex = engine.execute(phase, cfg.settings);
             stats.engine_executions += 1;
             stats.engine_ppt_throttled += ex.ppt_throttled as u64;
             stats.solver_iters += ex.solver_iters as u64;
@@ -653,7 +636,7 @@ impl<'a> FleetRun<'a> {
         } = scratch;
         let sku = self.sku_of(node);
         let rt = &self.runtime[sku as usize];
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((node as u64) << 20));
+        let mut rng = StdRng::seed_from_u64(NOISE_SEED ^ ((node as u64) << 20));
         for slot in 0..GPUS_PER_NODE {
             let segs = slot_segments(
                 stats,
@@ -1031,7 +1014,6 @@ mod tests {
                 });
             }
             let job = &schedule.jobs[placement.job];
-            let settings = cfg.settings_for(job.domain);
             let slot_seed = job.seed ^ ((node as u64) << 8) ^ slot as u64;
 
             let mut cursor = placement.begin_s;
@@ -1040,7 +1022,7 @@ mod tests {
             'fill: loop {
                 let cursor_at_cycle_start = cursor;
                 for phase in &phases {
-                    let ex = engine.execute(phase, settings);
+                    let ex = engine.execute(phase, cfg.settings);
                     for (dur, power, boostable) in [
                         (ex.perf.roofline_s, ex.busy_power_w, ex.ppt_throttled),
                         (ex.perf.serial_s, ex.serial_power_w, false),
@@ -1420,86 +1402,5 @@ mod fault_tests {
         assert!(!faulted.gpu.is_empty());
         assert!(stats.faults_dropped > 0);
         assert!(stats.gpu_samples > 0);
-    }
-}
-
-#[cfg(test)]
-mod selective_tests {
-    use super::*;
-    use crate::observers::SystemHistogram;
-    use pmss_sched::{catalog, generate, TraceParams};
-
-    #[test]
-    fn per_domain_settings_cap_only_the_selected_domains() {
-        let cat = catalog();
-        let schedule = generate(
-            TraceParams {
-                nodes: 6,
-                duration_s: 8.0 * 3600.0,
-                seed: 23,
-                min_job_s: 900.0,
-            },
-            &cat,
-        );
-
-        // Cap only the compute-heavy CPH domain (index 0).
-        let mut domain_settings = vec![None; cat.len()];
-        domain_settings[0] = Some(GpuSettings::freq_capped(900.0));
-        let cfg = FleetConfig {
-            domain_settings,
-            ..Default::default()
-        };
-
-        /// Mean power per domain.
-        #[derive(Default)]
-        struct PerDomainMean {
-            sums: Vec<(f64, u64)>,
-        }
-        impl FleetObserver for PerDomainMean {
-            fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, _t: f64, w: f64) {
-                if let Some(j) = ctx.job {
-                    if self.sums.len() <= j.domain {
-                        self.sums.resize(j.domain + 1, (0.0, 0));
-                    }
-                    self.sums[j.domain].0 += w;
-                    self.sums[j.domain].1 += 1;
-                }
-            }
-            fn merge(&mut self, other: Self) {
-                if self.sums.len() < other.sums.len() {
-                    self.sums.resize(other.sums.len(), (0.0, 0));
-                }
-                for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-                    a.0 += b.0;
-                    a.1 += b.1;
-                }
-            }
-        }
-
-        let base: PerDomainMean = simulate_fleet(&schedule, &FleetConfig::default());
-        let selective: PerDomainMean = simulate_fleet(&schedule, &cfg);
-        let mean = |p: &PerDomainMean, d: usize| p.sums[d].0 / p.sums[d].1 as f64;
-
-        // The capped domain's mean power drops materially...
-        assert!(
-            mean(&selective, 0) < mean(&base, 0) - 30.0,
-            "capped domain: {} vs {}",
-            mean(&selective, 0),
-            mean(&base, 0)
-        );
-        // ... while an uncapped domain is untouched (same seeds, same
-        // phases, same settings -> identical power).
-        for d in 1..base.sums.len().min(selective.sums.len()) {
-            if base.sums[d].1 > 0 {
-                assert!(
-                    (mean(&selective, d) - mean(&base, d)).abs() < 1.0,
-                    "domain {d} should be unaffected"
-                );
-            }
-        }
-
-        // Sanity: the selective run still produces a full histogram.
-        let h: SystemHistogram = simulate_fleet(&schedule, &cfg);
-        assert!(h.hist.total() > 0);
     }
 }

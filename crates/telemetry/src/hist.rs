@@ -13,7 +13,7 @@ pub struct PowerHistogram {
 
 impl PowerHistogram {
     /// Creates a histogram covering `[0, max_w)` with `bins` bins.
-    pub fn new(max_w: f64, bins: usize) -> Self {
+    pub(crate) fn new(max_w: f64, bins: usize) -> Self {
         assert!(max_w > 0.0 && bins > 0);
         PowerHistogram {
             bin_w: max_w / bins as f64,

@@ -13,10 +13,11 @@
 //! bit for bit, every time) and exact in everything the codec stores
 //! losslessly: window indices, delivery ranks, tags, job attribution,
 //! timestamps, spans — so coverage accounting matches the live run to the
-//! bit.  Power values are quantized at capture (1 W by default, the
-//! sensor's own resolution), so replayed *energy* agrees with the live run
-//! to within half a quantum per sample — the precision the fleet's sensors
-//! had in the first place.
+//! bit.  Power values are quantized at capture to the codec's 1 W
+//! quantum (`pmss_columns::codec::QUANTUM_W`, the sensor's own
+//! resolution), so replayed *energy* agrees with the live run to within
+//! half a quantum per sample — the precision the fleet's sensors had in
+//! the first place.
 
 use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock, FleetObserver};
 use pmss_error::PmssError;
@@ -29,8 +30,6 @@ use crate::fleet::{channel_grid, fleet_window_blocks, FleetConfig};
 #[derive(Debug, Clone)]
 pub struct ResidentFleet {
     blocks: Vec<EncodedBlock>,
-    codec: CodecConfig,
-    raw_bytes: usize,
     rows: u64,
 }
 
@@ -39,17 +38,8 @@ impl ResidentFleet {
     /// channel as a compressed resident block, at the codec's default 1 W
     /// sensor quantization.
     pub fn capture(schedule: &Schedule, cfg: &FleetConfig) -> Result<ResidentFleet, PmssError> {
-        ResidentFleet::capture_with(schedule, cfg, CodecConfig::default())
-    }
-
-    /// [`ResidentFleet::capture`] under an explicit codec configuration.
-    pub(crate) fn capture_with(
-        schedule: &Schedule,
-        cfg: &FleetConfig,
-        codec: CodecConfig,
-    ) -> Result<ResidentFleet, PmssError> {
+        let codec = CodecConfig::default();
         let mut blocks = Vec::new();
-        let mut raw_bytes = 0usize;
         let mut rows = 0u64;
         let mut first_err = None;
         fleet_window_blocks(schedule, cfg, |block| {
@@ -59,7 +49,6 @@ impl ResidentFleet {
             let grid = channel_grid(schedule, cfg, block.node());
             match EncodedBlock::encode(block, grid, codec) {
                 Ok(enc) => {
-                    raw_bytes += block.column_bytes();
                     rows += block.len() as u64;
                     blocks.push(enc);
                 }
@@ -68,12 +57,7 @@ impl ResidentFleet {
         });
         match first_err {
             Some(e) => Err(e),
-            None => Ok(ResidentFleet {
-                blocks,
-                codec,
-                raw_bytes,
-                rows,
-            }),
+            None => Ok(ResidentFleet { blocks, rows }),
         }
     }
 
@@ -87,7 +71,7 @@ impl ResidentFleet {
         let mut obs = O::default();
         let mut block = ColumnBlock::default();
         for enc in &self.blocks {
-            enc.decode_into(self.codec, &mut block)?;
+            enc.decode_into(CodecConfig::default(), &mut block)?;
             obs.fold_channel(schedule, &block);
         }
         Ok(obs)
@@ -106,20 +90,6 @@ impl ResidentFleet {
     /// Compressed size: the sum of every block's payload bytes.
     pub fn payload_bytes(&self) -> usize {
         self.blocks.iter().map(EncodedBlock::payload_bytes).sum()
-    }
-
-    /// Uncompressed columnar size the store replaced.
-    pub fn raw_bytes(&self) -> usize {
-        self.raw_bytes
-    }
-
-    /// Compression ratio: raw columnar bytes over compressed payload.
-    pub fn compression_ratio(&self) -> f64 {
-        let payload = self.payload_bytes();
-        if payload == 0 {
-            return 1.0;
-        }
-        self.raw_bytes as f64 / payload as f64
     }
 }
 
@@ -149,10 +119,12 @@ mod tests {
         let cfg = FleetConfig::default();
         let resident = ResidentFleet::capture(&sched, &cfg).expect("capture");
         assert!(resident.rows() > 0);
+        let mut raw_bytes = 0;
+        fleet_window_blocks(&sched, &cfg, |block| raw_bytes += block.column_bytes());
         assert!(
-            resident.compression_ratio() > 4.0,
-            "ratio {}",
-            resident.compression_ratio()
+            raw_bytes > 4 * resident.payload_bytes(),
+            "raw {raw_bytes} B vs payload {} B",
+            resident.payload_bytes()
         );
         let a: EnergyLedger = resident.replay(&sched).expect("replay");
         let b: EnergyLedger = resident.replay(&sched).expect("replay");

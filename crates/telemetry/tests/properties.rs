@@ -134,13 +134,13 @@ proptest! {
     /// finite wattage series.
     #[test]
     fn codec_round_trip_is_lossless(samples in prop::collection::vec(0.0..700.0f64, 0..400)) {
-        use pmss_columns::codec::{decode, encode, CodecConfig};
+        use pmss_columns::codec::{decode, encode, CodecConfig, QUANTUM_W};
         let cfg = CodecConfig::default();
         let encoded = encode(&samples, cfg).unwrap();
         let decoded = decode(&encoded, cfg).unwrap();
         prop_assert_eq!(decoded.len(), samples.len());
         for (a, b) in samples.iter().zip(&decoded) {
-            prop_assert!((a - b).abs() <= 0.5 * cfg.quantum_w + 1e-9, "{} vs {}", a, b);
+            prop_assert!((a - b).abs() <= 0.5 * QUANTUM_W + 1e-9, "{} vs {}", a, b);
         }
     }
 
@@ -166,7 +166,7 @@ proptest! {
     #[test]
     fn codec_decode_survives_arbitrary_bytes(data in prop::collection::vec(0..=255u8, 0..64)) {
         use pmss_columns::codec::{decode, CodecConfig};
-        let cfg = CodecConfig { max_samples: 4096, ..Default::default() };
+        let cfg = CodecConfig { max_samples: 4096 };
         match decode(&data, cfg) {
             Ok(series) => prop_assert!(series.len() <= cfg.max_samples),
             Err(e) => prop_assert!(e.to_string().contains("power-codec"), "{}", e),
@@ -193,7 +193,7 @@ proptest! {
             push_varint(&mut data, run);
         }
         data.extend(trailing);
-        let cfg = CodecConfig { max_samples: 4096, ..Default::default() };
+        let cfg = CodecConfig { max_samples: 4096 };
         match decode(&data, cfg) {
             Ok(series) => prop_assert!(series.len() <= cfg.max_samples),
             Err(e) => prop_assert!(e.to_string().contains("power-codec"), "{}", e),

@@ -38,6 +38,9 @@ const SUSTAIN_FLOOR: f64 = 0.55;
 /// the over-capacity ratio.
 const SPILL_REUSE: f64 = 0.3;
 
+/// Seconds of traffic at peak HBM bandwidth in a paper-scale run.
+pub(crate) const PAPER_SECONDS: f64 = 5.0;
+
 /// One working-set size in the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct MembenchParams {
@@ -55,6 +58,12 @@ impl MembenchParams {
             data_bytes,
             traffic_bytes: seconds * GPU_HBM_BW,
         }
+    }
+
+    /// The paper-scale run over `data_bytes`: five seconds of traffic
+    /// (Figs. 3, 6 and Table III).
+    pub fn paper(data_bytes: u64) -> Self {
+        MembenchParams::sized_for(data_bytes, PAPER_SECONDS)
     }
 
     /// Fraction of loads served by the L2 (1.0 when resident, decaying once
@@ -136,7 +145,7 @@ mod tests {
 
     #[test]
     fn resident_set_hits_l2_completely() {
-        let p = MembenchParams::sized_for(4 * 1024 * 1024, 5.0);
+        let p = MembenchParams::paper(4 * 1024 * 1024);
         assert_eq!(p.l2_hit_fraction(), 1.0);
         let k = kernel(p);
         // Only compulsory traffic reaches HBM.
@@ -145,7 +154,7 @@ mod tests {
 
     #[test]
     fn spilled_set_streams_from_hbm() {
-        let p = MembenchParams::sized_for(1 << 30, 5.0);
+        let p = MembenchParams::paper(1 << 30);
         assert!(p.l2_hit_fraction() < 0.01);
         let k = kernel(p);
         assert!(k.hbm_bytes > 0.98 * k.ondie_bytes);
@@ -156,7 +165,7 @@ mod tests {
         // Paper Fig. 6: below the L2 capacity, lower frequency caps mean
         // lower bandwidth and longer runtime.
         let eng = Engine::default();
-        let k = kernel(MembenchParams::sized_for(8 * 1024 * 1024, 5.0));
+        let k = kernel(MembenchParams::paper(8 * 1024 * 1024));
         let hi = eng.execute(&k, GpuSettings::uncapped());
         let lo = eng.execute(&k, GpuSettings::freq_capped(900.0));
         assert_eq!(hi.bottleneck(), Bottleneck::OnDie);
@@ -173,7 +182,7 @@ mod tests {
         // Paper Fig. 6: beyond 16 MB, "increasing the frequency cap has no
         // effect on the performance".
         let eng = Engine::default();
-        let k = kernel(MembenchParams::sized_for(1 << 30, 5.0));
+        let k = kernel(MembenchParams::paper(1 << 30));
         let hi = eng.execute(&k, GpuSettings::uncapped());
         let lo = eng.execute(&k, GpuSettings::freq_capped(700.0));
         assert_eq!(hi.bottleneck(), Bottleneck::Hbm);
@@ -185,14 +194,14 @@ mod tests {
         // Paper Fig. 6d: 140 W and 200 W caps are breached once the data
         // comes from HBM.
         let eng = Engine::default();
-        let k = kernel(MembenchParams::sized_for(1 << 30, 5.0));
+        let k = kernel(MembenchParams::paper(1 << 30));
         for cap in [140.0, 200.0] {
             let ex = eng.execute(&k, GpuSettings::power_capped(cap));
             assert!(ex.cap_breached, "cap {cap} should be breached");
             assert!(ex.busy_power_w > cap);
         }
         // ... while the same caps hold for L2-resident sets at reduced speed.
-        let k2 = kernel(MembenchParams::sized_for(4 * 1024 * 1024, 5.0));
+        let k2 = kernel(MembenchParams::paper(4 * 1024 * 1024));
         let ex = eng.execute(&k2, GpuSettings::power_capped(200.0));
         assert!(!ex.cap_breached);
         assert!(ex.busy_power_w <= 200.0 + 1e-6);
@@ -206,11 +215,8 @@ mod tests {
         // than the L2-resident one, whose power collapses with the clock.
         let eng = Engine::default();
         let settings = GpuSettings::freq_capped(900.0);
-        let l2 = eng.execute(
-            &kernel(MembenchParams::sized_for(8 * 1024 * 1024, 5.0)),
-            settings,
-        );
-        let hbm = eng.execute(&kernel(MembenchParams::sized_for(1 << 30, 5.0)), settings);
+        let l2 = eng.execute(&kernel(MembenchParams::paper(8 * 1024 * 1024)), settings);
+        let hbm = eng.execute(&kernel(MembenchParams::paper(1 << 30)), settings);
         assert!(
             hbm.busy_power_w > l2.busy_power_w + 50.0,
             "hbm {} vs l2 {}",
@@ -220,11 +226,11 @@ mod tests {
         // And the frequency cap sheds proportionally less of the
         // HBM-resident run's power.
         let l2_base = eng.execute(
-            &kernel(MembenchParams::sized_for(8 * 1024 * 1024, 5.0)),
+            &kernel(MembenchParams::paper(8 * 1024 * 1024)),
             GpuSettings::uncapped(),
         );
         let hbm_base = eng.execute(
-            &kernel(MembenchParams::sized_for(1 << 30, 5.0)),
+            &kernel(MembenchParams::paper(1 << 30)),
             GpuSettings::uncapped(),
         );
         let l2_ratio = l2.busy_power_w / l2_base.busy_power_w;

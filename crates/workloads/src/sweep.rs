@@ -188,7 +188,7 @@ mod tests {
     }
 
     fn vai_kernel(ai: f64) -> KernelProfile {
-        vai::kernel(vai::VaiParams::for_intensity(ai, 1 << 28, 4))
+        vai::kernel(vai::VaiParams::paper(ai))
     }
 
     #[test]

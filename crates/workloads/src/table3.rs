@@ -79,29 +79,6 @@ impl Table3 {
     }
 }
 
-/// Work scale for benchmark executions; the defaults below keep unit-test
-/// runtime low while staying deep in the model's steady-state regime (the
-/// model is scale-invariant, see the `work_scaling_is_linear` property).
-#[derive(Debug, Clone, Copy)]
-pub struct BenchScale {
-    /// VAI work-items per run.
-    pub vai_wis: u64,
-    /// VAI outer repeats.
-    pub vai_repeat: u64,
-    /// Membench seconds of traffic at peak bandwidth.
-    pub mb_seconds: f64,
-}
-
-impl Default for BenchScale {
-    fn default() -> Self {
-        BenchScale {
-            vai_wis: 1 << 28,
-            vai_repeat: 4,
-            mb_seconds: 5.0,
-        }
-    }
-}
-
 fn averaged_family(
     engine: &Engine,
     kernels: &[pmss_gpu::KernelProfile],
@@ -114,11 +91,6 @@ fn averaged_family(
     average_across_kernels(&sweeps)
 }
 
-/// Computes Table III by sweeping both benchmark families over both knobs.
-pub(crate) fn compute(engine: &Engine, scale: BenchScale) -> Result<Table3, PmssError> {
-    compute_with_ladders(engine, scale, &freq_settings(), &power_settings())
-}
-
 /// Computes Table III over caller-supplied cap ladders (the scenario
 /// pipeline feeds its [`ScenarioSpec`] ladders through here, so one spec
 /// drives both the benchmark table and the fleet projection).
@@ -126,19 +98,12 @@ pub(crate) fn compute(engine: &Engine, scale: BenchScale) -> Result<Table3, Pmss
 /// [`ScenarioSpec`]: https://docs.rs/pmss-pipeline
 pub fn compute_with_ladders(
     engine: &Engine,
-    scale: BenchScale,
     freq_ladder: &[CapSetting],
     power_ladder: &[CapSetting],
 ) -> Result<Table3, PmssError> {
     let vai_kernels: Vec<_> = vai::intensity_sweep()
         .into_iter()
-        .map(|ai| {
-            vai::kernel(VaiParams::for_intensity(
-                ai,
-                scale.vai_wis,
-                scale.vai_repeat,
-            ))
-        })
+        .map(|ai| vai::kernel(VaiParams::paper(ai)))
         .collect();
     // The MB columns of Table III characterize the *memory-intensive
     // operating mode*, i.e. HBM-resident working sets: the paper's MB
@@ -149,7 +114,7 @@ pub fn compute_with_ladders(
     let mb_kernels: Vec<_> = membench::size_sweep()
         .into_iter()
         .filter(|&b| b > pmss_gpu::consts::GPU_L2_BYTES)
-        .map(|b| membench::kernel(MembenchParams::sized_for(b, scale.mb_seconds)))
+        .map(|b| membench::kernel(MembenchParams::paper(b)))
         .collect();
 
     let build_rows = |settings: &[CapSetting]| -> Result<Vec<Table3Row>, PmssError> {
@@ -172,12 +137,12 @@ pub fn compute_with_ladders(
     })
 }
 
-/// Computes Table III with default engine and scale.
+/// Computes Table III with the default engine at the paper's run sizes.
 ///
 /// Infallible: the built-in benchmark kernels and paper ladders are valid
 /// by construction.
 pub fn compute_default() -> Table3 {
-    compute(&Engine::default(), BenchScale::default())
+    compute_with_ladders(&Engine::default(), &freq_settings(), &power_settings())
         .expect("builtin kernels and paper ladders are valid")
 }
 

@@ -31,6 +31,14 @@ pub(crate) const VAI_BW_OVERSUB: f64 = 1.0;
 /// Bytes touched per work-item per repeat: 3 reads + 1 write of `f64`.
 pub(crate) const BYTES_PER_ITEM: f64 = 32.0;
 
+/// Work-items of a paper-scale run.  The GPU model is scale-invariant (see
+/// the `work_scaling_is_linear` property), so any size deep in its steady
+/// state reproduces the figures; this one is the size every artifact uses.
+pub(crate) const PAPER_WIS: u64 = 1 << 28;
+
+/// Outer repeats of a paper-scale run.
+pub(crate) const PAPER_REPEAT: u64 = 4;
+
 /// Parameters of one VAI run (paper Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VaiParams {
@@ -58,6 +66,12 @@ impl VaiParams {
             repeat,
             loopsize,
         }
+    }
+
+    /// The paper-scale run at arithmetic intensity `ai` (Figs. 4, 5 and
+    /// Table III).
+    pub fn paper(ai: f64) -> Self {
+        VaiParams::for_intensity(ai, PAPER_WIS, PAPER_REPEAT)
     }
 
     /// Arithmetic intensity in FLOP/byte.

@@ -293,9 +293,11 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
 /// One OPEN whose spec asks for a fleet or campaign far past the paper's
 /// used to abort the daemon and every tenant in it (an allocation failure
 /// in schedule generation), and one with a 100 000-rung cap ladder swept
-/// it under the registry lock.  Each bounces as `malformed`, binds
-/// nothing, and the daemon serves a normal tenant on the next connection:
-/// `not_ready` before its first snapshot, the batch answer after FLUSH.
+/// it under the registry lock; one that moves Table IV's fixed mode bands
+/// asks for something no computation reads.  Each bounces as
+/// `malformed`, binds nothing, and the daemon serves a normal tenant on
+/// the next connection: `not_ready` before its first snapshot, the batch
+/// answer after FLUSH.
 #[test]
 fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     let h = start_daemon(64, 8);
@@ -332,6 +334,25 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
             other => panic!("expected FLUSH before OPEN, got {other:?}"),
         }
     }
+    // Moved Table IV bands cannot be built as a `ScenarioSpec` (it has no
+    // such field), so that spec arrives as raw OPEN JSON.
+    let Target::Tcp(addr) = &h.target else {
+        panic!("tcp harness");
+    };
+    let mut raw = std::net::TcpStream::connect(addr.as_str()).expect("raw connection");
+    let mut exchange = |ty: u8, payload: &[u8]| {
+        proto::write_frame(&mut raw, ty, payload).expect("frame written");
+        let (status, body) = proto::read_frame(&mut raw)
+            .expect("daemon replies")
+            .expect("connection stays open");
+        (status, proto::parse_err(&body))
+    };
+    let moved = br#"{"tenant":"huge","spec":{"boundaries_w":{"mi_ci":430}}}"#;
+    let (st, (open_code, detail)) = exchange(frame::OPEN, moved);
+    assert_eq!((st, open_code.as_str()), (status::ERR, code::MALFORMED));
+    assert!(detail.contains("invalid scenario spec"), "{detail}");
+    let (st, (flush_code, _)) = exchange(frame::FLUSH, b"");
+    assert_eq!((st, flush_code.as_str()), (status::ERR, code::USAGE));
 
     let mut next = Connection::connect(&h.target).expect("second connection");
     next.open("normal", Some(&spec))

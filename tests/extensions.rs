@@ -1,7 +1,7 @@
 //! Integration tests for the beyond-the-paper extensions: governors,
 //! calibration, policy exploration, and the projection-validation loop.
 
-use pmss::gpu::{DvfsLadder, Engine, GovernedTotals, Governor, GpuSettings, KernelProfile};
+use pmss::gpu::{Engine, GovernedTotals, Governor, GpuSettings, KernelProfile};
 use pmss::workloads::phases::synthesize_app;
 use pmss::workloads::AppClass;
 use rand::rngs::StdRng;
@@ -17,18 +17,17 @@ fn governor_beats_static_caps_on_every_app_class() {
     // The per-phase energy-optimal governor must never lose to any static
     // frequency cap on any application class.
     let engine = Engine::default();
-    let ladder = DvfsLadder::default();
     for class in AppClass::all() {
         let phases = class_phases(class);
         let opt = GovernedTotals::from_governed(
             &Governor::EnergyOptimal
-                .govern_phases(&engine, &phases, &ladder)
+                .govern_phases(&engine, &phases)
                 .unwrap(),
         );
         for mhz in [1700.0, 1300.0, 1100.0, 900.0, 700.0] {
             let fixed = GovernedTotals::from_governed(
                 &Governor::Fixed(mhz)
-                    .govern_phases(&engine, &phases, &ladder)
+                    .govern_phases(&engine, &phases)
                     .unwrap(),
             );
             assert!(
@@ -42,13 +41,12 @@ fn governor_beats_static_caps_on_every_app_class() {
 #[test]
 fn slowdown_budget_governor_respects_budget_on_every_app_class() {
     let engine = Engine::default();
-    let ladder = DvfsLadder::default();
     for class in AppClass::all() {
         let phases = class_phases(class);
         for budget in [0.02, 0.1] {
             let t = GovernedTotals::from_governed(
                 &Governor::SlowdownBudget { budget }
-                    .govern_phases(&engine, &phases, &ladder)
+                    .govern_phases(&engine, &phases)
                     .unwrap(),
             );
             assert!(
