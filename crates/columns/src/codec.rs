@@ -17,12 +17,17 @@ pub const QUANTUM_W: f64 = 1.0;
 /// Codec parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CodecConfig {
-    /// Upper bound on the sample count [`decode`] accepts.  Run-length
-    /// encoding means an 11-byte input can *legitimately* declare billions
-    /// of samples, so untrusted data must be bounded by policy, not by
-    /// payload size.  The default (2^24 ≈ 16.8 M samples, a 128 MB series)
-    /// is ~32× the longest real per-slot stream — three months at one
-    /// sample per 15 s is ~518 k samples.
+    /// Upper bound on the sample count [`decode`] (and the row count
+    /// [`crate::EncodedBlock::decode`]) accepts.  Run-length encoding
+    /// means an 11-byte input can *legitimately* declare billions of
+    /// samples, so untrusted data must be bounded by policy, not by
+    /// payload size.  The default (2^24 ≈ 16.8 M samples) is ~32× the
+    /// longest real per-slot stream — three months at one sample per 15 s
+    /// is ~518 k samples.  It bounds what a payload may declare, not what
+    /// the declaration costs: 2^24 samples are 128 MiB as a bare value
+    /// series but 720 MiB as a decoded [`crate::ColumnBlock`] (45 B per
+    /// row), so a consumer that knows its channel length decodes with a
+    /// tighter bound.
     pub max_samples: usize,
 }
 
@@ -157,75 +162,24 @@ pub fn encode(samples_w: &[f64], cfg: CodecConfig) -> Result<Vec<u8>, PmssError>
 /// arithmetic: no byte string panics the decoder, in debug or release.
 pub fn decode(data: &[u8], cfg: CodecConfig) -> Result<Vec<f64>, PmssError> {
     let mut out = Vec::new();
-    decode_into(data, cfg, &mut out)?;
+    decode_runs(data, cfg, &mut out)?;
     Ok(out)
-}
-
-/// [`decode`] into a caller-owned buffer, reusing its allocation: `out`
-/// is cleared first and holds exactly the decoded series on success.  On
-/// error it is left empty — never a partial or stale series.
-pub(crate) fn decode_into(
-    data: &[u8],
-    cfg: CodecConfig,
-    out: &mut Vec<f64>,
-) -> Result<(), PmssError> {
-    out.clear();
-    let result = decode_runs(data, cfg, out);
-    if result.is_err() {
-        out.clear();
-    }
-    result
 }
 
 /// Appends the decoded series to the (empty) `out`.
 fn decode_runs(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), PmssError> {
-    let malformed = |detail: String| PmssError::malformed("power-codec", detail);
-    let mut pos = 0usize;
-    let count =
-        read_varint(data, &mut pos).ok_or_else(|| malformed("truncated count".into()))? as usize;
-    if count > cfg.max_samples {
-        return Err(malformed(format!(
-            "declared sample count {count} exceeds the configured maximum \
-             {} (max_samples)",
-            cfg.max_samples
-        )));
-    }
+    let mut runs = ValueRuns::new(data, cfg)?;
     // Even below the policy bound, preallocate only what the remaining
     // payload could plausibly describe: each (delta, run) pair costs at
     // least two bytes, and a legitimate highly-compressed stream that
     // expands further simply grows the vec as its runs materialize.
     let plausible = data
         .len()
-        .saturating_sub(pos)
+        .saturating_sub(runs.pos)
         .saturating_mul(PREALLOC_SAMPLES_PER_BYTE);
-    out.reserve(count.min(plausible));
-    let mut prev = 0i64;
-    while out.len() < count {
-        let delta = unzigzag(
-            read_varint(data, &mut pos).ok_or_else(|| malformed("truncated delta".into()))?,
-        );
-        let run = read_varint(data, &mut pos)
-            .ok_or_else(|| malformed("truncated run length".into()))? as usize;
-        // `run` is attacker-controlled, so compare against the remaining
-        // headroom rather than computing `out.len() + run`, which wraps on
-        // a u64::MAX run (`out.len() < count` is the loop invariant, so the
-        // subtraction cannot underflow).
-        if run == 0 || run > count - out.len() {
-            return Err(malformed(
-                "run length inconsistent with sample count".into(),
-            ));
-        }
-        prev = prev
-            .checked_add(delta)
-            .ok_or_else(|| malformed("delta accumulator overflow".into()))?;
-        // Mirror the encoder's ±2^53 bound: valid streams never leave it,
-        // and past it `i64`→`f64` reconstruction stops being exact.
-        if prev.unsigned_abs() > MAX_QUANTIZED as u64 {
-            return Err(malformed(format!(
-                "accumulated value {prev} exceeds ±2^53 quanta"
-            )));
-        }
-        let value = prev as f64 * QUANTUM_W;
+    out.reserve(runs.left().min(plausible));
+    while runs.left() > 0 {
+        let (value, run) = runs.next_run()?;
         if run == 1 {
             // Noisy series degenerate to run-of-one: skip the repeat
             // iterator machinery on the hot path.
@@ -235,6 +189,85 @@ fn decode_runs(data: &[u8], cfg: CodecConfig, out: &mut Vec<f64>) -> Result<(), 
         }
     }
     Ok(())
+}
+
+/// A validating cursor over an encoded series' `(delta, run)` pairs — the
+/// one place the codec's run checks live, shared by [`decode`] and the
+/// resident block decoder, which expands the runs a tile at a time.
+#[derive(Debug)]
+pub(crate) struct ValueRuns<'a> {
+    data: &'a [u8],
+    pos: usize,
+    /// Samples not yet handed out.
+    left: usize,
+    /// The quantized value of the last run.
+    prev: i64,
+}
+
+impl<'a> ValueRuns<'a> {
+    /// Reads the declared sample count, refusing one above
+    /// `cfg.max_samples` before anything is allocated.
+    pub(crate) fn new(data: &'a [u8], cfg: CodecConfig) -> Result<ValueRuns<'a>, PmssError> {
+        let mut pos = 0usize;
+        let count = read_varint(data, &mut pos)
+            .ok_or_else(|| malformed("truncated count".into()))? as usize;
+        if count > cfg.max_samples {
+            return Err(malformed(format!(
+                "declared sample count {count} exceeds the configured maximum \
+                 {} (max_samples)",
+                cfg.max_samples
+            )));
+        }
+        Ok(ValueRuns {
+            data,
+            pos,
+            left: count,
+            prev: 0,
+        })
+    }
+
+    /// Samples the stream still holds.
+    pub(crate) fn left(&self) -> usize {
+        self.left
+    }
+
+    /// The next run: its value, watts, and its length (at least 1, at most
+    /// [`ValueRuns::left`]).  Call only while samples are left.
+    #[inline]
+    pub(crate) fn next_run(&mut self) -> Result<(f64, usize), PmssError> {
+        let delta = unzigzag(
+            read_varint(self.data, &mut self.pos)
+                .ok_or_else(|| malformed("truncated delta".into()))?,
+        );
+        let run = read_varint(self.data, &mut self.pos)
+            .ok_or_else(|| malformed("truncated run length".into()))? as usize;
+        // `run` is attacker-controlled, so compare against the remaining
+        // headroom rather than computing `out.len() + run`, which wraps on
+        // a u64::MAX run.
+        if run == 0 || run > self.left {
+            return Err(malformed(
+                "run length inconsistent with sample count".into(),
+            ));
+        }
+        self.prev = self
+            .prev
+            .checked_add(delta)
+            .ok_or_else(|| malformed("delta accumulator overflow".into()))?;
+        // Mirror the encoder's ±2^53 bound: valid streams never leave it,
+        // and past it `i64`→`f64` reconstruction stops being exact.
+        if self.prev.unsigned_abs() > MAX_QUANTIZED as u64 {
+            return Err(malformed(format!(
+                "accumulated value {} exceeds ±2^53 quanta",
+                self.prev
+            )));
+        }
+        self.left -= run;
+        Ok((self.prev as f64 * QUANTUM_W, run))
+    }
+}
+
+fn malformed(detail: String) -> PmssError {
+    PmssError::malformed("power-codec", detail)
 }
 
 /// Compression ratio (raw f64 bytes over encoded bytes) for a series.

@@ -11,12 +11,12 @@
 //! - [`ColumnBlock`]: one channel's windows as structure-of-arrays
 //!   columns, so hot loops read contiguous `f64`/`u64` lanes instead of
 //!   chasing 56-byte event structs.  Observers override
-//!   [`FleetObserver::fold_block`] to fold whole blocks columnar-wise;
-//!   the default replays per-event, so block and event iteration are the
+//!   [`FleetObserver::fold_rows`] to fold row ranges columnar-wise; the
+//!   default replays per-event, so block and event iteration are the
 //!   same sequence by construction.
 //! - [`codec`]: the overflow-hardened quantized delta/RLE power codec,
 //!   and [`EncodedBlock`], the codec-resident compressed block format
-//!   with block-level decode.
+//!   with block-level decode, whole or a [`TILE_ROWS`] tile at a time.
 //!
 //! The crate sits below `pmss-telemetry` in the dependency order;
 //! telemetry re-exports the event and observer types at its root
@@ -33,4 +33,4 @@ pub use block::{ColumnBlock, Tag, NO_JOB};
 pub use codec::CodecConfig;
 pub use events::{apply_event, WindowEvent, WindowKind, REST_SLOT};
 pub use observer::{FleetObserver, GapFill, SampleCtx};
-pub use resident::{BlockGrid, EncodedBlock};
+pub use resident::{BlockGrid, EncodedBlock, Tiles, TILE_ROWS};

@@ -80,12 +80,14 @@ pub trait FleetObserver: Send + Sized {
     /// Folds a contiguous row range of one channel block into this
     /// observer, in the block's stored order.  The default replays every
     /// row through [`apply_event`], so a fold is *definitionally* the same
-    /// observer-call sequence as per-event iteration; a columnar observer
-    /// (the energy ledger) overrides this with a fold over the block's
-    /// columns that performs the identical floating-point operations in
-    /// the identical order, just without per-event dispatch.  The range
-    /// form exists for consumers that release a block prefix (the
-    /// streaming engine's in-order fast path).
+    /// observer-call sequence as per-event iteration — the oracle the fold
+    /// differentials compare against.  Every fleet observer overrides this
+    /// with a fold over the block's columns that performs the identical
+    /// floating-point operations in the identical order, just without
+    /// per-event dispatch.  A row's operations depend only on the row, so
+    /// folding `a..b` then `b..c` is folding `a..c`: the range form serves
+    /// consumers that hold a block a tile at a time (resident replay) or
+    /// release a prefix (the streaming engine's in-order fast path).
     fn fold_rows(
         &mut self,
         schedule: &Schedule,
@@ -104,9 +106,10 @@ pub trait FleetObserver: Send + Sized {
     /// Accumulates one complete channel into a fleet-wide observer in the
     /// shape [`FleetObserver::CHANNEL_GROUPED`] demands: a fresh partial
     /// folded and then merged when the flag is set, a plain
-    /// [`FleetObserver::fold_block`] into `self` otherwise.  Every
-    /// whole-fleet fold (batch simulation, resident replay) goes through
-    /// here, so the two shapes are chosen in exactly one place.
+    /// [`FleetObserver::fold_block`] into `self` otherwise.  The batch
+    /// simulation's channel loop goes through here; resident replay, which
+    /// is defined for channel-grouped observers only, builds the same
+    /// fresh partial per channel on its workers.
     fn fold_channel(&mut self, schedule: &Schedule, block: &ColumnBlock)
     where
         Self: Default,

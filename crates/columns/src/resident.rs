@@ -23,8 +23,12 @@
 use pmss_error::PmssError;
 
 use crate::block::{ColumnBlock, Tag};
-use crate::codec::{self, push_varint, read_varint, unzigzag, zigzag, CodecConfig};
+use crate::codec::{self, push_varint, read_varint, unzigzag, zigzag, CodecConfig, ValueRuns};
 use crate::events::REST_SLOT;
+
+/// Rows one [`Tiles`] step decodes: 4 096 rows × 45 B of columns ≈
+/// 184 KB, a tile that stays in a core's L2 cache while it is folded.
+pub const TILE_ROWS: usize = 4096;
 
 /// Integer-column magnitude bound: window indices and delivery ranks must
 /// stay below 2^62 so signed deltas cannot overflow `i64` during
@@ -58,8 +62,15 @@ impl BlockGrid {
     /// `0.5 * (w_start + w_end)` — algebraically equal, bitwise distinct,
     /// so the reconstruction must follow the row's channel kind.
     pub fn stamp(&self, w: u64, rest_channel: bool) -> (f64, f64) {
+        self.stamp_on(self.n_full(), w, rest_channel)
+    }
+
+    /// [`BlockGrid::stamp`] with the grid's last window index computed
+    /// once by the caller rather than once per row.
+    #[inline]
+    fn stamp_on(&self, n_full: u64, w: u64, rest_channel: bool) -> (f64, f64) {
         let w_start = w as f64 * self.window_s;
-        let w_end = if w == self.n_full() {
+        let w_end = if w == n_full {
             self.duration_s
         } else {
             w_start + self.window_s
@@ -198,114 +209,131 @@ impl EncodedBlock {
     /// its column allocations — the replay paths decode a whole campaign
     /// through one block.  `out` is re-targeted and cleared first, so no
     /// row of a previous decode survives; on error it is left empty
-    /// (`len() == 0`), never partially filled.
+    /// (`len() == 0`), never partially filled.  It is the one-tile case of
+    /// [`EncodedBlock::tiles`]: the same decoder, every row in one tile.
     pub fn decode_into(&self, cfg: CodecConfig, out: &mut ColumnBlock) -> Result<(), PmssError> {
         out.reset(self.node, self.slot);
-        let result = self.decode_columns(cfg, out);
-        if result.is_err() {
-            out.reset(self.node, self.slot);
-        }
-        result
+        self.tiles_of(cfg, usize::MAX)?.next_into(out)?;
+        Ok(())
     }
 
-    /// Fills the (reset) `out` column by column.
-    fn decode_columns(&self, cfg: CodecConfig, out: &mut ColumnBlock) -> Result<(), PmssError> {
-        let malformed = |detail: &str| PmssError::malformed("column-block", detail.to_string());
+    /// Decodes this block [`TILE_ROWS`] rows at a time, so a consumer
+    /// that folds row ranges needs a tile of scratch, not a channel.
+    ///
+    /// The call first walks the run headers of the window, rank, tag and
+    /// job sections and the NaN position list — run counts, window and
+    /// rank ranges, tag and job values — and reads the value stream's
+    /// declared count, all without allocating.  So every structural error
+    /// is reported here, and [`Tiles::next_into`] can fail only on a
+    /// malformed value run.  Iterating every tile reaches the same
+    /// `Ok`/`Err` outcome as [`EncodedBlock::decode`], and the tiles
+    /// concatenate to its rows.
+    pub fn tiles(&self, cfg: CodecConfig) -> Result<Tiles<'_>, PmssError> {
+        self.tiles_of(cfg, TILE_ROWS)
+    }
+
+    /// [`EncodedBlock::tiles`] with `tile_rows` rows per tile (at least 1).
+    fn tiles_of(&self, cfg: CodecConfig, tile_rows: usize) -> Result<Tiles<'_>, PmssError> {
         let n = usize::try_from(self.rows).map_err(|_| malformed("row count exceeds usize"))?;
         if n > cfg.max_samples {
             return Err(malformed("row count exceeds max_samples policy"));
         }
         let data = &self.payload[..];
-        let mut pos = 0usize;
-        let rest_channel = self.slot == REST_SLOT;
-        out.sku = self.sku;
+        let index_ok = |v: i128| (0..i128::from(MAX_INDEX)).contains(&v);
 
-        let windows = &mut out.windows;
-        windows.reserve(n);
-        let mut prev = 0i64;
-        while windows.len() < n {
-            let delta =
-                unzigzag(read_varint(data, &mut pos).ok_or_else(|| malformed("truncated window"))?);
-            let run = read_varint(data, &mut pos)
-                .ok_or_else(|| malformed("truncated window run"))? as usize;
-            if run == 0 || run > n - windows.len() {
-                return Err(malformed("window run inconsistent with row count"));
+        // Window deltas: a run continues an arithmetic sequence, so its
+        // first and last rows bound every row in it.
+        let windows = Runs::new(0, n);
+        let mut cur = windows;
+        let mut last = 0i128;
+        while cur.left > 0 {
+            let (z, k) = cur.take(data, usize::MAX, "window")?;
+            let d = i128::from(unzigzag(z));
+            let end = last + d * k as i128;
+            if !index_ok(last + d) || !index_ok(end) {
+                return Err(malformed("window index out of range"));
             }
-            for _ in 0..run {
-                prev = prev
-                    .checked_add(delta)
-                    .ok_or_else(|| malformed("window delta overflow"))?;
-                if prev < 0 || prev as u64 >= MAX_INDEX {
-                    return Err(malformed("window index out of range"));
-                }
-                windows.push(prev as u64);
+            last = end;
+        }
+        // Rank offsets from the row's window, walked beside a second pass
+        // over the window runs: where both runs hold, ranks are again an
+        // arithmetic sequence.
+        let ranks = Runs::new(cur.pos, n);
+        let (mut cur, mut win, mut last) = (ranks, windows, 0i128);
+        while cur.left > 0 {
+            cur.load(data, "rank")?;
+            win.load(data, "window")?;
+            let k = cur.run.min(win.run);
+            let off = i128::from(unzigzag(cur.value));
+            let d = i128::from(unzigzag(win.value));
+            let end = last + d * k as i128;
+            if !index_ok(last + d + off) || !index_ok(end + off) {
+                return Err(malformed("rank out of range"));
+            }
+            last = end;
+            cur.consume(k);
+            win.consume(k);
+        }
+        let tags = Runs::new(cur.pos, n);
+        let mut cur = tags;
+        while cur.left > 0 {
+            let (t, _) = cur.take(data, usize::MAX, "tag")?;
+            if u8::try_from(t).ok().and_then(Tag::from_u8).is_none() {
+                return Err(malformed("tag value out of range"));
             }
         }
-        let ranks = &mut out.ranks;
-        ranks.reserve(n);
-        while ranks.len() < n {
-            let off =
-                unzigzag(read_varint(data, &mut pos).ok_or_else(|| malformed("truncated rank"))?);
-            let run = read_varint(data, &mut pos).ok_or_else(|| malformed("truncated rank run"))?
-                as usize;
-            if run == 0 || run > n - ranks.len() {
-                return Err(malformed("rank run inconsistent with row count"));
-            }
-            for _ in 0..run {
-                let r = (windows[ranks.len()] as i64)
-                    .checked_add(off)
-                    .ok_or_else(|| malformed("rank offset overflow"))?;
-                if r < 0 || r as u64 >= MAX_INDEX {
-                    return Err(malformed("rank out of range"));
-                }
-                ranks.push(r as u64);
+        let jobs = Runs::new(cur.pos, n);
+        let mut cur = jobs;
+        while cur.left > 0 {
+            let (j, _) = cur.take(data, usize::MAX, "job")?;
+            if u32::try_from(j).is_err() {
+                return Err(malformed("job value out of range"));
             }
         }
-        read_runs(data, &mut pos, n, &malformed, "tag", &mut out.tags, |t| {
-            u8::try_from(t).ok().filter(|&b| Tag::from_u8(b).is_some())
-        })?;
-        read_runs(data, &mut pos, n, &malformed, "job", &mut out.jobs, |j| {
-            u32::try_from(j).ok()
-        })?;
-        let nan_count =
+        // Non-finite rows: ascending position deltas, checked here and
+        // read again as the tiles reach them.
+        let mut pos = cur.pos;
+        let nans =
             read_varint(data, &mut pos).ok_or_else(|| malformed("truncated NaN count"))? as usize;
-        if nan_count > n {
+        if nans > n {
             return Err(malformed("NaN count exceeds row count"));
         }
-        let mut nan_rows = Vec::with_capacity(nan_count);
-        let mut prev_pos = 0u64;
-        for i in 0..nan_count {
+        let nan_pos = pos;
+        let mut prev = 0u64;
+        for i in 0..nans {
             let delta =
                 read_varint(data, &mut pos).ok_or_else(|| malformed("truncated NaN position"))?;
-            let p = if i == 0 {
-                delta
-            } else {
-                prev_pos
-                    .checked_add(delta)
-                    .ok_or_else(|| malformed("NaN position overflow"))?
-            };
+            let p = prev
+                .checked_add(delta)
+                .ok_or_else(|| malformed("NaN position overflow"))?;
             if p >= n as u64 || (i > 0 && delta == 0) {
                 return Err(malformed("NaN position out of order or range"));
             }
-            nan_rows.push(p as usize);
-            prev_pos = p;
+            prev = p;
         }
-        codec::decode_into(&data[pos..], cfg, &mut out.values)?;
-        if out.values.len() != n {
+        let values = ValueRuns::new(&data[pos..], cfg)?;
+        if values.left() != n {
             return Err(malformed("value column length mismatch"));
         }
-        for &p in &nan_rows {
-            out.values[p] = f64::NAN;
-        }
-
-        out.t_s.reserve(n);
-        out.span_s.reserve(n);
-        for &w in &out.windows {
-            let (t, s) = self.grid.stamp(w, rest_channel);
-            out.t_s.push(t);
-            out.span_s.push(s);
-        }
-        Ok(())
+        let mut tiles = Tiles {
+            block: self,
+            tile_rows: tile_rows.max(1),
+            n_full: self.grid.n_full(),
+            windows,
+            window: 0,
+            ranks,
+            tags,
+            jobs,
+            values,
+            value: 0.0,
+            value_run: 0,
+            nan_pos,
+            nans_left: nans,
+            next_nan: 0,
+            row: 0,
+        };
+        tiles.next_nan = tiles.read_nan();
+        Ok(tiles)
     }
 
     /// Number of window rows the block decodes to.
@@ -422,36 +450,195 @@ fn push_runs<T, F: Fn(&T) -> u64>(out: &mut Vec<u8>, col: &[T], to_u64: F) {
     }
 }
 
-/// Decodes a run-length column of exactly `n` entries into the (empty)
-/// `out`, validating and narrowing each distinct value once per *run*
-/// rather than once per row (`map` returns `None` for values the column
-/// cannot hold).
-fn read_runs<T: Copy>(
-    data: &[u8],
-    pos: &mut usize,
-    n: usize,
-    malformed: &impl Fn(&str) -> PmssError,
-    what: &str,
-    out: &mut Vec<T>,
-    map: impl Fn(u64) -> Option<T>,
-) -> Result<(), PmssError> {
-    out.reserve(n);
-    while out.len() < n {
-        let v =
-            read_varint(data, pos).ok_or_else(|| malformed(&format!("truncated {what} value")))?;
-        let run = read_varint(data, pos)
-            .ok_or_else(|| malformed(&format!("truncated {what} run")))? as usize;
-        // Attacker-controlled run: compare against remaining headroom, not
-        // `out.len() + run` (which can wrap) — same pattern as the codec.
-        if run == 0 || run > n - out.len() {
-            return Err(malformed(&format!(
-                "{what} run inconsistent with row count"
-            )));
+fn malformed(detail: &str) -> PmssError {
+    PmssError::malformed("column-block", detail.to_string())
+}
+
+/// A cursor over one run-length section of a block payload — `(value
+/// varint, run varint)` pairs covering the block's rows — that hands the
+/// rows out a few at a time.
+#[derive(Debug, Clone, Copy)]
+struct Runs {
+    /// Byte offset of the next pair.
+    pos: usize,
+    /// Rows of the section not yet taken.
+    left: usize,
+    /// The current run's value.
+    value: u64,
+    /// Rows of the current run not yet taken.
+    run: usize,
+}
+
+impl Runs {
+    fn new(pos: usize, rows: usize) -> Runs {
+        Runs {
+            pos,
+            left: rows,
+            value: 0,
+            run: 0,
         }
-        let t = map(v).ok_or_else(|| malformed(&format!("{what} value out of range")))?;
-        out.extend(std::iter::repeat_n(t, run));
     }
-    Ok(())
+
+    /// Reads the next pair once the current run is spent.  Call only
+    /// while rows are left.
+    #[inline]
+    fn load(&mut self, data: &[u8], what: &str) -> Result<(), PmssError> {
+        if self.run == 0 {
+            self.value = read_varint(data, &mut self.pos)
+                .ok_or_else(|| malformed(&format!("truncated {what} value")))?;
+            let run = read_varint(data, &mut self.pos)
+                .ok_or_else(|| malformed(&format!("truncated {what} run")))?
+                as usize;
+            // Attacker-controlled run: compare against remaining headroom,
+            // never `taken + run` (which can wrap) — same pattern as the
+            // codec.
+            if run == 0 || run > self.left {
+                return Err(malformed(&format!(
+                    "{what} run inconsistent with row count"
+                )));
+            }
+            self.run = run;
+        }
+        Ok(())
+    }
+
+    fn consume(&mut self, k: usize) {
+        self.run -= k;
+        self.left -= k;
+    }
+
+    /// Up to `max` rows of the current run: its value and the rows taken
+    /// (at least 1).  Call only while rows are left.
+    #[inline]
+    fn take(&mut self, data: &[u8], max: usize, what: &str) -> Result<(u64, usize), PmssError> {
+        self.load(data, what)?;
+        let k = self.run.min(max);
+        self.consume(k);
+        Ok((self.value, k))
+    }
+}
+
+/// A block whose run headers have been checked, decoded a tile at a time
+/// (see [`EncodedBlock::tiles`]).
+#[derive(Debug)]
+pub struct Tiles<'a> {
+    block: &'a EncodedBlock,
+    tile_rows: usize,
+    /// The grid's last window index, computed once per block.
+    n_full: u64,
+    windows: Runs,
+    /// The last window index handed out.
+    window: i64,
+    ranks: Runs,
+    tags: Runs,
+    jobs: Runs,
+    values: ValueRuns<'a>,
+    /// The current value run and its rows not yet handed out.
+    value: f64,
+    value_run: usize,
+    /// Byte offset of the next NaN position delta, and the positions not
+    /// yet read.
+    nan_pos: usize,
+    nans_left: usize,
+    /// The next non-finite row (`usize::MAX` past the last).
+    next_nan: usize,
+    /// Rows handed out so far.
+    row: usize,
+}
+
+impl Tiles<'_> {
+    /// Decodes the next tile into `out`, re-targeted and cleared first as
+    /// by [`EncodedBlock::decode_into`]: `Ok(true)` with the next rows (at
+    /// most a tile), `Ok(false)` with none once every row is handed out.
+    /// A malformed value run fails the tile that reaches it, and `out`
+    /// comes back empty.
+    pub fn next_into(&mut self, out: &mut ColumnBlock) -> Result<bool, PmssError> {
+        let (node, slot) = (self.block.node, self.block.slot);
+        out.reset(node, slot);
+        out.sku = self.block.sku;
+        let result = self.fill(out);
+        if result.is_err() {
+            out.reset(node, slot);
+        }
+        result
+    }
+
+    /// Fills the (reset) `out` with the next tile, run by run.
+    fn fill(&mut self, out: &mut ColumnBlock) -> Result<bool, PmssError> {
+        let k = self.windows.left.min(self.tile_rows);
+        if k == 0 {
+            return Ok(false);
+        }
+        let data = &self.block.payload[..];
+        out.windows.reserve(k);
+        out.ranks.reserve(k);
+        out.tags.reserve(k);
+        out.jobs.reserve(k);
+        out.values.reserve(k);
+        out.t_s.reserve(k);
+        out.span_s.reserve(k);
+
+        // The walk bounded every window and rank, so the arithmetic
+        // below stays inside ±2^62.
+        while out.windows.len() < k {
+            let (z, m) = self.windows.take(data, k - out.windows.len(), "window")?;
+            let (d, w0) = (unzigzag(z), self.window);
+            out.windows
+                .extend((1..=m as i64).map(|j| (w0 + d * j) as u64));
+            self.window = w0 + d * m as i64;
+        }
+        while out.ranks.len() < k {
+            let at = out.ranks.len();
+            let (z, m) = self.ranks.take(data, k - at, "rank")?;
+            let off = unzigzag(z);
+            out.ranks.extend(
+                out.windows[at..at + m]
+                    .iter()
+                    .map(|&w| (w as i64 + off) as u64),
+            );
+        }
+        while out.tags.len() < k {
+            let (t, m) = self.tags.take(data, k - out.tags.len(), "tag")?;
+            out.tags.extend(std::iter::repeat_n(t as u8, m));
+        }
+        while out.jobs.len() < k {
+            let (j, m) = self.jobs.take(data, k - out.jobs.len(), "job")?;
+            out.jobs.extend(std::iter::repeat_n(j as u32, m));
+        }
+        while out.values.len() < k {
+            if self.value_run == 0 {
+                (self.value, self.value_run) = self.values.next_run()?;
+            }
+            let m = self.value_run.min(k - out.values.len());
+            out.values.extend(std::iter::repeat_n(self.value, m));
+            self.value_run -= m;
+        }
+        let end = self.row + k;
+        while self.next_nan < end {
+            out.values[self.next_nan - self.row] = f64::NAN;
+            self.next_nan = self.read_nan();
+        }
+        let (grid, n_full) = (&self.block.grid, self.n_full);
+        let rest_channel = self.block.slot == REST_SLOT;
+        for &w in &out.windows {
+            let (t, s) = grid.stamp_on(n_full, w, rest_channel);
+            out.t_s.push(t);
+            out.span_s.push(s);
+        }
+        self.row = end;
+        Ok(true)
+    }
+
+    /// The next non-finite row after `next_nan` (`usize::MAX` past the
+    /// last); the walk already checked every position.
+    fn read_nan(&mut self) -> usize {
+        if self.nans_left == 0 {
+            return usize::MAX;
+        }
+        self.nans_left -= 1;
+        let delta = read_varint(&self.block.payload, &mut self.nan_pos);
+        delta.map_or(usize::MAX, |d| self.next_nan + d as usize)
+    }
 }
 
 #[cfg(test)]
@@ -781,5 +968,216 @@ mod tests {
         let enc = EncodedBlock::encode(&block, grid(), CodecConfig::default()).expect("encode");
         let err = enc.decode(cfg).unwrap_err();
         assert!(err.to_string().contains("max_samples"), "{err}");
+    }
+
+    /// A synthetic channel of `n` rows on a long grid: NaN glitches, every
+    /// gap fill, duplicate deliveries, reordered ranks and a partial tail
+    /// window, on a node class `sku` — the shapes a tile boundary can cut.
+    fn mixed_block(n: u64, slot: u8, sku: u8) -> (ColumnBlock, BlockGrid) {
+        let grid = BlockGrid {
+            window_s: 15.0,
+            duration_s: 15.0 * n as f64 - 4.0,
+            skew_s: 0.25,
+        };
+        let rest = slot == REST_SLOT;
+        let mut events = Vec::new();
+        let mut w = 0u64;
+        while (events.len() as u64) < n {
+            let (t_s, span_s) = grid.stamp(w, rest);
+            let job = (w % 11 < 6).then_some((w / 97) as usize);
+            let kind = if rest {
+                WindowKind::NodeRest {
+                    rest_w: if w % 29 == 3 {
+                        f64::NAN
+                    } else {
+                        (400 + w % 13) as f64
+                    },
+                }
+            } else {
+                match w % 23 {
+                    4 => WindowKind::Sample {
+                        power_w: f64::NAN,
+                        job,
+                    },
+                    7 => WindowKind::Gap {
+                        fill: GapFill::Excluded,
+                        job,
+                    },
+                    9 => WindowKind::Gap {
+                        fill: GapFill::Interpolated(433.0),
+                        job,
+                    },
+                    15 => WindowKind::Gap {
+                        fill: GapFill::Idle(88.0),
+                        job: None,
+                    },
+                    _ => WindowKind::Sample {
+                        power_w: if (w / 40).is_multiple_of(3) {
+                            380.0
+                        } else {
+                            (90 + w % 7) as f64
+                        },
+                        job,
+                    },
+                }
+            };
+            // Every 50th window swaps ranks with its successor.
+            let rank = match w % 50 {
+                10 => w + 1,
+                11 => w - 1,
+                _ => w,
+            };
+            let ev = WindowEvent {
+                node: 5,
+                slot,
+                sku,
+                window: w,
+                rank,
+                t_s,
+                span_s,
+                kind,
+            };
+            events.push(ev);
+            if w % 101 == 1 {
+                events.push(ev);
+            }
+            w += 1;
+        }
+        events.truncate(n as usize);
+        (ColumnBlock::from_events(5, slot, &events), grid)
+    }
+
+    /// Every tile of `enc` at `tile` rows, appended into one block, or the
+    /// first error.  Checks on the way that no tile holds more than
+    /// `tile` rows or allocates past one tile of columns.
+    fn concat_tiles(
+        enc: &EncodedBlock,
+        cfg: CodecConfig,
+        tile: usize,
+    ) -> Result<ColumnBlock, PmssError> {
+        let mut all = ColumnBlock::new(enc.node, enc.slot);
+        let mut scratch = ColumnBlock::default();
+        let mut tiles = enc.tiles_of(cfg, tile)?;
+        while tiles.next_into(&mut scratch)? {
+            assert!((1..=tile).contains(&scratch.len()));
+            assert!(scratch.column_bytes() <= 45 * tile.max(8), "one tile");
+            assert_eq!(scratch.channel(), (enc.node, enc.slot));
+            all.sku = scratch.sku;
+            all.windows.extend_from_slice(&scratch.windows);
+            all.ranks.extend_from_slice(&scratch.ranks);
+            all.t_s.extend_from_slice(&scratch.t_s);
+            all.span_s.extend_from_slice(&scratch.span_s);
+            all.tags.extend_from_slice(&scratch.tags);
+            all.values.extend_from_slice(&scratch.values);
+            all.jobs.extend_from_slice(&scratch.jobs);
+        }
+        assert!(scratch.is_empty(), "the last call hands out no rows");
+        all.sku = enc.sku;
+        Ok(all)
+    }
+
+    /// Bitwise block equality (NaN values compare by bits).
+    fn same_bits(a: &ColumnBlock, b: &ColumnBlock) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        a.channel() == b.channel()
+            && a.sku() == b.sku()
+            && a.windows == b.windows
+            && a.ranks == b.ranks
+            && a.tags == b.tags
+            && a.jobs == b.jobs
+            && bits(&a.t_s) == bits(&b.t_s)
+            && bits(&a.span_s) == bits(&b.span_s)
+            && bits(&a.values) == bits(&b.values)
+    }
+
+    #[test]
+    fn tiles_of_every_size_concatenate_to_decode() {
+        let cfg = CodecConfig::default();
+        for (n, slot, sku) in [
+            (10_000, 1, 0),
+            (9_000, REST_SLOT, 0),
+            (5_000, 2, 3),
+            (TILE_ROWS as u64, 0, 1),
+            (1, 3, 0),
+        ] {
+            let (block, grid) = mixed_block(n, slot, sku);
+            let enc = EncodedBlock::encode(&block, grid, cfg).expect("encode");
+            let whole = enc.decode(cfg).expect("decode");
+            assert!(same_bits(&whole, &block), "round trip");
+            for tile in [1, 7, TILE_ROWS, n as usize] {
+                let tiled = concat_tiles(&enc, cfg, tile).expect("tiles");
+                assert!(same_bits(&tiled, &whole), "{n} rows in tiles of {tile}");
+            }
+        }
+        // An empty block hands out no tile and decodes to its channel.
+        let empty = ColumnBlock::new(5, 1);
+        let enc = EncodedBlock::encode(&empty, grid(), cfg).expect("encode");
+        assert!(same_bits(
+            &concat_tiles(&enc, cfg, 7).expect("tiles"),
+            &empty
+        ));
+        assert!(same_bits(&enc.decode(cfg).expect("decode"), &empty));
+    }
+
+    /// A varint's bytes, for splicing into payloads.
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_varint(&mut out, v);
+        out
+    }
+
+    proptest::proptest! {
+        /// Truncated, bit-flipped and run-rewritten payloads: every tile
+        /// size reaches decode's outcome — the same rows or the same
+        /// error — without a panic and without allocating past a tile.
+        #[test]
+        fn mutated_payloads_fail_alike_at_every_tile_size(
+            n in 1u64..400,
+            slot in 0u8..=4,
+            sku in 0u8..4,
+            mutation in 0u8..3,
+            at in 0usize..1 << 16,
+            bit in 0u8..8,
+            big in proptest::prelude::prop::collection::vec(0u64..1 << 26, 1..2),
+        ) {
+            let cfg = CodecConfig::default();
+            let (block, grid) = mixed_block(n, slot, sku);
+            let mut enc = EncodedBlock::encode(&block, grid, cfg).expect("encode");
+            let len = enc.payload.len();
+            let at = at % len;
+            match mutation {
+                0 => enc.payload.truncate(at),
+                1 => enc.payload[at] ^= 1 << bit,
+                _ => {
+                    // Rewrite the varint starting at `at` (a run length
+                    // when it lands on one) with another value.
+                    let mut end = at;
+                    while end < len && enc.payload[end] & 0x80 != 0 {
+                        end += 1;
+                    }
+                    let v = match bit % 4 {
+                        0 => 0,
+                        1 => n + 1,
+                        2 => u64::MAX,
+                        _ => big[0],
+                    };
+                    enc.payload.splice(at..(end + 1).min(len), varint(v));
+                }
+            }
+            let whole = enc.decode(cfg);
+            for tile in [1, 7, TILE_ROWS, n as usize] {
+                match (&whole, concat_tiles(&enc, cfg, tile)) {
+                    (Ok(a), Ok(b)) => proptest::prop_assert!(same_bits(a, &b), "tile {}", tile),
+                    (Err(a), Err(b)) => proptest::prop_assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => proptest::prop_assert!(
+                        false,
+                        "tile {}: decode {:?} vs tiles {:?}",
+                        tile,
+                        a.as_ref().map(ColumnBlock::len),
+                        b.map(|b| b.len())
+                    ),
+                }
+            }
+        }
     }
 }

@@ -67,7 +67,7 @@ impl Region {
     /// region-accounting observers already do, because a NaN sample must
     /// not be classified at all.
     #[inline]
-    pub(crate) fn bin_power(power_w: f64) -> usize {
+    pub fn bin_power(power_w: f64) -> usize {
         debug_assert!(
             power_w.is_finite(),
             "bin_power requires a finite sample (got {power_w})"

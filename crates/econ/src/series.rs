@@ -10,9 +10,10 @@
 //! is an elementwise add, so batch simulation, streaming ingest, and
 //! compressed-resident replay all produce bit-identical series.
 
-use pmss_columns::{FleetObserver, GapFill, SampleCtx};
+use pmss_columns::{ColumnBlock, FleetObserver, GapFill, SampleCtx, Tag};
 use pmss_core::Region;
 use pmss_error::PmssError;
+use pmss_sched::Schedule;
 
 use crate::trace::{EconTrace, JOULES_PER_MWH, SLOT_S};
 
@@ -72,7 +73,9 @@ impl EconSeries {
         let slot = slot_of(t_s);
         let joules = power_w * span_s;
         self.ensure_slot(slot);
-        self.slot_gpu_j[slot][Region::of_power(power_w).index()] += joules;
+        // `power_w` is finite here, where `bin_power` equals
+        // `of_power(..).index()`.
+        self.slot_gpu_j[slot][Region::bin_power(power_w)] += joules;
         let sku = sku as usize;
         if self.sku_slot_j.len() <= sku {
             self.sku_slot_j.resize(sku + 1, Vec::new());
@@ -82,6 +85,15 @@ impl EconSeries {
             lane.resize(slot + 1, 0.0);
         }
         lane[slot] += joules;
+    }
+
+    fn bill_rest(&mut self, t_s: f64, rest_w: f64, span_s: f64) {
+        if !rest_w.is_finite() || !span_s.is_finite() {
+            return;
+        }
+        let slot = slot_of(t_s);
+        self.ensure_slot(slot);
+        self.slot_rest_j[slot] += rest_w * span_s;
     }
 
     /// Number of accounting slots seen.
@@ -221,12 +233,39 @@ impl FleetObserver for EconSeries {
     }
 
     fn node_sample(&mut self, _ctx: &SampleCtx<'_>, t_s: f64, span_s: f64, rest_w: f64) {
-        if !rest_w.is_finite() || !span_s.is_finite() {
-            return;
+        self.bill_rest(t_s, rest_w, span_s);
+    }
+
+    // Columnar fold: the `gpu_sample`/`gpu_gap`/`node_sample` calls above,
+    // row by row in stored order, without per-event dispatch.  Every row
+    // reaches the same `bill_gpu`/`bill_rest` call with the same
+    // arguments, so the fold is bit-identical to the default replay.
+    fn fold_rows(
+        &mut self,
+        _schedule: &Schedule,
+        block: &ColumnBlock,
+        rows: std::ops::Range<usize>,
+    ) {
+        const SAMPLE: u8 = Tag::Sample as u8;
+        const GAP_INTERPOLATED: u8 = Tag::GapInterpolated as u8;
+        const GAP_IDLE: u8 = Tag::GapIdle as u8;
+        const NODE_REST: u8 = Tag::NodeRest as u8;
+        let w = self.window();
+        let sku = block.sku();
+        let tags = &block.tags()[rows.clone()];
+        let values = &block.values()[rows.clone()];
+        let times = &block.times()[rows.clone()];
+        let spans = &block.spans()[rows];
+        for (i, &tag) in tags.iter().enumerate() {
+            let v = values[i];
+            match tag {
+                // Non-finite samples are discarded, as in `gpu_sample`.
+                SAMPLE if v.is_finite() => self.bill_gpu(sku, times[i], v, w),
+                GAP_INTERPOLATED | GAP_IDLE => self.bill_gpu(sku, times[i], v, spans[i]),
+                NODE_REST => self.bill_rest(times[i], v, spans[i]),
+                _ => {}
+            }
         }
-        let slot = slot_of(t_s);
-        self.ensure_slot(slot);
-        self.slot_rest_j[slot] += rest_w * span_s;
     }
 
     fn merge(&mut self, other: Self) {

@@ -25,7 +25,7 @@ use pmss_obs::{edges, Stopwatch};
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
-use pmss_telemetry::{compare_sensors, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
+use pmss_telemetry::{compare_sensors, scoped_map, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::sweep::{normalize, sweep_kernel, CapSetting, MEMBENCH_POWER_CAPS_W};
@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use crate::json::Json;
 use crate::render;
 use crate::spec::ScenarioSpec;
-use crate::stage::{ladder, node_hours, publish_run, scoped_map, sim_each, timed_sim, Pipeline};
+use crate::stage::{ladder, node_hours, publish_run, sim_each, timed_sim, Pipeline};
 
 /// Identifies one reproducible paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,14 +8,12 @@
 //! so rendering every figure and table of a scenario costs a single fleet
 //! run and a single benchmark sweep.
 //!
-//! The only fleet threads live here too: an artifact that loops over
-//! *independent* fleet runs of one schedule (`faults`, `govern`,
-//! `peakpower`) hands the loop to `scoped_map` — whole runs per worker,
-//! results and metric tallies applied on the caller in loop order, so
-//! output is byte-identical at any worker count.  The node loop inside a
-//! run is not threaded.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! An artifact that loops over *independent* fleet runs of one schedule
+//! (`faults`, `govern`, `peakpower`) hands the loop to
+//! `pmss_telemetry::scoped_map` — whole runs per worker, results and
+//! metric tallies applied on the caller in loop order, so output is
+//! byte-identical at any worker count.  The node loop inside a run is not
+//! threaded.
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
@@ -25,8 +23,8 @@ use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig, FleetObserver,
-    FleetRunStats, Pair, SystemHistogram,
+    scoped_map, simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig,
+    FleetObserver, FleetRunStats, Pair, SystemHistogram,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, Table3};
@@ -96,44 +94,6 @@ where
             (obs, stats)
         })
         .collect()
-}
-
-/// `(0..n).map(job)` on real threads: the calling thread and up to
-/// `workers - 1` scoped ones each claim the next index from one counter.
-/// Results come back in index order whatever order the jobs finished in;
-/// a job's panic is re-raised on the caller.  With one worker or one job
-/// nothing is spawned and the caller runs every index through this code.
-pub(crate) fn scoped_map<T, F>(workers: usize, n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            // Relaxed: the counter hands out indices and publishes nothing
-            // else; results reach the caller through `join`.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, job(i)));
-        }
-    };
-    let mut done = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(claim)).collect();
-        let mut done = claim();
-        for handle in spawned {
-            match handle.join() {
-                Ok(part) => done.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// [`timed_sim`] from a run that also retains its [`DeliveryTrace`]: one
@@ -232,7 +192,7 @@ impl Pipeline {
             fleet: None,
             trace: None,
             table3: None,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: pmss_telemetry::workers(),
         })
     }
 
@@ -451,9 +411,9 @@ fn traced_fleet_stage<'a>(
 }
 
 /// The standard observers the fleet stage folds.  Pairing the econ series
-/// changes no ledger/histogram operation: `Pair` forwards each event to
-/// both members independently, so the historical observers stay
-/// bit-identical with the series along.
+/// changes no ledger/histogram operation: `Pair` folds each row range into
+/// both members independently, each through its own columnar fold, so the
+/// historical observers stay bit-identical with the series along.
 type StageObservers = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
 
 /// Runs the fleet stage — the scenario's schedule, then one fleet run of it
@@ -591,66 +551,6 @@ mod tests {
                     assert_eq!(m.gauge("delivery.rows"), Some(trace.len() as f64));
                 }
             }
-        }
-    }
-
-    /// Jobs that finish out of index order (the early indices sleep
-    /// longest) still come back in index order, each having run once.
-    #[test]
-    fn scoped_map_runs_every_index_once_and_returns_them_in_order() {
-        use std::time::Duration;
-        for workers in [1, 2, 3, 8] {
-            for n in [0, 1, 5, 10] {
-                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let out = scoped_map(workers, n, |i| {
-                    std::thread::sleep(Duration::from_millis(((n - i) % 4) as u64 * 3));
-                    runs[i].fetch_add(1, Ordering::Relaxed);
-                    (i * i, std::thread::current().id())
-                });
-                let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
-                assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
-                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
-                // Never more threads than workers or jobs; one worker is
-                // the caller alone.
-                let threads: std::collections::HashSet<_> = out.iter().map(|&(_, id)| id).collect();
-                assert!(
-                    threads.len() <= workers.min(n),
-                    "{workers} workers, {n} jobs"
-                );
-                if workers == 1 {
-                    assert!(threads.iter().all(|&id| id == std::thread::current().id()));
-                }
-            }
-        }
-    }
-
-    /// Real threads, not a facade: two jobs that each wait for the other
-    /// can only finish when two workers run them at once.
-    #[test]
-    fn scoped_map_runs_jobs_concurrently() {
-        let barrier = std::sync::Barrier::new(2);
-        let out = scoped_map(2, 2, |i| {
-            barrier.wait();
-            i
-        });
-        assert_eq!(out, [0, 1]);
-    }
-
-    #[test]
-    fn scoped_map_reraises_a_job_panic_on_the_caller() {
-        for workers in [1, 4] {
-            let caught = std::panic::catch_unwind(|| {
-                scoped_map(workers, 6, |i| {
-                    if i == 3 {
-                        panic!("job {i} failed");
-                    }
-                    i
-                })
-            });
-            let payload = caught.expect_err("the panic crosses the scope");
-            // The job's own payload, not the scope's "a scoped thread
-            // panicked".
-            assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 3 failed");
         }
     }
 

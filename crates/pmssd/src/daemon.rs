@@ -74,6 +74,12 @@ enum Acceptor {
 
 type Registry = Arc<Mutex<HashMap<String, Tenant>>>;
 
+/// Live tenants one daemon serves.  Each holds a worker thread, a
+/// schedule, a Table III and a decode scratch, so an OPEN with a fresh
+/// name past the cap is refused (`usage`); a re-OPEN of a live tenant
+/// still binds.
+pub const MAX_TENANTS: usize = 64;
+
 /// A bound (but not yet running) daemon.
 pub struct Daemon {
     acceptor: Acceptor,
@@ -374,6 +380,15 @@ fn handle_open(
             format!("tenant {name:?} does not exist and OPEN carried no spec"),
         ));
     };
+    if reg.len() >= MAX_TENANTS {
+        return Err((
+            code::USAGE,
+            format!(
+                "the daemon already serves MAX_TENANTS = {MAX_TENANTS} tenants; \
+                 tenant {name:?} was not opened"
+            ),
+        ));
+    }
     let t = tenant::spawn(&name, &spec, queue_depth, sync_interval)
         .map_err(|e| (code::MALFORMED, e.to_string()))?;
     *bound = Some((Arc::clone(&t.shared), t.tx.clone()));

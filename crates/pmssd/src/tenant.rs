@@ -100,7 +100,16 @@ pub fn spawn(
     let schedule = generate(spec.trace_params(), &catalog());
     // Pipeline's benchmark stage computes Table III from the spec's cap
     // ladders without touching the fleet stage.
-    let table3 = Pipeline::new(spec.clone())?.table3()?.clone();
+    let mut pipeline = Pipeline::new(spec.clone())?;
+    let table3 = pipeline.table3()?.clone();
+    // A channel delivers each of its windows at most twice (once, plus
+    // the fault plan's single duplicate), so no honest block has more
+    // rows; a frame declaring more is refused before its decode
+    // allocates anything.
+    let windows = (schedule.duration_s / pipeline.fleet_config().window_s).floor() as usize + 1;
+    let codec = CodecConfig {
+        max_samples: 2 * windows,
+    };
     let frontier_factor = spec.frontier_factor();
 
     let shared = Arc::new(TenantShared {
@@ -129,7 +138,6 @@ pub fn spawn(
         else {
             return; // validated above; unreachable in practice
         };
-        let codec = CodecConfig::default();
         // One decode scratch for the worker's lifetime: every frame
         // decompresses into the same column buffers.
         let mut block = ColumnBlock::default();

@@ -10,7 +10,7 @@
 //! * [`fleet`] — the fleet simulation streaming 15 s samples (with boost
 //!   excursions and sensor noise) to a [`fleet::FleetObserver`];
 //! * [`resident`] — a fleet run captured as compressed per-channel blocks,
-//!   replayed block by block;
+//!   replayed a tile of rows at a time, channels on every core;
 //! * [`delivery`] — a fleet run's channels retained as narrow columns,
 //!   replayed event by event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
@@ -18,7 +18,9 @@
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
 //! * [`export`] — CSV persistence and storage-cost estimation;
 //! * [`FleetPowerSeries`] — facility-level aggregate power (peak demand
-//!   and load factor under caps, for `pmss peakpower`).
+//!   and load factor under caps, for `pmss peakpower`);
+//! * [`scoped_map`] — the one thread helper: independent jobs on
+//!   [`workers`] scoped threads, results handed back in job order.
 //!
 //! The window-event seam ([`WindowEvent`], [`FleetObserver`],
 //! [`ColumnBlock`]) and the power-series codec live in `pmss-columns`; the
@@ -36,6 +38,7 @@ pub mod observers;
 pub mod resident;
 pub mod sampler;
 pub mod smi;
+mod threads;
 
 pub use delivery::DeliveryTrace;
 pub use fleet::{
@@ -51,3 +54,4 @@ pub use pmss_columns::{
 };
 pub use resident::ResidentFleet;
 pub use smi::compare_sensors;
+pub use threads::{scoped_map, workers};

@@ -1,9 +1,38 @@
 //! Ready-made fleet observers: the system-wide power distribution (Fig. 8),
 //! per-science-domain distributions (Fig. 9), and the GPU-vs-CPU energy
 //! split (Fig. 2 b).
+//!
+//! Each overrides [`FleetObserver::fold_rows`] with a fold over the
+//! block's columns that makes, row by row in stored order, exactly the
+//! calls its `gpu_sample`/`gpu_gap`/`node_sample` path makes; the trait
+//! default (per-row `apply_event`) is the oracle the fold differentials
+//! compare against.
+
+use std::ops::Range;
+
+use pmss_columns::{ColumnBlock, Tag, NO_JOB};
+use pmss_sched::Schedule;
 
 use crate::fleet::{FleetObserver, GapFill, SampleCtx};
 use crate::hist::PowerHistogram;
+
+const SAMPLE: u8 = Tag::Sample as u8;
+const GAP_INTERPOLATED: u8 = Tag::GapInterpolated as u8;
+const GAP_IDLE: u8 = Tag::GapIdle as u8;
+const NODE_REST: u8 = Tag::NodeRest as u8;
+
+/// The rows of `rows` whose value reaches `gpu_sample` — delivered samples
+/// and filled gaps (the default `gpu_gap` forwards a fill as a sample) —
+/// as `(row, value)`.
+fn gpu_values(block: &ColumnBlock, rows: Range<usize>) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let tags = &block.tags()[rows.clone()];
+    let values = &block.values()[rows.clone()];
+    tags.iter()
+        .zip(values)
+        .zip(rows)
+        .filter(|((&tag, _), _)| matches!(tag, SAMPLE | GAP_INTERPOLATED | GAP_IDLE))
+        .map(|((_, &v), i)| (i, v))
+}
 
 /// System-wide GPU power distribution — the paper's Fig. 8.
 #[derive(Debug, Clone)]
@@ -23,6 +52,11 @@ impl Default for SystemHistogram {
 impl FleetObserver for SystemHistogram {
     fn gpu_sample(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, power_w: f64) {
         self.hist.record(power_w);
+    }
+    fn fold_rows(&mut self, _schedule: &Schedule, block: &ColumnBlock, rows: Range<usize>) {
+        for (_, v) in gpu_values(block, rows) {
+            self.hist.record(v);
+        }
     }
     fn merge(&mut self, other: Self) {
         self.hist.merge(&other.hist);
@@ -65,6 +99,18 @@ impl FleetObserver for DomainHistograms {
         if let Some(job) = ctx.job {
             self.ensure(job.domain);
             self.hists[job.domain].record(power_w);
+        }
+    }
+    // A row's stored job is its sample's `ctx.job`, filled gaps included;
+    // the domain slot is made before the value's finiteness is checked.
+    fn fold_rows(&mut self, schedule: &Schedule, block: &ColumnBlock, rows: Range<usize>) {
+        let jobs = block.jobs();
+        for (i, v) in gpu_values(block, rows) {
+            if jobs[i] != NO_JOB {
+                let domain = schedule.jobs[jobs[i] as usize].domain;
+                self.ensure(domain);
+                self.hists[domain].record(v);
+            }
         }
     }
     fn merge(&mut self, other: Self) {
@@ -131,6 +177,25 @@ impl FleetObserver for GpuCpuEnergy {
         }
         self.rest_hist.record(rest_w);
     }
+    fn fold_rows(&mut self, _schedule: &Schedule, block: &ColumnBlock, rows: Range<usize>) {
+        for (&tag, &v) in block.tags()[rows.clone()].iter().zip(&block.values()[rows]) {
+            match tag {
+                SAMPLE | GAP_INTERPOLATED | GAP_IDLE => {
+                    if v.is_finite() {
+                        self.gpu_energy_j += v * self.window_s;
+                    }
+                    self.gpu_hist.record(v);
+                }
+                NODE_REST => {
+                    if v.is_finite() {
+                        self.rest_energy_j += v * self.window_s;
+                    }
+                    self.rest_hist.record(v);
+                }
+                _ => {}
+            }
+        }
+    }
     fn merge(&mut self, other: Self) {
         self.gpu_energy_j += other.gpu_energy_j;
         self.rest_energy_j += other.rest_energy_j;
@@ -168,6 +233,13 @@ impl<A: FleetObserver, B: FleetObserver> FleetObserver for Pair<A, B> {
     fn node_sample(&mut self, ctx: &SampleCtx<'_>, t_s: f64, span_s: f64, rest_w: f64) {
         self.a.node_sample(ctx, t_s, span_s, rest_w);
         self.b.node_sample(ctx, t_s, span_s, rest_w);
+    }
+    // The members' states are disjoint, so folding the range into `a` and
+    // then into `b` gives each member the very calls, in the very order,
+    // that row-by-row forwarding gives it — through its own columnar fold.
+    fn fold_rows(&mut self, schedule: &Schedule, block: &ColumnBlock, rows: Range<usize>) {
+        self.a.fold_rows(schedule, block, rows.clone());
+        self.b.fold_rows(schedule, block, rows);
     }
     fn merge(&mut self, other: Self) {
         self.a.merge(other.a);

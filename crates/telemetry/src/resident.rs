@@ -6,8 +6,8 @@
 //! timestamps derived from the window grid — see `pmss_columns::resident`).
 //! This is the paper's "huge data storage" answer made concrete: a
 //! campaign store is a flat sequence of independently-decodable blocks,
-//! and replaying it against an observer touches one decompressed block at
-//! a time — O(channel) scratch, never O(campaign).
+//! and replaying it against an observer decodes each block a tile of rows
+//! at a time — one tile of scratch per worker, never O(campaign).
 //!
 //! Replay is *bit-deterministic* (the same store folds to the same ledger,
 //! bit for bit, every time) and exact in everything the codec stores
@@ -19,11 +19,12 @@
 //! half a quantum per sample — the precision the fleet's sensors had in
 //! the first place.
 
-use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock, FleetObserver};
+use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock, FleetObserver, TILE_ROWS};
 use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
 use crate::fleet::{channel_grid, fleet_window_blocks, FleetConfig};
+use crate::threads::{scoped_sink, workers};
 
 /// One fleet run's telemetry, compressed block-per-channel (see module
 /// docs).
@@ -61,20 +62,57 @@ impl ResidentFleet {
         }
     }
 
-    /// Replays the store into a fresh observer: each block decodes
-    /// independently (into one reused scratch block) and folds in
-    /// canonical channel order (nodes ascending; GPU slots `0..4`, then
-    /// rest-of-node) through [`FleetObserver::fold_channel`] — the batch
-    /// simulation's accumulation shape.  `schedule` must be the one the
+    /// Replays the store into a fresh observer.  Each block decodes
+    /// independently, a [`TILE_ROWS`] tile at a time, and folds into a
+    /// fresh per-channel partial ([`FleetObserver::fold_rows`] over each
+    /// tile); the channels run on [`workers`] threads, each with one tile
+    /// of scratch, and the calling thread merges the partials in canonical
+    /// channel order (nodes ascending; GPU slots `0..4`, then
+    /// rest-of-node) — the batch simulation's accumulation shape, so the
+    /// result is the same bits at any worker count.  The first decode
+    /// error in that order is returned.  `schedule` must be the one the
     /// store was captured from (job attribution indexes its job log).
+    ///
+    /// Replay is defined for [`FleetObserver::CHANNEL_GROUPED`] observers
+    /// only (a compile-time check): per-channel partials are what lets
+    /// the channels fold apart.
     pub fn replay<O: FleetObserver + Default>(&self, schedule: &Schedule) -> Result<O, PmssError> {
-        let mut obs = O::default();
-        let mut block = ColumnBlock::default();
-        for enc in &self.blocks {
-            enc.decode_into(CodecConfig::default(), &mut block)?;
-            obs.fold_channel(schedule, &block);
-        }
-        Ok(obs)
+        self.replay_on(workers(), schedule)
+    }
+
+    /// [`ResidentFleet::replay`] on `workers` threads.
+    fn replay_on<O: FleetObserver + Default>(
+        &self,
+        workers: usize,
+        schedule: &Schedule,
+    ) -> Result<O, PmssError> {
+        const {
+            assert!(
+                O::CHANNEL_GROUPED,
+                "resident replay merges per-channel partials"
+            )
+        };
+        let scratch = (0..workers.max(1))
+            .map(|_| ColumnBlock::with_capacity(0, 0, TILE_ROWS))
+            .collect();
+        let fold = |tile: &mut ColumnBlock, i: usize| -> Result<O, PmssError> {
+            let mut part = O::default();
+            let mut tiles = self.blocks[i].tiles(CodecConfig::default())?;
+            while tiles.next_into(tile)? {
+                part.fold_block(schedule, tile);
+            }
+            Ok(part)
+        };
+        let mut obs = Ok(O::default());
+        scoped_sink(scratch, self.blocks.len(), fold, |_, part| {
+            if let Ok(acc) = &mut obs {
+                match part {
+                    Ok(part) => acc.merge(part),
+                    Err(e) => obs = Err(e),
+                }
+            }
+        });
+        obs
     }
 
     /// The compressed per-channel blocks, in canonical channel order.
@@ -157,5 +195,63 @@ mod tests {
             diff <= tol,
             "energy drift {diff} J exceeds quantization bound {tol} J"
         );
+    }
+
+    /// Real threads at 1, 2, 3 and 8 workers (more than this box may have
+    /// cores, which is the point): the paired replay is the same bits, and
+    /// a store with corrupt blocks fails with its first corrupt block's
+    /// error in canonical order, whichever worker reaches which first.
+    #[test]
+    fn replay_is_worker_count_invariant_including_its_first_error() {
+        use pmss_econ::EconSeries;
+
+        use crate::observers::Pair;
+
+        let sched = schedule();
+        let cfg = FleetConfig {
+            faults: Some(FaultPlan::preset("harsh").expect("preset")),
+            ..FleetConfig::default()
+        };
+        let resident = ResidentFleet::capture(&sched, &cfg).expect("capture");
+        let replay = |store: &ResidentFleet, workers: usize| {
+            store
+                .replay_on::<Pair<EnergyLedger, EconSeries>>(workers, &sched)
+                .map(|pair| format!("{pair:?}"))
+                .map_err(|e| e.to_string())
+        };
+        let one = replay(&resident, 1).expect("replay");
+        // A value run cut short fails inside a tile; a cut run header
+        // fails before the first tile.
+        let cut = |enc: &EncodedBlock, keep: usize| {
+            let wire = enc.to_bytes();
+            EncodedBlock::from_bytes(&wire[..wire.len() - enc.payload_bytes() + keep])
+                .expect("header intact")
+        };
+        let mut corrupt = resident.clone();
+        corrupt.blocks[2] = cut(&resident.blocks[2], resident.blocks[2].payload_bytes() - 1);
+        corrupt.blocks[6] = cut(&resident.blocks[6], 3);
+        let first = corrupt.blocks[2]
+            .decode(CodecConfig::default())
+            .expect_err("truncated")
+            .to_string();
+        assert_ne!(
+            first,
+            corrupt.blocks[6]
+                .decode(CodecConfig::default())
+                .unwrap_err()
+                .to_string()
+        );
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                replay(&resident, workers),
+                Ok(one.clone()),
+                "{workers} workers"
+            );
+            assert_eq!(
+                replay(&corrupt, workers),
+                Err(first.clone()),
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@ use pmss_pipeline::{Pipeline, ScalePreset, ScenarioSpec};
 use pmss_stream::StreamState;
 use pmss_telemetry::{ResidentFleet, WindowEvent, WindowKind};
 use pmssd::client::{ingest_campaign, ClientError, Connection, Target};
-use pmssd::daemon::{Daemon, DaemonConfig, Listen};
+use pmssd::daemon::{Daemon, DaemonConfig, Listen, MAX_TENANTS};
 use pmssd::proto::{self, code, frame, status};
 
 /// An in-process daemon on a fresh port (or socket path), plus its run
@@ -367,6 +367,103 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     ingest_campaign(&mut next, &spec).expect("ingest");
     next.flush().expect("flush");
     let got = next.query(&Query::Projection).expect("query");
+    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    h.stop();
+}
+
+/// A LEB128 varint, as the block codec writes it.
+fn varint(mut v: u64, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A 72-byte BLOCK frame — one run each of window delta +1, rank offset
+/// 0, tag `Sample`, no job, and one value run — that a decode under the
+/// codec's default bound accepts and expands to 2^24 rows (720 MiB of
+/// columns).  A tenant decodes with its own channel length as the bound,
+/// so the frame is `malformed` before anything is allocated, and the
+/// daemon serves a normal tenant afterwards.
+#[test]
+fn a_block_declaring_more_rows_than_the_tenants_channels_hold_is_malformed() {
+    let rows = 1u64 << 24;
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&0u32.to_le_bytes()); // node
+    frame.push(1); // slot 1, SKU 0
+    frame.extend_from_slice(&rows.to_le_bytes());
+    for grid in [15.0f64, 86_400.0, 0.0] {
+        frame.extend_from_slice(&grid.to_le_bytes());
+    }
+    for (value, run) in [(2, rows), (0, rows), (0, rows), (u64::from(u32::MAX), rows)] {
+        varint(value, &mut frame);
+        varint(run, &mut frame);
+    }
+    varint(0, &mut frame); // no NaN rows
+    varint(rows, &mut frame); // value count
+    varint(2 * 380, &mut frame); // zigzag delta to 380 W
+    varint(rows, &mut frame);
+    assert_eq!(frame.len(), 72);
+
+    let h = start_daemon(64, 8);
+    let spec = spec_for(None);
+    let mut conn = Connection::connect(&h.target).expect("connect");
+    conn.open("bounded", Some(&spec)).expect("open");
+    match conn.send_block_raw(&frame) {
+        Err(ClientError::Rejected { code, detail }) => {
+            assert_eq!(code, code::MALFORMED);
+            assert!(detail.contains("max_samples"), "{detail}");
+        }
+        other => panic!("expected a malformed rejection, got {other:?}"),
+    }
+    ingest_campaign(&mut conn, &spec).expect("a normal campaign still ingests");
+    conn.flush().expect("flush");
+    let got = conn.query(&Query::Projection).expect("query");
+    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    h.stop();
+}
+
+/// Past `MAX_TENANTS` live tenants an OPEN with a fresh name is a `usage`
+/// rejection naming the cap; a re-OPEN of a live tenant still binds, and
+/// a second connection is served a normal query.
+#[test]
+fn tenants_past_the_cap_are_refused_and_live_ones_are_served() {
+    let h = start_daemon(64, 8);
+    let spec = spec_for(None);
+    let tiny = ScenarioSpec {
+        nodes: 1,
+        days: 0.05,
+        ..spec.clone()
+    };
+    let mut conn = Connection::connect(&h.target).expect("connect");
+    conn.open("tenant-0", Some(&spec))
+        .expect("the first tenant opens");
+    for i in 1..MAX_TENANTS {
+        conn.open(&format!("tenant-{i}"), Some(&tiny))
+            .expect("tenants up to the cap open");
+    }
+    match conn.open("one-too-many", Some(&tiny)) {
+        Err(ClientError::Rejected { code, detail }) => {
+            assert_eq!(code, code::USAGE);
+            assert!(
+                detail.contains(&format!("MAX_TENANTS = {MAX_TENANTS}")),
+                "{detail}"
+            );
+        }
+        other => panic!("expected a usage rejection past the cap, got {other:?}"),
+    }
+    match conn.open("one-too-many", None) {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::UNKNOWN_TENANT),
+        other => panic!("the refused tenant does not exist, got {other:?}"),
+    }
+    let mut second = Connection::connect(&h.target).expect("second connection");
+    second
+        .open("tenant-0", Some(&spec))
+        .expect("a live tenant re-opens");
+    ingest_campaign(&mut second, &spec).expect("ingest");
+    second.flush().expect("flush");
+    let got = second.query(&Query::Projection).expect("query");
     assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
     h.stop();
 }
