@@ -256,6 +256,20 @@ impl fmt::Display for Json {
 /// abort the process; a `ScenarioSpec` nests four levels.
 const MAX_DEPTH: usize = 128;
 
+/// A key that `fields` holds more than once, if any.  [`Json::get`] reads
+/// the first copy where other readers take the last, so a document with
+/// both would mean different things to different readers; the parser
+/// rejects it instead.  Sorting the keys keeps the check `O(k log k)` in
+/// the key count, which a 64 MiB daemon frame can make millions.
+fn duplicate_key(fields: &[(String, Json)]) -> Option<&str> {
+    if fields.len() < 2 {
+        return None;
+    }
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -347,7 +361,10 @@ impl Parser<'_> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(Json::Obj(fields));
+                            return match duplicate_key(&fields) {
+                                Some(key) => Err(self.err(format!("duplicate key {key:?}"))),
+                                None => Ok(Json::Obj(fields)),
+                            };
                         }
                         _ => return Err(self.err("expected ',' or '}'")),
                     }
@@ -495,6 +512,37 @@ mod tests {
         assert!(Json::parse(&at_bound).is_ok());
         let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(Json::parse(&past).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_a_typed_error_at_any_depth() {
+        for bad in [
+            r#"{"nodes":16,"nodes":9e9}"#,
+            r#"{"a":1,"b":2,"a":1}"#,
+            r#"[{"x":{"k":true,"k":false}}]"#,
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(
+                matches!(err, PmssError::MalformedData { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("duplicate key"), "{err}");
+        }
+        // The same key in sibling objects is not a duplicate.
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+        assert!(Json::parse(r#"{"a":{"a":1},"b":{"a":2}}"#).is_ok());
+    }
+
+    /// 200 000 distinct keys parse in one sort (a pairwise check would
+    /// make 2 × 10¹⁰ comparisons), and one repeated key among them is found.
+    #[test]
+    fn duplicate_check_is_not_quadratic_in_the_key_count() {
+        let body: Vec<String> = (0..200_000).map(|i| format!("\"k{i}\":0")).collect();
+        let doc = format!("{{{}}}", body.join(","));
+        assert!(Json::parse(&doc).is_ok());
+        let dup = format!("{{{},\"k999\":1}}", body.join(","));
+        let err = Json::parse(&dup).unwrap_err();
+        assert!(err.to_string().contains(r#"duplicate key "k999""#), "{err}");
     }
 
     #[test]

@@ -745,6 +745,25 @@ mod tests {
         assert!(err.to_string().contains("pmss sensitivity"), "{err}");
     }
 
+    /// `Json::get` reads a key's first copy where most readers take the
+    /// last, so a spec naming a field twice is rejected before
+    /// `from_json` could read either, at the top level or inside a plan.
+    #[test]
+    fn a_spec_with_a_duplicate_key_is_malformed() {
+        for text in [
+            r#"{"nodes":16,"nodes":9e9}"#,
+            r#"{"faults":{"drop_prob":0.1,"drop_prob":1.5}}"#,
+        ] {
+            let err = Json::parse(text)
+                .and_then(|j| ScenarioSpec::from_json(&j))
+                .unwrap_err();
+            assert!(matches!(err, PmssError::MalformedData { .. }), "{err}");
+            assert!(err.to_string().contains("duplicate key"), "{err}");
+        }
+        let one = Json::parse(r#"{"nodes":16}"#).unwrap();
+        assert_eq!(ScenarioSpec::from_json(&one).unwrap().nodes, 16);
+    }
+
     #[test]
     fn fault_plan_round_trips_through_spec_json() {
         let mut s = ScenarioSpec::preset(ScalePreset::Quick);

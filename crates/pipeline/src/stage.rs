@@ -12,8 +12,12 @@
 //! (`faults`, `govern`, `peakpower`) hands the loop to
 //! `pmss_telemetry::scoped_map` — whole runs per worker, results and
 //! metric tallies applied on the caller in loop order, so output is
-//! byte-identical at any worker count.  The node loop inside a run is not
-//! threaded.
+//! byte-identical at any worker count.  The node loop inside a run of
+//! channel-grouped observers (the fleet stage's, `faults`' ledgers) is
+//! threaded too, below this crate (`pmss_telemetry::simulate_fleet_metered`),
+//! with the same guarantee — except inside a job of one of those loops
+//! running on more than one worker, where `pmss_telemetry::workers` is 1
+//! and a run folds its nodes on the worker that runs it.
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
@@ -71,8 +75,8 @@ pub(crate) fn node_hours(schedule: &Schedule) -> f64 {
 
 /// One independent fleet run of `schedule` per entry of `cfgs` on
 /// [`scoped_map`]'s workers, results in `cfgs` order.  A worker owns its
-/// whole run — observer, stats, scratch — and nothing is merged across
-/// threads; the tallies reach `metrics` here on the caller, one
+/// whole run — observer, stats, scratch; the run's node loop sees one
+/// worker — and nothing is merged across threads; the tallies reach `metrics` here on the caller, one
 /// [`publish_run`] per run in `cfgs` order, the same sequence of
 /// additions at any worker count.
 pub(crate) fn sim_each<O>(

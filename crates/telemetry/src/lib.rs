@@ -8,7 +8,8 @@
 //! * [`sampler`] — 2 s → 15 s aggregation;
 //! * [`hist`] — power histograms with smoothing and peak finding (Figs. 8–9);
 //! * [`fleet`] — the fleet simulation streaming 15 s samples (with boost
-//!   excursions and sensor noise) to a [`fleet::FleetObserver`];
+//!   excursions and sensor noise) to a [`fleet::FleetObserver`], nodes on
+//!   every core when the observer folds channel by channel;
 //! * [`resident`] — a fleet run captured as compressed per-channel blocks,
 //!   replayed a tile of rows at a time, channels on every core;
 //! * [`delivery`] — a fleet run's channels retained as narrow columns,
@@ -16,7 +17,7 @@
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
-//! * [`export`] — CSV persistence and storage-cost estimation;
+//! * [`export`] — storage-cost estimation for a telemetry campaign;
 //! * [`FleetPowerSeries`] — facility-level aggregate power (peak demand
 //!   and load factor under caps, for `pmss peakpower`);
 //! * [`scoped_map`] — the one thread helper: independent jobs on

@@ -104,7 +104,7 @@ impl ResidentFleet {
             Ok(part)
         };
         let mut obs = Ok(O::default());
-        scoped_sink(scratch, self.blocks.len(), fold, |_, part| {
+        scoped_sink(scratch, 2, self.blocks.len(), fold, |_, part| {
             if let Ok(acc) = &mut obs {
                 match part {
                     Ok(part) => acc.merge(part),

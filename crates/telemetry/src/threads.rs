@@ -3,21 +3,34 @@
 //!
 //! Fleet threads are a `std::thread::scope` at the loop that needs them —
 //! an artifact's independent fleet runs (`pmss-pipeline`), a resident
-//! store's channels ([`crate::ResidentFleet::replay`]).  There are
+//! store's channels ([`crate::ResidentFleet::replay`]), a batch fold's
+//! nodes (`fleet::run_channels`).  There are
 //! [`workers`] of them, nothing sets the count, and one code path runs at
 //! any count: with one worker the calling thread runs every job itself.
 //! Because results reach the caller in job order, whatever is done with
 //! them there (a merge, a metric tally) is the same sequence of operations
 //! at any worker count, and output is byte-identical.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+thread_local! {
+    /// Set while this thread runs a job of a scope with more than one
+    /// worker.
+    static IN_SHARED_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
 /// The worker count every threaded loop uses: `available_parallelism`,
 /// which honours CPU affinity (`taskset -c 0` gives one), or 1 when it is
-/// unknown.
+/// unknown — and 1 inside a job of a scope with more than one worker,
+/// whose sibling jobs already hold the cores (`faults`' runs each fold
+/// their nodes on their own thread).
 pub fn workers() -> usize {
+    if IN_SHARED_JOB.get() {
+        return 1;
+    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -32,6 +45,7 @@ where
     let mut out = Vec::with_capacity(n);
     scoped_sink(
         vec![(); workers.max(1)],
+        2,
         n,
         |_, i| job(i),
         |_, t| out.push(t),
@@ -54,21 +68,31 @@ struct Hand<T> {
 /// each owning its state (which the caller allocated) — and hands every
 /// result to `sink(i, result)` on the calling thread in index order.
 ///
-/// The hand-off is bounded: at most two results per worker are claimed
-/// and not yet sunk, so a worker that runs ahead of the sink waits
-/// instead of piling results up.  The caller sinks whatever is ready
-/// between its own jobs, and waits for the next result when it may not
-/// claim.  A panic in a job or in the sink stops the workers and is
-/// re-raised on the caller once they have all returned.
-pub(crate) fn scoped_sink<S, T, F, K>(mut states: Vec<S>, n: usize, job: F, mut sink: K)
-where
+/// The hand-off is bounded: at most `ahead` results per worker are
+/// claimed and not yet sunk, so a worker that runs ahead of the sink waits
+/// instead of piling results up.  Two lets a worker start its next job
+/// while the caller is still busy with an earlier one; one bounds the
+/// live results to one per worker, for jobs whose results are large.
+/// The caller sinks whatever is ready between its own jobs, and waits for
+/// the next result when it may not claim.  A panic in a job or in the
+/// sink stops the workers and is re-raised on the caller once they have
+/// all returned.
+pub(crate) fn scoped_sink<S, T, F, K>(
+    mut states: Vec<S>,
+    ahead: usize,
+    n: usize,
+    job: F,
+    mut sink: K,
+) where
     S: Send,
     T: Send,
     F: Fn(&mut S, usize) -> T + Sync,
     K: FnMut(usize, T),
 {
     assert!(!states.is_empty(), "scoped_sink needs one worker state");
-    let window = 2 * states.len();
+    assert!(ahead > 0, "scoped_sink needs room for a result per worker");
+    let window = ahead * states.len();
+    let shared = states.len() > 1;
     let hand = Mutex::new(Hand {
         claimed: 0,
         sunk: 0,
@@ -90,7 +114,10 @@ where
     };
     // Runs job `i`, then files its result (or its panic) for the caller.
     let run = |state: &mut S, i: usize| {
+        let outer = IN_SHARED_JOB.get();
+        IN_SHARED_JOB.set(outer || shared);
         let out = panic::catch_unwind(AssertUnwindSafe(|| job(state, i)));
+        IN_SHARED_JOB.set(outer);
         let mut h = lock();
         match out {
             Ok(t) => {
@@ -197,6 +224,19 @@ mod tests {
         }
     }
 
+    /// A job sharing the machine with sibling jobs sees one worker, so a
+    /// threaded loop inside it does not spread again; a scope of one
+    /// worker leaves the count alone, and so does the end of the scope.
+    #[test]
+    fn jobs_of_a_shared_scope_see_one_worker() {
+        let all = workers();
+        assert_eq!(scoped_map(2, 4, |_| workers()), [1; 4]);
+        assert_eq!(scoped_map(1, 2, |_| workers()), [all; 2]);
+        let nested = scoped_map(2, 2, |_| scoped_map(1, 1, |_| workers())[0]);
+        assert_eq!(nested, [1; 2]);
+        assert_eq!(workers(), all);
+    }
+
     /// Real threads, not a facade: two jobs that each wait for the other
     /// can only finish when two workers run them at once.
     #[test]
@@ -228,19 +268,20 @@ mod tests {
     }
 
     /// The sink sees every index once, in order, on the calling thread,
-    /// and never more than two results per worker are claimed but not yet
-    /// sunk; each worker keeps the state the caller gave it.  (`in_flight`
-    /// drops inside the sink, just after the hand-off frees the slot, so
-    /// it may read one over the window.)
+    /// and never more than `ahead` results per worker are claimed but not
+    /// yet sunk; each worker keeps the state the caller gave it.
+    /// (`in_flight` drops inside the sink, just after the hand-off frees
+    /// the slot, so it may read one over the window.)
     #[test]
     fn scoped_sink_hands_results_over_in_order_within_the_window() {
-        for workers in [1, 2, 3, 8] {
+        for (workers, ahead) in [1, 2, 3, 8].into_iter().flat_map(|w| [(w, 1), (w, 2)]) {
             let in_flight = AtomicUsize::new(0);
             let peak = AtomicUsize::new(0);
             let states: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
             let mut seen = Vec::new();
             scoped_sink(
                 states,
+                ahead,
                 40,
                 |mine: &mut Vec<usize>, i| {
                     let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -260,8 +301,8 @@ mod tests {
             let me = std::thread::current().id();
             assert!(seen.iter().all(|&(_, id)| id == me), "sunk on the caller");
             assert!(
-                peak.load(Ordering::SeqCst) <= 2 * workers + 1,
-                "{workers} workers"
+                peak.load(Ordering::SeqCst) <= ahead * workers + 1,
+                "{workers} workers, {ahead} ahead"
             );
         }
     }
@@ -272,6 +313,7 @@ mod tests {
             let caught = std::panic::catch_unwind(|| {
                 scoped_sink(
                     vec![(); workers],
+                    2,
                     50,
                     |_, i| i,
                     |i, _| {

@@ -294,7 +294,9 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
 /// used to abort the daemon and every tenant in it (an allocation failure
 /// in schedule generation), and one with a 100 000-rung cap ladder swept
 /// it under the registry lock; one that moves Table IV's fixed mode bands
-/// asks for something no computation reads.  Each bounces as
+/// asks for something no computation reads, and one that names a field
+/// twice means one spec to the daemon and another to a reader that takes
+/// the last copy.  Each bounces as
 /// `malformed`, binds nothing, and the daemon serves a normal tenant on
 /// the next connection: `not_ready` before its first snapshot, the batch
 /// answer after FLUSH.
@@ -351,6 +353,14 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     let (st, (open_code, detail)) = exchange(frame::OPEN, moved);
     assert_eq!((st, open_code.as_str()), (status::ERR, code::MALFORMED));
     assert!(detail.contains("invalid scenario spec"), "{detail}");
+    let (st, (flush_code, _)) = exchange(frame::FLUSH, b"");
+    assert_eq!((st, flush_code.as_str()), (status::ERR, code::USAGE));
+    // A spec naming `nodes` twice would read as 16 nodes here and as
+    // 9 × 10⁹ to a reader that takes the last copy; it is malformed JSON.
+    let twice = br#"{"tenant":"huge","spec":{"nodes":16,"nodes":9e9}}"#;
+    let (st, (open_code, detail)) = exchange(frame::OPEN, twice);
+    assert_eq!((st, open_code.as_str()), (status::ERR, code::MALFORMED));
+    assert!(detail.contains(r#"duplicate key "nodes""#), "{detail}");
     let (st, (flush_code, _)) = exchange(frame::FLUSH, b"");
     assert_eq!((st, flush_code.as_str()), (status::ERR, code::USAGE));
 
