@@ -16,11 +16,14 @@
 #   ... outside artifact.rs    the same, leaving out artifact.rs's
 #                              artifact row types;
 #   named only at definition   unnamed items whose name occurs exactly once
-#                              in all Rust sources, tests and examples too.
+#                              in all Rust sources, tests and examples too;
+#   named only by examples     unnamed items that an example names.
 #
-# The last count must be 0: a `pub` item nobody names is dead code that
-# rustc cannot see, because `pub` tells it another crate might call it.
-# Make it `pub(crate)` and let the `dead_code` lint decide.
+# The last two counts must be 0.  A `pub` item nobody names is dead code
+# that rustc cannot see, because `pub` tells it another crate might call
+# it: make it `pub(crate)` and let the `dead_code` lint decide.  Library
+# code that only an example reaches serves no artifact: the example earns
+# it a production caller, or both go.
 #
 # Usage: ci/pub_surface.sh [-v]   (-v also lists the unnamed items)
 set -euo pipefail
@@ -38,9 +41,8 @@ word = re.compile(r"[A-Za-z_]\w*")
 
 library = sorted(glob.glob("crates/*/src/*.rs"))
 production = library + sorted(glob.glob("src/*.rs") + glob.glob("benchmark/src/*.rs"))
-everything = production + sorted(
-    glob.glob("crates/*/tests/*.rs") + glob.glob("tests/*.rs") + glob.glob("examples/*.rs")
-)
+examples = sorted(glob.glob("examples/*.rs"))
+everything = production + examples + sorted(glob.glob("crates/*/tests/*.rs") + glob.glob("tests/*.rs"))
 
 def code_tokens(text):
     """Whole words outside `//` comments and `pub use` statements."""
@@ -56,6 +58,7 @@ def code_tokens(text):
 
 
 words = {}
+example_words = set()
 occurrences = Counter()
 for path in everything:
     with open(path, encoding="utf-8") as f:
@@ -63,8 +66,10 @@ for path in everything:
     occurrences.update(tokens)
     if path in production:
         words[path] = set(tokens)
+    elif path in examples:
+        example_words.update(tokens)
 
-total = unnamed = unnamed_outside_artifact = definition_only = 0
+total = unnamed = unnamed_outside_artifact = definition_only = example_only = 0
 for path in library:
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -84,10 +89,14 @@ for path in library:
             if only_definition:
                 definition_only += 1
                 print(f"named only at its definition: {path}:{lineno} {name}")
+            if name in example_words:
+                example_only += 1
+                print(f"named only by examples: {path}:{lineno} {name}")
 
 print(f"pub items: {total}")
 print(f"unnamed outside file: {unnamed}")
 print(f"unnamed outside file, outside artifact.rs: {unnamed_outside_artifact}")
 print(f"named only at definition: {definition_only}")
-sys.exit(1 if definition_only else 0)
+print(f"named only by examples: {example_only}")
+sys.exit(1 if definition_only or example_only else 0)
 PY

@@ -37,9 +37,11 @@ pub const TILE_ROWS: usize = 4096;
 const MAX_INDEX: u64 = 1 << 62;
 
 /// The window grid a block's timestamps derive from: the generator's
-/// `(window_s, duration_s, clock skew)` triple.  `t_s` and `span_s` are
-/// pure functions of the window index on this grid, replicated bitwise by
-/// [`EncodedBlock::decode`].
+/// `(window_s, duration_s, clock skew)` triple.  This is the one
+/// definition of the window layout — the fleet generator walks
+/// [`BlockGrid::windows`] and [`BlockGrid::bounds`], and `t_s` and
+/// `span_s` are pure functions of the window index on this grid,
+/// reconstructed bitwise by [`EncodedBlock::decode`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockGrid {
     /// Telemetry window length, seconds.
@@ -52,8 +54,37 @@ pub struct BlockGrid {
 
 impl BlockGrid {
     /// The grid's last window index (the partial tail).
-    fn n_full(&self) -> u64 {
+    fn last_window(&self) -> u64 {
         (self.duration_s / self.window_s).floor() as u64
+    }
+
+    /// How many windows the grid holds: the whole windows, plus the
+    /// partial tail averaging the rest of the duration unless it covers
+    /// no more than 1 ns (the duration is a whole number of windows).
+    pub fn windows(&self) -> u64 {
+        let last = self.last_window();
+        let (w_start, w_end) = self.bounds_on(last, last);
+        last + u64::from(w_end - w_start > 1e-9)
+    }
+
+    /// `(w_start, w_end)` of window `w`, seconds: `window_s` long, except
+    /// the partial tail, which ends at `duration_s`.
+    #[inline]
+    pub fn bounds(&self, w: u64) -> (f64, f64) {
+        self.bounds_on(self.last_window(), w)
+    }
+
+    /// [`BlockGrid::bounds`] with the grid's last window index computed
+    /// once by the caller rather than once per row.
+    #[inline]
+    fn bounds_on(&self, last: u64, w: u64) -> (f64, f64) {
+        let w_start = w as f64 * self.window_s;
+        let w_end = if w == last {
+            self.duration_s
+        } else {
+            w_start + self.window_s
+        };
+        (w_start, w_end)
     }
 
     /// Reconstructs `(t_s, span_s)` of window `w` exactly as the fleet
@@ -62,19 +93,14 @@ impl BlockGrid {
     /// `0.5 * (w_start + w_end)` — algebraically equal, bitwise distinct,
     /// so the reconstruction must follow the row's channel kind.
     pub fn stamp(&self, w: u64, rest_channel: bool) -> (f64, f64) {
-        self.stamp_on(self.n_full(), w, rest_channel)
+        self.stamp_on(self.last_window(), w, rest_channel)
     }
 
     /// [`BlockGrid::stamp`] with the grid's last window index computed
-    /// once by the caller rather than once per row.
+    /// once by the caller.
     #[inline]
-    fn stamp_on(&self, n_full: u64, w: u64, rest_channel: bool) -> (f64, f64) {
-        let w_start = w as f64 * self.window_s;
-        let w_end = if w == n_full {
-            self.duration_s
-        } else {
-            w_start + self.window_s
-        };
+    fn stamp_on(&self, last: u64, w: u64, rest_channel: bool) -> (f64, f64) {
+        let (w_start, w_end) = self.bounds_on(last, w);
         let span = w_end - w_start;
         let center = if rest_channel {
             0.5 * (w_start + w_end)
@@ -318,7 +344,7 @@ impl EncodedBlock {
         let mut tiles = Tiles {
             block: self,
             tile_rows: tile_rows.max(1),
-            n_full: self.grid.n_full(),
+            last_window: self.grid.last_window(),
             windows,
             window: 0,
             ranks,
@@ -525,7 +551,7 @@ pub struct Tiles<'a> {
     block: &'a EncodedBlock,
     tile_rows: usize,
     /// The grid's last window index, computed once per block.
-    n_full: u64,
+    last_window: u64,
     windows: Runs,
     /// The last window index handed out.
     window: i64,
@@ -618,10 +644,10 @@ impl Tiles<'_> {
             out.values[self.next_nan - self.row] = f64::NAN;
             self.next_nan = self.read_nan();
         }
-        let (grid, n_full) = (&self.block.grid, self.n_full);
+        let (grid, last) = (&self.block.grid, self.last_window);
         let rest_channel = self.block.slot == REST_SLOT;
         for &w in &out.windows {
-            let (t, s) = grid.stamp_on(n_full, w, rest_channel);
+            let (t, s) = grid.stamp_on(last, w, rest_channel);
             out.t_s.push(t);
             out.span_s.push(s);
         }

@@ -20,9 +20,7 @@
 //!
 //! Two extensions go beyond the paper: [`sensitivity`] quantifies how the
 //! headline numbers move when the "diffused" region boundaries shift, and
-//! [`policy`] builds minimal selective-capping policies from the Fig. 10
-//! cell ranking, and [`whatif`] assigns per-domain caps under slowdown
-//! budgets.
+//! [`whatif`] assigns per-domain caps under slowdown budgets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,7 +28,6 @@
 pub mod decompose;
 pub mod heatmap;
 pub mod modes;
-pub mod policy;
 pub mod project;
 pub mod report;
 pub mod sensitivity;
@@ -39,7 +36,6 @@ pub mod whatif;
 pub use decompose::{Coverage, EnergyLedger};
 pub use heatmap::{energy_saved, energy_used, Heatmap};
 pub use modes::Region;
-pub use policy::minimal_policy;
 pub use project::{project, Projection, ProjectionInput, ProjectionRow, SavingsBounds};
 pub use sensitivity::{boundary_sweep, Boundaries};
 pub use whatif::optimize_per_domain;

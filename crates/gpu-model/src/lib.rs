@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod boost;
-pub mod calibrate;
 pub mod cap;
 pub mod consts;
 pub mod device;

@@ -160,6 +160,20 @@ mod tests {
         let t_hi = estimate(&k, Freq::MAX).time_s;
         let t_lo = estimate(&k, Freq::from_mhz(850.0)).time_s;
         assert!((t_lo / t_hi - 2.0).abs() < 0.05, "ratio {}", t_lo / t_hi);
+
+        // An L2-resident stream is on-die bound however oversubscribed its
+        // HBM side, and the on-die roof scales with f down to the floor.
+        let l2 = KernelProfile::builder("l2")
+            .ondie_bytes(64e9)
+            .hbm_bytes(32e6)
+            .bw_oversub(3.0)
+            .build();
+        let top = estimate(&l2, Freq::MAX);
+        let low = estimate(&l2, Freq::from_mhz(500.0));
+        assert_eq!(top.bottleneck, Bottleneck::OnDie);
+        assert!(top.ondie_bw > 2.0 * GPU_HBM_BW, "L2 roof above HBM roof");
+        let ratio = low.ondie_bw / top.ondie_bw;
+        assert!((ratio - 500.0 / 1700.0).abs() < 0.02, "ratio {ratio}");
     }
 
     #[test]
@@ -169,9 +183,18 @@ mod tests {
             .bw_oversub(3.0)
             .flops(1.0)
             .build();
-        let t_hi = estimate(&k, Freq::MAX).time_s;
-        let t_lo = estimate(&k, Freq::from_mhz(700.0)).time_s;
+        let hi = estimate(&k, Freq::MAX);
+        let (t_hi, t_lo) = (hi.time_s, estimate(&k, Freq::from_mhz(700.0)).time_s);
         assert!((t_lo / t_hi - 1.0).abs() < 1e-9, "membench stays HBM-bound");
+        assert!(
+            (hi.hbm_bw / GPU_HBM_BW - 1.0).abs() < 0.05,
+            "HBM peak reached"
+        );
+        let mid = estimate(&k, Freq::from_mhz(900.0)).hbm_bw;
+        assert!(
+            (mid / hi.hbm_bw - 1.0).abs() < 0.02,
+            "HBM roof survives 900 MHz"
+        );
         // ... until the oversubscription runs out near the frequency floor.
         let t_min = estimate(&k, Freq::from_mhz(500.0)).time_s;
         assert!(t_min > t_hi * 1.05);
@@ -196,6 +219,15 @@ mod tests {
         }
         let plateau = estimate(&vai_like(64.0), Freq::MAX).flops_per_s;
         assert!((plateau - prev).abs() / plateau < 0.02, "flat roof");
+        let ceiling = GPU_PEAK_FLOPS * 0.268;
+        assert!(
+            (plateau / ceiling - 1.0).abs() < 0.02,
+            "{plateau} vs {ceiling}"
+        );
+        // The compute roof scales linearly with f.
+        let capped = estimate(&vai_like(64.0), Freq::from_mhz(900.0)).flops_per_s;
+        let ratio = capped / plateau;
+        assert!((ratio - 900.0 / 1700.0).abs() < 0.01, "ratio {ratio}");
     }
 
     #[test]

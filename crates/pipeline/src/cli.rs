@@ -329,7 +329,7 @@ fn resolve_spec(scale: Option<&str>, spec_path: Option<&str>) -> Result<Scenario
             let text = std::fs::read_to_string(path)?;
             ScenarioSpec::from_json(&Json::parse(&text)?)
         }
-        (None, Some(name)) => Ok(ScenarioSpec::preset(ScalePreset::from_name(name)?)),
+        (None, Some(name)) => ScalePreset::from_name("--scale", name).map(ScenarioSpec::preset),
         (None, None) => ScenarioSpec::from_env(),
     }
 }

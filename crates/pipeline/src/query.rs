@@ -109,16 +109,11 @@ impl Query {
 }
 
 fn parse_setting(knob: &str, value: &str) -> Result<CapSetting, PmssError> {
-    let v: f64 = value.parse().map_err(|_| {
-        PmssError::invalid_value("what-if value", value, "a finite cap value number")
-    })?;
-    if !v.is_finite() {
-        return Err(PmssError::invalid_value(
-            "what-if value",
-            value,
-            "a finite cap value number",
-        ));
-    }
+    let v = value
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| PmssError::invalid_value("what-if", value, "a finite cap value"))?;
     match knob {
         "freq_mhz" => Ok(CapSetting::FreqMhz(v)),
         "power_w" => Ok(CapSetting::PowerW(v)),

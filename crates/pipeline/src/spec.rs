@@ -71,12 +71,13 @@ impl ScalePreset {
         }
     }
 
-    /// Parses a preset name; unrecognized names are an explicit error.
-    pub(crate) fn from_name(name: &str) -> Result<ScalePreset, PmssError> {
+    /// Parses a preset name given through `source` (the flag or variable
+    /// the error names); unrecognized names are an explicit error.
+    pub(crate) fn from_name(source: &str, name: &str) -> Result<ScalePreset, PmssError> {
         ScalePreset::all()
             .into_iter()
             .find(|p| p.name() == name)
-            .ok_or_else(|| PmssError::invalid_value(SCALE_ENV, name, "quick | medium | large"))
+            .ok_or_else(|| PmssError::invalid_value(source, name, "quick | medium | large"))
     }
 
     /// Fleet shape of the preset: `(nodes, days)`.
@@ -151,7 +152,7 @@ impl ScenarioSpec {
     /// back to `quick`).
     pub(crate) fn from_env() -> Result<ScenarioSpec, PmssError> {
         match std::env::var(SCALE_ENV) {
-            Ok(value) => Ok(ScenarioSpec::preset(ScalePreset::from_name(&value)?)),
+            Ok(value) => ScalePreset::from_name(SCALE_ENV, &value).map(ScenarioSpec::preset),
             Err(std::env::VarError::NotPresent) => Ok(ScenarioSpec::preset(ScalePreset::Quick)),
             Err(std::env::VarError::NotUnicode(_)) => Err(PmssError::invalid_value(
                 SCALE_ENV,
@@ -671,9 +672,10 @@ mod tests {
 
     #[test]
     fn unknown_scale_name_is_an_explicit_error() {
-        let err = ScalePreset::from_name("huge").unwrap_err();
+        let err = ScalePreset::from_name("--scale", "huge").unwrap_err();
         assert!(matches!(err, PmssError::InvalidValue { .. }), "{err}");
         assert!(err.to_string().contains("huge"));
+        assert!(err.to_string().contains("--scale"), "{err}");
     }
 
     #[test]

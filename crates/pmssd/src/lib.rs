@@ -11,7 +11,7 @@
 //!
 //! * [`proto`] — the length-prefixed wire protocol and the typed
 //!   rejection-code vocabulary;
-//! * [`tenant`] — one worker thread per tenant fleet owning its engine,
+//! * `tenant` — one worker thread per tenant fleet owning its engine,
 //!   with bounded-queue backpressure and epoch-style snapshot
 //!   publication;
 //! * [`daemon`] — the accept loop, tenant registry, metrics endpoint,
@@ -37,4 +37,4 @@ pub mod cli;
 pub mod client;
 pub mod daemon;
 pub mod proto;
-pub mod tenant;
+mod tenant;

@@ -20,7 +20,7 @@ use std::sync::mpsc::{sync_channel, Sender as ReplySender, SyncSender};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
-use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock};
+use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock};
 use pmss_core::EnergyLedger;
 use pmss_econ::{EconSeries, EconTrace};
 use pmss_error::PmssError;
@@ -40,7 +40,7 @@ pub(crate) type Rejection = (&'static str, String);
 /// Commands a connection handler sends to a tenant worker.  Replies go
 /// over per-request rendezvous channels so every frame gets its own
 /// typed verdict.
-pub enum Command {
+pub(crate) enum Command {
     /// Decode and ingest one encoded block; reply once applied (or
     /// rejected with the engine's typed error).
     Block(EncodedBlock, ReplySender<Result<(), Rejection>>),
@@ -49,7 +49,7 @@ pub enum Command {
 }
 
 /// The shared, read-side view of one tenant (see module docs).
-pub struct TenantShared {
+pub(crate) struct TenantShared {
     /// Tenant name (the wire identity).
     pub name: String,
     /// The tenant's Table III — what-if and projection queries need it.
@@ -71,7 +71,7 @@ pub struct TenantShared {
 }
 
 /// One live tenant: the shared read view plus the worker's queue.
-pub struct Tenant {
+pub(crate) struct Tenant {
     /// Read-side handle.
     pub shared: Arc<TenantShared>,
     /// Bounded ingest queue into the worker.
@@ -88,7 +88,7 @@ pub struct Tenant {
 /// queue holds `queue_depth` frames, and the worker publishes a snapshot
 /// every `sync_interval` blocks (at least every block; FLUSH always
 /// publishes).
-pub fn spawn(
+pub(crate) fn spawn(
     name: &str,
     spec: &ScenarioSpec,
     queue_depth: usize,
@@ -106,9 +106,13 @@ pub fn spawn(
     // the fault plan's single duplicate), so no honest block has more
     // rows; a frame declaring more is refused before its decode
     // allocates anything.
-    let windows = (schedule.duration_s / pipeline.fleet_config().window_s).floor() as usize + 1;
+    let grid = BlockGrid {
+        window_s: pipeline.fleet_config().window_s,
+        duration_s: schedule.duration_s,
+        skew_s: 0.0,
+    };
     let codec = CodecConfig {
-        max_samples: 2 * windows,
+        max_samples: 2 * grid.windows() as usize,
     };
     let frontier_factor = spec.frontier_factor();
 

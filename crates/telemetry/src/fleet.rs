@@ -326,34 +326,24 @@ fn slot_window_events(
     emit: &mut impl FnMut(WindowEvent),
 ) {
     let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
-    let skew = plan.map_or(0.0, |p| p.clock_skew_s(node));
+    let grid = channel_grid(schedule, cfg, node);
+    let (windows, skew) = (grid.windows(), grid.skew_s);
     // Interpolation holds the last *clean generated* value: a glitched
     // sensor reading must not poison later gap fills.
     let mut last_good: Option<f64> = None;
     // Delivery ranks of every delivered copy, for the reorder tally.
     let mut ranks: Vec<(u64, u64)> = Vec::new();
-    let n_full = (schedule.duration_s / cfg.window_s).floor() as usize;
     // All of the channel's fault decisions, filled in one columnar pass
     // (bit-identical to the scalar per-window decision calls).
     if let Some(p) = plan {
-        p.fill_lane(node, slot, 0..n_full as u64 + 1, lane);
+        p.fill_lane(node, slot, 0..windows, lane);
     }
     let mut seg_idx = 0usize;
 
-    // `n_full` whole windows plus, when the duration is not an exact
-    // multiple of the window, one final partial window averaging the
-    // remaining covered span.
-    for w in 0..=n_full {
-        let w_start = w as f64 * cfg.window_s;
-        let w_end = if w == n_full {
-            schedule.duration_s
-        } else {
-            w_start + cfg.window_s
-        };
+    // Every window of the grid, the partial tail included.
+    for window in 0..windows {
+        let (w_start, w_end) = grid.bounds(window);
         let span = w_end - w_start;
-        if span <= 1e-9 {
-            break;
-        }
         let center = w_start + 0.5 * span;
 
         // Advance to the first segment overlapping this window.
@@ -399,7 +389,6 @@ fn slot_window_events(
         }
 
         let mean = (energy / span + cfg.noise_sd_w * standard_normal(rng)).max(0.0);
-        let window = w as u64;
         let Some(plan) = plan else {
             stats.gpu_sample(attributed.is_some());
             emit(WindowEvent {
@@ -511,36 +500,27 @@ fn node_rest_events(
     dropout: &mut Vec<bool>,
     emit: &mut impl FnMut(WindowEvent),
 ) {
-    let n_full = (schedule.duration_s / cfg.window_s).floor() as usize;
     let placements = &schedule.per_node[node as usize];
     let mut p_idx = 0usize;
     let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
-    let skew = plan.map_or(0.0, |p| p.clock_skew_s(node));
+    let grid = channel_grid(schedule, cfg, node);
+    let (windows, skew) = (grid.windows(), grid.skew_s);
     // Dropout decisions for the whole channel in one columnar pass,
     // amortized per dropout interval.
     if let Some(p) = plan {
-        p.fill_node_dropout(node, 0..n_full as u64 + 1, dropout);
+        p.fill_node_dropout(node, 0..windows, dropout);
     }
 
-    // Same window layout as `emit_windows`, including the partial tail.
-    #[allow(clippy::needless_range_loop)] // `w` drives the window math; `dropout[w]` is incidental
-    for w in 0..=n_full {
-        let w_start = w as f64 * cfg.window_s;
-        let w_end = if w == n_full {
-            schedule.duration_s
-        } else {
-            w_start + cfg.window_s
-        };
-        if w_end - w_start <= 1e-9 {
-            break;
-        }
+    // The GPU channels' window layout, centered as the mean of the bounds.
+    for w in 0..windows {
+        let (w_start, w_end) = grid.bounds(w);
         let t = 0.5 * (w_start + w_end);
         while p_idx < placements.len() && placements[p_idx].end_s <= t {
             p_idx += 1;
         }
         // A dropped-out node is silent on every channel: the rest-of-node
         // sample vanishes along with the GPU samples of the interval.
-        if plan.is_some() && dropout[w] {
+        if plan.is_some() && dropout[w as usize] {
             stats.faults_dropout_windows += 1;
             continue;
         }
@@ -554,8 +534,8 @@ fn node_rest_events(
             node,
             slot: REST_SLOT,
             sku,
-            window: w as u64,
-            rank: w as u64,
+            window: w,
+            rank: w,
             t_s: t + skew,
             span_s: w_end - w_start,
             kind: WindowKind::NodeRest {
@@ -668,9 +648,10 @@ impl<'a> FleetRun<'a> {
     /// One worker's scratch, its block holding at most `tile_rows` rows
     /// (and allocated for no more than one channel's windows).
     fn scratch(&self, tile_rows: usize) -> ChannelScratch {
-        let windows_hint = (self.schedule.duration_s / self.cfg.window_s).floor() as usize + 1;
+        // Skew moves no window bound, so node 0's grid counts every channel's.
+        let windows = channel_grid(self.schedule, self.cfg, 0).windows();
         ChannelScratch {
-            block: ColumnBlock::with_capacity(0, 0, windows_hint.min(tile_rows)),
+            block: ColumnBlock::with_capacity(0, 0, (windows as usize).min(tile_rows)),
             tile_rows,
             lane: FaultLane::new(),
             dropout: Vec::new(),
@@ -834,9 +815,9 @@ impl<'a> FleetRun<'a> {
 }
 
 /// The window grid `node`'s channels lie on: the run's window layout plus
-/// the node's clock skew under an active plan — what a store that derives
-/// timestamps instead of keeping them ([`crate::ResidentFleet`],
-/// [`crate::DeliveryTrace`]) declares per block.
+/// the node's clock skew under an active plan — what the generator walks,
+/// and what a store that derives timestamps instead of keeping them
+/// ([`crate::ResidentFleet`], [`crate::DeliveryTrace`]) declares per block.
 pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) -> BlockGrid {
     let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
     BlockGrid {

@@ -1,141 +1,88 @@
-//! Empirical Roofline Tool (ERT) reproduction.
+//! Empirical Roofline Tool (ERT) checks on the device model.
 //!
 //! The paper builds its VAI benchmark as an extension of the Empirical
-//! Roofline Toolkit (Sec. III-B-a): ERT discovers a machine's attainable
-//! compute and bandwidth ceilings *empirically*, by running FMA
-//! micro-kernels over a grid of working-set sizes and unroll depths and
-//! taking the best observed rates.  This module performs the same probe
-//! against the device model — useful both as a model sanity check (the
-//! empirical roof must match the analytic one) and as the reference-line
-//! source for roofline plots.
-
-use pmss_gpu::consts::GPU_L2_BYTES;
-use pmss_gpu::{Engine, Freq, GpuSettings, KernelProfile};
-
-use crate::vai::{VAI_BW_OVERSUB, VAI_FLOP_EFFICIENCY};
-
-/// Empirically discovered ceilings at one operating point.
-#[derive(Debug, Clone, Copy)]
-pub struct EmpiricalRoofline {
-    /// Operating frequency probed.
-    pub freq: Freq,
-    /// Best observed FLOP rate, FLOP/s.
-    pub peak_flops: f64,
-    /// Best observed HBM-level bandwidth, bytes/s.
-    pub peak_hbm_bw: f64,
-    /// Best observed cache-level bandwidth, bytes/s.
-    pub peak_l2_bw: f64,
-}
-
-impl EmpiricalRoofline {
-    /// The empirical ridge point, FLOP/byte.
-    pub fn ridge_ai(&self) -> f64 {
-        self.peak_flops / self.peak_hbm_bw
-    }
-}
-
-/// Probe grid: unroll depths for the compute probe and working-set sizes
-/// for the bandwidth probes.
-#[derive(Debug, Clone)]
-pub struct ErtConfig {
-    /// FMA unroll depths (each gives arithmetic intensity `2*u/16` in the
-    /// VAI accounting).
-    pub unrolls: Vec<u64>,
-    /// Working-set sizes for the bandwidth probes, bytes.
-    pub working_sets: Vec<u64>,
-    /// Bytes of traffic per probe.
-    pub traffic: f64,
-}
-
-impl Default for ErtConfig {
-    fn default() -> Self {
-        ErtConfig {
-            unrolls: vec![1, 4, 16, 64, 256, 1024, 4096, 16384],
-            working_sets: (0..12).map(|k| (512 * 1024u64) << k).collect(),
-            traffic: 64e9,
-        }
-    }
-}
-
-fn compute_probe(unroll: u64, traffic: f64) -> KernelProfile {
-    let flops = traffic * (2.0 * unroll as f64) / 32.0;
-    KernelProfile::builder(format!("ert-fma-u{unroll}"))
-        .flops(flops)
-        .hbm_bytes(traffic)
-        .flop_efficiency(VAI_FLOP_EFFICIENCY)
-        .bw_oversub(VAI_BW_OVERSUB)
-        .build()
-}
-
-fn bandwidth_probe(working_set: u64, traffic: f64) -> KernelProfile {
-    // Same residency logic as the membench: cache-resident sets stress the
-    // on-die path, spilled sets stress HBM.
-    let resident = working_set <= GPU_L2_BYTES;
-    let builder = KernelProfile::builder(format!("ert-bw-{working_set}"))
-        .ondie_bytes(traffic)
-        .flops(0.0)
-        .bw_oversub(3.0);
-    if resident {
-        builder.hbm_bytes(working_set as f64).build()
-    } else {
-        builder.hbm_bytes(traffic).build()
-    }
-}
-
-/// Runs the ERT probe at one frequency.
-pub fn probe(engine: &Engine, freq: Freq, cfg: &ErtConfig) -> EmpiricalRoofline {
-    let settings = GpuSettings::freq_capped(freq.mhz());
-
-    let peak_flops = cfg
-        .unrolls
-        .iter()
-        .map(|&u| {
-            engine
-                .execute(&compute_probe(u, cfg.traffic), settings)
-                .perf
-                .flops_per_s
-        })
-        .fold(0.0, f64::max);
-
-    let mut peak_hbm_bw: f64 = 0.0;
-    let mut peak_l2_bw: f64 = 0.0;
-    for &ws in &cfg.working_sets {
-        let ex = engine.execute(&bandwidth_probe(ws, cfg.traffic), settings);
-        if ws <= GPU_L2_BYTES {
-            peak_l2_bw = peak_l2_bw.max(ex.perf.ondie_bw);
-        } else {
-            peak_hbm_bw = peak_hbm_bw.max(ex.perf.hbm_bw);
-        }
-    }
-
-    EmpiricalRoofline {
-        freq,
-        peak_flops,
-        peak_hbm_bw,
-        peak_l2_bw,
-    }
-}
-
-/// Probes the full DVFS ladder.
-pub fn probe_ladder(engine: &Engine, cfg: &ErtConfig) -> Vec<EmpiricalRoofline> {
-    [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0]
-        .iter()
-        .map(|&mhz| probe(engine, Freq::from_mhz(mhz), cfg))
-        .collect()
-}
+//! Roofline Toolkit (Sec. III-B-a): ERT finds a machine's attainable
+//! compute and bandwidth ceilings by running FMA micro-kernels over a grid
+//! of unroll depths and working-set sizes and taking the best observed
+//! rates.  These tests run that probe against the device model and check
+//! that the empirical roofs match the analytic ones in `pmss_gpu::perf`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use pmss_gpu::consts::{GPU_HBM_BW, GPU_PEAK_FLOPS};
+    use pmss_gpu::consts::{GPU_HBM_BW, GPU_L2_BYTES, GPU_PEAK_FLOPS};
+    use pmss_gpu::{Engine, Freq, GpuSettings, KernelProfile};
 
-    fn full_speed() -> EmpiricalRoofline {
-        probe(&Engine::default(), Freq::MAX, &ErtConfig::default())
+    use crate::vai::{VAI_BW_OVERSUB, VAI_FLOP_EFFICIENCY};
+
+    const UNROLLS: [u64; 8] = [1, 4, 16, 64, 256, 1024, 4096, 16384];
+    const TRAFFIC: f64 = 64e9;
+
+    /// Best observed rates at one frequency.
+    struct EmpiricalRoofline {
+        freq: Freq,
+        peak_flops: f64,
+        peak_hbm_bw: f64,
+        peak_l2_bw: f64,
+    }
+
+    fn compute_probe(unroll: u64) -> KernelProfile {
+        KernelProfile::builder(format!("ert-fma-u{unroll}"))
+            .flops(TRAFFIC * (2.0 * unroll as f64) / 32.0)
+            .hbm_bytes(TRAFFIC)
+            .flop_efficiency(VAI_FLOP_EFFICIENCY)
+            .bw_oversub(VAI_BW_OVERSUB)
+            .build()
+    }
+
+    /// Cache-resident sets stress the on-die path, spilled sets stress HBM.
+    fn bandwidth_probe(working_set: u64) -> KernelProfile {
+        let hbm = if working_set <= GPU_L2_BYTES {
+            working_set as f64
+        } else {
+            TRAFFIC
+        };
+        KernelProfile::builder(format!("ert-bw-{working_set}"))
+            .ondie_bytes(TRAFFIC)
+            .hbm_bytes(hbm)
+            .flops(0.0)
+            .bw_oversub(3.0)
+            .build()
+    }
+
+    fn probe(freq: Freq) -> EmpiricalRoofline {
+        let engine = Engine::default();
+        let settings = GpuSettings::freq_capped(freq.mhz());
+        let peak_flops = UNROLLS
+            .iter()
+            .map(|&u| engine.execute(&compute_probe(u), settings).perf.flops_per_s)
+            .fold(0.0, f64::max);
+        let (mut peak_hbm_bw, mut peak_l2_bw) = (0.0f64, 0.0f64);
+        for ws in (0..12).map(|k| (512 * 1024u64) << k) {
+            let perf = engine.execute(&bandwidth_probe(ws), settings).perf;
+            if ws <= GPU_L2_BYTES {
+                peak_l2_bw = peak_l2_bw.max(perf.ondie_bw);
+            } else {
+                peak_hbm_bw = peak_hbm_bw.max(perf.hbm_bw);
+            }
+        }
+        EmpiricalRoofline {
+            freq,
+            peak_flops,
+            peak_hbm_bw,
+            peak_l2_bw,
+        }
+    }
+
+    fn probe_ladder() -> Vec<EmpiricalRoofline> {
+        [1700.0, 1500.0, 1300.0, 1100.0, 900.0, 700.0, 500.0]
+            .iter()
+            .map(|&mhz| probe(Freq::from_mhz(mhz)))
+            .collect()
     }
 
     #[test]
     fn empirical_flop_peak_matches_vai_ceiling() {
-        let r = full_speed();
+        let r = probe(Freq::MAX);
         let expected = GPU_PEAK_FLOPS * VAI_FLOP_EFFICIENCY;
         assert!(
             (r.peak_flops / expected - 1.0).abs() < 0.02,
@@ -147,20 +94,21 @@ mod tests {
 
     #[test]
     fn empirical_bandwidth_matches_hbm_peak() {
-        let r = full_speed();
+        let r = probe(Freq::MAX);
         assert!((r.peak_hbm_bw / GPU_HBM_BW - 1.0).abs() < 0.05);
         assert!(r.peak_l2_bw > 2.0 * r.peak_hbm_bw, "L2 roof above HBM roof");
     }
 
     #[test]
     fn empirical_ridge_is_at_four() {
-        let r = full_speed();
-        assert!((r.ridge_ai() - 4.0).abs() < 0.2, "ridge {}", r.ridge_ai());
+        let r = probe(Freq::MAX);
+        let ridge = r.peak_flops / r.peak_hbm_bw;
+        assert!((ridge - 4.0).abs() < 0.2, "ridge {ridge}");
     }
 
     #[test]
     fn ladder_probe_scales_compute_linearly() {
-        let ladder = probe_ladder(&Engine::default(), &ErtConfig::default());
+        let ladder = probe_ladder();
         let top = &ladder[0];
         let mid = ladder.iter().find(|r| r.freq.mhz() == 900.0).unwrap();
         let ratio = mid.peak_flops / top.peak_flops;
@@ -171,7 +119,7 @@ mod tests {
 
     #[test]
     fn l2_roof_scales_with_frequency() {
-        let ladder = probe_ladder(&Engine::default(), &ErtConfig::default());
+        let ladder = probe_ladder();
         let top = &ladder[0];
         let low = ladder.last().unwrap();
         let ratio = low.peak_l2_bw / top.peak_l2_bw;

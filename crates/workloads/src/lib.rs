@@ -13,13 +13,13 @@
 //! * [`sweep`] — frequency- and power-cap sweep harness with Fig. 5-style
 //!   normalization;
 //! * [`table3`] — the benchmark-derived scaling factors (Table III);
-//! * [`phases`] — synthetic phased applications for the fleet simulation;
-//! * [`ert`] — an Empirical Roofline Tool probe against the device model.
+//! * [`phases`] — synthetic phased applications for the fleet simulation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ert;
+#[cfg(test)]
+mod ert;
 pub mod membench;
 pub mod phases;
 pub mod sweep;

@@ -83,3 +83,45 @@ fn oversized_specs_are_typed_errors_not_aborts() {
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
 }
+
+/// A bad value is reported under the name the user gave it: `--scale` on
+/// the command line, `PMSS_SCALE` from the environment, and a what-if
+/// value without the word "value" twice.
+#[test]
+fn errors_name_the_flag_or_variable_that_carried_the_value() {
+    let run = |args: &[&str], scale_env: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pmss"));
+        cmd.args(args).env_remove("PMSS_SCALE");
+        if let Some(value) = scale_env {
+            cmd.env("PMSS_SCALE", value);
+        }
+        cmd.output().expect("pmss runs")
+    };
+    for (args, scale_env, expected) in [
+        (
+            &["stats", "--scale", "nope"][..],
+            None,
+            "pmss: invalid --scale value \"nope\": expected quick | medium | large\n",
+        ),
+        (
+            &["stats"][..],
+            Some("nope"),
+            "pmss: invalid PMSS_SCALE value \"nope\": expected quick | medium | large\n",
+        ),
+        (
+            &["query", "whatif", "freq_mhz", "NaN"][..],
+            None,
+            "pmss: invalid what-if value \"NaN\": expected a finite cap value\n",
+        ),
+        (
+            &["query", "whatif", "power_w", "four hundred"][..],
+            None,
+            "pmss: invalid what-if value \"four hundred\": expected a finite cap value\n",
+        ),
+    ] {
+        let out = run(args, scale_env);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {:?}", out.status);
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{args:?}");
+    }
+}

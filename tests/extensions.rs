@@ -1,7 +1,7 @@
-//! Integration tests for the beyond-the-paper extensions: governors,
-//! calibration, policy exploration, and the projection-validation loop.
+//! Integration tests for the beyond-the-paper extensions: the phase
+//! governors and the region-boundary sensitivity sweep.
 
-use pmss::gpu::{Engine, GovernedTotals, Governor, GpuSettings, KernelProfile};
+use pmss::gpu::{Engine, GovernedTotals, Governor, KernelProfile};
 use pmss::workloads::phases::synthesize_app;
 use pmss::workloads::AppClass;
 use rand::rngs::StdRng;
@@ -57,43 +57,6 @@ fn slowdown_budget_governor_respects_budget_on_every_app_class() {
             assert!(t.energy_saving() >= -1e-9);
         }
     }
-}
-
-#[test]
-fn calibration_recovers_the_engine_model_from_benchmark_runs() {
-    // End-to-end calibration: measure (utilization, power) pairs by
-    // executing real benchmark kernels, fit, and verify the fitted model
-    // predicts held-out kernels.
-    use pmss::gpu::calibrate::{fit, Observation};
-    use pmss::gpu::Freq;
-    use pmss::workloads::vai::{kernel, VaiParams};
-
-    let engine = Engine::default();
-    let mut obs = Vec::new();
-    for ai in [0.0625, 0.5, 2.0, 16.0, 512.0] {
-        let k = kernel(VaiParams::for_intensity(ai, 1 << 26, 2));
-        for mhz in [1700.0, 1300.0, 900.0, 600.0] {
-            let ex = engine.execute(&k, GpuSettings::freq_capped(mhz));
-            obs.push(Observation {
-                util: ex.perf.util,
-                freq: ex.freq,
-                power_w: ex.busy_power_w,
-            });
-        }
-    }
-    let fitted = fit(&obs, engine.power_model().curve).expect("fit");
-
-    // Held-out prediction: the membench HBM point.
-    let k = pmss::workloads::membench::kernel(
-        pmss::workloads::membench::MembenchParams::sized_for(1 << 28, 3.0),
-    );
-    let ex = engine.execute(&k, GpuSettings::uncapped());
-    let predicted = fitted.demand_w(ex.perf.util, Freq::MAX);
-    assert!(
-        (predicted - ex.busy_power_w).abs() < 0.05 * ex.busy_power_w,
-        "predicted {predicted} vs measured {}",
-        ex.busy_power_w
-    );
 }
 
 #[test]
