@@ -278,6 +278,11 @@ impl ColumnBlock {
     /// Stable-sorts the block into arrival order — by `(rank, window)`,
     /// duplicate deliveries (equal keys) kept adjacent in push order —
     /// realizing a fault plan's bounded reordering in the block itself.
+    ///
+    /// The sort is one counting pass by rank, which orders equal ranks by
+    /// push order.  That is `(rank, window)` order when rows sharing a rank
+    /// were pushed in ascending window order, which holds whenever all rows
+    /// were, as the fleet generator pushes them.  Debug builds assert it.
     pub fn sort_arrival(&mut self) {
         let n = self.len();
         // Fast path: already in arrival order (always true without an
@@ -287,11 +292,22 @@ impl ColumnBlock {
         {
             return;
         }
-        let mut idx: Vec<u32> = (0..u32::try_from(n).expect("block row count fits u32")).collect();
-        idx.sort_by_key(|&i| (self.ranks[i as usize], self.windows[i as usize]));
-        fn gather<T: Copy>(col: &mut Vec<T>, idx: &[u32]) {
-            let out: Vec<T> = idx.iter().map(|&i| col[i as usize]).collect();
-            *col = out;
+        let idx = arrival_order(&self.ranks);
+        debug_assert!(
+            idx.windows(2).all(|p| {
+                let (a, b) = (p[0] as usize, p[1] as usize);
+                (self.ranks[a], self.windows[a]) <= (self.ranks[b], self.windows[b])
+            }),
+            "rows sharing a rank must be pushed in ascending window order"
+        );
+        // Gathered in place: the columns keep their allocations, so a
+        // scratch block sorted channel after channel does not scatter fresh
+        // column buffers across the heap.
+        fn gather<T: Copy>(col: &mut [T], idx: &[u32]) {
+            let src = col.to_vec();
+            for (dst, &i) in col.iter_mut().zip(idx) {
+                *dst = src[i as usize];
+            }
         }
         gather(&mut self.windows, &idx);
         gather(&mut self.ranks, &idx);
@@ -314,6 +330,34 @@ impl ColumnBlock {
             + self.values.capacity() * 8
             + self.jobs.capacity() * 4
     }
+}
+
+/// The indices of `ranks` ordered by rank, equal ranks in index order: a
+/// stable counting pass, one count per rank between the least and the
+/// greatest, so O(rows + rank span) without a comparison.  A fault plan
+/// delivers window `w` at a rank in `[w, w + depth]`, so a channel's rank
+/// span is at most its window span plus the reorder depth.
+fn arrival_order(ranks: &[u64]) -> Vec<u32> {
+    let (Some(&lo), Some(&hi)) = (ranks.iter().min(), ranks.iter().max()) else {
+        return Vec::new();
+    };
+    let span = usize::try_from(hi - lo).expect("rank span fits in memory") + 1;
+    // Per rank: first its row count, then the next output position.
+    let mut at = vec![0u32; span];
+    for &r in ranks {
+        at[(r - lo) as usize] += 1;
+    }
+    let mut next = 0u32;
+    for c in at.iter_mut() {
+        (*c, next) = (next, next + *c);
+    }
+    let mut order = vec![0u32; ranks.len()];
+    for (i, &r) in ranks.iter().enumerate() {
+        let slot = &mut at[(r - lo) as usize];
+        order[*slot as usize] = u32::try_from(i).expect("block row count fits u32");
+        *slot += 1;
+    }
+    order
 }
 
 #[cfg(test)]
@@ -464,5 +508,58 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.channel(), (5, 2));
         assert_eq!(b.column_bytes(), bytes, "reset must not shed capacity");
+    }
+
+    /// A channel delivered under an arbitrary reordering plan: windows
+    /// `0..n` pushed in ascending order, each dropped, delivered once, or
+    /// duplicated (the copies told apart by their value), at a rank up to
+    /// `depth` past its window.
+    fn reordered_block(n: u64, depth: u64, seed: u64) -> ColumnBlock {
+        let mut b = ColumnBlock::new(3, 1);
+        let mut z = seed;
+        for w in 0..n {
+            z = z
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(0x2545_f491);
+            let h = z ^ (z >> 29);
+            if h.is_multiple_of(10) {
+                continue;
+            }
+            let rank = w + (h >> 8) % (depth + 1);
+            let copies = if (h >> 4).is_multiple_of(5) { 2 } else { 1 };
+            for copy in 0..copies {
+                b.push(&ev(
+                    w,
+                    rank,
+                    WindowKind::Sample {
+                        power_w: copy as f64,
+                        job: None,
+                    },
+                ));
+            }
+        }
+        b
+    }
+
+    proptest::proptest! {
+        /// The counting pass puts a block in the order the stable
+        /// comparison sort by `(rank, window)` does, duplicates in push
+        /// order, at reorder depths up to the largest a plan may declare.
+        #[test]
+        fn sort_arrival_matches_the_comparison_sort(
+            n in 0u64..600,
+            shallow in 0u64..24,
+            deep in 0u64..=4096,
+            pick_deep in 0u8..2,
+            seed in 0u64..1 << 32,
+        ) {
+            let depth = if pick_deep == 1 { deep } else { shallow };
+            let mut b = reordered_block(n, depth, seed);
+            let mut want: Vec<WindowEvent> = b.iter().collect();
+            want.sort_by_key(|e| (e.rank, e.window));
+            b.sort_arrival();
+            let got: Vec<WindowEvent> = b.iter().collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

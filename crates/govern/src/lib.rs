@@ -27,8 +27,11 @@
 //!   `static | greedy | polimer` presets;
 //! * `ChannelAccum` — the mode-sensing observer the stream engine keeps
 //!   one of per channel;
-//! * [`run_governor`] — the deterministic replay loop producing a
-//!   [`GovernOutcome`].
+//! * [`run_governor`] — the deterministic replay loop: one pass over the
+//!   delivered telemetry for any number of plans, one controller per plan,
+//!   producing a [`GovernOutcome`] per plan in plan order.  Sensing does
+//!   not depend on the plan, so the plans share one stream engine and its
+//!   snapshots; each outcome equals a replay of its plan alone.
 
 mod channels;
 mod plan;

@@ -1,21 +1,26 @@
 //! The governor replay loop: deterministic, delivery-ordered, budget-safe.
 //!
-//! [`run_governor`] replays a fleet's telemetry [`WindowEvent`]s in
-//! delivery-rank order through a [`StreamEngine`] carrying the
-//! [`ChannelAccum`] sensing observer.  At every sync-window boundary it
-//! takes the engine's per-channel snapshots, diffs them against the
+//! [`run_governor`] replays a fleet's telemetry [`WindowEvent`]s once, in
+//! delivery-rank order, through one [`StreamEngine`] carrying the
+//! [`ChannelAccum`] sensing observer, for every plan it is given.  Each
+//! plan has its own controller.  At each of its sync-window boundaries the
+//! controller diffs the engine's per-channel snapshots against its
 //! previous round's to get the round's per-channel telemetry, and decides
 //! the next round's caps; the decisions then meet the telemetry again on
 //! the accounting side, where each delivered window is charged the Table
-//! III energy/runtime factor of whatever cap the governor actually had in
-//! force for that window's round.
+//! III energy/runtime factor of whatever cap the plan actually had in
+//! force for that window's round.  Sensing is the same for every plan, so
+//! the plans share the engine and the snapshots; control state (caps,
+//! hysteresis, capped channels, history) is per plan, in dense tables
+//! indexed by channel.
 //!
 //! Everything is a pure function of the event sequence: no wall clock, no
 //! randomness — the same discipline that makes the streaming ledger
 //! bit-identical to the batch path makes the governor byte-identical
-//! across repeat runs.
+//! across repeat runs, and each plan's outcome the same whether it is
+//! replayed alone or beside others.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use pmss_core::Region;
 use pmss_error::PmssError;
@@ -198,20 +203,29 @@ impl MetricNames {
     }
 }
 
+/// Telemetry channels per node: the GPU slots plus rest-of-node.
+const CHANNELS_PER_NODE: usize = REST_SLOT as usize + 1;
+
+/// Dense index of channel `(node, slot)` in a fleet-wide channel table.
+fn channel_index(node: u32, slot: u8) -> usize {
+    node as usize * CHANNELS_PER_NODE + slot as usize
+}
+
 /// The caps in force during one round.
 #[derive(Debug, Clone, Default)]
 struct Assignment {
     /// Every channel is mode-capped (the `static` policy).
     all_capped: bool,
-    /// Channels mode-capped by classification.
-    capped: BTreeSet<(u32, u8)>,
+    /// Channels mode-capped by classification, indexed by
+    /// [`channel_index`] (empty under `static`, which never classifies).
+    capped: Vec<bool>,
     /// Per-node power-throttle setting, when the node exceeded its cap.
     throttle: Vec<Option<CapSetting>>,
 }
 
 impl Assignment {
     fn setting_for(&self, node: u32, slot: u8, cap: CapSetting) -> Option<CapSetting> {
-        if self.all_capped || self.capped.contains(&(node, slot)) {
+        if self.all_capped || self.capped[channel_index(node, slot)] {
             Some(cap)
         } else {
             self.throttle.get(node as usize).copied().flatten()
@@ -234,22 +248,31 @@ fn factor_row(table3: &Table3, cap: CapSetting) -> Result<Table3Row, PmssError> 
     })
 }
 
-/// Runs one governed replay of `events` — the run in delivery order,
-/// `(rank, node, slot, window)` ascending, consumed one event at a time so
-/// the caller never has to hold them as a slice (the pipeline passes
-/// `pmss_telemetry::DeliveryTrace::iter`) — and returns the outcome.  The
-/// result is a pure function of the arguments.
+/// Runs one governed replay of `events` for every plan in `plans` and
+/// returns their outcomes in plan order.  `events` is the run in delivery
+/// order, `(rank, node, slot, window)` ascending, consumed one event at a
+/// time so the caller never has to hold them as a slice (the pipeline
+/// passes `pmss_telemetry::DeliveryTrace::iter`).
+///
+/// What is sensed does not depend on the plan — a plan's caps only change
+/// how a delivered window is accounted — so the plans share one pass: one
+/// [`StreamEngine`] ingests each event once, and one
+/// `channel_snapshots()` serves every plan that crosses a round boundary
+/// at that event.  Each plan's controller keeps its own round cadence,
+/// assignment history, caps and outcome, and accounts every event the
+/// engine admits.  Each outcome equals a replay of its plan alone, and
+/// every result is a pure function of the arguments.
+///
+/// Errors come in slice order: an invalid `window_s` first, then the first
+/// plan whose cap has no factor-table row.
 pub fn run_governor(
     schedule: &Schedule,
     events: impl IntoIterator<Item = WindowEvent>,
     stream_cfg: StreamConfig,
-    resolved: &ResolvedPlan,
+    plans: &[ResolvedPlan],
     table3: &Table3,
     window_s: f64,
-) -> Result<GovernOutcome, PmssError> {
-    let plan = &resolved.plan;
-    let nodes = resolved.nodes;
-    let budget_w = resolved.budget_w;
+) -> Result<Vec<GovernOutcome>, PmssError> {
     if !(window_s.is_finite() && window_s > 0.0) {
         return Err(PmssError::invalid_value(
             "governor window_s",
@@ -257,7 +280,6 @@ pub fn run_governor(
             "a finite positive telemetry window",
         ));
     }
-    let cap_row = factor_row(table3, resolved.cap)?;
     // Throttle ladder: the non-baseline power settings, each with its own
     // factor row so throttled windows are charged honestly.
     let throttle_rows: Vec<Table3Row> = table3
@@ -266,77 +288,33 @@ pub fn run_governor(
         .filter(|r| !r.setting.is_baseline())
         .cloned()
         .collect();
-
-    let interval = plan.interval_windows as u64;
-    let round_span_s = interval as f64 * window_s;
-    // How many past rounds an in-horizon late delivery can still reach.
-    let keep_rounds = (stream_cfg.reorder_horizon / interval) as usize + 2;
+    // `admit` refuses any channel outside the schedule's fleet, so every
+    // channel an engine-admitted event names indexes these tables.
+    let channels = schedule.per_node.len() * CHANNELS_PER_NODE;
+    let mut ctrls = plans
+        .iter()
+        .map(|r| Controller::new(r, table3, window_s, stream_cfg, channels))
+        .collect::<Result<Vec<_>, PmssError>>()?;
 
     let mut eng: StreamEngine<'_, ChannelAccum> = StreamEngine::new(schedule, stream_cfg)?;
-    // Every channel's sensed totals at the previous sync window.
-    let mut prev_snap: BTreeMap<(u32, u8), ChannelAccum> = BTreeMap::new();
-
-    // Control state.
-    let mut caps: Vec<f64> =
-        vec![(budget_w / nodes as f64).clamp(plan.node_floor_w, plan.node_ceiling_w); nodes];
-    let mut pending: BTreeMap<(u32, u8), (bool, u32)> = BTreeMap::new();
-    let mut current = Assignment {
-        all_capped: plan.policy == Policy::Static,
-        capped: BTreeSet::new(),
-        throttle: vec![None; nodes],
-    };
-
-    let initial_sum: f64 = caps.iter().sum();
-    let mut out = GovernOutcome {
-        policy: plan.policy,
-        cap: resolved.cap,
-        budget_w,
-        interval_s: round_span_s,
-        rounds: 0,
-        rebalances: 0,
-        cap_churn: 0,
-        hysteresis_suppressions: 0,
-        throttled_node_rounds: 0,
-        peak_budget_utilization: initial_sum / budget_w,
-        budget_exceeded: initial_sum > budget_w * (1.0 + 1e-9),
-        regions: Default::default(),
-        stream: StreamStats::default(),
-    };
-
-    // Assignment history: `history[i]` governed round `base_round + i`.
-    let mut history: VecDeque<Assignment> = VecDeque::new();
-    history.push_back(current.clone());
-    let mut base_round: u64 = 0;
-    let mut round: u64 = 0;
+    // Every live channel's sensed totals, canonical order, as of the last
+    // event at which a sensing plan crossed a round boundary.
+    let mut snap: Vec<((u32, u8), ChannelAccum)> = Vec::new();
 
     for ev in events {
         // Cross every sync-window boundary between the previous event's
-        // rank and this one's: snapshot, classify, rebalance, decide.  The
-        // snapshot happens before this event is ingested, so a decision
-        // only ever sees telemetry from strictly earlier ranks.
-        while ev.rank >= (round + 1) * interval {
-            round += 1;
-            out.rounds += 1;
-            if plan.policy != Policy::Static {
-                let snap: BTreeMap<(u32, u8), ChannelAccum> = eng.channel_snapshots().collect();
-                decide(
-                    &snap,
-                    &prev_snap,
-                    plan,
-                    budget_w,
-                    round_span_s,
-                    &mut caps,
-                    &mut pending,
-                    &mut current,
-                    &throttle_rows,
-                    &mut out,
-                );
-                prev_snap = snap;
-            }
-            history.push_back(current.clone());
-            while history.len() > keep_rounds {
-                history.pop_front();
-                base_round += 1;
+        // rank and this one's.  The snapshot is taken before this event is
+        // ingested, so a decision only ever sees telemetry from strictly
+        // earlier ranks — and once, however many plans cross here.
+        let mut sensed = false;
+        for c in &mut ctrls {
+            while ev.rank >= c.next_rank {
+                if c.senses() && !sensed {
+                    snap.clear();
+                    snap.extend(eng.channel_snapshots());
+                    sensed = true;
+                }
+                c.cross(&snap, &throttle_rows);
             }
         }
 
@@ -345,199 +323,318 @@ pub fn run_governor(
             // neither sensed nor governed.
             continue;
         }
-
-        // Accounting: charge the window the factor of whatever cap its
-        // round's decision had in force.
-        let ev_round = ev.window / interval;
-        let idx = (ev_round.saturating_sub(base_round) as usize).min(history.len() - 1);
-        let assign = &history[idx];
-        account(ev, assign, resolved.cap, &cap_row, &throttle_rows, &mut out);
+        if let Some(charge) = Charge::of(&ev) {
+            for c in &mut ctrls {
+                c.account(&ev, &charge, &throttle_rows);
+            }
+        }
     }
     eng.flush();
-    out.stream = eng.stats();
-    Ok(out)
+    let stream = eng.stats();
+    Ok(ctrls
+        .into_iter()
+        .map(|c| GovernOutcome { stream, ..c.out })
+        .collect())
 }
 
-/// Applies one delivered event to the outcome tallies.
-fn account(
-    ev: WindowEvent,
-    assign: &Assignment,
-    cap: CapSetting,
-    cap_row: &Table3Row,
-    throttle_rows: &[Table3Row],
-    out: &mut GovernOutcome,
-) {
-    if ev.slot == REST_SLOT {
-        return;
-    }
-    let (power_w, span_s) = match ev.kind {
-        WindowKind::Sample { power_w, .. } => (power_w, ev.span_s),
-        WindowKind::Gap { fill, .. } => match fill {
-            GapFill::Excluded => return,
-            GapFill::Interpolated(w) | GapFill::Idle(w) => (w, ev.span_s),
-        },
-        WindowKind::NodeRest { .. } => return,
-    };
-    if !power_w.is_finite() {
-        return;
-    }
-    let region = Region::of_power(power_w);
-    let tally = &mut out.regions[region.index()];
-    let energy_j = power_w * span_s;
-    tally.seconds += span_s;
-    tally.joules += energy_j;
-    if !region.cappable() {
-        return;
-    }
-    let Some(setting) = assign.setting_for(ev.node, ev.slot, cap) else {
-        return;
-    };
-    let row = if setting == cap {
-        cap_row
-    } else {
-        match throttle_rows.iter().find(|r| r.setting == setting) {
-            Some(r) => r,
-            // A throttle setting is always drawn from `throttle_rows`;
-            // tolerate a mismatch by charging nothing.
-            None => return,
-        }
-    };
-    let f = match region {
-        Region::MemoryIntensive => &row.mb,
-        _ => &row.vai,
-    };
-    tally.capped_j += energy_j;
-    tally.saved_j += energy_j * (1.0 - f.energy_pct / 100.0);
-    tally.extra_s += span_s * (f.runtime_pct - 100.0) / 100.0;
+/// What one delivered GPU window puts on the books, whatever the plan:
+/// its Table IV region, span and energy.
+struct Charge {
+    region: Region,
+    span_s: f64,
+    energy_j: f64,
 }
 
-/// One sync-window decision: classify channels, apply hysteresis, and —
-/// under `polimer` — rebalance the cluster budget and derive throttles.
-#[allow(clippy::too_many_arguments)]
-fn decide(
-    snap: &BTreeMap<(u32, u8), ChannelAccum>,
-    prev: &BTreeMap<(u32, u8), ChannelAccum>,
-    plan: &GovernorPlan,
-    budget_w: f64,
-    round_span_s: f64,
-    caps: &mut [f64],
-    pending: &mut BTreeMap<(u32, u8), (bool, u32)>,
-    current: &mut Assignment,
-    throttle_rows: &[Table3Row],
-    out: &mut GovernOutcome,
-) {
-    let nodes = caps.len();
-    let mut observed_w = vec![0.0f64; nodes];
-
-    // Classify every channel that sensed telemetry this round.
-    for (&(node, slot), acc) in snap {
-        let delta = acc.minus(&prev.get(&(node, slot)).copied().unwrap_or_default());
-        if slot == REST_SLOT {
-            continue;
+impl Charge {
+    /// The charge of `ev`, or `None` for a window nothing is charged for
+    /// (rest-of-node, excluded gap, non-finite reading).
+    fn of(ev: &WindowEvent) -> Option<Charge> {
+        if ev.slot == REST_SLOT {
+            return None;
         }
-        if (node as usize) < nodes {
-            observed_w[node as usize] += delta.total_j().max(0.0) / round_span_s;
-        }
-        let Some(region) = delta.dominant_region() else {
-            continue;
+        let power_w = match ev.kind {
+            WindowKind::Sample { power_w, .. } => power_w,
+            WindowKind::Gap { fill, .. } => match fill {
+                GapFill::Excluded => return None,
+                GapFill::Interpolated(w) | GapFill::Idle(w) => w,
+            },
+            WindowKind::NodeRest { .. } => return None,
         };
-        let want = region == Region::MemoryIntensive;
-        let key = (node, slot);
-        let have = current.capped.contains(&key);
-        if want == have {
-            pending.remove(&key);
-            continue;
+        if !power_w.is_finite() {
+            return None;
         }
-        if plan.hysteresis_rounds > 0 {
-            let entry = pending.entry(key).or_insert((want, 0));
-            if entry.0 != want {
-                *entry = (want, 0);
+        Some(Charge {
+            region: Region::of_power(power_w),
+            span_s: ev.span_s,
+            energy_j: power_w * ev.span_s,
+        })
+    }
+}
+
+/// One plan's control loop inside the shared replay.
+struct Controller<'p> {
+    plan: &'p GovernorPlan,
+    cap: CapSetting,
+    cap_row: Table3Row,
+    budget_w: f64,
+    /// Sync-window length, windows.
+    interval: u64,
+    /// Rank at which the next sync window begins.
+    next_rank: u64,
+    /// How many past rounds an in-horizon late delivery can still reach.
+    keep_rounds: usize,
+    /// Assignment history: `history[i]` governed round `base_round + i`.
+    history: VecDeque<Assignment>,
+    base_round: u64,
+    current: Assignment,
+    /// Per-node power caps, watts.
+    caps: Vec<f64>,
+    /// Per-channel flips held back by hysteresis: the wanted state and the
+    /// disagreeing rounds seen so far, indexed by [`channel_index`].
+    pending: Vec<Option<(bool, u32)>>,
+    /// Every channel's sensed totals at the previous sync window, indexed
+    /// by [`channel_index`].
+    prev_snap: Vec<ChannelAccum>,
+    /// Per-node draw observed in the round being decided (reused).
+    observed_w: Vec<f64>,
+    out: GovernOutcome,
+}
+
+impl<'p> Controller<'p> {
+    fn new(
+        resolved: &'p ResolvedPlan,
+        table3: &Table3,
+        window_s: f64,
+        stream_cfg: StreamConfig,
+        channels: usize,
+    ) -> Result<Self, PmssError> {
+        let plan = &resolved.plan;
+        let (nodes, budget_w) = (resolved.nodes, resolved.budget_w);
+        let cap_row = factor_row(table3, resolved.cap)?;
+        let interval = plan.interval_windows as u64;
+        let caps =
+            vec![(budget_w / nodes as f64).clamp(plan.node_floor_w, plan.node_ceiling_w); nodes];
+        let senses = plan.policy != Policy::Static;
+        let dense = if senses { channels } else { 0 };
+        let current = Assignment {
+            all_capped: !senses,
+            capped: vec![false; dense],
+            throttle: vec![None; nodes],
+        };
+        let initial_sum: f64 = caps.iter().sum();
+        let out = GovernOutcome {
+            policy: plan.policy,
+            cap: resolved.cap,
+            budget_w,
+            interval_s: interval as f64 * window_s,
+            rounds: 0,
+            rebalances: 0,
+            cap_churn: 0,
+            hysteresis_suppressions: 0,
+            throttled_node_rounds: 0,
+            peak_budget_utilization: initial_sum / budget_w,
+            budget_exceeded: initial_sum > budget_w * (1.0 + 1e-9),
+            regions: Default::default(),
+            stream: StreamStats::default(),
+        };
+        Ok(Controller {
+            plan,
+            cap: resolved.cap,
+            cap_row,
+            budget_w,
+            interval,
+            next_rank: interval,
+            keep_rounds: (stream_cfg.reorder_horizon / interval) as usize + 2,
+            history: VecDeque::from([current.clone()]),
+            base_round: 0,
+            current,
+            caps,
+            pending: vec![None; dense],
+            prev_snap: vec![ChannelAccum::default(); dense],
+            observed_w: vec![0.0; nodes],
+            out,
+        })
+    }
+
+    /// Whether the plan decides from telemetry (every policy but `static`).
+    fn senses(&self) -> bool {
+        self.plan.policy != Policy::Static
+    }
+
+    /// Crosses one sync-window boundary: decides the next round's caps
+    /// from `snap` (sensing plans only) and records them.
+    fn cross(&mut self, snap: &[((u32, u8), ChannelAccum)], throttle_rows: &[Table3Row]) {
+        self.next_rank += self.interval;
+        self.out.rounds += 1;
+        if self.senses() {
+            self.decide(snap, throttle_rows);
+            for &((node, slot), acc) in snap {
+                self.prev_snap[channel_index(node, slot)] = acc;
             }
-            entry.1 += 1;
-            if entry.1 <= plan.hysteresis_rounds {
-                out.hysteresis_suppressions += 1;
+        }
+        if self.history.len() == self.keep_rounds {
+            self.history.pop_front();
+            self.base_round += 1;
+        }
+        self.history.push_back(self.current.clone());
+    }
+
+    /// Charges one delivered window the factor of whatever cap its round's
+    /// decision had in force.
+    fn account(&mut self, ev: &WindowEvent, charge: &Charge, throttle_rows: &[Table3Row]) {
+        let ev_round = ev.window / self.interval;
+        let idx = (ev_round.saturating_sub(self.base_round) as usize).min(self.history.len() - 1);
+        let assign = &self.history[idx];
+        let tally = &mut self.out.regions[charge.region.index()];
+        tally.seconds += charge.span_s;
+        tally.joules += charge.energy_j;
+        if !charge.region.cappable() {
+            return;
+        }
+        let Some(setting) = assign.setting_for(ev.node, ev.slot, self.cap) else {
+            return;
+        };
+        let row = if setting == self.cap {
+            &self.cap_row
+        } else {
+            match throttle_rows.iter().find(|r| r.setting == setting) {
+                Some(r) => r,
+                // A throttle setting is always drawn from `throttle_rows`;
+                // tolerate a mismatch by charging nothing.
+                None => return,
+            }
+        };
+        let f = match charge.region {
+            Region::MemoryIntensive => &row.mb,
+            _ => &row.vai,
+        };
+        tally.capped_j += charge.energy_j;
+        tally.saved_j += charge.energy_j * (1.0 - f.energy_pct / 100.0);
+        tally.extra_s += charge.span_s * (f.runtime_pct - 100.0) / 100.0;
+    }
+
+    /// One sync-window decision: classify channels, apply hysteresis, and
+    /// — under `polimer` — rebalance the cluster budget and derive
+    /// throttles.
+    fn decide(&mut self, snap: &[((u32, u8), ChannelAccum)], throttle_rows: &[Table3Row]) {
+        let plan = self.plan;
+        let budget_w = self.budget_w;
+        let round_span_s = self.out.interval_s;
+        let out = &mut self.out;
+        let caps = &mut self.caps;
+        let current = &mut self.current;
+        let nodes = caps.len();
+        let observed_w = &mut self.observed_w;
+        observed_w.fill(0.0);
+
+        // Classify every channel that sensed telemetry this round.
+        for &((node, slot), acc) in snap {
+            let key = channel_index(node, slot);
+            let delta = acc.minus(&self.prev_snap[key]);
+            if slot == REST_SLOT {
                 continue;
             }
-            pending.remove(&key);
-        }
-        if want {
-            current.capped.insert(key);
-        } else {
-            current.capped.remove(&key);
-        }
-        out.cap_churn += 1;
-    }
-
-    if plan.policy != Policy::Polimer {
-        return;
-    }
-
-    // Slack reclamation: a node observed under its lower threshold donates
-    // a `decrease_rate` fraction of the measured slack back to the pool.
-    let mut adjusted = false;
-    for n in 0..nodes {
-        if observed_w[n] < plan.lower_thresh * caps[n] {
-            let target = observed_w[n] / plan.lower_thresh;
-            let next = (caps[n] - plan.decrease_rate * (caps[n] - target))
-                .clamp(plan.node_floor_w, plan.node_ceiling_w);
-            if next < caps[n] {
-                caps[n] = next;
-                adjusted = true;
+            if (node as usize) < nodes {
+                observed_w[node as usize] += delta.total_j().max(0.0) / round_span_s;
             }
-        }
-    }
-    // Grants: a node observed above its upper threshold receives headroom
-    // for the observed draw plus an `increase_rate` margin, as far as the
-    // remaining pool allows — so `sum(caps) <= budget` holds structurally.
-    let mut pool = budget_w - caps.iter().sum::<f64>();
-    for n in 0..nodes {
-        if observed_w[n] > plan.upper_thresh * caps[n] {
-            let need = (observed_w[n] * (1.0 + plan.increase_rate) - caps[n])
-                .min(plan.node_ceiling_w - caps[n])
-                .min(pool);
-            if need > 0.0 {
-                caps[n] += need;
-                pool -= need;
-                adjusted = true;
+            let Some(region) = delta.dominant_region() else {
+                continue;
+            };
+            let want = region == Region::MemoryIntensive;
+            let have = current.capped[key];
+            if want == have {
+                self.pending[key] = None;
+                continue;
             }
-        }
-    }
-    if adjusted {
-        out.rebalances += 1;
-    }
-
-    // Throttle nodes still drawing above their cap: the strongest ladder
-    // power setting that fits the per-GPU share of the node cap (or the
-    // deepest available setting when none fits).
-    for n in 0..nodes {
-        let throttle = if observed_w[n] > caps[n] {
-            let per_gpu = caps[n] / GPUS_PER_NODE as f64;
-            throttle_rows
-                .iter()
-                .filter(|r| r.setting.value() <= per_gpu)
-                .max_by(|a, b| a.setting.value().total_cmp(&b.setting.value()))
-                .or_else(|| {
-                    throttle_rows
-                        .iter()
-                        .min_by(|a, b| a.setting.value().total_cmp(&b.setting.value()))
-                })
-                .map(|r| r.setting)
-        } else {
-            None
-        };
-        if throttle.is_some() {
-            out.throttled_node_rounds += 1;
-        }
-        if current.throttle[n] != throttle {
-            current.throttle[n] = throttle;
+            if plan.hysteresis_rounds > 0 {
+                let entry = self.pending[key].get_or_insert((want, 0));
+                if entry.0 != want {
+                    *entry = (want, 0);
+                }
+                entry.1 += 1;
+                if entry.1 <= plan.hysteresis_rounds {
+                    out.hysteresis_suppressions += 1;
+                    continue;
+                }
+                self.pending[key] = None;
+            }
+            current.capped[key] = want;
             out.cap_churn += 1;
         }
-    }
 
-    let total: f64 = caps.iter().sum();
-    out.peak_budget_utilization = out.peak_budget_utilization.max(total / budget_w);
-    if total > budget_w * (1.0 + 1e-9) {
-        out.budget_exceeded = true;
+        if plan.policy != Policy::Polimer {
+            return;
+        }
+
+        // Slack reclamation: a node observed under its lower threshold
+        // donates a `decrease_rate` fraction of the measured slack back to
+        // the pool.
+        let mut adjusted = false;
+        for n in 0..nodes {
+            if observed_w[n] < plan.lower_thresh * caps[n] {
+                let target = observed_w[n] / plan.lower_thresh;
+                let next = (caps[n] - plan.decrease_rate * (caps[n] - target))
+                    .clamp(plan.node_floor_w, plan.node_ceiling_w);
+                if next < caps[n] {
+                    caps[n] = next;
+                    adjusted = true;
+                }
+            }
+        }
+        // Grants: a node observed above its upper threshold receives
+        // headroom for the observed draw plus an `increase_rate` margin, as
+        // far as the remaining pool allows — so `sum(caps) <= budget` holds
+        // structurally.
+        let mut pool = budget_w - caps.iter().sum::<f64>();
+        for n in 0..nodes {
+            if observed_w[n] > plan.upper_thresh * caps[n] {
+                let need = (observed_w[n] * (1.0 + plan.increase_rate) - caps[n])
+                    .min(plan.node_ceiling_w - caps[n])
+                    .min(pool);
+                if need > 0.0 {
+                    caps[n] += need;
+                    pool -= need;
+                    adjusted = true;
+                }
+            }
+        }
+        if adjusted {
+            out.rebalances += 1;
+        }
+
+        // Throttle nodes still drawing above their cap: the strongest
+        // ladder power setting that fits the per-GPU share of the node cap
+        // (or the deepest available setting when none fits).
+        for n in 0..nodes {
+            let throttle = if observed_w[n] > caps[n] {
+                let per_gpu = caps[n] / GPUS_PER_NODE as f64;
+                throttle_rows
+                    .iter()
+                    .filter(|r| r.setting.value() <= per_gpu)
+                    .max_by(|a, b| a.setting.value().total_cmp(&b.setting.value()))
+                    .or_else(|| {
+                        throttle_rows
+                            .iter()
+                            .min_by(|a, b| a.setting.value().total_cmp(&b.setting.value()))
+                    })
+                    .map(|r| r.setting)
+            } else {
+                None
+            };
+            if throttle.is_some() {
+                out.throttled_node_rounds += 1;
+            }
+            if current.throttle[n] != throttle {
+                current.throttle[n] = throttle;
+                out.cap_churn += 1;
+            }
+        }
+
+        let total: f64 = caps.iter().sum();
+        out.peak_budget_utilization = out.peak_budget_utilization.max(total / budget_w);
+        if total > budget_w * (1.0 + 1e-9) {
+            out.budget_exceeded = true;
+        }
     }
 }
 
@@ -631,15 +728,16 @@ mod tests {
 
     fn run(name: &str, nodes: usize, events: &[WindowEvent]) -> GovernOutcome {
         let sched = schedule(nodes);
-        run_governor(
+        let mut outs = run_governor(
             &sched,
             events.iter().copied(),
             StreamConfig::for_plan(None),
-            &resolved(name, nodes),
+            &[resolved(name, nodes)],
             &table(),
             WINDOW_S,
         )
-        .unwrap()
+        .unwrap();
+        outs.pop().unwrap()
     }
 
     #[test]
@@ -707,11 +805,12 @@ mod tests {
             &schedule(2),
             evs.iter().copied(),
             StreamConfig::for_plan(None),
-            &r,
+            &[r],
             &table(),
             WINDOW_S,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         assert!(out.rebalances > 0);
         assert!(!out.budget_exceeded);
         assert!(out.peak_budget_utilization <= 1.0 + 1e-9);
@@ -737,7 +836,7 @@ mod tests {
             &schedule(1),
             [],
             StreamConfig::for_plan(None),
-            &r,
+            &[r],
             &table(),
             WINDOW_S,
         )

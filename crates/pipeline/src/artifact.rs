@@ -6,9 +6,10 @@
 //! every artifact renders both to the byte-identical ASCII of the old
 //! binaries and to structured JSON.
 //!
-//! `faults`, `govern` and `peakpower` loop over independent fleet runs:
-//! they build their jobs, run them on the pipeline's workers
-//! (`stage::sim_each` / `scoped_map`), then push rows in job order.
+//! `faults` and `peakpower` loop over independent fleet runs: they build
+//! their jobs, run them on the pipeline's workers (`stage::sim_each`),
+//! then push rows in job order.  `govern` replays every policy in one pass
+//! over the delivery trace and pushes rows in job order too.
 
 use pmss_core::heatmap::{energy_saved, energy_used, Heatmap};
 use pmss_core::project::{project, Projection, ProjectionInput};
@@ -18,14 +19,14 @@ use pmss_core::{Coverage, EnergyLedger, Region, SavingsBounds};
 use pmss_econ::{shift, EconTrace, ShiftOutcome};
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy, PRESETS};
-use pmss_govern::{run_governor, GovernOutcome, GovernorPlan};
+use pmss_govern::{run_governor, GovernorPlan};
 use pmss_gpu::{sweet_spots, GovernedTotals, Governor, GpuSettings, SkuCatalog, SweetSpot};
 use pmss_graph::case_study::{networks, CaseStudy};
 use pmss_obs::{edges, Stopwatch};
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
-use pmss_telemetry::{compare_sensors, scoped_map, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
+use pmss_telemetry::{compare_sensors, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::sweep::{normalize, sweep_kernel, CapSetting, MEMBENCH_POWER_CAPS_W};
@@ -1980,8 +1981,8 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
 }
 
 fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
-    // One captured trace shared by every policy replay, each merging it
-    // into delivery order afresh — the same ordering discipline the stream
+    // One captured trace, merged into delivery order once and replayed for
+    // every policy together — the same ordering discipline the stream
     // artifact uses.
     let cfg = p.fleet_config();
     let (mut s, trace) = p.traced_stages()?;
@@ -2004,25 +2005,23 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     if let Some(plan) = &s.spec.govern {
         jobs.push((format!("custom:{}", plan.policy.name()), plan.clone()));
     }
-    // One replay per policy, each worker driving its own stream engine
-    // over its own iterator of the shared trace.
-    let outcomes = scoped_map(s.workers, jobs.len(), |i| {
-        let resolved = jobs[i].1.resolve(nodes, auto_cap)?;
-        run_governor(
-            &s.fleet.schedule,
-            trace.iter(),
-            stream_cfg,
-            &resolved,
-            s.table3,
-            cfg.window_s,
-        )
-    });
+    // Resolved in job order, so the first failure is the first job's.
+    let resolved = jobs
+        .iter()
+        .map(|(_, plan)| plan.resolve(nodes, auto_cap))
+        .collect::<Result<Vec<_>, PmssError>>()?;
+    let outcomes = run_governor(
+        &s.fleet.schedule,
+        trace.iter(),
+        stream_cfg,
+        &resolved,
+        s.table3,
+        cfg.window_s,
+    )?;
 
     let mut interval_s = 0.0;
     let mut rows = Vec::new();
     for ((label, _), outcome) in jobs.into_iter().zip(outcomes) {
-        // The first failure in job order, whichever worker met it first.
-        let outcome: GovernOutcome = outcome?;
         if let Some(m) = s.metrics.as_deref_mut() {
             outcome.publish_metrics(m);
         }

@@ -9,7 +9,7 @@
 //! run and a single benchmark sweep.
 //!
 //! An artifact that loops over *independent* fleet runs of one schedule
-//! (`faults`, `govern`, `peakpower`) hands the loop to
+//! (`faults`, `peakpower`) hands the loop to
 //! `pmss_telemetry::scoped_map` — whole runs per worker, results and
 //! metric tallies applied on the caller in loop order, so output is
 //! byte-identical at any worker count.  The node loop inside a run of

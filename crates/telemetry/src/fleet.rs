@@ -323,6 +323,7 @@ fn slot_window_events(
     idle_power_w: f64,
     boosted_w: f64,
     lane: &mut FaultLane,
+    reorder: &mut ReorderTally,
     emit: &mut impl FnMut(WindowEvent),
 ) {
     let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
@@ -331,8 +332,9 @@ fn slot_window_events(
     // Interpolation holds the last *clean generated* value: a glitched
     // sensor reading must not poison later gap fills.
     let mut last_good: Option<f64> = None;
-    // Delivery ranks of every delivered copy, for the reorder tally.
-    let mut ranks: Vec<(u64, u64)> = Vec::new();
+    if let Some(p) = plan.filter(|p| p.reorder_depth > 0) {
+        reorder.begin(p.reorder_depth);
+    }
     // All of the channel's fault decisions, filled in one columnar pass
     // (bit-identical to the scalar per-window decision calls).
     if let Some(p) = plan {
@@ -459,14 +461,13 @@ fn slot_window_events(
         if lane.duplicated(window) {
             stats.faults_duplicated += 1;
             stats.gpu_sample(attributed.is_some());
-            if plan.reorder_depth > 0 {
-                ranks.push((rank, window));
-            }
             emit(ev);
         }
         stats.gpu_sample(attributed.is_some());
         if plan.reorder_depth > 0 {
-            ranks.push((rank, window));
+            // A duplicate shares its original's window and rank, so one
+            // record stands for both copies.
+            reorder.deliver(window, rank);
         }
         emit(ev);
     }
@@ -476,13 +477,83 @@ fn slot_window_events(
     // sample is counted out-of-order when it arrives after a later window,
     // exactly as a downstream consumer of the arrival stream would see it.
     // (With depth 0 every rank equals its window and nothing reorders.)
-    ranks.sort_unstable();
-    let mut prev_window = 0u64;
-    for (i, &(_, w)) in ranks.iter().enumerate() {
-        if i > 0 && w < prev_window {
-            stats.faults_reordered += 1;
+    if plan.is_some_and(|p| p.reorder_depth > 0) {
+        stats.faults_reordered += reorder.finish();
+    }
+}
+
+/// An open rank no copy was delivered at.
+const EMPTY: (u64, u64) = (u64::MAX, 0);
+
+/// The reorder tally of one GPU channel, kept as its copies are delivered
+/// instead of by sorting them afterwards.
+///
+/// Arrival order is by rank, then window; a plan delivers window `w` at a
+/// rank in `[w, w + depth]`, and copies are delivered in ascending window
+/// order.  So once window `w` is delivered every rank below `w` is
+/// complete, and at most `depth + 1` ranks are still open.  A rank's
+/// arrivals are its windows in ascending order, so only the first of them
+/// (its least window) can arrive after a later window: the last arrival
+/// so far, the greatest window of the last non-empty closed rank.  A ring
+/// of the open ranks' least and greatest windows counts those in
+/// O(copies + depth) time and O(depth) memory; only a reordering plan
+/// grows it.
+#[derive(Debug, Default)]
+struct ReorderTally {
+    /// Least and greatest window delivered at each open rank `r`, at
+    /// `r & mask`; [`EMPTY`] while nothing was.
+    open: Vec<(u64, u64)>,
+    /// `open.len() - 1`, the length a power of two above the depth.
+    mask: u64,
+    /// The least rank not yet closed.
+    next: u64,
+    /// Window of the last arrival among the closed ranks (0 before the
+    /// first, which nothing precedes).
+    last: u64,
+    /// Arrivals after a later window so far.
+    reordered: u64,
+}
+
+impl ReorderTally {
+    /// Starts a channel under a plan of reorder depth `depth`.
+    fn begin(&mut self, depth: u32) {
+        let len = (depth as usize + 1).next_power_of_two();
+        self.open.clear();
+        self.open.resize(len, EMPTY);
+        self.mask = len as u64 - 1;
+        self.next = 0;
+        self.last = 0;
+        self.reordered = 0;
+    }
+
+    /// Closes every rank below `rank`.
+    fn close_below(&mut self, rank: u64) {
+        while self.next < rank {
+            let (least, greatest) =
+                std::mem::replace(&mut self.open[(self.next & self.mask) as usize], EMPTY);
+            if (least, greatest) != EMPTY {
+                self.reordered += u64::from(least < self.last);
+                self.last = greatest;
+            }
+            self.next += 1;
         }
-        prev_window = w;
+    }
+
+    /// Records a delivered copy of `window` at `rank`.
+    fn deliver(&mut self, window: u64, rank: u64) {
+        debug_assert!(
+            (window..=window + self.mask).contains(&rank),
+            "rank {rank} of window {window}"
+        );
+        self.close_below(window);
+        let open = &mut self.open[(rank & self.mask) as usize];
+        *open = (open.0.min(window), window);
+    }
+
+    /// Closes the channel's open ranks and returns its out-of-order count.
+    fn finish(&mut self) -> u64 {
+        self.close_below(self.next + self.mask + 1);
+        self.reordered
     }
 }
 
@@ -586,8 +657,8 @@ struct FleetRun<'a> {
 }
 
 /// Reusable per-channel buffers: the block under construction (at most
-/// `tile_rows` rows), the fault plan's columnar decision lanes, and the
-/// GPU slot's segment timeline and phase template.
+/// `tile_rows` rows), the fault plan's columnar decision lanes and reorder
+/// tally, and the GPU slot's segment timeline and phase template.
 struct ChannelScratch {
     block: ColumnBlock,
     /// Rows the block holds before it is handed on and reset: [`TILE_ROWS`]
@@ -595,6 +666,7 @@ struct ChannelScratch {
     /// channels.
     tile_rows: usize,
     lane: FaultLane,
+    reorder: ReorderTally,
     dropout: Vec<bool>,
     segs: Vec<Segment>,
     tmpl: Vec<PhaseSeg>,
@@ -654,6 +726,7 @@ impl<'a> FleetRun<'a> {
             block: ColumnBlock::with_capacity(0, 0, (windows as usize).min(tile_rows)),
             tile_rows,
             lane: FaultLane::new(),
+            reorder: ReorderTally::default(),
             dropout: Vec::new(),
             segs: Vec::new(),
             tmpl: Vec::new(),
@@ -679,6 +752,7 @@ impl<'a> FleetRun<'a> {
             block,
             tile_rows,
             lane,
+            reorder,
             dropout,
             segs,
             tmpl,
@@ -714,6 +788,7 @@ impl<'a> FleetRun<'a> {
                 rt.idle_power_w,
                 rt.boosted_w,
                 lane,
+                reorder,
                 &mut |ev| push_row(block, tile_rows, &ev, &mut each),
             );
             each(block, true);
@@ -735,9 +810,9 @@ impl<'a> FleetRun<'a> {
     /// The sequential loop: every node on the calling thread, each
     /// channel generated whole, folded through
     /// [`FleetObserver::fold_channel`] and then, when a consumer `retain`s
-    /// the run's blocks, put into *arrival* order (a stable
-    /// `(rank, window)` sort of the scratch block, needed only for GPU
-    /// channels under a reordering plan) and handed to it.
+    /// the run's blocks, put into *arrival* order
+    /// ([`ColumnBlock::sort_arrival`], a counting pass by rank needed only
+    /// for GPU channels under a reordering plan) and handed to it.
     fn channels_in_order<O>(
         &self,
         mut retain: Option<&mut dyn FnMut(&ColumnBlock)>,
@@ -1648,5 +1723,40 @@ mod fault_tests {
         assert!(!faulted.gpu.is_empty());
         assert!(stats.faults_dropped > 0);
         assert!(stats.gpu_samples > 0);
+    }
+
+    proptest::proptest! {
+        /// The online reorder tally counts what sorting a channel's
+        /// delivered copies by `(rank, window)` and counting the arrivals
+        /// after a later window does, duplicates included, at reorder
+        /// depths up to the largest a plan may declare.
+        #[test]
+        fn reorder_tally_matches_sorting_the_copies(
+            n in 0u64..600,
+            shallow in 0u32..24,
+            deep in 0u32..=4096,
+            pick_deep in 0u8..2,
+            seed in 0u64..1 << 32,
+        ) {
+            let depth = if pick_deep == 1 { deep } else { shallow };
+            let mut tally = ReorderTally::default();
+            tally.begin(depth);
+            let mut copies: Vec<(u64, u64)> = Vec::new();
+            let mut z = seed;
+            for w in 0..n {
+                z = z.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0x2545_f491);
+                let h = z ^ (z >> 29);
+                if h.is_multiple_of(10) {
+                    continue;
+                }
+                let rank = w + (h >> 8) % (depth as u64 + 1);
+                let dup = (h >> 4).is_multiple_of(5);
+                copies.extend(std::iter::repeat_n((rank, w), 1 + dup as usize));
+                tally.deliver(w, rank);
+            }
+            copies.sort_unstable();
+            let want = copies.windows(2).filter(|p| p[1].1 < p[0].1).count() as u64;
+            proptest::prop_assert_eq!(tally.finish(), want);
+        }
     }
 }

@@ -301,20 +301,22 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
             &schedule,
             trace.iter(),
             stream_cfg,
-            &resolved,
+            std::slice::from_ref(&resolved),
             &t3,
             cfg.window_s,
         )
-        .expect("replays");
+        .expect("replays")
+        .remove(0);
         let from_oracle = run_governor(
             &schedule,
             oracle.iter().copied(),
             stream_cfg,
-            &resolved,
+            std::slice::from_ref(&resolved),
             &t3,
             cfg.window_s,
         )
-        .expect("replays");
+        .expect("replays")
+        .remove(0);
         assert_eq!(from_trace, from_oracle, "{preset}");
         assert!(from_trace.rounds > 0);
     }

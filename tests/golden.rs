@@ -168,6 +168,29 @@ fn econ_runs_match_the_golden_captures() {
     }
 }
 
+/// A custom plan with its own sync cadence rides along as a fourth row:
+/// its rounds, rebalances and holds follow its 3-window interval, not the
+/// presets' 2-window one.
+#[test]
+fn custom_cadence_govern_matches_the_golden_capture() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    let mut plan = pmss::govern::GovernorPlan::preset("polimer").expect("known preset");
+    plan.interval_windows = 3;
+    plan.budget_w = Some(40_000.0);
+    spec.govern = Some(plan);
+    let mut p = if metrics::metrics_env_enabled() {
+        Pipeline::with_metrics(spec)
+    } else {
+        Pipeline::new(spec)
+    }
+    .expect("custom spec is valid");
+    let got = p
+        .artifact(ArtifactId::Govern)
+        .expect("govern artifact")
+        .render_ascii();
+    assert_eq!(got, golden("govern-custom", "txt"));
+}
+
 /// Running the streaming replay leaves the batch path untouched: every
 /// batch artifact computed after a `stream` run in the same pipeline
 /// renders the same bytes as in a pipeline that never streamed.

@@ -1,10 +1,18 @@
 //! Differential and acceptance suite for the online cluster governor:
 //! repeat runs are byte-identical (clean and faulted), the online
-//! presets realize most of the paper's static no-slowdown ceiling, and
-//! the cluster budget invariant holds in every rendered row.
+//! presets realize most of the paper's static no-slowdown ceiling, the
+//! cluster budget invariant holds in every rendered row, and one shared
+//! replay of many plans equals a replay of each plan alone.
 
 use pmss::pipeline::artifact::GovernArtifact;
 use pmss::pipeline::{cli, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use pmss_faults::FaultPlan;
+use pmss_govern::{run_governor, GovernorPlan};
+use pmss_sched::{catalog, generate};
+use pmss_stream::StreamConfig;
+use pmss_telemetry::{DeliveryTrace, FleetConfig};
+use pmss_workloads::sweep::CapSetting;
+use pmss_workloads::table3;
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -108,7 +116,7 @@ fn budget_is_never_exceeded_in_any_rendered_row() {
 #[test]
 fn custom_scarce_budget_plans_throttle_within_the_invariant() {
     let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
-    let mut plan = pmss::govern::GovernorPlan::preset("polimer").unwrap();
+    let mut plan = GovernorPlan::preset("polimer").unwrap();
     // Scarce: halfway between the per-node floor and ceiling.
     plan.budget_w = Some(spec.nodes as f64 * (plan.node_floor_w + plan.node_ceiling_w) / 2.0);
     spec.govern = Some(plan);
@@ -126,4 +134,77 @@ fn custom_scarce_budget_plans_throttle_within_the_invariant() {
         custom.throttled_node_rounds > 0,
         "a scarce budget must force throttling"
     );
+}
+
+/// The plans of the shared-replay cases: the three presets, then custom
+/// plans whose sync windows (1, 3 and 5 telemetry windows) cross round
+/// boundaries at events the presets' 2-window cadence does not.
+fn shared_replay_plans() -> Vec<GovernorPlan> {
+    let mut plans: Vec<GovernorPlan> = pmss_govern::PRESETS
+        .iter()
+        .map(|name| GovernorPlan::preset(name).expect("known preset"))
+        .collect();
+    for (policy, interval_windows, budget_w) in [
+        ("polimer", 1, Some(6_000.0)),
+        ("greedy", 3, None),
+        ("polimer", 5, None),
+    ] {
+        let mut plan = GovernorPlan::preset(policy).expect("known preset");
+        plan.interval_windows = interval_windows;
+        plan.budget_w = budget_w;
+        plans.push(plan);
+    }
+    plans
+}
+
+/// One replay serves every plan: each outcome of the shared replay equals
+/// a replay of that plan alone, and reversing the plans only reverses the
+/// outcomes — on a clean trace and under two fault presets.  A plan
+/// resolved for fewer nodes than the schedule replays without panicking,
+/// alone and beside the others.
+#[test]
+fn one_shared_replay_equals_each_plan_replayed_alone() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    spec.nodes = 4;
+    spec.days = 0.5;
+    let schedule = generate(spec.trace_params(), &catalog());
+    let t3 = table3::compute_default();
+    let cap = CapSetting::FreqMhz(900.0);
+    let mut plans: Vec<_> = shared_replay_plans()
+        .iter()
+        .map(|plan| plan.resolve(spec.nodes, cap).expect("resolves"))
+        .collect();
+    let fewer = GovernorPlan::preset("polimer").expect("known preset");
+    plans.push(fewer.resolve(spec.nodes / 2, cap).expect("resolves"));
+    for faults in [None, Some("frontier-typical"), Some("harsh")] {
+        let cfg = FleetConfig {
+            faults: faults.map(|name| FaultPlan::preset(name).expect("known preset")),
+            ..FleetConfig::default()
+        };
+        let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
+        let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+        let replay = |plans: &[_]| {
+            run_governor(
+                &schedule,
+                trace.iter(),
+                stream_cfg,
+                plans,
+                &t3,
+                cfg.window_s,
+            )
+            .expect("replays")
+        };
+        let shared = replay(&plans);
+        assert_eq!(shared.len(), plans.len());
+        for (i, out) in shared.iter().enumerate() {
+            let alone = replay(std::slice::from_ref(&plans[i]));
+            assert_eq!(alone, std::slice::from_ref(out), "{faults:?} plan {i}");
+            assert!(out.rounds > 0, "{faults:?} plan {i}");
+        }
+        let mut reversed_plans = plans.clone();
+        reversed_plans.reverse();
+        let mut reversed = replay(&reversed_plans);
+        reversed.reverse();
+        assert_eq!(reversed, shared, "{faults:?}");
+    }
 }

@@ -203,8 +203,9 @@ proptest! {
         match plan.resolve(nodes as usize, CapSetting::FreqMhz(700.0)) {
             Err(_) => {} // typed rejection is the correct outcome
             Ok(resolved) => {
-                let out = run_governor(&sched, evs.iter().copied(), cfg, &resolved, &t3, WINDOW_S)
-                    .expect("a resolved plan replays");
+                let out = run_governor(&sched, evs.iter().copied(), cfg, &[resolved], &t3, WINDOW_S)
+                    .expect("a resolved plan replays")
+                    .remove(0);
                 prop_assert!(!out.budget_exceeded, "cluster budget exceeded");
                 prop_assert!(
                     out.peak_budget_utilization <= 1.0 + 1e-9,
@@ -233,8 +234,9 @@ proptest! {
         let resolved = plan
             .resolve(nodes as usize, CapSetting::FreqMhz(700.0))
             .expect("valid plans resolve against any non-empty fleet");
-        let a = run_governor(&sched, evs.iter().copied(), cfg, &resolved, &t3, WINDOW_S).expect("replays");
-        let b = run_governor(&sched, evs.iter().copied(), cfg, &resolved, &t3, WINDOW_S).expect("replays");
+        let plans = [resolved];
+        let a = run_governor(&sched, evs.iter().copied(), cfg, &plans, &t3, WINDOW_S).expect("replays");
+        let b = run_governor(&sched, evs.iter().copied(), cfg, &plans, &t3, WINDOW_S).expect("replays");
         prop_assert_eq!(a, b);
     }
 
@@ -258,7 +260,9 @@ proptest! {
                 .expect("preset")
                 .resolve(nodes as usize, CapSetting::FreqMhz(700.0))
                 .expect("resolves");
-            let out = run_governor(&sched, evs.iter().copied(), cfg, &resolved, &t3, WINDOW_S).expect("replays");
+            let out = run_governor(&sched, evs.iter().copied(), cfg, &[resolved], &t3, WINDOW_S)
+                .expect("replays")
+                .remove(0);
             prop_assert!((0.0..100.0).contains(&out.realized_pct()));
             saved.push(out.saved_j());
         }
