@@ -1,7 +1,8 @@
-//! The pmssd differential guard: every query answer the daemon serves is
-//! **byte-identical** to the batch CLI's answer over the same event
-//! prefix — clean and under fault presets — and adversarial frames
-//! bounce off with typed errors, leaving published answers untouched.
+//! The pmssd guard: adversarial frames, hostile tenant names, oversized
+//! specs and concurrent feeders bounce off with typed errors or converge,
+//! leaving published answers byte-identical to the batch CLI's.  (That
+//! every query answer equals batch on clean, faulted, mixed and econ
+//! scenarios, over TCP and a unix socket, is a row of `tests/parity.rs`.)
 //!
 //! The daemon runs in-process on a port-0 TCP listener (one test binds a
 //! unix socket instead); the client is the same synchronous client
@@ -9,67 +10,17 @@
 //! end: capture → encode → frame → decode → ingest → snapshot → query →
 //! render.
 
+mod support;
+
 use pmss_columns::{BlockGrid, CodecConfig, ColumnBlock, EncodedBlock};
-use pmss_core::EnergyLedger;
 use pmss_faults::FaultPlan;
 use pmss_pipeline::query::Query;
 use pmss_pipeline::{Pipeline, ScalePreset, ScenarioSpec};
-use pmss_stream::StreamState;
 use pmss_telemetry::{ResidentFleet, WindowEvent, WindowKind};
 use pmssd::client::{ingest_campaign, ClientError, Connection, Target};
-use pmssd::daemon::{Daemon, DaemonConfig, Listen, MAX_TENANTS};
+use pmssd::daemon::{Listen, MAX_TENANTS};
 use pmssd::proto::{self, code, frame, status};
-
-/// An in-process daemon on a fresh port (or socket path), plus its run
-/// thread.
-struct Harness {
-    target: Target,
-    metrics_addr: String,
-    thread: std::thread::JoinHandle<Result<(), pmss_error::PmssError>>,
-}
-
-fn start_daemon(queue_depth: usize, sync_interval: u64) -> Harness {
-    start_daemon_on(
-        Listen::Tcp("127.0.0.1:0".to_string()),
-        queue_depth,
-        sync_interval,
-    )
-}
-
-fn start_daemon_on(listen: Listen, queue_depth: usize, sync_interval: u64) -> Harness {
-    let cfg = DaemonConfig {
-        listen: listen.clone(),
-        metrics_addr: Some("127.0.0.1:0".to_string()),
-        queue_depth,
-        sync_interval,
-    };
-    let daemon = Daemon::bind(cfg).expect("bind on port 0");
-    let target = match listen {
-        Listen::Tcp(_) => {
-            let addr = daemon.local_addr().expect("tcp listener has an address");
-            Target::Tcp(addr.to_string())
-        }
-        Listen::Unix(path) => Target::Unix(path),
-    };
-    let metrics_addr = daemon.metrics_addr().expect("metrics bound").to_string();
-    let thread = std::thread::spawn(move || daemon.run());
-    Harness {
-        target,
-        metrics_addr,
-        thread,
-    }
-}
-
-impl Harness {
-    fn stop(self) {
-        let mut conn = Connection::connect(&self.target).expect("connect for shutdown");
-        conn.shutdown().expect("shutdown acked");
-        self.thread
-            .join()
-            .expect("daemon thread joins")
-            .expect("daemon exits cleanly");
-    }
-}
+use support::{cli_run, Harness};
 
 fn spec_for(faults: Option<&str>) -> ScenarioSpec {
     let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
@@ -80,75 +31,9 @@ fn spec_for(faults: Option<&str>) -> ScenarioSpec {
     spec
 }
 
-/// The batch side of the differential: exactly the `pmss query` code
-/// path — capture, batch replay, shared answer renderer.
-fn batch_answers(spec: &ScenarioSpec, queries: &[Query]) -> Vec<String> {
-    let mut p = Pipeline::new(spec.clone()).expect("valid spec");
-    let cfg = p.fleet_config();
-    let (schedule, factor) = {
-        let fleet = p.fleet().expect("fleet stage");
-        (fleet.schedule.clone(), fleet.frontier_factor)
-    };
-    let t3 = p.table3().expect("table3 stage").clone();
-    let resident = ResidentFleet::capture(&schedule, &cfg).expect("capture");
-    let ledger: EnergyLedger = resident.replay(&schedule).expect("replay");
-    let state = StreamState::new(ledger, factor);
-    queries
-        .iter()
-        .map(|q| {
-            pmss_pipeline::query::answer(&state, &t3, spec.active_econ(), q)
-                .expect("batch answer")
-                .to_string_pretty()
-        })
-        .collect()
-}
-
-/// Every query kind the daemon serves, including a what-if on a real
-/// ladder rung.
-fn all_queries(spec: &ScenarioSpec) -> Vec<Query> {
-    let t3 = Pipeline::new(spec.clone())
-        .expect("valid spec")
-        .table3()
-        .expect("table3")
-        .clone();
-    let whatif = t3.power_rows[t3.power_rows.len() / 2].setting;
-    vec![
-        Query::Projection,
-        Query::Coverage,
-        Query::Ledger,
-        Query::WhatIf(whatif),
-    ]
-}
-
-#[test]
-fn daemon_answers_are_byte_identical_to_batch() {
-    let h = start_daemon(64, 8);
-    for (tenant, faults) in [("clean", None), ("typical", Some("frontier-typical"))] {
-        let spec = spec_for(faults);
-        let mut conn = Connection::connect(&h.target).expect("connect");
-        conn.open(tenant, Some(&spec)).expect("open with spec");
-        let report = ingest_campaign(&mut conn, &spec).expect("ingest");
-        assert!(report.blocks > 0 && report.rows > 0);
-        let queries = all_queries(&spec);
-        let batch = batch_answers(&spec, &queries);
-        for (q, expected) in queries.iter().zip(&batch) {
-            let got = conn.query(q).expect("daemon answers");
-            assert_eq!(
-                &got, expected,
-                "daemon vs batch mismatch for {tenant}/{q:?}"
-            );
-        }
-    }
-    // The metrics endpoint reflects both tenants.
-    let scraped = pmssd::client::scrape_metrics(&h.metrics_addr).expect("scrape");
-    assert!(scraped.contains("tenant=\"clean\""));
-    assert!(scraped.contains("tenant=\"typical\""));
-    h.stop();
-}
-
 #[test]
 fn adversarial_frames_bounce_with_typed_errors_and_answers_hold() {
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let mut conn = Connection::connect(&h.target).expect("connect");
     conn.open("victim", Some(&spec)).expect("open");
@@ -247,7 +132,7 @@ fn adversarial_frames_bounce_with_typed_errors_and_answers_hold() {
 /// OPEN — and the scrape carries nothing derived from it.
 #[test]
 fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let forged = "a\"} 1\npmssd_forged_metric{x=\"y";
     let too_long = "n".repeat(65);
@@ -271,7 +156,7 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
     conn.open(honest, Some(&spec))
         .expect("a well-formed name opens");
     ingest_campaign(&mut conn, &spec).expect("ingest");
-    let scraped = pmssd::client::scrape_metrics(&h.metrics_addr).expect("scrape");
+    let scraped = h.scrape();
     assert!(scraped.lines().count() > 5, "{scraped}");
     let label = format!("{{tenant=\"{honest}\"}} ");
     for line in scraped.lines() {
@@ -302,7 +187,7 @@ fn hostile_tenant_names_are_rejected_and_never_reach_the_scrape() {
 /// answer after FLUSH.
 #[test]
 fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let sized = |nodes, days| ScenarioSpec {
         nodes,
@@ -377,7 +262,7 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     ingest_campaign(&mut next, &spec).expect("ingest");
     next.flush().expect("flush");
     let got = next.query(&Query::Projection).expect("query");
-    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    assert_eq!(got, cli_run(&["query", "projection", "--scale", "quick"]));
     h.stop();
 }
 
@@ -416,7 +301,7 @@ fn a_block_declaring_more_rows_than_the_tenants_channels_hold_is_malformed() {
     varint(rows, &mut frame);
     assert_eq!(frame.len(), 72);
 
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let mut conn = Connection::connect(&h.target).expect("connect");
     conn.open("bounded", Some(&spec)).expect("open");
@@ -430,7 +315,7 @@ fn a_block_declaring_more_rows_than_the_tenants_channels_hold_is_malformed() {
     ingest_campaign(&mut conn, &spec).expect("a normal campaign still ingests");
     conn.flush().expect("flush");
     let got = conn.query(&Query::Projection).expect("query");
-    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    assert_eq!(got, cli_run(&["query", "projection", "--scale", "quick"]));
     h.stop();
 }
 
@@ -439,7 +324,7 @@ fn a_block_declaring_more_rows_than_the_tenants_channels_hold_is_malformed() {
 /// a second connection is served a normal query.
 #[test]
 fn tenants_past_the_cap_are_refused_and_live_ones_are_served() {
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let tiny = ScenarioSpec {
         nodes: 1,
@@ -474,13 +359,13 @@ fn tenants_past_the_cap_are_refused_and_live_ones_are_served() {
     ingest_campaign(&mut second, &spec).expect("ingest");
     second.flush().expect("flush");
     let got = second.query(&Query::Projection).expect("query");
-    assert_eq!(got, batch_answers(&spec, &[Query::Projection])[0]);
+    assert_eq!(got, cli_run(&["query", "projection", "--scale", "quick"]));
     h.stop();
 }
 
 #[test]
 fn reopen_binds_only_when_a_carried_spec_matches_the_tenants() {
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let spec = spec_for(None);
     let mut first = Connection::connect(&h.target).expect("connect");
     first.open("shared", Some(&spec)).expect("create");
@@ -510,7 +395,7 @@ fn concurrent_split_feeds_converge_and_backpressure_is_typed() {
     // Queue depth 1 forces admission collisions between two feeder
     // connections; both retry on the typed backpressure error, so the
     // campaign still lands exactly once and answers match batch.
-    let h = start_daemon(1, 4);
+    let h = Harness::tcp(1, 4);
     let spec = spec_for(Some("frontier-typical"));
     {
         let mut conn = Connection::connect(&h.target).expect("connect");
@@ -558,16 +443,32 @@ fn concurrent_split_feeds_converge_and_backpressure_is_typed() {
     let mut conn = Connection::connect(&h.target).expect("reader connect");
     conn.open("shared", None).expect("bind");
     conn.flush().expect("flush");
-    let queries = all_queries(&spec);
-    let batch = batch_answers(&spec, &queries);
-    for (q, expected) in queries.iter().zip(&batch) {
-        assert_eq!(&conn.query(q).expect("answer"), expected, "query {q:?}");
+    // Every query kind `pmss query` answers for this scenario, the what-if
+    // on the power ladder's middle rung.
+    for q in [
+        &["projection"][..],
+        &["coverage"],
+        &["ledger"],
+        &["whatif", "power_w", "300"],
+    ] {
+        let parsed: Vec<String> = q.iter().map(|s| s.to_string()).collect();
+        let query = Query::from_args(&parsed).expect("query parses");
+        let mut argv = vec!["query", "--scale", "quick", "--faults", "frontier-typical"];
+        argv.extend_from_slice(q);
+        assert_eq!(
+            conn.query(&query).expect("answer"),
+            cli_run(&argv),
+            "query {q:?}"
+        );
     }
     h.stop();
 }
 
+/// A unix-socket daemon binds over a stale socket file, labels every
+/// tenant's `/metrics` lines with its name, and removes its socket on the
+/// way out.
 #[test]
-fn unix_listener_round_trip_matches_batch_and_removes_its_socket() {
+fn unix_listener_binds_over_a_stale_socket_labels_its_tenants_and_removes_it() {
     let path = std::env::temp_dir().join(format!("pmssd-diff-{}.sock", std::process::id()));
     // A stale socket file (what a killed daemon leaves behind) must not
     // refuse the bind.
@@ -575,19 +476,17 @@ fn unix_listener_round_trip_matches_batch_and_removes_its_socket() {
     drop(std::os::unix::net::UnixListener::bind(&path).expect("pre-create the stale socket"));
     assert!(path.exists(), "dropping a listener leaves its file");
 
-    let h = start_daemon_on(Listen::Unix(path.clone()), 64, 8);
-    let spec = spec_for(None);
-    let mut conn = Connection::connect(&h.target).expect("connect over unix");
-    conn.open("unix", Some(&spec)).expect("open with spec");
-    let report = ingest_campaign(&mut conn, &spec).expect("ingest + flush");
-    assert!(report.blocks > 0 && report.rows > 0);
-    // Batch answers are what the TCP differential pins too, so the two
-    // transports agree byte for byte.
-    let queries = all_queries(&spec);
-    let batch = batch_answers(&spec, &queries);
-    for (q, expected) in queries.iter().zip(&batch) {
-        assert_eq!(&conn.query(q).expect("answer"), expected, "query {q:?}");
+    let h = Harness::start(Listen::Unix(path.clone()), 64, 8);
+    for (tenant, faults) in [("clean", None), ("typical", Some("frontier-typical"))] {
+        let spec = spec_for(faults);
+        let mut conn = Connection::connect(&h.target).expect("connect over unix");
+        conn.open(tenant, Some(&spec)).expect("open with spec");
+        let report = ingest_campaign(&mut conn, &spec).expect("ingest + flush");
+        assert!(report.blocks > 0 && report.rows > 0);
     }
+    let scraped = h.scrape();
+    assert!(scraped.contains("tenant=\"clean\""));
+    assert!(scraped.contains("tenant=\"typical\""));
     h.stop();
     assert!(
         !path.exists(),
@@ -599,9 +498,9 @@ fn unix_listener_round_trip_matches_batch_and_removes_its_socket() {
 fn shutdown_force_closes_a_connection_idle_mid_header() {
     use std::io::{Read, Write};
 
-    let h = start_daemon(64, 8);
+    let h = Harness::tcp(64, 8);
     let Target::Tcp(addr) = &h.target else {
-        unreachable!("start_daemon binds TCP")
+        unreachable!("Harness::tcp binds TCP")
     };
     // Half a length prefix, then silence: the connection thread is parked
     // in `read_exact` and only a force-close can get it out.  (The accept

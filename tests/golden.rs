@@ -5,9 +5,17 @@
 //! The `tests/golden/*.txt` files were captured from the original
 //! per-artifact binaries (since deleted) at the default (quick) scale
 //! before they were collapsed into the pipeline; `tests/golden/*.json` pins the
-//! structured output introduced with it.
+//! structured output introduced with it.  The default scenario renders
+//! them under every spelling of it — omitting a field or naming its
+//! default (`econ: flat`, `fleet_mix: "single-sku"`, `--faults none`),
+//! metered or not — and no other run perturbs them.
 
-use pmss::pipeline::{cli, metrics, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+mod support;
+
+use pmss::econ::EconTrace;
+use pmss::pipeline::{metrics, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use pmss::telemetry::simulate_fleet;
+use support::{cli_run, golden};
 
 /// A quick-scale pipeline; with `PMSS_METRICS` set the suite runs fully
 /// metered, pinning that metrics collection never changes artifact bytes
@@ -21,18 +29,18 @@ fn quick_pipeline() -> Pipeline {
     }
 }
 
-fn golden(name: &str, ext: &str) -> String {
-    let path = format!("tests/golden/{name}.{ext}");
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
-/// Every artifact renders exactly the bytes the dedicated binary printed.
-#[test]
-fn ascii_matches_the_pre_refactor_binaries() {
-    let mut p = quick_pipeline();
+/// Every artifact of `p` renders its ASCII golden — the bytes the
+/// dedicated binary printed — and, when `json_reference` is given, the
+/// same JSON as that pipeline.
+fn assert_every_artifact_renders_its_golden(
+    spelling: &str,
+    mut p: Pipeline,
+    mut json_reference: Option<Pipeline>,
+) {
     let mut bad = Vec::new();
     for id in ArtifactId::all() {
-        let got = p.artifact(id).expect("artifact").render_ascii();
+        let artifact = p.artifact(id).expect("artifact");
+        let got = artifact.render_ascii();
         let want = golden(id.name(), "txt");
         if got != want {
             bad.push(format!(
@@ -42,8 +50,44 @@ fn ascii_matches_the_pre_refactor_binaries() {
                 want.len()
             ));
         }
+        if let Some(reference) = &mut json_reference {
+            let want = reference.artifact(id).expect("artifact").to_json();
+            if artifact.to_json().to_string_pretty() != want.to_string_pretty() {
+                bad.push(format!("{}: JSON differs", id.name()));
+            }
+        }
     }
-    assert!(bad.is_empty(), "ASCII drift:\n{}", bad.join("\n"));
+    assert!(bad.is_empty(), "{spelling}: drift:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn ascii_matches_the_pre_refactor_binaries() {
+    assert_every_artifact_renders_its_golden("spec as preset", quick_pipeline(), None);
+}
+
+#[test]
+fn flat_trace_spec_renders_every_golden_byte_for_byte() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    spec.econ = Some(EconTrace::flat());
+    let p = Pipeline::new(spec).expect("valid spec");
+    assert_every_artifact_renders_its_golden("econ: flat", p, None);
+}
+
+#[test]
+fn single_sku_spec_renders_every_golden_byte_for_byte() {
+    let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
+    spec.fleet_mix = Some("single-sku".to_string());
+    let p = Pipeline::new(spec).expect("valid spec");
+    assert_every_artifact_renders_its_golden("fleet_mix: single-sku", p, None);
+}
+
+/// Metering every stage changes no artifact's bytes, in either rendering.
+#[test]
+fn metered_pipeline_renders_every_golden_byte_for_byte() {
+    let spec = ScenarioSpec::preset(ScalePreset::Quick);
+    let metered = Pipeline::with_metrics(spec.clone()).expect("valid spec");
+    let plain = Pipeline::new(spec).expect("valid spec");
+    assert_every_artifact_renders_its_golden("metered", metered, Some(plain));
 }
 
 /// The CLI `--json` envelope for the seeded headline artifacts is stable.
@@ -59,12 +103,111 @@ fn json_matches_the_golden_captures() {
         "components",
         "econ",
     ] {
-        let args: Vec<String> = [name, "--json", "--scale", "quick"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let got = cli::run(&args).expect("cli run");
+        let got = cli_run(&[name, "--json", "--scale", "quick"]);
         assert_eq!(got, golden(name, "json"), "JSON drift in {name}");
+    }
+}
+
+/// How a CLI case is spelled: as written, or with flags naming the
+/// default the command line otherwise leaves out.
+type Spelling = &'static [&'static str];
+const AS_WRITTEN: Spelling = &[];
+const ECON_FLAT: Spelling = &["--econ", "flat"];
+const SINGLE_SKU: Spelling = &["--mix", "single-sku"];
+const NO_FAULTS: Spelling = &["--faults", "none"];
+
+/// Clean and faulted CLI runs pinned in both renderings: command line,
+/// golden, extension, and the spellings each runs under.
+const CLI_CASES: [(&str, &str, &str, &[Spelling]); 17] = [
+    ("faults --scale quick", "faults", "txt", &[AS_WRITTEN]),
+    (
+        "faults --scale quick --json",
+        "faults",
+        "json",
+        &[AS_WRITTEN],
+    ),
+    (
+        "table3 --scale quick",
+        "table3",
+        "txt",
+        &[ECON_FLAT, SINGLE_SKU],
+    ),
+    (
+        "table3 --scale quick --json",
+        "table3",
+        "json",
+        &[ECON_FLAT, SINGLE_SKU],
+    ),
+    ("whatif --scale quick", "whatif", "txt", &[ECON_FLAT]),
+    ("econ --scale quick", "econ", "txt", &[ECON_FLAT]),
+    ("econ --scale quick --json", "econ", "json", &[ECON_FLAT]),
+    (
+        "components --scale quick",
+        "components",
+        "txt",
+        &[SINGLE_SKU],
+    ),
+    (
+        "components --scale quick --json",
+        "components",
+        "json",
+        &[SINGLE_SKU],
+    ),
+    ("fig 2 --scale quick", "fig2", "txt", &[NO_FAULTS]),
+    ("fig 2 --scale quick --json", "fig2", "json", &[NO_FAULTS]),
+    (
+        "govern --scale quick --faults frontier-typical",
+        "govern-frontier-typical",
+        "txt",
+        &[AS_WRITTEN, ECON_FLAT, SINGLE_SKU],
+    ),
+    (
+        "govern --scale quick --faults frontier-typical --json",
+        "govern-frontier-typical",
+        "json",
+        &[AS_WRITTEN, ECON_FLAT, SINGLE_SKU],
+    ),
+    (
+        "stream --scale quick --faults frontier-typical",
+        "stream-frontier-typical",
+        "txt",
+        &[AS_WRITTEN, ECON_FLAT, SINGLE_SKU],
+    ),
+    (
+        "stream --scale quick --faults frontier-typical --json",
+        "stream-frontier-typical",
+        "json",
+        &[AS_WRITTEN, SINGLE_SKU],
+    ),
+    (
+        "table 4 --scale quick --faults frontier-typical",
+        "table4-frontier-typical",
+        "txt",
+        &[AS_WRITTEN, ECON_FLAT, SINGLE_SKU],
+    ),
+    (
+        "table 4 --scale quick --faults frontier-typical --json",
+        "table4-frontier-typical",
+        "json",
+        &[AS_WRITTEN, ECON_FLAT, SINGLE_SKU],
+    ),
+];
+
+/// Runs every [`CLI_CASES`] row spelled `spelling` and compares it with
+/// its golden.
+fn cli_cases_match_their_goldens(spelling: Spelling) {
+    for (line, name, ext, spellings) in CLI_CASES {
+        if !spellings.contains(&spelling) {
+            continue;
+        }
+        let mut argv: Vec<&str> = line.split_whitespace().collect();
+        argv.extend_from_slice(spelling);
+        assert_eq!(
+            cli_run(&argv),
+            golden(name, ext),
+            "golden drift in {name}.{ext} under `{}`",
+            argv.join(" ")
+        );
     }
 }
 
@@ -74,74 +217,29 @@ fn json_matches_the_golden_captures() {
 /// metering never changes output bytes.
 #[test]
 fn faulted_runs_match_the_golden_captures() {
-    let cases: [(&[&str], &str, &str); 8] = [
-        (&["faults", "--scale", "quick"], "faults", "txt"),
-        (&["faults", "--scale", "quick", "--json"], "faults", "json"),
-        (
-            &["govern", "--scale", "quick", "--faults", "frontier-typical"],
-            "govern-frontier-typical",
-            "txt",
-        ),
-        (
-            &[
-                "govern",
-                "--scale",
-                "quick",
-                "--faults",
-                "frontier-typical",
-                "--json",
-            ],
-            "govern-frontier-typical",
-            "json",
-        ),
-        (
-            &["stream", "--scale", "quick", "--faults", "frontier-typical"],
-            "stream-frontier-typical",
-            "txt",
-        ),
-        (
-            &[
-                "stream",
-                "--scale",
-                "quick",
-                "--faults",
-                "frontier-typical",
-                "--json",
-            ],
-            "stream-frontier-typical",
-            "json",
-        ),
-        (
-            &[
-                "table",
-                "4",
-                "--scale",
-                "quick",
-                "--faults",
-                "frontier-typical",
-            ],
-            "table4-frontier-typical",
-            "txt",
-        ),
-        (
-            &[
-                "table",
-                "4",
-                "--scale",
-                "quick",
-                "--faults",
-                "frontier-typical",
-                "--json",
-            ],
-            "table4-frontier-typical",
-            "json",
-        ),
-    ];
-    for (argv, name, ext) in cases {
-        let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let got = cli::run(&args).expect("cli run");
-        assert_eq!(got, golden(name, ext), "golden drift in {name}.{ext}");
-    }
+    cli_cases_match_their_goldens(AS_WRITTEN);
+}
+
+/// `--econ flat` is a no-op for output bytes, clean and faulted —
+/// including `whatif`, whose render grows an econ section the moment a
+/// trace is *active*.
+#[test]
+fn flat_econ_cli_flag_matches_clean_and_faulted_goldens() {
+    cli_cases_match_their_goldens(ECON_FLAT);
+}
+
+/// `--mix single-sku` is a no-op for output bytes, clean and faulted.
+#[test]
+fn single_sku_cli_flag_matches_clean_and_faulted_goldens() {
+    cli_cases_match_their_goldens(SINGLE_SKU);
+}
+
+/// `pmss fig 2 --faults none` is `pmss fig 2`, and its JSON envelope
+/// gains no `faults` section.
+#[test]
+fn zero_fault_cli_runs_are_byte_identical() {
+    cli_cases_match_their_goldens(NO_FAULTS);
+    assert!(!golden("fig2", "json").contains("\"faults\""));
 }
 
 /// An active `--econ diurnal` trace is pinned byte-for-byte in both
@@ -149,22 +247,22 @@ fn faulted_runs_match_the_golden_captures() {
 /// joins a historical artifact rather than standing alone.
 #[test]
 fn econ_runs_match_the_golden_captures() {
-    let cases: [(&[&str], &str, &str); 2] = [
+    for (argv, ext) in [
         (
-            &["whatif", "--scale", "quick", "--econ", "diurnal"],
-            "whatif-econ-diurnal",
+            &["whatif", "--scale", "quick", "--econ", "diurnal"][..],
             "txt",
         ),
         (
             &["whatif", "--scale", "quick", "--econ", "diurnal", "--json"],
-            "whatif-econ-diurnal",
             "json",
         ),
-    ];
-    for (argv, name, ext) in cases {
-        let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let got = cli::run(&args).expect("cli run");
-        assert_eq!(got, golden(name, ext), "golden drift in {name}.{ext}");
+    ] {
+        let got = cli_run(argv);
+        assert_eq!(
+            got,
+            golden("whatif-econ-diurnal", ext),
+            "golden drift in {ext}"
+        );
     }
 }
 
@@ -191,51 +289,96 @@ fn custom_cadence_govern_matches_the_golden_capture() {
     assert_eq!(got, golden("govern-custom", "txt"));
 }
 
-/// Running the streaming replay leaves the batch path untouched: every
-/// batch artifact computed after a `stream` run in the same pipeline
-/// renders the same bytes as in a pipeline that never streamed.
-#[test]
-fn stream_replay_does_not_perturb_batch_artifacts() {
-    let mut streamed = quick_pipeline();
-    streamed
-        .artifact(ArtifactId::Stream)
-        .expect("stream artifact");
-    for id in [ArtifactId::Table4, ArtifactId::Table5, ArtifactId::Fig8] {
-        let after_stream = streamed.artifact(id).expect("artifact").render_ascii();
+/// Runs that must leave every batch artifact computed after them
+/// untouched: what ran, a function making the run and returning the
+/// pipeline the artifacts are then computed in, and the artifacts.
+type Perturbation = (&'static str, fn() -> Pipeline, &'static [ArtifactId]);
+
+const PERTURBATIONS: [Perturbation; 3] = {
+    use ArtifactId::*;
+    [
+        ("a stream replay", || after(Stream), &[Table4, Table5, Fig8]),
+        (
+            "a governor replay",
+            || after(Govern),
+            &[Fig2, Table4, Table5],
+        ),
+        (
+            "a mixed-fleet run",
+            after_a_mixed_fleet_run,
+            &[Table4, Table5, Fig8, Components],
+        ),
+    ]
+};
+
+/// The same quick pipeline, after it computed `id`.
+fn after(id: ArtifactId) -> Pipeline {
+    let mut p = quick_pipeline();
+    p.artifact(id).expect("artifact");
+    p
+}
+
+/// Runs a mixed fleet through a pipeline and through the bare
+/// `simulate_fleet` entry point (the path `pmss query`-style callers
+/// take), then returns a fresh homogeneous pipeline: runs share nothing,
+/// so their order cannot matter.
+fn after_a_mixed_fleet_run() -> Pipeline {
+    let mut mixed_spec = ScenarioSpec::preset(ScalePreset::Quick);
+    mixed_spec.fleet_mix = Some("mixed-50-50".to_string());
+    let mut mixed = Pipeline::new(mixed_spec.clone()).expect("valid spec");
+    let mixed_render = mixed
+        .artifact(ArtifactId::Components)
+        .expect("components")
+        .render_ascii();
+    // The mix must actually change bytes, or this guard is vacuous.
+    assert_ne!(
+        mixed_render,
+        golden("components", "txt"),
+        "mixed-50-50 components rendered the homogeneous bytes"
+    );
+    let schedule = pmss::sched::generate(mixed_spec.trace_params(), &pmss::sched::catalog());
+    let _: pmss::core::EnergyLedger = simulate_fleet(&schedule, &mixed.fleet_config());
+    Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).expect("valid spec")
+}
+
+fn assert_not_perturbed(row: usize) {
+    let (what, run, artifacts) = PERTURBATIONS[row];
+    let mut p = run();
+    for &id in artifacts {
         assert_eq!(
-            after_stream,
+            p.artifact(id).expect("artifact").render_ascii(),
             golden(id.name(), "txt"),
-            "batch artifact {} drifted after a stream replay",
+            "batch artifact {} drifted after {what}",
             id.name()
         );
     }
 }
 
-/// Running the online governor leaves the batch path untouched: every
-/// batch artifact computed after a `govern` run in the same pipeline
-/// renders the same bytes as in a pipeline that never governed.
+#[test]
+fn stream_replay_does_not_perturb_batch_artifacts() {
+    assert_not_perturbed(0);
+}
+
 #[test]
 fn govern_replay_does_not_perturb_batch_artifacts() {
-    let mut governed = quick_pipeline();
-    governed
-        .artifact(ArtifactId::Govern)
-        .expect("govern artifact");
-    for id in [ArtifactId::Fig2, ArtifactId::Table4, ArtifactId::Table5] {
-        let after_govern = governed.artifact(id).expect("artifact").render_ascii();
-        assert_eq!(
-            after_govern,
-            golden(id.name(), "txt"),
-            "batch artifact {} drifted after a governor replay",
-            id.name()
-        );
-    }
+    assert_not_perturbed(1);
+}
+
+#[test]
+fn mixed_runs_never_perturb_homogeneous_artifacts() {
+    assert_not_perturbed(2);
+    // And so must the CLI path itself.
+    assert_eq!(
+        cli_run(&["components", "--scale", "quick"]),
+        golden("components", "txt")
+    );
 }
 
 /// The default CLI path (no flags) renders the same bytes as the library
 /// API — the shim in `src/main.rs` only prints the returned string.
 #[test]
 fn cli_default_output_equals_library_render() {
-    let via_cli = cli::run(&["table3".to_string()]).expect("cli run");
+    let via_cli = cli_run(&["table3"]);
     let via_lib = quick_pipeline()
         .artifact(ArtifactId::Table3)
         .expect("artifact")

@@ -4,8 +4,10 @@
 //! cluster budget invariant holds in every rendered row, and one shared
 //! replay of many plans equals a replay of each plan alone.
 
+mod support;
+
 use pmss::pipeline::artifact::GovernArtifact;
-use pmss::pipeline::{cli, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use pmss::pipeline::{Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
 use pmss_faults::FaultPlan;
 use pmss_govern::{run_governor, GovernorPlan};
 use pmss_sched::{catalog, generate};
@@ -13,10 +15,7 @@ use pmss_stream::StreamConfig;
 use pmss_telemetry::{DeliveryTrace, FleetConfig};
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3;
-
-fn args(list: &[&str]) -> Vec<String> {
-    list.iter().map(|s| s.to_string()).collect()
-}
+use support::cli_run;
 
 fn quick_govern() -> GovernArtifact {
     let mut p =
@@ -43,8 +42,7 @@ fn govern_runs_are_deterministic_across_repeat_runs() {
             "frontier-typical",
         ],
     ] {
-        let a = cli::run(&args(&argv)).unwrap();
-        let b = cli::run(&args(&argv)).unwrap();
+        let (a, b) = (cli_run(&argv), cli_run(&argv));
         // The run manifest carries wall times; compare everything before it.
         let cut = |s: &str| s.split("\"run\"").next().unwrap().to_string();
         assert_eq!(cut(&a), cut(&b), "nondeterministic {argv:?}");

@@ -2,41 +2,22 @@
 //! bytes, and the `--metrics` envelope must carry the run's engine, solver,
 //! and stage tallies.
 
+mod support;
+
 use pmss::pipeline::json::Json;
-use pmss::pipeline::{cli, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use pmss::pipeline::{ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use support::cli_run;
 
-fn cli_run(list: &[&str]) -> String {
-    let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
-    cli::run(&args).expect("cli run")
-}
-
-/// A metered pipeline renders byte-identical artifacts to an unmetered
-/// one — ASCII and JSON — across fleet-, benchmark-, and sweep-backed
-/// artifacts.
+/// A metered pipeline counts the artifacts it computes, across fleet-,
+/// benchmark-, and sweep-backed artifacts.  (That metering changes no
+/// artifact's bytes is pinned for all of them in `tests/golden.rs`.)
 #[test]
-fn metered_artifacts_are_byte_identical() {
+fn metered_artifacts_count_their_computation() {
     for id in [ArtifactId::Fig2, ArtifactId::Table5, ArtifactId::PeakPower] {
-        let spec = ScenarioSpec::preset(ScalePreset::Quick);
-        let plain = Pipeline::new(spec.clone())
-            .unwrap()
-            .artifact(id)
-            .expect("plain artifact");
-        let mut metered_p = Pipeline::with_metrics(spec).unwrap();
-        let metered = metered_p.artifact(id).expect("metered artifact");
-        assert_eq!(
-            plain.render_ascii(),
-            metered.render_ascii(),
-            "ASCII drift under metering for {}",
-            id.name()
-        );
-        assert_eq!(
-            plain.to_json().to_string_pretty(),
-            metered.to_json().to_string_pretty(),
-            "JSON drift under metering for {}",
-            id.name()
-        );
-        let m = metered_p.metrics_report().expect("metrics enabled");
-        assert!(m.counter("artifacts.computed") >= 1);
+        let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
+        p.artifact(id).expect("metered artifact");
+        let m = p.metrics_report().expect("metrics enabled");
+        assert!(m.counter("artifacts.computed") >= 1, "{}", id.name());
     }
 }
 
