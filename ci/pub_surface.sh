@@ -25,6 +25,11 @@
 # code that only an example reaches serves no artifact: the example earns
 # it a production caller, or both go.
 #
+# Last, the environment variables code under crates/*/src and src reads
+# (`env::var`, `var_os`; a `const` name is resolved to its string) are
+# printed, and any name outside ENV_ALLOWED fails the census: a setting
+# the command line cannot see does not come back unreviewed.
+#
 # Usage: ci/pub_surface.sh [-v]   (-v also lists the unnamed items)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +41,7 @@ import sys
 from collections import Counter
 
 verbose = sys.argv[1] == "-v"
+ENV_ALLOWED = {"PMSS_SCALE"}
 item = re.compile(r"^\s*pub (?:const fn|fn|struct|enum|trait|type|const|static|mod) ([A-Za-z_]\w*)")
 word = re.compile(r"[A-Za-z_]\w*")
 
@@ -93,10 +99,31 @@ for path in library:
                 example_only += 1
                 print(f"named only by examples: {path}:{lineno} {name}")
 
+env_read = re.compile(r"(?:\benv::var|\bvar_os)\(\s*([^)]*?)\s*\)")
+str_const = re.compile(r"\bconst ([A-Z_][A-Z0-9_]*): &str = \"([^\"]*)\";")
+env_sources = library + sorted(glob.glob("src/*.rs"))
+consts, reads = {}, []
+for path in env_sources:
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    consts.update(str_const.findall(text))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for arg in env_read.findall(line.split("//", 1)[0]):
+            reads.append((path, lineno, arg))
+env_names = set()
+env_unlisted = 0
+for path, lineno, arg in reads:
+    name = arg.strip('"') if arg.startswith('"') else consts.get(arg, arg)
+    env_names.add(name)
+    if name not in ENV_ALLOWED:
+        env_unlisted += 1
+        print(f"environment variable outside the allow-list: {path}:{lineno} {name}")
+
 print(f"pub items: {total}")
 print(f"unnamed outside file: {unnamed}")
 print(f"unnamed outside file, outside artifact.rs: {unnamed_outside_artifact}")
 print(f"named only at definition: {definition_only}")
 print(f"named only by examples: {example_only}")
-sys.exit(1 if definition_only or example_only else 0)
+print(f"environment variables read: {' '.join(sorted(env_names)) or '(none)'}")
+sys.exit(1 if definition_only or example_only or env_unlisted else 0)
 PY

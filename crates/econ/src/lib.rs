@@ -33,4 +33,4 @@ pub mod trace;
 
 pub use report::{shift, ShiftOutcome};
 pub use series::EconSeries;
-pub use trace::{EconTrace, JOULES_PER_MWH, SLOT_S};
+pub use trace::{EconTrace, SLOT_S};

@@ -17,7 +17,9 @@ use pmss_core::Region;
 use pmss_error::PmssError;
 
 use crate::series::EconSeries;
-use crate::trace::{EconTrace, JOULES_PER_MWH, SLOT_S};
+use pmss_gpu::consts::JOULES_PER_MWH;
+
+use crate::trace::{EconTrace, SLOT_S};
 
 /// Shifting knobs, resolved from an [`EconTrace`]'s scenario fields.
 #[derive(Debug, Clone, Copy, PartialEq)]

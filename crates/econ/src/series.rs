@@ -15,7 +15,9 @@ use pmss_core::Region;
 use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
-use crate::trace::{EconTrace, JOULES_PER_MWH, SLOT_S};
+use pmss_gpu::consts::JOULES_PER_MWH;
+
+use crate::trace::{EconTrace, SLOT_S};
 
 /// Number of power regions (matches `pmss_core::Region::all().len()`).
 const N_REGIONS: usize = 4;

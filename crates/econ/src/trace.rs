@@ -30,10 +30,6 @@ pub(crate) const REF_PRICE_USD_PER_MWH: f64 = 60.0;
 /// Reference (flat) grid carbon intensity, gCO₂/kWh.
 pub(crate) const REF_CARBON_G_PER_KWH: f64 = 400.0;
 
-/// Joules per megawatt-hour (same constant as `pmss_gpu::consts`,
-/// restated here to keep this crate's dependency set minimal).
-pub const JOULES_PER_MWH: f64 = 3.6e9;
-
 /// Default temporal-shifting deadline, in slots (16 × 15 min = 4 h).
 pub(crate) const DEFAULT_SHIFT_DEADLINE_SLOTS: u32 = 16;
 

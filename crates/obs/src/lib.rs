@@ -14,8 +14,9 @@
 //! adds, whether or not anyone is listening, and the caller publishes
 //! those tallies into the one registry afterwards — on the calling
 //! thread, in run order, even when the runs themselves ran on worker
-//! threads.  Metering is a registry, not a code path: every run tallies,
-//! and `--metrics` decides whether the tallies are published here.
+//! threads.  Metering is a registry, not a code path: every run tallies
+//! and every pipeline publishes the tallies here; `--metrics` only decides
+//! whether the registry is printed.
 //!
 //! ## What lives here
 //!

@@ -20,9 +20,11 @@ use pmss_econ::{shift, EconTrace, ShiftOutcome};
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy, PRESETS};
 use pmss_govern::{run_governor, GovernorPlan};
+use pmss_gpu::consts::JOULES_PER_MWH;
 use pmss_gpu::{sweet_spots, GovernedTotals, Governor, GpuSettings, SkuCatalog, SweetSpot};
 use pmss_graph::case_study::{networks, CaseStudy};
 use pmss_obs::{edges, Stopwatch};
+use pmss_sched::policy::FRONTIER_NODES;
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
@@ -38,7 +40,7 @@ use rand::SeedableRng;
 
 use crate::json::Json;
 use crate::render;
-use crate::spec::ScenarioSpec;
+use crate::spec::PAPER_CAMPAIGN_DAYS;
 use crate::stage::{ladder, node_hours, publish_run, sim_each, timed_sim, Pipeline};
 
 /// Identifies one reproducible paper artifact.
@@ -1126,22 +1128,6 @@ impl Artifact {
     }
 }
 
-/// A bundle of computed artifacts for one scenario.
-#[derive(Debug, Clone)]
-pub struct Artifacts {
-    /// The scenario that produced the bundle.
-    pub spec: ScenarioSpec,
-    /// The computed artifacts, in request order.
-    pub items: Vec<Artifact>,
-}
-
-impl Artifacts {
-    /// Finds an artifact by id.
-    pub fn get(&self, id: ArtifactId) -> Option<&Artifact> {
-        self.items.iter().find(|a| a.id() == id)
-    }
-}
-
 impl Pipeline {
     /// Computes one artifact, reusing memoized stages.
     pub fn artifact(&mut self, id: ArtifactId) -> Result<Artifact, PmssError> {
@@ -1178,23 +1164,10 @@ impl Pipeline {
             ArtifactId::Components => Artifact::Components(components(self)?),
             ArtifactId::Econ => Artifact::Econ(econ(self)?),
         };
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("artifacts.computed");
-            m.observe("artifact.wall_s", edges::WALL_S, sw.elapsed_s());
-        }
+        self.metrics.inc("artifacts.computed");
+        self.metrics
+            .observe("artifact.wall_s", edges::WALL_S, sw.elapsed_s());
         Ok(art)
-    }
-
-    /// Computes a bundle of artifacts, sharing every memoized stage.
-    pub fn artifacts(&mut self, ids: &[ArtifactId]) -> Result<Artifacts, PmssError> {
-        let items = ids
-            .iter()
-            .map(|&id| self.artifact(id))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Artifacts {
-            spec: self.spec().clone(),
-            items,
-        })
     }
 }
 
@@ -1221,9 +1194,7 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
     let schedule = &p.fleet()?.schedule;
     let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(schedule, &cfg);
     let node_hours = node_hours(schedule);
-    if let Some(m) = p.metrics.as_mut() {
-        publish_run(m, &cfg, node_hours, &stats, wall_s);
-    }
+    publish_run(&mut p.metrics, &cfg, node_hours, &stats, wall_s);
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1488,10 +1459,7 @@ fn table1() -> Table1 {
     use pmss_gpu::consts as c;
     Table1 {
         rows: vec![
-            (
-                "Compute node",
-                pmss_sched::policy::FRONTIER_NODES.to_string(),
-            ),
+            ("Compute node", FRONTIER_NODES.to_string()),
             (
                 "Each Compute node",
                 format!("{} AMD MI250X", c::GPUS_PER_NODE),
@@ -1547,8 +1515,8 @@ fn table2() -> Result<Table2, PmssError> {
         })
         .collect();
     Ok(Table2 {
-        raw_tb: sample_storage_bytes(9408, 4, 90.0, 2.0, 16.0) / 1e12,
-        agg_tb: sample_storage_bytes(9408, 4, 90.0, 15.0, 16.0) / 1e12,
+        raw_tb: sample_storage_bytes(FRONTIER_NODES, 4, PAPER_CAMPAIGN_DAYS, 2.0, 16.0) / 1e12,
+        agg_tb: sample_storage_bytes(FRONTIER_NODES, 4, PAPER_CAMPAIGN_DAYS, 15.0, 16.0) / 1e12,
         jobs: schedule.jobs.len(),
         log_lines,
         placements,
@@ -1756,8 +1724,8 @@ fn governor(p: &Pipeline) -> Result<GovernorArtifact, PmssError> {
 
 fn peakpower(p: &mut Pipeline) -> PeakPower {
     let schedule = p.schedule();
-    // Extrapolate fleet power to the full 9408-node system.
-    let node_factor = 9408.0 / p.spec.nodes as f64;
+    // Extrapolate fleet power to the full Frontier system.
+    let node_factor = FRONTIER_NODES as f64 / p.spec.nodes as f64;
     let base_cfg = p.fleet_config();
     let caps = [1700.0, 1500.0, 1300.0, 1100.0, 900.0];
     let cfgs = caps.map(|mhz| FleetConfig {
@@ -1765,7 +1733,7 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
         ..base_cfg.clone()
     });
     // One run per cap, each worker folding its own `FleetPowerSeries`.
-    let runs = sim_each::<FleetPowerSeries>(p.workers, &schedule, &cfgs, p.metrics.as_mut());
+    let runs = sim_each::<FleetPowerSeries>(p.workers, &schedule, &cfgs, &mut p.metrics);
     let mut rows = Vec::new();
     let mut base_peak = 0.0;
     for (mhz, (fp, _)) in caps.into_iter().zip(runs) {
@@ -1949,18 +1917,16 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
     eng.flush();
     rows.push(capture(&eng, (trace.last_rank() + 1) as f64 * window_s)?);
 
-    if let Some(m) = s.metrics {
-        eng.publish_metrics(m);
-        // Released windows over the artifact's whole replay — the traced
-        // fleet stage (generation, the batch fold and the capture), the
-        // delivery-order merge, ingest and snapshots — not ingest alone.
-        let wall = sw.elapsed_s();
-        if wall > 0.0 {
-            m.gauge_set(
-                "stream.windows_per_s",
-                eng.stats().released_windows as f64 / wall,
-            );
-        }
+    eng.publish_metrics(s.metrics);
+    // Released windows over the artifact's whole replay — the traced fleet
+    // stage (generation, the batch fold and the capture), the delivery-order
+    // merge, ingest and snapshots — not ingest alone.
+    let wall = sw.elapsed_s();
+    if wall > 0.0 {
+        s.metrics.gauge_set(
+            "stream.windows_per_s",
+            eng.stats().released_windows as f64 / wall,
+        );
     }
     let buffer_bound = eng.buffer_bound();
     let (ledger, stats) = eng.finish();
@@ -2022,9 +1988,7 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
     let mut interval_s = 0.0;
     let mut rows = Vec::new();
     for ((label, _), outcome) in jobs.into_iter().zip(outcomes) {
-        if let Some(m) = s.metrics.as_deref_mut() {
-            outcome.publish_metrics(m);
-        }
+        outcome.publish_metrics(s.metrics);
         // The header reports the presets' shared sync window; a custom
         // row may use its own interval without relabeling the header.
         if rows.is_empty() {
@@ -2064,9 +2028,6 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
 /// Tuner slowdown bound for the components artifact: the paper's
 /// no-slowdown regime with 1 % tolerance.
 const TUNER_MAX_SLOWDOWN: f64 = 1.01;
-
-/// Joules per megawatt-hour.
-const J_PER_MWH: f64 = 3.6e9;
 
 fn components(p: &mut Pipeline) -> Result<ComponentsArtifact, PmssError> {
     // The savings headline under this mix: mixed fleets shift the region
@@ -2115,18 +2076,18 @@ fn components(p: &mut Pipeline) -> Result<ComponentsArtifact, PmssError> {
         } else {
             0.0
         };
-        total_gpu_mwh += gpu_j / J_PER_MWH;
-        total_rest_mwh += rest_j / J_PER_MWH;
+        total_gpu_mwh += gpu_j / JOULES_PER_MWH;
+        total_rest_mwh += rest_j / JOULES_PER_MWH;
         rows.push(ComponentsRow {
             sku: sku as u8,
             name: spec.name,
             nodes: count,
-            gpu_mwh: gpu_j / J_PER_MWH,
-            hbm_mwh: lanes[0] / J_PER_MWH,
-            l2_mwh: lanes[1] / J_PER_MWH,
-            alu_mwh: lanes[2] / J_PER_MWH,
-            clock_mwh: lanes[3] / J_PER_MWH,
-            rest_mwh: rest_j / J_PER_MWH,
+            gpu_mwh: gpu_j / JOULES_PER_MWH,
+            hbm_mwh: lanes[0] / JOULES_PER_MWH,
+            l2_mwh: lanes[1] / JOULES_PER_MWH,
+            alu_mwh: lanes[2] / JOULES_PER_MWH,
+            clock_mwh: lanes[3] / JOULES_PER_MWH,
+            rest_mwh: rest_j / JOULES_PER_MWH,
             conservation_err,
             sweet_spots: sweet_spots(&spec.engine, TUNER_MAX_SLOWDOWN).to_vec(),
         });
@@ -2201,7 +2162,7 @@ fn econ(p: &mut Pipeline) -> Result<EconArtifact, PmssError> {
         .map(|sku| EconSkuRow {
             sku: sku as u8,
             name: catalog.spec(sku as u8).name,
-            gpu_mwh: series.sku_gpu_j(sku) / J_PER_MWH,
+            gpu_mwh: series.sku_gpu_j(sku) / JOULES_PER_MWH,
             cost_usd: series.sku_cost_usd(sku, &focus_trace),
             carbon_t: series.sku_carbon_kg(sku, &focus_trace) / 1e3,
         })
@@ -2222,8 +2183,8 @@ fn econ(p: &mut Pipeline) -> Result<EconArtifact, PmssError> {
     Ok(EconArtifact {
         focus,
         slots: series.num_slots(),
-        total_gpu_mwh: series.total_gpu_j() / J_PER_MWH,
-        total_rest_mwh: series.total_rest_j() / J_PER_MWH,
+        total_gpu_mwh: series.total_gpu_j() / JOULES_PER_MWH,
+        total_rest_mwh: series.total_rest_j() / JOULES_PER_MWH,
         ref_cost_usd,
         ref_carbon_t,
         rows,

@@ -18,7 +18,7 @@ use pmss_telemetry::{Pair, ResidentFleet};
 
 use crate::artifact::ArtifactId;
 use crate::json::Json;
-use crate::metrics::{manifest, manifest_to_json, metrics_env_enabled, metrics_to_json};
+use crate::metrics::{manifest, manifest_to_json, metrics_to_json};
 use crate::render::{bounds_json, coverage_json};
 use crate::spec::{
     econ_trace_from_json, econ_trace_to_json, fault_plan_from_json, fault_plan_to_json,
@@ -94,15 +94,9 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
     }
 
     let id = parse_artifact(&positional)?;
-    // `--metrics` turns on both collection and reporting; `PMSS_METRICS`
-    // turns on collection only, leaving every output byte unchanged (the
-    // golden suite runs with it set to pin that equivalence).
-    let collect = metrics_flag || metrics_env_enabled();
-    let mut pipeline = if collect {
-        Pipeline::with_metrics(spec)?
-    } else {
-        Pipeline::new(spec)?
-    };
+    // The pipeline always collects; `--metrics` only decides whether the
+    // registry is printed.
+    let mut pipeline = Pipeline::new(spec)?;
     let sw = Stopwatch::start();
     let artifact = pipeline.artifact(id)?;
     let faults_section = if json {
@@ -117,8 +111,7 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
     };
     let report = metrics_flag.then(|| {
         let man = manifest(&positional.join(" "), pipeline.spec(), sw.elapsed_s());
-        let m = pipeline.metrics_report().expect("metrics enabled");
-        (man, m)
+        (man, pipeline.metrics_report())
     });
     Ok(if json {
         let mut envelope = Json::obj()
@@ -173,15 +166,15 @@ fn query_cmd(rest: &[String], spec: ScenarioSpec) -> Result<String, PmssError> {
 }
 
 /// The `stats` subcommand: run the full staged pipeline (fleet, benchmark,
-/// projection) with metering on and report only the manifest + metrics.
+/// projection) and report only the manifest + metrics.
 fn stats(spec: ScenarioSpec, json: bool) -> Result<String, PmssError> {
-    let mut p = Pipeline::with_metrics(spec)?;
+    let mut p = Pipeline::new(spec)?;
     let sw = Stopwatch::start();
     p.fleet()?;
     p.table3()?;
     p.projection()?;
     let man = manifest("stats", p.spec(), sw.elapsed_s());
-    let m = p.metrics_report().expect("metrics enabled");
+    let m = p.metrics_report();
     Ok(if json {
         Json::obj()
             .field("run", manifest_to_json(&man))
@@ -418,7 +411,6 @@ fn help_text() -> String {
          OPTIONS:\n\
          \x20   --json           structured JSON output instead of ASCII\n\
          \x20   --metrics        append the run manifest + metrics report\n\
-         \x20                    (collection alone: PMSS_METRICS=1, output unchanged)\n\
          \x20   --scale <NAME>   scenario preset: quick | medium | large\n\
          \x20                    (default: quick, or the {SCALE_ENV} environment variable)\n\
          \x20   --spec <FILE>    load a full ScenarioSpec from a JSON file\n\

@@ -19,7 +19,7 @@
 //! * [`json`] — the dependency-free JSON value type used for structured
 //!   output (emit + parse);
 //! * [`metrics`] — the `--metrics` observability envelope (run manifest +
-//!   `pmss-obs` registry rendered to JSON/ASCII, `PMSS_METRICS` gating);
+//!   the always-collected `pmss-obs` registry rendered to JSON/ASCII);
 //! * [`query`] — the typed read-query vocabulary (projection, coverage,
 //!   ledger slice, what-if) shared by `pmss query` and the `pmssd`
 //!   daemon, rendered through one code path so their answers are
@@ -42,7 +42,7 @@ pub mod render;
 pub mod spec;
 pub mod stage;
 
-pub use artifact::{Artifact, ArtifactId, Artifacts};
+pub use artifact::{Artifact, ArtifactId};
 pub use json::Json;
 pub use pmss_error::PmssError;
 pub use spec::{ScalePreset, ScenarioSpec};

@@ -1,26 +1,15 @@
 //! Rendering for the `--metrics` envelope: [`RunManifest`] and [`Metrics`]
 //! as JSON values and as an ASCII report block.
 //!
-//! Metrics *collection* can also be switched on with the `PMSS_METRICS`
-//! environment variable, but the variable never changes what the CLI
-//! prints — only the explicit `--metrics` flag adds the `run`/`metrics`
-//! fields to the envelope (or the ASCII block after the artifact).  That
-//! split is what lets the golden suite run with `PMSS_METRICS=1` and pin
-//! the guarantee that metering cannot perturb artifact bytes.
+//! Every pipeline collects its registry; rendering is the only part the
+//! `--metrics` flag switches on — it adds the `run`/`metrics` fields to the
+//! envelope (or the ASCII block after the artifact) and changes no artifact
+//! byte.
 
 use pmss_obs::{Metrics, RunManifest, ValueHist};
 
 use crate::json::Json;
 use crate::spec::ScenarioSpec;
-
-/// The environment variable enabling metrics collection (any value except
-/// `0`); output is still gated on the explicit `--metrics` flag.
-pub(crate) const METRICS_ENV: &str = "PMSS_METRICS";
-
-/// Whether `PMSS_METRICS` asks for metrics collection.
-pub fn metrics_env_enabled() -> bool {
-    std::env::var_os(METRICS_ENV).is_some_and(|v| v != *"0")
-}
 
 /// Builds the run manifest for one CLI invocation.
 pub(crate) fn manifest(command: &str, spec: &ScenarioSpec, wall_s: f64) -> RunManifest {

@@ -12,6 +12,7 @@
 
 use pmss_econ::{shift, EconTrace};
 use pmss_error::PmssError;
+use pmss_gpu::consts::JOULES_PER_MWH;
 use pmss_stream::StreamState;
 use pmss_workloads::{CapSetting, Table3};
 
@@ -155,7 +156,7 @@ pub fn answer(
             Ok(Json::obj()
                 .field("trace", trace.name.as_str())
                 .field("slots", scaled.num_slots())
-                .field("total_gpu_mwh", scaled.total_gpu_j() / 3.6e9)
+                .field("total_gpu_mwh", scaled.total_gpu_j() / JOULES_PER_MWH)
                 .field("cost_usd", out.baseline_cost_usd)
                 .field("carbon_t", out.baseline_carbon_kg / 1e3)
                 .field("ref_cost_usd", scaled.cost_usd(&flat))

@@ -29,7 +29,7 @@ pub(crate) const SCALE_ENV: &str = "PMSS_SCALE";
 
 /// Days of the paper's campaign: three months of Frontier telemetry
 /// (Table II).
-const PAPER_CAMPAIGN_DAYS: f64 = 90.0;
+pub(crate) const PAPER_CAMPAIGN_DAYS: f64 = 90.0;
 
 /// What a spec may ask for: ten times the paper's machine (Table I), its
 /// campaign, and their product in node-days.  Every allocation a run makes
@@ -299,9 +299,9 @@ impl ScenarioSpec {
     }
 
     /// Multiplier that extrapolates this scenario's energy to the paper's
-    /// three months of the full 9408-node Frontier system.
+    /// three months of the full Frontier system.
     pub fn frontier_factor(&self) -> f64 {
-        let frontier_node_seconds = 9408.0 * 90.0 * 86_400.0;
+        let frontier_node_seconds = FRONTIER_NODES as f64 * PAPER_CAMPAIGN_DAYS * 86_400.0;
         frontier_node_seconds / (self.nodes as f64 * self.days * 86_400.0)
     }
 

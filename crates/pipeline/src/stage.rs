@@ -58,7 +58,7 @@ pub struct FleetArtifacts {
 
 /// One fleet run and its wall time — the shape of every run the pipeline
 /// makes.  It takes no registry, so a worker thread can run it; the caller
-/// hands the tallies to [`publish_run`] when metering is on.
+/// hands the tallies to [`publish_run`].
 pub(crate) fn timed_sim<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats, f64)
 where
     O: FleetObserver + Default,
@@ -83,7 +83,7 @@ pub(crate) fn sim_each<O>(
     workers: usize,
     schedule: &Schedule,
     cfgs: &[FleetConfig],
-    mut metrics: Option<&mut Metrics>,
+    metrics: &mut Metrics,
 ) -> Vec<(O, FleetRunStats)>
 where
     O: FleetObserver + Default + Send,
@@ -92,9 +92,7 @@ where
     cfgs.iter()
         .zip(runs)
         .map(|(cfg, (obs, stats, wall_s))| {
-            if let Some(m) = metrics.as_deref_mut() {
-                publish_run(m, cfg, node_hours(schedule), &stats, wall_s);
-            }
+            publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
             (obs, stats)
         })
         .collect()
@@ -106,19 +104,17 @@ where
 fn traced_sim<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
-    metrics: Option<&mut Metrics>,
+    m: &mut Metrics,
 ) -> Result<(DeliveryTrace, O), PmssError>
 where
     O: FleetObserver + Default,
 {
     let sw = Stopwatch::start();
     let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
-    if let Some(m) = metrics {
-        publish_run(m, cfg, node_hours(schedule), &stats, sw.elapsed_s());
-        // The retained footprint is the tool's own output.
-        m.gauge_set("delivery.rows", trace.len() as f64);
-        m.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
-    }
+    publish_run(m, cfg, node_hours(schedule), &stats, sw.elapsed_s());
+    // The retained footprint is the tool's own output.
+    m.gauge_set("delivery.rows", trace.len() as f64);
+    m.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
     Ok((trace, obs))
 }
 
@@ -165,16 +161,15 @@ pub(crate) fn publish_run(
 
 /// A staged scenario run with memoized stage outputs.
 ///
-/// When built [`Pipeline::with_metrics`], the pipeline additionally
-/// accumulates a [`Metrics`] registry (stage wall times, fleet-run
-/// tallies, engine and solver work) across every fleet simulation it
-/// performs — the fleet stage and any per-artifact runs (Fig. 2's energy
-/// split, the peak-power cap sweep); metering never changes artifact
-/// bytes.
+/// The pipeline always accumulates a [`Metrics`] registry (stage wall
+/// times, fleet-run tallies, engine and solver work) across every fleet
+/// simulation it performs — the fleet stage and any per-artifact runs
+/// (Fig. 2's energy split, the peak-power cap sweep); whether it is printed
+/// is the caller's choice, and it never changes artifact bytes.
 pub struct Pipeline {
     pub(crate) spec: ScenarioSpec,
     pub(crate) engine: Engine,
-    pub(crate) metrics: Option<Metrics>,
+    pub(crate) metrics: Metrics,
     pub(crate) fleet: Option<FleetArtifacts>,
     /// The fleet run in delivery order; filled by the traced fleet stage.
     trace: Option<DeliveryTrace>,
@@ -192,7 +187,7 @@ impl Pipeline {
         Ok(Pipeline {
             spec,
             engine: Engine::default(),
-            metrics: None,
+            metrics: Metrics::default(),
             fleet: None,
             trace: None,
             table3: None,
@@ -200,19 +195,12 @@ impl Pipeline {
         })
     }
 
-    /// Like [`Pipeline::new`], but with metrics collection enabled.
-    pub fn with_metrics(spec: ScenarioSpec) -> Result<Pipeline, PmssError> {
-        let mut p = Pipeline::new(spec)?;
-        p.metrics = Some(Metrics::default());
-        Ok(p)
-    }
-
     /// A snapshot of the accumulated metrics, augmented with the worker
     /// count and the derived fleet throughput gauge — node-hours over
     /// *summed* run time, so a per-worker rate once an artifact's runs
-    /// overlap; `None` unless built [`Pipeline::with_metrics`].
-    pub fn metrics_report(&self) -> Option<Metrics> {
-        let mut m = self.metrics.clone()?;
+    /// overlap.
+    pub fn metrics_report(&self) -> Metrics {
+        let mut m = self.metrics.clone();
         m.gauge_set("fleet.workers", self.workers as f64);
         let wall = m.gauge("fleet.wall_s").unwrap_or(0.0);
         if wall > 0.0 {
@@ -221,7 +209,7 @@ impl Pipeline {
                 m.gauge("fleet.node_hours").unwrap_or(0.0) / wall,
             );
         }
-        Some(m)
+        m
     }
 
     /// The scenario driving this pipeline.
@@ -250,7 +238,7 @@ impl Pipeline {
     /// telemetry simulation with all standard observers, and the modal
     /// decomposition ledger.
     pub fn fleet(&mut self) -> Result<&FleetArtifacts, PmssError> {
-        fleet_stage(&mut self.fleet, &self.spec, self.metrics.as_mut())
+        fleet_stage(&mut self.fleet, &self.spec, &mut self.metrics)
     }
 
     /// Runs (or replays) the benchmark stage: Table III computed from the
@@ -260,7 +248,7 @@ impl Pipeline {
             &mut self.table3,
             &self.spec,
             &self.engine,
-            self.metrics.as_mut(),
+            &mut self.metrics,
         )
     }
 
@@ -284,11 +272,11 @@ impl Pipeline {
             ..
         } = self;
         Ok(Stages {
-            fleet: fleet_stage(fleet, spec, metrics.as_mut())?,
-            table3: table3_stage(table3, spec, engine, metrics.as_mut())?,
+            fleet: fleet_stage(fleet, spec, metrics)?,
+            table3: table3_stage(table3, spec, engine, metrics)?,
             spec,
             engine,
-            metrics: metrics.as_mut(),
+            metrics,
             workers: *workers,
         })
     }
@@ -310,13 +298,13 @@ impl Pipeline {
             table3,
             workers,
         } = self;
-        let (fleet, trace) = traced_fleet_stage(fleet, trace, spec, metrics.as_mut())?;
+        let (fleet, trace) = traced_fleet_stage(fleet, trace, spec, metrics)?;
         let stages = Stages {
             fleet,
-            table3: table3_stage(table3, spec, engine, metrics.as_mut())?,
+            table3: table3_stage(table3, spec, engine, metrics)?,
             spec,
             engine,
-            metrics: metrics.as_mut(),
+            metrics,
             workers: *workers,
         };
         Ok((stages, trace))
@@ -330,7 +318,7 @@ pub(crate) struct Stages<'p> {
     pub(crate) engine: &'p Engine,
     pub(crate) fleet: &'p FleetArtifacts,
     pub(crate) table3: &'p Table3,
-    pub(crate) metrics: Option<&'p mut Metrics>,
+    pub(crate) metrics: &'p mut Metrics,
     pub(crate) workers: usize,
 }
 
@@ -340,10 +328,9 @@ impl Stages<'_> {
         let sw = Stopwatch::start();
         let ledger = self.fleet.ledger.scaled(self.fleet.frontier_factor)?;
         let proj = project(ProjectionInput::from_ledger(&ledger), self.table3);
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.inc("stage.projection.runs");
-            m.gauge_add("stage.projection.wall_s", sw.elapsed_s());
-        }
+        self.metrics.inc("stage.projection.runs");
+        self.metrics
+            .gauge_add("stage.projection.wall_s", sw.elapsed_s());
         proj
     }
 }
@@ -365,21 +352,17 @@ fn fleet_config(spec: &ScenarioSpec) -> FleetConfig {
 fn fleet_stage<'a>(
     slot: &'a mut Option<FleetArtifacts>,
     spec: &ScenarioSpec,
-    metrics: Option<&mut Metrics>,
+    metrics: &mut Metrics,
 ) -> Result<&'a FleetArtifacts, PmssError> {
     match slot {
         Some(fleet) => {
-            if let Some(m) = metrics {
-                m.inc("stage.fleet.reuses");
-            }
+            metrics.inc("stage.fleet.reuses");
             Ok(fleet)
         }
         None => {
             let (fleet, ()) = run_fleet_stage(spec, metrics, |schedule, cfg, metrics| {
                 let (obs, stats, wall_s) = timed_sim(schedule, cfg);
-                if let Some(m) = metrics {
-                    publish_run(m, cfg, node_hours(schedule), &stats, wall_s);
-                }
+                publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
                 Ok((obs, ()))
             })?;
             Ok(slot.insert(fleet))
@@ -393,7 +376,7 @@ fn traced_fleet_stage<'a>(
     slot: &'a mut Option<FleetArtifacts>,
     trace: &'a mut Option<DeliveryTrace>,
     spec: &ScenarioSpec,
-    metrics: Option<&mut Metrics>,
+    metrics: &mut Metrics,
 ) -> Result<(&'a FleetArtifacts, &'a DeliveryTrace), PmssError> {
     let Some(fleet) = slot else {
         let (fleet, captured) = run_fleet_stage(spec, metrics, |schedule, cfg, metrics| {
@@ -404,9 +387,7 @@ fn traced_fleet_stage<'a>(
     };
     let trace = match trace {
         Some(trace) => {
-            if let Some(m) = metrics {
-                m.inc("stage.fleet.reuses");
-            }
+            metrics.inc("stage.fleet.reuses");
             trace
         }
         None => trace.insert(traced_sim::<()>(&fleet.schedule, &fleet_config(spec), metrics)?.0),
@@ -424,20 +405,14 @@ type StageObservers = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyL
 /// through `run` folding [`StageObservers`] — and counts it.
 fn run_fleet_stage<T>(
     spec: &ScenarioSpec,
-    mut metrics: Option<&mut Metrics>,
-    run: impl FnOnce(
-        &Schedule,
-        &FleetConfig,
-        Option<&mut Metrics>,
-    ) -> Result<(StageObservers, T), PmssError>,
+    metrics: &mut Metrics,
+    run: impl FnOnce(&Schedule, &FleetConfig, &mut Metrics) -> Result<(StageObservers, T), PmssError>,
 ) -> Result<(FleetArtifacts, T), PmssError> {
     let sw = Stopwatch::start();
     let schedule = generate(spec.trace_params(), &catalog());
-    let (obs, extra) = run(&schedule, &fleet_config(spec), metrics.as_deref_mut())?;
-    if let Some(m) = metrics {
-        m.inc("stage.fleet.runs");
-        m.gauge_add("stage.fleet.wall_s", sw.elapsed_s());
-    }
+    let (obs, extra) = run(&schedule, &fleet_config(spec), metrics)?;
+    metrics.inc("stage.fleet.runs");
+    metrics.gauge_add("stage.fleet.wall_s", sw.elapsed_s());
     let fleet = FleetArtifacts {
         schedule,
         domains: catalog(),
@@ -456,13 +431,11 @@ fn table3_stage<'a>(
     slot: &'a mut Option<Table3>,
     spec: &ScenarioSpec,
     engine: &Engine,
-    metrics: Option<&mut Metrics>,
+    metrics: &mut Metrics,
 ) -> Result<&'a Table3, PmssError> {
     match slot {
         Some(t3) => {
-            if let Some(m) = metrics {
-                m.inc("stage.table3.reuses");
-            }
+            metrics.inc("stage.table3.reuses");
             Ok(t3)
         }
         None => {
@@ -472,10 +445,8 @@ fn table3_stage<'a>(
                 &ladder(&spec.freq_caps_mhz, CapSetting::FreqMhz),
                 &ladder(&spec.power_caps_w, CapSetting::PowerW),
             )?;
-            if let Some(m) = metrics {
-                m.inc("stage.table3.runs");
-                m.gauge_add("stage.table3.wall_s", sw.elapsed_s());
-            }
+            metrics.inc("stage.table3.runs");
+            metrics.gauge_add("stage.table3.wall_s", sw.elapsed_s());
             Ok(slot.insert(t3))
         }
     }
@@ -505,56 +476,50 @@ mod tests {
     }
 
     /// The traced stage is the untraced stage plus a capture, whichever
-    /// was asked for first and with metering on or off.
+    /// was asked for first.
     #[test]
     fn traced_stage_matches_the_untraced_stage_and_a_standalone_capture() {
         let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
         spec.nodes = 4;
         spec.days = 0.25;
         spec.faults = Some(pmss_faults::FaultPlan::preset("frontier-typical").unwrap());
-        for metered in [false, true] {
-            let fresh = || match metered {
-                true => Pipeline::with_metrics(spec.clone()).unwrap(),
-                false => Pipeline::new(spec.clone()).unwrap(),
-            };
-            let mut plain = fresh();
-            plain.fleet().unwrap();
-            assert!(plain.trace.is_none());
-            // Traced first: one run fills artifacts and trace.  Untraced
-            // first: the trace costs one more.
-            let mut first = fresh();
-            first.traced_stages().unwrap();
-            first.fleet().unwrap();
-            let mut late = fresh();
-            late.fleet().unwrap();
-            late.traced_stages().unwrap();
-            late.traced_stages().unwrap();
+        let fresh = || Pipeline::new(spec.clone()).unwrap();
+        let mut plain = fresh();
+        plain.fleet().unwrap();
+        assert!(plain.trace.is_none());
+        // Traced first: one run fills artifacts and trace.  Untraced
+        // first: the trace costs one more.
+        let mut first = fresh();
+        first.traced_stages().unwrap();
+        first.fleet().unwrap();
+        let mut late = fresh();
+        late.fleet().unwrap();
+        late.traced_stages().unwrap();
+        late.traced_stages().unwrap();
 
-            let want = plain.fleet.as_ref().unwrap();
-            let alone = DeliveryTrace::capture(&want.schedule, &plain.fleet_config()).unwrap();
-            for (p, runs) in [(&first, 1), (&late, 2)] {
-                let got = p.fleet.as_ref().unwrap();
-                assert_eq!(got.ledger, want.ledger);
-                assert_eq!(got.econ, want.econ);
-                assert_eq!(got.system.hist, want.system.hist);
-                for d in 0..want.per_domain.len().max(got.per_domain.len()) {
-                    assert_eq!(got.per_domain.domain(d), want.per_domain.domain(d));
-                }
-                // `PartialEq` on events: this plan glitches to NaN, which
-                // never equals itself, so compare the debug rendering.
-                let trace = p.trace.as_ref().unwrap();
-                assert_eq!(trace.len(), alone.len());
-                assert!(trace
-                    .iter()
-                    .zip(alone.iter())
-                    .all(|(a, b)| format!("{a:?}") == format!("{b:?}")));
-                if let Some(m) = &p.metrics {
-                    assert_eq!(m.counter("fleet.runs"), runs);
-                    assert_eq!(m.counter("stage.fleet.runs"), 1);
-                    assert_eq!(m.counter("stage.fleet.reuses"), 1);
-                    assert_eq!(m.gauge("delivery.rows"), Some(trace.len() as f64));
-                }
+        let want = plain.fleet.as_ref().unwrap();
+        let alone = DeliveryTrace::capture(&want.schedule, &plain.fleet_config()).unwrap();
+        for (p, runs) in [(&first, 1), (&late, 2)] {
+            let got = p.fleet.as_ref().unwrap();
+            assert_eq!(got.ledger, want.ledger);
+            assert_eq!(got.econ, want.econ);
+            assert_eq!(got.system.hist, want.system.hist);
+            for d in 0..want.per_domain.len().max(got.per_domain.len()) {
+                assert_eq!(got.per_domain.domain(d), want.per_domain.domain(d));
             }
+            // `PartialEq` on events: this plan glitches to NaN, which
+            // never equals itself, so compare the debug rendering.
+            let trace = p.trace.as_ref().unwrap();
+            assert_eq!(trace.len(), alone.len());
+            assert!(trace
+                .iter()
+                .zip(alone.iter())
+                .all(|(a, b)| format!("{a:?}") == format!("{b:?}")));
+            let m = &p.metrics;
+            assert_eq!(m.counter("fleet.runs"), runs);
+            assert_eq!(m.counter("stage.fleet.runs"), 1);
+            assert_eq!(m.counter("stage.fleet.reuses"), 1);
+            assert_eq!(m.gauge("delivery.rows"), Some(trace.len() as f64));
         }
     }
 
@@ -584,55 +549,39 @@ mod tests {
         let mut mixed = small_spec();
         mixed.fleet_mix = Some("mixed-50-50".to_string());
         for spec in [clean, faulted, mixed] {
-            let mut unmetered = None;
-            for metered in [false, true] {
-                let run = |workers: usize| {
-                    let mut p = match metered {
-                        true => Pipeline::with_metrics(spec.clone()).unwrap(),
-                        false => Pipeline::new(spec.clone()).unwrap(),
-                    };
-                    p.workers = workers;
-                    let rendered: Vec<(String, String)> = THREADED
-                        .iter()
-                        .map(|&id| {
-                            let art = p.artifact(id).unwrap();
-                            (art.render_ascii(), art.to_json().to_string_pretty())
-                        })
-                        .collect();
-                    (rendered, p.metrics_report())
-                };
-                let (one, m1) = run(1);
-                let (four, m4) = run(4);
-                assert_eq!(one, four, "{} metered={metered}", spec.name);
-                match (m1, m4) {
-                    (Some(m1), Some(m4)) => {
-                        assert_eq!(unmetered.as_ref(), Some(&one), "{}", spec.name);
-                        assert_eq!(m1.gauge("fleet.workers"), Some(1.0));
-                        assert_eq!(m4.gauge("fleet.workers"), Some(4.0));
-                        // The stage, `govern`'s late trace, ten rows, five caps.
-                        assert_eq!(m1.counter("fleet.runs"), 1 + 1 + 10 + 5);
-                        assert!(m1.counters().eq(m4.counters()));
-                        let steady = |m: &Metrics| -> Vec<(String, f64)> {
-                            m.gauges()
-                                .filter(|(k, _)| {
-                                    !(k.ends_with("wall_s")
-                                        || k.ends_with("_per_s")
-                                        || *k == "fleet.workers")
-                                })
-                                .map(|(k, v)| (k.to_string(), v))
-                                .collect()
-                        };
-                        assert_eq!(steady(&m1), steady(&m4));
-                        let counts = |m: &Metrics| -> Vec<(String, u64)> {
-                            m.hists().map(|(k, h)| (k.to_string(), h.count())).collect()
-                        };
-                        assert_eq!(counts(&m1), counts(&m4));
-                    }
-                    // Metering moves no byte either.
-                    (None, None) => unmetered = Some(one),
-                    _ => unreachable!("both runs are metered or neither is"),
-                }
-            }
+            let run = |workers: usize| {
+                let mut p = Pipeline::new(spec.clone()).unwrap();
+                p.workers = workers;
+                let rendered: Vec<(String, String)> = THREADED
+                    .iter()
+                    .map(|&id| {
+                        let art = p.artifact(id).unwrap();
+                        (art.render_ascii(), art.to_json().to_string_pretty())
+                    })
+                    .collect();
+                (rendered, p.metrics_report())
+            };
+            let (one, m1) = run(1);
+            let (four, m4) = run(4);
+            assert_eq!(one, four, "{}", spec.name);
+            assert_eq!(m1.gauge("fleet.workers"), Some(1.0));
+            assert_eq!(m4.gauge("fleet.workers"), Some(4.0));
+            // The stage, `govern`'s late trace, ten rows, five caps.
+            assert_eq!(m1.counter("fleet.runs"), 1 + 1 + 10 + 5);
+            assert!(m1.counters().eq(m4.counters()));
+            let steady = |m: &Metrics| -> Vec<(String, f64)> {
+                m.gauges()
+                    .filter(|(k, _)| {
+                        !(k.ends_with("wall_s") || k.ends_with("_per_s") || *k == "fleet.workers")
+                    })
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect()
+            };
+            assert_eq!(steady(&m1), steady(&m4));
+            let counts = |m: &Metrics| -> Vec<(String, u64)> {
+                m.hists().map(|(k, h)| (k.to_string(), h.count())).collect()
+            };
+            assert_eq!(counts(&m1), counts(&m4));
         }
     }
 

@@ -32,7 +32,7 @@ use pmss_pipeline::query::Query;
 use pmss_pipeline::spec::ScenarioSpec;
 
 use crate::proto::{self, code, frame, status};
-use crate::tenant::{self, Command, Tenant, TenantShared};
+use crate::tenant::{self, Command, Rejection, Tenant, TenantShared};
 
 /// Where the daemon listens for client frames.
 #[derive(Debug, Clone)]
@@ -228,8 +228,7 @@ impl Daemon {
             .map(|(_, t)| t)
             .collect();
         for t in tenants {
-            drop(t.tx);
-            let _ = t.handle.join();
+            t.stop();
         }
         if let Some(thread) = metrics_thread {
             let _ = thread.join();
@@ -361,25 +360,58 @@ fn handle_open(
         .map(ScenarioSpec::from_json)
         .transpose()
         .map_err(|e| (code::MALFORMED, e.to_string()))?;
-    let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(t) = reg.get(&name) {
-        // Re-OPEN binds to the live tenant; a spec, when carried, must be
-        // the one the tenant was created from.
-        if spec.is_some_and(|s| s.to_json().to_string_compact() != t.shared.spec_json) {
-            return Err((
-                code::USAGE,
-                format!("tenant {name:?} is already open with a different spec"),
-            ));
+    // Name and cap are checked under the lock, the tenant is built outside
+    // it (its schedule and Table III), and both are checked again before
+    // the insert: an OPEN spawning never holds up another OPEN, a scrape
+    // or the shutdown drain.
+    let spec = {
+        let reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = reg.get(&name) {
+            return bind(t, spec.as_ref(), &name, bound);
         }
-        *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
-        return Ok(Vec::new());
-    }
-    let Some(spec) = spec else {
-        return Err((
-            code::UNKNOWN_TENANT,
-            format!("tenant {name:?} does not exist and OPEN carried no spec"),
-        ));
+        let Some(spec) = spec else {
+            return Err((
+                code::UNKNOWN_TENANT,
+                format!("tenant {name:?} does not exist and OPEN carried no spec"),
+            ));
+        };
+        check_cap(&reg, &name)?;
+        spec
     };
+    let fresh = tenant::spawn(&name, &spec, queue_depth, sync_interval)
+        .map_err(|e| (code::MALFORMED, e.to_string()))?;
+    let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
+    // A racing OPEN may have inserted this name, or taken the last slot,
+    // while this one spawned: the fresh tenant then retires unseen.
+    let lost = match reg.get(&name) {
+        Some(winner) => Some(bind(winner, Some(&spec), &name, bound)),
+        None => check_cap(&reg, &name).err().map(Err),
+    };
+    if let Some(reply) = lost {
+        drop(reg);
+        fresh.stop();
+        return reply;
+    }
+    *bound = Some((Arc::clone(&fresh.shared), fresh.tx.clone()));
+    reg.insert(name, fresh);
+    Ok(Vec::new())
+}
+
+/// Binds a connection to the live tenant `t`.  A re-OPEN carrying a spec
+/// must carry the one the tenant was created from.
+fn bind(t: &Tenant, spec: Option<&ScenarioSpec>, name: &str, bound: &mut Bound) -> Reply {
+    if spec.is_some_and(|s| s.to_json().to_string_compact() != t.shared.spec_json) {
+        return Err((
+            code::USAGE,
+            format!("tenant {name:?} is already open with a different spec"),
+        ));
+    }
+    *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
+    Ok(Vec::new())
+}
+
+/// Refuses a fresh tenant once `MAX_TENANTS` are live.
+fn check_cap(reg: &HashMap<String, Tenant>, name: &str) -> Result<(), Rejection> {
     if reg.len() >= MAX_TENANTS {
         return Err((
             code::USAGE,
@@ -389,11 +421,7 @@ fn handle_open(
             ),
         ));
     }
-    let t = tenant::spawn(&name, &spec, queue_depth, sync_interval)
-        .map_err(|e| (code::MALFORMED, e.to_string()))?;
-    *bound = Some((Arc::clone(&t.shared), t.tx.clone()));
-    reg.insert(name, t);
-    Ok(Vec::new())
+    Ok(())
 }
 
 fn handle_block(payload: &[u8], bound: &Bound) -> Reply {

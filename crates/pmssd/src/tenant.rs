@@ -80,6 +80,16 @@ pub(crate) struct Tenant {
     pub handle: JoinHandle<()>,
 }
 
+impl Tenant {
+    /// Closes the ingest queue and joins the worker, which exits on the
+    /// closed queue once every connection's sender is gone too.  A join
+    /// error is a panic the hook already reported on that thread.
+    pub(crate) fn stop(self) {
+        drop(self.tx);
+        let _ = self.handle.join();
+    }
+}
+
 /// Builds and spawns a tenant worker for `spec`.
 ///
 /// The expensive artifacts a tenant needs — the schedule and Table III —

@@ -32,10 +32,10 @@
 //!   [`econ::EconTrace`]s, the per-slot [`econ::EconSeries`] observer,
 //!   and the temporal-shifting what-if behind `pmss econ`;
 //! * [`pipeline`] — the unified scenario pipeline (`pmss-pipeline`): a
-//!   typed [`ScenarioSpec`] run through memoized stages to an
-//!   [`Artifacts`] bundle, powering the `pmss` CLI;
-//! * [`obs`] — the zero-overhead-when-disabled metrics registry
-//!   (`pmss-obs`) behind `pmss --metrics` and `pmss stats`.
+//!   typed [`ScenarioSpec`] run through memoized stages to typed
+//!   [`Artifact`]s, powering the `pmss` CLI;
+//! * [`obs`] — the metrics registry (`pmss-obs`) every pipeline fills,
+//!   printed by `pmss --metrics` and `pmss stats`.
 //!
 //! Every fallible seam returns the workspace-wide [`PmssError`].
 //!
@@ -76,4 +76,4 @@ pub use pmss_telemetry as telemetry;
 pub use pmss_workloads as workloads;
 
 pub use pmss_error::PmssError;
-pub use pmss_pipeline::{Artifact, ArtifactId, Artifacts, Pipeline, ScalePreset, ScenarioSpec};
+pub use pmss_pipeline::{Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};

@@ -363,6 +363,101 @@ fn tenants_past_the_cap_are_refused_and_live_ones_are_served() {
     h.stop();
 }
 
+/// One connection per entry of `names`, each OPENing its name with `spec`
+/// once a barrier releases them all; the connections and their OPEN
+/// verdicts, in `names` order.
+fn racing_opens(
+    h: &Harness,
+    names: &[String],
+    spec: &ScenarioSpec,
+) -> Vec<(Connection, Result<(), ClientError>)> {
+    let barrier = std::sync::Barrier::new(names.len());
+    std::thread::scope(|scope| {
+        let racers: Vec<_> = names
+            .iter()
+            .map(|name| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut conn = Connection::connect(&h.target).expect("connect");
+                    barrier.wait();
+                    let verdict = conn.open(name, Some(spec));
+                    (conn, verdict)
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("racer joins"))
+            .collect()
+    })
+}
+
+/// Eight OPENs of one new name race their spawns: every one binds, and
+/// all eight connections reach the one tenant the registry kept — the
+/// campaign one of them feeds is what each of them, and a later spec-less
+/// OPEN, answers from.
+#[test]
+fn racing_opens_of_one_name_bind_every_connection_to_one_tenant() {
+    let h = Harness::tcp(64, 8);
+    let spec = spec_for(None);
+    let names = vec!["race".to_string(); 8];
+    let mut conns: Vec<Connection> = racing_opens(&h, &names, &spec)
+        .into_iter()
+        .map(|(conn, verdict)| {
+            verdict.expect("a racing OPEN of one spec binds");
+            conn
+        })
+        .collect();
+    ingest_campaign(&mut conns[0], &spec).expect("ingest");
+    conns[0].flush().expect("flush");
+    let mut late = Connection::connect(&h.target).expect("connect");
+    late.open("race", None).expect("the kept tenant re-opens");
+    let want = late.query(&Query::Projection).expect("query");
+    for (i, conn) in conns.iter_mut().enumerate() {
+        conn.flush().unwrap_or_else(|e| panic!("racer {i}: {e:?}"));
+        let got = conn.query(&Query::Projection).expect("query");
+        assert_eq!(got, want, "racer {i} is bound to another tenant");
+    }
+    h.stop();
+}
+
+/// Eight fresh OPENs race for the last four slots: four open, four are
+/// refused naming the cap, and the daemon is then full.
+#[test]
+fn racing_fresh_opens_never_pass_the_tenant_cap() {
+    const RACERS: usize = 8;
+    const FREE: usize = 4;
+    let h = Harness::tcp(64, 8);
+    let tiny = ScenarioSpec {
+        nodes: 1,
+        days: 0.05,
+        ..spec_for(None)
+    };
+    let mut conn = Connection::connect(&h.target).expect("connect");
+    for i in 0..MAX_TENANTS - FREE {
+        conn.open(&format!("tenant-{i}"), Some(&tiny))
+            .expect("tenants below the cap open");
+    }
+    let names: Vec<String> = (0..RACERS).map(|i| format!("racer-{i}")).collect();
+    let mut opened = 0;
+    for (_, verdict) in racing_opens(&h, &names, &tiny) {
+        match verdict {
+            Ok(()) => opened += 1,
+            Err(ClientError::Rejected { code, detail }) => {
+                assert_eq!(code, code::USAGE);
+                assert!(detail.contains("MAX_TENANTS"), "{detail}");
+            }
+            Err(other) => panic!("expected a usage rejection, got {other:?}"),
+        }
+    }
+    assert_eq!(opened, FREE);
+    match conn.open("one-too-many", Some(&tiny)) {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, code::USAGE),
+        other => panic!("the daemon is full, got {other:?}"),
+    }
+    h.stop();
+}
+
 #[test]
 fn reopen_binds_only_when_a_carried_spec_matches_the_tenants() {
     let h = Harness::tcp(64, 8);

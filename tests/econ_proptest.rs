@@ -13,8 +13,9 @@ use proptest::prelude::*;
 
 use pmss::columns::{FleetObserver, SampleCtx};
 use pmss::core::EnergyLedger;
-use pmss::econ::{shift, EconSeries, EconTrace, JOULES_PER_MWH, SLOT_S};
+use pmss::econ::{shift, EconSeries, EconTrace, SLOT_S};
 use pmss::faults::{FaultPlan, GapPolicy};
+use pmss::gpu::consts::JOULES_PER_MWH;
 use pmss::sched::{catalog, generate, Schedule, TraceParams};
 use pmss::stream::{StreamConfig, StreamEngine};
 use pmss::telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig, Pair};

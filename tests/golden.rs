@@ -7,40 +7,28 @@
 //! before they were collapsed into the pipeline; `tests/golden/*.json` pins the
 //! structured output introduced with it.  The default scenario renders
 //! them under every spelling of it — omitting a field or naming its
-//! default (`econ: flat`, `fleet_mix: "single-sku"`, `--faults none`),
-//! metered or not — and no other run perturbs them.
+//! default (`econ: flat`, `fleet_mix: "single-sku"`, `--faults none`)
+//! — and no other run perturbs them.  Every pipeline fills its metrics
+//! registry, so every render here is also a metered one.
 
 mod support;
 
 use pmss::econ::EconTrace;
-use pmss::pipeline::{metrics, Artifact, ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
+use pmss::pipeline::{ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
 use pmss::telemetry::simulate_fleet;
 use support::{cli_run, golden};
 
-/// A quick-scale pipeline; with `PMSS_METRICS` set the suite runs fully
-/// metered, pinning that metrics collection never changes artifact bytes
-/// (CI exercises both configurations).
+/// A quick-scale pipeline.
 fn quick_pipeline() -> Pipeline {
-    let spec = ScenarioSpec::preset(ScalePreset::Quick);
-    if metrics::metrics_env_enabled() {
-        Pipeline::with_metrics(spec).expect("quick spec is valid")
-    } else {
-        Pipeline::new(spec).expect("quick spec is valid")
-    }
+    Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).expect("quick spec is valid")
 }
 
 /// Every artifact of `p` renders its ASCII golden — the bytes the
-/// dedicated binary printed — and, when `json_reference` is given, the
-/// same JSON as that pipeline.
-fn assert_every_artifact_renders_its_golden(
-    spelling: &str,
-    mut p: Pipeline,
-    mut json_reference: Option<Pipeline>,
-) {
+/// dedicated binary printed.
+fn assert_every_artifact_renders_its_golden(spelling: &str, mut p: Pipeline) {
     let mut bad = Vec::new();
     for id in ArtifactId::all() {
-        let artifact = p.artifact(id).expect("artifact");
-        let got = artifact.render_ascii();
+        let got = p.artifact(id).expect("artifact").render_ascii();
         let want = golden(id.name(), "txt");
         if got != want {
             bad.push(format!(
@@ -50,19 +38,13 @@ fn assert_every_artifact_renders_its_golden(
                 want.len()
             ));
         }
-        if let Some(reference) = &mut json_reference {
-            let want = reference.artifact(id).expect("artifact").to_json();
-            if artifact.to_json().to_string_pretty() != want.to_string_pretty() {
-                bad.push(format!("{}: JSON differs", id.name()));
-            }
-        }
     }
     assert!(bad.is_empty(), "{spelling}: drift:\n{}", bad.join("\n"));
 }
 
 #[test]
 fn ascii_matches_the_pre_refactor_binaries() {
-    assert_every_artifact_renders_its_golden("spec as preset", quick_pipeline(), None);
+    assert_every_artifact_renders_its_golden("spec as preset", quick_pipeline());
 }
 
 #[test]
@@ -70,7 +52,7 @@ fn flat_trace_spec_renders_every_golden_byte_for_byte() {
     let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
     spec.econ = Some(EconTrace::flat());
     let p = Pipeline::new(spec).expect("valid spec");
-    assert_every_artifact_renders_its_golden("econ: flat", p, None);
+    assert_every_artifact_renders_its_golden("econ: flat", p);
 }
 
 #[test]
@@ -78,16 +60,7 @@ fn single_sku_spec_renders_every_golden_byte_for_byte() {
     let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
     spec.fleet_mix = Some("single-sku".to_string());
     let p = Pipeline::new(spec).expect("valid spec");
-    assert_every_artifact_renders_its_golden("fleet_mix: single-sku", p, None);
-}
-
-/// Metering every stage changes no artifact's bytes, in either rendering.
-#[test]
-fn metered_pipeline_renders_every_golden_byte_for_byte() {
-    let spec = ScenarioSpec::preset(ScalePreset::Quick);
-    let metered = Pipeline::with_metrics(spec.clone()).expect("valid spec");
-    let plain = Pipeline::new(spec).expect("valid spec");
-    assert_every_artifact_renders_its_golden("metered", metered, Some(plain));
+    assert_every_artifact_renders_its_golden("fleet_mix: single-sku", p);
 }
 
 /// The CLI `--json` envelope for the seeded headline artifacts is stable.
@@ -212,9 +185,7 @@ fn cli_cases_match_their_goldens(spelling: Spelling) {
 }
 
 /// `pmss faults` and a faulted preset run are pinned byte-for-byte in
-/// both renderings.  Like the rest of the suite this runs under
-/// `PMSS_METRICS` both off and on in CI, so it also pins that fault
-/// metering never changes output bytes.
+/// both renderings.
 #[test]
 fn faulted_runs_match_the_golden_captures() {
     cli_cases_match_their_goldens(AS_WRITTEN);
@@ -276,12 +247,7 @@ fn custom_cadence_govern_matches_the_golden_capture() {
     plan.interval_windows = 3;
     plan.budget_w = Some(40_000.0);
     spec.govern = Some(plan);
-    let mut p = if metrics::metrics_env_enabled() {
-        Pipeline::with_metrics(spec)
-    } else {
-        Pipeline::new(spec)
-    }
-    .expect("custom spec is valid");
+    let mut p = Pipeline::new(spec).expect("custom spec is valid");
     let got = p
         .artifact(ArtifactId::Govern)
         .expect("govern artifact")
@@ -384,22 +350,4 @@ fn cli_default_output_equals_library_render() {
         .expect("artifact")
         .render_ascii();
     assert_eq!(via_cli, via_lib);
-}
-
-/// Artifacts round-trip through the bundle API: `artifacts()` returns the
-/// same renders as one-at-a-time `artifact()` calls.
-#[test]
-fn artifact_bundle_is_consistent_with_single_lookups() {
-    let mut p = quick_pipeline();
-    let ids = [ArtifactId::Table3, ArtifactId::Table5, ArtifactId::Validate];
-    let bundle = p.artifacts(&ids).expect("bundle");
-    for id in ids {
-        let single: Artifact = quick_pipeline().artifact(id).expect("artifact");
-        let from_bundle = bundle.get(id).expect("present in bundle");
-        assert_eq!(single.render_ascii(), from_bundle.render_ascii());
-        assert_eq!(
-            single.to_json().to_string_pretty(),
-            from_bundle.to_json().to_string_pretty()
-        );
-    }
 }

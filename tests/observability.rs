@@ -8,15 +8,15 @@ use pmss::pipeline::json::Json;
 use pmss::pipeline::{ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
 use support::cli_run;
 
-/// A metered pipeline counts the artifacts it computes, across fleet-,
-/// benchmark-, and sweep-backed artifacts.  (That metering changes no
-/// artifact's bytes is pinned for all of them in `tests/golden.rs`.)
+/// A pipeline counts the artifacts it computes, across fleet-,
+/// benchmark-, and sweep-backed artifacts.  (That collection changes no
+/// artifact's bytes is what every golden test in `tests/golden.rs` pins.)
 #[test]
 fn metered_artifacts_count_their_computation() {
     for id in [ArtifactId::Fig2, ArtifactId::Table5, ArtifactId::PeakPower] {
-        let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
+        let mut p = Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
         p.artifact(id).expect("metered artifact");
-        let m = p.metrics_report().expect("metrics enabled");
+        let m = p.metrics_report();
         assert!(m.counter("artifacts.computed") >= 1, "{}", id.name());
     }
 }
@@ -126,9 +126,9 @@ fn stats_subcommand_reports_the_full_pipeline() {
 /// bookkeeping is self-consistent.
 #[test]
 fn metrics_tallies_are_self_consistent() {
-    let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
+    let mut p = Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
     p.fleet().expect("fleet stage");
-    let m = p.metrics_report().expect("metrics enabled");
+    let m = p.metrics_report();
     let gpu = m.counter("fleet.gpu_samples");
     let attributed = m.counter("fleet.attributed_samples");
     assert!(gpu > 0);
@@ -157,9 +157,9 @@ fn stream_and_govern_generate_the_fleet_once_and_report_the_trace() {
         (ArtifactId::Stream, faulted, 19.5),
     ];
     for (id, spec, max_row_bytes) in cases {
-        let mut p = Pipeline::with_metrics(spec.clone()).unwrap();
+        let mut p = Pipeline::new(spec.clone()).unwrap();
         p.artifact(id).expect("artifact");
-        let m = p.metrics_report().expect("metrics enabled");
+        let m = p.metrics_report();
         assert_eq!(m.counter("fleet.runs"), 1, "{}", id.name());
         assert_eq!(m.counter("stage.fleet.runs"), 1, "{}", id.name());
         let rows = m.gauge("delivery.rows").expect("delivery.rows");
@@ -171,7 +171,7 @@ fn stream_and_govern_generate_the_fleet_once_and_report_the_trace() {
             id.name(),
             bytes / rows
         );
-        // The one run left the stage what an untraced, unmetered run does.
+        // The one run left the stage what an untraced run does.
         let mut plain = Pipeline::new(spec).unwrap();
         let want = plain.fleet().expect("fleet stage");
         let got = p.fleet().expect("fleet stage");
@@ -189,9 +189,9 @@ fn every_artifact_runs_each_stage_at_most_once_and_only_the_ones_it_reads() {
     spec.nodes = 8;
     spec.days = 1.0;
     for id in ArtifactId::all() {
-        let mut p = Pipeline::with_metrics(spec.clone()).unwrap();
+        let mut p = Pipeline::new(spec.clone()).unwrap();
         p.artifact(id).expect("artifact");
-        let m = p.metrics_report().expect("metrics enabled");
+        let m = p.metrics_report();
         let runs = |stage: &str| m.counters().find(|(k, _)| *k == stage).map(|(_, n)| n);
         let (fleet, table3) = (runs("stage.fleet.runs"), runs("stage.table3.runs"));
         assert!(fleet.unwrap_or(0) <= 1, "{}: {fleet:?}", id.name());
@@ -220,9 +220,9 @@ fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
         (ArtifactId::Govern, 1),
     ];
     for (id, runs) in cases {
-        let mut p = Pipeline::with_metrics(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
+        let mut p = Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
         p.artifact(id).expect("artifact");
-        let m = p.metrics_report().expect("metrics enabled");
+        let m = p.metrics_report();
         assert_eq!(m.counter("fleet.runs"), runs, "{}", id.name());
         let walls = m.hist("fleet.run_wall_s").expect("fleet.run_wall_s");
         assert_eq!(walls.count(), runs, "{}", id.name());
