@@ -129,6 +129,11 @@ pub const PRESETS: [&str; 4] = ["none", "mild", "frontier-typical", "harsh"];
 /// window, which is what lets consumers store the lag in a narrow column.
 pub const MAX_REORDER_DEPTH: u32 = 4096;
 
+/// The largest spike, either sign, that [`FaultPlan::validate`]
+/// accepts: past a GPU package's whole power range, in watts (`mild`
+/// spikes 150 W, `harsh` 400 W).
+const MAX_SPIKE_W: f64 = 1000.0;
+
 impl FaultPlan {
     /// The empty plan: injects nothing, output must stay bit-identical.
     pub fn none() -> FaultPlan {
@@ -230,11 +235,11 @@ impl FaultPlan {
         prob("faults.nan_prob", self.nan_prob)?;
         prob("faults.spike_prob", self.spike_prob)?;
         prob("faults.dropout_prob", self.dropout_prob)?;
-        if !self.spike_w.is_finite() {
+        if !(-MAX_SPIKE_W..=MAX_SPIKE_W).contains(&self.spike_w) {
             return Err(PmssError::invalid_value(
                 "faults.spike_w",
-                format!("{}", self.spike_w),
-                "a finite wattage",
+                format!("{:?}", self.spike_w),
+                format!("a wattage in [-{MAX_SPIKE_W}, {MAX_SPIKE_W}]"),
             ));
         }
         if !(self.clock_skew_max_s.is_finite() && self.clock_skew_max_s >= 0.0) {
@@ -635,6 +640,14 @@ mod tests {
         let mut p = FaultPlan::none();
         p.spike_w = f64::INFINITY;
         assert!(p.validate().is_err());
+        for w in [-1e308, -MAX_SPIKE_W - 1.0, MAX_SPIKE_W + 1.0, f64::NAN] {
+            p.spike_w = w;
+            assert!(p.validate().is_err(), "{w}");
+        }
+        for w in [-MAX_SPIKE_W, 0.0, MAX_SPIKE_W] {
+            p.spike_w = w;
+            assert!(p.validate().is_ok(), "{w}");
+        }
         let mut p = FaultPlan::none();
         p.clock_skew_max_s = f64::NAN;
         assert!(p.validate().is_err());

@@ -28,7 +28,9 @@ use pmss_sched::policy::FRONTIER_NODES;
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
-use pmss_telemetry::{compare_sensors, FleetConfig, FleetPowerSeries, GpuCpuEnergy};
+use pmss_telemetry::{
+    compare_sensors, DomainHistograms, FleetConfig, FleetPowerSeries, GpuCpuEnergy, SystemHistogram,
+};
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::sweep::{normalize, sweep_kernel, CapSetting, MEMBENCH_POWER_CAPS_W};
@@ -1188,13 +1190,12 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
         })
         .collect();
 
-    // (b) GPU vs CPU energy: one more run of the stage's schedule,
-    // published once the stage borrow has ended.
+    // (b) GPU vs CPU energy: one run of the scenario's schedule, folding
+    // the split alone — the fleet stage's ledger is not read here.
     let cfg = p.fleet_config();
-    let schedule = &p.fleet()?.schedule;
-    let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(schedule, &cfg);
-    let node_hours = node_hours(schedule);
-    publish_run(&mut p.metrics, &cfg, node_hours, &stats, wall_s);
+    let schedule = p.schedule();
+    let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(&schedule, &cfg);
+    publish_run(&mut p.metrics, &cfg, node_hours(&schedule), &stats, wall_s);
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1399,7 +1400,7 @@ fn fig7(p: &Pipeline) -> Fig7 {
 }
 
 fn fig8(p: &mut Pipeline) -> Result<Fig8, PmssError> {
-    let hist = &p.fleet()?.system.hist;
+    let hist = p.fleet_with::<SystemHistogram>(false)?.1.hist;
     let regions = Region::all()
         .iter()
         .map(|r| {
@@ -1420,13 +1421,13 @@ fn fig8(p: &mut Pipeline) -> Result<Fig8, PmssError> {
 }
 
 fn fig9(p: &mut Pipeline) -> Result<Fig9, PmssError> {
-    let fleet = p.fleet()?;
+    let (fleet, hists) = p.fleet_with::<DomainHistograms>(false)?;
     let domains = fleet
         .domains
         .iter()
         .enumerate()
         .filter_map(|(d, spec)| {
-            fleet.per_domain.domain(d).map(|h| Fig9Domain {
+            hists.domain(d).map(|h| Fig9Domain {
                 code: spec.code.to_string(),
                 name: spec.name.to_string(),
                 mean_w: h.mean_w().unwrap_or(0.0),
@@ -1654,13 +1655,13 @@ fn whatif(p: &mut Pipeline) -> Result<Whatif, PmssError> {
             choice: choice.as_ref().map(|e| (e.setting.value(), e.delta_t_pct)),
         })
         .collect();
-    // Value each budget's savings under the active econ trace.  Savings
-    // scale the whole placement, so a saved fraction of the energy is the
-    // same fraction of the trace-priced cost.
-    let econ = match s.spec.active_econ() {
-        None => None,
-        Some(trace) => {
-            let series = s.fleet.econ.scaled(s.fleet.frontier_factor)?;
+    // Value each budget's savings under the active econ trace, whose
+    // series the stage folds for a priced spec.  Savings scale the whole
+    // placement, so a saved fraction of the energy is the same fraction of
+    // the trace-priced cost.
+    let econ = match (s.spec.active_econ(), &s.fleet.econ) {
+        (Some(trace), Some(series)) => {
+            let series = series.scaled(s.fleet.frontier_factor)?;
             let total_cost_usd = series.cost_usd(trace);
             let total_carbon_t = series.carbon_kg(trace) / 1e3;
             Some(WhatifEcon {
@@ -1677,6 +1678,7 @@ fn whatif(p: &mut Pipeline) -> Result<Whatif, PmssError> {
                     .collect(),
             })
         }
+        _ => None,
     };
     Ok(Whatif {
         budget_rows,
@@ -1754,10 +1756,11 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
 }
 
 fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
+    let hist = p.fleet_with::<SystemHistogram>(false)?.1.hist;
     let s = p.stages()?;
     let total_j = s.fleet.ledger.total().joules;
 
-    let report = boundary_sweep(&s.fleet.system.hist, total_j, s.table3, 40.0, 8)?;
+    let report = boundary_sweep(&hist, total_j, s.table3, 40.0, 8)?;
     let variants = [
         Boundaries {
             latency_mi_w: 160.0,
@@ -1782,10 +1785,7 @@ fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
     ]
     .into_iter()
     .map(|b| {
-        let proj = project(
-            input_from_histogram(&s.fleet.system.hist, b, total_j)?,
-            s.table3,
-        )?;
+        let proj = project(input_from_histogram(&hist, b, total_j)?, s.table3)?;
         Ok(SensitivityVariant {
             latency_mi_w: b.latency_mi_w,
             mi_ci_w: b.mi_ci_w,
@@ -2107,8 +2107,12 @@ fn components(p: &mut Pipeline) -> Result<ComponentsArtifact, PmssError> {
 
 fn econ(p: &mut Pipeline) -> Result<EconArtifact, PmssError> {
     let active = p.spec.active_econ().cloned();
-    let fleet = p.fleet()?;
-    let series = fleet.econ.scaled(fleet.frontier_factor)?;
+    let fleet = p.fleet_with::<()>(true)?.0;
+    let series = fleet
+        .econ
+        .as_ref()
+        .expect("the stage folds the series when asked")
+        .scaled(fleet.frontier_factor)?;
     let flat = EconTrace::flat();
     let ref_cost_usd = series.cost_usd(&flat);
     let ref_carbon_t = series.carbon_kg(&flat) / 1e3;

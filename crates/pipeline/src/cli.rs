@@ -152,8 +152,8 @@ fn query_cmd(rest: &[String], spec: ScenarioSpec) -> Result<String, PmssError> {
     let q = crate::query::Query::from_args(rest)?;
     let econ = spec.active_econ().cloned();
     let mut p = Pipeline::new(spec)?;
-    // The schedule alone: the fleet stage would fold four observers over a
-    // run whose blocks this command generates again for the capture.
+    // The schedule alone: the fleet stage would fold the ledger over a run
+    // whose blocks this command generates again for the capture.
     let schedule = p.schedule();
     let resident = ResidentFleet::capture(&schedule, &p.fleet_config())?;
     // Replay into the same paired observer the daemon's ingest engine
@@ -226,10 +226,7 @@ fn econ_envelope(p: &mut Pipeline) -> Result<Option<Json>, PmssError> {
     let Some(trace) = p.spec().active_econ().cloned() else {
         return Ok(None);
     };
-    let Some((series, factor)) = p
-        .fleet
-        .as_ref()
-        .map(|f| (f.econ.clone(), f.frontier_factor))
+    let Some((Some(series), factor)) = p.fleet.as_ref().map(|f| (&f.econ, f.frontier_factor))
     else {
         return Ok(None);
     };

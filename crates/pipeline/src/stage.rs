@@ -1,12 +1,14 @@
 //! The staged pipeline: `workloads → fleet → decompose → project`.
 //!
 //! A [`Pipeline`] owns one [`ScenarioSpec`] and computes each stage at most
-//! once: the fleet stage (schedule synthesis + telemetry simulation with
-//! all standard observers), the delivery trace the same run can retain
-//! (the *traced* fleet stage `stream` and `govern` ask for) and the
-//! benchmark stage (Table III from the spec's cap ladders) are memoized,
-//! so rendering every figure and table of a scenario costs a single fleet
-//! run and a single benchmark sweep.
+//! once: the fleet stage (schedule synthesis + one telemetry simulation
+//! folding the energy ledger, and the econ series when the spec prices
+//! energy), the delivery trace the same run can retain (the *traced* fleet
+//! stage `stream` and `govern` ask for) and the benchmark stage (Table III
+//! from the spec's cap ladders) are memoized.  An artifact that reads
+//! another fleet observer (Figs. 8 and 9, `sensitivity`, `econ`) has it
+//! folded in its own run of the stage (`Pipeline::fleet_with`), so no
+//! other artifact pays for it.
 //!
 //! An artifact that loops over *independent* fleet runs of one schedule
 //! (`faults`, `peakpower`) hands the loop to
@@ -27,31 +29,26 @@ use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    scoped_map, simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig,
-    FleetObserver, FleetRunStats, Pair, SystemHistogram,
+    scoped_map, simulate_fleet_metered, DeliveryTrace, FleetConfig, FleetObserver, FleetRunStats,
+    Pair,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, Table3};
 
 use crate::spec::ScenarioSpec;
 
-/// Everything the fleet-wide experiments need, computed in one pass (the
-/// former `pmss_bench::FleetRun`).
+/// The fleet stage's output: the schedule and what one run of it folds.
 pub struct FleetArtifacts {
     /// The synthetic schedule (job log + placements).
     pub schedule: Schedule,
     /// The domain catalog used.
     pub domains: Vec<DomainSpec>,
-    /// Fig. 8: system-wide power distribution.
-    pub system: SystemHistogram,
-    /// Fig. 9: per-domain power distributions.
-    pub per_domain: DomainHistograms,
     /// Tables IV–VI / Fig. 10: the modal-decomposition ledger.
     pub ledger: EnergyLedger,
-    /// Per-slot economics lanes accumulated alongside the ledger (always
-    /// collected — integrating it against a trace happens at render time,
-    /// so the fleet stage stays scenario-shaped, not trace-shaped).
-    pub econ: EconSeries,
+    /// Per-slot economics lanes, folded when the spec prices energy (an
+    /// active econ trace, whose cost every JSON envelope reports) or the
+    /// artifact asks for them (`econ`); pricing happens at render time.
+    pub econ: Option<EconSeries>,
     /// Extrapolation factor to full-Frontier three-month MWh.
     pub frontier_factor: f64,
 }
@@ -96,26 +93,6 @@ where
             (obs, stats)
         })
         .collect()
-}
-
-/// [`timed_sim`] from a run that also retains its [`DeliveryTrace`]: one
-/// generation folds `O`, tallies the stats and fills the trace.  The run
-/// counts in `fleet.runs` like any other.
-fn traced_sim<O>(
-    schedule: &Schedule,
-    cfg: &FleetConfig,
-    m: &mut Metrics,
-) -> Result<(DeliveryTrace, O), PmssError>
-where
-    O: FleetObserver + Default,
-{
-    let sw = Stopwatch::start();
-    let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
-    publish_run(m, cfg, node_hours(schedule), &stats, sw.elapsed_s());
-    // The retained footprint is the tool's own output.
-    m.gauge_set("delivery.rows", trace.len() as f64);
-    m.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
-    Ok((trace, obs))
 }
 
 /// Folds one fleet run's tallies and wall time into `m` — the single place
@@ -229,16 +206,29 @@ impl Pipeline {
 
     /// Synthesizes the scenario's schedule — the fleet stage's first step,
     /// for a caller that drives the generator itself and needs nothing
-    /// else of the stage (`pmss query` captures a resident store).
+    /// else of the stage (`pmss query` captures a resident store, Fig. 2
+    /// folds its energy split, `peakpower` its cap sweep).
     pub(crate) fn schedule(&self) -> Schedule {
         generate(self.spec.trace_params(), &catalog())
     }
 
-    /// Runs (or replays) the fleet stage: workload synthesis, fleet
-    /// telemetry simulation with all standard observers, and the modal
-    /// decomposition ledger.
+    /// Runs (or replays) the fleet stage: workload synthesis and one fleet
+    /// telemetry simulation folding the modal-decomposition ledger (and
+    /// the econ series when the spec prices energy).
     pub fn fleet(&mut self) -> Result<&FleetArtifacts, PmssError> {
         fleet_stage(&mut self.fleet, &self.spec, &mut self.metrics)
+    }
+
+    /// Runs the fleet stage afresh with `X` folded beside the ledger (and
+    /// the econ series when `econ`): the one run of an artifact that reads
+    /// another observer.  It replaces the memoized stage with a
+    /// bit-identical one; [`run_fleet_stage`] says why `X`'s bits hold.
+    pub(crate) fn fleet_with<X>(&mut self, econ: bool) -> Result<(&FleetArtifacts, X), PmssError>
+    where
+        X: FleetObserver + Default,
+    {
+        let (fleet, extra, ()) = run_fleet_stage(&self.spec, &mut self.metrics, econ, ())?;
+        Ok((self.fleet.insert(fleet), extra))
     }
 
     /// Runs (or replays) the benchmark stage: Table III computed from the
@@ -298,7 +288,22 @@ impl Pipeline {
             table3,
             workers,
         } = self;
-        let (fleet, trace) = traced_fleet_stage(fleet, trace, spec, metrics)?;
+        let (fleet, trace): (&FleetArtifacts, &DeliveryTrace) = match fleet {
+            None => {
+                let (f, (), t) = run_fleet_stage(spec, metrics, false, trace)?;
+                (fleet.insert(f), t)
+            }
+            Some(f) => match trace {
+                Some(t) => {
+                    metrics.inc("stage.fleet.reuses");
+                    (f, t)
+                }
+                None => {
+                    let ((), t) = trace.run(&f.schedule, &fleet_config(spec), metrics)?;
+                    (f, t)
+                }
+            },
+        };
         let stages = Stages {
             fleet,
             table3: table3_stage(table3, spec, engine, metrics)?,
@@ -359,70 +364,90 @@ fn fleet_stage<'a>(
             metrics.inc("stage.fleet.reuses");
             Ok(fleet)
         }
-        None => {
-            let (fleet, ()) = run_fleet_stage(spec, metrics, |schedule, cfg, metrics| {
-                let (obs, stats, wall_s) = timed_sim(schedule, cfg);
-                publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
-                Ok((obs, ()))
-            })?;
-            Ok(slot.insert(fleet))
-        }
+        None => Ok(slot.insert(run_fleet_stage::<(), ()>(spec, metrics, false, ())?.0)),
     }
 }
 
-/// [`fleet_stage`] with its run retained in delivery order in `trace` (see
-/// [`Pipeline::traced_stages`]).
-fn traced_fleet_stage<'a>(
-    slot: &'a mut Option<FleetArtifacts>,
-    trace: &'a mut Option<DeliveryTrace>,
-    spec: &ScenarioSpec,
-    metrics: &mut Metrics,
-) -> Result<(&'a FleetArtifacts, &'a DeliveryTrace), PmssError> {
-    let Some(fleet) = slot else {
-        let (fleet, captured) = run_fleet_stage(spec, metrics, |schedule, cfg, metrics| {
-            let (captured, obs) = traced_sim(schedule, cfg, metrics)?;
-            Ok((obs, captured))
-        })?;
-        return Ok((slot.insert(fleet), trace.insert(captured)));
-    };
-    let trace = match trace {
-        Some(trace) => {
-            metrics.inc("stage.fleet.reuses");
-            trace
-        }
-        None => trace.insert(traced_sim::<()>(&fleet.schedule, &fleet_config(spec), metrics)?.0),
-    };
-    Ok((fleet, trace))
-}
-
-/// The standard observers the fleet stage folds.  Pairing the econ series
-/// changes no ledger/histogram operation: `Pair` folds each row range into
-/// both members independently, each through its own columnar fold, so the
-/// historical observers stay bit-identical with the series along.
-type StageObservers = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
-
 /// Runs the fleet stage — the scenario's schedule, then one fleet run of it
-/// through `run` folding [`StageObservers`] — and counts it.
-fn run_fleet_stage<T>(
+/// made by `sink`, folding the ledger, the econ series when `econ` or the
+/// spec prices energy, and `X` — and counts it.  Every member folds in a
+/// pair with the channel-grouped ledger, and `Pair` folds each row range
+/// into each member independently, so a member's bits are the same
+/// whatever else the run folds.
+fn run_fleet_stage<X: FleetObserver + Default, T: TraceSink>(
     spec: &ScenarioSpec,
     metrics: &mut Metrics,
-    run: impl FnOnce(&Schedule, &FleetConfig, &mut Metrics) -> Result<(StageObservers, T), PmssError>,
-) -> Result<(FleetArtifacts, T), PmssError> {
+    econ: bool,
+    sink: T,
+) -> Result<(FleetArtifacts, X, T::Kept), PmssError> {
     let sw = Stopwatch::start();
     let schedule = generate(spec.trace_params(), &catalog());
-    let (obs, extra) = run(&schedule, &fleet_config(spec), metrics)?;
+    let cfg = fleet_config(spec);
+    let (ledger, econ, extra, kept) = if econ || spec.active_econ().is_some() {
+        let (obs, kept) =
+            sink.run::<Pair<Pair<EnergyLedger, EconSeries>, X>>(&schedule, &cfg, metrics)?;
+        (obs.a.a, Some(obs.a.b), obs.b, kept)
+    } else {
+        let (obs, kept) = sink.run::<Pair<EnergyLedger, X>>(&schedule, &cfg, metrics)?;
+        (obs.a, None, obs.b, kept)
+    };
     metrics.inc("stage.fleet.runs");
     metrics.gauge_add("stage.fleet.wall_s", sw.elapsed_s());
     let fleet = FleetArtifacts {
         schedule,
         domains: catalog(),
-        system: obs.a.a,
-        per_domain: obs.a.b,
-        ledger: obs.b.a,
-        econ: obs.b.b,
+        ledger,
+        econ,
         frontier_factor: spec.frontier_factor(),
     };
-    Ok((fleet, extra))
+    Ok((fleet, extra, kept))
+}
+
+/// Where a stage run's delivery trace goes: nowhere (`()`), or into the
+/// slot it fills ([`Pipeline::traced_stages`]).
+trait TraceSink {
+    /// What the run hands back beside its observers.
+    type Kept;
+    /// One published fleet run folding `O`.
+    fn run<O: FleetObserver + Default>(
+        self,
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+        metrics: &mut Metrics,
+    ) -> Result<(O, Self::Kept), PmssError>;
+}
+
+impl TraceSink for () {
+    type Kept = ();
+    fn run<O: FleetObserver + Default>(
+        self,
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+        metrics: &mut Metrics,
+    ) -> Result<(O, ()), PmssError> {
+        let (obs, stats, wall_s) = timed_sim(schedule, cfg);
+        publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
+        Ok((obs, ()))
+    }
+}
+
+/// One generation folds `O`, tallies the stats and fills the trace.
+impl<'t> TraceSink for &'t mut Option<DeliveryTrace> {
+    type Kept = &'t DeliveryTrace;
+    fn run<O: FleetObserver + Default>(
+        self,
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+        metrics: &mut Metrics,
+    ) -> Result<(O, &'t DeliveryTrace), PmssError> {
+        let sw = Stopwatch::start();
+        let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
+        publish_run(metrics, cfg, node_hours(schedule), &stats, sw.elapsed_s());
+        // The retained footprint is the tool's own output.
+        metrics.gauge_set("delivery.rows", trace.len() as f64);
+        metrics.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
+        Ok((obs, self.insert(trace)))
+    }
 }
 
 /// The benchmark stage in `slot` — Table III from the spec's own cap
@@ -457,6 +482,7 @@ mod tests {
     use super::*;
     use crate::artifact::ArtifactId;
     use crate::spec::ScalePreset;
+    use pmss_telemetry::{DomainHistograms, SystemHistogram};
 
     #[test]
     fn pipeline_rejects_invalid_specs() {
@@ -502,11 +528,6 @@ mod tests {
         for (p, runs) in [(&first, 1), (&late, 2)] {
             let got = p.fleet.as_ref().unwrap();
             assert_eq!(got.ledger, want.ledger);
-            assert_eq!(got.econ, want.econ);
-            assert_eq!(got.system.hist, want.system.hist);
-            for d in 0..want.per_domain.len().max(got.per_domain.len()) {
-                assert_eq!(got.per_domain.domain(d), want.per_domain.domain(d));
-            }
             // `PartialEq` on events: this plan glitches to NaN, which
             // never equals itself, so compare the debug rendering.
             let trace = p.trace.as_ref().unwrap();
@@ -520,6 +541,63 @@ mod tests {
             assert_eq!(m.counter("stage.fleet.runs"), 1);
             assert_eq!(m.counter("stage.fleet.reuses"), 1);
             assert_eq!(m.gauge("delivery.rows"), Some(trace.len() as f64));
+        }
+    }
+
+    /// The four observers every fleet stage run folded before the stage
+    /// folded the ledger alone: the oracle for the split.
+    type FourObservers =
+        Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
+
+    /// Every fleet observer an artifact reads — the stage's ledger, traced
+    /// or not, the series a priced stage or `econ` folds, and the
+    /// histograms Figs. 8 and 9 and `sensitivity` fold in their own run of
+    /// the stage — is bit for bit the matching member of a hand-built
+    /// four-observer fold: clean, faulted and mixed, on every core and on
+    /// one worker.
+    #[test]
+    fn split_stage_folds_match_the_four_observer_fold() {
+        let clean = ScenarioSpec::preset(ScalePreset::Quick);
+        let mut harsh = clean.clone();
+        harsh.faults = Some(pmss_faults::FaultPlan::preset("harsh").unwrap());
+        let mut mixed = clean.clone();
+        mixed.fleet_mix = Some("mixed-50-50".to_string());
+        for spec in [clean, harsh, mixed] {
+            let check = || {
+                let mut p = Pipeline::new(spec.clone()).unwrap();
+                let (old, _) =
+                    simulate_fleet_metered::<FourObservers>(&p.schedule(), &p.fleet_config());
+                let want = |x: &dyn std::fmt::Debug| format!("{x:?}");
+                let (ledger, series) = (want(&old.b.a), want(&old.b.b));
+
+                assert_eq!(want(&p.fleet().unwrap().ledger), ledger);
+                let system = p.fleet_with::<SystemHistogram>(false).unwrap().1;
+                assert_eq!(want(&system), want(&old.a.a));
+                let (fleet, domains) = p.fleet_with::<DomainHistograms>(false).unwrap();
+                assert_eq!(want(&fleet.ledger), ledger);
+                assert_eq!(want(&domains), want(&old.a.b));
+                let fleet = p.fleet_with::<()>(true).unwrap().0;
+                assert_eq!(want(&fleet.econ.as_ref().unwrap()), series);
+                assert_eq!(want(&fleet.ledger), ledger);
+
+                // A priced spec's stage, traced (`stream`, `govern`) and
+                // not (`whatif` and the JSON envelope), folds the series.
+                let mut priced = spec.clone();
+                priced.econ = Some(pmss_econ::EconTrace::preset("diurnal").unwrap());
+                let mut traced = Pipeline::new(priced.clone()).unwrap();
+                let fleet = traced.traced_stages().unwrap().0.fleet;
+                assert_eq!(want(&fleet.ledger), ledger);
+                assert_eq!(want(&fleet.econ.as_ref().unwrap()), series);
+                let mut plain = Pipeline::new(priced).unwrap();
+                let fleet = plain.stages().unwrap().fleet;
+                assert_eq!(want(&fleet.econ.as_ref().unwrap()), series);
+            };
+            check();
+            let one_worker = scoped_map(2, 1, |_| {
+                check();
+                pmss_telemetry::workers()
+            });
+            assert_eq!(one_worker, [1], "{}", spec.name);
         }
     }
 

@@ -3,6 +3,7 @@
 //! and `pmssd::cli` (the streaming daemon and its client); this shim
 //! only wires argv, stdout, and the exit code.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -14,8 +15,19 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout
+                .write_all(out.as_bytes())
+                .and_then(|()| stdout.flush());
+            match written {
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("pmss: writing output: {e}");
+                    ExitCode::FAILURE
+                }
+                // Written, or read by a reader that closed the pipe
+                // (`pmss fig 8 | head`) once it had all it asked for.
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(err) => {
             eprintln!("pmss: {err}");

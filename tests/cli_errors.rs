@@ -125,3 +125,45 @@ fn errors_name_the_flag_or_variable_that_carried_the_value() {
         assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{args:?}");
     }
 }
+
+/// A reader that closes the pipe early (`pmss fig 8 | head -1`) ends the
+/// process quietly: `print!` used to panic on the broken pipe and exit
+/// 101 with a backtrace.
+#[test]
+fn closed_stdout_pipe_is_a_quiet_exit_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+        .args(["fig", "8"])
+        .env_remove("PMSS_SCALE")
+        .stdout(writer)
+        .output()
+        .expect("pmss runs");
+    assert_eq!(out.status.code(), Some(0), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
+
+/// A fault plan whose spike is past any sensor's range used to run the
+/// whole fleet and then fail on the energy it summed; it is rejected
+/// before the run, under the field's name.
+#[test]
+fn spike_beyond_a_kilowatt_is_rejected_before_the_run() {
+    let path = std::env::temp_dir().join(format!("pmss-spike-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"faults": {"spike_w": -1e308, "spike_prob": 0.5}}"#,
+    )
+    .expect("spec file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+        .args(["table", "5", "--spec"])
+        .arg(&path)
+        .output()
+        .expect("pmss runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "pmss: invalid faults.spike_w value \"-1e308\": expected a wattage in [-1000, 1000]\n"
+    );
+}

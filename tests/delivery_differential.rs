@@ -5,7 +5,7 @@
 //! as the reference the production path is compared to event for event.
 //!
 //! The same cases pin the one-generation path: the run that retains the
-//! trace folds the fleet stage's observers and tallies its statistics
+//! trace folds every fleet-stage observer and tallies its statistics
 //! exactly as a run that retains nothing.
 //!
 //! Failing proptest seeds persist to `tests/proptest-regressions/` (see
@@ -60,10 +60,11 @@ fn identical(a: &WindowEvent, b: &WindowEvent) -> bool {
         && kind_bits(a.kind) == kind_bits(b.kind)
 }
 
-/// The observers the pipeline's fleet stage folds.
+/// Every observer a fleet stage run folds, in one pair: the ledger and
+/// series of the stage, and the histograms of Figs. 8 and 9.
 type StageObs = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
 
-/// Captures the run *while folding the fleet stage's observers*, merges
+/// Captures the run *while folding every fleet-stage observer*, merges
 /// it, and checks sequence, length and last rank against the oracle — and
 /// the folded observers and run statistics against a run that retains
 /// nothing.  Returns the event count so callers can assert a scenario

@@ -21,7 +21,7 @@ use pmss::telemetry::{
     GapFill, GpuCpuEnergy, Pair, SystemHistogram, WindowEvent, WindowKind, REST_SLOT,
 };
 
-/// The fleet stage's observer set, nested as the stage nests it.
+/// Every observer a fleet stage run folds, nested in pairs.
 type Stage = Pair<Pair<SystemHistogram, DomainHistograms>, Pair<EnergyLedger, EconSeries>>;
 
 /// The oracle: the trait default's replay of every row through
