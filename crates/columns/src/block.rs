@@ -254,6 +254,39 @@ impl ColumnBlock {
         });
     }
 
+    /// Appends rows `rows` of `src` (a block of the same channel) as a
+    /// run: `windows`, `span_s`, `tags`, `values` and `jobs` copied,
+    /// `t_s` shifted by `skew_s`, and `ranks` (one per row) as the rows'
+    /// delivery ranks.  Row for row it is what pushing each event with
+    /// `t_s + skew_s` and its new rank would store — the path a fault
+    /// plan's untouched rows take from a clean tile to the delivered one.
+    pub fn append_rows(
+        &mut self,
+        src: &ColumnBlock,
+        rows: std::ops::Range<usize>,
+        skew_s: f64,
+        ranks: &[u64],
+    ) {
+        debug_assert_eq!(src.channel(), self.channel());
+        debug_assert_eq!(ranks.len(), rows.len());
+        if rows.is_empty() {
+            return;
+        }
+        if self.windows.is_empty() {
+            self.sku = src.sku;
+        } else {
+            debug_assert_eq!(src.sku, self.sku, "one SKU per channel block");
+        }
+        self.windows.extend_from_slice(&src.windows[rows.clone()]);
+        self.ranks.extend_from_slice(ranks);
+        self.t_s
+            .extend(src.t_s[rows.clone()].iter().map(|&t| t + skew_s));
+        self.span_s.extend_from_slice(&src.span_s[rows.clone()]);
+        self.tags.extend_from_slice(&src.tags[rows.clone()]);
+        self.values.extend_from_slice(&src.values[rows.clone()]);
+        self.jobs.extend_from_slice(&src.jobs[rows]);
+    }
+
     /// Reconstructs row `i` as a [`WindowEvent`].
     #[inline]
     pub fn event(&self, i: usize) -> WindowEvent {
@@ -508,6 +541,42 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.channel(), (5, 2));
         assert_eq!(b.column_bytes(), bytes, "reset must not shed capacity");
+    }
+
+    /// A run appended in bulk stores what pushing its rows one by one,
+    /// shifted and re-ranked, does — into an empty block (adopting the
+    /// SKU) and after rows already there.
+    #[test]
+    fn append_rows_is_pushing_the_shifted_rows() {
+        let mut src = ColumnBlock::new(3, 1);
+        for w in 0..6u64 {
+            src.push(&WindowEvent {
+                sku: 2,
+                ..ev(
+                    w,
+                    w,
+                    WindowKind::Sample {
+                        power_w: w as f64 * 10.0,
+                        job: (w % 2 == 0).then_some(w as usize),
+                    },
+                )
+            });
+        }
+        let ranks = [9u64, 7, 8, 12, 10, 11];
+        let (mut bulk, mut rows) = (ColumnBlock::new(3, 1), ColumnBlock::new(3, 1));
+        for (run, skew) in [(0..2, -1.5), (2..2, 4.0), (3..6, 0.25)] {
+            bulk.append_rows(&src, run.clone(), skew, &ranks[run.clone()]);
+            for i in run {
+                let e = src.event(i);
+                rows.push(&WindowEvent {
+                    rank: ranks[i],
+                    t_s: e.t_s + skew,
+                    ..e
+                });
+            }
+        }
+        assert_eq!(bulk.sku(), 2);
+        assert_eq!(bulk, rows);
     }
 
     /// A channel delivered under an arbitrary reordering plan: windows

@@ -134,6 +134,12 @@ pub const MAX_REORDER_DEPTH: u32 = 4096;
 /// spikes 150 W, `harsh` 400 W).
 const MAX_SPIKE_W: f64 = 1000.0;
 
+/// The largest per-node clock skew [`FaultPlan::validate`] accepts, in
+/// seconds: an hour, far past any fabric's drift (`frontier-typical`
+/// skews 2 s, `harsh` 10 s).  Consumers size time-indexed state from
+/// skewed timestamps, so an unbounded skew is an unbounded allocation.
+const MAX_CLOCK_SKEW_S: f64 = 3600.0;
+
 impl FaultPlan {
     /// The empty plan: injects nothing, output must stay bit-identical.
     pub fn none() -> FaultPlan {
@@ -242,11 +248,11 @@ impl FaultPlan {
                 format!("a wattage in [-{MAX_SPIKE_W}, {MAX_SPIKE_W}]"),
             ));
         }
-        if !(self.clock_skew_max_s.is_finite() && self.clock_skew_max_s >= 0.0) {
+        if !(0.0..=MAX_CLOCK_SKEW_S).contains(&self.clock_skew_max_s) {
             return Err(PmssError::invalid_value(
                 "faults.clock_skew_max_s",
-                format!("{}", self.clock_skew_max_s),
-                "a finite non-negative number of seconds",
+                format!("{:?}", self.clock_skew_max_s),
+                format!("a number of seconds in [0, {MAX_CLOCK_SKEW_S}]"),
             ));
         }
         if self.dropout_prob > 0.0 && self.dropout_windows == 0 {
@@ -376,7 +382,6 @@ impl FaultPlan {
     ) {
         let start = windows.start;
         let n = usize::try_from(windows.end - start).expect("window range fits memory");
-        lane.start = start;
         self.fill_node_dropout(node, windows.clone(), &mut lane.lost);
         if self.drop_prob > 0.0 {
             for (i, l) in lane.lost.iter_mut().enumerate() {
@@ -441,11 +446,13 @@ pub enum Glitch {
 /// hashes as the scalar functions — so every answer is bit-identical to
 /// calling [`FaultPlan::drops`] & co. per window, just without paying
 /// four-to-six interleaved avalanche hashes and branches per window on the
-/// generator's hot path.  The buffers are retained across fills, so one
-/// lane per worker serves every channel.
+/// generator's hot path.  The columns are read-only views, row `i`
+/// answering for window `windows.start + i` of the filled range, so a
+/// consumer scans them beside the rows of the same windows.  The buffers
+/// are retained across fills, so one lane per worker serves every
+/// channel.
 #[derive(Debug, Clone, Default)]
 pub struct FaultLane {
-    start: u64,
     /// Window lost (node dropout or individual drop).
     lost: Vec<bool>,
     /// Delivered sample arrives twice.
@@ -462,34 +469,28 @@ impl FaultLane {
         FaultLane::default()
     }
 
+    /// Per window: lost (a node dropout or [`FaultPlan::drops`]).
     #[inline]
-    fn idx(&self, window: u64) -> usize {
-        usize::try_from(window - self.start).expect("window within the filled lane")
+    pub fn lost(&self) -> &[bool] {
+        &self.lost
     }
 
-    /// Whether `window` is lost (a node dropout or
-    /// [`FaultPlan::drops`]).
+    /// Per window: the delivered sample arrives twice.
     #[inline]
-    pub fn lost(&self, window: u64) -> bool {
-        self.lost[self.idx(window)]
+    pub fn duplicated(&self) -> &[bool] {
+        &self.dup
     }
 
-    /// Whether the delivered sample of `window` arrives twice.
+    /// Per window: the glitch applied to the delivered sample, if any.
     #[inline]
-    pub fn duplicated(&self, window: u64) -> bool {
-        self.dup[self.idx(window)]
+    pub fn glitches(&self) -> &[Option<Glitch>] {
+        &self.glitch
     }
 
-    /// The glitch applied to the delivered sample of `window`, if any.
+    /// Per window: delivery rank under the bounded reorder buffer.
     #[inline]
-    pub fn glitch(&self, window: u64) -> Option<Glitch> {
-        self.glitch[self.idx(window)]
-    }
-
-    /// Delivery rank of `window` under the bounded reorder buffer.
-    #[inline]
-    pub fn delivery_rank(&self, window: u64) -> u64 {
-        self.rank[self.idx(window)]
+    pub fn ranks(&self) -> &[u64] {
+        &self.rank
     }
 }
 
@@ -649,8 +650,14 @@ mod tests {
             assert!(p.validate().is_ok(), "{w}");
         }
         let mut p = FaultPlan::none();
-        p.clock_skew_max_s = f64::NAN;
-        assert!(p.validate().is_err());
+        for s in [f64::NAN, -1.0, MAX_CLOCK_SKEW_S + 1.0, 1e300, f64::INFINITY] {
+            p.clock_skew_max_s = s;
+            assert!(p.validate().is_err(), "{s}");
+        }
+        for s in [0.0, 2.0, 10.0, 30.0, MAX_CLOCK_SKEW_S] {
+            p.clock_skew_max_s = s;
+            assert!(p.validate().is_ok(), "{s}");
+        }
         let mut p = FaultPlan::none();
         p.dropout_prob = 0.1;
         p.dropout_windows = 0;
@@ -688,19 +695,23 @@ mod tests {
         for plan in &plans {
             for (node, slot, range) in [(0u32, 0u8, 0u64..500), (3, 4, 13..313), (17, 2, 95..96)] {
                 plan.fill_lane(node, slot, range.clone(), &mut lane);
-                assert_eq!(lane.lost.len(), (range.end - range.start) as usize);
+                let n = (range.end - range.start) as usize;
+                assert_eq!(lane.lost().len(), n);
+                assert_eq!(lane.duplicated().len(), n);
+                assert_eq!(lane.glitches().len(), n);
+                assert_eq!(lane.ranks().len(), n);
                 plan.fill_node_dropout(node, range.clone(), &mut dropout);
                 for w in range.clone() {
                     let i = (w - range.start) as usize;
                     assert_eq!(
-                        lane.lost(w),
+                        lane.lost()[i],
                         plan.node_dropout(node, w) || plan.drops(node, slot, w),
                         "lost({node},{slot},{w})"
                     );
                     assert_eq!(dropout[i], plan.node_dropout(node, w));
-                    assert_eq!(lane.duplicated(w), plan.duplicates(node, slot, w));
-                    assert_eq!(lane.glitch(w), plan.glitch(node, slot, w));
-                    assert_eq!(lane.delivery_rank(w), plan.delivery_rank(node, slot, w));
+                    assert_eq!(lane.duplicated()[i], plan.duplicates(node, slot, w));
+                    assert_eq!(lane.glitches()[i], plan.glitch(node, slot, w));
+                    assert_eq!(lane.ranks()[i], plan.delivery_rank(node, slot, w));
                 }
             }
         }

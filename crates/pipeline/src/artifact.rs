@@ -6,10 +6,11 @@
 //! every artifact renders both to the byte-identical ASCII of the old
 //! binaries and to structured JSON.
 //!
-//! `faults` and `peakpower` loop over independent fleet runs: they build
-//! their jobs, run them on the pipeline's workers (`stage::sim_each`),
-//! then push rows in job order.  `govern` replays every policy in one pass
-//! over the delivery trace and pushes rows in job order too.
+//! `peakpower` loops over independent fleet runs: it builds its jobs,
+//! runs them on the pipeline's workers (`stage::sim_each`), then pushes
+//! rows in job order.  `faults` delivers one generation under every row's
+//! plan (`stage::sim_plans`) and `govern` replays every policy in one pass
+//! over the delivery trace; both push rows in job order too.
 
 use pmss_core::heatmap::{energy_saved, energy_used, Heatmap};
 use pmss_core::project::{project, Projection, ProjectionInput};
@@ -43,7 +44,9 @@ use rand::SeedableRng;
 use crate::json::Json;
 use crate::render;
 use crate::spec::PAPER_CAMPAIGN_DAYS;
-use crate::stage::{ladder, node_hours, publish_run, sim_each, timed_sim, Pipeline};
+use crate::stage::{
+    ladder, node_hours, publish_generation, publish_run, sim_each, sim_plans, timed_sim, Pipeline,
+};
 
 /// Identifies one reproducible paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1195,7 +1198,13 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
     let cfg = p.fleet_config();
     let schedule = p.schedule();
     let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(&schedule, &cfg);
-    publish_run(&mut p.metrics, &cfg, node_hours(&schedule), &stats, wall_s);
+    publish_run(
+        &mut p.metrics,
+        cfg.faults.as_ref(),
+        node_hours(&schedule),
+        &stats,
+    );
+    publish_generation(&mut p.metrics, wall_s);
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1807,7 +1816,7 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
     let s = p.stages()?;
 
     let mut jobs = Vec::new();
-    let mut cfgs = Vec::new();
+    let mut plans = Vec::new();
     for preset in PRESETS {
         let base = FaultPlan::preset(preset)?;
         // The clean baseline needs no gap policy; every faulted severity is
@@ -1818,20 +1827,17 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
             GapPolicy::all().to_vec()
         };
         for policy in policies {
-            let plan = FaultPlan {
+            jobs.push((preset, policy));
+            plans.push(FaultPlan {
                 gap_policy: policy,
                 ..base.clone()
-            };
-            jobs.push((preset, policy));
-            cfgs.push(FleetConfig {
-                faults: Some(plan),
-                ..base_cfg.clone()
             });
         }
     }
-    // One run per row, each worker folding its own `EnergyLedger`; the
-    // rows are projected here, in job order.
-    let runs = sim_each::<EnergyLedger>(s.workers, &s.fleet.schedule, &cfgs, s.metrics);
+    // One generation delivered under every row's plan, each folding its
+    // own `EnergyLedger`; the rows are projected here, in job order.
+    let runs =
+        sim_plans::<EnergyLedger>(s.workers, &s.fleet.schedule, &base_cfg, &plans, s.metrics);
     let mut rows = Vec::new();
     for ((preset, policy), (ledger, stats)) in jobs.into_iter().zip(runs) {
         let coverage = ledger.coverage();

@@ -10,27 +10,30 @@
 //! folded in its own run of the stage (`Pipeline::fleet_with`), so no
 //! other artifact pays for it.
 //!
-//! An artifact that loops over *independent* fleet runs of one schedule
-//! (`faults`, `peakpower`) hands the loop to
-//! `pmss_telemetry::scoped_map` — whole runs per worker, results and
-//! metric tallies applied on the caller in loop order, so output is
-//! byte-identical at any worker count.  The node loop inside a run of
-//! channel-grouped observers (the fleet stage's, `faults`' ledgers) is
+//! `peakpower`, which loops over *independent* fleet runs of one
+//! schedule, hands the loop to `pmss_telemetry::scoped_map` — whole runs
+//! per worker, results and metric tallies applied on the caller in loop
+//! order, so output is byte-identical at any worker count.  The node loop
+//! inside a run of channel-grouped observers (the fleet stage's) is
 //! threaded too, below this crate (`pmss_telemetry::simulate_fleet_metered`),
-//! with the same guarantee — except inside a job of one of those loops
-//! running on more than one worker, where `pmss_telemetry::workers` is 1
-//! and a run folds its nodes on the worker that runs it.
+//! with the same guarantee — except inside a job of a loop running on
+//! more than one worker, where `pmss_telemetry::workers` is 1 and a run
+//! folds its nodes on the worker that runs it.  `faults` makes one
+//! generation delivered under all its rows' plans
+//! (`pmss_telemetry::simulate_fleet_plans`, via `sim_plans`), its node
+//! loop on the pipeline's workers.
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
 use pmss_econ::EconSeries;
 use pmss_error::PmssError;
+use pmss_faults::FaultPlan;
 use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    scoped_map, simulate_fleet_metered, DeliveryTrace, FleetConfig, FleetObserver, FleetRunStats,
-    Pair,
+    scoped_map, simulate_fleet_metered, simulate_fleet_plans, DeliveryTrace, FleetConfig,
+    FleetObserver, FleetRunStats, Pair,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, Table3};
@@ -89,24 +92,45 @@ where
     cfgs.iter()
         .zip(runs)
         .map(|(cfg, (obs, stats, wall_s))| {
-            publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
+            publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
+            publish_generation(metrics, wall_s);
             (obs, stats)
         })
         .collect()
 }
 
-/// Folds one fleet run's tallies and wall time into `m` — the single place
-/// they reach the registry.  Runs of one artifact may overlap
-/// ([`sim_each`]), so `fleet.wall_s` is *busy* time summed over runs, not
-/// elapsed, and `fleet.node_hours_per_s` a per-worker rate that can sit
-/// below what the manifest's `wall_s` implies; `fleet.workers` is reported
-/// beside them.
+/// One generation of `schedule` under `cfg`, delivered under each of
+/// `plans` (`pmss_telemetry::simulate_fleet_plans`, its nodes on `workers`
+/// threads), results in `plans` order.  Each plan's delivery counts as a
+/// run — one [`publish_run`] per plan, in `plans` order — and the one
+/// generation's wall time is published once.
+pub(crate) fn sim_plans<O>(
+    workers: usize,
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    plans: &[FaultPlan],
+    metrics: &mut Metrics,
+) -> Vec<(O, FleetRunStats)>
+where
+    O: FleetObserver + Default,
+{
+    let sw = Stopwatch::start();
+    let runs = simulate_fleet_plans::<O>(schedule, cfg, plans, workers);
+    publish_generation(metrics, sw.elapsed_s());
+    for (plan, (_, stats)) in plans.iter().zip(&runs) {
+        publish_run(metrics, Some(plan), node_hours(schedule), stats);
+    }
+    runs
+}
+
+/// Folds one fleet run's tallies into `m` — the single place they reach
+/// the registry.  `faults` is the plan the run was delivered under; its
+/// fault tallies are recorded only when it is active.
 pub(crate) fn publish_run(
     m: &mut Metrics,
-    cfg: &FleetConfig,
+    faults: Option<&FaultPlan>,
     node_hours: f64,
     stats: &FleetRunStats,
-    wall_s: f64,
 ) {
     m.inc("fleet.runs");
     m.add("fleet.gpu_samples", stats.gpu_samples);
@@ -121,7 +145,7 @@ pub(crate) fn publish_run(
     m.add("cap_solver.breaches", stats.cap_breaches);
     // Fault-injection tallies, recorded only when a plan is active so a
     // clean run's metrics envelope keeps its historical set of keys.
-    if cfg.faults.as_ref().is_some_and(|p| !p.is_noop()) {
+    if faults.is_some_and(|p| !p.is_noop()) {
         m.add("faults.dropped", stats.faults_dropped);
         m.add("faults.duplicated", stats.faults_duplicated);
         m.add("faults.glitched", stats.faults_glitched);
@@ -131,8 +155,19 @@ pub(crate) fn publish_run(
         m.add("faults.gaps_excluded", stats.gaps_excluded);
         m.add("faults.gaps_idle", stats.gaps_idle);
     }
-    m.gauge_add("fleet.wall_s", wall_s);
     m.gauge_add("fleet.node_hours", node_hours);
+}
+
+/// Records one generation pass of the fleet and its wall time into `m`.
+/// A pass delivers one run or, for [`sim_plans`], several, and the runs
+/// of [`sim_each`] may overlap, so `fleet.wall_s` is *busy* generation
+/// time summed over passes, not elapsed, and `fleet.node_hours_per_s`
+/// (delivered node-hours over it) a per-worker rate that can sit below
+/// what the manifest's `wall_s` implies; `fleet.workers` is reported
+/// beside them.
+pub(crate) fn publish_generation(m: &mut Metrics, wall_s: f64) {
+    m.inc("fleet.generations");
+    m.gauge_add("fleet.wall_s", wall_s);
     m.observe("fleet.run_wall_s", edges::WALL_S, wall_s);
 }
 
@@ -426,7 +461,8 @@ impl TraceSink for () {
         metrics: &mut Metrics,
     ) -> Result<(O, ()), PmssError> {
         let (obs, stats, wall_s) = timed_sim(schedule, cfg);
-        publish_run(metrics, cfg, node_hours(schedule), &stats, wall_s);
+        publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
+        publish_generation(metrics, wall_s);
         Ok((obs, ()))
     }
 }
@@ -442,7 +478,8 @@ impl<'t> TraceSink for &'t mut Option<DeliveryTrace> {
     ) -> Result<(O, &'t DeliveryTrace), PmssError> {
         let sw = Stopwatch::start();
         let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
-        publish_run(metrics, cfg, node_hours(schedule), &stats, sw.elapsed_s());
+        publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
+        publish_generation(metrics, sw.elapsed_s());
         // The retained footprint is the tool's own output.
         metrics.gauge_set("delivery.rows", trace.len() as f64);
         metrics.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);

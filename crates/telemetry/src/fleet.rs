@@ -3,14 +3,18 @@
 //!
 //! This is the stand-in for three months of Frontier out-of-band telemetry
 //! (paper Table II a): per node, per GPU slot, one mean-power sample every
-//! 15 seconds, attributable to the job occupying the node.  Each node's
-//! state (RNG, boost budget, fault lanes) is independent of every
-//! other's, so a batch fold of a [`FleetObserver::CHANNEL_GROUPED`]
-//! observer runs whole nodes on every core, each worker generating into
-//! one tile of scratch, with the channel partials merged in canonical
-//! order on the caller; a run that retains its channels, or folds an
-//! observer that is not channel-grouped, is one sequential pass over the
-//! nodes.  Both produce the same bits (see `run_channels`).
+//! 15 seconds, attributable to the job occupying the node.  Generation
+//! is clean: a fault plan never reaches it, and is applied afterwards as
+//! a columnar transform of each clean tile (`deliver_gpu_tile`,
+//! `deliver_rest_tile`), so one generation can be delivered under many
+//! plans ([`simulate_fleet_plans`]).  Each node's state (RNG, boost
+//! budget, fault decisions) is independent of every other's, so a batch
+//! fold of a [`FleetObserver::CHANNEL_GROUPED`] observer runs whole nodes
+//! on every core, each worker generating into one tile of scratch, with
+//! the channel partials merged in canonical order on the caller; a run
+//! that retains its channels, or folds an observer that is not
+//! channel-grouped, is one sequential pass over the nodes.  Both produce
+//! the same bits (see `run_channels`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +28,7 @@ use pmss_sched::Schedule;
 use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
 
-use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, REST_SLOT, TILE_ROWS};
+use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, NO_JOB, REST_SLOT, TILE_ROWS};
 
 use crate::threads::{scoped_sink, workers};
 
@@ -45,10 +49,10 @@ pub struct FleetConfig {
     /// Power-management settings applied fleet-wide during the simulation.
     pub settings: GpuSettings,
     /// Deterministic telemetry degradation applied to the emitted stream
-    /// (see [`pmss_faults::FaultPlan`]).  `None` — or a plan that injects
-    /// nothing — leaves the stream untouched, bit for bit: the clean path
-    /// is the exact pre-fault code path, which is what the differential
-    /// harness pins.
+    /// (see [`pmss_faults::FaultPlan`]).  Generation never reads it: the
+    /// plan transforms the clean rows on their way out.  `None` — or a
+    /// plan that injects nothing — hands the clean rows on untouched, bit
+    /// for bit, which is what the differential harness pins.
     pub faults: Option<FaultPlan>,
     /// Node-class assignment over the standard [`SkuCatalog`].  The
     /// default homogeneous mix maps every node to SKU 0 (the paper's
@@ -302,13 +306,13 @@ fn slot_segments(
     }
 }
 
-/// Walks `segments` in `window_s` windows, emitting one [`WindowEvent`]
-/// per window — mean power with boost excursions and sensor noise applied,
-/// degraded in place when the config carries an active [`FaultPlan`] —
-/// to `emit` in canonical channel order: ascending window, duplicate
-/// deliveries adjacent.  Sample *generation* (including RNG consumption)
-/// is identical with and without a plan; faults only change what is
-/// emitted for each generated window.
+/// Walks `segments` in `window_s` windows, emitting one clean
+/// [`WindowEvent`] per window — mean power with boost excursions and
+/// sensor noise applied, stamped at the window center, ranked at its
+/// window — to `emit` in ascending window order.  Generation never reads
+/// a fault plan: a plan is a transform of the generated rows
+/// ([`deliver_gpu_tile`]), so the RNG is consumed, and every row
+/// generated, alike under any plan.
 #[allow(clippy::too_many_arguments)]
 fn slot_window_events(
     stats: &mut FleetRunStats,
@@ -320,30 +324,14 @@ fn slot_window_events(
     cfg: &FleetConfig,
     boost: &mut BoostBudget,
     rng: &mut StdRng,
-    idle_power_w: f64,
     boosted_w: f64,
-    lane: &mut FaultLane,
-    reorder: &mut ReorderTally,
     emit: &mut impl FnMut(WindowEvent),
 ) {
-    let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
-    let grid = channel_grid(schedule, cfg, node);
-    let (windows, skew) = (grid.windows(), grid.skew_s);
-    // Interpolation holds the last *clean generated* value: a glitched
-    // sensor reading must not poison later gap fills.
-    let mut last_good: Option<f64> = None;
-    if let Some(p) = plan.filter(|p| p.reorder_depth > 0) {
-        reorder.begin(p.reorder_depth);
-    }
-    // All of the channel's fault decisions, filled in one columnar pass
-    // (bit-identical to the scalar per-window decision calls).
-    if let Some(p) = plan {
-        p.fill_lane(node, slot, 0..windows, lane);
-    }
+    let grid = clean_grid(schedule, cfg);
     let mut seg_idx = 0usize;
 
     // Every window of the grid, the partial tail included.
-    for window in 0..windows {
+    for window in 0..grid.windows() {
         let (w_start, w_end) = grid.bounds(window);
         let span = w_end - w_start;
         let center = w_start + 0.5 * span;
@@ -391,94 +379,19 @@ fn slot_window_events(
         }
 
         let mean = (energy / span + cfg.noise_sd_w * standard_normal(rng)).max(0.0);
-        let Some(plan) = plan else {
-            stats.gpu_sample(attributed.is_some());
-            emit(WindowEvent {
-                node,
-                slot,
-                sku,
-                window,
-                rank: window,
-                t_s: center,
-                span_s: span,
-                kind: WindowKind::Sample {
-                    power_w: mean,
-                    job: attributed,
-                },
-            });
-            continue;
-        };
-
-        if lane.lost(window) {
-            stats.faults_dropped += 1;
-            let (fill, gaps, job) = match plan.gap_policy {
-                GapPolicy::Exclude => (GapFill::Excluded, &mut stats.gaps_excluded, attributed),
-                GapPolicy::Interpolate => (
-                    GapFill::Interpolated(last_good.unwrap_or(idle_power_w)),
-                    &mut stats.gaps_interpolated,
-                    attributed,
-                ),
-                GapPolicy::AttributeIdle => {
-                    (GapFill::Idle(idle_power_w), &mut stats.gaps_idle, None)
-                }
-            };
-            *gaps += 1;
-            emit(WindowEvent {
-                node,
-                slot,
-                sku,
-                window,
-                rank: window,
-                t_s: center + skew,
-                span_s: span,
-                kind: WindowKind::Gap { fill, job },
-            });
-            continue;
-        }
-        last_good = Some(mean);
-        let mut power_w = mean;
-        if let Some(glitch) = lane.glitch(window) {
-            stats.faults_glitched += 1;
-            power_w = match glitch {
-                Glitch::Nan => f64::NAN,
-                Glitch::Spike(w) => power_w + w,
-            };
-        }
-        let rank = lane.delivery_rank(window);
-        let ev = WindowEvent {
+        emit(WindowEvent {
             node,
             slot,
             sku,
             window,
-            rank,
-            t_s: center + skew,
+            rank: window,
+            t_s: center,
             span_s: span,
             kind: WindowKind::Sample {
-                power_w,
+                power_w: mean,
                 job: attributed,
             },
-        };
-        if lane.duplicated(window) {
-            stats.faults_duplicated += 1;
-            stats.gpu_sample(attributed.is_some());
-            emit(ev);
-        }
-        stats.gpu_sample(attributed.is_some());
-        if plan.reorder_depth > 0 {
-            // A duplicate shares its original's window and rank, so one
-            // record stands for both copies.
-            reorder.deliver(window, rank);
-        }
-        emit(ev);
-    }
-
-    // Reorder tally: under the plan's bounded reorder buffer the channel's
-    // *arrival* order is its delivered copies sorted by (rank, window); a
-    // sample is counted out-of-order when it arrives after a later window,
-    // exactly as a downstream consumer of the arrival stream would see it.
-    // (With depth 0 every rank equals its window and nothing reorders.)
-    if plan.is_some_and(|p| p.reorder_depth > 0) {
-        stats.faults_reordered += reorder.finish();
+        });
     }
 }
 
@@ -499,7 +412,7 @@ const EMPTY: (u64, u64) = (u64::MAX, 0);
 /// O(copies + depth) time and O(depth) memory; only a reordering plan
 /// grows it.
 #[derive(Debug, Default)]
-struct ReorderTally {
+pub(crate) struct ReorderTally {
     /// Least and greatest window delivered at each open rank `r`, at
     /// `r & mask`; [`EMPTY`] while nothing was.
     open: Vec<(u64, u64)>,
@@ -557,62 +470,245 @@ impl ReorderTally {
     }
 }
 
-/// Emits the per-window rest-of-node power samples as [`WindowEvent`]s on
-/// the node's [`REST_SLOT`] channel.  Dropped-out windows emit nothing at
-/// all (a silent node is a hole in the stream, not a gap record).
-#[allow(clippy::too_many_arguments)] // one bundle of per-node channel context
+/// Emits the per-window rest-of-node power samples as clean
+/// [`WindowEvent`]s on the node's [`REST_SLOT`] channel, one per window.
 fn node_rest_events(
-    stats: &mut FleetRunStats,
     schedule: &Schedule,
     node: u32,
     sku: u8,
     cfg: &FleetConfig,
     rest: &NodeRestModel,
-    dropout: &mut Vec<bool>,
     emit: &mut impl FnMut(WindowEvent),
 ) {
     let placements = &schedule.per_node[node as usize];
     let mut p_idx = 0usize;
-    let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
-    let grid = channel_grid(schedule, cfg, node);
-    let (windows, skew) = (grid.windows(), grid.skew_s);
-    // Dropout decisions for the whole channel in one columnar pass,
-    // amortized per dropout interval.
-    if let Some(p) = plan {
-        p.fill_node_dropout(node, 0..windows, dropout);
-    }
+    let grid = clean_grid(schedule, cfg);
 
     // The GPU channels' window layout, centered as the mean of the bounds.
-    for w in 0..windows {
+    for w in 0..grid.windows() {
         let (w_start, w_end) = grid.bounds(w);
         let t = 0.5 * (w_start + w_end);
         while p_idx < placements.len() && placements[p_idx].end_s <= t {
             p_idx += 1;
-        }
-        // A dropped-out node is silent on every channel: the rest-of-node
-        // sample vanishes along with the GPU samples of the interval.
-        if plan.is_some() && dropout[w as usize] {
-            stats.faults_dropout_windows += 1;
-            continue;
         }
         let util = placements
             .get(p_idx)
             .filter(|p| p.begin_s <= t)
             .map(|p| cpu_util_of(schedule.jobs[p.job].app_class))
             .unwrap_or(0.03);
-        stats.node_samples += 1;
         emit(WindowEvent {
             node,
             slot: REST_SLOT,
             sku,
             window: w,
             rank: w,
-            t_s: t + skew,
+            t_s: t,
             span_s: w_end - w_start,
             kind: WindowKind::NodeRest {
                 rest_w: rest.power_w(util),
             },
         });
+    }
+}
+
+/// One plan's delivery of the channel being generated: what carries
+/// across the channel's tiles.
+#[derive(Debug, Default)]
+pub(crate) struct ChannelDelivery {
+    /// Interpolation holds the last *clean generated* value: a glitched
+    /// sensor reading must not poison later gap fills.
+    last_good: Option<f64>,
+    reorder: ReorderTally,
+}
+
+impl ChannelDelivery {
+    /// Starts a channel under `plan`.
+    pub(crate) fn begin(&mut self, plan: &FaultPlan) {
+        self.last_good = None;
+        if plan.reorder_depth > 0 {
+            self.reorder.begin(plan.reorder_depth);
+        }
+    }
+
+    /// Ends the channel.  The reorder tally: under the plan's bounded
+    /// reorder buffer the channel's *arrival* order is its delivered
+    /// copies sorted by (rank, window); a sample is counted out-of-order
+    /// when it arrives after a later window, exactly as a downstream
+    /// consumer of the arrival stream would see it.  (With depth 0 every
+    /// rank equals its window and nothing reorders.)
+    pub(crate) fn finish(&mut self, plan: &FaultPlan, stats: &mut FleetRunStats) {
+        if plan.reorder_depth > 0 {
+            stats.faults_reordered += self.reorder.finish();
+        }
+    }
+}
+
+/// Tallies a clean tile delivered as generated (no active plan).
+fn tally_clean(clean: &ColumnBlock, stats: &mut FleetRunStats) {
+    let rows = clean.len() as u64;
+    if clean.slot() == REST_SLOT {
+        stats.node_samples += rows;
+    } else {
+        stats.gpu_samples += rows;
+        stats.attributed_samples += attributed(clean, 0..clean.len());
+    }
+}
+
+/// Rows of `rows` attributed to a job.
+fn attributed(block: &ColumnBlock, rows: std::ops::Range<usize>) -> u64 {
+    block.jobs()[rows].iter().filter(|&&j| j != NO_JOB).count() as u64
+}
+
+/// Appends the untouched rows `rows` of a clean GPU tile as one run:
+/// delivered once, at their lane ranks, `t_s` skewed.
+#[allow(clippy::too_many_arguments)] // a run's source, its decisions and its three sinks
+fn deliver_run(
+    clean: &ColumnBlock,
+    rows: std::ops::Range<usize>,
+    skew_s: f64,
+    ranks: &[u64],
+    reordering: bool,
+    chan: &mut ChannelDelivery,
+    stats: &mut FleetRunStats,
+    out: &mut ColumnBlock,
+) {
+    let Some(last) = rows.clone().last() else {
+        return;
+    };
+    out.append_rows(clean, rows.clone(), skew_s, &ranks[rows.clone()]);
+    stats.gpu_samples += rows.len() as u64;
+    stats.attributed_samples += attributed(clean, rows.clone());
+    chan.last_good = Some(clean.values()[last]);
+    if reordering {
+        for i in rows {
+            chan.reorder.deliver(clean.windows()[i], ranks[i]);
+        }
+    }
+}
+
+/// Delivers one clean GPU tile under `plan`: appends to `out` the rows a
+/// collection fabric hands on for the tile's windows, in window order,
+/// and tallies them.  `lane` holds the plan's decisions for the tile's
+/// windows (its row `i` answering for the tile's row `i`), `skew_s` is the
+/// node's clock skew under the plan, and `chan` what carries across the
+/// channel's tiles.
+///
+/// Rows no decision touches are appended as runs
+/// ([`ColumnBlock::append_rows`]).  A lost row becomes a gap filled by the
+/// plan's policy, at its window's rank; a delivered row may be glitched
+/// (NaN or spiked) and, when duplicated, is delivered twice, the copies
+/// adjacent.
+#[allow(clippy::too_many_arguments)] // a tile's plan, decisions, node context and sinks
+pub(crate) fn deliver_gpu_tile(
+    plan: &FaultPlan,
+    clean: &ColumnBlock,
+    lane: &FaultLane,
+    skew_s: f64,
+    idle_power_w: f64,
+    chan: &mut ChannelDelivery,
+    stats: &mut FleetRunStats,
+    out: &mut ColumnBlock,
+) {
+    let (lost, dup, glitches, ranks) = (
+        lane.lost(),
+        lane.duplicated(),
+        lane.glitches(),
+        lane.ranks(),
+    );
+    debug_assert_eq!(lost.len(), clean.len(), "the lane covers the tile");
+    let reordering = plan.reorder_depth > 0;
+    let mut run = 0usize;
+    for i in 0..clean.len() {
+        if !(lost[i] || dup[i] || glitches[i].is_some()) {
+            continue;
+        }
+        deliver_run(clean, run..i, skew_s, ranks, reordering, chan, stats, out);
+        run = i + 1;
+        let mut ev = clean.event(i);
+        ev.t_s += skew_s;
+        let WindowKind::Sample { power_w: mean, job } = ev.kind else {
+            unreachable!("a clean GPU tile holds samples only")
+        };
+        if lost[i] {
+            stats.faults_dropped += 1;
+            let (fill, gaps, job) = match plan.gap_policy {
+                GapPolicy::Exclude => (GapFill::Excluded, &mut stats.gaps_excluded, job),
+                GapPolicy::Interpolate => (
+                    GapFill::Interpolated(chan.last_good.unwrap_or(idle_power_w)),
+                    &mut stats.gaps_interpolated,
+                    job,
+                ),
+                GapPolicy::AttributeIdle => {
+                    (GapFill::Idle(idle_power_w), &mut stats.gaps_idle, None)
+                }
+            };
+            *gaps += 1;
+            ev.kind = WindowKind::Gap { fill, job };
+            out.push(&ev);
+            continue;
+        }
+        chan.last_good = Some(mean);
+        let mut power_w = mean;
+        if let Some(glitch) = glitches[i] {
+            stats.faults_glitched += 1;
+            power_w = match glitch {
+                Glitch::Nan => f64::NAN,
+                Glitch::Spike(w) => power_w + w,
+            };
+        }
+        ev.rank = ranks[i];
+        ev.kind = WindowKind::Sample { power_w, job };
+        if dup[i] {
+            stats.faults_duplicated += 1;
+            stats.gpu_sample(job.is_some());
+            out.push(&ev);
+        }
+        stats.gpu_sample(job.is_some());
+        if reordering {
+            // A duplicate shares its original's window and rank, so one
+            // record stands for both copies.
+            chan.reorder.deliver(ev.window, ev.rank);
+        }
+        out.push(&ev);
+    }
+    deliver_run(
+        clean,
+        run..clean.len(),
+        skew_s,
+        ranks,
+        reordering,
+        chan,
+        stats,
+        out,
+    );
+}
+
+/// Delivers one clean rest-of-node tile: the rows of windows the node is
+/// dropped out for (`dropout`, per row) vanish — a silent node is a hole
+/// in the stream, not a gap record — and the rest are appended in runs,
+/// `t_s` skewed.
+pub(crate) fn deliver_rest_tile(
+    clean: &ColumnBlock,
+    dropout: &[bool],
+    skew_s: f64,
+    stats: &mut FleetRunStats,
+    out: &mut ColumnBlock,
+) {
+    debug_assert_eq!(dropout.len(), clean.len(), "the dropouts cover the tile");
+    let n = clean.len();
+    let mut i = 0usize;
+    while i < n {
+        let from = i;
+        while i < n && !dropout[i] {
+            i += 1;
+        }
+        out.append_rows(clean, from..i, skew_s, &clean.ranks()[from..i]);
+        stats.node_samples += (i - from) as u64;
+        let from = i;
+        while i < n && dropout[i] {
+            i += 1;
+        }
+        stats.faults_dropout_windows += (i - from) as u64;
     }
 }
 
@@ -637,6 +733,31 @@ where
     run_channels(schedule, cfg, None)
 }
 
+/// One generation of the fleet, delivered under each of `plans` in its
+/// place of `cfg.faults`: per plan, the observer and tallies
+/// [`simulate_fleet_metered`] returns under that plan alone, bit for bit.
+/// The nodes run on `workers` threads (the folding loop), each
+/// node's clean tiles generated once and delivered under every plan
+/// while they are hot.  Defined for [`FleetObserver::CHANNEL_GROUPED`]
+/// observers (a compile-time check), whose partials fold apart.
+pub fn simulate_fleet_plans<O>(
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    plans: &[FaultPlan],
+    workers: usize,
+) -> Vec<(O, FleetRunStats)>
+where
+    O: FleetObserver + Default,
+{
+    const {
+        assert!(
+            O::CHANNEL_GROUPED,
+            "the folding loop merges per-channel partials"
+        )
+    };
+    FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).fold_nodes(workers)
+}
+
 /// Per-SKU values the window loop reads constantly, resolved once per run
 /// from the catalog.  For SKU 0 every value is bit-identical to what the
 /// homogeneous simulation computed inline (`Engine::default()`,
@@ -648,26 +769,48 @@ struct SkuRuntime {
     boosted_w: f64,
 }
 
-/// What every node of one fleet run shares: the inputs plus the standard
-/// catalog resolved to per-SKU runtime values (indexed by SKU).
+/// What every node of one fleet run shares: the inputs, the standard
+/// catalog resolved to per-SKU runtime values (indexed by SKU), and the
+/// plans the run is delivered under.
 struct FleetRun<'a> {
     schedule: &'a Schedule,
     cfg: &'a FleetConfig,
     runtime: Vec<SkuRuntime>,
+    /// Per delivery: its active plan (`None` hands the clean tiles on as
+    /// generated) and the index of the plan's decision set in
+    /// `decisions`.
+    plans: Vec<Option<(&'a FaultPlan, usize)>>,
+    /// One plan per distinct decision set.  Plans that differ only in
+    /// `gap_policy` decide every window alike, so they share one lane
+    /// fill per tile.
+    decisions: Vec<FaultPlan>,
 }
 
-/// Reusable per-channel buffers: the block under construction (at most
-/// `tile_rows` rows), the fault plan's columnar decision lanes and reorder
-/// tally, and the GPU slot's segment timeline and phase template.
+/// One decision set's answers for the tile being delivered: the GPU
+/// tile's lane, or the rest-of-node tile's dropouts.
+#[derive(Default)]
+struct TileDecisions {
+    lane: FaultLane,
+    dropout: Vec<bool>,
+}
+
+/// Reusable per-channel buffers: the clean tile under construction (at
+/// most `tile_rows` rows), the delivered tile the active plans use in
+/// turn (or, in `whole` runs, the delivered channel), the decision
+/// lanes, each plan's channel state, and the GPU slot's segment timeline
+/// and phase template.
 struct ChannelScratch {
     block: ColumnBlock,
-    /// Rows the block holds before it is handed on and reset: [`TILE_ROWS`]
-    /// for a folding worker, unbounded for a consumer that needs whole
-    /// channels.
+    out: ColumnBlock,
+    /// Rows the clean tile holds before it is delivered and reset:
+    /// [`TILE_ROWS`], or unbounded when a `whole` run delivers no plan —
+    /// its clean channel is what it hands on.
     tile_rows: usize,
-    lane: FaultLane,
-    reorder: ReorderTally,
-    dropout: Vec<bool>,
+    /// Whether channels are handed on whole, for a consumer that needs
+    /// them so; otherwise tile by tile.
+    whole: bool,
+    decisions: Vec<TileDecisions>,
+    chans: Vec<ChannelDelivery>,
     segs: Vec<Segment>,
     tmpl: Vec<PhaseSeg>,
 }
@@ -687,8 +830,103 @@ fn push_row(
     block.push(ev);
 }
 
+/// One node's deliveries: every clean tile of the node, handed to
+/// [`NodeDelivery::tile`], is delivered under each of the run's plans in
+/// turn and passed to `each(plan, tile, last)`.
+struct NodeDelivery<'s, F> {
+    run: &'s FleetRun<'s>,
+    whole: bool,
+    idle_power_w: f64,
+    /// Per delivery, the node's clock skew under its plan.
+    skews: Vec<f64>,
+    out: &'s mut ColumnBlock,
+    decisions: &'s mut [TileDecisions],
+    chans: &'s mut [ChannelDelivery],
+    /// Per delivery, its tallies of the node so far.
+    stats: Vec<FleetRunStats>,
+    each: F,
+}
+
+impl<F: FnMut(usize, &mut ColumnBlock, bool)> NodeDelivery<'_, F> {
+    /// Starts channel `(node, slot)` under every active plan.
+    fn begin_channel(&mut self, node: u32, slot: u8) {
+        if self.whole {
+            self.out.reset(node, slot);
+        }
+        for (plan, chan) in self.run.plans.iter().zip(self.chans.iter_mut()) {
+            if let Some((plan, _)) = plan {
+                chan.begin(plan);
+            }
+        }
+    }
+
+    /// Delivers one clean tile — contiguous windows, one row each — under
+    /// every plan: the decision sets' lanes are filled for its windows,
+    /// then each plan's delivered tile goes to `each` (the clean tile
+    /// itself for a delivery without an active plan, which `each` must
+    /// leave as it is).  A `whole` run, which delivers one plan, gathers
+    /// the channel's delivered tiles and hands them on at its last.
+    fn tile(&mut self, clean: &mut ColumnBlock, last: bool) {
+        let (node, slot) = clean.channel();
+        let rest = slot == REST_SLOT;
+        let first = clean.windows().first().copied().unwrap_or(0);
+        let windows = first..first + clean.len() as u64;
+        debug_assert!(clean.windows().iter().copied().eq(windows.clone()));
+        for (plan, d) in self.run.decisions.iter().zip(self.decisions.iter_mut()) {
+            if rest {
+                plan.fill_node_dropout(node, windows.clone(), &mut d.dropout);
+            } else {
+                plan.fill_lane(node, slot, windows.clone(), &mut d.lane);
+            }
+        }
+        for (p, plan) in self.run.plans.iter().enumerate() {
+            let stats = &mut self.stats[p];
+            let Some((plan, d)) = *plan else {
+                tally_clean(clean, stats);
+                (self.each)(p, clean, last);
+                continue;
+            };
+            let (decisions, skew_s) = (&self.decisions[d], self.skews[p]);
+            if !self.whole {
+                self.out.reset(node, slot);
+            }
+            if rest {
+                deliver_rest_tile(clean, &decisions.dropout, skew_s, stats, self.out);
+            } else {
+                let chan = &mut self.chans[p];
+                deliver_gpu_tile(
+                    plan,
+                    clean,
+                    &decisions.lane,
+                    skew_s,
+                    self.idle_power_w,
+                    chan,
+                    stats,
+                    self.out,
+                );
+                if last {
+                    chan.finish(plan, stats);
+                }
+            }
+            if last || !self.whole {
+                (self.each)(p, self.out, last);
+            }
+        }
+    }
+}
+
 impl<'a> FleetRun<'a> {
+    /// A run delivered under `cfg`'s own plan.
     fn new(schedule: &'a Schedule, cfg: &'a FleetConfig) -> Self {
+        Self::with_plans(schedule, cfg, [cfg.faults.as_ref()])
+    }
+
+    /// A run delivered under each of `plans` (`None`: clean).
+    fn with_plans(
+        schedule: &'a Schedule,
+        cfg: &'a FleetConfig,
+        plans: impl IntoIterator<Item = Option<&'a FaultPlan>>,
+    ) -> Self {
         let runtime = SkuCatalog::standard()
             .skus()
             .iter()
@@ -702,10 +940,31 @@ impl<'a> FleetRun<'a> {
                 boosted_w: spec.boosted_w(),
             })
             .collect();
+        let mut decisions: Vec<FaultPlan> = Vec::new();
+        let plans = plans
+            .into_iter()
+            .map(|plan| {
+                let plan = plan.filter(|p| !p.is_noop())?;
+                let key = FaultPlan {
+                    gap_policy: GapPolicy::default(),
+                    ..plan.clone()
+                };
+                let d = match decisions.iter().position(|k| *k == key) {
+                    Some(d) => d,
+                    None => {
+                        decisions.push(key);
+                        decisions.len() - 1
+                    }
+                };
+                Some((plan, d))
+            })
+            .collect();
         FleetRun {
             schedule,
             cfg,
             runtime,
+            plans,
+            decisions,
         }
     }
 
@@ -717,53 +976,79 @@ impl<'a> FleetRun<'a> {
         (self.cfg.mix.sku_of(node) as usize % self.runtime.len().max(1)) as u8
     }
 
-    /// One worker's scratch, its block holding at most `tile_rows` rows
-    /// (and allocated for no more than one channel's windows).
-    fn scratch(&self, tile_rows: usize) -> ChannelScratch {
-        // Skew moves no window bound, so node 0's grid counts every channel's.
-        let windows = channel_grid(self.schedule, self.cfg, 0).windows();
+    /// One worker's scratch, handing channels on `whole` or in tiles, its
+    /// buffers allocated for no more than one channel's windows.
+    fn scratch(&self, whole: bool) -> ChannelScratch {
+        let windows = clean_grid(self.schedule, self.cfg).windows() as usize;
+        let tile_rows = match (whole, self.decisions.is_empty()) {
+            (true, true) => usize::MAX,
+            _ => TILE_ROWS,
+        };
+        let out_rows = match (whole, self.decisions.is_empty()) {
+            (_, true) => 0,
+            (true, false) => windows,
+            (false, false) => windows.min(TILE_ROWS),
+        };
         ChannelScratch {
-            block: ColumnBlock::with_capacity(0, 0, (windows as usize).min(tile_rows)),
+            block: ColumnBlock::with_capacity(0, 0, windows.min(tile_rows)),
+            out: ColumnBlock::with_capacity(0, 0, out_rows),
             tile_rows,
-            lane: FaultLane::new(),
-            reorder: ReorderTally::default(),
-            dropout: Vec::new(),
+            whole,
+            decisions: self.decisions.iter().map(|_| Default::default()).collect(),
+            chans: self.plans.iter().map(|_| Default::default()).collect(),
             segs: Vec::new(),
             tmpl: Vec::new(),
         }
     }
 
     /// Generates `node`'s channels in canonical order — GPU slots `0..4`,
-    /// then rest-of-node — each into the scratch block in window order.
-    /// The block goes to `each(block, last)` whenever it is full (`last`
-    /// false; it is reset after) and when its channel is complete (`last`
-    /// true): with an unbounded `tile_rows` that is one whole channel per
-    /// call, otherwise the channel's rows in tiles, the last one possibly
-    /// empty.
+    /// then rest-of-node — each into the scratch's clean tile in window
+    /// order, and delivers every tile under each of the run's plans
+    /// ([`NodeDelivery::tile`]) to `each(plan, tile, last)`: whenever the
+    /// clean tile is full (`last` false; it is reset after) and when its
+    /// channel is complete (`last` true).  A `whole` scratch hands on one
+    /// whole channel per call, otherwise the channel's rows come in
+    /// tiles, the last one possibly empty.  Returns the
+    /// node's tallies per plan: its generation tallies plus that plan's
+    /// delivery tallies.
     fn node_channel_blocks(
         &self,
         node: usize,
         scratch: &mut ChannelScratch,
-        stats: &mut FleetRunStats,
-        mut each: impl FnMut(&mut ColumnBlock, bool),
-    ) {
+        each: impl FnMut(usize, &mut ColumnBlock, bool),
+    ) -> Vec<FleetRunStats> {
         let (schedule, cfg) = (self.schedule, self.cfg);
         let ChannelScratch {
             block,
+            out,
             tile_rows,
-            lane,
-            reorder,
-            dropout,
+            whole,
+            decisions,
+            chans,
             segs,
             tmpl,
         } = scratch;
         let tile_rows = *tile_rows;
         let sku = self.sku_of(node);
         let rt = &self.runtime[sku as usize];
+        let mut generated = FleetRunStats::default();
+        let mut delivery = NodeDelivery {
+            run: self,
+            whole: *whole,
+            idle_power_w: rt.idle_power_w,
+            skews: (self.plans.iter())
+                .map(|p| p.map_or(0.0, |(p, _)| p.clock_skew_s(node as u32)))
+                .collect(),
+            out,
+            decisions,
+            chans,
+            stats: vec![FleetRunStats::default(); self.plans.len()],
+            each,
+        };
         let mut rng = StdRng::seed_from_u64(NOISE_SEED ^ ((node as u64) << 20));
         for slot in 0..GPUS_PER_NODE {
             slot_segments(
-                stats,
+                &mut generated,
                 schedule,
                 node,
                 slot,
@@ -775,8 +1060,9 @@ impl<'a> FleetRun<'a> {
             );
             let mut boost = BoostBudget::default();
             block.reset(node as u32, slot as u8);
+            delivery.begin_channel(node as u32, slot as u8);
             slot_window_events(
-                stats,
+                &mut generated,
                 schedule,
                 segs,
                 node as u32,
@@ -785,34 +1071,33 @@ impl<'a> FleetRun<'a> {
                 cfg,
                 &mut boost,
                 &mut rng,
-                rt.idle_power_w,
                 rt.boosted_w,
-                lane,
-                reorder,
-                &mut |ev| push_row(block, tile_rows, &ev, &mut each),
+                &mut |ev| push_row(block, tile_rows, &ev, &mut |t, last| delivery.tile(t, last)),
             );
-            each(block, true);
+            delivery.tile(block, true);
         }
         block.reset(node as u32, REST_SLOT);
-        node_rest_events(
-            stats,
-            schedule,
-            node as u32,
-            sku,
-            cfg,
-            &rt.rest,
-            dropout,
-            &mut |ev| push_row(block, tile_rows, &ev, &mut each),
-        );
-        each(block, true);
+        delivery.begin_channel(node as u32, REST_SLOT);
+        node_rest_events(schedule, node as u32, sku, cfg, &rt.rest, &mut |ev| {
+            push_row(block, tile_rows, &ev, &mut |t, last| delivery.tile(t, last))
+        });
+        delivery.tile(block, true);
+        (delivery.stats.iter())
+            .map(|delivered| {
+                let mut stats = generated;
+                stats.add(delivered);
+                stats
+            })
+            .collect()
     }
 
-    /// The sequential loop: every node on the calling thread, each
-    /// channel generated whole, folded through
-    /// [`FleetObserver::fold_channel`] and then, when a consumer `retain`s
-    /// the run's blocks, put into *arrival* order
-    /// ([`ColumnBlock::sort_arrival`], a counting pass by rank needed only
-    /// for GPU channels under a reordering plan) and handed to it.
+    /// The sequential loop, for a run delivered under one plan: every
+    /// node on the calling thread, each channel generated and delivered
+    /// whole, folded through [`FleetObserver::fold_channel`] and then,
+    /// when a consumer `retain`s the run's blocks, put into *arrival*
+    /// order ([`ColumnBlock::sort_arrival`], a counting pass by rank
+    /// needed only for GPU channels under a reordering plan) and handed to
+    /// it.
     fn channels_in_order<O>(
         &self,
         mut retain: Option<&mut dyn FnMut(&ColumnBlock)>,
@@ -820,17 +1105,13 @@ impl<'a> FleetRun<'a> {
     where
         O: FleetObserver + Default,
     {
+        debug_assert_eq!(self.plans.len(), 1, "one delivery per sequential run");
         // Generation order is already arrival order unless a plan reorders.
-        let reordering = self
-            .cfg
-            .faults
-            .as_ref()
-            .is_some_and(|p| !p.is_noop() && p.reorder_depth > 0);
-        let mut scratch = self.scratch(usize::MAX);
+        let reordering = self.plans[0].is_some_and(|(p, _)| p.reorder_depth > 0);
+        let mut scratch = self.scratch(true);
         let (mut obs, mut stats) = (O::default(), FleetRunStats::default());
         for node in 0..self.schedule.per_node.len() {
-            let mut node_stats = FleetRunStats::default();
-            self.node_channel_blocks(node, &mut scratch, &mut node_stats, |block, _| {
+            let node_stats = self.node_channel_blocks(node, &mut scratch, |_, block, _| {
                 obs.fold_channel(self.schedule, block);
                 if let Some(retain) = retain.as_mut() {
                     if reordering && block.slot() != REST_SLOT {
@@ -839,7 +1120,7 @@ impl<'a> FleetRun<'a> {
                     retain(block);
                 }
             });
-            stats.add(&node_stats);
+            stats.add(&node_stats[0]);
         }
         (obs, stats)
     }
@@ -847,58 +1128,87 @@ impl<'a> FleetRun<'a> {
     /// The folding loop, for a [`FleetObserver::CHANNEL_GROUPED`]
     /// observer whose run retains nothing: whole nodes on `workers`
     /// threads ([`scoped_sink`]), each worker generating into one
-    /// [`TILE_ROWS`] tile of scratch and folding every channel's tiles
-    /// into a fresh partial.  The calling thread merges the partials in
-    /// canonical `(node, slot)` order and adds the per-node tallies in node
-    /// order — the sequential loop's accumulation shape (split folds are
+    /// [`TILE_ROWS`] tile of scratch and folding every channel's tiles,
+    /// delivered under each plan, into that plan's fresh partial.  The
+    /// calling thread merges each plan's partials in canonical
+    /// `(node, slot)` order and adds its per-node tallies in node order —
+    /// the sequential loop's accumulation shape (split folds are
     /// bit-equal to whole ones), so the result is the same bits at any
-    /// worker count.
-    fn fold_nodes<O>(&self, workers: usize) -> (O, FleetRunStats)
+    /// worker count.  Results are per plan, in the run's plan order.
+    fn fold_nodes<O>(&self, workers: usize) -> Vec<(O, FleetRunStats)>
     where
         O: FleetObserver + Default,
     {
-        let scratch = (0..workers.max(1))
-            .map(|_| self.scratch(TILE_ROWS))
-            .collect();
+        let plans = self.plans.len();
+        let scratch = (0..workers.max(1)).map(|_| self.scratch(false)).collect();
         let node_parts = |scratch: &mut ChannelScratch, node: usize| {
-            let mut stats = FleetRunStats::default();
-            let mut parts = Vec::with_capacity(GPUS_PER_NODE + 1);
-            let mut part = O::default();
-            self.node_channel_blocks(node, scratch, &mut stats, |tile, last| {
-                debug_assert!(tile.len() <= TILE_ROWS, "a tile holds {} rows", tile.len());
-                part.fold_block(self.schedule, tile);
+            let mut parts: Vec<Vec<O>> = (0..plans)
+                .map(|_| Vec::with_capacity(GPUS_PER_NODE + 1))
+                .collect();
+            let mut part: Vec<O> = (0..plans).map(|_| O::default()).collect();
+            let stats = self.node_channel_blocks(node, scratch, |p, tile, last| {
+                // A clean tile holds at most `TILE_ROWS` rows; delivered,
+                // each may be duplicated.
+                debug_assert!(
+                    tile.len() <= 2 * TILE_ROWS,
+                    "a tile holds {} rows",
+                    tile.len()
+                );
+                part[p].fold_block(self.schedule, tile);
                 if last {
-                    parts.push(std::mem::take(&mut part));
+                    parts[p].push(std::mem::take(&mut part[p]));
                 }
             });
             (parts, stats)
         };
-        let (mut obs, mut stats) = (O::default(), FleetRunStats::default());
+        let mut runs: Vec<(O, FleetRunStats)> = (0..plans).map(|_| Default::default()).collect();
         let nodes = self.schedule.per_node.len();
-        // A node's result is five whole observer partials, so one per
-        // worker is in flight.  On a 2-vCPU VM, `pmss table 5 --scale
-        // medium` peaked at 5.7 MB with one and 6.3 MB with two (the
-        // sequential loop: 5.9 MB), for a 3 % slower fold.
-        scoped_sink(scratch, 1, nodes, node_parts, |_, (parts, node_stats)| {
-            for part in parts {
-                obs.merge(part);
-            }
-            stats.add(&node_stats);
-        });
-        (obs, stats)
+        // A node's result is five whole observer partials per plan.  With
+        // one plan, one per worker is in flight: on a 2-vCPU VM, `pmss
+        // table 5 --scale medium` peaked at 5.7 MB with one and 6.3 MB
+        // with two (the sequential loop: 5.9 MB), for a 3 % slower fold.
+        // Many plans' merges keep the caller busy longer, so four per
+        // worker let the workers run ahead of it.
+        let ahead = if plans > 1 { 4 } else { 1 };
+        scoped_sink(
+            scratch,
+            ahead,
+            nodes,
+            node_parts,
+            |_, (parts, node_stats)| {
+                for ((obs, stats), (parts, node_stats)) in
+                    runs.iter_mut().zip(parts.into_iter().zip(node_stats))
+                {
+                    for part in parts {
+                        obs.merge(part);
+                    }
+                    stats.add(&node_stats);
+                }
+            },
+        );
+        runs
     }
 }
 
-/// The window grid `node`'s channels lie on: the run's window layout plus
-/// the node's clock skew under an active plan — what the generator walks,
-/// and what a store that derives timestamps instead of keeping them
+/// The window grid every channel is generated on: the run's window
+/// layout, unskewed.
+fn clean_grid(schedule: &Schedule, cfg: &FleetConfig) -> BlockGrid {
+    BlockGrid {
+        window_s: cfg.window_s,
+        duration_s: schedule.duration_s,
+        skew_s: 0.0,
+    }
+}
+
+/// The window grid `node`'s channels are delivered on: the generator's
+/// grid plus the node's clock skew under an active plan — what a store
+/// that derives timestamps instead of keeping them
 /// ([`crate::ResidentFleet`], [`crate::DeliveryTrace`]) declares per block.
 pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) -> BlockGrid {
     let plan = cfg.faults.as_ref().filter(|p| !p.is_noop());
     BlockGrid {
-        window_s: cfg.window_s,
-        duration_s: schedule.duration_s,
         skew_s: plan.map_or(0.0, |p| p.clock_skew_s(node)),
+        ..clean_grid(schedule, cfg)
     }
 }
 
@@ -919,7 +1229,10 @@ where
 {
     let run = FleetRun::new(schedule, cfg);
     match retain {
-        None if O::CHANNEL_GROUPED => run.fold_nodes(workers()),
+        None if O::CHANNEL_GROUPED => {
+            let mut runs = run.fold_nodes(workers());
+            runs.pop().expect("one run per plan")
+        }
         retain => run.channels_in_order(retain),
     }
 }
@@ -933,11 +1246,11 @@ where
 /// reordering plan, so the plan's bounded reordering is realized in the
 /// stream itself.
 ///
-/// Row *generation* (power modeling, RNG consumption, fault decisions) is
-/// bit-identical to [`simulate_fleet`]; only the emission order differs.
-/// Flattening the blocks (`block.iter()`) and feeding the events through
-/// `pmss-stream`'s reorder-buffered ingest reproduces the batch observer
-/// exactly.
+/// Row *generation* (power modeling, RNG consumption) and delivery (fault
+/// decisions) are bit-identical to [`simulate_fleet`]; only the emission
+/// order differs.  Flattening the blocks (`block.iter()`) and feeding the
+/// events through `pmss-stream`'s reorder-buffered ingest reproduces the
+/// batch observer exactly.
 ///
 /// The block reference is a reusable scratch buffer: it is only valid for
 /// the duration of the callback.
@@ -948,6 +1261,10 @@ pub fn fleet_window_blocks(
 ) {
     run_channels::<()>(schedule, cfg, Some(&mut emit));
 }
+
+#[cfg(test)]
+#[path = "fleet_delivery_oracle.rs"]
+mod delivery_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1372,49 +1689,61 @@ mod tests {
         )
     }
 
-    /// A tiled generation hands the channel on in full tiles of exactly
+    /// A tiled generation hands each channel on in clean tiles of exactly
     /// `TILE_ROWS` rows and one last tile, never growing the scratch
-    /// block, and the tiles concatenate to the whole channel an unbounded
-    /// scratch generates, with the same tallies.
+    /// tile, and the delivered tiles concatenate to the whole channel an
+    /// unbounded scratch delivers, with the same tallies — clean and under
+    /// `harsh`, whose delivered tiles vary in length.
     #[test]
     fn tiled_generation_concatenates_to_the_whole_channel() {
         let s = long_schedule();
-        let cfg = FleetConfig {
+        let harsh = FleetConfig {
             faults: Some(FaultPlan::preset("harsh").expect("preset")),
             ..FleetConfig::default()
         };
-        let run = FleetRun::new(&s, &cfg);
-        let events = |tile_rows: usize| {
-            let mut scratch = run.scratch(tile_rows);
-            let bytes = scratch.block.column_bytes();
-            let (mut stats, mut channels, mut current) = (FleetRunStats::default(), vec![], vec![]);
-            let mut tiles = Vec::new();
-            for node in 0..s.per_node.len() {
-                run.node_channel_blocks(node, &mut scratch, &mut stats, |block, last| {
-                    assert!(block.len() <= tile_rows, "{} rows", block.len());
-                    assert!(last || block.len() == tile_rows, "a short inner tile");
-                    tiles.push(block.len());
-                    current.extend(block.iter().map(|ev| format!("{ev:?}")));
-                    if last {
-                        channels.push(std::mem::take(&mut current));
-                    }
-                });
-            }
-            // (A whole channel may outgrow the window count: duplicates.)
-            if tile_rows == TILE_ROWS {
-                assert_eq!(scratch.block.column_bytes(), bytes, "the scratch tile grew");
-            }
-            (channels, format!("{stats:?}"), tiles)
-        };
-        let (whole, whole_stats, whole_tiles) = events(usize::MAX);
-        let (tiled, tiled_stats, tiles) = events(TILE_ROWS);
-        assert_eq!(whole_tiles.len(), s.per_node.len() * (GPUS_PER_NODE + 1));
-        assert!(
-            tiles.len() > whole_tiles.len(),
-            "no channel spans two tiles"
-        );
-        assert_eq!(tiled, whole);
-        assert_eq!(tiled_stats, whole_stats);
+        for cfg in [FleetConfig::default(), harsh] {
+            let clean = cfg.faults.is_none();
+            let run = FleetRun::new(&s, &cfg);
+            let events = |whole: bool| {
+                let mut scratch = run.scratch(whole);
+                let tile_rows = if whole { usize::MAX } else { TILE_ROWS };
+                let bytes = scratch.block.column_bytes();
+                let (mut stats, mut channels, mut current) =
+                    (FleetRunStats::default(), vec![], vec![]);
+                let mut tiles = Vec::new();
+                for node in 0..s.per_node.len() {
+                    let node_stats =
+                        run.node_channel_blocks(node, &mut scratch, |_, block, last| {
+                            // Delivered, a clean tile's rows may each be
+                            // duplicated.
+                            assert!(block.len() <= tile_rows.saturating_mul(2));
+                            if clean {
+                                assert!(block.len() <= tile_rows, "{} rows", block.len());
+                                assert!(last || block.len() == tile_rows, "a short inner tile");
+                            }
+                            tiles.push(block.len());
+                            current.extend(block.iter().map(|ev| format!("{ev:?}")));
+                            if last {
+                                channels.push(std::mem::take(&mut current));
+                            }
+                        });
+                    stats.add(&node_stats[0]);
+                }
+                if !whole {
+                    assert_eq!(scratch.block.column_bytes(), bytes, "the scratch tile grew");
+                }
+                (channels, format!("{stats:?}"), tiles)
+            };
+            let (whole, whole_stats, whole_tiles) = events(true);
+            let (tiled, tiled_stats, tiles) = events(false);
+            assert_eq!(whole_tiles.len(), s.per_node.len() * (GPUS_PER_NODE + 1));
+            assert!(
+                tiles.len() > whole_tiles.len(),
+                "no channel spans two tiles"
+            );
+            assert_eq!(tiled, whole);
+            assert_eq!(tiled_stats, whole_stats);
+        }
     }
 
     /// The observers `pmss-pipeline`'s fleet stage folds.
@@ -1472,7 +1801,7 @@ mod tests {
                 "{what}"
             );
             for workers in [1, 2, 3, 8] {
-                let (obs, stats) = run.fold_nodes::<StageObs>(workers);
+                let (obs, stats) = run.fold_nodes::<StageObs>(workers).remove(0);
                 assert!(shown(&obs, &stats) == want, "{what}: {workers} workers");
             }
         }

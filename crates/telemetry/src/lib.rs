@@ -43,8 +43,8 @@ mod threads;
 
 pub use delivery::DeliveryTrace;
 pub use fleet::{
-    fleet_window_blocks, simulate_fleet, simulate_fleet_metered, FleetConfig, FleetObserver,
-    FleetRunStats, GapFill, SampleCtx,
+    fleet_window_blocks, simulate_fleet, simulate_fleet_metered, simulate_fleet_plans, FleetConfig,
+    FleetObserver, FleetRunStats, GapFill, SampleCtx,
 };
 pub use fleetpower::FleetPowerSeries;
 pub use hist::PowerHistogram;

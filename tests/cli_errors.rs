@@ -167,3 +167,25 @@ fn spike_beyond_a_kilowatt_is_rejected_before_the_run() {
         "pmss: invalid faults.spike_w value \"-1e308\": expected a wattage in [-1000, 1000]\n"
     );
 }
+
+/// A clock skew past an hour used to validate, then abort `pmss econ`
+/// allocating slots for the skewed timestamps; it is rejected before the
+/// run, under the field's name.
+#[test]
+fn clock_skew_beyond_an_hour_is_rejected_before_the_run() {
+    let path = std::env::temp_dir().join(format!("pmss-skew-{}.json", std::process::id()));
+    std::fs::write(&path, r#"{"faults": {"clock_skew_max_s": 1e300}}"#).expect("spec file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+        .args(["econ", "--spec"])
+        .arg(&path)
+        .output()
+        .expect("pmss runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "pmss: invalid faults.clock_skew_max_s value \"1e300\": \
+         expected a number of seconds in [0, 3600]\n"
+    );
+}

@@ -229,6 +229,14 @@ fn every_artifact_runs_each_stage_at_most_once_and_only_the_ones_it_reads() {
         p.artifact(id).expect("artifact");
         let m = p.metrics_report();
         assert_eq!(m.counter("fleet.runs"), fleet_runs, "{}", id.name());
+        // Each run is its own generation, except `faults`' rows: one
+        // generation delivered under all ten plans, beside the stage's.
+        let generations = if id == ArtifactId::Faults {
+            2
+        } else {
+            fleet_runs
+        };
+        assert_eq!(m.counter("fleet.generations"), generations, "{}", id.name());
         let runs = |stage: &str| m.counters().find(|(k, _)| *k == stage).map(|(_, n)| n);
         let (fleet, table3) = (runs("stage.fleet.runs"), runs("stage.table3.runs"));
         assert!(fleet.unwrap_or(0) <= 1, "{}: {fleet:?}", id.name());
@@ -243,29 +251,32 @@ fn every_artifact_runs_each_stage_at_most_once_and_only_the_ones_it_reads() {
     }
 }
 
-/// The artifacts that spread their fleet runs over worker threads count
+/// The artifacts that spread their fleet work over worker threads count
 /// every run exactly once — tallies are published on the calling thread,
-/// one per run — and say how many threads shared the work.
+/// one per run — time every generation pass once, and say how many
+/// threads shared the work.
 #[test]
 fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
     let cases = [
-        // The stage's run plus ten preset x gap-policy rows.
-        (ArtifactId::Faults, 11),
+        // The stage's run plus ten preset x gap-policy rows, the rows
+        // delivered from one generation.
+        (ArtifactId::Faults, 11, 2),
         // Five caps; `peakpower` reads no stage.
-        (ArtifactId::PeakPower, 5),
+        (ArtifactId::PeakPower, 5, 5),
         // The traced stage; the policy replays generate nothing.
-        (ArtifactId::Govern, 1),
+        (ArtifactId::Govern, 1, 1),
     ];
-    for (id, runs) in cases {
+    for (id, runs, generations) in cases {
         let mut p = Pipeline::new(ScenarioSpec::preset(ScalePreset::Quick)).unwrap();
         p.artifact(id).expect("artifact");
         let m = p.metrics_report();
         assert_eq!(m.counter("fleet.runs"), runs, "{}", id.name());
+        assert_eq!(m.counter("fleet.generations"), generations, "{}", id.name());
         let walls = m.hist("fleet.run_wall_s").expect("fleet.run_wall_s");
-        assert_eq!(walls.count(), runs, "{}", id.name());
+        assert_eq!(walls.count(), generations, "{}", id.name());
         let workers = m.gauge("fleet.workers").expect("fleet.workers");
         assert!(workers >= 1.0 && workers.fract() == 0.0, "{workers}");
-        // Busy time summed over runs: never less than the longest run.
+        // Busy time summed over passes: never less than the longest one.
         assert!(m.gauge("fleet.wall_s").unwrap() >= walls.max().unwrap());
     }
 }
