@@ -109,19 +109,49 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
 /// series longer than [`CodecConfig::max_samples`], which [`decode`]
 /// under the same configuration would refuse.
 pub fn encode(samples_w: &[f64], cfg: CodecConfig) -> Result<Vec<u8>, PmssError> {
-    if samples_w.len() > cfg.max_samples {
+    check_len(samples_w.len(), cfg)?;
+    let mut series = SeriesEncoder::default();
+    for &x in samples_w {
+        series.push(x)?;
+    }
+    let mut bytes = Vec::new();
+    series.write_to(&mut bytes);
+    Ok(bytes)
+}
+
+/// Refuses a series longer than [`CodecConfig::max_samples`].
+pub(crate) fn check_len(n: usize, cfg: CodecConfig) -> Result<(), PmssError> {
+    if n > cfg.max_samples {
         return Err(PmssError::invalid_value(
             "power series length",
-            samples_w.len().to_string(),
+            n.to_string(),
             format!("at most {} samples (max_samples)", cfg.max_samples),
         ));
     }
-    let quantize = |i: usize| -> Result<i64, PmssError> {
-        let x = samples_w[i];
+    Ok(())
+}
+
+/// [`encode`] a sample at a time: each run of equal quantized values is
+/// written when the next value differs, and the count is put in front by
+/// [`SeriesEncoder::write_to`].  It holds the compressed series only.
+#[derive(Debug, Default)]
+pub(crate) struct SeriesEncoder {
+    out: Vec<u8>,
+    n: usize,
+    /// The open run's quantized value and length (0 before any sample).
+    q: i64,
+    run: u64,
+    /// The last written run's value.
+    prev: i64,
+}
+
+impl SeriesEncoder {
+    /// Appends the next sample, refusing it as [`encode`] does.
+    pub(crate) fn push(&mut self, x: f64) -> Result<(), PmssError> {
         let q = (x / QUANTUM_W).round();
         if !x.is_finite() || q.abs() > MAX_QUANTIZED {
             return Err(PmssError::invalid_value(
-                format!("power sample [{i}]"),
+                format!("power sample [{}]", self.n),
                 format!("{x}"),
                 format!(
                     "a finite wattage within ±2^53 quanta (the codec is \
@@ -129,25 +159,31 @@ pub fn encode(samples_w: &[f64], cfg: CodecConfig) -> Result<Vec<u8>, PmssError>
                 ),
             ));
         }
-        Ok(q as i64)
-    };
-    let mut out = Vec::with_capacity(samples_w.len() / 4 + 8);
-    push_varint(&mut out, samples_w.len() as u64);
-
-    let mut prev = 0i64;
-    let mut i = 0;
-    while i < samples_w.len() {
-        let q = quantize(i)?;
-        let mut run = 1u64;
-        while i + (run as usize) < samples_w.len() && quantize(i + run as usize)? == q {
-            run += 1;
+        self.n += 1;
+        if self.run > 0 && q as i64 == self.q {
+            self.run += 1;
+        } else {
+            self.close();
+            (self.q, self.run) = (q as i64, 1);
         }
-        push_varint(&mut out, zigzag(q - prev));
-        push_varint(&mut out, run);
-        prev = q;
-        i += run as usize;
+        Ok(())
     }
-    Ok(out)
+
+    /// Writes the open run as a zigzag delta from the last one.
+    fn close(&mut self) {
+        if self.run > 0 {
+            push_varint(&mut self.out, zigzag(self.q - self.prev));
+            push_varint(&mut self.out, self.run);
+            self.prev = self.q;
+        }
+    }
+
+    /// Appends the encoded series to `bytes`.
+    pub(crate) fn write_to(mut self, bytes: &mut Vec<u8>) {
+        self.close();
+        push_varint(bytes, self.n as u64);
+        bytes.extend_from_slice(&self.out);
+    }
 }
 
 /// Decodes a series produced by [`encode`].

@@ -33,4 +33,4 @@ pub use block::{ColumnBlock, Tag, NO_JOB};
 pub use codec::CodecConfig;
 pub use events::{apply_event, WindowEvent, WindowKind, REST_SLOT};
 pub use observer::{FleetObserver, GapFill, SampleCtx};
-pub use resident::{BlockGrid, EncodedBlock, Tiles, TILE_ROWS};
+pub use resident::{BlockEncoder, BlockGrid, EncodedBlock, Tiles, TILE_ROWS};

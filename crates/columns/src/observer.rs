@@ -103,33 +103,17 @@ pub trait FleetObserver: Send + Sized {
     fn fold_block(&mut self, schedule: &Schedule, block: &ColumnBlock) {
         self.fold_rows(schedule, block, 0..block.len());
     }
-    /// Accumulates one complete channel into a fleet-wide observer in the
-    /// shape [`FleetObserver::CHANNEL_GROUPED`] demands: a fresh partial
-    /// folded and then merged when the flag is set, a plain
-    /// [`FleetObserver::fold_block`] into `self` otherwise.  The batch
-    /// simulation's channel loop goes through here; resident replay, which
-    /// is defined for channel-grouped observers only, builds the same
-    /// fresh partial per channel on its workers.
-    fn fold_channel(&mut self, schedule: &Schedule, block: &ColumnBlock)
-    where
-        Self: Default,
-    {
-        if Self::CHANNEL_GROUPED {
-            let mut chan = Self::default();
-            chan.fold_block(schedule, block);
-            self.merge(chan);
-        } else {
-            self.fold_block(schedule, block);
-        }
-    }
     /// Folds another observer's state into this one.
     fn merge(&mut self, other: Self);
 }
 
 /// The observer that observes nothing: drives a block generator for the
 /// blocks alone (`pmss_telemetry::fleet_window_blocks`, a trace capture
-/// beside an already-folded stage) at no per-row cost.
+/// beside an already-folded stage) at no per-row cost.  It merges exactly,
+/// so it is channel-grouped: a run folds its empty partials where the rows
+/// are, instead of carrying the rows to one accumulator.
 impl FleetObserver for () {
+    const CHANNEL_GROUPED: bool = true;
     fn gpu_sample(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, _power_w: f64) {}
     fn fold_rows(&mut self, _: &Schedule, _: &ColumnBlock, _: std::ops::Range<usize>) {}
     fn merge(&mut self, _other: ()) {}

@@ -13,6 +13,9 @@
 //! sit on the codec's quantization grid (real sensors quantize at 1 W, so
 //! resident telemetry is lossless end to end at that resolution).
 //!
+//! Encoding can take a channel a tile at a time ([`BlockEncoder`]), so a
+//! capture never holds a whole channel's rows.
+//!
 //! Each block decodes independently — a campaign store is a flat sequence
 //! of encoded blocks and a replay touches only the blocks it needs —
 //! and every decode path is bounded and overflow-checked: declared row
@@ -23,7 +26,9 @@
 use pmss_error::PmssError;
 
 use crate::block::{ColumnBlock, Tag};
-use crate::codec::{self, push_varint, read_varint, unzigzag, zigzag, CodecConfig, ValueRuns};
+use crate::codec::{
+    self, push_varint, read_varint, unzigzag, zigzag, CodecConfig, SeriesEncoder, ValueRuns,
+};
 use crate::events::REST_SLOT;
 
 /// Rows one [`Tiles`] step decodes: 4 096 rows × 45 B of columns ≈
@@ -111,6 +116,200 @@ impl BlockGrid {
     }
 }
 
+/// [`EncodedBlock::encode`] a tile at a time: one channel's rows pushed
+/// in order, each column compressed as they come, the block put together
+/// at [`BlockEncoder::finish`] — so a channel is encoded holding its
+/// compressed columns, never its rows.  A row's checks and the value
+/// codec's are deferred to `finish`, which reports what `encode` of the
+/// whole channel reports: the SKU, then the first row off the grid or
+/// past the index bound, the row count, the first value the codec
+/// refuses.
+#[derive(Debug)]
+pub struct BlockEncoder {
+    node: u32,
+    slot: u8,
+    /// The first row's SKU (0 while there is none, as for a block).
+    sku: u8,
+    grid: BlockGrid,
+    rows: u64,
+    prev_window: u64,
+    windows: RunWriter,
+    ranks: RunWriter,
+    tags: RunWriter,
+    jobs: RunWriter,
+    /// Non-finite value positions, as ascending deltas.
+    nans: u64,
+    nan_rows: Vec<u8>,
+    prev_nan: u64,
+    values: SeriesEncoder,
+    row_err: Option<PmssError>,
+    value_err: Option<PmssError>,
+}
+
+impl BlockEncoder {
+    /// An encoder for channel `(node, slot)` on `grid`.
+    pub fn new(node: u32, slot: u8, grid: BlockGrid) -> BlockEncoder {
+        BlockEncoder {
+            node,
+            slot,
+            sku: 0,
+            grid,
+            rows: 0,
+            prev_window: 0,
+            windows: RunWriter::default(),
+            ranks: RunWriter::default(),
+            tags: RunWriter::default(),
+            jobs: RunWriter::default(),
+            nans: 0,
+            nan_rows: Vec::new(),
+            prev_nan: 0,
+            values: SeriesEncoder::default(),
+            row_err: None,
+            value_err: None,
+        }
+    }
+
+    /// Appends `tile`'s rows, the channel's next ones.
+    pub fn push(&mut self, tile: &ColumnBlock) {
+        debug_assert_eq!(tile.channel(), (self.node, self.slot));
+        if self.row_err.is_some() {
+            return;
+        }
+        if self.rows == 0 && !tile.is_empty() {
+            self.sku = tile.sku();
+        }
+        let rest_channel = self.slot == REST_SLOT;
+        for i in 0..tile.len() {
+            let row = self.rows + i as u64;
+            let (w, r) = (tile.windows()[i], tile.ranks()[i]);
+            let (t, span) = self.grid.stamp(w, rest_channel);
+            let (got_t, got_span) = (tile.times()[i], tile.spans()[i]);
+            if w >= MAX_INDEX || r >= MAX_INDEX {
+                self.row_err = Some(PmssError::invalid_value(
+                    format!("block row [{row}]"),
+                    format!("window {w}, rank {r}"),
+                    "window indices and ranks below 2^62",
+                ));
+                return;
+            }
+            if t.to_bits() != got_t.to_bits() || span.to_bits() != got_span.to_bits() {
+                self.row_err = Some(PmssError::invalid_value(
+                    format!("block row [{row}]"),
+                    format!("t_s {got_t} span_s {got_span}"),
+                    format!(
+                        "timestamps on the declared window grid \
+                         (expected t_s {t} span_s {span})"
+                    ),
+                ));
+                return;
+            }
+        }
+        // Window indices as run-length-encoded zigzag *deltas*: a dense
+        // channel is one run of delta 1, so the whole column collapses to
+        // a few bytes and decode walks runs, not rows.  Ranks as
+        // run-length-encoded zigzag offsets from the row's window: zero
+        // everywhere without reordering faults.
+        for &w in tile.windows() {
+            self.windows
+                .push(zigzag(w as i64 - self.prev_window as i64));
+            self.prev_window = w;
+        }
+        for (&w, &r) in tile.windows().iter().zip(tile.ranks()) {
+            self.ranks.push(zigzag(r as i64 - w as i64));
+        }
+        for &tag in tile.tags() {
+            self.tags.push(u64::from(tag));
+        }
+        for &job in tile.jobs() {
+            self.jobs.push(u64::from(job));
+        }
+        // Non-finite values go to the position list; the codec stream sees
+        // them as 0.
+        for (row, &v) in (self.rows..).zip(tile.values()) {
+            let v = if v.is_finite() {
+                v
+            } else {
+                push_varint(&mut self.nan_rows, row - self.prev_nan);
+                (self.nans, self.prev_nan) = (self.nans + 1, row);
+                0.0
+            };
+            if self.value_err.is_none() {
+                self.value_err = self.values.push(v).err();
+            }
+        }
+        self.rows += tile.len() as u64;
+    }
+
+    /// The encoded channel, or the first thing that stops it (see the
+    /// type's docs).
+    pub fn finish(self, cfg: CodecConfig) -> Result<EncodedBlock, PmssError> {
+        // The wire format packs the SKU into the slot byte's high nibble,
+        // so only 16 node classes are representable at rest.
+        if self.sku >= 16 {
+            return Err(PmssError::invalid_value(
+                "block sku",
+                self.sku.to_string(),
+                "SKU indices below 16 (wire nibble)",
+            ));
+        }
+        if let Some(e) = self.row_err {
+            return Err(e);
+        }
+        codec::check_len(self.rows as usize, cfg)?;
+        if let Some(e) = self.value_err {
+            return Err(e);
+        }
+        let mut payload = Vec::new();
+        for column in [self.windows, self.ranks, self.tags, self.jobs] {
+            column.write_to(&mut payload);
+        }
+        push_varint(&mut payload, self.nans);
+        payload.extend_from_slice(&self.nan_rows);
+        self.values.write_to(&mut payload);
+        Ok(EncodedBlock {
+            node: self.node,
+            slot: self.slot,
+            sku: self.sku,
+            rows: self.rows,
+            grid: self.grid,
+            payload,
+        })
+    }
+}
+
+/// A run-length section being written: `(value varint, run varint)`
+/// pairs, each written when the next value differs.
+#[derive(Debug, Default)]
+struct RunWriter {
+    out: Vec<u8>,
+    value: u64,
+    run: u64,
+}
+
+impl RunWriter {
+    fn push(&mut self, v: u64) {
+        if self.run > 0 && v == self.value {
+            self.run += 1;
+        } else {
+            self.close();
+            (self.value, self.run) = (v, 1);
+        }
+    }
+
+    fn close(&mut self) {
+        if self.run > 0 {
+            push_varint(&mut self.out, self.value);
+            push_varint(&mut self.out, self.run);
+        }
+    }
+
+    /// Appends the section, its open run closed, to `payload`.
+    fn write_to(mut self, payload: &mut Vec<u8>) {
+        self.close();
+        payload.extend_from_slice(&self.out);
+    }
+}
+
 /// One compressed, self-contained channel block (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedBlock {
@@ -137,86 +336,9 @@ impl EncodedBlock {
         grid: BlockGrid,
         cfg: CodecConfig,
     ) -> Result<EncodedBlock, PmssError> {
-        let n = block.len();
-        let rest_channel = block.slot() == REST_SLOT;
-        // The wire format packs the SKU into the slot byte's high nibble,
-        // so only 16 node classes are representable at rest.
-        if block.sku() >= 16 {
-            return Err(PmssError::invalid_value(
-                "block sku",
-                block.sku().to_string(),
-                "SKU indices below 16 (wire nibble)",
-            ));
-        }
-        for i in 0..n {
-            let w = block.windows()[i];
-            let r = block.ranks()[i];
-            if w >= MAX_INDEX || r >= MAX_INDEX {
-                return Err(PmssError::invalid_value(
-                    format!("block row [{i}]"),
-                    format!("window {w}, rank {r}"),
-                    "window indices and ranks below 2^62",
-                ));
-            }
-            let (t, span) = grid.stamp(w, rest_channel);
-            if t.to_bits() != block.times()[i].to_bits()
-                || span.to_bits() != block.spans()[i].to_bits()
-            {
-                return Err(PmssError::invalid_value(
-                    format!("block row [{i}]"),
-                    format!("t_s {} span_s {}", block.times()[i], block.spans()[i]),
-                    format!(
-                        "timestamps on the declared window grid \
-                         (expected t_s {t} span_s {span})"
-                    ),
-                ));
-            }
-        }
-
-        let mut payload = Vec::with_capacity(n / 2 + 16);
-        // Window indices as run-length-encoded zigzag *deltas*: a dense
-        // channel is one run of delta 1, so the whole column collapses to
-        // a few bytes and decode walks runs, not rows.
-        let mut prev = 0i64;
-        push_runs_by(&mut payload, n, |i| {
-            let w = block.windows()[i] as i64;
-            let d = w - prev;
-            prev = w;
-            zigzag(d)
-        });
-        // Ranks as run-length-encoded zigzag offsets from the row's
-        // window: zero everywhere without reordering faults, so clean
-        // channels cost four bytes total.
-        push_runs_by(&mut payload, n, |i| {
-            zigzag(block.ranks()[i] as i64 - block.windows()[i] as i64)
-        });
-        push_runs(&mut payload, block.tags(), |&t| u64::from(t));
-        push_runs(&mut payload, block.jobs(), |&j| u64::from(j));
-        // Non-finite value positions (ascending deltas), then the codec
-        // stream over the column with those rows zeroed.
-        let nan_rows: Vec<usize> = (0..n).filter(|&i| !block.values()[i].is_finite()).collect();
-        push_varint(&mut payload, nan_rows.len() as u64);
-        let mut prev_pos = 0u64;
-        for &p in &nan_rows {
-            push_varint(&mut payload, p as u64 - prev_pos);
-            prev_pos = p as u64;
-        }
-        let finite_values: Vec<f64> = block
-            .values()
-            .iter()
-            .map(|&v| if v.is_finite() { v } else { 0.0 })
-            .collect();
-        let values = codec::encode(&finite_values, cfg)?;
-        payload.extend_from_slice(&values);
-
-        Ok(EncodedBlock {
-            node: block.node(),
-            slot: block.slot(),
-            sku: block.sku(),
-            rows: n as u64,
-            grid,
-            payload,
-        })
+        let mut encoder = BlockEncoder::new(block.node(), block.slot(), grid);
+        encoder.push(block);
+        encoder.finish(cfg)
     }
 
     /// Decompresses this block back into columnar form.
@@ -437,45 +559,6 @@ impl EncodedBlock {
 /// rows (8) + grid (3 × 8).
 const WIRE_HEADER: usize = 37;
 
-/// Run-length encodes `n` computed row values: `(value varint, run
-/// varint)` pairs over `f(0..n)`.  `f` is invoked exactly once per row,
-/// in order, so it may carry running state (a delta accumulator).
-fn push_runs_by(out: &mut Vec<u8>, n: usize, mut f: impl FnMut(usize) -> u64) {
-    if n == 0 {
-        return;
-    }
-    let mut v = f(0);
-    let mut run = 1u64;
-    for i in 1..n {
-        let next = f(i);
-        if next == v {
-            run += 1;
-        } else {
-            push_varint(out, v);
-            push_varint(out, run);
-            v = next;
-            run = 1;
-        }
-    }
-    push_varint(out, v);
-    push_varint(out, run);
-}
-
-/// Run-length encodes a column: `(value varint, run varint)` pairs.
-fn push_runs<T, F: Fn(&T) -> u64>(out: &mut Vec<u8>, col: &[T], to_u64: F) {
-    let mut i = 0usize;
-    while i < col.len() {
-        let v = to_u64(&col[i]);
-        let mut run = 1usize;
-        while i + run < col.len() && to_u64(&col[i + run]) == v {
-            run += 1;
-        }
-        push_varint(out, v);
-        push_varint(out, run as u64);
-        i += run;
-    }
-}
-
 fn malformed(detail: &str) -> PmssError {
     PmssError::malformed("column-block", detail.to_string())
 }
@@ -693,6 +776,63 @@ mod tests {
             t_s,
             span_s,
             kind,
+        }
+    }
+
+    /// The block encoder fed a channel in tiles, split anywhere, is
+    /// `encode` of the whole channel: the same block, or the same error —
+    /// a row off the grid after a refused value still reports the row.
+    #[test]
+    fn tiled_encoding_is_encoding_the_whole_block() {
+        let sample = |power_w: f64, job| WindowKind::Sample { power_w, job };
+        let mut events: Vec<WindowEvent> = (0..100)
+            .map(|w| {
+                let power_w = match w % 9 {
+                    0 => f64::NAN,
+                    1 | 2 => 380.0,
+                    _ => 89.0 + (w / 10) as f64,
+                };
+                gpu_event(
+                    w,
+                    w + (w % 4 == 1) as u64,
+                    sample(power_w, Some(w as usize / 30)),
+                )
+            })
+            .collect();
+        events[40].kind = WindowKind::Gap {
+            fill: GapFill::Excluded,
+            job: None,
+        };
+        let mut refused = events.clone();
+        refused[20].kind = sample(1e300, None);
+        let mut off_grid = refused.clone();
+        off_grid[70].t_s += 1.0;
+        let mut huge = events.clone();
+        huge[90] = gpu_event(1 << 62, 1 << 62, sample(89.0, None));
+        let cfg = CodecConfig::default();
+        // Each case and what its error names, if it fails.
+        for (what, events, error) in [
+            ("clean", events, None),
+            ("refused", refused, Some("power sample [20]")),
+            ("off grid", off_grid, Some("block row [70]")),
+            ("huge", huge, Some("block row [90]")),
+            ("empty", Vec::new(), None),
+        ] {
+            let block = ColumnBlock::from_events(2, 1, &events);
+            let want = format!("{:?}", EncodedBlock::encode(&block, grid(), cfg));
+            assert_eq!(want.starts_with("Err"), error.is_some(), "{what}: {want}");
+            assert!(want.contains(error.unwrap_or("")), "{what}: {want}");
+            for split in [1, 7, 33, 64, 100] {
+                let mut encoder = BlockEncoder::new(2, 1, grid());
+                for from in (0..block.len()).step_by(split) {
+                    let to = (from + split).min(block.len());
+                    let tile = ColumnBlock::from_events(2, 1, &events[from..to]);
+                    encoder.push(&tile);
+                }
+                encoder.push(&ColumnBlock::new(2, 1));
+                let got = format!("{:?}", encoder.finish(cfg));
+                assert!(got == want, "{what}, tiles of {split}: {got} vs {want}");
+            }
         }
     }
 

@@ -134,6 +134,15 @@ pub const MAX_REORDER_DEPTH: u32 = 4096;
 /// spikes 150 W, `harsh` 400 W).
 const MAX_SPIKE_W: f64 = 1000.0;
 
+/// The most a plan's spikes may take, on average, from each delivered
+/// sample, in watts: `spike_w × spike_prob` must be at least its negative.
+/// A spike is a sensor excursion on top of what the device draws, and the
+/// least a powered GPU draws is its idle floor, 88 W (paper Sec. V-A).
+/// Spikes that take at most half of that leave even a wholly idle fleet
+/// with half its energy; a plan that takes more can cancel the energy the
+/// spikes ride on, and the decomposition then sums to nothing or less.
+const MAX_MEAN_SPIKE_LOSS_W: f64 = 44.0;
+
 /// The largest per-node clock skew [`FaultPlan::validate`] accepts, in
 /// seconds: an hour, far past any fabric's drift (`frontier-typical`
 /// skews 2 s, `harsh` 10 s).  Consumers size time-indexed state from
@@ -246,6 +255,18 @@ impl FaultPlan {
                 "faults.spike_w",
                 format!("{:?}", self.spike_w),
                 format!("a wattage in [-{MAX_SPIKE_W}, {MAX_SPIKE_W}]"),
+            ));
+        }
+        let mean_spike_w = self.spike_w * self.spike_prob;
+        if mean_spike_w < -MAX_MEAN_SPIKE_LOSS_W {
+            return Err(PmssError::invalid_value(
+                "faults.spike_w",
+                format!("{:?}", self.spike_w),
+                format!(
+                    "a spike whose mean over delivered samples (spike_w × spike_prob = \
+                     {mean_spike_w} W) is at least -{MAX_MEAN_SPIKE_LOSS_W} W, half a \
+                     GPU's 88 W idle draw"
+                ),
             ));
         }
         if !(0.0..=MAX_CLOCK_SKEW_S).contains(&self.clock_skew_max_s) {
@@ -648,6 +669,19 @@ mod tests {
         for w in [-MAX_SPIKE_W, 0.0, MAX_SPIKE_W] {
             p.spike_w = w;
             assert!(p.validate().is_ok(), "{w}");
+        }
+        // Spikes that take more than the bound from the mean sample.
+        for (w, prob, ok) in [
+            (-1000.0, 1.0, false),
+            (-1000.0, 0.045, false),
+            (-1000.0, 0.044, true),
+            (-44.0, 1.0, true),
+            (-45.0, 1.0, false),
+            (1000.0, 1.0, true),
+        ] {
+            p.spike_w = w;
+            p.spike_prob = prob;
+            assert_eq!(p.validate().is_ok(), ok, "{w} W at {prob}");
         }
         let mut p = FaultPlan::none();
         for s in [f64::NAN, -1.0, MAX_CLOCK_SKEW_S + 1.0, 1e300, f64::INFINITY] {

@@ -24,7 +24,7 @@ use crate::spec::{
     econ_trace_from_json, econ_trace_to_json, fault_plan_from_json, fault_plan_to_json,
     ScalePreset, ScenarioSpec, SCALE_ENV,
 };
-use crate::stage::Pipeline;
+use crate::stage::{node_hours, publish_generation, publish_run, Pipeline};
 
 /// Runs the CLI for `args` (argv without the program name) and returns
 /// everything that should be printed to stdout.
@@ -74,7 +74,7 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
         econ_arg.as_deref(),
     )?;
     if positional[0] == "query" {
-        return query_cmd(&positional[1..], spec);
+        return query_cmd(&positional[1..], spec, metrics_flag);
     }
     if positional[0] == "spec" {
         return Ok(if json {
@@ -147,22 +147,49 @@ pub fn run(args: &[String]) -> Result<String, PmssError> {
 /// [`StreamState`], and the answer rendered through the same
 /// [`crate::query::answer`] path the daemon uses.  Byte-equality of the
 /// two outputs is therefore a real cross-implementation check: different
-/// accumulation order, same bytes.
-fn query_cmd(rest: &[String], spec: ScenarioSpec) -> Result<String, PmssError> {
+/// accumulation order, same bytes.  With `--metrics` the answer gains the
+/// `run` manifest and the registry — the capture's generation, its row
+/// tallies and the store's size beside Table III's stage — as every
+/// artifact's JSON envelope does.
+fn query_cmd(rest: &[String], spec: ScenarioSpec, metrics_flag: bool) -> Result<String, PmssError> {
     let q = crate::query::Query::from_args(rest)?;
     let econ = spec.active_econ().cloned();
     let mut p = Pipeline::new(spec)?;
+    let sw = Stopwatch::start();
     // The schedule alone: the fleet stage would fold the ledger over a run
     // whose blocks this command generates again for the capture.
     let schedule = p.schedule();
-    let resident = ResidentFleet::capture(&schedule, &p.fleet_config())?;
+    let cfg = p.fleet_config();
+    let capture = Stopwatch::start();
+    let (resident, stats) = ResidentFleet::capture_metered(&schedule, &cfg)?;
+    publish_run(
+        &mut p.metrics,
+        cfg.faults.as_ref(),
+        node_hours(&schedule),
+        &stats,
+    );
+    publish_generation(&mut p.metrics, capture.elapsed_s());
+    p.metrics.gauge_set("resident.rows", resident.rows() as f64);
+    p.metrics
+        .gauge_set("resident.payload_bytes", resident.payload_bytes() as f64);
     // Replay into the same paired observer the daemon's ingest engine
     // runs: the ledger member's fold is unchanged by pairing, and the
     // econ series rides along so `pmss query econ` answers from the
     // identical per-slot accumulation the daemon snapshots.
     let pair: Pair<EnergyLedger, EconSeries> = resident.replay(&schedule)?;
     let state = StreamState::with_econ(pair.a, pair.b, p.spec().frontier_factor());
-    Ok(crate::query::answer(&state, p.table3()?, econ.as_ref(), &q)?.to_string_pretty())
+    let mut answer = crate::query::answer(&state, p.table3()?, econ.as_ref(), &q)?;
+    if metrics_flag {
+        let man = manifest(
+            &format!("query {}", rest.join(" ")),
+            p.spec(),
+            sw.elapsed_s(),
+        );
+        answer = answer
+            .field("run", manifest_to_json(&man))
+            .field("metrics", metrics_to_json(&p.metrics_report()));
+    }
+    Ok(answer.to_string_pretty())
 }
 
 /// The `stats` subcommand: run the full staged pipeline (fleet, benchmark,

@@ -14,11 +14,13 @@
 //! schedule, hands the loop to `pmss_telemetry::scoped_map` — whole runs
 //! per worker, results and metric tallies applied on the caller in loop
 //! order, so output is byte-identical at any worker count.  The node loop
-//! inside a run of channel-grouped observers (the fleet stage's) is
-//! threaded too, below this crate (`pmss_telemetry::simulate_fleet_metered`),
-//! with the same guarantee — except inside a job of a loop running on
-//! more than one worker, where `pmss_telemetry::workers` is 1 and a run
-//! folds its nodes on the worker that runs it.  `faults` makes one
+//! inside every fleet run — the fleet stage's fold, the traced stage's
+//! capture, Fig. 2's energy split — is threaded too, below this crate
+//! (`pmss_telemetry::simulate_fleet_metered`,
+//! `pmss_telemetry::DeliveryTrace::capture_folding`), with the same
+//! guarantee — except inside a job of a loop running on more than one
+//! worker, where `pmss_telemetry::workers` is 1 and a run generates its
+//! nodes on the worker that runs it.  `faults` makes one
 //! generation delivered under all its rows' plans
 //! (`pmss_telemetry::simulate_fleet_plans`, via `sim_plans`), its node
 //! loop on the pipeline's workers.

@@ -40,7 +40,8 @@ use pmss_columns::{
 use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
-use crate::fleet::{channel_grid, run_channels, FleetConfig, FleetRunStats};
+use crate::fleet::{channel_grid, run_channels, FleetConfig, FleetRunStats, Retain};
+use crate::threads::workers;
 
 /// Ranks merged per tile.  Wide enough that each block contributes a
 /// sequential burst of rows per tile (a plain rank-by-rank sweep touches
@@ -67,7 +68,7 @@ const _: () = assert!(pmss_faults::MAX_REORDER_DEPTH <= u16::MAX as u32);
 /// One channel's rows in arrival order, narrowed to the columns the grid
 /// and the window index do not determine (see the module docs).
 #[derive(Debug, Clone)]
-struct TraceBlock {
+pub(crate) struct TraceBlock {
     node: u32,
     slot: u8,
     sku: u8,
@@ -176,8 +177,10 @@ impl DeliveryTrace {
     /// [`DeliveryTrace::capture`] from the same run that folds the batch
     /// observer `O` and tallies the [`FleetRunStats`]: each channel is
     /// folded in window order exactly as [`crate::simulate_fleet_metered`]
-    /// folds it, then put into arrival order and retained — one generation
-    /// where a fold and a capture would be two.
+    /// folds it, then put into arrival order, narrowed on the worker that
+    /// generated it and retained — one generation where a fold and a
+    /// capture would be two.  The first channel that does not narrow, in
+    /// canonical order, is the error.
     pub fn capture_folding<O>(
         schedule: &Schedule,
         cfg: &FleetConfig,
@@ -185,23 +188,40 @@ impl DeliveryTrace {
     where
         O: FleetObserver + Default,
     {
+        Self::capture_by(schedule, cfg, |retain| {
+            run_channels(workers(), schedule, cfg, Some(retain))
+        })
+    }
+
+    /// [`DeliveryTrace::capture_folding`] through `run`, a channel loop
+    /// handed the trace's [`Retain`].
+    pub(crate) fn capture_by<O>(
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+        run: impl FnOnce(Retain<'_, Result<TraceBlock, PmssError>>) -> (O, FleetRunStats),
+    ) -> Result<(Self, O, FleetRunStats), PmssError> {
         let mut blocks = Vec::new();
         let mut first_err = None;
-        let mut retain = |block: &ColumnBlock| {
-            if first_err.is_some() {
-                return;
-            }
+        let narrow = |_, block: &ColumnBlock| {
             debug_assert!(
                 (1..block.len()).all(|i| (block.ranks()[i - 1], block.windows()[i - 1])
                     <= (block.ranks()[i], block.windows()[i])),
                 "channel blocks arrive sorted by (rank, window)"
             );
-            match TraceBlock::narrow(block, channel_grid(schedule, cfg, block.node())) {
-                Ok(narrow) => blocks.push(narrow),
-                Err(e) => first_err = Some(e),
+            TraceBlock::narrow(block, channel_grid(schedule, cfg, block.node()))
+        };
+        let mut keep = |narrowed| match narrowed {
+            Ok(block) if first_err.is_none() => blocks.push(block),
+            Ok(_) => {}
+            Err(e) => {
+                first_err.get_or_insert(e);
             }
         };
-        let (obs, stats) = run_channels(schedule, cfg, Some(&mut retain));
+        let (obs, stats) = run(Retain {
+            whole: true,
+            map: &narrow,
+            keep: &mut keep,
+        });
         match first_err {
             Some(e) => Err(e),
             None => Ok((DeliveryTrace { blocks }, obs, stats)),

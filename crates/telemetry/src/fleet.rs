@@ -8,13 +8,13 @@
 //! a columnar transform of each clean tile (`deliver_gpu_tile`,
 //! `deliver_rest_tile`), so one generation can be delivered under many
 //! plans ([`simulate_fleet_plans`]).  Each node's state (RNG, boost
-//! budget, fault decisions) is independent of every other's, so a batch
-//! fold of a [`FleetObserver::CHANNEL_GROUPED`] observer runs whole nodes
-//! on every core, each worker generating into one tile of scratch, with
-//! the channel partials merged in canonical order on the caller; a run
-//! that retains its channels, or folds an observer that is not
-//! channel-grouped, is one sequential pass over the nodes.  Both produce
-//! the same bits (see `run_channels`).
+//! budget, fault decisions) is independent of every other's, so every run
+//! — a fold, a fold that retains its channels, a capture — is one channel
+//! loop over whole nodes on every core (`run_channels`): each worker
+//! generates a node and does each channel's order-free work (a
+//! channel-grouped fold, arrival sorting and a consumer's `map`), and the
+//! calling thread merges, retains and tallies in canonical order, so the
+//! result is the same bits at any worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,6 +29,8 @@ use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
 
 use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, NO_JOB, REST_SLOT, TILE_ROWS};
+
+use std::sync::Mutex;
 
 use crate::threads::{scoped_sink, workers};
 
@@ -130,7 +132,7 @@ impl FleetRunStats {
         self.attributed_samples += attributed as u64;
     }
 
-    /// Adds another run's (or node's) tallies to these.  Both loops
+    /// Adds another run's (or node's) tallies to these.  The channel loop
     /// tallies each node into a fresh `FleetRunStats` and adds it here in
     /// node order, so `boost_granted_s` is the same sum of per-node sums
     /// whichever thread generated which node.
@@ -723,20 +725,19 @@ where
 
 /// Runs the fleet simulation, returning the merged observer and the run's
 /// [`FleetRunStats`] (sample counts, boost engagements, engine and
-/// cap-solver work).  A [`FleetObserver::CHANNEL_GROUPED`] observer's
-/// nodes run on [`crate::workers`] threads; the result is the same bits
-/// at any count.
+/// cap-solver work).  The nodes run on [`crate::workers`] threads; the
+/// result is the same bits at any count.
 pub fn simulate_fleet_metered<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
 {
-    run_channels(schedule, cfg, None)
+    run_channels::<O, ()>(workers(), schedule, cfg, None)
 }
 
 /// One generation of the fleet, delivered under each of `plans` in its
 /// place of `cfg.faults`: per plan, the observer and tallies
 /// [`simulate_fleet_metered`] returns under that plan alone, bit for bit.
-/// The nodes run on `workers` threads (the folding loop), each
+/// The nodes run on `workers` threads (the channel loop), each
 /// node's clean tiles generated once and delivered under every plan
 /// while they are hot.  Defined for [`FleetObserver::CHANNEL_GROUPED`]
 /// observers (a compile-time check), whose partials fold apart.
@@ -752,10 +753,10 @@ where
     const {
         assert!(
             O::CHANNEL_GROUPED,
-            "the folding loop merges per-channel partials"
+            "the channel loop merges per-channel partials"
         )
     };
-    FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).fold_nodes(workers)
+    FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).channels::<O, ()>(workers, None)
 }
 
 /// Per-SKU values the window loop reads constantly, resolved once per run
@@ -1091,96 +1092,101 @@ impl<'a> FleetRun<'a> {
             .collect()
     }
 
-    /// The sequential loop, for a run delivered under one plan: every
-    /// node on the calling thread, each channel generated and delivered
-    /// whole, folded through [`FleetObserver::fold_channel`] and then,
-    /// when a consumer `retain`s the run's blocks, put into *arrival*
-    /// order ([`ColumnBlock::sort_arrival`], a counting pass by rank
-    /// needed only for GPU channels under a reordering plan) and handed to
-    /// it.
-    fn channels_in_order<O>(
+    /// The channel loop: whole nodes on `workers` threads
+    /// ([`scoped_sink`]), each worker generating a node's channels into
+    /// its own scratch and doing each channel's order-free work there: a
+    /// [`FleetObserver::CHANNEL_GROUPED`] observer's fold into a fresh
+    /// partial per channel and plan, and a retaining run's `map`.  An
+    /// observer that is not channel-grouped is one running accumulator,
+    /// so its rows travel to the caller instead.  The caller takes each
+    /// node's result in node order and, channel by channel in canonical
+    /// `(node, slot)` order, merges the partial (or folds the rows) and
+    /// `keep`s what `map` made, then adds the node's tallies: a
+    /// sequential pass's operations in its order (split folds are
+    /// bit-equal to whole ones), so the bits do not depend on the worker
+    /// count.  A worker's scratch holds whole channels only where the
+    /// work needs them — rows for the caller, a `map` that asks for them,
+    /// a reordering plan's arrival sort — and otherwise one [`TILE_ROWS`]
+    /// tile.  Results are per plan, in plan order; a run that retains
+    /// delivers one plan.
+    fn channels<O, T>(
         &self,
-        mut retain: Option<&mut dyn FnMut(&ColumnBlock)>,
-    ) -> (O, FleetRunStats)
+        workers: usize,
+        mut retain: Option<Retain<'_, T>>,
+    ) -> Vec<(O, FleetRunStats)>
     where
         O: FleetObserver + Default,
-    {
-        debug_assert_eq!(self.plans.len(), 1, "one delivery per sequential run");
-        // Generation order is already arrival order unless a plan reorders.
-        let reordering = self.plans[0].is_some_and(|(p, _)| p.reorder_depth > 0);
-        let mut scratch = self.scratch(true);
-        let (mut obs, mut stats) = (O::default(), FleetRunStats::default());
-        for node in 0..self.schedule.per_node.len() {
-            let node_stats = self.node_channel_blocks(node, &mut scratch, |_, block, _| {
-                obs.fold_channel(self.schedule, block);
-                if let Some(retain) = retain.as_mut() {
-                    if reordering && block.slot() != REST_SLOT {
-                        block.sort_arrival();
-                    }
-                    retain(block);
-                }
-            });
-            stats.add(&node_stats[0]);
-        }
-        (obs, stats)
-    }
-
-    /// The folding loop, for a [`FleetObserver::CHANNEL_GROUPED`]
-    /// observer whose run retains nothing: whole nodes on `workers`
-    /// threads ([`scoped_sink`]), each worker generating into one
-    /// [`TILE_ROWS`] tile of scratch and folding every channel's tiles,
-    /// delivered under each plan, into that plan's fresh partial.  The
-    /// calling thread merges each plan's partials in canonical
-    /// `(node, slot)` order and adds its per-node tallies in node order —
-    /// the sequential loop's accumulation shape (split folds are
-    /// bit-equal to whole ones), so the result is the same bits at any
-    /// worker count.  Results are per plan, in the run's plan order.
-    fn fold_nodes<O>(&self, workers: usize) -> Vec<(O, FleetRunStats)>
-    where
-        O: FleetObserver + Default,
+        T: Send,
     {
         let plans = self.plans.len();
-        let scratch = (0..workers.max(1)).map(|_| self.scratch(false)).collect();
-        let node_parts = |scratch: &mut ChannelScratch, node: usize| {
-            let mut parts: Vec<Vec<O>> = (0..plans)
+        debug_assert!(
+            retain.is_none() || plans == 1,
+            "a retaining run delivers one plan"
+        );
+        let reordering: Vec<bool> = (self.plans.iter())
+            .map(|p| p.is_some_and(|(p, _)| p.reorder_depth > 0))
+            .collect();
+        let map = retain.as_ref().map(|r| r.map);
+        let whole =
+            !O::CHANNEL_GROUPED || retain.as_ref().is_some_and(|r| r.whole || reordering[0]);
+        let scratch = (0..workers.max(1)).map(|_| self.scratch(whole)).collect();
+        let spare = Mutex::new(Vec::new());
+        let node_channels = |scratch: &mut ChannelScratch, node: usize| {
+            let mut done: Vec<Vec<Channel<O, T>>> = (0..plans)
                 .map(|_| Vec::with_capacity(GPUS_PER_NODE + 1))
                 .collect();
             let mut part: Vec<O> = (0..plans).map(|_| O::default()).collect();
-            let stats = self.node_channel_blocks(node, scratch, |p, tile, last| {
-                // A clean tile holds at most `TILE_ROWS` rows; delivered,
-                // each may be duplicated.
-                debug_assert!(
-                    tile.len() <= 2 * TILE_ROWS,
-                    "a tile holds {} rows",
-                    tile.len()
-                );
-                part[p].fold_block(self.schedule, tile);
-                if last {
-                    parts[p].push(std::mem::take(&mut part[p]));
+            let mut made: Vec<Option<T>> = (0..plans).map(|_| None).collect();
+            let stats = self.node_channel_blocks(node, scratch, |p, block, last| {
+                let fold = if O::CHANNEL_GROUPED {
+                    part[p].fold_block(self.schedule, block);
+                    last.then(|| Fold::Part(std::mem::take(&mut part[p])))
+                } else if map.is_some() {
+                    last.then(|| Fold::Rows(block.clone()))
+                } else {
+                    // The rows go to the caller, and a folded channel's
+                    // buffer comes back in their place.
+                    let spare = || spare.lock().expect("spare rows").pop().unwrap_or_default();
+                    last.then(|| Fold::Rows(std::mem::replace(block, spare())))
+                };
+                if let Some(map) = map {
+                    // A reordering plan's channel comes whole: put it into
+                    // arrival order.
+                    if reordering[p] && block.slot() != REST_SLOT {
+                        block.sort_arrival();
+                    }
+                    made[p] = Some(map(made[p].take(), block));
+                }
+                if let Some(fold) = fold {
+                    done[p].push((fold, made[p].take()));
                 }
             });
-            (parts, stats)
+            done.into_iter().zip(stats).collect::<Vec<_>>()
         };
         let mut runs: Vec<(O, FleetRunStats)> = (0..plans).map(|_| Default::default()).collect();
-        let nodes = self.schedule.per_node.len();
-        // A node's result is five whole observer partials per plan.  With
-        // one plan, one per worker is in flight: on a 2-vCPU VM, `pmss
-        // table 5 --scale medium` peaked at 5.7 MB with one and 6.3 MB
-        // with two (the sequential loop: 5.9 MB), for a 3 % slower fold.
-        // Many plans' merges keep the caller busy longer, so four per
-        // worker let the workers run ahead of it.
+        // With one plan, one node per worker is in flight: on a 2-vCPU VM,
+        // `pmss table 5 --scale medium` peaked at 5.7 MB with one and 6.3 MB
+        // with two, for a 3 % slower fold.  Many plans' merges keep the
+        // caller busy longer, so four per worker let the workers run ahead.
         let ahead = if plans > 1 { 4 } else { 1 };
         scoped_sink(
             scratch,
             ahead,
-            nodes,
-            node_parts,
-            |_, (parts, node_stats)| {
-                for ((obs, stats), (parts, node_stats)) in
-                    runs.iter_mut().zip(parts.into_iter().zip(node_stats))
-                {
-                    for part in parts {
-                        obs.merge(part);
+            self.schedule.per_node.len(),
+            node_channels,
+            |_, node| {
+                for ((obs, stats), (channels, node_stats)) in runs.iter_mut().zip(node) {
+                    for (fold, made) in channels {
+                        match fold {
+                            Fold::Part(part) => obs.merge(part),
+                            Fold::Rows(rows) => {
+                                obs.fold_block(self.schedule, &rows);
+                                spare.lock().expect("spare rows").push(rows);
+                            }
+                        }
+                        if let (Some(made), Some(retain)) = (made, retain.as_mut()) {
+                            (retain.keep)(made);
+                        }
                     }
                     stats.add(&node_stats);
                 }
@@ -1189,6 +1195,29 @@ impl<'a> FleetRun<'a> {
         runs
     }
 }
+
+/// What a retaining run makes of each delivered channel, in arrival
+/// order.  On the worker that generated it, `map` folds the channel's
+/// tiles in turn into what it makes of the channel (`None` before the
+/// first tile) — one call with the whole channel when `whole` is set or
+/// a plan reorders — and the calling thread `keep`s each channel's, in
+/// canonical `(node, slot)` order.
+pub(crate) struct Retain<'r, T> {
+    pub(crate) whole: bool,
+    pub(crate) map: &'r (dyn Fn(Option<T>, &ColumnBlock) -> T + Sync),
+    pub(crate) keep: &'r mut dyn FnMut(T),
+}
+
+/// What the caller folds of one delivered channel: a channel-grouped
+/// observer's partial, or the rows of one that is not.
+enum Fold<O> {
+    Part(O),
+    Rows(ColumnBlock),
+}
+
+/// One delivered channel as a worker hands it to the caller: its fold
+/// and, when the run retains, what `map` made of it.
+type Channel<O, T> = (Fold<O>, Option<T>);
 
 /// The window grid every channel is generated on: the run's window
 /// layout, unskewed.
@@ -1212,29 +1241,23 @@ pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) ->
     }
 }
 
-/// The one channel loop every fleet entry point runs, in one of two
-/// shapes.  A [`FleetObserver::CHANNEL_GROUPED`] observer in a run that
-/// retains nothing (`simulate_fleet*`) folds on every core
-/// ([`FleetRun::fold_nodes`]).  Everything else takes the sequential
-/// loop ([`FleetRun::channels_in_order`]): a consumer that `retain`s the
-/// run's blocks needs whole channels in order, and an observer that is
-/// not channel-grouped is pinned to one running accumulator.
-pub(crate) fn run_channels<O>(
+/// The one channel loop every fleet entry point runs
+/// ([`FleetRun::channels`]), delivered under `cfg`'s own plan, on
+/// `workers` threads: a fold (`simulate_fleet*`, no `retain`) or a fold
+/// that also retains every channel (`fleet_window_blocks`, the
+/// [`crate::DeliveryTrace`] and [`crate::ResidentFleet`] captures).
+pub(crate) fn run_channels<O, T>(
+    workers: usize,
     schedule: &Schedule,
     cfg: &FleetConfig,
-    retain: Option<&mut dyn FnMut(&ColumnBlock)>,
+    retain: Option<Retain<'_, T>>,
 ) -> (O, FleetRunStats)
 where
     O: FleetObserver + Default,
+    T: Send,
 {
-    let run = FleetRun::new(schedule, cfg);
-    match retain {
-        None if O::CHANNEL_GROUPED => {
-            let mut runs = run.fold_nodes(workers());
-            runs.pop().expect("one run per plan")
-        }
-        retain => run.channels_in_order(retain),
-    }
+    let mut runs = FleetRun::new(schedule, cfg).channels(workers, retain);
+    runs.pop().expect("one run per plan")
 }
 
 /// Streams every telemetry channel of a fleet run to `emit` as one
@@ -1252,19 +1275,29 @@ where
 /// events through `pmss-stream`'s reorder-buffered ingest reproduces the
 /// batch observer exactly.
 ///
-/// The block reference is a reusable scratch buffer: it is only valid for
-/// the duration of the callback.
+/// The channels are generated on [`crate::workers`] threads and `emit`
+/// runs on the calling thread.  The block reference is only valid for the
+/// duration of the callback.
 pub fn fleet_window_blocks(
     schedule: &Schedule,
     cfg: &FleetConfig,
     mut emit: impl FnMut(&ColumnBlock),
 ) {
-    run_channels::<()>(schedule, cfg, Some(&mut emit));
+    let retain = Retain {
+        whole: true,
+        map: &|_, block: &ColumnBlock| block.clone(),
+        keep: &mut |block: ColumnBlock| emit(&block),
+    };
+    run_channels::<(), _>(workers(), schedule, cfg, Some(retain));
 }
 
 #[cfg(test)]
 #[path = "fleet_delivery_oracle.rs"]
 mod delivery_oracle;
+
+#[cfg(test)]
+#[path = "fleet_loop_oracle.rs"]
+mod loop_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1746,23 +1779,70 @@ mod tests {
         }
     }
 
-    /// The observers `pmss-pipeline`'s fleet stage folds.
+    use crate::{FleetPowerSeries, GpuCpuEnergy};
+    use pmss_error::PmssError;
+
+    /// The observers `pmss-pipeline`'s fleet stage folded before it
+    /// folded the ledger alone.
     type StageObs = crate::Pair<
         crate::Pair<crate::SystemHistogram, crate::DomainHistograms>,
         crate::Pair<pmss_core::EnergyLedger, pmss_econ::EconSeries>,
     >;
 
-    /// The folding loop at 1, 2, 3 and 8 real threads (more than this
-    /// box may have cores, which is the point) is the sequential loop,
-    /// bit for bit: the stage observers' `Debug` (every float at full
-    /// precision) and every `FleetRunStats` field, under a clean run,
-    /// `harsh` with each gap policy, `mixed-50-50`, and the `diurnal`
-    /// price/carbon trace integrated over the econ series (an econ
-    /// scenario's fleet run is the clean one; the trace applies at render
-    /// time).
-    #[test]
-    fn folding_loop_is_the_sequential_loop_at_any_worker_count() {
-        let s = long_schedule();
+    /// What a run gives each consumer the channel loop serves, shown
+    /// bit for bit (`Debug`, every float at full precision): the stage
+    /// observers (with the `diurnal` price/carbon trace integrated over
+    /// the econ series — an econ scenario's fleet run is the clean one),
+    /// folded alone in tiles and beside a delivery-trace capture; the
+    /// trace's blocks; `fig 2`'s and `peakpower`'s observers, which are
+    /// not channel-grouped; the resident store's payload bytes and the
+    /// `fleet_window_blocks` block sequence; and every run's tallies.
+    /// `run` is the loop, handed the run and a consumer's `Retain`.
+    fn consumers(
+        s: &Schedule,
+        cfg: &FleetConfig,
+        run: impl Fn(&FleetRun<'_>, Option<Retain<'_, ColumnBlock>>) -> ((), FleetRunStats),
+        fold: impl Fn(&FleetRun<'_>) -> [String; 3],
+        traced: impl Fn(
+            Retain<'_, Result<crate::delivery::TraceBlock, PmssError>>,
+        ) -> (StageObs, FleetRunStats),
+        resident: impl Fn(Retain<'_, pmss_columns::BlockEncoder>) -> ((), FleetRunStats),
+    ) -> Vec<String> {
+        let fleet = FleetRun::new(s, cfg);
+        let mut shown = fold(&fleet).to_vec();
+        let (trace, obs, stats) =
+            crate::DeliveryTrace::capture_by(s, cfg, traced).expect("trace capture");
+        shown.push(format!("{trace:?} {} {stats:?}", stage_shown(&obs)));
+        let (store, stats) = crate::ResidentFleet::capture_by(s, cfg, resident).expect("capture");
+        let payload: Vec<_> = store.blocks().iter().map(|b| b.to_bytes()).collect();
+        shown.push(format!("{payload:?} {} {stats:?}", store.rows()));
+        let mut blocks = Vec::new();
+        let ((), stats) = run(
+            &fleet,
+            Some(Retain {
+                whole: true,
+                map: &|_, b: &ColumnBlock| b.clone(),
+                keep: &mut |b: ColumnBlock| blocks.push(format!("{b:?}")),
+            }),
+        );
+        shown.push(format!("{blocks:?} {stats:?}"));
+        shown
+    }
+
+    /// The stage observers' `Debug`, the `diurnal` trace integrated.
+    fn stage_shown(obs: &StageObs) -> String {
+        let diurnal = pmss_econ::EconTrace::preset("diurnal").expect("econ preset");
+        let econ = &obs.b.b;
+        let shift = pmss_econ::shift(econ, &diurnal).expect("shift");
+        format!(
+            "{obs:?} {:?} {:?} {shift:?}",
+            econ.cost_usd(&diurnal).to_bits(),
+            econ.carbon_kg(&diurnal).to_bits(),
+        )
+    }
+
+    /// The scenarios the loop is checked under.
+    fn loop_scenarios() -> Vec<(&'static str, FleetConfig)> {
         let harsh = |gap_policy| FleetConfig {
             faults: Some(FaultPlan {
                 gap_policy,
@@ -1770,17 +1850,7 @@ mod tests {
             }),
             ..FleetConfig::default()
         };
-        let diurnal = pmss_econ::EconTrace::preset("diurnal").expect("econ preset");
-        let shown = |obs: &StageObs, stats: &FleetRunStats| {
-            let econ = &obs.b.b;
-            let shift = pmss_econ::shift(econ, &diurnal).expect("shift");
-            format!(
-                "{obs:?} {stats:?} {:?} {:?} {shift:?}",
-                econ.cost_usd(&diurnal).to_bits(),
-                econ.carbon_kg(&diurnal).to_bits(),
-            )
-        };
-        for (what, cfg) in [
+        vec![
             ("clean", FleetConfig::default()),
             ("harsh exclude", harsh(GapPolicy::Exclude)),
             ("harsh interpolate", harsh(GapPolicy::Interpolate)),
@@ -1792,18 +1862,162 @@ mod tests {
                     ..FleetConfig::default()
                 },
             ),
-        ] {
-            let run = FleetRun::new(&s, &cfg);
-            let (obs, stats) = run.channels_in_order::<StageObs>(None);
-            let want = shown(&obs, &stats);
-            assert!(
-                stats.gpu_samples > 0 && stats.boost_granted_s > 0.0,
-                "{what}"
+        ]
+    }
+
+    /// The channel loop at 1, 2, 3 and 8 real threads (more than this box
+    /// may have cores, which is the point) is the sequential loop, bit for
+    /// bit, for every consumer it serves ([`consumers`]), under a clean
+    /// run, `harsh` with each gap policy, and `mixed-50-50`.
+    #[test]
+    fn folding_loop_is_the_sequential_loop_at_any_worker_count() {
+        let s = long_schedule();
+        for (what, cfg) in loop_scenarios() {
+            let want = consumers(
+                &s,
+                &cfg,
+                |fleet, retain| fleet.channels_in_order(retain),
+                |fleet| {
+                    let (stage, stats) = fleet.channels_in_order::<StageObs, ()>(None);
+                    assert!(stats.gpu_samples > 0 && stats.boost_granted_s > 0.0);
+                    let (split, split_stats) = fleet.channels_in_order::<GpuCpuEnergy, ()>(None);
+                    let (power, power_stats) =
+                        fleet.channels_in_order::<FleetPowerSeries, ()>(None);
+                    [
+                        format!("{} {stats:?}", stage_shown(&stage)),
+                        format!("{split:?} {split_stats:?}"),
+                        format!("{power:?} {power_stats:?}"),
+                    ]
+                },
+                |retain| FleetRun::new(&s, &cfg).channels_in_order(Some(retain)),
+                |retain| FleetRun::new(&s, &cfg).channels_in_order(Some(retain)),
             );
             for workers in [1, 2, 3, 8] {
-                let (obs, stats) = run.fold_nodes::<StageObs>(workers).remove(0);
-                assert!(shown(&obs, &stats) == want, "{what}: {workers} workers");
+                let got = consumers(
+                    &s,
+                    &cfg,
+                    |fleet, retain| fleet.channels(workers, retain).remove(0),
+                    |fleet| {
+                        let one = |shown: Vec<(String, FleetRunStats)>| -> String {
+                            let (obs, stats) = &shown[0];
+                            format!("{obs} {stats:?}")
+                        };
+                        let stage = (fleet.channels::<StageObs, ()>(workers, None))
+                            .into_iter()
+                            .map(|(obs, stats)| (stage_shown(&obs), stats))
+                            .collect();
+                        let split = (fleet.channels::<GpuCpuEnergy, ()>(workers, None))
+                            .into_iter()
+                            .map(|(obs, stats)| (format!("{obs:?}"), stats))
+                            .collect();
+                        let power = (fleet.channels::<FleetPowerSeries, ()>(workers, None))
+                            .into_iter()
+                            .map(|(obs, stats)| (format!("{obs:?}"), stats))
+                            .collect();
+                        [one(stage), one(split), one(power)]
+                    },
+                    |retain| run_channels(workers, &s, &cfg, Some(retain)),
+                    |retain| run_channels(workers, &s, &cfg, Some(retain)),
+                );
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert!(got == want, "{what}: {workers} workers, consumer {i}");
+                }
             }
+        }
+    }
+
+    /// A retaining run's channels reach `keep` in canonical order at any
+    /// worker count, so the first error `keep` records is the first
+    /// failing channel's, whichever worker mapped it first.
+    #[test]
+    fn the_first_failing_channel_is_the_error_at_any_worker_count() {
+        let s = long_schedule();
+        let cfg = FleetConfig::default();
+        let failing = [(1u32, 3u8), (3, 0), (4, REST_SLOT)];
+        for workers in [1, 2, 3, 8] {
+            let mut first = None;
+            let mut kept = 0usize;
+            let map = |_, b: &ColumnBlock| {
+                if failing.contains(&b.channel()) {
+                    Err(format!("channel {:?}", b.channel()))
+                } else {
+                    Ok(b.len())
+                }
+            };
+            let mut keep = |r: Result<usize, String>| match r {
+                Ok(_) => kept += 1,
+                Err(e) => {
+                    first.get_or_insert(e);
+                }
+            };
+            let retain = Retain {
+                whole: true,
+                map: &map,
+                keep: &mut keep,
+            };
+            run_channels::<(), _>(workers, &s, &cfg, Some(retain));
+            assert_eq!(
+                first.as_deref(),
+                Some("channel (1, 3)"),
+                "{workers} workers"
+            );
+            let channels = s.per_node.len() * (GPUS_PER_NODE + 1);
+            assert_eq!(kept, channels - failing.len());
+        }
+    }
+
+    /// The retaining loop holds at most `ahead` (1) node results per
+    /// worker that the caller has not taken yet: a node counts from its
+    /// first channel's `map` on a worker until its last channel's `keep`.
+    /// (The count drops inside `keep`, just after the hand-off frees the
+    /// slot, so it may read one over the window.)
+    #[test]
+    fn the_retaining_loop_keeps_one_node_per_worker_in_flight() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let s = generate(
+            TraceParams {
+                nodes: 24,
+                duration_s: 3.0 * 3600.0,
+                seed: 5,
+                min_job_s: 900.0,
+            },
+            &catalog(),
+        );
+        for workers in [1, 2, 3, 8] {
+            let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let map = |_, b: &ColumnBlock| {
+                if b.slot() == 0 {
+                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                }
+                b.channel()
+            };
+            let mut order = Vec::new();
+            let mut keep = |channel: (u32, u8)| {
+                if channel.1 == REST_SLOT {
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                }
+                order.push(channel);
+            };
+            let retain = Retain {
+                whole: true,
+                map: &map,
+                keep: &mut keep,
+            };
+            run_channels::<(), _>(workers, &s, &FleetConfig::default(), Some(retain));
+            let want: Vec<(u32, u8)> = (0..24u32)
+                .flat_map(|n| {
+                    (0..GPUS_PER_NODE as u8)
+                        .chain([REST_SLOT])
+                        .map(move |c| (n, c))
+                })
+                .collect();
+            assert_eq!(order, want, "{workers} workers");
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= workers + 1,
+                "{workers} workers: {peak} nodes in flight"
+            );
         }
     }
 }

@@ -241,7 +241,9 @@ proptest::proptest! {
             dup_prob,
             reorder_depth: if deep == 0 { MAX_REORDER_DEPTH } else { depth },
             nan_prob,
-            spike_prob,
+            // Capped where a negative spike's mean would pass the 44 W a
+            // valid plan may take from each sample.
+            spike_prob: if spike_w < 0.0 { spike_prob.min(44.0 / -spike_w) } else { spike_prob },
             spike_w,
             dropout_prob,
             dropout_windows,

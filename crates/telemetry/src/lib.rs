@@ -9,9 +9,10 @@
 //! * [`hist`] — power histograms with smoothing and peak finding (Figs. 8–9);
 //! * [`fleet`] — the fleet simulation streaming 15 s samples (with boost
 //!   excursions and sensor noise) to a [`fleet::FleetObserver`], nodes on
-//!   every core when the observer folds channel by channel;
-//! * [`resident`] — a fleet run captured as compressed per-channel blocks,
-//!   replayed a tile of rows at a time, channels on every core;
+//!   every core;
+//! * [`resident`] — a fleet run captured as compressed per-channel blocks
+//!   (encoded on the workers that generate them), replayed a tile of rows
+//!   at a time, channels on every core;
 //! * [`delivery`] — a fleet run's channels retained as narrow columns,
 //!   replayed event by event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU

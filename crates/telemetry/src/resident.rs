@@ -19,11 +19,13 @@
 //! half a quantum per sample — the precision the fleet's sensors had in
 //! the first place.
 
-use pmss_columns::{CodecConfig, ColumnBlock, EncodedBlock, FleetObserver, TILE_ROWS};
+use pmss_columns::{
+    BlockEncoder, CodecConfig, ColumnBlock, EncodedBlock, FleetObserver, TILE_ROWS,
+};
 use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
-use crate::fleet::{channel_grid, fleet_window_blocks, FleetConfig};
+use crate::fleet::{channel_grid, run_channels, FleetConfig, FleetRunStats, Retain};
 use crate::threads::{scoped_sink, workers};
 
 /// One fleet run's telemetry, compressed block-per-channel (see module
@@ -39,26 +41,57 @@ impl ResidentFleet {
     /// channel as a compressed resident block, at the codec's default 1 W
     /// sensor quantization.
     pub fn capture(schedule: &Schedule, cfg: &FleetConfig) -> Result<ResidentFleet, PmssError> {
-        let codec = CodecConfig::default();
-        let mut blocks = Vec::new();
-        let mut rows = 0u64;
-        let mut first_err = None;
-        fleet_window_blocks(schedule, cfg, |block| {
-            if first_err.is_some() {
-                return;
+        Self::capture_metered(schedule, cfg).map(|(resident, _)| resident)
+    }
+
+    /// [`ResidentFleet::capture`] and the run's [`FleetRunStats`].  Each
+    /// channel is encoded on the worker that generates it ([`workers`]
+    /// threads), tile by tile ([`BlockEncoder`]), so a worker holds
+    /// compressed columns rather than a whole channel's rows; the first
+    /// channel that does not encode, in canonical order, is the error.
+    pub fn capture_metered(
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+    ) -> Result<(ResidentFleet, FleetRunStats), PmssError> {
+        Self::capture_by(schedule, cfg, |retain| {
+            run_channels::<(), _>(workers(), schedule, cfg, Some(retain))
+        })
+    }
+
+    /// [`ResidentFleet::capture_metered`] through `run`, a channel loop
+    /// handed the store's [`Retain`].
+    pub(crate) fn capture_by(
+        schedule: &Schedule,
+        cfg: &FleetConfig,
+        run: impl FnOnce(Retain<'_, BlockEncoder>) -> ((), FleetRunStats),
+    ) -> Result<(ResidentFleet, FleetRunStats), PmssError> {
+        let (mut blocks, mut rows, mut first_err) = (Vec::new(), 0u64, None);
+        let encode = |encoder: Option<BlockEncoder>, tile: &ColumnBlock| {
+            let mut encoder = encoder.unwrap_or_else(|| {
+                let grid = channel_grid(schedule, cfg, tile.node());
+                BlockEncoder::new(tile.node(), tile.slot(), grid)
+            });
+            encoder.push(tile);
+            encoder
+        };
+        let mut keep = |encoder: BlockEncoder| match encoder.finish(CodecConfig::default()) {
+            Ok(block) if first_err.is_none() => {
+                rows += block.rows();
+                blocks.push(block);
             }
-            let grid = channel_grid(schedule, cfg, block.node());
-            match EncodedBlock::encode(block, grid, codec) {
-                Ok(enc) => {
-                    rows += block.len() as u64;
-                    blocks.push(enc);
-                }
-                Err(e) => first_err = Some(e),
+            Ok(_) => {}
+            Err(e) => {
+                first_err.get_or_insert(e);
             }
+        };
+        let ((), stats) = run(Retain {
+            whole: false,
+            map: &encode,
+            keep: &mut keep,
         });
         match first_err {
             Some(e) => Err(e),
-            None => Ok(ResidentFleet { blocks, rows }),
+            None => Ok((ResidentFleet { blocks, rows }, stats)),
         }
     }
 
@@ -134,7 +167,7 @@ impl ResidentFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::simulate_fleet;
+    use crate::fleet::{fleet_window_blocks, simulate_fleet};
     use pmss_core::EnergyLedger;
     use pmss_faults::FaultPlan;
     use pmss_sched::{catalog, generate, TraceParams};

@@ -3,7 +3,7 @@
 //!
 //! Fleet threads are a `std::thread::scope` at the loop that needs them —
 //! an artifact's independent fleet runs (`pmss-pipeline`), a resident
-//! store's channels ([`crate::ResidentFleet::replay`]), a batch fold's
+//! store's channels ([`crate::ResidentFleet::replay`]), a fleet run's
 //! nodes (`fleet::run_channels`).  There are
 //! [`workers`] of them, nothing sets the count, and one code path runs at
 //! any count: with one worker the calling thread runs every job itself.

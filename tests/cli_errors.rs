@@ -168,6 +168,34 @@ fn spike_beyond_a_kilowatt_is_rejected_before_the_run() {
     );
 }
 
+/// Negative spikes on every sample used to validate, run the whole fleet
+/// and then fail on a fleet energy summed to below zero; a plan whose
+/// spikes can cancel the energy they ride on is rejected before the run,
+/// under the field's name.
+#[test]
+fn spikes_that_cancel_the_energy_are_rejected_before_the_run() {
+    let path = std::env::temp_dir().join(format!("pmss-cancel-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"faults": {"spike_w": -1000, "spike_prob": 1.0}}"#,
+    )
+    .expect("spec file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_pmss"))
+        .args(["table", "5", "--spec"])
+        .arg(&path)
+        .output()
+        .expect("pmss runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "pmss: invalid faults.spike_w value \"-1000.0\": expected a spike whose mean over \
+         delivered samples (spike_w × spike_prob = -1000 W) is at least -44 W, half a GPU's \
+         88 W idle draw\n"
+    );
+}
+
 /// A clock skew past an hour used to validate, then abort `pmss econ`
 /// allocating slots for the skewed timestamps; it is rejected before the
 /// run, under the field's name.

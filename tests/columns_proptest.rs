@@ -274,7 +274,8 @@ proptest! {
                 apply_event(&mut applied, &schedule, &ev);
             }
             assert_eq!(folded, applied, "columnar fold vs per-event apply");
-            ledger.fold_channel(&schedule, block);
+            // The ledger is channel-grouped: one partial per channel.
+            ledger.merge(folded);
         });
 
         // Under reordering faults the blocks arrive (and fold) in delivery

@@ -13,7 +13,9 @@ use proptest::prelude::*;
 
 /// An arbitrary plan over the full validated parameter space, including
 /// the pathological corners (total drop, huge negative spikes, deep
-/// reorder buffers).
+/// reorder buffers).  A negative spike's probability is capped where its
+/// mean over delivered samples would pass the 44 W a plan may take from
+/// each.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (
         (
@@ -39,7 +41,7 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 dup_prob: dup,
                 reorder_depth: depth,
                 nan_prob: nan,
-                spike_prob: spike,
+                spike_prob: if w < 0.0 { spike.min(44.0 / -w) } else { spike },
                 spike_w: w,
                 dropout_prob: dropout,
                 dropout_windows: int,

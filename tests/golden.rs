@@ -14,8 +14,9 @@
 mod support;
 
 use pmss::econ::EconTrace;
-use pmss::pipeline::{ArtifactId, Pipeline, ScalePreset, ScenarioSpec};
-use pmss::telemetry::simulate_fleet;
+use pmss::faults::FaultPlan;
+use pmss::pipeline::{ArtifactId, Json, Pipeline, ScalePreset, ScenarioSpec};
+use pmss::telemetry::{scoped_map, simulate_fleet, workers};
 use support::{cli_run, golden};
 
 /// A quick-scale pipeline.
@@ -350,4 +351,105 @@ fn cli_default_output_equals_library_render() {
         .expect("artifact")
         .render_ascii();
     assert_eq!(via_cli, via_lib);
+}
+
+/// One rendering of a golden and the worker count its registry reports.
+type Leg = fn() -> (String, f64);
+
+/// Renders `id` for `spec` through a collecting pipeline.
+fn pipeline_leg(spec: ScenarioSpec, id: ArtifactId) -> (String, f64) {
+    let mut p = Pipeline::new(spec).expect("valid spec");
+    let text = p.artifact(id).expect("artifact").render_ascii();
+    let workers = p.metrics_report().gauge("fleet.workers");
+    (text, workers.expect("fleet.workers"))
+}
+
+/// `pmss query <args> --scale quick` with `--metrics`: the answer with
+/// the report taken off, and the report's worker count.
+fn query_leg(args: &[&str]) -> (String, f64) {
+    let mut argv = vec!["query"];
+    argv.extend_from_slice(args);
+    argv.extend(["--scale", "quick", "--metrics"]);
+    let Json::Obj(fields) = Json::parse(&cli_run(&argv)).expect("answer parses") else {
+        panic!("the answer is an object");
+    };
+    let (report, answer): (Vec<_>, Vec<_>) = fields
+        .into_iter()
+        .partition(|(key, _)| key == "run" || key == "metrics");
+    let workers = Json::Obj(report)
+        .get("metrics")
+        .and_then(|m| m.get("gauges"))
+        .and_then(|g| g.get("fleet.workers"))
+        .and_then(Json::as_f64);
+    (
+        Json::Obj(answer).to_string_pretty(),
+        workers.expect("fleet.workers"),
+    )
+}
+
+/// The goldens of the artifacts whose channel loop runs on workers —
+/// the traced runs behind `stream` and `govern`, the observers `fig 2`
+/// and `peakpower` fold on the caller, and the resident capture behind
+/// `pmss query` — and how each is rendered.
+const THREADED_CASES: [(&str, &str, Leg); 10] = [
+    ("stream", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Stream)
+    }),
+    ("stream-frontier-typical", "txt", || {
+        let mut spec = quick_spec();
+        spec.faults = Some(FaultPlan::preset("frontier-typical").expect("preset"));
+        pipeline_leg(spec, ArtifactId::Stream)
+    }),
+    ("govern", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Govern)
+    }),
+    ("govern-custom", "txt", || {
+        let mut spec = quick_spec();
+        let mut plan = pmss::govern::GovernorPlan::preset("polimer").expect("known preset");
+        plan.interval_windows = 3;
+        plan.budget_w = Some(40_000.0);
+        spec.govern = Some(plan);
+        pipeline_leg(spec, ArtifactId::Govern)
+    }),
+    ("fig2", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Fig2)
+    }),
+    ("peakpower", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::PeakPower)
+    }),
+    ("query-projection", "json", || query_leg(&["projection"])),
+    ("query-ledger", "json", || query_leg(&["ledger"])),
+    ("query-econ-diurnal", "json", || {
+        query_leg(&["econ", "--econ", "diurnal"])
+    }),
+    ("query-coverage-frontier-typical", "json", || {
+        query_leg(&["coverage", "--faults", "frontier-typical"])
+    }),
+];
+
+fn quick_spec() -> ScenarioSpec {
+    ScenarioSpec::preset(ScalePreset::Quick)
+}
+
+/// The worker column: every [`THREADED_CASES`] golden rendered at one
+/// worker — the only job of a two-worker scope, where `workers()` is 1 —
+/// and called directly, on every core, is the golden's bytes.  Each leg's
+/// registry says how many workers it ran on; on a machine with one CPU
+/// the direct leg is a second one-worker leg, and the test says so.
+#[test]
+fn threaded_artifacts_match_their_goldens_at_one_worker_and_at_every_core() {
+    let cores = workers();
+    if cores < 2 {
+        println!("one CPU: the every-core leg ran on one worker too");
+    }
+    for (name, ext, leg) in THREADED_CASES {
+        let want = golden(name, ext);
+        let (one, one_workers) = scoped_map(2, 1, |_| leg()).remove(0);
+        assert_eq!(one_workers, 1.0, "{name}: the one-worker leg");
+        assert!(one == want, "{name}.{ext}: drift at one worker");
+        let (all, all_workers) = leg();
+        assert_eq!(all_workers, cores as f64, "{name}: the every-core leg");
+        assert!(cores < 2 || all_workers >= 2.0);
+        assert!(all == want, "{name}.{ext}: drift at {cores} workers");
+    }
 }

@@ -280,3 +280,37 @@ fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
         assert!(m.gauge("fleet.wall_s").unwrap() >= walls.max().unwrap());
     }
 }
+
+/// `pmss query --metrics` adds the `run` manifest and the registry to the
+/// answer — the capture's one generation, its busy time, the workers and
+/// its row tallies — and leaves every other byte of the answer as it is;
+/// without the flag the answer gains nothing.
+#[test]
+fn query_metrics_report_the_capture_and_leave_the_answer_alone() {
+    let plain = cli_run(&["query", "projection", "--scale", "quick"]);
+    let metered = cli_run(&["query", "projection", "--metrics", "--scale", "quick"]);
+    let Json::Obj(fields) = Json::parse(&metered).expect("answer parses") else {
+        panic!("the answer is an object");
+    };
+    let (report, answer): (Vec<_>, Vec<_>) = fields
+        .into_iter()
+        .partition(|(key, _)| key == "run" || key == "metrics");
+    assert_eq!(Json::Obj(answer).to_string_pretty(), plain);
+    let plain = Json::parse(&plain).expect("plain answer parses");
+    assert!(plain.get("run").is_none() && plain.get("metrics").is_none());
+
+    let report = Json::Obj(report);
+    let command = report.get("run").and_then(|r| r.get("command"));
+    assert_eq!(command.and_then(Json::as_str), Some("query projection"));
+    let metrics = report.get("metrics").expect("metrics");
+    let counter = |name: &str| metrics.get("counters").and_then(|c| c.get(name));
+    let gauge = |name: &str| metrics.get("gauges").and_then(|g| g.get(name));
+    let value = |v: Option<&Json>| v.and_then(Json::as_f64).unwrap_or(-1.0);
+    assert_eq!(value(counter("fleet.runs")), 1.0, "{metered}");
+    assert_eq!(value(counter("fleet.generations")), 1.0, "{metered}");
+    assert!(value(gauge("fleet.wall_s")) > 0.0, "{metered}");
+    assert!(value(gauge("fleet.workers")) >= 1.0, "{metered}");
+    let rows = value(counter("fleet.gpu_samples")) + value(counter("fleet.node_samples"));
+    assert_eq!(rows, value(gauge("resident.rows")), "{metered}");
+    assert!(value(gauge("resident.payload_bytes")) > 0.0, "{metered}");
+}
