@@ -41,23 +41,15 @@ pub enum GapFill {
 
 /// Consumer of fleet telemetry.  Implementations accumulate whatever view
 /// they need (histograms, energy ledgers, joined series); `merge` combines
-/// partials (per channel, per shard, per run).
+/// partials (per channel, per shard, per run).  Every consumer folds one
+/// fresh partial per telemetry channel and merges the partials in
+/// canonical order (nodes ascending; GPU slots `0..4`, then
+/// rest-of-node) — the one accumulation shape, which the batch run, the
+/// streaming engine and resident replay share bit for bit.
 pub trait FleetObserver: Send + Sized {
-    /// Whether the simulation accumulates this observer one fresh partial
-    /// per telemetry channel, merged in canonical order (nodes ascending;
-    /// GPU slots `0..4`, then rest-of-node), instead of applying every
-    /// sample to one running accumulator.
-    ///
-    /// Per-channel grouping is the accumulation shape a bounded-memory
-    /// streaming ingest (`pmss-stream`) can reproduce *bit for bit*: the
-    /// engine holds one partial observer per channel and snapshots by
-    /// merging them in the same canonical order.  Because floating-point
-    /// addition is not associative, the two shapes differ in low-order
-    /// bits, so observers pinned to historical byte-exact output keep the
-    /// default (`false`) and only observers that participate in streaming
-    /// equivalence (the energy ledger) opt in.  For observers whose state
-    /// merges exactly (integer counts), the shapes coincide.
-    const CHANNEL_GROUPED: bool = false;
+    /// Always `true`: every observer is folded per channel (kept for
+    /// callers that still name it).
+    const CHANNEL_GROUPED: bool = true;
 
     /// One GPU power sample (window mean), stamped at the window center.
     fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, t_s: f64, power_w: f64);
@@ -109,11 +101,8 @@ pub trait FleetObserver: Send + Sized {
 
 /// The observer that observes nothing: drives a block generator for the
 /// blocks alone (`pmss_telemetry::fleet_window_blocks`, a trace capture
-/// beside an already-folded stage) at no per-row cost.  It merges exactly,
-/// so it is channel-grouped: a run folds its empty partials where the rows
-/// are, instead of carrying the rows to one accumulator.
+/// beside an already-folded stage) at no per-row cost.
 impl FleetObserver for () {
-    const CHANNEL_GROUPED: bool = true;
     fn gpu_sample(&mut self, _ctx: &SampleCtx<'_>, _t_s: f64, _power_w: f64) {}
     fn fold_rows(&mut self, _: &Schedule, _: &ColumnBlock, _: std::ops::Range<usize>) {}
     fn merge(&mut self, _other: ()) {}

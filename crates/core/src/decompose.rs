@@ -325,11 +325,6 @@ impl EnergyLedger {
 }
 
 impl FleetObserver for EnergyLedger {
-    // The ledger is the observer the streaming ingest engine reproduces
-    // bit-for-bit, so the batch simulation accumulates it per channel —
-    // the only grouping a bounded-memory stream can replay exactly.
-    const CHANNEL_GROUPED: bool = true;
-
     fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, _t_s: f64, power_w: f64) {
         let w = self.window();
         // A non-finite reading cannot be classified into a region without

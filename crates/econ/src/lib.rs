@@ -11,7 +11,7 @@
 //! * [`EconSeries`] — a [`FleetObserver`] accumulating per-slot
 //!   (15-minute) energy lanes alongside the energy ledger, bit-identical
 //!   across the batch, streaming, and compressed-resident ingestion
-//!   paths (it is channel-grouped and its per-event operations depend
+//!   paths (it is folded per channel and its per-event operations depend
 //!   only on the event itself);
 //! * [`shift`] — the temporal-shifting what-if: defer boosted-mode work
 //!   to cheap/clean slots under a configurable deadline and power

@@ -5,8 +5,8 @@
 //! Accumulation mirrors the energy ledger's operations exactly — samples
 //! bill `power × window`, gap fills and rest-of-node bill `value ×
 //! span` — but keyed by *when* the window happened instead of which
-//! mode/domain it ran in.  Like the ledger it is channel-grouped, its
-//! per-event operations depend only on the event itself, and its merge
+//! mode/domain it ran in.  Like every observer it is folded per channel,
+//! its per-event operations depend only on the event itself, and its merge
 //! is an elementwise add, so batch simulation, streaming ingest, and
 //! compressed-resident replay all produce bit-identical series.
 
@@ -213,10 +213,6 @@ impl EconSeries {
 }
 
 impl FleetObserver for EconSeries {
-    // Accumulated per channel like the ledger, so streaming snapshots
-    // and resident replay reproduce the batch series bit for bit.
-    const CHANNEL_GROUPED: bool = true;
-
     fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, t_s: f64, power_w: f64) {
         // Non-finite readings are discarded exactly like the ledger
         // does; the coverage accounting lives there, not here.

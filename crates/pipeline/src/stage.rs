@@ -407,10 +407,10 @@ fn fleet_stage<'a>(
 
 /// Runs the fleet stage — the scenario's schedule, then one fleet run of it
 /// made by `sink`, folding the ledger, the econ series when `econ` or the
-/// spec prices energy, and `X` — and counts it.  Every member folds in a
-/// pair with the channel-grouped ledger, and `Pair` folds each row range
-/// into each member independently, so a member's bits are the same
-/// whatever else the run folds.
+/// spec prices energy, and `X` — and counts it.  Every member folds per
+/// channel, and `Pair` folds each row range into each member
+/// independently, so a member's bits are the same whatever else the run
+/// folds.
 fn run_fleet_stage<X: FleetObserver + Default, T: TraceSink>(
     spec: &ScenarioSpec,
     metrics: &mut Metrics,

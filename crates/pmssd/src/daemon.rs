@@ -288,16 +288,23 @@ fn serve_connection<S: Read + Write>(
 ) {
     let mut bound: Bound = None;
     loop {
-        let (ty, payload) = match proto::read_frame(stream) {
+        let (ty, payload) = match proto::read_request(stream) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
-        let reply = match ty {
-            frame::OPEN => handle_open(&payload, registry, queue, &mut bound),
-            frame::BLOCK => handle_block(&payload, &bound),
-            frame::FLUSH => handle_flush(&bound),
-            frame::QUERY => handle_query(&payload, &bound),
-            frame::SHUTDOWN => {
+        let reply = match (ty, payload) {
+            (_, Err(len)) => Err((
+                code::MALFORMED,
+                format!(
+                    "JSON payload of {len} bytes exceeds the {}-byte bound",
+                    proto::MAX_JSON_PAYLOAD
+                ),
+            )),
+            (frame::OPEN, Ok(payload)) => handle_open(&payload, registry, queue, &mut bound),
+            (frame::BLOCK, Ok(payload)) => handle_block(&payload, &bound),
+            (frame::FLUSH, _) => handle_flush(&bound),
+            (frame::QUERY, Ok(payload)) => handle_query(&payload, &bound),
+            (frame::SHUTDOWN, _) => {
                 // Ack first: once the flag flips, the run loop may
                 // force-close this very socket.
                 let _ = proto::write_frame(stream, status::OK, b"");
@@ -305,7 +312,7 @@ fn serve_connection<S: Read + Write>(
                 wake();
                 return;
             }
-            other => Err((
+            (other, _) => Err((
                 code::USAGE,
                 format!("unknown frame type {other} (expected 1..=5)"),
             )),

@@ -8,7 +8,10 @@
 //!
 //! `len` counts the type byte plus the payload and is bounded by
 //! `MAX_FRAME`; an oversized or truncated frame is a transport error
-//! and closes the connection.  Request types are in [`frame`], response
+//! and closes the connection.  A request carrying JSON (OPEN, QUERY) is
+//! bounded far lower, by [`MAX_JSON_PAYLOAD`]: a longer one is read past
+//! unallocated and refused as `malformed`, and the connection goes on.
+//! Request types are in [`frame`], response
 //! statuses in [`status`].  An `ERR` payload is JSON
 //! `{"code": <typed code>, "error": <human detail>}` with the code drawn
 //! from the [`code`] vocabulary, so clients can branch on rejection
@@ -22,6 +25,15 @@ use pmss_stream::StreamError;
 /// Hard bound on one frame's `type + payload` size (64 MiB): a hostile
 /// length prefix must not drive an unbounded allocation.
 pub(crate) const MAX_FRAME: usize = 64 << 20;
+
+/// Bound on the payload of a request that carries JSON (OPEN, QUERY):
+/// 8 MiB.  `Json::parse` builds a tree several times its input, so a
+/// JSON frame is refused at this bound, before its payload is allocated,
+/// not at `MAX_FRAME`.  The largest spec the spec's bounds admit is
+/// dominated by its two 86 400-bucket econ series: at full precision a
+/// value in `[1e-6, 1e16)` is at most 24 characters, so both series are
+/// ~4.3 MB of compact JSON.  A query is a few dozen bytes.
+pub const MAX_JSON_PAYLOAD: usize = 8 << 20;
 
 /// Request frame types (client → daemon).
 pub mod frame {
@@ -137,6 +149,34 @@ pub fn write_frame<S: Write>(s: &mut S, ty: u8, payload: &[u8]) -> std::io::Resu
 /// Reads one frame; `Ok(None)` on clean end-of-stream before a length
 /// prefix, an error on truncation, a hostile length, or an empty frame.
 pub fn read_frame<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> {
+    let Some((ty, n)) = read_header(s)? else {
+        return Ok(None);
+    };
+    Ok(Some((ty, read_payload(s, n)?)))
+}
+
+/// A request frame's type and payload, or — for a JSON frame past
+/// [`MAX_JSON_PAYLOAD`] — the payload's length, its bytes read past.
+pub(crate) type Request = (u8, Result<Vec<u8>, usize>);
+
+/// Reads one request frame as [`read_frame`] does, except that an OPEN
+/// or QUERY payload longer than [`MAX_JSON_PAYLOAD`] is read past without
+/// being allocated and comes back as `Err(its length)`.
+pub(crate) fn read_request<S: Read>(s: &mut S) -> std::io::Result<Option<Request>> {
+    let Some((ty, n)) = read_header(s)? else {
+        return Ok(None);
+    };
+    if matches!(ty, frame::OPEN | frame::QUERY) && n > MAX_JSON_PAYLOAD {
+        if std::io::copy(&mut s.take(n as u64), &mut std::io::sink())? < n as u64 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        return Ok(Some((ty, Err(n))));
+    }
+    Ok(Some((ty, Ok(read_payload(s, n)?))))
+}
+
+/// Reads a frame's length prefix and type byte: `(type, payload length)`.
+fn read_header<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, usize)>> {
     let mut len_buf = [0u8; 4];
     match s.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -152,9 +192,14 @@ pub fn read_frame<S: Read>(s: &mut S) -> std::io::Result<Option<(u8, Vec<u8>)>> 
     }
     let mut ty = [0u8; 1];
     s.read_exact(&mut ty)?;
-    let mut payload = vec![0u8; len - 1];
+    Ok(Some((ty[0], len - 1)))
+}
+
+/// Reads a payload of `n` bytes.
+fn read_payload<S: Read>(s: &mut S, n: usize) -> std::io::Result<Vec<u8>> {
+    let mut payload = vec![0u8; n];
     s.read_exact(&mut payload)?;
-    Ok(Some((ty[0], payload)))
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -212,6 +257,32 @@ mod tests {
         t.truncate(t.len() - 2);
         let mut t = std::io::Cursor::new(t);
         assert!(read_frame(&mut t).is_err());
+    }
+
+    #[test]
+    fn json_requests_past_their_bound_are_read_past_unallocated() {
+        let mut wire = Vec::new();
+        let at_bound = vec![b' '; MAX_JSON_PAYLOAD];
+        let past = vec![b' '; MAX_JSON_PAYLOAD + 1];
+        write_frame(&mut wire, frame::OPEN, &at_bound).unwrap();
+        write_frame(&mut wire, frame::QUERY, &past).unwrap();
+        write_frame(&mut wire, frame::OPEN, &past).unwrap();
+        write_frame(&mut wire, frame::BLOCK, &past).unwrap();
+        write_frame(&mut wire, frame::FLUSH, b"").unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut next = || read_request(&mut cursor).unwrap();
+        assert_eq!(next(), Some((frame::OPEN, Ok(at_bound))));
+        assert_eq!(next(), Some((frame::QUERY, Err(MAX_JSON_PAYLOAD + 1))));
+        assert_eq!(next(), Some((frame::OPEN, Err(MAX_JSON_PAYLOAD + 1))));
+        // BLOCK frames keep the transport bound; the stream stays framed.
+        assert_eq!(next(), Some((frame::BLOCK, Ok(past))));
+        assert_eq!(next(), Some((frame::FLUSH, Ok(Vec::new()))));
+        assert_eq!(next(), None);
+        // A JSON frame cut short while being read past is a truncation.
+        let mut cut = Vec::new();
+        write_frame(&mut cut, frame::OPEN, &[b' '; MAX_JSON_PAYLOAD + 1]).unwrap();
+        cut.truncate(cut.len() - 1);
+        assert!(read_request(&mut std::io::Cursor::new(cut)).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! longer be preceded by a late sibling, and snapshots by merging the
 //! partials in the batch simulation's canonical channel order — which is
 //! what makes a snapshot bit-identical to [`simulate_fleet`] over the same
-//! windows (see [`FleetObserver::CHANNEL_GROUPED`]).
+//! windows, for every observer.
 //!
 //! Memory is O(live channels × horizon) buffered windows, never O(trace).
 //!
@@ -30,12 +30,18 @@ use pmss_telemetry::{
 /// channel — the stride of the dense per-shard channel table.
 const CHANNELS_PER_NODE: usize = REST_SLOT as usize + 1;
 
-/// Default bound on a channel's reorder-ring span, in windows (see
-/// [`StreamConfig::max_span_windows`]): ~2 years of 15 s windows, far above
-/// any real campaign (three months is ~5×10⁵ windows) but small enough
-/// that a single adversarial far-future window can never grow a ring past
-/// a few hundred megabytes.
-pub(crate) const DEFAULT_MAX_SPAN: u64 = 1 << 22;
+/// Bound on a channel's reorder-ring span, in windows: an event whose
+/// window is this many or more past the channel's release floor is
+/// rejected with [`StreamError::SpanOverflow`] instead of growing the ring
+/// toward it.  The ring grows lazily to the span actually buffered, so
+/// this is the engine's memory armor against adversarial far-future
+/// windows (a window near `u64::MAX` would otherwise demand an unpayable
+/// allocation).  ~2 years of 15 s windows: far above any real campaign
+/// (three months is ~5×10⁵ windows, and a generator stream never spans
+/// more than the horizon plus the longest dropped run) but small enough
+/// that one far-future window can never grow a ring past a few hundred
+/// megabytes.
+const MAX_SPAN_WINDOWS: u64 = 1 << 22;
 
 /// Spill vectors kept per shard for reuse.  Spills only happen on
 /// duplicate deliveries of one window, so a handful of slabs covers any
@@ -53,16 +59,6 @@ pub struct StreamConfig {
     /// window can still arrive.  Must exceed the delivery lag bound
     /// (`FaultPlan::reorder_depth`); see [`StreamConfig::for_plan`].
     pub reorder_horizon: u64,
-    /// Bound on a channel's reorder-ring span, in windows: an event whose
-    /// window is this many or more past the channel's release floor is
-    /// rejected with [`StreamError::SpanOverflow`] instead of growing the
-    /// ring toward it.  The ring grows lazily to the span actually
-    /// buffered, so this is the engine's memory armor against adversarial
-    /// far-future windows (a window near `u64::MAX` would otherwise
-    /// demand an unpayable allocation).  Generator streams never span
-    /// more than the horizon plus the longest dropped run, so the
-    /// `DEFAULT_MAX_SPAN` default is invisible to legitimate traffic.
-    pub max_span_windows: u64,
 }
 
 impl Default for StreamConfig {
@@ -70,7 +66,6 @@ impl Default for StreamConfig {
         StreamConfig {
             shards: 1,
             reorder_horizon: 1,
-            max_span_windows: DEFAULT_MAX_SPAN,
         }
     }
 }
@@ -88,7 +83,6 @@ impl StreamConfig {
         StreamConfig {
             shards: 1,
             reorder_horizon: depth + 1,
-            max_span_windows: DEFAULT_MAX_SPAN,
         }
     }
 
@@ -112,13 +106,6 @@ impl StreamConfig {
                 "stream reorder horizon",
                 "0",
                 "at least one window of lateness tolerance",
-            ));
-        }
-        if self.max_span_windows == 0 {
-            return Err(PmssError::invalid_value(
-                "stream max span",
-                "0",
-                "at least one window of addressable reorder span",
             ));
         }
         Ok(())
@@ -157,8 +144,8 @@ pub enum StreamError {
         nodes: u64,
     },
     /// The event's window is too far past its channel's release floor to
-    /// be buffered: accepting it would grow the reorder ring beyond
-    /// [`StreamConfig::max_span_windows`] (or beyond addressable memory).
+    /// be buffered: accepting it would grow the reorder ring beyond the
+    /// engine's span bound (or beyond addressable memory).
     SpanOverflow {
         /// Node of the offending event.
         node: u32,
@@ -168,7 +155,7 @@ pub enum StreamError {
         window: u64,
         /// The channel's release floor (first still-accepted window).
         floor: u64,
-        /// The configured span bound the event exceeded.
+        /// The span bound the event exceeded, in windows.
         max_span: u64,
     },
     /// The event attributes its sample to a job index outside the
@@ -241,7 +228,7 @@ impl From<StreamError> for PmssError {
         let expected = match e {
             StreamError::LateArrival { .. } => "delivery lag within the configured reorder horizon",
             StreamError::InvalidChannel { .. } => "a channel the schedule's fleet has",
-            StreamError::SpanOverflow { .. } => "a window within the configured reorder span bound",
+            StreamError::SpanOverflow { .. } => "a window within the reorder span bound",
             StreamError::InvalidJob { .. } => "a job index within the schedule's job log",
         };
         PmssError::invalid_value("stream event", e.to_string(), expected)
@@ -415,11 +402,8 @@ fn release_ready<O: FleetObserver>(
 
 /// The streaming ingest engine, generic over the observer it maintains.
 ///
-/// Snapshots are bit-identical to the batch path only for observers the
-/// batch simulation accumulates per channel
-/// ([`FleetObserver::CHANNEL_GROUPED`], i.e. the energy ledger); for other
-/// observers a snapshot is the same telemetry under a different — equally
-/// valid — floating-point association.
+/// Snapshots are bit-identical to the batch path for every observer: both
+/// fold one partial per channel and merge them in canonical order.
 pub struct StreamEngine<'a, O: FleetObserver + Default + Clone> {
     schedule: &'a Schedule,
     cfg: StreamConfig,
@@ -531,13 +515,13 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
         // allocation or landing in some other window's slot.
         let span = ev.window - floor;
         match usize::try_from(span) {
-            Ok(idx) if span < self.cfg.max_span_windows => Ok(idx),
+            Ok(idx) if span < MAX_SPAN_WINDOWS => Ok(idx),
             _ => Err(StreamError::SpanOverflow {
                 node: ev.node,
                 slot: ev.slot,
                 window: ev.window,
                 floor,
-                max_span: self.cfg.max_span_windows,
+                max_span: MAX_SPAN_WINDOWS,
             }),
         }
     }
@@ -741,7 +725,7 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
             // the floor the per-event path would check row `i` against.
             let floor_now = if lo == 0 { floor0 } else { ws[lo - 1] + 1 };
             let span = w - floor_now;
-            if span >= self.cfg.max_span_windows || usize::try_from(span).is_err() {
+            if span >= MAX_SPAN_WINDOWS || usize::try_from(span).is_err() {
                 return false;
             }
             let m = max_seen0.max(w);
@@ -872,9 +856,8 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// batch result over exactly the ingested window set.
     ///
     /// Channels merge in [`StreamEngine::channel_snapshots`]' canonical
-    /// order, which makes the result independent of the shard count and,
-    /// for channel-grouped observers, bit-identical to
-    /// [`pmss_telemetry::simulate_fleet`].
+    /// order, which makes the result independent of the shard count and
+    /// bit-identical to [`pmss_telemetry::simulate_fleet`].
     pub fn snapshot(&self) -> O {
         let mut out = O::default();
         for (_, part) in self.channel_snapshots() {
@@ -932,7 +915,9 @@ mod tests {
     use super::*;
     use pmss_core::EnergyLedger;
     use pmss_sched::{catalog, generate, TraceParams};
-    use pmss_telemetry::{fleet_window_blocks, simulate_fleet, FleetConfig};
+    use pmss_telemetry::{
+        fleet_window_blocks, simulate_fleet, FleetConfig, FleetPowerSeries, GpuCpuEnergy,
+    };
 
     fn schedule() -> Schedule {
         generate(
@@ -1009,6 +994,39 @@ mod tests {
         assert_eq!(stats.late_rejects, 0);
     }
 
+    /// Batch and stream fold every observer one partial per channel,
+    /// merged in canonical order, so a stream fed the run's channel blocks
+    /// is the batch observer bit for bit (`Debug` shows every float at
+    /// full precision) — `fig 2`'s energy split and `peakpower`'s series
+    /// as much as the ledger, clean and under `harsh`.
+    #[test]
+    fn block_stream_matches_batch_bit_for_bit_for_every_observer() {
+        fn check<O: FleetObserver + Default + Clone + fmt::Debug>(
+            sched: &Schedule,
+            cfg: &FleetConfig,
+            what: &str,
+        ) {
+            let batch: O = simulate_fleet(sched, cfg);
+            let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
+            let mut eng: StreamEngine<'_, O> = StreamEngine::new(sched, stream_cfg).unwrap();
+            fleet_window_blocks(sched, cfg, |b| eng.ingest_block(b).unwrap());
+            let (streamed, stats) = eng.finish();
+            assert!(stats.events > 0, "{what}");
+            assert_eq!(stats.late_rejects, 0, "{what}");
+            assert_eq!(format!("{streamed:?}"), format!("{batch:?}"), "{what}");
+        }
+        let sched = schedule();
+        let harsh = FleetConfig {
+            faults: Some(FaultPlan::preset("harsh").unwrap()),
+            ..FleetConfig::default()
+        };
+        for (what, cfg) in [("clean", FleetConfig::default()), ("harsh", harsh)] {
+            check::<EnergyLedger>(&sched, &cfg, what);
+            check::<GpuCpuEnergy>(&sched, &cfg, what);
+            check::<FleetPowerSeries>(&sched, &cfg, what);
+        }
+    }
+
     #[test]
     fn snapshot_is_shard_count_invariant() {
         let sched = schedule();
@@ -1079,7 +1097,6 @@ mod tests {
             StreamConfig {
                 shards: 2,
                 reorder_horizon: horizon,
-                ..StreamConfig::default()
             },
         )
         .unwrap();
@@ -1255,31 +1272,30 @@ mod tests {
     #[test]
     fn far_future_window_is_rejected_as_span_overflow() {
         let sched = schedule();
-        let cfg = StreamConfig {
-            max_span_windows: 8,
-            ..StreamConfig::default()
-        };
-        let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&sched, cfg).unwrap();
-        eng.ingest(sample(0, 0, 7, None)).unwrap(); // span 7: buffered
-        let err = eng.ingest(sample(0, 0, 8, None)).unwrap_err(); // one past
+        let mut eng: StreamEngine<'_, EnergyLedger> =
+            StreamEngine::new(&sched, StreamConfig::default()).unwrap();
+        // The exact boundary, checked without buffering: a ring that far
+        // out would be tens of megabytes.
+        let last = MAX_SPAN_WINDOWS - 1;
+        assert_eq!(eng.admit(&sample(0, 0, last, None)), Ok(last as usize));
         assert!(matches!(
-            err,
-            StreamError::SpanOverflow {
-                window: 8,
-                max_span: 8,
+            eng.admit(&sample(0, 0, MAX_SPAN_WINDOWS, None)),
+            Err(StreamError::SpanOverflow {
+                window: MAX_SPAN_WINDOWS,
+                max_span: MAX_SPAN_WINDOWS,
                 ..
-            }
+            })
         ));
-        let err = eng.ingest(sample(0, 0, u64::MAX, None)).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::SpanOverflow {
-                window: u64::MAX,
-                ..
-            }
-        ));
+        for window in [MAX_SPAN_WINDOWS, u64::MAX] {
+            let err = eng.ingest(sample(0, 0, window, None)).unwrap_err();
+            assert!(
+                matches!(err, StreamError::SpanOverflow { window: w, .. } if w == window),
+                "{err}"
+            );
+        }
         assert_eq!(eng.stats().span_rejects, 2);
         // The rejected frames left the channel fully usable.
+        eng.ingest(sample(0, 0, 1, None)).unwrap();
         eng.ingest(sample(0, 0, 0, None)).unwrap();
         let (ledger, stats) = eng.finish();
         assert_eq!(stats.samples, 2);
@@ -1302,11 +1318,8 @@ mod tests {
     #[test]
     fn adversarial_block_is_rejected_atomically() {
         let sched = schedule();
-        let cfg = StreamConfig {
-            max_span_windows: 8,
-            ..StreamConfig::default()
-        };
-        let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&sched, cfg).unwrap();
+        let mut eng: StreamEngine<'_, EnergyLedger> =
+            StreamEngine::new(&sched, StreamConfig::default()).unwrap();
         // A block on an out-of-schedule channel is refused as a whole.
         let mut bad_channel = ColumnBlock::new(u32::MAX, 0);
         bad_channel.push(&sample(u32::MAX, 0, 0, None));
@@ -1325,13 +1338,22 @@ mod tests {
         assert!(matches!(err, StreamError::InvalidJob { window: 1, .. }));
         assert_eq!(eng.stats().job_rejects, 1);
         assert_eq!(eng.stats().events, 1, "valid prefix was ingested");
-        // Same prefix semantics for a far-future row inside a block.
-        let mut far = ColumnBlock::new(1, 0);
-        far.push(&sample(1, 0, 0, None));
-        far.push(&sample(1, 0, 20, None));
-        let err = eng.ingest_block(&far).unwrap_err();
-        assert!(matches!(err, StreamError::SpanOverflow { window: 20, .. }));
-        assert_eq!(eng.stats().span_rejects, 1);
-        assert_eq!(eng.stats().events, 2);
+        // Same prefix semantics for a far-future row inside a block, at
+        // the span bound and at the end of the window range.
+        for (node, window) in [(1, MAX_SPAN_WINDOWS), (2, u64::MAX)] {
+            let mut far = ColumnBlock::new(node, 0);
+            far.push(&sample(node, 0, 0, None));
+            far.push(&sample(node, 0, window, None));
+            let err = eng.ingest_block(&far).unwrap_err();
+            assert!(
+                matches!(err, StreamError::SpanOverflow { window: w, .. } if w == window),
+                "{err}"
+            );
+        }
+        assert_eq!(eng.stats().span_rejects, 2);
+        assert_eq!(eng.stats().events, 3);
+        // The channel takes its next window afterwards.
+        eng.ingest(sample(1, 0, 1, None)).unwrap();
+        assert_eq!(eng.stats().events, 4);
     }
 }

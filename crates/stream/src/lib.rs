@@ -22,9 +22,9 @@
 //!
 //! Floating-point addition is not associative, so a stream can only match
 //! the batch sum if both use the same association.  The batch simulation
-//! accumulates ledger-bearing observers *per channel*, merging channel
-//! partials in canonical order (nodes ascending; GPU slots `0..4`, then
-//! rest-of-node) — see `FleetObserver::CHANNEL_GROUPED`.  The engine keeps
+//! accumulates every observer *per channel*, merging channel partials in
+//! canonical order (nodes ascending; GPU slots `0..4`, then
+//! rest-of-node) — see [`pmss_telemetry::FleetObserver`].  The engine keeps
 //! exactly those partials, applies each channel's windows in ascending
 //! window order (what the reorder buffer restores), and snapshots by
 //! merging in the same canonical order.  Equality is structural, not

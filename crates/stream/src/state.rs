@@ -54,8 +54,8 @@ impl StreamState {
     /// Snapshots a paired ledger + econ-series engine.  The ledger
     /// component is bit-identical to what [`StreamState::capture`] yields
     /// from a ledger-only engine over the same windows: `Pair` forwards
-    /// each event to both members independently and both are
-    /// channel-grouped, so pairing changes no ledger operation.
+    /// each event to both members independently, so pairing changes no
+    /// ledger operation.
     pub fn capture_pair(
         engine: &StreamEngine<'_, Pair<EnergyLedger, EconSeries>>,
         frontier_factor: f64,

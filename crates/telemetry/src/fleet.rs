@@ -11,10 +11,11 @@
 //! budget, fault decisions) is independent of every other's, so every run
 //! — a fold, a fold that retains its channels, a capture — is one channel
 //! loop over whole nodes on every core (`run_channels`): each worker
-//! generates a node and does each channel's order-free work (a
-//! channel-grouped fold, arrival sorting and a consumer's `map`), and the
-//! calling thread merges, retains and tallies in canonical order, so the
-//! result is the same bits at any worker count.
+//! generates a node and does each channel's order-free work (the
+//! observer's fold into a per-channel partial, arrival sorting and a
+//! consumer's `map`), and the calling thread merges, retains and tallies
+//! in canonical order, so the result is the same bits at any worker
+//! count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,8 +30,6 @@ use pmss_workloads::phases::synthesize_app;
 use pmss_workloads::AppClass;
 
 use pmss_columns::{BlockGrid, ColumnBlock, WindowEvent, WindowKind, NO_JOB, REST_SLOT, TILE_ROWS};
-
-use std::sync::Mutex;
 
 use crate::threads::{scoped_sink, workers};
 
@@ -739,8 +738,7 @@ where
 /// [`simulate_fleet_metered`] returns under that plan alone, bit for bit.
 /// The nodes run on `workers` threads (the channel loop), each
 /// node's clean tiles generated once and delivered under every plan
-/// while they are hot.  Defined for [`FleetObserver::CHANNEL_GROUPED`]
-/// observers (a compile-time check), whose partials fold apart.
+/// while they are hot.
 pub fn simulate_fleet_plans<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
@@ -750,12 +748,6 @@ pub fn simulate_fleet_plans<O>(
 where
     O: FleetObserver + Default,
 {
-    const {
-        assert!(
-            O::CHANNEL_GROUPED,
-            "the channel loop merges per-channel partials"
-        )
-    };
     FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).channels::<O, ()>(workers, None)
 }
 
@@ -1094,21 +1086,18 @@ impl<'a> FleetRun<'a> {
 
     /// The channel loop: whole nodes on `workers` threads
     /// ([`scoped_sink`]), each worker generating a node's channels into
-    /// its own scratch and doing each channel's order-free work there: a
-    /// [`FleetObserver::CHANNEL_GROUPED`] observer's fold into a fresh
-    /// partial per channel and plan, and a retaining run's `map`.  An
-    /// observer that is not channel-grouped is one running accumulator,
-    /// so its rows travel to the caller instead.  The caller takes each
-    /// node's result in node order and, channel by channel in canonical
-    /// `(node, slot)` order, merges the partial (or folds the rows) and
-    /// `keep`s what `map` made, then adds the node's tallies: a
-    /// sequential pass's operations in its order (split folds are
-    /// bit-equal to whole ones), so the bits do not depend on the worker
-    /// count.  A worker's scratch holds whole channels only where the
-    /// work needs them — rows for the caller, a `map` that asks for them,
-    /// a reordering plan's arrival sort — and otherwise one [`TILE_ROWS`]
-    /// tile.  Results are per plan, in plan order; a run that retains
-    /// delivers one plan.
+    /// its own scratch and doing each channel's order-free work there:
+    /// the observer's fold into a fresh partial per channel and plan, and
+    /// a retaining run's `map`.  The caller takes each node's result in
+    /// node order and, channel by channel in canonical `(node, slot)`
+    /// order, merges the partial and `keep`s what `map` made, then adds
+    /// the node's tallies: a sequential pass's operations in its order
+    /// (split folds are bit-equal to whole ones), so the bits do not
+    /// depend on the worker count.  A worker's scratch holds whole
+    /// channels only where the work needs them — a `map` that asks for
+    /// them, a reordering plan's arrival sort — and otherwise one
+    /// [`TILE_ROWS`] tile.  Results are per plan, in plan order; a run
+    /// that retains delivers one plan.
     fn channels<O, T>(
         &self,
         workers: usize,
@@ -1127,28 +1116,16 @@ impl<'a> FleetRun<'a> {
             .map(|p| p.is_some_and(|(p, _)| p.reorder_depth > 0))
             .collect();
         let map = retain.as_ref().map(|r| r.map);
-        let whole =
-            !O::CHANNEL_GROUPED || retain.as_ref().is_some_and(|r| r.whole || reordering[0]);
+        let whole = retain.as_ref().is_some_and(|r| r.whole || reordering[0]);
         let scratch = (0..workers.max(1)).map(|_| self.scratch(whole)).collect();
-        let spare = Mutex::new(Vec::new());
         let node_channels = |scratch: &mut ChannelScratch, node: usize| {
-            let mut done: Vec<Vec<Channel<O, T>>> = (0..plans)
+            let mut done: Vec<Vec<(O, Option<T>)>> = (0..plans)
                 .map(|_| Vec::with_capacity(GPUS_PER_NODE + 1))
                 .collect();
             let mut part: Vec<O> = (0..plans).map(|_| O::default()).collect();
             let mut made: Vec<Option<T>> = (0..plans).map(|_| None).collect();
             let stats = self.node_channel_blocks(node, scratch, |p, block, last| {
-                let fold = if O::CHANNEL_GROUPED {
-                    part[p].fold_block(self.schedule, block);
-                    last.then(|| Fold::Part(std::mem::take(&mut part[p])))
-                } else if map.is_some() {
-                    last.then(|| Fold::Rows(block.clone()))
-                } else {
-                    // The rows go to the caller, and a folded channel's
-                    // buffer comes back in their place.
-                    let spare = || spare.lock().expect("spare rows").pop().unwrap_or_default();
-                    last.then(|| Fold::Rows(std::mem::replace(block, spare())))
-                };
+                part[p].fold_block(self.schedule, block);
                 if let Some(map) = map {
                     // A reordering plan's channel comes whole: put it into
                     // arrival order.
@@ -1157,8 +1134,8 @@ impl<'a> FleetRun<'a> {
                     }
                     made[p] = Some(map(made[p].take(), block));
                 }
-                if let Some(fold) = fold {
-                    done[p].push((fold, made[p].take()));
+                if last {
+                    done[p].push((std::mem::take(&mut part[p]), made[p].take()));
                 }
             });
             done.into_iter().zip(stats).collect::<Vec<_>>()
@@ -1176,14 +1153,8 @@ impl<'a> FleetRun<'a> {
             node_channels,
             |_, node| {
                 for ((obs, stats), (channels, node_stats)) in runs.iter_mut().zip(node) {
-                    for (fold, made) in channels {
-                        match fold {
-                            Fold::Part(part) => obs.merge(part),
-                            Fold::Rows(rows) => {
-                                obs.fold_block(self.schedule, &rows);
-                                spare.lock().expect("spare rows").push(rows);
-                            }
-                        }
+                    for (part, made) in channels {
+                        obs.merge(part);
                         if let (Some(made), Some(retain)) = (made, retain.as_mut()) {
                             (retain.keep)(made);
                         }
@@ -1207,17 +1178,6 @@ pub(crate) struct Retain<'r, T> {
     pub(crate) map: &'r (dyn Fn(Option<T>, &ColumnBlock) -> T + Sync),
     pub(crate) keep: &'r mut dyn FnMut(T),
 }
-
-/// What the caller folds of one delivered channel: a channel-grouped
-/// observer's partial, or the rows of one that is not.
-enum Fold<O> {
-    Part(O),
-    Rows(ColumnBlock),
-}
-
-/// One delivered channel as a worker hands it to the caller: its fold
-/// and, when the run retains, what `map` made of it.
-type Channel<O, T> = (Fold<O>, Option<T>);
 
 /// The window grid every channel is generated on: the run's window
 /// layout, unskewed.
@@ -1794,8 +1754,8 @@ mod tests {
     /// observers (with the `diurnal` price/carbon trace integrated over
     /// the econ series — an econ scenario's fleet run is the clean one),
     /// folded alone in tiles and beside a delivery-trace capture; the
-    /// trace's blocks; `fig 2`'s and `peakpower`'s observers, which are
-    /// not channel-grouped; the resident store's payload bytes and the
+    /// trace's blocks; `fig 2`'s and `peakpower`'s observers; the
+    /// resident store's payload bytes and the
     /// `fleet_window_blocks` block sequence; and every run's tallies.
     /// `run` is the loop, handed the run and a consumer's `Retain`.
     fn consumers(

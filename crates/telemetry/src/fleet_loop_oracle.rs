@@ -1,7 +1,6 @@
 //! The loop oracle: the sequential pass over a run's channels that the
 //! channel loop replaced — every node on the calling thread, each channel
-//! generated whole and folded (a channel-grouped observer into a fresh
-//! partial merged at once, any other straight into the accumulator) and,
+//! generated whole and folded into a fresh partial merged at once and,
 //! when the run retains, put into arrival order and handed whole to `map`
 //! and then `keep`, one channel after the other.  [`FleetRun::channels`]
 //! must give every consumer the same bits at any worker count.
@@ -24,13 +23,9 @@ impl FleetRun<'_> {
         let (mut obs, mut stats) = (O::default(), FleetRunStats::default());
         for node in 0..self.schedule.per_node.len() {
             let node_stats = self.node_channel_blocks(node, &mut scratch, |_, block, _| {
-                if O::CHANNEL_GROUPED {
-                    let mut channel = O::default();
-                    channel.fold_block(self.schedule, block);
-                    obs.merge(channel);
-                } else {
-                    obs.fold_block(self.schedule, block);
-                }
+                let mut channel = O::default();
+                channel.fold_block(self.schedule, block);
+                obs.merge(channel);
                 if let Some(Retain { map, keep, .. }) = retain.as_mut() {
                     if reordering && block.slot() != REST_SLOT {
                         block.sort_arrival();

@@ -214,11 +214,6 @@ pub struct Pair<A, B> {
 }
 
 impl<A: FleetObserver, B: FleetObserver> FleetObserver for Pair<A, B> {
-    // A pair is channel-grouped when either member needs to be: grouping
-    // is a property of the whole simulation pass, and members whose state
-    // merges exactly (integer-count histograms) are unaffected by it.
-    const CHANNEL_GROUPED: bool = A::CHANNEL_GROUPED || B::CHANNEL_GROUPED;
-
     fn gpu_sample(&mut self, ctx: &SampleCtx<'_>, t_s: f64, power_w: f64) {
         self.a.gpu_sample(ctx, t_s, power_w);
         self.b.gpu_sample(ctx, t_s, power_w);

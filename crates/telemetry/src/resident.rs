@@ -105,10 +105,6 @@ impl ResidentFleet {
     /// result is the same bits at any worker count.  The first decode
     /// error in that order is returned.  `schedule` must be the one the
     /// store was captured from (job attribution indexes its job log).
-    ///
-    /// Replay is defined for [`FleetObserver::CHANNEL_GROUPED`] observers
-    /// only (a compile-time check): per-channel partials are what lets
-    /// the channels fold apart.
     pub fn replay<O: FleetObserver + Default>(&self, schedule: &Schedule) -> Result<O, PmssError> {
         self.replay_on(workers(), schedule)
     }
@@ -119,12 +115,6 @@ impl ResidentFleet {
         workers: usize,
         schedule: &Schedule,
     ) -> Result<O, PmssError> {
-        const {
-            assert!(
-                O::CHANNEL_GROUPED,
-                "resident replay merges per-channel partials"
-            )
-        };
         let scratch = (0..workers.max(1))
             .map(|_| ColumnBlock::with_capacity(0, 0, TILE_ROWS))
             .collect();
@@ -231,14 +221,15 @@ mod tests {
     }
 
     /// Real threads at 1, 2, 3 and 8 workers (more than this box may have
-    /// cores, which is the point): the paired replay is the same bits, and
+    /// cores, which is the point): the replay of the ledger, the econ
+    /// series and `fig 2`'s energy split is the same bits, and
     /// a store with corrupt blocks fails with its first corrupt block's
     /// error in canonical order, whichever worker reaches which first.
     #[test]
     fn replay_is_worker_count_invariant_including_its_first_error() {
         use pmss_econ::EconSeries;
 
-        use crate::observers::Pair;
+        use crate::observers::{GpuCpuEnergy, Pair};
 
         let sched = schedule();
         let cfg = FleetConfig {
@@ -248,7 +239,7 @@ mod tests {
         let resident = ResidentFleet::capture(&sched, &cfg).expect("capture");
         let replay = |store: &ResidentFleet, workers: usize| {
             store
-                .replay_on::<Pair<EnergyLedger, EconSeries>>(workers, &sched)
+                .replay_on::<Pair<Pair<EnergyLedger, EconSeries>, GpuCpuEnergy>>(workers, &sched)
                 .map(|pair| format!("{pair:?}"))
                 .map_err(|e| e.to_string())
         };

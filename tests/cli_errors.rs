@@ -28,34 +28,39 @@ fn deeply_nested_spec_file_is_a_typed_error_not_an_abort() {
 /// A spec sized far past the paper's machine used to abort (`nodes`: an
 /// allocation failure, exit 134) or grow until killed (`days`: exit 137),
 /// and a cap ladder or price series of any length was accepted.  All are
-/// bounded in `ScenarioSpec::validate` now.
+/// bounded in `ScenarioSpec::validate` now, as is a spec that moves
+/// Table IV's fixed mode bands, which no computation would read.
 #[test]
 fn oversized_specs_are_typed_errors_not_aborts() {
     let list = |n: usize| {
         let entries: Vec<String> = (0..n).map(|i| (1_000_000 - i).to_string()).collect();
         format!("[{}]", entries.join(","))
     };
-    for (name, body, field) in [
+    for (name, body, expected) in [
         (
             "nodes",
             r#"{"nodes": 4000000000000}"#.to_string(),
-            "`nodes`",
+            "`nodes` must be at most",
         ),
-        ("days", r#"{"days": 1e300}"#.to_string(), "`days`"),
+        (
+            "days",
+            r#"{"days": 1e300}"#.to_string(),
+            "`days` must be at most",
+        ),
         (
             "node-days",
             r#"{"nodes": 90000, "days": 800}"#.to_string(),
-            "`nodes x days`",
+            "`nodes x days` must be at most",
         ),
         (
             "freq-ladder",
             format!(r#"{{"freq_caps_mhz": {}}}"#, list(100_000)),
-            "`freq_caps_mhz`",
+            "`freq_caps_mhz` must be at most",
         ),
         (
             "power-ladder",
             format!(r#"{{"power_caps_w": {}}}"#, list(61)),
-            "`power_caps_w`",
+            "`power_caps_w` must be at most",
         ),
         (
             "price-series",
@@ -63,7 +68,12 @@ fn oversized_specs_are_typed_errors_not_aborts() {
                 r#"{{"econ": {{"price_usd_per_mwh": {0}, "carbon_g_per_kwh": {0}}}}}"#,
                 list(86_401)
             ),
-            "`econ.price_usd_per_mwh`",
+            "`econ.price_usd_per_mwh` must be at most",
+        ),
+        (
+            "moved-bands",
+            r#"{"boundaries_w": {"mi_ci": 430}}"#.to_string(),
+            "`boundaries_w` must be Table IV's 200/420/560 W",
         ),
     ] {
         let path =
@@ -78,7 +88,7 @@ fn oversized_specs_are_typed_errors_not_aborts() {
         assert_eq!(out.status.code(), Some(1), "{name}: {:?}", out.status);
         assert!(out.stdout.is_empty());
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let prefix = format!("pmss: invalid scenario spec: {field} must be at most");
+        let prefix = format!("pmss: invalid scenario spec: {expected}");
         assert!(stderr.starts_with(&prefix), "{name}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }

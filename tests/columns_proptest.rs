@@ -274,7 +274,7 @@ proptest! {
                 apply_event(&mut applied, &schedule, &ev);
             }
             assert_eq!(folded, applied, "columnar fold vs per-event apply");
-            // The ledger is channel-grouped: one partial per channel.
+            // One partial per channel, as every run folds.
             ledger.merge(folded);
         });
 

@@ -266,6 +266,55 @@ fn oversized_spec_open_is_rejected_and_the_daemon_serves_the_next_tenant() {
     h.stop();
 }
 
+/// A JSON frame (OPEN, QUERY) past `MAX_JSON_PAYLOAD` is refused as
+/// `malformed` before its payload is allocated, and the connection stays
+/// framed: on it, the largest spec the spec's bounds admit — two full
+/// 86 400-bucket econ series at full precision — still opens.
+#[test]
+fn json_frames_past_their_bound_are_refused_and_the_largest_spec_opens() {
+    let h = Harness::tcp(64, 8);
+    let Target::Tcp(addr) = &h.target else {
+        panic!("tcp harness");
+    };
+    let mut raw = std::net::TcpStream::connect(addr.as_str()).expect("raw connection");
+    let mut exchange = |ty: u8, payload: &[u8]| {
+        proto::write_frame(&mut raw, ty, payload).expect("frame written");
+        let (status, body) = proto::read_frame(&mut raw)
+            .expect("daemon replies")
+            .expect("connection stays open");
+        (status, proto::parse_err(&body))
+    };
+    let past = vec![b' '; proto::MAX_JSON_PAYLOAD + 1];
+    for ty in [frame::OPEN, frame::QUERY] {
+        let (st, (c, detail)) = exchange(ty, &past);
+        assert_eq!((st, c.as_str()), (status::ERR, code::MALFORMED));
+        assert!(detail.contains("-byte bound"), "{detail}");
+    }
+
+    let mut largest = spec_for(None);
+    let mut trace = pmss_econ::EconTrace::preset("diurnal").expect("known econ preset");
+    trace.bucket_s = 900.0;
+    trace.price_usd_per_mwh = (0..86_400)
+        .map(|i| 1e-6 * (1.0 + f64::from(i) / 3e5))
+        .collect();
+    trace.carbon_g_per_kwh = trace.price_usd_per_mwh.clone();
+    largest.econ = Some(trace);
+    let open = pmss_pipeline::json::Json::obj()
+        .field("tenant", "largest")
+        .field("spec", largest.to_json())
+        .to_string_compact();
+    assert!(
+        (3_500_000..=proto::MAX_JSON_PAYLOAD).contains(&open.len()),
+        "{} bytes",
+        open.len()
+    );
+    let (st, (_, detail)) = exchange(frame::OPEN, open.as_bytes());
+    assert_eq!(st, status::OK, "{detail}");
+    let (st, (c, _)) = exchange(frame::QUERY, br#"{"kind":"projection"}"#);
+    assert_eq!((st, c.as_str()), (status::ERR, code::NOT_READY));
+    h.stop();
+}
+
 /// A LEB128 varint, as the block codec writes it.
 fn varint(mut v: u64, out: &mut Vec<u8>) {
     while v >= 0x80 {

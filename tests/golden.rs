@@ -127,8 +127,18 @@ const CLI_CASES: [(&str, &str, &str, &[Spelling]); 17] = [
         "json",
         &[SINGLE_SKU],
     ),
-    ("fig 2 --scale quick", "fig2", "txt", &[NO_FAULTS]),
-    ("fig 2 --scale quick --json", "fig2", "json", &[NO_FAULTS]),
+    (
+        "fig 2 --scale quick",
+        "fig2",
+        "txt",
+        &[AS_WRITTEN, NO_FAULTS, ECON_FLAT],
+    ),
+    (
+        "fig 2 --scale quick --json",
+        "fig2",
+        "json",
+        &[AS_WRITTEN, NO_FAULTS, ECON_FLAT],
+    ),
     (
         "govern --scale quick --faults frontier-typical",
         "govern-frontier-typical",
@@ -185,8 +195,8 @@ fn cli_cases_match_their_goldens(spelling: Spelling) {
     }
 }
 
-/// `pmss faults` and a faulted preset run are pinned byte-for-byte in
-/// both renderings.
+/// `pmss faults`, `pmss fig 2` and the faulted preset runs, as written,
+/// are pinned byte-for-byte in both renderings.
 #[test]
 fn faulted_runs_match_the_golden_captures() {
     cli_cases_match_their_goldens(AS_WRITTEN);
@@ -389,7 +399,7 @@ fn query_leg(args: &[&str]) -> (String, f64) {
 
 /// The goldens of the artifacts whose channel loop runs on workers —
 /// the traced runs behind `stream` and `govern`, the observers `fig 2`
-/// and `peakpower` fold on the caller, and the resident capture behind
+/// and `peakpower` fold per channel, and the resident capture behind
 /// `pmss query` — and how each is rendered.
 const THREADED_CASES: [(&str, &str, Leg); 10] = [
     ("stream", "txt", || {

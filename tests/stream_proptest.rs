@@ -108,7 +108,6 @@ proptest! {
         let stream_cfg = StreamConfig {
             shards,
             reorder_horizon: base.reorder_horizon + slack,
-            ..StreamConfig::default()
         };
         let mut eng: StreamEngine<'_, EnergyLedger> =
             StreamEngine::new(&schedule, stream_cfg).expect("valid config");
