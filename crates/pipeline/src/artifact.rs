@@ -6,11 +6,10 @@
 //! every artifact renders both to the byte-identical ASCII of the old
 //! binaries and to structured JSON.
 //!
-//! `peakpower` loops over independent fleet runs: it builds its jobs,
-//! runs them on the pipeline's workers (`stage::sim_each`), then pushes
-//! rows in job order.  `faults` delivers one generation under every row's
-//! plan (`stage::sim_plans`) and `govern` replays every policy in one pass
-//! over the delivery trace; both push rows in job order too.
+//! `peakpower` runs one fleet pass per cap, each on every core, and
+//! pushes a row per pass.  `faults` delivers one generation under every
+//! row's plan and `govern` replays every policy in one pass over the
+//! delivery trace; both push rows in job order.
 
 use pmss_core::heatmap::{energy_saved, energy_used, Heatmap};
 use pmss_core::project::{project, Projection, ProjectionInput};
@@ -30,7 +29,8 @@ use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
 use pmss_stream::{StreamConfig, StreamEngine, StreamState};
 use pmss_telemetry::export::sample_storage_bytes;
 use pmss_telemetry::{
-    compare_sensors, DomainHistograms, FleetConfig, FleetPowerSeries, GpuCpuEnergy, SystemHistogram,
+    compare_sensors, simulate_fleet_metered, simulate_fleet_plans, DomainHistograms, FleetConfig,
+    FleetPowerSeries, GpuCpuEnergy, SystemHistogram,
 };
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
@@ -44,9 +44,7 @@ use rand::SeedableRng;
 use crate::json::Json;
 use crate::render;
 use crate::spec::PAPER_CAMPAIGN_DAYS;
-use crate::stage::{
-    ladder, node_hours, publish_generation, publish_run, sim_each, sim_plans, timed_sim, Pipeline,
-};
+use crate::stage::{generation, ladder, Pipeline};
 
 /// Identifies one reproducible paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1161,7 +1159,7 @@ impl Pipeline {
             ArtifactId::Validate => Artifact::Validate(validate(self)?),
             ArtifactId::Whatif => Artifact::Whatif(whatif(self)?),
             ArtifactId::Governor => Artifact::Governor(governor(self)?),
-            ArtifactId::PeakPower => Artifact::PeakPower(peakpower(self)),
+            ArtifactId::PeakPower => Artifact::PeakPower(peakpower(self)?),
             ArtifactId::Sensitivity => Artifact::Sensitivity(sensitivity(self)?),
             ArtifactId::Faults => Artifact::Faults(faults(self)?),
             ArtifactId::Stream => Artifact::Stream(stream(self)?),
@@ -1197,14 +1195,10 @@ fn fig2(p: &mut Pipeline) -> Result<Fig2, PmssError> {
     // the split alone — the fleet stage's ledger is not read here.
     let cfg = p.fleet_config();
     let schedule = p.schedule();
-    let (split, stats, wall_s) = timed_sim::<GpuCpuEnergy>(&schedule, &cfg);
-    publish_run(
-        &mut p.metrics,
-        cfg.faults.as_ref(),
-        node_hours(&schedule),
-        &stats,
-    );
-    publish_generation(&mut p.metrics, wall_s);
+    let (split, _) = generation(&mut p.metrics, &schedule, &[cfg.faults.as_ref()], || {
+        let (split, stats) = simulate_fleet_metered::<GpuCpuEnergy>(&schedule, &cfg);
+        Ok((split, vec![stats]))
+    })?;
     Ok(Fig2 {
         windows: c.telemetry.len(),
         mean_power_w: c.mean_power_w,
@@ -1733,21 +1727,23 @@ fn governor(p: &Pipeline) -> Result<GovernorArtifact, PmssError> {
     Ok(GovernorArtifact { classes })
 }
 
-fn peakpower(p: &mut Pipeline) -> PeakPower {
+fn peakpower(p: &mut Pipeline) -> Result<PeakPower, PmssError> {
     let schedule = p.schedule();
     // Extrapolate fleet power to the full Frontier system.
     let node_factor = FRONTIER_NODES as f64 / p.spec.nodes as f64;
     let base_cfg = p.fleet_config();
-    let caps = [1700.0, 1500.0, 1300.0, 1100.0, 900.0];
-    let cfgs = caps.map(|mhz| FleetConfig {
-        settings: GpuSettings::freq_capped(mhz),
-        ..base_cfg.clone()
-    });
-    // One run per cap, each worker folding its own `FleetPowerSeries`.
-    let runs = sim_each::<FleetPowerSeries>(p.workers, &schedule, &cfgs, &mut p.metrics);
     let mut rows = Vec::new();
     let mut base_peak = 0.0;
-    for (mhz, (fp, _)) in caps.into_iter().zip(runs) {
+    // One pass per cap, one after another, each on every core.
+    for mhz in [1700.0, 1500.0, 1300.0, 1100.0, 900.0] {
+        let cfg = FleetConfig {
+            settings: GpuSettings::freq_capped(mhz),
+            ..base_cfg.clone()
+        };
+        let (fp, _) = generation(&mut p.metrics, &schedule, &[cfg.faults.as_ref()], || {
+            let (fp, stats) = simulate_fleet_metered::<FleetPowerSeries>(&schedule, &cfg);
+            Ok((fp, vec![stats]))
+        })?;
         let peak_mw = fp.peak_w() * node_factor / 1e6;
         let mean_mw = fp.mean_w() * node_factor / 1e6;
         if mhz == 1700.0 {
@@ -1761,7 +1757,7 @@ fn peakpower(p: &mut Pipeline) -> PeakPower {
             shaved_pct: 100.0 * (1.0 - peak_mw / base_peak),
         });
     }
-    PeakPower { rows }
+    Ok(PeakPower { rows })
 }
 
 fn sensitivity(p: &mut Pipeline) -> Result<SensitivityArtifact, PmssError> {
@@ -1836,10 +1832,15 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
     }
     // One generation delivered under every row's plan, each folding its
     // own `EnergyLedger`; the rows are projected here, in job order.
-    let runs =
-        sim_plans::<EnergyLedger>(s.workers, &s.fleet.schedule, &base_cfg, &plans, s.metrics);
+    let schedule = &s.fleet.schedule;
+    let delivered: Vec<_> = plans.iter().map(Some).collect();
+    let (ledgers, stats) = generation(s.metrics, schedule, &delivered, || {
+        let runs = simulate_fleet_plans(schedule, &base_cfg, &plans);
+        let (ledgers, stats): (Vec<EnergyLedger>, _) = runs.into_iter().unzip();
+        Ok((ledgers, stats))
+    })?;
     let mut rows = Vec::new();
-    for ((preset, policy), (ledger, stats)) in jobs.into_iter().zip(runs) {
+    for (((preset, policy), ledger), stats) in jobs.into_iter().zip(ledgers).zip(stats) {
         let coverage = ledger.coverage();
         let proj = project(
             ProjectionInput::from_ledger(&ledger.scaled(s.fleet.frontier_factor)?),

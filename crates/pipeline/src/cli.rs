@@ -24,7 +24,7 @@ use crate::spec::{
     econ_trace_from_json, econ_trace_to_json, fault_plan_from_json, fault_plan_to_json,
     ScalePreset, ScenarioSpec, SCALE_ENV,
 };
-use crate::stage::{node_hours, publish_generation, publish_run, Pipeline};
+use crate::stage::{generation, Pipeline};
 
 /// Runs the CLI for `args` (argv without the program name) and returns
 /// everything that should be printed to stdout.
@@ -160,15 +160,10 @@ fn query_cmd(rest: &[String], spec: ScenarioSpec, metrics_flag: bool) -> Result<
     // whose blocks this command generates again for the capture.
     let schedule = p.schedule();
     let cfg = p.fleet_config();
-    let capture = Stopwatch::start();
-    let (resident, stats) = ResidentFleet::capture_metered(&schedule, &cfg)?;
-    publish_run(
-        &mut p.metrics,
-        cfg.faults.as_ref(),
-        node_hours(&schedule),
-        &stats,
-    );
-    publish_generation(&mut p.metrics, capture.elapsed_s());
+    let (resident, _) = generation(&mut p.metrics, &schedule, &[cfg.faults.as_ref()], || {
+        let (resident, stats) = ResidentFleet::capture_metered(&schedule, &cfg)?;
+        Ok((resident, vec![stats]))
+    })?;
     p.metrics.gauge_set("resident.rows", resident.rows() as f64);
     p.metrics
         .gauge_set("resident.payload_bytes", resident.payload_bytes() as f64);

@@ -106,9 +106,12 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.is_finite() {
-                    // Shortest round-trip formatting; integers print bare.
+                    // Shortest round-trip formatting; integers print bare,
+                    // and huge magnitudes take an exponent, not 300 digits.
                     if *n == n.trunc() && n.abs() < 1e15 {
                         out.push_str(&format!("{}", *n as i64));
+                    } else if n.abs() >= 1e21 {
+                        out.push_str(&format!("{n:e}"));
                     } else {
                         out.push_str(&format!("{n}"));
                     }
@@ -549,6 +552,38 @@ mod tests {
     fn non_finite_floats_emit_null() {
         assert_eq!(Json::Num(f64::NAN).to_string_compact(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string_compact(), "null");
+    }
+
+    #[test]
+    fn numbers_keep_their_bytes_below_1e21_and_take_an_exponent_from_it() {
+        let emit = |n: f64| Json::Num(n).to_string_compact();
+        assert_eq!(emit(-0.0), "0");
+        assert_eq!(emit(1e15), "1000000000000000");
+        assert_eq!(emit(9.99e20), "999000000000000000000");
+        assert_eq!(
+            emit(0.0000000009313225746154785),
+            "0.0000000009313225746154785"
+        );
+        assert_eq!(emit(1e21), "1e21");
+        assert_eq!(emit(-1e300), "-1e300");
+        assert_eq!(emit(f64::MAX), "1.7976931348623157e308");
+    }
+
+    proptest::proptest! {
+        /// Every finite bit pattern but `-0.0` (which emits as `0`) parses
+        /// back to the same bits: the case's mantissa and sign under every
+        /// finite exponent.
+        #[test]
+        fn every_finite_number_survives_emit_and_parse(bits in 0u64..=u64::MAX) {
+            for exp in 0..0x7ffu64 {
+                let n = f64::from_bits(bits & !(0x7ff << 52) | exp << 52);
+                if n.to_bits() == (-0.0f64).to_bits() {
+                    continue;
+                }
+                let back = Json::parse(&Json::Num(n).to_string_compact()).unwrap();
+                proptest::prop_assert_eq!(back.as_f64().map(f64::to_bits), Some(n.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use pmss_econ::EconTrace;
 use pmss_error::PmssError;
 use pmss_faults::{FaultPlan, GapPolicy};
 use pmss_govern::{GovernorPlan, Policy};
-use pmss_gpu::FleetMix;
+use pmss_gpu::consts::GPU_TDP_W;
+use pmss_gpu::{FleetMix, Freq};
 use pmss_graph::case_study::CaseScale;
 use pmss_sched::policy::FRONTIER_NODES;
 use pmss_sched::TraceParams;
@@ -164,7 +165,13 @@ impl ScenarioSpec {
 
     /// Validates every field; returns the first violation.
     pub fn validate(&self) -> Result<(), PmssError> {
-        fn ladder(field: &'static str, caps: &[f64], max: usize) -> Result<(), PmssError> {
+        fn ladder(
+            field: &'static str,
+            caps: &[f64],
+            max: usize,
+            in_range: impl Fn(f64) -> bool,
+            range: &str,
+        ) -> Result<(), PmssError> {
             if caps.len() > max {
                 return Err(PmssError::InvalidSpec {
                     field,
@@ -188,10 +195,10 @@ impl ScenarioSpec {
                     });
                 }
             }
-            if caps.iter().any(|c| !c.is_finite() || *c <= 0.0) {
+            if !caps.iter().all(|&c| in_range(c)) {
                 return Err(PmssError::InvalidSpec {
                     field,
-                    reason: format!("entries must be finite and positive, got {caps:?}"),
+                    reason: format!("entries must be in {range}, got {caps:?}"),
                 });
             }
             Ok(())
@@ -227,14 +234,31 @@ impl ScenarioSpec {
                 });
             }
         }
-        if !(self.min_job_s.is_finite() && self.min_job_s > 0.0) {
+        let trace_s = self.days * 86_400.0;
+        if !(self.min_job_s > 0.0 && self.min_job_s <= trace_s) {
             return Err(PmssError::InvalidSpec {
                 field: "min_job_s",
-                reason: format!("must be finite and positive, got {}", self.min_job_s),
+                reason: format!(
+                    "must be positive and at most the trace's {trace_s} s, got {:e}",
+                    self.min_job_s
+                ),
             });
         }
-        ladder("freq_caps_mhz", &self.freq_caps_mhz, MAX_FREQ_CAPS)?;
-        ladder("power_caps_w", &self.power_caps_w, MAX_POWER_CAPS)?;
+        let clocks = Freq::MIN.mhz()..=Freq::MAX.mhz();
+        ladder(
+            "freq_caps_mhz",
+            &self.freq_caps_mhz,
+            MAX_FREQ_CAPS,
+            |c| clocks.contains(&c),
+            &format!("[{}, {}], the GPU's clock range", Freq::MIN, Freq::MAX),
+        )?;
+        ladder(
+            "power_caps_w",
+            &self.power_caps_w,
+            MAX_POWER_CAPS,
+            |c| c > 0.0 && c <= GPU_TDP_W,
+            &format!("(0, {GPU_TDP_W}] W, up to the GPU's TDP"),
+        )?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -709,6 +733,51 @@ mod tests {
                 ..
             }
         ));
+
+        // The physical ranges hold at their edges and fail just past them,
+        // each error naming its field.
+        type Set = fn(&mut ScenarioSpec, f64);
+        let day = 86_400.0;
+        let cases: [(Set, f64, f64, &str); 5] = [
+            (
+                |s, c| s.freq_caps_mhz = vec![1700.0, c],
+                500.0,
+                499.9,
+                "freq_caps_mhz",
+            ),
+            (
+                |s, c| s.freq_caps_mhz = vec![c, 900.0],
+                1700.0,
+                1700.1,
+                "freq_caps_mhz",
+            ),
+            (
+                |s, c| s.power_caps_w = vec![c, 300.0],
+                560.0,
+                560.1,
+                "power_caps_w",
+            ),
+            (
+                |s, c| s.power_caps_w = vec![560.0, c],
+                1e-9,
+                0.0,
+                "power_caps_w",
+            ),
+            (
+                |s, t| s.min_job_s = t,
+                2.0 * day,
+                2.0 * day + 1.0,
+                "min_job_s",
+            ),
+        ];
+        for (set, ok, bad, field) in cases {
+            let mut s = ScenarioSpec::preset(ScalePreset::Quick);
+            set(&mut s, ok);
+            s.validate().unwrap();
+            set(&mut s, bad);
+            let err = s.validate().unwrap_err();
+            assert!(matches!(err, PmssError::InvalidSpec { field: f, .. } if f == field));
+        }
     }
 
     #[test]

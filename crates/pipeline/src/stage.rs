@@ -10,20 +10,15 @@
 //! folded in its own run of the stage (`Pipeline::fleet_with`), so no
 //! other artifact pays for it.
 //!
-//! `peakpower`, which loops over *independent* fleet runs of one
-//! schedule, hands the loop to `pmss_telemetry::scoped_map` — whole runs
-//! per worker, results and metric tallies applied on the caller in loop
-//! order, so output is byte-identical at any worker count.  The node loop
-//! inside every fleet run — the fleet stage's fold, the traced stage's
-//! capture, Fig. 2's energy split — is threaded too, below this crate
-//! (`pmss_telemetry::simulate_fleet_metered`,
-//! `pmss_telemetry::DeliveryTrace::capture_folding`), with the same
-//! guarantee — except inside a job of a loop running on more than one
-//! worker, where `pmss_telemetry::workers` is 1 and a run generates its
-//! nodes on the worker that runs it.  `faults` makes one
+//! Every fleet run the pipeline makes is one node loop on every core,
+//! below this crate (`pmss_telemetry::simulate_fleet_metered`,
+//! `pmss_telemetry::DeliveryTrace::capture_folding`, the resident capture
+//! behind `pmss query`), with partials merged in node order, so output is
+//! byte-identical at any worker count.  Runs never overlap: `peakpower`'s
+//! five caps are five passes one after another, and `faults` makes one
 //! generation delivered under all its rows' plans
-//! (`pmss_telemetry::simulate_fleet_plans`, via `sim_plans`), its node
-//! loop on the pipeline's workers.
+//! (`pmss_telemetry::simulate_fleet_plans`).  Each generation reaches the
+//! registry through `generation`.
 
 use pmss_core::project::{project, Projection, ProjectionInput};
 use pmss_core::EnergyLedger;
@@ -34,8 +29,7 @@ use pmss_gpu::Engine;
 use pmss_obs::{edges, Metrics, Stopwatch};
 use pmss_sched::{catalog, generate, DomainSpec, Schedule};
 use pmss_telemetry::{
-    scoped_map, simulate_fleet_metered, simulate_fleet_plans, DeliveryTrace, FleetConfig,
-    FleetObserver, FleetRunStats, Pair,
+    simulate_fleet_metered, DeliveryTrace, FleetConfig, FleetObserver, FleetRunStats, Pair,
 };
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{self, Table3};
@@ -58,77 +52,35 @@ pub struct FleetArtifacts {
     pub frontier_factor: f64,
 }
 
-/// One fleet run and its wall time — the shape of every run the pipeline
-/// makes.  It takes no registry, so a worker thread can run it; the caller
-/// hands the tallies to [`publish_run`].
-pub(crate) fn timed_sim<O>(schedule: &Schedule, cfg: &FleetConfig) -> (O, FleetRunStats, f64)
-where
-    O: FleetObserver + Default,
-{
-    let sw = Stopwatch::start();
-    let (obs, stats) = simulate_fleet_metered::<O>(schedule, cfg);
-    (obs, stats, sw.elapsed_s())
-}
-
-/// Node-hours one run of `schedule` simulates.
-pub(crate) fn node_hours(schedule: &Schedule) -> f64 {
-    schedule.per_node.len() as f64 * schedule.duration_s / 3600.0
-}
-
-/// One independent fleet run of `schedule` per entry of `cfgs` on
-/// [`scoped_map`]'s workers, results in `cfgs` order.  A worker owns its
-/// whole run — observer, stats, scratch; the run's node loop sees one
-/// worker — and nothing is merged across threads; the tallies reach `metrics` here on the caller, one
-/// [`publish_run`] per run in `cfgs` order, the same sequence of
-/// additions at any worker count.
-pub(crate) fn sim_each<O>(
-    workers: usize,
-    schedule: &Schedule,
-    cfgs: &[FleetConfig],
+/// One timed generation of `schedule`, published — the one place a fleet
+/// run the pipeline makes reaches the registry.  `generate` makes the
+/// generation and hands back its product and each delivery's tallies, one
+/// per entry of `plans` (the plan that delivery was made under), in plan
+/// order.  Each delivery counts as a run ([`publish_run`], in plan order);
+/// the generation and its wall time are published once
+/// ([`publish_generation`]).
+pub(crate) fn generation<T>(
     metrics: &mut Metrics,
-) -> Vec<(O, FleetRunStats)>
-where
-    O: FleetObserver + Default + Send,
-{
-    let runs = scoped_map(workers, cfgs.len(), |i| timed_sim::<O>(schedule, &cfgs[i]));
-    cfgs.iter()
-        .zip(runs)
-        .map(|(cfg, (obs, stats, wall_s))| {
-            publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
-            publish_generation(metrics, wall_s);
-            (obs, stats)
-        })
-        .collect()
-}
-
-/// One generation of `schedule` under `cfg`, delivered under each of
-/// `plans` (`pmss_telemetry::simulate_fleet_plans`, its nodes on `workers`
-/// threads), results in `plans` order.  Each plan's delivery counts as a
-/// run — one [`publish_run`] per plan, in `plans` order — and the one
-/// generation's wall time is published once.
-pub(crate) fn sim_plans<O>(
-    workers: usize,
     schedule: &Schedule,
-    cfg: &FleetConfig,
-    plans: &[FaultPlan],
-    metrics: &mut Metrics,
-) -> Vec<(O, FleetRunStats)>
-where
-    O: FleetObserver + Default,
-{
+    plans: &[Option<&FaultPlan>],
+    generate: impl FnOnce() -> Result<(T, Vec<FleetRunStats>), PmssError>,
+) -> Result<(T, Vec<FleetRunStats>), PmssError> {
     let sw = Stopwatch::start();
-    let runs = simulate_fleet_plans::<O>(schedule, cfg, plans, workers);
-    publish_generation(metrics, sw.elapsed_s());
-    for (plan, (_, stats)) in plans.iter().zip(&runs) {
-        publish_run(metrics, Some(plan), node_hours(schedule), stats);
+    let (made, stats) = generate()?;
+    let wall_s = sw.elapsed_s();
+    debug_assert_eq!(plans.len(), stats.len(), "one tally per delivery");
+    let node_hours = schedule.per_node.len() as f64 * schedule.duration_s / 3600.0;
+    for (plan, stats) in plans.iter().zip(&stats) {
+        publish_run(metrics, *plan, node_hours, stats);
     }
-    runs
+    publish_generation(metrics, wall_s);
+    Ok((made, stats))
 }
 
-/// Folds one fleet run's tallies into `m` — the single place they reach
-/// the registry.  `faults` is the plan the run was delivered under; its
-/// fault tallies are recorded only when it is active.
-pub(crate) fn publish_run(
+/// Folds one fleet run's tallies into `m`.  `faults` is the plan the run
+/// was delivered under; its fault tallies are recorded only when it is
+/// active.
+fn publish_run(
     m: &mut Metrics,
     faults: Option<&FaultPlan>,
     node_hours: f64,
@@ -161,13 +113,11 @@ pub(crate) fn publish_run(
 }
 
 /// Records one generation pass of the fleet and its wall time into `m`.
-/// A pass delivers one run or, for [`sim_plans`], several, and the runs
-/// of [`sim_each`] may overlap, so `fleet.wall_s` is *busy* generation
-/// time summed over passes, not elapsed, and `fleet.node_hours_per_s`
-/// (delivered node-hours over it) a per-worker rate that can sit below
-/// what the manifest's `wall_s` implies; `fleet.workers` is reported
-/// beside them.
-pub(crate) fn publish_generation(m: &mut Metrics, wall_s: f64) {
+/// A pass delivers one run or, for `faults`' rows, several, and passes
+/// run one after another, each on every core, so `fleet.wall_s` is the
+/// elapsed generation time summed over passes and
+/// `fleet.node_hours_per_s` is delivered node-hours over it.
+fn publish_generation(m: &mut Metrics, wall_s: f64) {
     m.inc("fleet.generations");
     m.gauge_add("fleet.wall_s", wall_s);
     m.observe("fleet.run_wall_s", edges::WALL_S, wall_s);
@@ -188,9 +138,6 @@ pub struct Pipeline {
     /// The fleet run in delivery order; filled by the traced fleet stage.
     trace: Option<DeliveryTrace>,
     table3: Option<Table3>,
-    /// Threads an artifact may spread independent fleet runs over:
-    /// `available_parallelism`, read once.  Deliberately not settable.
-    pub(crate) workers: usize,
 }
 
 impl Pipeline {
@@ -205,17 +152,16 @@ impl Pipeline {
             fleet: None,
             trace: None,
             table3: None,
-            workers: pmss_telemetry::workers(),
         })
     }
 
     /// A snapshot of the accumulated metrics, augmented with the worker
-    /// count and the derived fleet throughput gauge — node-hours over
-    /// *summed* run time, so a per-worker rate once an artifact's runs
-    /// overlap.
+    /// count every fleet run's node loop reads
+    /// ([`pmss_telemetry::workers`]) and the derived fleet throughput
+    /// gauge — node-hours over summed generation time.
     pub fn metrics_report(&self) -> Metrics {
         let mut m = self.metrics.clone();
-        m.gauge_set("fleet.workers", self.workers as f64);
+        m.gauge_set("fleet.workers", pmss_telemetry::workers() as f64);
         let wall = m.gauge("fleet.wall_s").unwrap_or(0.0);
         if wall > 0.0 {
             m.gauge_set(
@@ -295,7 +241,6 @@ impl Pipeline {
             metrics,
             fleet,
             table3,
-            workers,
             ..
         } = self;
         Ok(Stages {
@@ -304,7 +249,6 @@ impl Pipeline {
             spec,
             engine,
             metrics,
-            workers: *workers,
         })
     }
 
@@ -323,7 +267,6 @@ impl Pipeline {
             fleet,
             trace,
             table3,
-            workers,
         } = self;
         let (fleet, trace): (&FleetArtifacts, &DeliveryTrace) = match fleet {
             None => {
@@ -347,7 +290,6 @@ impl Pipeline {
             spec,
             engine,
             metrics,
-            workers: *workers,
         };
         Ok((stages, trace))
     }
@@ -361,7 +303,6 @@ pub(crate) struct Stages<'p> {
     pub(crate) fleet: &'p FleetArtifacts,
     pub(crate) table3: &'p Table3,
     pub(crate) metrics: &'p mut Metrics,
-    pub(crate) workers: usize,
 }
 
 impl Stages<'_> {
@@ -462,9 +403,10 @@ impl TraceSink for () {
         cfg: &FleetConfig,
         metrics: &mut Metrics,
     ) -> Result<(O, ()), PmssError> {
-        let (obs, stats, wall_s) = timed_sim(schedule, cfg);
-        publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
-        publish_generation(metrics, wall_s);
+        let (obs, _) = generation(metrics, schedule, &[cfg.faults.as_ref()], || {
+            let (obs, stats) = simulate_fleet_metered(schedule, cfg);
+            Ok((obs, vec![stats]))
+        })?;
         Ok((obs, ()))
     }
 }
@@ -478,10 +420,10 @@ impl<'t> TraceSink for &'t mut Option<DeliveryTrace> {
         cfg: &FleetConfig,
         metrics: &mut Metrics,
     ) -> Result<(O, &'t DeliveryTrace), PmssError> {
-        let sw = Stopwatch::start();
-        let (trace, obs, stats) = DeliveryTrace::capture_folding::<O>(schedule, cfg)?;
-        publish_run(metrics, cfg.faults.as_ref(), node_hours(schedule), &stats);
-        publish_generation(metrics, sw.elapsed_s());
+        let ((trace, obs), _) = generation(metrics, schedule, &[cfg.faults.as_ref()], || {
+            let (trace, obs, stats) = DeliveryTrace::capture_folding(schedule, cfg)?;
+            Ok(((trace, obs), vec![stats]))
+        })?;
         // The retained footprint is the tool's own output.
         metrics.gauge_set("delivery.rows", trace.len() as f64);
         metrics.gauge_set("delivery.trace_bytes", trace.retained_bytes() as f64);
@@ -521,7 +463,7 @@ mod tests {
     use super::*;
     use crate::artifact::ArtifactId;
     use crate::spec::ScalePreset;
-    use pmss_telemetry::{DomainHistograms, SystemHistogram};
+    use pmss_telemetry::{scoped_map, DomainHistograms, SystemHistogram};
 
     #[test]
     fn pipeline_rejects_invalid_specs() {
@@ -655,20 +597,31 @@ mod tests {
         ArtifactId::PeakPower,
     ];
 
-    /// One worker against four real threads (more than this box has cores,
-    /// which is the point): the three threaded artifacts render the same
-    /// bytes, and the registries agree on everything that is not a clock.
+    /// Runs `leg` at one worker — the lone job of a two-worker scope,
+    /// where `pmss_telemetry::workers` is 1 — and then on every core.
+    fn at_one_worker_and_every_core<T: Send>(leg: impl Fn() -> T + Sync) -> [T; 2] {
+        [scoped_map(2, 1, |_| leg()).remove(0), leg()]
+    }
+
+    /// The `fleet.workers` each leg of [`at_one_worker_and_every_core`]
+    /// reports.
+    fn legs_workers() -> [Option<f64>; 2] {
+        [Some(1.0), Some(pmss_telemetry::workers() as f64)]
+    }
+
+    /// One worker against every core: the three threaded artifacts render
+    /// the same bytes, each registry reports the worker count its leg ran
+    /// on, and the registries agree on everything that is not a clock.
     #[test]
-    fn threaded_artifacts_are_byte_identical_at_one_and_four_workers() {
+    fn threaded_artifacts_are_byte_identical_at_one_worker_and_every_core() {
         let clean = small_spec();
         let mut faulted = small_spec();
         faulted.faults = Some(pmss_faults::FaultPlan::preset("frontier-typical").unwrap());
         let mut mixed = small_spec();
         mixed.fleet_mix = Some("mixed-50-50".to_string());
         for spec in [clean, faulted, mixed] {
-            let run = |workers: usize| {
+            let [(one, m1), (all, mn)] = at_one_worker_and_every_core(|| {
                 let mut p = Pipeline::new(spec.clone()).unwrap();
-                p.workers = workers;
                 let rendered: Vec<(String, String)> = THREADED
                     .iter()
                     .map(|&id| {
@@ -677,15 +630,13 @@ mod tests {
                     })
                     .collect();
                 (rendered, p.metrics_report())
-            };
-            let (one, m1) = run(1);
-            let (four, m4) = run(4);
-            assert_eq!(one, four, "{}", spec.name);
-            assert_eq!(m1.gauge("fleet.workers"), Some(1.0));
-            assert_eq!(m4.gauge("fleet.workers"), Some(4.0));
+            });
+            assert_eq!(one, all, "{}", spec.name);
+            let reported = [&m1, &mn].map(|m| m.gauge("fleet.workers"));
+            assert_eq!(reported, legs_workers());
             // The stage, `govern`'s late trace, ten rows, five caps.
             assert_eq!(m1.counter("fleet.runs"), 1 + 1 + 10 + 5);
-            assert!(m1.counters().eq(m4.counters()));
+            assert!(m1.counters().eq(mn.counters()));
             let steady = |m: &Metrics| -> Vec<(String, f64)> {
                 m.gauges()
                     .filter(|(k, _)| {
@@ -694,34 +645,35 @@ mod tests {
                     .map(|(k, v)| (k.to_string(), v))
                     .collect()
             };
-            assert_eq!(steady(&m1), steady(&m4));
+            assert_eq!(steady(&m1), steady(&mn));
             let counts = |m: &Metrics| -> Vec<(String, u64)> {
                 m.hists().map(|(k, h)| (k.to_string(), h.count())).collect()
             };
-            assert_eq!(counts(&m1), counts(&m4));
+            assert_eq!(counts(&m1), counts(&mn));
         }
     }
 
     /// A custom plan that validates but cannot be resolved against the
-    /// fleet fails `govern` with the same error whichever worker meets it
-    /// first — the first failure in job order is the one returned.
+    /// fleet fails `govern` with the same error at one worker and on
+    /// every core — the first failure in node order is the one returned —
+    /// and the failed pipeline still reports the worker count it ran on.
     #[test]
     fn govern_returns_the_same_resolve_error_at_any_worker_count() {
         let mut spec = small_spec();
         let mut plan = pmss_govern::GovernorPlan::preset("greedy").unwrap();
         plan.budget_w = Some(1.0);
         spec.govern = Some(plan);
-        let fail = |workers: usize| {
+        let [(one, w1), (all, wn)] = at_one_worker_and_every_core(|| {
             let mut p = Pipeline::new(spec.clone()).unwrap();
-            p.workers = workers;
-            match p.artifact(ArtifactId::Govern) {
+            let err = match p.artifact(ArtifactId::Govern) {
                 Err(e) => e.to_string(),
                 Ok(_) => panic!("a 1 W budget cannot grant every node its floor"),
-            }
-        };
-        let one = fail(1);
+            };
+            (err, p.metrics_report().gauge("fleet.workers"))
+        });
         assert!(one.contains("governor budget_w"), "{one}");
-        assert_eq!(one, fail(4));
+        assert_eq!(one, all);
+        assert_eq!([w1, wn], legs_workers());
     }
 
     #[test]

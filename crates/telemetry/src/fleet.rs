@@ -736,19 +736,18 @@ where
 /// One generation of the fleet, delivered under each of `plans` in its
 /// place of `cfg.faults`: per plan, the observer and tallies
 /// [`simulate_fleet_metered`] returns under that plan alone, bit for bit.
-/// The nodes run on `workers` threads (the channel loop), each
+/// The nodes run on [`crate::workers`] threads (the channel loop), each
 /// node's clean tiles generated once and delivered under every plan
 /// while they are hot.
 pub fn simulate_fleet_plans<O>(
     schedule: &Schedule,
     cfg: &FleetConfig,
     plans: &[FaultPlan],
-    workers: usize,
 ) -> Vec<(O, FleetRunStats)>
 where
     O: FleetObserver + Default,
 {
-    FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).channels::<O, ()>(workers, None)
+    FleetRun::with_plans(schedule, cfg, plans.iter().map(Some)).channels::<O, ()>(workers(), None)
 }
 
 /// Per-SKU values the window loop reads constantly, resolved once per run

@@ -339,11 +339,12 @@ fn one_generation_delivers_each_plan_as_its_own_run() {
             .collect();
         let want = shown(&alone);
         let one = crate::scoped_map(2, 1, |_| {
-            simulate_fleet_plans::<pmss_core::EnergyLedger>(&s, &cfg, &plans, workers())
+            simulate_fleet_plans::<pmss_core::EnergyLedger>(&s, &cfg, &plans)
         });
         let one = one.into_iter().next().expect("one job");
         assert!(shown(&one) == want, "{mix}: one worker");
-        let four = simulate_fleet_plans::<pmss_core::EnergyLedger>(&s, &cfg, &plans, 4);
+        let four = FleetRun::with_plans(&s, &cfg, plans.iter().map(Some))
+            .channels::<pmss_core::EnergyLedger, ()>(4, None);
         assert!(shown(&four) == want, "{mix}: four workers");
     }
 }

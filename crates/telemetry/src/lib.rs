@@ -21,8 +21,9 @@
 //! * [`export`] — storage-cost estimation for a telemetry campaign;
 //! * [`FleetPowerSeries`] — facility-level aggregate power (peak demand
 //!   and load factor under caps, for `pmss peakpower`);
-//! * [`scoped_map`] — the one thread helper: independent jobs on
-//!   [`workers`] scoped threads, results handed back in job order.
+//! * [`workers`] — the one worker count every threaded loop reads, and
+//!   [`scoped_map`], which runs a test's render as the lone job of a
+//!   two-worker scope, where that count is 1.
 //!
 //! The window-event seam ([`WindowEvent`], [`FleetObserver`],
 //! [`ColumnBlock`]) and the power-series codec live in `pmss-columns`; the

@@ -2,11 +2,13 @@
 //! handed to the calling thread in job order.
 //!
 //! Fleet threads are a `std::thread::scope` at the loop that needs them —
-//! an artifact's independent fleet runs (`pmss-pipeline`), a resident
-//! store's channels ([`crate::ResidentFleet::replay`]), a fleet run's
-//! nodes (`fleet::run_channels`).  There are
-//! [`workers`] of them, nothing sets the count, and one code path runs at
-//! any count: with one worker the calling thread runs every job itself.
+//! a resident store's channels ([`crate::ResidentFleet::replay`]), a fleet
+//! run's nodes (`fleet::run_channels`).  There are [`workers`] of them,
+//! nothing sets the count, and one code path runs at any count: with one
+//! worker the calling thread runs every job itself.  No production loop
+//! runs inside another's job; [`scoped_map`] exists so that a test can run
+//! a whole render as the lone job of a two-worker scope, where
+//! [`workers`] is 1.
 //! Because results reach the caller in job order, whatever is done with
 //! them there (a merge, a metric tally) is the same sequence of operations
 //! at any worker count, and output is byte-identical.
@@ -25,8 +27,9 @@ thread_local! {
 /// The worker count every threaded loop uses: `available_parallelism`,
 /// which honours CPU affinity (`taskset -c 0` gives one), or 1 when it is
 /// unknown — and 1 inside a job of a scope with more than one worker,
-/// whose sibling jobs already hold the cores (`faults`' runs each fold
-/// their nodes on their own thread).
+/// whose sibling jobs already hold the cores.  No production loop nests,
+/// so that rule is the tests' one-worker hook: `scoped_map(2, 1, ..)`
+/// runs its lone job at one worker.
 pub fn workers() -> usize {
     if IN_SHARED_JOB.get() {
         return 1;

@@ -29,7 +29,9 @@ fn deeply_nested_spec_file_is_a_typed_error_not_an_abort() {
 /// allocation failure, exit 134) or grow until killed (`days`: exit 137),
 /// and a cap ladder or price series of any length was accepted.  All are
 /// bounded in `ScenarioSpec::validate` now, as is a spec that moves
-/// Table IV's fixed mode bands, which no computation would read.
+/// Table IV's fixed mode bands, which no computation would read, and a
+/// cap or minimum job length outside any physical range, which would
+/// otherwise drop a Table V rung or move its headline without a word.
 #[test]
 fn oversized_specs_are_typed_errors_not_aborts() {
     let list = |n: usize| {
@@ -61,6 +63,21 @@ fn oversized_specs_are_typed_errors_not_aborts() {
             "power-ladder",
             format!(r#"{{"power_caps_w": {}}}"#, list(61)),
             "`power_caps_w` must be at most",
+        ),
+        (
+            "freq-range",
+            r#"{"freq_caps_mhz": [1e12, 900]}"#.to_string(),
+            "`freq_caps_mhz` entries must be in [500 MHz, 1700 MHz]",
+        ),
+        (
+            "power-range",
+            r#"{"power_caps_w": [1e12, 300]}"#.to_string(),
+            "`power_caps_w` entries must be in (0, 560] W",
+        ),
+        (
+            "min-job",
+            r#"{"min_job_s": 1e300}"#.to_string(),
+            "`min_job_s` must be positive and at most the trace's",
         ),
         (
             "price-series",

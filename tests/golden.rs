@@ -363,7 +363,8 @@ fn cli_default_output_equals_library_render() {
     assert_eq!(via_cli, via_lib);
 }
 
-/// One rendering of a golden and the worker count its registry reports.
+/// One rendering of a threaded artifact and the worker count its
+/// registry reports.
 type Leg = fn() -> (String, f64);
 
 /// Renders `id` for `spec` through a collecting pipeline.
@@ -374,12 +375,13 @@ fn pipeline_leg(spec: ScenarioSpec, id: ArtifactId) -> (String, f64) {
     (text, workers.expect("fleet.workers"))
 }
 
-/// `pmss query <args> --scale quick` with `--metrics`: the answer with
-/// the report taken off, and the report's worker count.
-fn query_leg(args: &[&str]) -> (String, f64) {
-    let mut argv = vec!["query"];
+/// `pmss --scale quick <args> --metrics` for a JSON-rendering command
+/// (`query`, or an artifact with `--json`; a `--scale` in `args` wins):
+/// the document with the report taken off, and the report's worker count.
+fn json_leg(args: &[&str]) -> (String, f64) {
+    let mut argv = vec!["--scale", "quick"];
     argv.extend_from_slice(args);
-    argv.extend(["--scale", "quick", "--metrics"]);
+    argv.push("--metrics");
     let Json::Obj(fields) = Json::parse(&cli_run(&argv)).expect("answer parses") else {
         panic!("the answer is an object");
     };
@@ -397,21 +399,36 @@ fn query_leg(args: &[&str]) -> (String, f64) {
     )
 }
 
+/// A quick spec with `edit` applied: the flags of a CLI run.
+fn quick_with(edit: impl FnOnce(&mut ScenarioSpec)) -> ScenarioSpec {
+    let mut spec = quick_spec();
+    edit(&mut spec);
+    spec
+}
+
+/// `--faults <preset>`.
+fn faults(preset: &str) -> Option<FaultPlan> {
+    Some(FaultPlan::preset(preset).expect("preset"))
+}
+
 /// The goldens of the artifacts whose channel loop runs on workers —
-/// the traced runs behind `stream` and `govern`, the observers `fig 2`
-/// and `peakpower` fold per channel, and the resident capture behind
-/// `pmss query` — and how each is rendered.
-const THREADED_CASES: [(&str, &str, Leg); 10] = [
+/// the traced runs behind `stream` and `govern`, the observers `fig 2`,
+/// `peakpower`, `faults` and the fleet stage fold per channel, and the
+/// resident capture behind `pmss query` — and how each is rendered.
+const THREADED_CASES: [(&str, &str, Leg); 18] = [
     ("stream", "txt", || {
         pipeline_leg(quick_spec(), ArtifactId::Stream)
     }),
     ("stream-frontier-typical", "txt", || {
-        let mut spec = quick_spec();
-        spec.faults = Some(FaultPlan::preset("frontier-typical").expect("preset"));
+        let spec = quick_with(|s| s.faults = faults("frontier-typical"));
         pipeline_leg(spec, ArtifactId::Stream)
     }),
     ("govern", "txt", || {
         pipeline_leg(quick_spec(), ArtifactId::Govern)
+    }),
+    ("govern-frontier-typical", "txt", || {
+        let spec = quick_with(|s| s.faults = faults("frontier-typical"));
+        pipeline_leg(spec, ArtifactId::Govern)
     }),
     ("govern-custom", "txt", || {
         let mut spec = quick_spec();
@@ -427,13 +444,90 @@ const THREADED_CASES: [(&str, &str, Leg); 10] = [
     ("peakpower", "txt", || {
         pipeline_leg(quick_spec(), ArtifactId::PeakPower)
     }),
-    ("query-projection", "json", || query_leg(&["projection"])),
-    ("query-ledger", "json", || query_leg(&["ledger"])),
+    ("faults", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Faults)
+    }),
+    ("fig8", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Fig8)
+    }),
+    ("fig9", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Fig9)
+    }),
+    ("sensitivity", "txt", || {
+        pipeline_leg(quick_spec(), ArtifactId::Sensitivity)
+    }),
+    ("whatif-econ-diurnal", "txt", || {
+        let spec = quick_with(|s| s.econ = Some(EconTrace::preset("diurnal").expect("preset")));
+        pipeline_leg(spec, ArtifactId::Whatif)
+    }),
+    ("table5", "json", || json_leg(&["table", "5", "--json"])),
+    ("whatif-econ-diurnal", "json", || {
+        json_leg(&["whatif", "--json", "--econ", "diurnal"])
+    }),
+    ("query-projection", "json", || {
+        json_leg(&["query", "projection"])
+    }),
+    ("query-ledger", "json", || json_leg(&["query", "ledger"])),
     ("query-econ-diurnal", "json", || {
-        query_leg(&["econ", "--econ", "diurnal"])
+        json_leg(&["query", "econ", "--econ", "diurnal"])
     }),
     ("query-coverage-frontier-typical", "json", || {
-        query_leg(&["coverage", "--faults", "frontier-typical"])
+        json_leg(&["query", "coverage", "--faults", "frontier-typical"])
+    }),
+];
+
+/// Threaded runs no golden pins — faulted, mixed and priced variants, and
+/// the full-precision JSON of the stage's tables and of `fig 2` and
+/// `peakpower` under `harsh`, whose duplicated windows put
+/// order-sensitive sums into it — named by their command line.
+const UNPINNED_THREADED_CASES: [(&str, Leg); 12] = [
+    ("faults --faults harsh", || {
+        pipeline_leg(
+            quick_with(|s| s.faults = faults("harsh")),
+            ArtifactId::Faults,
+        )
+    }),
+    ("faults --mix mixed-50-50", || {
+        let spec = quick_with(|s| s.fleet_mix = Some("mixed-50-50".to_string()));
+        pipeline_leg(spec, ArtifactId::Faults)
+    }),
+    ("govern --faults harsh", || {
+        pipeline_leg(
+            quick_with(|s| s.faults = faults("harsh")),
+            ArtifactId::Govern,
+        )
+    }),
+    ("stream --faults harsh", || {
+        pipeline_leg(
+            quick_with(|s| s.faults = faults("harsh")),
+            ArtifactId::Stream,
+        )
+    }),
+    ("table 5 --mix mixed-50-50", || {
+        let spec = quick_with(|s| s.fleet_mix = Some("mixed-50-50".to_string()));
+        pipeline_leg(spec, ArtifactId::Table5)
+    }),
+    ("econ --econ diurnal", || {
+        let spec = quick_with(|s| s.econ = Some(EconTrace::preset("diurnal").expect("preset")));
+        pipeline_leg(spec, ArtifactId::Econ)
+    }),
+    ("query ledger --faults frontier-typical", || {
+        json_leg(&["query", "ledger", "--faults", "frontier-typical"])
+    }),
+    ("table 5 --json --scale medium", || {
+        json_leg(&["table", "5", "--json", "--scale", "medium"])
+    }),
+    ("query projection --scale medium", || {
+        json_leg(&["query", "projection", "--scale", "medium"])
+    }),
+    ("table 4 --json --faults harsh", || {
+        json_leg(&["table", "4", "--json", "--faults", "harsh"])
+    }),
+    ("fig 2 --json --faults harsh", || {
+        json_leg(&["fig", "2", "--json", "--faults", "harsh"])
+    }),
+    ("peakpower --json --faults harsh", || {
+        json_leg(&["peakpower", "--json", "--faults", "harsh"])
     }),
 ];
 
@@ -441,25 +535,47 @@ fn quick_spec() -> ScenarioSpec {
     ScenarioSpec::preset(ScalePreset::Quick)
 }
 
+/// Renders `leg` at one worker — the only job of a two-worker scope,
+/// where `workers()` is 1 — and called directly, on every core, checking
+/// the worker count each leg's registry reports.  On a machine with one
+/// CPU the direct leg is a second one-worker leg.
+fn at_one_worker_and_every_core(name: &str, leg: Leg) -> (String, String) {
+    let cores = workers();
+    let (one, one_workers) = scoped_map(2, 1, |_| leg()).remove(0);
+    assert_eq!(one_workers, 1.0, "{name}: the one-worker leg");
+    let (all, all_workers) = leg();
+    assert_eq!(all_workers, cores as f64, "{name}: the every-core leg");
+    assert!(cores < 2 || all_workers >= 2.0);
+    (one, all)
+}
+
 /// The worker column: every [`THREADED_CASES`] golden rendered at one
-/// worker — the only job of a two-worker scope, where `workers()` is 1 —
-/// and called directly, on every core, is the golden's bytes.  Each leg's
-/// registry says how many workers it ran on; on a machine with one CPU
-/// the direct leg is a second one-worker leg, and the test says so.
+/// worker and on every core is the golden's bytes.
 #[test]
 fn threaded_artifacts_match_their_goldens_at_one_worker_and_at_every_core() {
-    let cores = workers();
-    if cores < 2 {
+    if workers() < 2 {
         println!("one CPU: the every-core leg ran on one worker too");
     }
     for (name, ext, leg) in THREADED_CASES {
         let want = golden(name, ext);
-        let (one, one_workers) = scoped_map(2, 1, |_| leg()).remove(0);
-        assert_eq!(one_workers, 1.0, "{name}: the one-worker leg");
+        let (one, all) = at_one_worker_and_every_core(name, leg);
         assert!(one == want, "{name}.{ext}: drift at one worker");
-        let (all, all_workers) = leg();
-        assert_eq!(all_workers, cores as f64, "{name}: the every-core leg");
-        assert!(cores < 2 || all_workers >= 2.0);
-        assert!(all == want, "{name}.{ext}: drift at {cores} workers");
+        assert!(all == want, "{name}.{ext}: drift at every core");
+    }
+}
+
+/// The same column for [`UNPINNED_THREADED_CASES`]: the two renderings
+/// are equal, where results merged out of node order would differ.
+#[test]
+fn unpinned_threaded_runs_render_the_same_at_one_worker_and_at_every_core() {
+    if workers() < 2 {
+        println!("one CPU: the every-core leg ran on one worker too");
+    }
+    for (name, leg) in UNPINNED_THREADED_CASES {
+        let (one, all) = at_one_worker_and_every_core(name, leg);
+        assert!(
+            one == all,
+            "pmss {name}: differs between one worker and every core"
+        );
     }
 }

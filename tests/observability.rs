@@ -251,10 +251,10 @@ fn every_artifact_runs_each_stage_at_most_once_and_only_the_ones_it_reads() {
     }
 }
 
-/// The artifacts that spread their fleet work over worker threads count
-/// every run exactly once — tallies are published on the calling thread,
-/// one per run — time every generation pass once, and say how many
-/// threads shared the work.
+/// The artifacts that make several fleet runs count every run exactly
+/// once — tallies are published on the calling thread, one per run — time
+/// every generation pass once, and say how many threads each pass's node
+/// loop ran on.
 #[test]
 fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
     let cases = [
@@ -276,13 +276,13 @@ fn threaded_artifacts_count_each_run_once_and_report_the_workers() {
         assert_eq!(walls.count(), generations, "{}", id.name());
         let workers = m.gauge("fleet.workers").expect("fleet.workers");
         assert!(workers >= 1.0 && workers.fract() == 0.0, "{workers}");
-        // Busy time summed over passes: never less than the longest one.
+        // Wall time summed over passes: never less than the longest one.
         assert!(m.gauge("fleet.wall_s").unwrap() >= walls.max().unwrap());
     }
 }
 
 /// `pmss query --metrics` adds the `run` manifest and the registry to the
-/// answer — the capture's one generation, its busy time, the workers and
+/// answer — the capture's one generation, its wall time, the workers and
 /// its row tallies — and leaves every other byte of the answer as it is;
 /// without the flag the answer gains nothing.
 #[test]
