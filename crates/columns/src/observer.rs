@@ -79,7 +79,7 @@ pub trait FleetObserver: Send + Sized {
     /// per-event dispatch.  A row's operations depend only on the row, so
     /// folding `a..b` then `b..c` is folding `a..c`: the range form serves
     /// consumers that hold a block a tile at a time (resident replay) or
-    /// release a prefix (the streaming engine's in-order fast path).
+    /// release a prefix (the streaming engine's in-order runs).
     fn fold_rows(
         &mut self,
         schedule: &Schedule,

@@ -59,7 +59,7 @@ pub struct BlockGrid {
 
 impl BlockGrid {
     /// The grid's last window index (the partial tail).
-    fn last_window(&self) -> u64 {
+    pub fn last_window(&self) -> u64 {
         (self.duration_s / self.window_s).floor() as u64
     }
 
@@ -101,10 +101,10 @@ impl BlockGrid {
         self.stamp_on(self.last_window(), w, rest_channel)
     }
 
-    /// [`BlockGrid::stamp`] with the grid's last window index computed
-    /// once by the caller.
+    /// [`BlockGrid::stamp`] with the grid's last window index
+    /// ([`BlockGrid::last_window`]) computed once by the caller.
     #[inline]
-    fn stamp_on(&self, last: u64, w: u64, rest_channel: bool) -> (f64, f64) {
+    pub fn stamp_on(&self, last: u64, w: u64, rest_channel: bool) -> (f64, f64) {
         let (w_start, w_end) = self.bounds_on(last, w);
         let span = w_end - w_start;
         let center = if rest_channel {

@@ -1,11 +1,10 @@
 //! The governor's sensing observer: one channel's per-region energy.
 //!
-//! A [`ChannelAccum`] is the observer the streaming engine maintains for
-//! the governor.  The engine already keeps one partial per `(node, slot)`
+//! A [`ChannelAccum`] is the observer the stream replay maintains for the
+//! governor.  The replay already keeps one partial per `(node, slot)`
 //! channel, and the governor's whole job is per-channel mode
-//! classification, so it reads those partials directly
-//! (`StreamEngine::channel_snapshots`) instead of merging them into a
-//! map.  Each accumulator keeps only what classification needs — GPU
+//! classification, so it reads each cut's channel partials directly
+//! (`pmss_stream::CutParts::cut`) instead of merging them into a map.  Each accumulator keeps only what classification needs — GPU
 //! seconds and joules per Table IV region — so snapshots stay cheap at
 //! sync-window cadence.
 //!

@@ -8,8 +8,9 @@
 //! that ceiling can an *online* controller realize when it only sees the
 //! telemetry stream as it arrives, possibly degraded by collection faults?
 //!
-//! The governor consumes [`pmss_stream::StreamEngine`] snapshots at a
-//! periodic sync window (the PoLiMEr rebalancing discipline): it
+//! The governor senses every telemetry channel's stream state at a
+//! periodic sync window (the PoLiMEr rebalancing discipline), replayed
+//! per channel on every core by [`pmss_stream::TraceReplay`]: it
 //! classifies each `(node, slot)` telemetry channel's current operating
 //! mode from the last window of delivered samples, applies the projection's
 //! best no-slowdown cap to channels it believes are memory-intensive, and
@@ -25,13 +26,14 @@
 //!
 //! * [`GovernorPlan`] — typed, validated configuration with
 //!   `static | greedy | polimer` presets;
-//! * `ChannelAccum` — the mode-sensing observer the stream engine keeps
+//! * `ChannelAccum` — the mode-sensing observer the stream replay keeps
 //!   one of per channel;
-//! * [`run_governor`] — the deterministic replay loop: one pass over the
-//!   delivered telemetry for any number of plans, one controller per plan,
-//!   producing a [`GovernOutcome`] per plan in plan order.  Sensing does
-//!   not depend on the plan, so the plans share one stream engine and its
-//!   snapshots; each outcome equals a replay of its plan alone.
+//! * [`run_governor`] — the deterministic replay: one sensing replay and
+//!   one accounting pass over the delivered telemetry for any number of
+//!   plans, one controller per plan, producing a [`GovernOutcome`] per
+//!   plan in plan order.  Sensing does not depend on the plan, so the
+//!   plans share its snapshots; each outcome equals a replay of its plan
+//!   alone.
 
 mod channels;
 mod plan;

@@ -1,24 +1,27 @@
-//! The governor replay loop: deterministic, delivery-ordered, budget-safe.
+//! The governor replay: deterministic, delivery-ordered, budget-safe.
 //!
-//! [`run_governor`] replays a fleet's telemetry [`WindowEvent`]s once, in
-//! delivery-rank order, through one [`StreamEngine`] carrying the
-//! [`ChannelAccum`] sensing observer, for every plan it is given.  Each
-//! plan has its own controller.  At each of its sync-window boundaries the
-//! controller diffs the engine's per-channel snapshots against its
-//! previous round's to get the round's per-channel telemetry, and decides
-//! the next round's caps; the decisions then meet the telemetry again on
-//! the accounting side, where each delivered window is charged the Table
-//! III energy/runtime factor of whatever cap the plan actually had in
-//! force for that window's round.  Sensing is the same for every plan, so
-//! the plans share the engine and the snapshots; control state (caps,
-//! hysteresis, capped channels, history) is per plan, in dense tables
-//! indexed by channel.
+//! [`run_governor`] governs one recorded run for every plan it is given.
+//! Each plan has its own controller.  At each of its sync-window
+//! boundaries the controller diffs every channel's sensed
+//! [`ChannelAccum`] against its previous round's to get the round's
+//! per-channel telemetry, and decides the next round's caps; the decisions
+//! then meet the telemetry again on the accounting side, where each
+//! delivered window is charged the Table III energy/runtime factor of
+//! whatever cap the plan actually had in force for that window's round.
 //!
-//! Everything is a pure function of the event sequence: no wall clock, no
-//! randomness — the same discipline that makes the streaming ledger
-//! bit-identical to the batch path makes the governor byte-identical
-//! across repeat runs, and each plan's outcome the same whether it is
-//! replayed alone or beside others.
+//! Sensing is the same for every plan, and a channel's sensed state at a
+//! boundary is a function of its own events before it, so the sensing
+//! runs as a per-channel replay ([`TraceReplay`]) on every core: one pass
+//! per tile of boundaries, which bounds the snapshots held at once.  The
+//! accounting is a float sum in delivery order, so it stays one sequential
+//! pass over the run's events.  Control state (caps, hysteresis, capped
+//! channels, history) is per plan, in dense tables indexed by channel.
+//!
+//! Everything is a pure function of the run: no wall clock, no
+//! randomness, no dependence on the worker count — the same discipline
+//! that makes the streaming ledger bit-identical to the batch path makes
+//! the governor byte-identical across repeat runs, and each plan's outcome
+//! the same whether it is replayed alone or beside others.
 
 use std::collections::VecDeque;
 
@@ -27,7 +30,7 @@ use pmss_error::PmssError;
 use pmss_gpu::consts::GPUS_PER_NODE;
 use pmss_obs::Metrics;
 use pmss_sched::Schedule;
-use pmss_stream::{StreamConfig, StreamEngine, StreamStats};
+use pmss_stream::{Cut, CutParts, Delivery, StreamConfig, StreamStats, TraceReplay};
 use pmss_telemetry::{GapFill, WindowEvent, WindowKind, REST_SLOT};
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::{Table3, Table3Row};
@@ -248,26 +251,30 @@ fn factor_row(table3: &Table3, cap: CapSetting) -> Result<Table3Row, PmssError> 
     })
 }
 
-/// Runs one governed replay of `events` for every plan in `plans` and
-/// returns their outcomes in plan order.  `events` is the run in delivery
-/// order, `(rank, node, slot, window)` ascending, consumed one event at a
-/// time so the caller never has to hold them as a slice (the pipeline
-/// passes `pmss_telemetry::DeliveryTrace::iter`).
+/// Sensed channel snapshots held at once, at most: a tile of sync-window
+/// boundaries is this many over the run's channel count.
+const TILE_SNAPSHOTS: usize = 1 << 13;
+
+/// Runs one governed replay of `run` for every plan in `plans` and returns
+/// their outcomes in plan order.
 ///
 /// What is sensed does not depend on the plan — a plan's caps only change
-/// how a delivered window is accounted — so the plans share one pass: one
-/// [`StreamEngine`] ingests each event once, and one
-/// `channel_snapshots()` serves every plan that crosses a round boundary
-/// at that event.  Each plan's controller keeps its own round cadence,
+/// how a delivered window is accounted — so the plans share one replay:
+/// every channel's sensed totals at every sync-window boundary any sensing
+/// plan has come from one [`TraceReplay`], a tile of boundaries at a time,
+/// and each serves every plan that crosses that boundary.  A boundary is
+/// crossed at the first event at or past it, and senses the events of
+/// earlier ranks.  Each plan's controller keeps its own round cadence,
 /// assignment history, caps and outcome, and accounts every event the
-/// engine admits.  Each outcome equals a replay of its plan alone, and
-/// every result is a pure function of the arguments.
+/// stream engine would admit, in delivery order.  Each outcome equals a
+/// replay of its plan alone, and every result is a pure function of the
+/// arguments.
 ///
 /// Errors come in slice order: an invalid `window_s` first, then the first
 /// plan whose cap has no factor-table row.
-pub fn run_governor(
+pub fn run_governor<D: Delivery>(
     schedule: &Schedule,
-    events: impl IntoIterator<Item = WindowEvent>,
+    run: &D,
     stream_cfg: StreamConfig,
     plans: &[ResolvedPlan],
     table3: &Table3,
@@ -288,38 +295,54 @@ pub fn run_governor(
         .filter(|r| !r.setting.is_baseline())
         .cloned()
         .collect();
-    // `admit` refuses any channel outside the schedule's fleet, so every
-    // channel an engine-admitted event names indexes these tables.
+    // The engine refuses any channel outside the schedule's fleet, so every
+    // channel an admitted event names indexes these tables.
     let channels = schedule.per_node.len() * CHANNELS_PER_NODE;
     let mut ctrls = plans
         .iter()
         .map(|r| Controller::new(r, table3, window_s, stream_cfg, channels))
         .collect::<Result<Vec<_>, PmssError>>()?;
 
-    let mut eng: StreamEngine<'_, ChannelAccum> = StreamEngine::new(schedule, stream_cfg)?;
-    // Every live channel's sensed totals, canonical order, as of the last
-    // event at which a sensing plan crossed a round boundary.
-    let mut snap: Vec<((u32, u8), ChannelAccum)> = Vec::new();
-
-    for ev in events {
-        // Cross every sync-window boundary between the previous event's
-        // rank and this one's.  The snapshot is taken before this event is
-        // ingested, so a decision only ever sees telemetry from strictly
-        // earlier ranks — and once, however many plans cross here.
-        let mut sensed = false;
-        for c in &mut ctrls {
-            while ev.rank >= c.next_rank {
-                if c.senses() && !sensed {
-                    snap.clear();
-                    snap.extend(eng.channel_snapshots());
-                    sensed = true;
-                }
-                c.cross(&snap, &throttle_rows);
+    let mut sensing = Sensing {
+        replay: TraceReplay::new(schedule, run, stream_cfg)?,
+        intervals: ctrls
+            .iter()
+            .filter(|c| c.senses())
+            .map(|c| c.interval)
+            .collect(),
+        last_rank: run.last_rank().unwrap_or(0),
+        tile: (TILE_SNAPSHOTS / run.channels().len().max(1)).max(1),
+        bounds: Vec::new(),
+        parts: None,
+        crossed: 0,
+        replayed_to: 0,
+    };
+    for ev in run.events() {
+        // Cross every sync-window boundary up to this event's rank, in
+        // ascending order.  The event itself is sensed only after them, so
+        // a decision only ever sees telemetry from strictly earlier ranks.
+        while let Some(b) = ctrls.iter().map(|c| c.next_rank).min() {
+            if b > ev.rank {
+                break;
             }
+            let sensed = ctrls.iter().any(|c| c.next_rank == b && c.senses());
+            if sensed && sensing.crossed == sensing.bounds.len() {
+                sensing.advance();
+            }
+            debug_assert!(!sensed || sensing.bounds[sensing.crossed] == b);
+            let snap = sensing.parts.as_ref().filter(|_| sensed);
+            for c in ctrls.iter_mut().filter(|c| c.next_rank == b) {
+                c.cross(snap.map(|p| p.cut(sensing.crossed)), &throttle_rows);
+            }
+            sensing.crossed += usize::from(sensed);
         }
-
-        if eng.ingest(ev).is_err() {
-            // Counted by the engine; an event past the reorder horizon is
+        // Whether the engine would refuse the event is known once the
+        // replay has passed it.
+        while ev.rank >= sensing.replayed_to {
+            sensing.advance();
+        }
+        if sensing.replay.refused(&ev) {
+            // Counted by the replay; an event past the reorder horizon is
             // neither sensed nor governed.
             continue;
         }
@@ -329,12 +352,63 @@ pub fn run_governor(
             }
         }
     }
-    eng.flush();
-    let stream = eng.stats();
+    if sensing.replayed_to != u64::MAX {
+        sensing.replay.finish();
+    }
+    let stream = sensing.replay.stats();
     Ok(ctrls
         .into_iter()
         .map(|c| GovernOutcome { stream, ..c.out })
         .collect())
+}
+
+/// Every channel's sensed totals at the sensing boundaries, a tile of
+/// boundaries at a time.
+struct Sensing<'a, D: Delivery> {
+    replay: TraceReplay<'a, ChannelAccum, D>,
+    /// The sensing plans' sync windows, in windows.
+    intervals: Vec<u64>,
+    /// No boundary past the run's last rank is ever crossed.
+    last_rank: u64,
+    /// Boundaries per tile.
+    tile: usize,
+    /// The tile's boundaries, ascending, and the live channels' totals at
+    /// each; the first `crossed` are behind every plan.
+    bounds: Vec<u64>,
+    parts: Option<CutParts<ChannelAccum>>,
+    crossed: usize,
+    /// The replay has passed every event of a lower rank (`u64::MAX` once
+    /// it has finished).
+    replayed_to: u64,
+}
+
+impl<D: Delivery> Sensing<'_, D> {
+    /// Senses the next tile of boundaries (the current one is behind every
+    /// plan), or finishes the replay when no boundary is left.
+    fn advance(&mut self) {
+        let mut after = self.replayed_to;
+        self.bounds.clear();
+        self.crossed = 0;
+        self.parts = None;
+        while self.bounds.len() < self.tile {
+            let next = self.intervals.iter().map(|&i| (after / i + 1) * i).min();
+            match next {
+                Some(b) if b <= self.last_rank => {
+                    self.bounds.push(b);
+                    after = b;
+                }
+                _ => break,
+            }
+        }
+        let Some(&last) = self.bounds.last() else {
+            self.replay.finish();
+            self.replayed_to = u64::MAX;
+            return;
+        };
+        let cuts: Vec<Cut> = self.bounds.iter().map(|&b| Cut::before_rank(b)).collect();
+        self.parts = Some(self.replay.cuts(&cuts));
+        self.replayed_to = last;
+    }
 }
 
 /// What one delivered GPU window puts on the books, whatever the plan:
@@ -463,13 +537,17 @@ impl<'p> Controller<'p> {
 
     /// Crosses one sync-window boundary: decides the next round's caps
     /// from `snap` (sensing plans only) and records them.
-    fn cross(&mut self, snap: &[((u32, u8), ChannelAccum)], throttle_rows: &[Table3Row]) {
+    fn cross<'s>(
+        &mut self,
+        snap: Option<impl Iterator<Item = ((u32, u8), &'s ChannelAccum)> + Clone>,
+        throttle_rows: &[Table3Row],
+    ) {
         self.next_rank += self.interval;
         self.out.rounds += 1;
-        if self.senses() {
-            self.decide(snap, throttle_rows);
-            for &((node, slot), acc) in snap {
-                self.prev_snap[channel_index(node, slot)] = acc;
+        if let Some(snap) = snap.filter(|_| self.senses()) {
+            self.decide(snap.clone(), throttle_rows);
+            for ((node, slot), acc) in snap {
+                self.prev_snap[channel_index(node, slot)] = *acc;
             }
         }
         if self.history.len() == self.keep_rounds {
@@ -482,8 +560,15 @@ impl<'p> Controller<'p> {
     /// Charges one delivered window the factor of whatever cap its round's
     /// decision had in force.
     fn account(&mut self, ev: &WindowEvent, charge: &Charge, throttle_rows: &[Table3Row]) {
-        let ev_round = ev.window / self.interval;
-        let idx = (ev_round.saturating_sub(self.base_round) as usize).min(self.history.len() - 1);
+        // The newest assignment governs the current round and any window
+        // past it; only a late window needs its round worked out.
+        let newest = self.history.len() - 1;
+        let idx = if ev.window >= self.next_rank - self.interval {
+            newest
+        } else {
+            let ev_round = ev.window / self.interval;
+            (ev_round.saturating_sub(self.base_round) as usize).min(newest)
+        };
         let assign = &self.history[idx];
         let tally = &mut self.out.regions[charge.region.index()];
         tally.seconds += charge.span_s;
@@ -516,7 +601,11 @@ impl<'p> Controller<'p> {
     /// One sync-window decision: classify channels, apply hysteresis, and
     /// — under `polimer` — rebalance the cluster budget and derive
     /// throttles.
-    fn decide(&mut self, snap: &[((u32, u8), ChannelAccum)], throttle_rows: &[Table3Row]) {
+    fn decide<'s>(
+        &mut self,
+        snap: impl Iterator<Item = ((u32, u8), &'s ChannelAccum)>,
+        throttle_rows: &[Table3Row],
+    ) {
         let plan = self.plan;
         let budget_w = self.budget_w;
         let round_span_s = self.out.interval_s;
@@ -528,7 +617,7 @@ impl<'p> Controller<'p> {
         observed_w.fill(0.0);
 
         // Classify every channel that sensed telemetry this round.
-        for &((node, slot), acc) in snap {
+        for ((node, slot), acc) in snap {
             let key = channel_index(node, slot);
             let delta = acc.minus(&self.prev_snap[key]);
             if slot == REST_SLOT {
@@ -639,8 +728,13 @@ impl<'p> Controller<'p> {
 }
 
 #[cfg(test)]
+#[path = "sim_oracle.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use pmss_stream::EventRun;
     use pmss_workloads::Factors;
 
     const WINDOW_S: f64 = 15.0;
@@ -730,7 +824,7 @@ mod tests {
         let sched = schedule(nodes);
         let mut outs = run_governor(
             &sched,
-            events.iter().copied(),
+            &EventRun::new(events.to_vec()).unwrap(),
             StreamConfig::for_plan(None),
             &[resolved(name, nodes)],
             &table(),
@@ -796,14 +890,15 @@ mod tests {
         // Node 0 idles at 100 W/GPU, node 1 runs hot at 520 W/GPU.
         let mut evs = Vec::new();
         for w in 0..16u64 {
-            for s in 0..GPUS_PER_NODE as u8 {
-                evs.push(sample(0, s, w, 100.0));
-                evs.push(sample(1, s, w, 520.0));
+            for (node, power_w) in [(0, 100.0), (1, 520.0)] {
+                for s in 0..GPUS_PER_NODE as u8 {
+                    evs.push(sample(node, s, w, power_w));
+                }
             }
         }
         let out = run_governor(
             &schedule(2),
-            evs.iter().copied(),
+            &EventRun::new(evs).unwrap(),
             StreamConfig::for_plan(None),
             &[r],
             &table(),
@@ -834,7 +929,7 @@ mod tests {
         let r = plan.resolve(1, CapSetting::FreqMhz(700.0)).unwrap();
         let err = run_governor(
             &schedule(1),
-            [],
+            &EventRun::new(Vec::new()).unwrap(),
             StreamConfig::for_plan(None),
             &[r],
             &table(),

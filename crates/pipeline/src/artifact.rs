@@ -26,11 +26,11 @@ use pmss_graph::case_study::{networks, CaseStudy};
 use pmss_obs::{edges, Stopwatch};
 use pmss_sched::policy::FRONTIER_NODES;
 use pmss_sched::{catalog, generate, log, JobSizeClass, TraceParams};
-use pmss_stream::{StreamConfig, StreamEngine, StreamState};
+use pmss_stream::{Cut, CutTally, StreamConfig, StreamState, TraceReplay};
 use pmss_telemetry::export::sample_storage_bytes;
 use pmss_telemetry::{
     compare_sensors, simulate_fleet_metered, simulate_fleet_plans, DomainHistograms, FleetConfig,
-    FleetPowerSeries, GpuCpuEnergy, SystemHistogram,
+    FleetObserver, FleetPowerSeries, GpuCpuEnergy, SystemHistogram,
 };
 use pmss_workloads::membench::{self, chunk_for_block, MembenchParams};
 use pmss_workloads::phases::synthesize_app;
@@ -1875,11 +1875,12 @@ fn faults(p: &mut Pipeline) -> Result<FaultsArtifact, PmssError> {
 const STREAM_SNAPSHOTS: usize = 4;
 
 fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
-    // Replay the trace as a timed stream: the generator emits each channel
-    // contiguously, so the traced fleet stage retains the run's channels
-    // and the replay merges them by delivery rank as it goes — the order a
-    // collection fabric would hand windows to an ingest tier.  (Only the
-    // pipeline holds the trace; the engine itself stays O(channels x
+    // Replay the trace as a timed stream: the traced fleet stage retains
+    // the run's channels, and the stream engine's state is per channel, so
+    // each channel is replayed on its own on every core and its partials at
+    // the snapshot cuts are merged in canonical order — what a sequential
+    // ingest of the delivery-ordered run holds at the same positions.
+    // (Only the pipeline holds the trace; an engine stays O(channels x
     // horizon).)
     let cfg = p.fleet_config();
     let window_s = cfg.window_s;
@@ -1887,60 +1888,75 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
     let (s, trace) = p.traced_stages()?;
 
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref()).with_shards(4);
-    let mut eng: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&s.fleet.schedule, stream_cfg)?;
+    let mut replay: TraceReplay<'_, EnergyLedger, _> =
+        TraceReplay::new(&s.fleet.schedule, trace, stream_cfg)?;
 
-    // Snapshot row from the engine's current (possibly mid-stream) state.
-    let capture =
-        |eng: &StreamEngine<'_, EnergyLedger>, t_s: f64| -> Result<StreamRow, PmssError> {
-            let state = StreamState::capture(eng, s.fleet.frontier_factor);
-            let stats = eng.stats();
-            Ok(StreamRow {
-                t_s,
-                events: stats.events,
-                released: stats.released_windows,
-                buffered: stats.buffered_windows,
-                coverage: state.coverage().fraction(),
-                total_mwh: ProjectionInput::from_ledger(
-                    &state.ledger().scaled(s.fleet.frontier_factor)?,
-                )
-                .total_mwh(),
-                bounds: state.coverage_bounds(s.table3).ok(),
-            })
-        };
+    // Snapshot row from a merged ledger and the counts at its cut.
+    let row = |ledger: EnergyLedger, t_s: f64, at: CutTally| -> Result<StreamRow, PmssError> {
+        let state = StreamState::new(ledger, s.fleet.frontier_factor);
+        Ok(StreamRow {
+            t_s,
+            events: at.events,
+            released: at.released,
+            buffered: at.buffered,
+            coverage: state.coverage().fraction(),
+            total_mwh: ProjectionInput::from_ledger(
+                &state.ledger().scaled(s.fleet.frontier_factor)?,
+            )
+            .total_mwh(),
+            bounds: state.coverage_bounds(s.table3).ok(),
+        })
+    };
 
     // Deterministic snapshot cadence: evenly spaced cuts of the delivery
-    // sequence, then the flushed final state.  Simulated time only — no
-    // wall clock reaches the pinned bytes.
-    let mut rows = Vec::new();
+    // sequence (a run too short to space them takes none), then the
+    // flushed final state.  Simulated time only — no wall clock reaches
+    // the pinned bytes.
     let n = trace.len();
-    let mut next_cut = 1;
-    for (i, ev) in trace.iter().enumerate() {
-        eng.ingest(ev)?;
-        if next_cut <= STREAM_SNAPSHOTS && (i + 1) == n * next_cut / (STREAM_SNAPSHOTS + 1) {
-            rows.push(capture(&eng, (ev.rank + 1) as f64 * window_s)?);
-            next_cut += 1;
+    let cuts: Vec<Cut> = if n > STREAM_SNAPSHOTS {
+        (1..=STREAM_SNAPSHOTS)
+            .map(|k| Cut::after_events(trace, n * k / (STREAM_SNAPSHOTS + 1)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // One cut per pass, so only one cut's channel ledgers are held.
+    let mut rows = Vec::new();
+    for cut in cuts {
+        let parts = replay.cuts(&[cut]);
+        let mut ledger = EnergyLedger::default();
+        for (_, part) in parts.cut(0) {
+            ledger.merge(part.clone());
         }
+        rows.push(row(
+            ledger,
+            (cut.rank() + 1) as f64 * window_s,
+            parts.tally(0),
+        )?);
     }
-    eng.flush();
-    rows.push(capture(&eng, (trace.last_rank() + 1) as f64 * window_s)?);
+    let ledger = replay.finish();
+    let stats = replay.stats();
+    let end = CutTally {
+        events: stats.events,
+        released: stats.released_windows,
+        buffered: stats.buffered_windows,
+    };
+    let batch_identical = ledger == s.fleet.ledger;
+    rows.push(row(ledger, (trace.last_rank() + 1) as f64 * window_s, end)?);
 
-    eng.publish_metrics(s.metrics);
+    replay.publish_metrics(s.metrics);
     // Released windows over the artifact's whole replay — the traced fleet
-    // stage (generation, the batch fold and the capture), the delivery-order
-    // merge, ingest and snapshots — not ingest alone.
+    // stage (generation, the batch fold and the capture), the replay and
+    // snapshots — not ingest alone.
     let wall = sw.elapsed_s();
     if wall > 0.0 {
-        s.metrics.gauge_set(
-            "stream.windows_per_s",
-            eng.stats().released_windows as f64 / wall,
-        );
+        s.metrics
+            .gauge_set("stream.windows_per_s", stats.released_windows as f64 / wall);
     }
-    let buffer_bound = eng.buffer_bound();
-    let (ledger, stats) = eng.finish();
     Ok(StreamArtifact {
         shards: stream_cfg.shards,
         reorder_horizon: stream_cfg.reorder_horizon,
-        buffer_bound,
+        buffer_bound: replay.buffer_bound(),
         rows,
         events: stats.events,
         samples: stats.samples,
@@ -1949,14 +1965,13 @@ fn stream(p: &mut Pipeline) -> Result<StreamArtifact, PmssError> {
         late_rejects: stats.late_rejects,
         peak_buffered_windows: stats.peak_buffered_windows,
         peak_channel_windows: stats.peak_channel_windows,
-        batch_identical: ledger == s.fleet.ledger,
+        batch_identical,
     })
 }
 
 fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
-    // One captured trace, merged into delivery order once and replayed for
-    // every policy together — the same ordering discipline the stream
-    // artifact uses.
+    // One captured trace, governed for every policy together: sensed by a
+    // per-channel replay on every core, accounted in delivery order.
     let cfg = p.fleet_config();
     let (mut s, trace) = p.traced_stages()?;
     // The ceiling the governors chase: the projection's best no-slowdown
@@ -1985,7 +2000,7 @@ fn govern(p: &mut Pipeline) -> Result<GovernArtifact, PmssError> {
         .collect::<Result<Vec<_>, PmssError>>()?;
     let outcomes = run_governor(
         &s.fleet.schedule,
-        trace.iter(),
+        trace,
         stream_cfg,
         &resolved,
         s.table3,

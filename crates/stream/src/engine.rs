@@ -1,20 +1,28 @@
-//! The streaming ingest engine: reorder-buffered, sharded, bounded-memory.
+//! The sharded streaming ingest engine: the daemon's path.
 //!
 //! Telemetry windows arrive as [`WindowEvent`]s, possibly out of order
 //! within a bounded reorder horizon (a collection fabric's delivery jitter,
-//! modeled by `pmss-faults`' bounded-buffer reordering).  The engine holds
-//! one partial observer per telemetry channel plus a small per-channel
-//! reorder buffer, releases windows into the partial once they can no
-//! longer be preceded by a late sibling, and snapshots by merging the
-//! partials in the batch simulation's canonical channel order — which is
-//! what makes a snapshot bit-identical to [`simulate_fleet`] over the same
-//! windows, for every observer.
+//! modeled by `pmss-faults`' bounded-buffer reordering).  The engine owns
+//! one `Channel` per telemetry channel — a partial observer over the
+//! windows already final plus a small reorder ring of those still in
+//! flight — in per-shard dense tables, and drives each channel one
+//! delivered event at a time ([`StreamEngine::ingest`]) or one block at a
+//! time ([`StreamEngine::ingest_block`]: in-order runs at once, other rows
+//! one by one).  A snapshot merges the
+//! channels' observers in the batch simulation's canonical channel order,
+//! which is what makes it bit-identical to [`simulate_fleet`] over the
+//! same windows, for every observer.
+//!
+//! A channel's state is a function of its own events alone, so a recorded
+//! run can also be replayed channel by channel on every core
+//! ([`crate::replay`]); that replay is what the `stream` and `govern`
+//! artifacts use, and per-event [`StreamEngine::ingest`] is the oracle the
+//! tests hold it to.
 //!
 //! Memory is O(live channels × horizon) buffered windows, never O(trace).
 //!
 //! [`simulate_fleet`]: pmss_telemetry::simulate_fleet
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::mem::size_of;
 
@@ -22,31 +30,11 @@ use pmss_error::PmssError;
 use pmss_faults::FaultPlan;
 use pmss_obs::Metrics;
 use pmss_sched::Schedule;
-use pmss_telemetry::{
-    apply_event, ColumnBlock, FleetObserver, Tag, WindowEvent, WindowKind, NO_JOB, REST_SLOT,
+use pmss_telemetry::{ColumnBlock, FleetObserver, WindowEvent, REST_SLOT};
+
+use crate::channel::{
+    apply_all, channel_exists, check_event, ring_offset, Channel, CHANNELS_PER_NODE,
 };
-
-/// Telemetry channels per node: the GPU slots plus the rest-of-node
-/// channel — the stride of the dense per-shard channel table.
-const CHANNELS_PER_NODE: usize = REST_SLOT as usize + 1;
-
-/// Bound on a channel's reorder-ring span, in windows: an event whose
-/// window is this many or more past the channel's release floor is
-/// rejected with [`StreamError::SpanOverflow`] instead of growing the ring
-/// toward it.  The ring grows lazily to the span actually buffered, so
-/// this is the engine's memory armor against adversarial far-future
-/// windows (a window near `u64::MAX` would otherwise demand an unpayable
-/// allocation).  ~2 years of 15 s windows: far above any real campaign
-/// (three months is ~5×10⁵ windows, and a generator stream never spans
-/// more than the horizon plus the longest dropped run) but small enough
-/// that one far-future window can never grow a ring past a few hundred
-/// megabytes.
-const MAX_SPAN_WINDOWS: u64 = 1 << 22;
-
-/// Spill vectors kept per shard for reuse.  Spills only happen on
-/// duplicate deliveries of one window, so a handful of slabs covers any
-/// realistic fault plan without hoarding memory.
-const SPARE_SLABS: usize = 8;
 
 /// Shape of a streaming ingest: how many shards partition the fleet and
 /// how much delivery reordering the engine must absorb.
@@ -266,60 +254,6 @@ pub struct StreamStats {
     pub peak_channel_windows: usize,
 }
 
-/// One reorder-ring slot: the deliveries of one window.  The overwhelming
-/// majority of windows arrive exactly once, so the single-event case is
-/// stored inline; duplicate deliveries spill into a `Vec` drawn from the
-/// shard's slab free list and returned on release.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// No delivery buffered for this window (yet).
-    Empty,
-    /// Exactly one delivery, stored inline.
-    One(WindowEvent),
-    /// Duplicate deliveries, in arrival order.
-    Many(Vec<WindowEvent>),
-}
-
-impl Slot {
-    fn is_present(&self) -> bool {
-        !matches!(self, Slot::Empty)
-    }
-}
-
-/// One telemetry channel's ingest state.
-///
-/// The reorder buffer is a ring: slot `i` of `ring` holds the deliveries
-/// of window `floor + i`.  The ring grows lazily to the span actually
-/// buffered (at release steady-state at most the reorder horizon, since a
-/// window whose successor `horizon` ahead has been seen is released), and
-/// its allocation is retained across releases — the steady state allocates
-/// nothing per window.
-#[derive(Debug, Clone)]
-struct Channel<O> {
-    /// Windows below the floor, applied in ascending order.
-    partial: O,
-    /// Buffered in-horizon windows; slot `i` is window `floor + i`.
-    ring: VecDeque<Slot>,
-    /// Present (distinct buffered) windows in the ring.
-    buffered: usize,
-    /// Highest window seen on this channel.
-    max_seen: u64,
-    /// First window still accepted; everything below is final.
-    floor: u64,
-}
-
-impl<O: FleetObserver + Default> Default for Channel<O> {
-    fn default() -> Self {
-        Channel {
-            partial: O::default(),
-            ring: VecDeque::new(),
-            buffered: 0,
-            max_seen: 0,
-            floor: 0,
-        }
-    }
-}
-
 /// One ingest shard: a dense table of the channels of every node with
 /// `node % shards == shard index` (indexed by
 /// `(node / shards) * CHANNELS_PER_NODE + slot`), plus a delivered-event
@@ -345,59 +279,68 @@ impl<O> Default for Shard<O> {
     }
 }
 
-/// Applies one released slot's deliveries to the channel partial, in
-/// arrival order, returning any spill slab to the free list.
-fn apply_slot<O: FleetObserver>(
-    partial: &mut O,
-    schedule: &Schedule,
-    slot: Slot,
-    spare: &mut Vec<Vec<WindowEvent>>,
-) {
-    match slot {
-        Slot::Empty => {}
-        Slot::One(ev) => apply_event(partial, schedule, &ev),
-        Slot::Many(mut evs) => {
-            for e in &evs {
-                apply_event(partial, schedule, e);
-            }
-            if spare.len() < SPARE_SLABS {
-                evs.clear();
-                spare.push(evs);
+impl<O: FleetObserver + Default> Shard<O> {
+    /// The channel at dense index `local`, materialized on first use.
+    fn channel_mut(&mut self, local: usize) -> &mut Channel<O> {
+        if local >= self.channels.len() {
+            self.channels.resize_with(local + 1, || None);
+        }
+        match &mut self.channels[local] {
+            Some(ch) => ch,
+            vacant => {
+                self.live += 1;
+                vacant.insert(Channel::default())
             }
         }
     }
 }
 
-/// Releases every window that can no longer be preceded: delivery rank is
-/// window + lag with lag < horizon, and ranks arrive non-decreasing, so
-/// once a window `max_seen` is delivered no window at or below
-/// `max_seen - horizon` can still appear.  The floor advances only past
-/// *released* (present) windows — a window index that was never delivered
-/// stays acceptable until some later window is finalized past it.
-fn release_ready<O: FleetObserver>(
-    ch: &mut Channel<O>,
-    spare: &mut Vec<Vec<WindowEvent>>,
-    stats: &mut StreamStats,
-    schedule: &Schedule,
-    horizon: u64,
+/// Publishes ingest tallies under `stream.*` — the one metric set both
+/// ingest drivers report.  `shard_events` is each shard's delivered-event
+/// tally (channels assigned by `node % shards`).
+pub(crate) fn publish_stream_metrics(
+    m: &mut Metrics,
+    stats: &StreamStats,
+    cfg: StreamConfig,
+    buffer_bound: usize,
+    buffer_bytes: usize,
+    shard_events: impl Iterator<Item = u64>,
 ) {
-    // First present window; generator streams are dense, so this is
-    // almost always the front slot.
-    while let Some(k) = ch.ring.iter().position(Slot::is_present) {
-        let w = ch.floor + k as u64;
-        if w.saturating_add(horizon) > ch.max_seen {
-            break;
-        }
-        for _ in 0..k {
-            ch.ring.pop_front();
-        }
-        let slot = ch.ring.pop_front().expect("present slot at k");
-        apply_slot(&mut ch.partial, schedule, slot, spare);
-        ch.floor = w + 1;
-        ch.buffered -= 1;
-        stats.buffered_windows -= 1;
-        stats.released_windows += 1;
+    m.add("stream.events", stats.events);
+    m.add("stream.samples", stats.samples);
+    m.add("stream.gaps", stats.gaps);
+    m.add("stream.rest_samples", stats.rest_samples);
+    m.add("stream.released_windows", stats.released_windows);
+    m.add("stream.late_rejects", stats.late_rejects);
+    m.add("stream.channel_rejects", stats.channel_rejects);
+    m.add("stream.span_rejects", stats.span_rejects);
+    m.add("stream.job_rejects", stats.job_rejects);
+    m.gauge_set("stream.shards", cfg.shards as f64);
+    m.gauge_set("stream.reorder_horizon", cfg.reorder_horizon as f64);
+    m.gauge_set("stream.buffered_windows", stats.buffered_windows as f64);
+    m.gauge_set(
+        "stream.peak_buffered_windows",
+        stats.peak_buffered_windows as f64,
+    );
+    m.gauge_set(
+        "stream.peak_channel_windows",
+        stats.peak_channel_windows as f64,
+    );
+    m.gauge_set("stream.buffer_bound", buffer_bound as f64);
+    m.gauge_set("stream.buffer_bytes", buffer_bytes as f64);
+    let max = shard_events.max().unwrap_or(0);
+    if stats.events > 0 {
+        let balanced = stats.events as f64 / cfg.shards as f64;
+        m.gauge_set("stream.shard_imbalance", max as f64 / balanced);
     }
+}
+
+/// The declared buffered-window bound of `channels` live channels: each
+/// holds at most `horizon` windows.
+pub(crate) fn buffer_bound(channels: u64, horizon: u64) -> usize {
+    // Multiply in u64 so a horizon above u32::MAX is not truncated on
+    // 32-bit targets, then saturate into the platform's usize.
+    usize::try_from(channels.saturating_mul(horizon)).unwrap_or(usize::MAX)
 }
 
 /// The streaming ingest engine, generic over the observer it maintains.
@@ -434,10 +377,7 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// O(channels × horizon) — independent of trace length.
     pub fn buffer_bound(&self) -> usize {
         let channels: u64 = self.shards.iter().map(|s| s.live as u64).sum();
-        // Multiply in u64 so a horizon above u32::MAX is not truncated on
-        // 32-bit targets, then saturate into the platform's usize.
-        let bound = channels.saturating_mul(self.cfg.reorder_horizon);
-        usize::try_from(bound).unwrap_or(usize::MAX)
+        buffer_bound(channels, self.cfg.reorder_horizon)
     }
 
     /// Approximate heap footprint of the reorder buffers, in bytes: ring
@@ -456,12 +396,7 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
                         .sum(),
                 );
             for ch in shard.channels.iter().flatten() {
-                bytes = bytes.saturating_add(ch.ring.capacity() * size_of::<Slot>());
-                for slot in &ch.ring {
-                    if let Slot::Many(evs) = slot {
-                        bytes = bytes.saturating_add(evs.capacity() * size_of::<WindowEvent>());
-                    }
-                }
+                bytes = bytes.saturating_add(ch.ring_bytes());
             }
         }
         bytes
@@ -473,74 +408,25 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// within the channel's accepted span, and any job attribution must
     /// index the schedule's job log.  Returns the event's ring offset.
     fn admit(&self, ev: &WindowEvent) -> Result<usize, StreamError> {
-        if (ev.slot as usize) >= CHANNELS_PER_NODE
-            || (ev.node as usize) >= self.schedule.per_node.len()
-        {
-            return Err(StreamError::InvalidChannel {
-                node: ev.node,
-                slot: ev.slot,
-                nodes: self.schedule.per_node.len() as u64,
-            });
-        }
-        // Job attribution indexes `schedule.jobs`; an out-of-range index
-        // from an adversarial frame must be refused here, where it is a
-        // typed error, not inside `apply_event`, where it is a panic.
-        let job = match ev.kind {
-            WindowKind::Sample { job, .. } | WindowKind::Gap { job, .. } => job,
-            WindowKind::NodeRest { .. } => None,
-        };
-        if let Some(j) = job {
-            if j >= self.schedule.jobs.len() {
-                return Err(StreamError::InvalidJob {
-                    node: ev.node,
-                    slot: ev.slot,
-                    window: ev.window,
-                    job: j as u64,
-                    jobs: self.schedule.jobs.len() as u64,
-                });
-            }
-        }
+        check_event(self.schedule, ev)?;
         let floor = self.channel(ev.node, ev.slot).map_or(0, |ch| ch.floor);
-        if ev.window < floor {
-            return Err(StreamError::LateArrival {
-                node: ev.node,
-                slot: ev.slot,
-                window: ev.window,
-                floor,
-            });
-        }
-        // The ring offset the event would occupy.  Bounding it (and
-        // checking the usize conversion rather than `as`-truncating) is
-        // what keeps a far-future window from demanding an unbounded ring
-        // allocation or landing in some other window's slot.
-        let span = ev.window - floor;
-        match usize::try_from(span) {
-            Ok(idx) if span < MAX_SPAN_WINDOWS => Ok(idx),
-            _ => Err(StreamError::SpanOverflow {
-                node: ev.node,
-                slot: ev.slot,
-                window: ev.window,
-                floor,
-                max_span: MAX_SPAN_WINDOWS,
-            }),
-        }
+        ring_offset(floor, ev)
+    }
+
+    /// The shard index and dense in-shard index of channel `(node, slot)`.
+    fn locate(&self, node: u32, slot: u8) -> (usize, usize) {
+        let nshards = self.cfg.shards;
+        let local = (node as usize / nshards) * CHANNELS_PER_NODE + slot as usize;
+        (node as usize % nshards, local)
     }
 
     /// The (possibly unmaterialized) channel of `(node, slot)`.
     fn channel(&self, node: u32, slot: u8) -> Option<&Channel<O>> {
-        let shard = &self.shards[node as usize % self.cfg.shards];
-        let local = (node as usize / self.cfg.shards) * CHANNELS_PER_NODE + slot as usize;
-        shard.channels.get(local).and_then(Option::as_ref)
-    }
-
-    /// Counts a rejection in the matching [`StreamStats`] counter.
-    fn count_reject(&mut self, err: &StreamError) {
-        match err {
-            StreamError::LateArrival { .. } => self.stats.late_rejects += 1,
-            StreamError::InvalidChannel { .. } => self.stats.channel_rejects += 1,
-            StreamError::SpanOverflow { .. } => self.stats.span_rejects += 1,
-            StreamError::InvalidJob { .. } => self.stats.job_rejects += 1,
-        }
+        let (shard, local) = self.locate(node, slot);
+        self.shards[shard]
+            .channels
+            .get(local)
+            .and_then(Option::as_ref)
     }
 
     /// Ingests one event, buffering it until its window is final.
@@ -557,66 +443,29 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
         let idx = match self.admit(&ev) {
             Ok(idx) => idx,
             Err(e) => {
-                self.count_reject(&e);
+                self.stats.count_reject(&e);
                 return Err(e);
             }
         };
         let horizon = self.cfg.reorder_horizon;
         let schedule = self.schedule;
-        let nshards = self.cfg.shards;
-        let shard = &mut self.shards[ev.node as usize % nshards];
-        let local = (ev.node as usize / nshards) * CHANNELS_PER_NODE + ev.slot as usize;
-        if local >= shard.channels.len() {
-            shard.channels.resize_with(local + 1, || None);
-        }
-        let ch = match &mut shard.channels[local] {
-            Some(ch) => ch,
-            vacant => {
-                shard.live += 1;
-                vacant.insert(Channel::default())
-            }
-        };
-        debug_assert_eq!(idx as u64, ev.window - ch.floor);
+        let (si, local) = self.locate(ev.node, ev.slot);
+        let shard = &mut self.shards[si];
         shard.events += 1;
-        self.stats.events += 1;
-        match ev.kind {
-            WindowKind::Sample { .. } => self.stats.samples += 1,
-            WindowKind::Gap { .. } => self.stats.gaps += 1,
-            WindowKind::NodeRest { .. } => self.stats.rest_samples += 1,
-        }
-        ch.max_seen = ch.max_seen.max(ev.window);
-        if idx >= ch.ring.len() {
-            // Lazy growth to the span actually buffered — a huge horizon
-            // must not preallocate anything (it only *permits* lateness).
-            ch.ring.resize(idx + 1, Slot::Empty);
-        }
-        let slot = &mut ch.ring[idx];
-        let fresh = match slot {
-            Slot::Empty => {
-                *slot = Slot::One(ev);
-                true
-            }
-            Slot::One(_) => {
-                let mut evs = shard.spare.pop().unwrap_or_default();
-                let Slot::One(first) = std::mem::replace(slot, Slot::Empty) else {
-                    unreachable!("matched One above")
-                };
-                evs.push(first);
-                evs.push(ev);
-                *slot = Slot::Many(evs);
-                false
-            }
-            Slot::Many(evs) => {
-                evs.push(ev);
-                false
-            }
-        };
+        self.stats.count_event(&ev.kind);
+        let mut spare = std::mem::take(&mut shard.spare);
+        let ch = shard.channel_mut(local);
+        let (fresh, released) = ch.accept(ev, idx, horizon, &mut spare, |partial, evs| {
+            apply_all(partial, schedule, evs)
+        });
+        let buffered = ch.buffered;
+        shard.spare = spare;
         if fresh {
-            ch.buffered += 1;
             self.stats.buffered_windows += 1;
         }
-        release_ready(ch, &mut shard.spare, &mut self.stats, schedule, horizon);
-        self.stats.peak_channel_windows = self.stats.peak_channel_windows.max(ch.buffered);
+        self.stats.buffered_windows -= released as usize;
+        self.stats.released_windows += released;
+        self.stats.peak_channel_windows = self.stats.peak_channel_windows.max(buffered);
         self.stats.peak_buffered_windows = self
             .stats
             .peak_buffered_windows
@@ -625,171 +474,82 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     }
 
     /// Ingests one channel block in stored (arrival) order — the columnar
-    /// generator's delivery path.  Strictly-ascending blocks landing on an
-    /// empty reorder ring (every clean channel, and any fault plan without
-    /// reordering or duplication) take a columnar fast path: the rows that
-    /// are already final fold straight into the channel partial as one
-    /// range ([`FleetObserver::fold_rows`]) and only the in-horizon tail
-    /// touches the ring.  The fold performs the identical observer-call
-    /// sequence the per-event path would, so results — and every ingest
-    /// statistic, including the buffered-window peaks — are bit-identical.
-    /// Other blocks fall back to row-by-row [`StreamEngine::ingest`],
-    /// stopping at the first rejection (the rows before it stay applied;
-    /// the rejected row leaves no trace).  A block naming a channel outside
-    /// the schedule is refused atomically with
-    /// [`StreamError::InvalidChannel`] before any row is touched.
+    /// generator's delivery path.  Each run of rows in ascending window
+    /// order goes through `Channel::accept_run`: the rows it makes final
+    /// fold straight into the channel partial as one range
+    /// ([`FleetObserver::fold_rows`]) and only the in-horizon tail touches
+    /// the ring.  Each row out of order goes through [`StreamEngine::ingest`].
+    /// Both make the observer calls and count the statistics, including
+    /// the buffered-window peaks, that row-by-row ingest would, so results
+    /// are bit-identical.  Ingest stops at the first rejection (the rows
+    /// before it stay applied; the rejected row leaves no trace), and a
+    /// block naming a channel outside the schedule is refused atomically
+    /// with [`StreamError::InvalidChannel`] before any row is touched.
     pub fn ingest_block(&mut self, block: &ColumnBlock) -> Result<(), StreamError> {
         // Every row shares the block's channel, so the channel bounds are
         // checked once, up front, and the rejection is atomic.
-        if (block.slot() as usize) >= CHANNELS_PER_NODE
-            || (block.node() as usize) >= self.schedule.per_node.len()
-        {
+        if !channel_exists(self.schedule, block.node(), block.slot()) {
             let err = StreamError::InvalidChannel {
                 node: block.node(),
                 slot: block.slot(),
                 nodes: self.schedule.per_node.len() as u64,
             };
-            self.count_reject(&err);
+            self.stats.count_reject(&err);
             return Err(err);
         }
-        if self.try_ingest_block_inorder(block) {
-            return Ok(());
-        }
-        for ev in block.iter() {
-            self.ingest(ev)?;
+        let mut next = 0;
+        while next < block.len() {
+            next = self.ingest_run(block, next);
+            if next < block.len() {
+                self.ingest(block.event(next))?;
+                next += 1;
+            }
         }
         Ok(())
     }
 
-    /// The in-order columnar fast path (see [`StreamEngine::ingest_block`]).
-    /// Returns `false` — leaving the engine untouched — when the block
-    /// needs the general per-event path: non-monotonic or duplicated
-    /// windows, a non-empty reorder ring, rows behind the release floor,
-    /// or rows the per-event path would reject (bad job attributions,
-    /// spans beyond the buffering bound), so that every rejection is
-    /// reported with the per-event path's exact typed error and prefix
-    /// semantics.  The caller has already validated the block's channel.
-    fn try_ingest_block_inorder(&mut self, block: &ColumnBlock) -> bool {
-        let ws = block.windows();
-        let n = ws.len();
-        if n == 0 {
-            return true;
-        }
-        if !ws.windows(2).all(|p| p[0] < p[1]) {
-            return false;
-        }
-        // Rows with out-of-range job attributions must surface through the
-        // per-event path's typed rejection, never reach `fold_rows`.
-        let jobs_len = self.schedule.jobs.len() as u64;
-        if block
-            .jobs()
-            .iter()
-            .any(|&j| j != NO_JOB && u64::from(j) >= jobs_len)
-        {
-            return false;
-        }
-        let horizon = self.cfg.reorder_horizon;
-        let schedule = self.schedule;
-        let nshards = self.cfg.shards;
-
-        // Every check below reads the channel's current state without
-        // materializing it, so a block routed to the fallback (or rejected
-        // there) has not touched the engine yet.
-        let (floor0, buffered0, max_seen0) = match self.channel(block.node(), block.slot()) {
-            Some(ch) => (ch.floor, ch.buffered, ch.max_seen),
-            None => (0, 0, 0),
-        };
-        if buffered0 != 0 || ws[0] < floor0 {
-            return false;
-        }
-
-        // Rows final once the whole block is seen: window + horizon at or
-        // below the final high-water mark.  Ascending windows make this a
-        // prefix, released by the per-event path in exactly row order.
-        let max_after = max_seen0.max(ws[n - 1]);
-        let split = ws.partition_point(|&w| w.saturating_add(horizon) <= max_after);
-
-        // Buffered-occupancy peaks the per-event path would have recorded:
-        // after ingesting row `i` (running high-water mark `m`), the ring
-        // holds the rows not yet releasable — a sliding window over the
-        // ascending lane, scanned with two cursors.  The same scan tracks
-        // the release floor each row would be admitted against, so rows
-        // the per-event path would reject as [`StreamError::SpanOverflow`]
-        // force the fallback (which reports the typed error with its
-        // exact prefix semantics).
-        let buffered_before = self.stats.buffered_windows;
-        let mut peak = 0usize;
-        let mut lo = 0usize;
-        for (i, &w) in ws.iter().enumerate() {
-            // `lo` reflects the releases rows `0..i` triggered, so this is
-            // the floor the per-event path would check row `i` against.
-            let floor_now = if lo == 0 { floor0 } else { ws[lo - 1] + 1 };
-            let span = w - floor_now;
-            if span >= MAX_SPAN_WINDOWS || usize::try_from(span).is_err() {
-                return false;
-            }
-            let m = max_seen0.max(w);
-            while ws[lo].saturating_add(horizon) <= m {
-                lo += 1;
-            }
-            peak = peak.max(i - lo + 1);
-        }
-
-        let node = block.node() as usize;
-        let shard = &mut self.shards[node % nshards];
-        let local = (node / nshards) * CHANNELS_PER_NODE + block.slot() as usize;
-        if local >= shard.channels.len() {
-            shard.channels.resize_with(local + 1, || None);
-        }
-        let ch = match &mut shard.channels[local] {
+    /// Accepts the run of `block`'s rows in ascending window order from row
+    /// `from` on (see [`StreamEngine::ingest_block`]) and returns the first
+    /// row it did not accept.  A channel with no events yet is
+    /// materialized only when the run accepts a row.
+    fn ingest_run(&mut self, block: &ColumnBlock, from: usize) -> usize {
+        let (horizon, schedule) = (self.cfg.reorder_horizon, self.schedule);
+        let (si, local) = self.locate(block.node(), block.slot());
+        let shard = &mut self.shards[si];
+        let stats = &mut self.stats;
+        let mut fresh = None;
+        let ch = match shard.channels.get_mut(local).and_then(Option::as_mut) {
             Some(ch) => ch,
-            vacant => {
-                shard.live += 1;
-                vacant.insert(Channel::default())
-            }
+            None => fresh.insert(Channel::default()),
         };
-        debug_assert!(ch.ring.iter().all(|s| !s.is_present()));
-        ch.ring.clear();
-
-        // Per-kind tallies straight off the tag lane.
-        const TAG_SAMPLE: u8 = Tag::Sample as u8;
-        const TAG_REST: u8 = Tag::NodeRest as u8;
-        let mut samples = 0u64;
-        let mut rest = 0u64;
-        for &t in block.tags() {
-            match t {
-                TAG_SAMPLE => samples += 1,
-                TAG_REST => rest += 1,
-                _ => {}
-            }
+        // Only this channel's occupancy moves during the run, so the summed
+        // peak is the total before it plus the run's highest net change.
+        let (mut net, mut peak_net, mut peak_channel) = (0isize, 0isize, 0usize);
+        let (end, released) = ch.accept_run(
+            block,
+            from..block.len(),
+            horizon,
+            schedule,
+            &mut shard.spare,
+            |_, delta, buffered| {
+                net += delta as isize;
+                peak_net = peak_net.max(net);
+                peak_channel = peak_channel.max(buffered);
+            },
+        );
+        let before = stats.buffered_windows;
+        stats.buffered_windows = before.wrapping_add_signed(net);
+        stats.peak_buffered_windows = stats
+            .peak_buffered_windows
+            .max(before.wrapping_add_signed(peak_net));
+        stats.peak_channel_windows = stats.peak_channel_windows.max(peak_channel);
+        stats.count_tags(&block.tags()[from..end]);
+        stats.released_windows += released;
+        shard.events += (end - from) as u64;
+        if let Some(ch) = fresh.filter(|_| end > from) {
+            *shard.channel_mut(local) = ch;
         }
-        shard.events += n as u64;
-        self.stats.events += n as u64;
-        self.stats.samples += samples;
-        self.stats.rest_samples += rest;
-        self.stats.gaps += n as u64 - samples - rest;
-
-        ch.max_seen = max_after;
-        ch.partial.fold_rows(schedule, block, 0..split);
-        self.stats.released_windows += split as u64;
-        if split > 0 {
-            ch.floor = ws[split - 1] + 1;
-        }
-        for (i, &w) in ws.iter().enumerate().skip(split) {
-            // In bounds: every row's span against its admission floor was
-            // validated above, and the floor only advanced since.
-            let idx = usize::try_from(w - ch.floor).expect("tail span validated before mutation");
-            if idx >= ch.ring.len() {
-                ch.ring.resize(idx + 1, Slot::Empty);
-            }
-            ch.ring[idx] = Slot::One(block.event(i));
-            ch.buffered += 1;
-        }
-        self.stats.buffered_windows += n - split;
-        self.stats.peak_channel_windows = self.stats.peak_channel_windows.max(peak);
-        self.stats.peak_buffered_windows =
-            self.stats.peak_buffered_windows.max(buffered_before + peak);
-        true
+        end
     }
 
     /// Drains every reorder buffer into its channel partial — the
@@ -800,18 +560,9 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
         for shard in &mut self.shards {
             let spare = &mut shard.spare;
             for ch in shard.channels.iter_mut().flatten() {
-                while let Some(slot) = ch.ring.pop_front() {
-                    // The ring's last slot is always present (it was
-                    // created for a delivered window), so the floor ends at
-                    // max delivered window + 1 either way.
-                    ch.floor += 1;
-                    if slot.is_present() {
-                        apply_slot(&mut ch.partial, schedule, slot, spare);
-                        ch.buffered -= 1;
-                        self.stats.buffered_windows -= 1;
-                        self.stats.released_windows += 1;
-                    }
-                }
+                let released = ch.flush(spare, |partial, evs| apply_all(partial, schedule, evs));
+                self.stats.buffered_windows -= released as usize;
+                self.stats.released_windows += released;
             }
         }
     }
@@ -820,34 +571,30 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// its released partial plus a replay of its still-buffered windows —
     /// keyed by `(node, slot)` in the batch simulation's canonical order
     /// (nodes ascending; GPU slots `0..4`, then rest-of-node), whatever the
-    /// shard count.
+    /// shard count.  Nodes are walked in ascending order through the shard
+    /// tables, so the order costs no sort.
     pub fn channel_snapshots(&self) -> impl Iterator<Item = ((u32, u8), O)> + '_ {
         let nshards = self.cfg.shards;
-        let mut channels: Vec<((u32, u8), &Channel<O>)> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            for (li, ch) in shard.channels.iter().enumerate() {
-                if let Some(ch) = ch {
-                    let node = (li / CHANNELS_PER_NODE) * nshards + si;
-                    let slot = (li % CHANNELS_PER_NODE) as u8;
-                    channels.push(((node as u32, slot), ch));
-                }
-            }
-        }
-        channels.sort_unstable_by_key(|&(key, _)| key);
-        channels.into_iter().map(|(key, ch)| {
-            let mut part = ch.partial.clone();
-            for slot in &ch.ring {
-                match slot {
-                    Slot::Empty => {}
-                    Slot::One(ev) => apply_event(&mut part, self.schedule, ev),
-                    Slot::Many(evs) => {
-                        for e in evs {
-                            apply_event(&mut part, self.schedule, e);
-                        }
-                    }
-                }
-            }
-            (key, part)
+        // Past the last node any shard table reaches, nothing is live.
+        let nodes = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(si, s)| s.channels.len().div_ceil(CHANNELS_PER_NODE) * nshards + si)
+            .max()
+            .unwrap_or(0);
+        (0..nodes).flat_map(move |node| {
+            let shard = &self.shards[node % nshards];
+            let base = (node / nshards) * CHANNELS_PER_NODE;
+            let table = shard.channels.get(base..).unwrap_or(&[]);
+            table
+                .iter()
+                .take(CHANNELS_PER_NODE)
+                .enumerate()
+                .filter_map(move |(slot, ch)| {
+                    let ch = ch.as_ref()?;
+                    Some(((node as u32, slot as u8), ch.snapshot(self.schedule)))
+                })
         })
     }
 
@@ -877,46 +624,26 @@ impl<'a, O: FleetObserver + Default + Clone> StreamEngine<'a, O> {
     /// peak, against the declared bound), and shard imbalance (most-loaded
     /// shard's event share over a perfectly balanced share).
     pub fn publish_metrics(&self, m: &mut Metrics) {
-        m.add("stream.events", self.stats.events);
-        m.add("stream.samples", self.stats.samples);
-        m.add("stream.gaps", self.stats.gaps);
-        m.add("stream.rest_samples", self.stats.rest_samples);
-        m.add("stream.released_windows", self.stats.released_windows);
-        m.add("stream.late_rejects", self.stats.late_rejects);
-        m.add("stream.channel_rejects", self.stats.channel_rejects);
-        m.add("stream.span_rejects", self.stats.span_rejects);
-        m.add("stream.job_rejects", self.stats.job_rejects);
-        m.gauge_set("stream.shards", self.cfg.shards as f64);
-        m.gauge_set("stream.reorder_horizon", self.cfg.reorder_horizon as f64);
-        m.gauge_set(
-            "stream.buffered_windows",
-            self.stats.buffered_windows as f64,
+        publish_stream_metrics(
+            m,
+            &self.stats,
+            self.cfg,
+            self.buffer_bound(),
+            self.buffer_bytes(),
+            self.shards.iter().map(|s| s.events),
         );
-        m.gauge_set(
-            "stream.peak_buffered_windows",
-            self.stats.peak_buffered_windows as f64,
-        );
-        m.gauge_set(
-            "stream.peak_channel_windows",
-            self.stats.peak_channel_windows as f64,
-        );
-        m.gauge_set("stream.buffer_bound", self.buffer_bound() as f64);
-        m.gauge_set("stream.buffer_bytes", self.buffer_bytes() as f64);
-        let max = self.shards.iter().map(|s| s.events).max().unwrap_or(0);
-        if self.stats.events > 0 {
-            let balanced = self.stats.events as f64 / self.cfg.shards as f64;
-            m.gauge_set("stream.shard_imbalance", max as f64 / balanced);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::MAX_SPAN_WINDOWS;
     use pmss_core::EnergyLedger;
     use pmss_sched::{catalog, generate, TraceParams};
     use pmss_telemetry::{
         fleet_window_blocks, simulate_fleet, FleetConfig, FleetPowerSeries, GpuCpuEnergy,
+        WindowKind,
     };
 
     fn schedule() -> Schedule {
@@ -1113,10 +840,10 @@ mod tests {
     #[test]
     fn block_ingest_matches_event_ingest_bit_for_bit() {
         let sched = schedule();
-        // Clean (fast path throughout), a dropping plan (fast path over
-        // windows with holes), and a reordering plan (per-event fallback):
-        // the block path must reproduce the event path's ledger AND every
-        // ingest statistic, peaks included.
+        // Clean (one run per block), a dropping plan (runs over windows
+        // with holes), and a reordering plan (runs between rows out of
+        // order): the block path must reproduce the event path's ledger,
+        // live channels AND every ingest statistic, peaks included.
         let plans = [
             None,
             Some(FaultPlan {
@@ -1141,15 +868,29 @@ mod tests {
             });
             let mut by_block: StreamEngine<'_, EnergyLedger> =
                 StreamEngine::new(&sched, stream_cfg).unwrap();
+            // The same rows in blocks of 97, so most blocks land on a
+            // channel whose ring still holds the last block's tail.
+            let mut by_piece: StreamEngine<'_, EnergyLedger> =
+                StreamEngine::new(&sched, stream_cfg).unwrap();
             fleet_window_blocks(&sched, &cfg, |block| {
                 by_block.ingest_block(block).unwrap();
+                let rows: Vec<WindowEvent> = block.iter().collect();
+                for piece in rows.chunks(97) {
+                    let piece = ColumnBlock::from_events(block.node(), block.slot(), piece);
+                    by_piece.ingest_block(&piece).unwrap();
+                }
             });
-            assert_eq!(by_block.stats(), by_event.stats(), "plan {plan:?}");
+            for eng in [&by_block, &by_piece] {
+                assert_eq!(eng.stats(), by_event.stats(), "plan {plan:?}");
+                assert_eq!(eng.buffer_bound(), by_event.buffer_bound(), "plan {plan:?}");
+            }
             let (event_ledger, event_stats) = by_event.finish();
-            let (block_ledger, block_stats) = by_block.finish();
-            assert_eq!(block_ledger, event_ledger, "plan {plan:?}");
-            assert_eq!(block_stats, event_stats, "plan {plan:?}");
-            assert!(block_stats.events > 0);
+            for eng in [by_block, by_piece] {
+                let (block_ledger, block_stats) = eng.finish();
+                assert_eq!(block_ledger, event_ledger, "plan {plan:?}");
+                assert_eq!(block_stats, event_stats, "plan {plan:?}");
+            }
+            assert!(event_stats.events > 0);
         }
     }
 
@@ -1355,5 +1096,32 @@ mod tests {
         // The channel takes its next window afterwards.
         eng.ingest(sample(1, 0, 1, None)).unwrap();
         assert_eq!(eng.stats().events, 4);
+    }
+
+    #[test]
+    fn block_run_records_the_peak_it_passes_through() {
+        // Four windows fill a horizon-4 ring; a window far past them
+        // releases all four at once, so the block's run peaks at 4
+        // buffered windows mid-run and ends at 1.
+        let sched = schedule();
+        let cfg = StreamConfig {
+            shards: 1,
+            reorder_horizon: 4,
+        };
+        let events: Vec<WindowEvent> = [0, 1, 2, 3, 50]
+            .into_iter()
+            .map(|w| sample(0, 0, w, None))
+            .collect();
+        let mut by_event: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&sched, cfg).unwrap();
+        for ev in &events {
+            by_event.ingest(*ev).unwrap();
+        }
+        let mut by_block: StreamEngine<'_, EnergyLedger> = StreamEngine::new(&sched, cfg).unwrap();
+        by_block
+            .ingest_block(&ColumnBlock::from_events(0, 0, &events))
+            .unwrap();
+        assert_eq!(by_event.stats().peak_buffered_windows, 4);
+        assert_eq!(by_event.stats().buffered_windows, 1);
+        assert_eq!(by_block.stats(), by_event.stats());
     }
 }

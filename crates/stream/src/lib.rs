@@ -33,8 +33,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod channel;
 pub mod engine;
+pub mod replay;
 pub mod state;
 
 pub use engine::{StreamConfig, StreamEngine, StreamError, StreamStats};
+pub use replay::{Cut, CutParts, CutTally, Delivery, EventRun, TraceReplay};
 pub use state::StreamState;

@@ -46,14 +46,9 @@ impl StreamState {
         }
     }
 
-    /// Snapshots `engine` (released *and* buffered windows) into a state.
-    pub fn capture(engine: &StreamEngine<'_, EnergyLedger>, frontier_factor: f64) -> StreamState {
-        StreamState::new(engine.snapshot(), frontier_factor)
-    }
-
-    /// Snapshots a paired ledger + econ-series engine.  The ledger
-    /// component is bit-identical to what [`StreamState::capture`] yields
-    /// from a ledger-only engine over the same windows: `Pair` forwards
+    /// Snapshots a paired ledger + econ-series engine (released *and*
+    /// buffered windows).  The ledger component is bit-identical to a
+    /// ledger-only engine's snapshot over the same windows: `Pair` forwards
     /// each event to both members independently, so pairing changes no
     /// ledger operation.
     pub fn capture_pair(
@@ -133,7 +128,7 @@ mod tests {
         });
         eng.flush();
         let factor = 3.5;
-        let state = StreamState::capture(&eng, factor);
+        let state = StreamState::new(eng.snapshot(), factor);
         let t3 = table3::compute_default();
         let p = state.projection(&t3).unwrap();
         let want = project(
@@ -171,7 +166,7 @@ mod tests {
         });
         solo.flush();
         paired.flush();
-        let a = StreamState::capture(&solo, 2.0);
+        let a = StreamState::new(solo.snapshot(), 2.0);
         let b = StreamState::capture_pair(&paired, 2.0);
         assert_eq!(format!("{:?}", a.ledger()), format!("{:?}", b.ledger()));
         let econ = b.econ().expect("paired capture carries the series");
@@ -193,7 +188,7 @@ mod tests {
         );
         let eng: StreamEngine<'_, EnergyLedger> =
             StreamEngine::new(&sched, StreamConfig::default()).unwrap();
-        let state = StreamState::capture(&eng, 1.0);
+        let state = StreamState::new(eng.snapshot(), 1.0);
         let t3 = table3::compute_default();
         assert!(state.projection(&t3).is_err());
         assert!(state.coverage_bounds(&t3).is_err());

@@ -1,7 +1,9 @@
 //! One fleet run in *delivery* order — every event sorted by
 //! `(rank, node, slot, window)`, the order a collection fabric hands
-//! windows to an ingest tier and the order the `stream` and `govern`
-//! artifacts replay.
+//! windows to an ingest tier.  The `stream` and `govern` artifacts replay
+//! it channel by channel ([`DeliveryTrace::channels`], each channel in
+//! arrival order), and `govern` accounts it event by event in delivery
+//! order ([`DeliveryTrace::iter`]).
 //!
 //! The generator emits each `(node, slot)` channel contiguously, already
 //! stable-sorted by `(rank, window)`: ascending window (rank == window)
@@ -68,12 +70,14 @@ const _: () = assert!(pmss_faults::MAX_REORDER_DEPTH <= u16::MAX as u32);
 /// One channel's rows in arrival order, narrowed to the columns the grid
 /// and the window index do not determine (see the module docs).
 #[derive(Debug, Clone)]
-pub(crate) struct TraceBlock {
+pub struct TraceBlock {
     node: u32,
     slot: u8,
     sku: u8,
     /// Row `i` is stamped `grid.stamp(windows[i], slot == REST_SLOT)`.
     grid: BlockGrid,
+    /// `grid.last_window()`, computed once.
+    last: u64,
     windows: Vec<u32>,
     /// `rank − window` per row; empty when every row is in order.
     lags: Vec<u16>,
@@ -87,12 +91,13 @@ impl TraceBlock {
     /// and inside the column widths.
     fn narrow(block: &ColumnBlock, grid: BlockGrid) -> Result<TraceBlock, PmssError> {
         let rest_channel = block.slot() == REST_SLOT;
+        let last = grid.last_window();
         let in_order = block.ranks() == block.windows();
         let mut windows = Vec::with_capacity(block.len());
         let mut lags = Vec::with_capacity(if in_order { 0 } else { block.len() });
         for i in 0..block.len() {
             let (w, r) = (block.windows()[i], block.ranks()[i]);
-            let (t, span) = grid.stamp(w, rest_channel);
+            let (t, span) = grid.stamp_on(last, w, rest_channel);
             let (got_t, got_span) = (block.times()[i], block.spans()[i]);
             let lag = r.checked_sub(w).and_then(|lag| u16::try_from(lag).ok());
             let on_grid = t.to_bits() == got_t.to_bits() && span.to_bits() == got_span.to_bits();
@@ -116,6 +121,7 @@ impl TraceBlock {
             slot: block.slot(),
             sku: block.sku(),
             grid,
+            last,
             windows,
             lags,
             tags: block.tags().to_vec(),
@@ -124,10 +130,46 @@ impl TraceBlock {
         })
     }
 
-    /// Delivery rank of row `i`.
+    /// The channel's `(node, slot)`.
+    pub fn channel(&self) -> (u32, u8) {
+        (self.node, self.slot)
+    }
+
+    /// Number of rows.
+    // No `is_empty`: a replay only asks how far to go.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Delivery rank of row `i` (rows are sorted by `(rank, window)`).
     #[inline]
-    fn rank(&self, i: usize) -> u64 {
+    pub fn rank(&self, i: usize) -> u64 {
         u64::from(self.windows[i]) + self.lags.get(i).map_or(0, |&lag| u64::from(lag))
+    }
+
+    /// Window index of row `i`.
+    #[inline]
+    pub fn window(&self, i: usize) -> u64 {
+        u64::from(self.windows[i])
+    }
+
+    /// Payload tag byte of row `i`.
+    #[inline]
+    pub fn tag(&self, i: usize) -> u8 {
+        self.tags[i]
+    }
+
+    /// Job attribution of row `i` ([`crate::NO_JOB`] when unattributed).
+    #[inline]
+    pub fn job(&self, i: usize) -> u32 {
+        self.jobs[i]
+    }
+
+    /// Rebuilds row `i` as the [`WindowEvent`] it was captured from.
+    #[inline]
+    pub fn row(&self, i: usize) -> WindowEvent {
+        self.event(i, self.rank(i))
     }
 
     /// Rebuilds row `i`, of delivery rank `rank`, as the [`WindowEvent`] it
@@ -135,7 +177,9 @@ impl TraceBlock {
     #[inline]
     fn event(&self, i: usize, rank: u64) -> WindowEvent {
         let window = u64::from(self.windows[i]);
-        let (t_s, span_s) = self.grid.stamp(window, self.slot == REST_SLOT);
+        let (t_s, span_s) = self
+            .grid
+            .stamp_on(self.last, window, self.slot == REST_SLOT);
         let tag = Tag::from_u8(self.tags[i]).expect("valid captured tag");
         WindowEvent {
             node: self.node,
@@ -246,6 +290,12 @@ impl DeliveryTrace {
     /// held for the trace's lifetime).
     pub fn retained_bytes(&self) -> usize {
         self.blocks.iter().map(TraceBlock::column_bytes).sum()
+    }
+
+    /// The run's channels in canonical `(node, slot)` order, each in
+    /// arrival order — what a per-channel replay reads.
+    pub fn channels(&self) -> &[TraceBlock] {
+        &self.blocks
     }
 
     /// The run's events in `(rank, node, slot, window)` order.

@@ -14,7 +14,7 @@
 //!   (encoded on the workers that generate them), replayed a tile of rows
 //!   at a time, channels on every core;
 //! * [`delivery`] — a fleet run's channels retained as narrow columns,
-//!   replayed event by event in delivery order;
+//!   read channel by channel or event by event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
 //!   energy split (Fig. 2 b);
 //! * [`smi`] — in-band (ROCm-SMI-like) vs out-of-band agreement (Fig. 2 a);
@@ -43,7 +43,7 @@ pub mod sampler;
 pub mod smi;
 mod threads;
 
-pub use delivery::DeliveryTrace;
+pub use delivery::{DeliveryTrace, TraceBlock};
 pub use fleet::{
     fleet_window_blocks, simulate_fleet, simulate_fleet_metered, simulate_fleet_plans, FleetConfig,
     FleetObserver, FleetRunStats, GapFill, SampleCtx,
@@ -57,4 +57,4 @@ pub use pmss_columns::{
 };
 pub use resident::ResidentFleet;
 pub use smi::compare_sensors;
-pub use threads::{scoped_map, workers};
+pub use threads::{scoped_map, scoped_sink, workers};

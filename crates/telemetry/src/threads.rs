@@ -3,7 +3,9 @@
 //!
 //! Fleet threads are a `std::thread::scope` at the loop that needs them —
 //! a resident store's channels ([`crate::ResidentFleet::replay`]), a fleet
-//! run's nodes (`fleet::run_channels`).  There are [`workers`] of them,
+//! run's nodes (`fleet::run_channels`), a recorded run's channels replayed
+//! from their own stream state (`pmss-stream`'s `TraceReplay`, the one
+//! caller outside this crate).  There are [`workers`] of them,
 //! nothing sets the count, and one code path runs at any count: with one
 //! worker the calling thread runs every job itself.  No production loop
 //! runs inside another's job; [`scoped_map`] exists so that a test can run
@@ -80,13 +82,8 @@ struct Hand<T> {
 /// the next result when it may not claim.  A panic in a job or in the
 /// sink stops the workers and is re-raised on the caller once they have
 /// all returned.
-pub(crate) fn scoped_sink<S, T, F, K>(
-    mut states: Vec<S>,
-    ahead: usize,
-    n: usize,
-    job: F,
-    mut sink: K,
-) where
+pub fn scoped_sink<S, T, F, K>(mut states: Vec<S>, ahead: usize, n: usize, job: F, mut sink: K)
+where
     S: Send,
     T: Send,
     F: Fn(&mut S, usize) -> T + Sync,

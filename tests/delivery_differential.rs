@@ -20,7 +20,7 @@ use pmss_govern::{run_governor, GovernorPlan};
 use pmss_gpu::FleetMix;
 use pmss_pipeline::spec::{ScalePreset, ScenarioSpec};
 use pmss_sched::{catalog, generate, Schedule, TraceParams};
-use pmss_stream::StreamConfig;
+use pmss_stream::{EventRun, StreamConfig};
 use pmss_telemetry::{
     fleet_window_blocks, simulate_fleet_metered, DeliveryTrace, DomainHistograms, FleetConfig,
     GapFill, Pair, SystemHistogram, WindowEvent, WindowKind,
@@ -278,8 +278,8 @@ fn empty_run_yields_nothing() {
     assert_eq!(n, 0);
 }
 
-/// The governor sees the same run whether it is handed the merge or the
-/// sorted slice.
+/// The governor sees the same run whether it is handed the captured trace
+/// or the flatten-and-sort oracle's events.
 #[test]
 fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
     let mut spec = ScenarioSpec::preset(ScalePreset::Quick);
@@ -291,7 +291,7 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
     };
     let t3 = table3::compute_default();
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
-    let oracle = delivery_ordered_events(&schedule, &cfg);
+    let oracle = EventRun::new(delivery_ordered_events(&schedule, &cfg)).expect("sorted");
     let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
     for preset in pmss_govern::PRESETS {
         let resolved = GovernorPlan::preset(preset)
@@ -300,7 +300,7 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
             .expect("resolves");
         let from_trace = run_governor(
             &schedule,
-            trace.iter(),
+            &trace,
             stream_cfg,
             std::slice::from_ref(&resolved),
             &t3,
@@ -310,7 +310,7 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
         .remove(0);
         let from_oracle = run_governor(
             &schedule,
-            oracle.iter().copied(),
+            &oracle,
             stream_cfg,
             std::slice::from_ref(&resolved),
             &t3,

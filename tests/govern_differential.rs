@@ -182,15 +182,7 @@ fn one_shared_replay_equals_each_plan_replayed_alone() {
         let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
         let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
         let replay = |plans: &[_]| {
-            run_governor(
-                &schedule,
-                trace.iter(),
-                stream_cfg,
-                plans,
-                &t3,
-                cfg.window_s,
-            )
-            .expect("replays")
+            run_governor(&schedule, &trace, stream_cfg, plans, &t3, cfg.window_s).expect("replays")
         };
         let shared = replay(&plans);
         assert_eq!(shared.len(), plans.len());

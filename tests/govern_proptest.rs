@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use pmss_govern::{run_governor, GovernorPlan, Policy};
 use pmss_sched::Schedule;
-use pmss_stream::StreamConfig;
+use pmss_stream::{EventRun, StreamConfig};
 use pmss_telemetry::{WindowEvent, WindowKind};
 use pmss_workloads::sweep::CapSetting;
 use pmss_workloads::table3::{Table3, Table3Row};
@@ -198,12 +198,12 @@ proptest! {
     ) {
         let sched = schedule(nodes as usize);
         let t3 = table();
-        let evs = events(nodes, windows, seed);
+        let run = EventRun::new(events(nodes, windows, seed)).expect("delivery order");
         let cfg = StreamConfig::default();
         match plan.resolve(nodes as usize, CapSetting::FreqMhz(700.0)) {
             Err(_) => {} // typed rejection is the correct outcome
             Ok(resolved) => {
-                let out = run_governor(&sched, evs.iter().copied(), cfg, &[resolved], &t3, WINDOW_S)
+                let out = run_governor(&sched, &run, cfg, &[resolved], &t3, WINDOW_S)
                     .expect("a resolved plan replays")
                     .remove(0);
                 prop_assert!(!out.budget_exceeded, "cluster budget exceeded");
@@ -229,14 +229,14 @@ proptest! {
     ) {
         let sched = schedule(nodes as usize);
         let t3 = table();
-        let evs = events(nodes, windows, seed);
+        let run = EventRun::new(events(nodes, windows, seed)).expect("delivery order");
         let cfg = StreamConfig::default();
         let resolved = plan
             .resolve(nodes as usize, CapSetting::FreqMhz(700.0))
             .expect("valid plans resolve against any non-empty fleet");
         let plans = [resolved];
-        let a = run_governor(&sched, evs.iter().copied(), cfg, &plans, &t3, WINDOW_S).expect("replays");
-        let b = run_governor(&sched, evs.iter().copied(), cfg, &plans, &t3, WINDOW_S).expect("replays");
+        let a = run_governor(&sched, &run, cfg, &plans, &t3, WINDOW_S).expect("replays");
+        let b = run_governor(&sched, &run, cfg, &plans, &t3, WINDOW_S).expect("replays");
         prop_assert_eq!(a, b);
     }
 
@@ -252,7 +252,7 @@ proptest! {
     ) {
         let sched = schedule(nodes as usize);
         let t3 = table();
-        let evs = events(nodes, windows, seed);
+        let run = EventRun::new(events(nodes, windows, seed)).expect("delivery order");
         let cfg = StreamConfig::default();
         let mut saved = Vec::new();
         for name in pmss_govern::PRESETS {
@@ -260,7 +260,7 @@ proptest! {
                 .expect("preset")
                 .resolve(nodes as usize, CapSetting::FreqMhz(700.0))
                 .expect("resolves");
-            let out = run_governor(&sched, evs.iter().copied(), cfg, &[resolved], &t3, WINDOW_S)
+            let out = run_governor(&sched, &run, cfg, &[resolved], &t3, WINDOW_S)
                 .expect("replays")
                 .remove(0);
             prop_assert!((0.0..100.0).contains(&out.realized_pct()));

@@ -76,6 +76,36 @@ fn cli_metrics_ascii_appends_after_artifact() {
     assert!(block.contains("stage.table3.runs"), "{block}");
 }
 
+/// `pmss govern --metrics` reports each policy's realized savings, and the
+/// `polimer` gauge is the figure the table's `polimer` row prints.
+#[test]
+fn govern_metrics_report_the_realized_savings_the_table_prints() {
+    let text = cli_run(&["govern", "--metrics", "--scale", "quick"]);
+    let gauge: f64 = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("govern.polimer.realized_pct"))
+        .expect("govern.polimer.realized_pct in the report")
+        .trim()
+        .parse()
+        .expect("a number");
+    // The policy table comes before the control-cost rows; its first
+    // percentage is the realized savings.
+    let row = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("polimer "))
+        .expect("the polimer row");
+    let realized: f64 = row
+        .split_whitespace()
+        .find_map(|w| w.strip_suffix('%'))
+        .expect("a realized %")
+        .parse()
+        .expect("a number");
+    assert!(
+        (gauge - realized).abs() <= 0.005 + 1e-9,
+        "gauge {gauge} vs row {realized}%: {row}"
+    );
+}
+
 /// `pmss stats` runs the staged pipeline and reports metrics only.
 #[test]
 fn stats_subcommand_reports_the_full_pipeline() {

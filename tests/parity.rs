@@ -2,11 +2,13 @@
 //! bits.  Rows are scenarios, columns are the ways a run reaches its
 //! ledger, and cells are the answers `pmss query` renders from it.
 //!
-//! Columns A–G fold the paired observer `pmss query` and a daemon tenant
-//! fold — [`EnergyLedger`] beside the per-slot [`EconSeries`] — and are
-//! compared as the observer's `Debug` text as well as its answers, so a
-//! `-0.0` that renders as `0` still fails.  Columns H–J answer over the
-//! wire or the command line and compare answers only.  On rows without an
+//! Columns A–G, K and L fold the paired observer `pmss query` and a daemon
+//! tenant fold — [`EnergyLedger`] beside the per-slot [`EconSeries`] — and
+//! are compared as the observer's `Debug` text as well as its answers, so
+//! a `-0.0` that renders as `0` still fails.  Columns H–J answer over the
+//! wire or the command line and compare answers only.  Columns K and L are
+//! the per-channel replay `pmss stream` and `pmss govern` run, at one
+//! worker and at every core.  On rows without an
 //! econ trace the `econ` cell must be a typed rejection on every path.
 //!
 //! There are two references.  Column A, the batch fold, is the reference
@@ -34,8 +36,10 @@ use pmss::faults::{FaultPlan, GapPolicy};
 use pmss::pipeline::query::{self, Query};
 use pmss::pipeline::{cli, Pipeline, ScalePreset, ScenarioSpec};
 use pmss::sched::{catalog, generate, Schedule};
-use pmss::stream::{StreamConfig, StreamEngine, StreamState};
-use pmss::telemetry::{simulate_fleet, DeliveryTrace, Pair, ResidentFleet, WindowEvent};
+use pmss::stream::{Cut, StreamConfig, StreamEngine, StreamState, TraceReplay};
+use pmss::telemetry::{
+    scoped_map, simulate_fleet, workers, DeliveryTrace, Pair, ResidentFleet, WindowEvent,
+};
 use pmss::workloads::Table3;
 use pmssd::client::{ingest_campaign, ClientError, Connection, Target};
 use pmssd::daemon::Listen;
@@ -153,8 +157,8 @@ type Fold = fn(&Fixture) -> Result<Obs, String>;
 const BATCH: &str = "A batch";
 const RESIDENT: &str = "C resident";
 
-/// Columns A–G: name, reference column, fold.
-const FOLDS: [(&str, &str, Fold); 7] = [
+/// Columns A–G, K and L: name, reference column, fold.
+const FOLDS: [(&str, &str, Fold); 9] = [
     (BATCH, BATCH, |f| Ok(f.batch.clone())),
     ("B traced", BATCH, |f| Ok(f.traced.clone())),
     (RESIDENT, RESIDENT, |f| {
@@ -186,7 +190,28 @@ const FOLDS: [(&str, &str, Fold); 7] = [
         }
         Ok(eng.finish().0)
     }),
+    ("K replay 1w", BATCH, |f| {
+        scoped_map(2, 1, |_| replay(f)).remove(0)
+    }),
+    ("L replay Nw", BATCH, |f| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores < 2 {
+            println!("parity: one CPU here, so column L replays on one worker");
+        } else {
+            assert!(workers() >= 2, "column L must replay on every core");
+        }
+        replay(f)
+    }),
 ];
+
+/// The per-channel replay of the trace, cut a third of the way through
+/// and finished.
+fn replay(f: &Fixture) -> Result<Obs, String> {
+    let mut replay: TraceReplay<'_, Obs, _> =
+        TraceReplay::new(&f.schedule, &f.trace, f.stream_config()).map_err(|e| e.to_string())?;
+    replay.cuts(&[Cut::after_events(&f.trace, f.trace.len() / 3)]);
+    Ok(replay.finish())
+}
 
 /// Ingests `events` one at a time through a fresh engine and flushes it.
 fn stream(
