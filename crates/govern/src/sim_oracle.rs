@@ -111,7 +111,9 @@ fn check(faults: Option<FaultPlan>, horizon: Option<u64>, what: &str) -> Vec<Gov
     if let Some(h) = horizon {
         stream_cfg.reorder_horizon = h;
     }
-    let trace = DeliveryTrace::capture(&schedule, &cfg).unwrap();
+    let trace = DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+        .unwrap()
+        .0;
     let t3 = table3::compute_default();
     let plans = plans(nodes);
     let want = run_governor_per_event(

@@ -14,7 +14,7 @@ use pmss_faults::{FaultPlan, PRESETS};
 use pmss_gpu::FleetMix;
 use pmss_obs::Stopwatch;
 use pmss_stream::StreamState;
-use pmss_telemetry::{Pair, ResidentFleet};
+use pmss_telemetry::{capture_blocks, Pair, ResidentFleet};
 
 use crate::artifact::ArtifactId;
 use crate::json::Json;
@@ -161,7 +161,11 @@ fn query_cmd(rest: &[String], spec: ScenarioSpec, metrics_flag: bool) -> Result<
     let schedule = p.schedule();
     let cfg = p.fleet_config();
     let (resident, _) = generation(&mut p.metrics, &schedule, &[cfg.faults.as_ref()], || {
-        let (resident, stats) = ResidentFleet::capture_metered(&schedule, &cfg)?;
+        let mut resident = ResidentFleet::default();
+        let stats = capture_blocks(&schedule, &cfg, |block| {
+            resident.push(block);
+            Ok::<_, PmssError>(())
+        })?;
         Ok((resident, vec![stats]))
     })?;
     p.metrics.gauge_set("resident.rows", resident.rows() as f64);

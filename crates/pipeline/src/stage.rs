@@ -505,7 +505,9 @@ mod tests {
         late.traced_stages().unwrap();
 
         let want = plain.fleet.as_ref().unwrap();
-        let alone = DeliveryTrace::capture(&want.schedule, &plain.fleet_config()).unwrap();
+        let alone = DeliveryTrace::capture_folding::<()>(&want.schedule, &plain.fleet_config())
+            .unwrap()
+            .0;
         for (p, runs) in [(&first, 1), (&late, 2)] {
             let got = p.fleet.as_ref().unwrap();
             assert_eq!(got.ledger, want.ledger);

@@ -11,6 +11,13 @@
 //! codec — so a daemon fed by it holds the same event prefix the batch
 //! CLI folds, which is what makes byte-identical query answers a
 //! meaningful check rather than a coincidence.
+//!
+//! It streams: [`pmss_telemetry::capture_blocks`] sends each block, in
+//! the canonical order a whole-campaign capture sent, as soon as its node
+//! is generated, so the client holds O(workers) nodes, not the campaign,
+//! and BACKPRESSURE stalls generation.  Hence a failed send stops
+//! generation early, and a capture error arrives after the blocks before
+//! it were acked, where it once arrived before the first frame.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -22,7 +29,7 @@ use pmss_pipeline::query::Query;
 use pmss_pipeline::spec::ScenarioSpec;
 use pmss_pipeline::stage::Pipeline;
 use pmss_sched::catalog;
-use pmss_telemetry::ResidentFleet;
+use pmss_telemetry::capture_blocks;
 
 use crate::proto::{self, code, frame, status};
 
@@ -61,6 +68,13 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// A capture that fails mid-stream.
+impl From<PmssError> for ClientError {
+    fn from(e: PmssError) -> Self {
+        ClientError::Protocol(format!("telemetry capture failed: {e}"))
+    }
+}
+
 impl From<ClientError> for PmssError {
     fn from(e: ClientError) -> Self {
         PmssError::invalid_value("pmssd client request", e.to_string(), "an accepted request")
@@ -87,50 +101,25 @@ impl Target {
     }
 }
 
-enum Stream {
-    Tcp(std::net::TcpStream),
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
+/// A connected socket: TCP or unix-domain.
+trait Socket: Read + Write + Send {}
+impl<S: Read + Write + Send> Socket for S {}
 
 /// One open connection to a pmssd daemon.
 pub struct Connection {
-    stream: Stream,
+    stream: Box<dyn Socket>,
 }
 
 impl Connection {
     /// Connects to `target`.
     pub fn connect(target: &Target) -> Result<Connection, ClientError> {
-        let stream = match target {
+        let stream: Box<dyn Socket> = match target {
             Target::Tcp(addr) => {
                 let s = std::net::TcpStream::connect(addr.as_str())?;
                 s.set_nodelay(true)?;
-                Stream::Tcp(s)
+                Box::new(s)
             }
-            Target::Unix(path) => Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
+            Target::Unix(path) => Box::new(std::os::unix::net::UnixStream::connect(path)?),
         };
         Ok(Connection { stream })
     }
@@ -206,10 +195,11 @@ pub struct IngestReport {
     pub backpressure_retries: u64,
 }
 
-/// Captures the spec's fleet telemetry with the batch pipeline's own
-/// configuration and streams every block to the daemon, retrying on
-/// backpressure and finishing with a FLUSH so queries see the full
-/// campaign.
+/// Generates the spec's fleet telemetry with the batch pipeline's own
+/// configuration and streams every block to the daemon as its node is
+/// generated, retrying on backpressure, then finishes with a FLUSH so
+/// queries see the full campaign.  The first failed send or capture ends
+/// the ingest, after the blocks before it were acked.
 pub fn ingest_campaign(
     conn: &mut Connection,
     spec: &ScenarioSpec,
@@ -218,12 +208,10 @@ pub fn ingest_campaign(
         .map_err(|e| ClientError::Protocol(format!("invalid spec: {e}")))?;
     let cfg = pipeline.fleet_config();
     let schedule = pmss_sched::generate(spec.trace_params(), &catalog());
-    let resident = ResidentFleet::capture(&schedule, &cfg)
-        .map_err(|e| ClientError::Protocol(format!("telemetry capture failed: {e}")))?;
     let mut report = IngestReport::default();
-    for enc in resident.blocks() {
+    capture_blocks(&schedule, &cfg, |block| {
         loop {
-            match conn.send_block(enc) {
+            match conn.send_block(&block) {
                 Ok(()) => break,
                 Err(ClientError::Rejected { code: c, .. }) if c == code::BACKPRESSURE => {
                     report.backpressure_retries += 1;
@@ -233,8 +221,9 @@ pub fn ingest_campaign(
             }
         }
         report.blocks += 1;
-        report.rows += enc.rows();
-    }
+        report.rows += block.rows();
+        Ok(())
+    })?;
     conn.flush()?;
     Ok(report)
 }

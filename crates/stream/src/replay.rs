@@ -35,7 +35,7 @@
 //!   ([`TraceReplay::refused`]).
 
 use std::collections::HashSet;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::{Mutex, PoisonError};
 
 use pmss_error::PmssError;
@@ -703,6 +703,7 @@ where
             self.refused.extend(std::mem::take(&mut out.refused));
             let finals = std::mem::take(&mut out.finals);
             keep(groups[n].clone(), out, finals);
+            ControlFlow::Continue(())
         };
         scoped_sink(workers, 2, self.groups.len(), job, &mut sink);
     }

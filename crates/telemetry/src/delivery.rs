@@ -43,7 +43,7 @@ use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
 use crate::fleet::{channel_grid, run_channels, FleetConfig, FleetRunStats, Retain};
-use crate::threads::workers;
+use crate::threads::{until_err, workers};
 
 /// Ranks merged per tile.  Wide enough that each block contributes a
 /// sequential burst of rows per tile (a plain rank-by-rank sweep touches
@@ -89,7 +89,7 @@ pub struct TraceBlock {
 impl TraceBlock {
     /// Narrows `block`, verifying that every row lies bitwise on `grid`
     /// and inside the column widths.
-    fn narrow(block: &ColumnBlock, grid: BlockGrid) -> Result<TraceBlock, PmssError> {
+    pub(crate) fn narrow(block: &ColumnBlock, grid: BlockGrid) -> Result<TraceBlock, PmssError> {
         let rest_channel = block.slot() == REST_SLOT;
         let last = grid.last_window();
         let in_order = block.ranks() == block.windows();
@@ -213,18 +213,14 @@ pub struct DeliveryTrace {
 }
 
 impl DeliveryTrace {
-    /// Runs the fleet once and keeps every channel it emits.
-    pub fn capture(schedule: &Schedule, cfg: &FleetConfig) -> Result<Self, PmssError> {
-        Self::capture_folding::<()>(schedule, cfg).map(|(trace, (), _)| trace)
-    }
-
-    /// [`DeliveryTrace::capture`] from the same run that folds the batch
-    /// observer `O` and tallies the [`FleetRunStats`]: each channel is
-    /// folded in window order exactly as [`crate::simulate_fleet_metered`]
-    /// folds it, then put into arrival order, narrowed on the worker that
-    /// generated it and retained — one generation where a fold and a
-    /// capture would be two.  The first channel that does not narrow, in
-    /// canonical order, is the error.
+    /// Runs the fleet once, keeping every channel it emits, and folds the
+    /// batch observer `O` and tallies the [`FleetRunStats`] from the same
+    /// run: each channel is folded in window order exactly as
+    /// [`crate::simulate_fleet_metered`] folds it, then put into arrival
+    /// order, narrowed on the worker that generated it and retained — one
+    /// generation where a fold and a capture would be two.  The first
+    /// channel that does not narrow, in canonical order, is the error,
+    /// and the run stops there.  (`O = ()` keeps the trace alone.)
     pub fn capture_folding<O>(
         schedule: &Schedule,
         cfg: &FleetConfig,
@@ -232,18 +228,6 @@ impl DeliveryTrace {
     where
         O: FleetObserver + Default,
     {
-        Self::capture_by(schedule, cfg, |retain| {
-            run_channels(workers(), schedule, cfg, Some(retain))
-        })
-    }
-
-    /// [`DeliveryTrace::capture_folding`] through `run`, a channel loop
-    /// handed the trace's [`Retain`].
-    pub(crate) fn capture_by<O>(
-        schedule: &Schedule,
-        cfg: &FleetConfig,
-        run: impl FnOnce(Retain<'_, Result<TraceBlock, PmssError>>) -> (O, FleetRunStats),
-    ) -> Result<(Self, O, FleetRunStats), PmssError> {
         let mut blocks = Vec::new();
         let mut first_err = None;
         let narrow = |_, block: &ColumnBlock| {
@@ -254,22 +238,16 @@ impl DeliveryTrace {
             );
             TraceBlock::narrow(block, channel_grid(schedule, cfg, block.node()))
         };
-        let mut keep = |narrowed| match narrowed {
-            Ok(block) if first_err.is_none() => blocks.push(block),
-            Ok(_) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
+        let mut keep = |narrowed: Result<TraceBlock, PmssError>| {
+            until_err(narrowed.map(|block| blocks.push(block)), &mut first_err)
         };
-        let (obs, stats) = run(Retain {
+        let retain = Retain {
             whole: true,
             map: &narrow,
             keep: &mut keep,
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((DeliveryTrace { blocks }, obs, stats)),
-        }
+        };
+        let (obs, stats) = run_channels(workers(), schedule, cfg, Some(retain));
+        first_err.map_or(Ok((DeliveryTrace { blocks }, obs, stats)), Err)
     }
 
     /// Number of events in the run.

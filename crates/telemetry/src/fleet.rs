@@ -17,6 +17,8 @@
 //! in canonical order, so the result is the same bits at any worker
 //! count.
 
+use std::ops::ControlFlow;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1092,7 +1094,8 @@ impl<'a> FleetRun<'a> {
     /// order, merges the partial and `keep`s what `map` made, then adds
     /// the node's tallies: a sequential pass's operations in its order
     /// (split folds are bit-equal to whole ones), so the bits do not
-    /// depend on the worker count.  A worker's scratch holds whole
+    /// depend on the worker count.  A `keep` that breaks ends the run
+    /// (its results are then partial).  A worker's scratch holds whole
     /// channels only where the work needs them — a `map` that asks for
     /// them, a reordering plan's arrival sort — and otherwise one
     /// [`TILE_ROWS`] tile.  Results are per plan, in plan order; a run
@@ -1155,11 +1158,12 @@ impl<'a> FleetRun<'a> {
                     for (part, made) in channels {
                         obs.merge(part);
                         if let (Some(made), Some(retain)) = (made, retain.as_mut()) {
-                            (retain.keep)(made);
+                            (retain.keep)(made)?;
                         }
                     }
                     stats.add(&node_stats);
                 }
+                ControlFlow::Continue(())
             },
         );
         runs
@@ -1171,11 +1175,11 @@ impl<'a> FleetRun<'a> {
 /// tiles in turn into what it makes of the channel (`None` before the
 /// first tile) — one call with the whole channel when `whole` is set or
 /// a plan reorders — and the calling thread `keep`s each channel's, in
-/// canonical `(node, slot)` order.
+/// canonical `(node, slot)` order, until a `keep` breaks.
 pub(crate) struct Retain<'r, T> {
     pub(crate) whole: bool,
     pub(crate) map: &'r (dyn Fn(Option<T>, &ColumnBlock) -> T + Sync),
-    pub(crate) keep: &'r mut dyn FnMut(T),
+    pub(crate) keep: &'r mut dyn FnMut(T) -> ControlFlow<()>,
 }
 
 /// The window grid every channel is generated on: the run's window
@@ -1204,7 +1208,7 @@ pub(crate) fn channel_grid(schedule: &Schedule, cfg: &FleetConfig, node: u32) ->
 /// ([`FleetRun::channels`]), delivered under `cfg`'s own plan, on
 /// `workers` threads: a fold (`simulate_fleet*`, no `retain`) or a fold
 /// that also retains every channel (`fleet_window_blocks`, the
-/// [`crate::DeliveryTrace`] and [`crate::ResidentFleet`] captures).
+/// [`crate::DeliveryTrace`] and [`crate::capture_blocks`] captures).
 pub(crate) fn run_channels<O, T>(
     workers: usize,
     schedule: &Schedule,
@@ -1245,7 +1249,10 @@ pub fn fleet_window_blocks(
     let retain = Retain {
         whole: true,
         map: &|_, block: &ColumnBlock| block.clone(),
-        keep: &mut |block: ColumnBlock| emit(&block),
+        keep: &mut |block: ColumnBlock| {
+            emit(&block);
+            ControlFlow::Continue(())
+        },
     };
     run_channels::<(), _>(workers(), schedule, cfg, Some(retain));
 }
@@ -1738,7 +1745,9 @@ mod tests {
         }
     }
 
-    use crate::{FleetPowerSeries, GpuCpuEnergy};
+    use crate::delivery::TraceBlock;
+    use crate::threads::scoped_map;
+    use crate::{DeliveryTrace, FleetPowerSeries, GpuCpuEnergy};
     use pmss_error::PmssError;
 
     /// The observers `pmss-pipeline`'s fleet stage folded before it
@@ -1754,38 +1763,49 @@ mod tests {
     /// the econ series — an econ scenario's fleet run is the clean one),
     /// folded alone in tiles and beside a delivery-trace capture; the
     /// trace's blocks; `fig 2`'s and `peakpower`'s observers; the
-    /// resident store's payload bytes and the
     /// `fleet_window_blocks` block sequence; and every run's tallies.
+    /// (The resident capture's blocks are checked against the oracle's by
+    /// `capture_sinks_the_oracle_loops_blocks_in_canonical_order`.)
     /// `run` is the loop, handed the run and a consumer's `Retain`.
     fn consumers(
         s: &Schedule,
         cfg: &FleetConfig,
         run: impl Fn(&FleetRun<'_>, Option<Retain<'_, ColumnBlock>>) -> ((), FleetRunStats),
         fold: impl Fn(&FleetRun<'_>) -> [String; 3],
-        traced: impl Fn(
-            Retain<'_, Result<crate::delivery::TraceBlock, PmssError>>,
-        ) -> (StageObs, FleetRunStats),
-        resident: impl Fn(Retain<'_, pmss_columns::BlockEncoder>) -> ((), FleetRunStats),
+        traced: impl Fn(Retain<'_, Result<TraceBlock, PmssError>>) -> (StageObs, FleetRunStats),
     ) -> Vec<String> {
         let fleet = FleetRun::new(s, cfg);
         let mut shown = fold(&fleet).to_vec();
-        let (trace, obs, stats) =
-            crate::DeliveryTrace::capture_by(s, cfg, traced).expect("trace capture");
-        shown.push(format!("{trace:?} {} {stats:?}", stage_shown(&obs)));
-        let (store, stats) = crate::ResidentFleet::capture_by(s, cfg, resident).expect("capture");
-        let payload: Vec<_> = store.blocks().iter().map(|b| b.to_bytes()).collect();
-        shown.push(format!("{payload:?} {} {stats:?}", store.rows()));
+        let mut trace = Vec::new();
+        let (obs, stats) = traced(Retain {
+            whole: true,
+            map: &|_, b: &ColumnBlock| TraceBlock::narrow(b, channel_grid(s, cfg, b.node())),
+            keep: &mut |narrowed: Result<TraceBlock, PmssError>| {
+                trace.push(narrowed.expect("the channel narrows"));
+                ControlFlow::Continue(())
+            },
+        });
+        shown.push(traced_shown(&trace, &obs, &stats));
         let mut blocks = Vec::new();
         let ((), stats) = run(
             &fleet,
             Some(Retain {
                 whole: true,
                 map: &|_, b: &ColumnBlock| b.clone(),
-                keep: &mut |b: ColumnBlock| blocks.push(format!("{b:?}")),
+                keep: &mut |b: ColumnBlock| {
+                    blocks.push(format!("{b:?}"));
+                    ControlFlow::Continue(())
+                },
             }),
         );
         shown.push(format!("{blocks:?} {stats:?}"));
         shown
+    }
+
+    /// A traced run's consumer: its narrowed channels, stage observers
+    /// and tallies.
+    fn traced_shown(trace: &[TraceBlock], obs: &StageObs, stats: &FleetRunStats) -> String {
+        format!("{trace:?} {} {stats:?}", stage_shown(obs))
     }
 
     /// The stage observers' `Debug`, the `diurnal` trace integrated.
@@ -1827,7 +1847,8 @@ mod tests {
     /// The channel loop at 1, 2, 3 and 8 real threads (more than this box
     /// may have cores, which is the point) is the sequential loop, bit for
     /// bit, for every consumer it serves ([`consumers`]), under a clean
-    /// run, `harsh` with each gap policy, and `mixed-50-50`.
+    /// run, `harsh` with each gap policy, and `mixed-50-50`; and so is
+    /// [`DeliveryTrace::capture_folding`] at one worker and every core.
     #[test]
     fn folding_loop_is_the_sequential_loop_at_any_worker_count() {
         let s = long_schedule();
@@ -1849,7 +1870,16 @@ mod tests {
                     ]
                 },
                 |retain| FleetRun::new(&s, &cfg).channels_in_order(Some(retain)),
-                |retain| FleetRun::new(&s, &cfg).channels_in_order(Some(retain)),
+            );
+            let capture = || {
+                let (trace, obs, stats) = DeliveryTrace::capture_folding(&s, &cfg).expect("trace");
+                traced_shown(trace.channels(), &obs, &stats)
+            };
+            let one = scoped_map(2, 1, |_| capture()).remove(0);
+            assert!(one == want[3], "{what}: capture_folding at one worker");
+            assert!(
+                capture() == want[3],
+                "{what}: capture_folding on every core"
             );
             for workers in [1, 2, 3, 8] {
                 let got = consumers(
@@ -1875,7 +1905,6 @@ mod tests {
                             .collect();
                         [one(stage), one(split), one(power)]
                     },
-                    |retain| run_channels(workers, &s, &cfg, Some(retain)),
                     |retain| run_channels(workers, &s, &cfg, Some(retain)),
                 );
                 for (i, (got, want)) in got.iter().zip(&want).enumerate() {
@@ -1903,11 +1932,14 @@ mod tests {
                     Ok(b.len())
                 }
             };
-            let mut keep = |r: Result<usize, String>| match r {
-                Ok(_) => kept += 1,
-                Err(e) => {
-                    first.get_or_insert(e);
+            let mut keep = |r: Result<usize, String>| {
+                match r {
+                    Ok(_) => kept += 1,
+                    Err(e) => {
+                        first.get_or_insert(e);
+                    }
                 }
+                ControlFlow::Continue(())
             };
             let retain = Retain {
                 whole: true,
@@ -1929,7 +1961,11 @@ mod tests {
     /// worker that the caller has not taken yet: a node counts from its
     /// first channel's `map` on a worker until its last channel's `keep`.
     /// (The count drops inside `keep`, just after the hand-off frees the
-    /// slot, so it may read one over the window.)
+    /// slot, so it may read one over the window.)  A `keep` that blocks —
+    /// a sink waiting on a daemon — stalls the workers there: while node
+    /// 5's first channel is held, at most `workers` nodes beyond it have
+    /// been made, and none with one worker, whose only thread is the one
+    /// blocked.
     #[test]
     fn the_retaining_loop_keeps_one_node_per_worker_in_flight() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1951,12 +1987,17 @@ mod tests {
                 }
                 b.channel()
             };
-            let mut order = Vec::new();
+            let (mut order, mut made_while_blocked) = (Vec::new(), None);
             let mut keep = |channel: (u32, u8)| {
+                if channel == (5, 0) {
+                    std::thread::sleep(std::time::Duration::from_millis(40));
+                    made_while_blocked = Some(in_flight.load(Ordering::SeqCst) - 1);
+                }
                 if channel.1 == REST_SLOT {
                     in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
                 order.push(channel);
+                ControlFlow::Continue(())
             };
             let retain = Retain {
                 whole: true,
@@ -1976,6 +2017,152 @@ mod tests {
             assert!(
                 peak <= workers + 1,
                 "{workers} workers: {peak} nodes in flight"
+            );
+            let ahead = made_while_blocked.expect("node 5 kept");
+            let most = if workers == 1 { 0 } else { workers };
+            assert!(
+                ahead <= most,
+                "{workers} workers: {ahead} nodes made past a blocked keep"
+            );
+        }
+    }
+
+    /// The resident capture hands its sink one block per channel in
+    /// canonical `(node, slot)` order, written out here, and each block's
+    /// bytes are the block the sequential loop oracle encodes whole for
+    /// that channel — clean, under `harsh`, under `frontier-typical` (a
+    /// reordering plan, so whole channels in arrival order) and over
+    /// `mixed-50-50`, at one worker and at every core.
+    #[test]
+    fn capture_sinks_the_oracle_loops_blocks_in_canonical_order() {
+        use pmss_columns::{CodecConfig, EncodedBlock};
+
+        let s = long_schedule();
+        let canonical: Vec<(u32, u8)> = (0..s.per_node.len() as u32)
+            .flat_map(|n| {
+                (0..GPUS_PER_NODE as u8)
+                    .chain([REST_SLOT])
+                    .map(move |c| (n, c))
+            })
+            .collect();
+        let preset = |name| FleetConfig {
+            faults: Some(FaultPlan::preset(name).expect("preset")),
+            ..FleetConfig::default()
+        };
+        let mixed = FleetConfig {
+            mix: FleetMix::preset("mixed-50-50").expect("preset"),
+            ..FleetConfig::default()
+        };
+        let scenarios = [
+            ("clean", FleetConfig::default()),
+            ("harsh", preset("harsh")),
+            ("frontier-typical", preset("frontier-typical")),
+            ("mixed-50-50", mixed),
+        ];
+        for (what, cfg) in scenarios {
+            let mut want = Vec::new();
+            let encode = |_, b: &ColumnBlock| {
+                let grid = channel_grid(&s, &cfg, b.node());
+                let block = EncodedBlock::encode(b, grid, CodecConfig::default());
+                block.expect("the oracle's channel encodes").to_bytes()
+            };
+            FleetRun::new(&s, &cfg).channels_in_order::<(), _>(Some(Retain {
+                whole: true,
+                map: &encode,
+                keep: &mut |bytes| {
+                    want.push(bytes);
+                    ControlFlow::Continue(())
+                },
+            }));
+            let capture = || {
+                let (mut order, mut bytes) = (Vec::new(), Vec::new());
+                crate::capture_blocks(&s, &cfg, |block| {
+                    order.push(block.decode(CodecConfig::default())?.channel());
+                    bytes.push(block.to_bytes());
+                    Ok::<_, PmssError>(())
+                })
+                .expect("capture");
+                (order, bytes)
+            };
+            let one = scoped_map(2, 1, |_| capture()).remove(0);
+            for (workers, (order, bytes)) in [(1, one), (crate::workers(), capture())] {
+                assert_eq!(order, canonical, "{what}: {workers} workers");
+                assert!(bytes == want, "{what}: {workers} workers");
+            }
+        }
+    }
+
+    /// A sink that fails on block `k` ends the capture with its error and
+    /// sees no block after it, at one worker and at every core; and the
+    /// loop under it claims no node after the failure, so no more than
+    /// `workers` nodes are generated past `k`'s node.
+    #[test]
+    fn a_failing_sink_ends_the_capture_at_its_block() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let s = generate(
+            TraceParams {
+                nodes: 24,
+                duration_s: 3.0 * 3600.0,
+                seed: 5,
+                min_job_s: 900.0,
+            },
+            &catalog(),
+        );
+        let cfg = FleetConfig::default();
+        // Block 22 is node 4's GPU slot 2.
+        let k = 22;
+        let failure = || PmssError::invalid_value("sink", "block 22", "a live peer");
+        let capture = || {
+            let mut seen = 0;
+            let got = crate::capture_blocks(&s, &cfg, |_| {
+                seen += 1;
+                if seen == k + 1 {
+                    Err(failure())
+                } else {
+                    Ok(())
+                }
+            });
+            (got.map(|_| ()).map_err(|e| e.to_string()), seen)
+        };
+        let want = failure().to_string();
+        let one = scoped_map(2, 1, |_| capture()).remove(0);
+        for (workers, (err, seen)) in [(1, one), (crate::workers(), capture())] {
+            assert_eq!(err, Err(want.clone()), "{workers} workers");
+            assert_eq!(seen, k + 1, "{workers} workers");
+        }
+
+        let k_node = k / (GPUS_PER_NODE + 1);
+        for workers in [1, 2, 3, 8] {
+            let generated = AtomicUsize::new(0);
+            let map = |_, b: &ColumnBlock| {
+                generated.fetch_max(b.node() as usize, Ordering::SeqCst);
+                b.channel()
+            };
+            let mut kept = Vec::new();
+            let mut keep = |channel: (u32, u8)| {
+                kept.push(channel);
+                if kept.len() == k + 1 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            run_channels::<(), _>(
+                workers,
+                &s,
+                &cfg,
+                Some(Retain {
+                    whole: false,
+                    map: &map,
+                    keep: &mut keep,
+                }),
+            );
+            assert_eq!(kept.len(), k + 1, "{workers} workers");
+            let last = generated.load(Ordering::SeqCst);
+            assert!(
+                last <= k_node + workers,
+                "{workers} workers: node {last} generated past node {k_node}"
             );
         }
     }

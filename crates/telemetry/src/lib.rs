@@ -11,8 +11,10 @@
 //!   excursions and sensor noise) to a [`fleet::FleetObserver`], nodes on
 //!   every core;
 //! * [`resident`] — a fleet run captured as compressed per-channel blocks
-//!   (encoded on the workers that generate them), replayed a tile of rows
-//!   at a time, channels on every core;
+//!   (encoded on the workers that generate them) and handed to a sink in
+//!   canonical order ([`capture_blocks`]: the in-memory store, or a
+//!   daemon client's sender), replayed a tile of rows at a time, channels
+//!   on every core;
 //! * [`delivery`] — a fleet run's channels retained as narrow columns,
 //!   read channel by channel or event by event in delivery order;
 //! * [`observers`] — system-wide and per-domain histograms, GPU-vs-CPU
@@ -55,6 +57,6 @@ pub use pmss_columns::{
     apply_event, BlockGrid, CodecConfig, ColumnBlock, EncodedBlock, Tag, WindowEvent, WindowKind,
     NO_JOB, REST_SLOT,
 };
-pub use resident::ResidentFleet;
+pub use resident::{capture_blocks, ResidentFleet};
 pub use smi::compare_sensors;
 pub use threads::{scoped_map, scoped_sink, workers};

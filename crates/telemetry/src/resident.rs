@@ -26,73 +26,70 @@ use pmss_error::PmssError;
 use pmss_sched::Schedule;
 
 use crate::fleet::{channel_grid, run_channels, FleetConfig, FleetRunStats, Retain};
-use crate::threads::{scoped_sink, workers};
+use crate::threads::{scoped_sink, until_err, workers};
+
+/// Runs the fleet simulation for `(schedule, cfg)` and hands each
+/// channel, encoded tile by tile on the worker that generated it
+/// ([`BlockEncoder`], default 1 W quantum), to `sink` on the calling
+/// thread in canonical `(node, slot)` order; returns the run's
+/// [`FleetRunStats`].  At most one node per worker waits for `sink`, so a
+/// `sink` that blocks stalls generation.  The first failure — a channel
+/// that does not encode, or `sink`'s error — ends the run and is
+/// returned, after every block before it was sunk and before any node
+/// after it is claimed.
+pub fn capture_blocks<E>(
+    schedule: &Schedule,
+    cfg: &FleetConfig,
+    mut sink: impl FnMut(EncodedBlock) -> Result<(), E>,
+) -> Result<FleetRunStats, E>
+where
+    E: From<PmssError>,
+{
+    let encode = |encoder: Option<BlockEncoder>, tile: &ColumnBlock| {
+        let mut encoder = encoder.unwrap_or_else(|| {
+            let grid = channel_grid(schedule, cfg, tile.node());
+            BlockEncoder::new(tile.node(), tile.slot(), grid)
+        });
+        encoder.push(tile);
+        encoder
+    };
+    let mut failed = None;
+    let mut keep = |encoder: BlockEncoder| {
+        let sunk = (encoder.finish(CodecConfig::default()))
+            .map_err(E::from)
+            .and_then(&mut sink);
+        until_err(sunk, &mut failed)
+    };
+    let retain = Retain {
+        whole: false,
+        map: &encode,
+        keep: &mut keep,
+    };
+    let ((), stats) = run_channels(workers(), schedule, cfg, Some(retain));
+    failed.map_or(Ok(stats), Err)
+}
 
 /// One fleet run's telemetry, compressed block-per-channel (see module
 /// docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResidentFleet {
     blocks: Vec<EncodedBlock>,
-    rows: u64,
 }
 
 impl ResidentFleet {
-    /// Runs the fleet simulation for `(schedule, cfg)` and captures every
-    /// channel as a compressed resident block, at the codec's default 1 W
-    /// sensor quantization.
+    /// [`capture_blocks`] into a fresh store.
     pub fn capture(schedule: &Schedule, cfg: &FleetConfig) -> Result<ResidentFleet, PmssError> {
-        Self::capture_metered(schedule, cfg).map(|(resident, _)| resident)
+        let mut store = ResidentFleet::default();
+        capture_blocks(schedule, cfg, |block| {
+            store.push(block);
+            Ok::<_, PmssError>(())
+        })?;
+        Ok(store)
     }
 
-    /// [`ResidentFleet::capture`] and the run's [`FleetRunStats`].  Each
-    /// channel is encoded on the worker that generates it ([`workers`]
-    /// threads), tile by tile ([`BlockEncoder`]), so a worker holds
-    /// compressed columns rather than a whole channel's rows; the first
-    /// channel that does not encode, in canonical order, is the error.
-    pub fn capture_metered(
-        schedule: &Schedule,
-        cfg: &FleetConfig,
-    ) -> Result<(ResidentFleet, FleetRunStats), PmssError> {
-        Self::capture_by(schedule, cfg, |retain| {
-            run_channels::<(), _>(workers(), schedule, cfg, Some(retain))
-        })
-    }
-
-    /// [`ResidentFleet::capture_metered`] through `run`, a channel loop
-    /// handed the store's [`Retain`].
-    pub(crate) fn capture_by(
-        schedule: &Schedule,
-        cfg: &FleetConfig,
-        run: impl FnOnce(Retain<'_, BlockEncoder>) -> ((), FleetRunStats),
-    ) -> Result<(ResidentFleet, FleetRunStats), PmssError> {
-        let (mut blocks, mut rows, mut first_err) = (Vec::new(), 0u64, None);
-        let encode = |encoder: Option<BlockEncoder>, tile: &ColumnBlock| {
-            let mut encoder = encoder.unwrap_or_else(|| {
-                let grid = channel_grid(schedule, cfg, tile.node());
-                BlockEncoder::new(tile.node(), tile.slot(), grid)
-            });
-            encoder.push(tile);
-            encoder
-        };
-        let mut keep = |encoder: BlockEncoder| match encoder.finish(CodecConfig::default()) {
-            Ok(block) if first_err.is_none() => {
-                rows += block.rows();
-                blocks.push(block);
-            }
-            Ok(_) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        };
-        let ((), stats) = run(Retain {
-            whole: false,
-            map: &encode,
-            keep: &mut keep,
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((ResidentFleet { blocks, rows }, stats)),
-        }
+    /// Appends `block` as the store's next channel (the in-memory sink).
+    pub fn push(&mut self, block: EncodedBlock) {
+        self.blocks.push(block);
     }
 
     /// Replays the store into a fresh observer.  Each block decodes
@@ -126,16 +123,11 @@ impl ResidentFleet {
             }
             Ok(part)
         };
-        let mut obs = Ok(O::default());
+        let (mut obs, mut failed) = (O::default(), None);
         scoped_sink(scratch, 2, self.blocks.len(), fold, |_, part| {
-            if let Ok(acc) = &mut obs {
-                match part {
-                    Ok(part) => acc.merge(part),
-                    Err(e) => obs = Err(e),
-                }
-            }
+            until_err(part.map(|part| obs.merge(part)), &mut failed)
         });
-        obs
+        failed.map_or(Ok(obs), Err)
     }
 
     /// The compressed per-channel blocks, in canonical channel order.
@@ -145,7 +137,7 @@ impl ResidentFleet {
 
     /// Total window rows across every block.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.blocks.iter().map(EncodedBlock::rows).sum()
     }
 
     /// Compressed size: the sum of every block's payload bytes.

@@ -17,6 +17,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -53,9 +54,24 @@ where
         2,
         n,
         |_, i| job(i),
-        |_, t| out.push(t),
+        |_, t| {
+            out.push(t);
+            ControlFlow::Continue(())
+        },
     );
     out
+}
+
+/// `Continue` on `Ok`; on `Err`, `Break` with the error kept in `failed`:
+/// a fallible sink that ends its run at the first error.
+pub(crate) fn until_err<E>(r: Result<(), E>, failed: &mut Option<E>) -> ControlFlow<()> {
+    match r {
+        Ok(()) => ControlFlow::Continue(()),
+        Err(e) => {
+            *failed = Some(e);
+            ControlFlow::Break(())
+        }
+    }
 }
 
 /// What the workers and the caller share: the claim counter and the
@@ -79,7 +95,8 @@ struct Hand<T> {
 /// while the caller is still busy with an earlier one; one bounds the
 /// live results to one per worker, for jobs whose results are large.
 /// The caller sinks whatever is ready between its own jobs, and waits for
-/// the next result when it may not claim.  A panic in a job or in the
+/// the next result when it may not claim.  A sink that breaks ends the
+/// run: nothing is claimed or sunk after it.  A panic in a job or in the
 /// sink stops the workers and is re-raised on the caller once they have
 /// all returned.
 pub fn scoped_sink<S, T, F, K>(mut states: Vec<S>, ahead: usize, n: usize, job: F, mut sink: K)
@@ -87,7 +104,7 @@ where
     S: Send,
     T: Send,
     F: Fn(&mut S, usize) -> T + Sync,
-    K: FnMut(usize, T),
+    K: FnMut(usize, T) -> ControlFlow<()>,
 {
     assert!(!states.is_empty(), "scoped_sink needs one worker state");
     assert!(ahead > 0, "scoped_sink needs room for a result per worker");
@@ -160,7 +177,13 @@ where
                 h.sunk += 1;
                 drop(h);
                 wake.notify_all();
-                sink(i, t);
+                if sink(i, t).is_break() {
+                    // Every index counts as claimed: the workers finish the
+                    // jobs they hold and return.
+                    lock().claimed = n;
+                    wake.notify_all();
+                    return;
+                }
             } else if let Some(i) = claim(&mut h) {
                 drop(h);
                 run(&mut state, i);
@@ -294,6 +317,7 @@ mod tests {
                     assert_eq!(i, j);
                     in_flight.fetch_sub(1, Ordering::SeqCst);
                     seen.push((i, std::thread::current().id()));
+                    ControlFlow::Continue(())
                 },
             );
             let order: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
@@ -320,11 +344,46 @@ mod tests {
                         if i == 7 {
                             panic!("sink {i} failed");
                         }
+                        ControlFlow::Continue(())
                     },
                 )
             });
             let payload = caught.expect_err("the panic reaches the caller");
             assert_eq!(payload.downcast_ref::<String>().unwrap(), "sink 7 failed");
+        }
+    }
+
+    /// A sink that breaks at index 7 sees nothing after it, and no index
+    /// past the window the break leaves open is ever claimed: at most
+    /// `ahead` per worker beyond the broken one.
+    #[test]
+    fn scoped_sink_claims_nothing_after_the_sink_breaks() {
+        for (workers, ahead) in [1, 2, 3, 8].into_iter().flat_map(|w| [(w, 1), (w, 2)]) {
+            let ran = Mutex::new(Vec::new());
+            let mut seen = Vec::new();
+            scoped_sink(
+                vec![(); workers],
+                ahead,
+                100,
+                |_, i| {
+                    ran.lock().unwrap().push(i);
+                    i
+                },
+                |i, _| {
+                    seen.push(i);
+                    if i == 7 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(seen, (0..=7).collect::<Vec<_>>(), "{workers} workers");
+            let last = ran.into_inner().unwrap().into_iter().max();
+            assert!(
+                last <= Some(7 + ahead * workers),
+                "{workers} workers, {ahead} ahead: ran up to {last:?}"
+            );
         }
     }
 }

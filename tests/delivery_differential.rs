@@ -171,11 +171,13 @@ fn sku_mixed_fleet_keeps_the_sku_byte() {
     let schedule = generate(spec.trace_params(), &catalog());
     assert_merge_equals_sort(&schedule, &mixed(None), "quick/mixed");
     let cfg = mixed(Some(FaultPlan::preset("harsh").expect("known preset")));
-    let skus: std::collections::BTreeSet<u8> = DeliveryTrace::capture(&schedule, &cfg)
-        .expect("capture")
-        .iter()
-        .map(|ev| ev.sku)
-        .collect();
+    let skus: std::collections::BTreeSet<u8> =
+        DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+            .expect("capture")
+            .0
+            .iter()
+            .map(|ev| ev.sku)
+            .collect();
     assert!(skus.len() > 1, "one SKU only: {skus:?}");
     assert_merge_equals_sort(&small_schedule(4, 3.0 * 3600.0, 6), &cfg, "mixed/harsh");
 }
@@ -189,7 +191,9 @@ fn in_order_faulted_plan_elides_the_lag_column() {
     let cfg = faulted(plan);
     let schedule = small_schedule(3, 6.0 * 3600.0, 8);
     let n = assert_merge_equals_sort(&schedule, &cfg, "mild");
-    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+    let trace = DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+        .expect("capture")
+        .0;
     assert!(n > 3 * 5 * 6 * 240, "duplicates delivered");
     assert_eq!(trace.retained_bytes(), 17 * n);
 }
@@ -257,7 +261,9 @@ fn sparse_ranks_leave_whole_tiles_empty() {
     let schedule = idle_schedule(1, 60.0);
     let n = assert_merge_equals_sort(&schedule, &cfg, "sparse");
     assert_eq!(n, 5 * 4);
-    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+    let trace = DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+        .expect("capture")
+        .0;
     assert!(trace.last_rank() > 1024);
 }
 
@@ -292,7 +298,9 @@ fn governor_outcome_is_the_same_from_the_trace_and_from_the_oracle() {
     let t3 = table3::compute_default();
     let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
     let oracle = EventRun::new(delivery_ordered_events(&schedule, &cfg)).expect("sorted");
-    let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+    let trace = DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+        .expect("capture")
+        .0;
     for preset in pmss_govern::PRESETS {
         let resolved = GovernorPlan::preset(preset)
             .expect("known preset")

@@ -180,7 +180,9 @@ fn one_shared_replay_equals_each_plan_replayed_alone() {
             ..FleetConfig::default()
         };
         let stream_cfg = StreamConfig::for_plan(cfg.faults.as_ref());
-        let trace = DeliveryTrace::capture(&schedule, &cfg).expect("capture");
+        let trace = DeliveryTrace::capture_folding::<()>(&schedule, &cfg)
+            .expect("capture")
+            .0;
         let replay = |plans: &[_]| {
             run_governor(&schedule, &trace, stream_cfg, plans, &t3, cfg.window_s).expect("replays")
         };

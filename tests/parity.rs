@@ -6,7 +6,9 @@
 //! tenant fold — [`EnergyLedger`] beside the per-slot [`EconSeries`] — and
 //! are compared as the observer's `Debug` text as well as its answers, so
 //! a `-0.0` that renders as `0` still fails.  Columns H–J answer over the
-//! wire or the command line and compare answers only.  Columns K and L are
+//! wire or the command line and compare answers only; H and I are daemon
+//! tenants fed by `pmss client ingest`'s streamed capture, from one worker
+//! and from every core.  Columns K and L are
 //! the per-channel replay `pmss stream` and `pmss govern` run, at one
 //! worker and at every core.  On rows without an
 //! econ trace the `econ` cell must be a typed rejection on every path.
@@ -194,15 +196,21 @@ const FOLDS: [(&str, &str, Fold); 9] = [
         scoped_map(2, 1, |_| replay(f)).remove(0)
     }),
     ("L replay Nw", BATCH, |f| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 2 {
-            println!("parity: one CPU here, so column L replays on one worker");
-        } else {
-            assert!(workers() >= 2, "column L must replay on every core");
-        }
+        every_core("L");
         replay(f)
     }),
 ];
+
+/// Asserts that an every-core column runs on at least two workers, or
+/// says that this machine has one CPU.
+fn every_core(column: &str) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        println!("parity: one CPU here, so column {column} runs on one worker");
+    } else {
+        assert!(workers() >= 2, "column {column} must run on every core");
+    }
+}
 
 /// The per-channel replay of the trace, cut a third of the way through
 /// and finished.
@@ -301,12 +309,21 @@ fn fold_cells(f: &Fixture, obs: Result<Obs, String>) -> Cells {
     iter::once(observer).chain(answers).map(Some).collect()
 }
 
-/// A `pmssd` tenant named `tenant`, fed by the client's campaign.
+/// A `pmssd` tenant named `tenant`, fed by the client's streamed
+/// campaign, whose report must count the resident store's blocks and rows.
 fn daemon_cells(f: &Fixture, target: &Target, tenant: &str) -> Cells {
-    let answers = || -> Result<Cells, ClientError> {
-        let mut conn = Connection::connect(target)?;
-        conn.open(tenant, Some(&f.spec))?;
-        ingest_campaign(&mut conn, &f.spec)?;
+    let answers = || -> Result<Cells, String> {
+        let mut conn = Connection::connect(target).map_err(|e| e.to_string())?;
+        conn.open(tenant, Some(&f.spec))
+            .map_err(|e| e.to_string())?;
+        let report = ingest_campaign(&mut conn, &f.spec).map_err(|e| e.to_string())?;
+        let store = (f.resident.blocks().len() as u64, f.resident.rows());
+        if (report.blocks, report.rows) != store {
+            return Err(format!(
+                "ingest sent {} blocks / {} rows, the store holds {store:?}",
+                report.blocks, report.rows
+            ));
+        }
         let answers = queries().map(|q| match conn.query(&q) {
             Ok(text) => text,
             Err(ClientError::Rejected { .. }) => REJECTED.to_string(),
@@ -333,7 +350,8 @@ fn cli_cells(f: &Fixture, tenant: &str) -> Cells {
 }
 
 /// Columns H and I, served by daemons every row shares (one tenant per
-/// row); the last row to finish shuts them down.
+/// row); the last row to finish shuts them down.  Column H's client
+/// streams the campaign from one worker, column I's from every core.
 static DAEMONS: Mutex<Vec<(&str, Harness)>> = Mutex::new(Vec::new());
 static ROWS_LEFT: AtomicUsize = AtomicUsize::new(ROWS.len());
 
@@ -341,12 +359,12 @@ fn daemon_columns(f: &Fixture, tenant: &str) -> Vec<(&'static str, Cells)> {
     let targets: Vec<(&str, Target)> = {
         let mut daemons = DAEMONS.lock().unwrap_or_else(PoisonError::into_inner);
         if daemons.is_empty() {
-            daemons.push(("H pmssd tcp", Harness::tcp(64, 8)));
+            daemons.push(("H tcp 1w", Harness::tcp(64, 8)));
             #[cfg(unix)]
             {
                 let name = format!("pmss-parity-{}.sock", std::process::id());
                 let unix = Listen::Unix(std::env::temp_dir().join(name));
-                daemons.push(("I pmssd unix", Harness::start(unix, 64, 8)));
+                daemons.push(("I unix Nw", Harness::start(unix, 64, 8)));
             }
         }
         daemons
@@ -356,7 +374,15 @@ fn daemon_columns(f: &Fixture, tenant: &str) -> Vec<(&'static str, Cells)> {
     };
     let columns = targets
         .iter()
-        .map(|(column, target)| (*column, daemon_cells(f, target, tenant)))
+        .map(|(column, target)| {
+            let cells = if column.starts_with('H') {
+                scoped_map(2, 1, |_| daemon_cells(f, target, tenant)).remove(0)
+            } else {
+                every_core("I");
+                daemon_cells(f, target, tenant)
+            };
+            (*column, cells)
+        })
         .collect();
     if ROWS_LEFT.fetch_sub(1, Ordering::SeqCst) == 1 {
         let mut daemons = DAEMONS.lock().unwrap_or_else(PoisonError::into_inner);

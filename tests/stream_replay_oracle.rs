@@ -171,7 +171,9 @@ fn check(
     if let Some(h) = horizon {
         cfg.reorder_horizon = h;
     }
-    let trace = DeliveryTrace::capture(schedule, &fleet).expect("capture");
+    let trace = DeliveryTrace::capture_folding::<()>(schedule, &fleet)
+        .expect("capture")
+        .0;
     check_run(schedule, &trace, cfg, what)
 }
 
@@ -267,7 +269,9 @@ fn refusals_under_too_shallow_a_horizon_match_the_per_event_engine() {
 fn channels_with_every_row_refused_match_the_per_event_engine() {
     let nodes = 9;
     let s = schedule(nodes, 2.0 * 3600.0, 3);
-    let trace = DeliveryTrace::capture(&s, &FleetConfig::default()).expect("capture");
+    let trace = DeliveryTrace::capture_folding::<()>(&s, &FleetConfig::default())
+        .expect("capture")
+        .0;
     let bad_job = Some(s.jobs.len() + 1);
     let mut events = Vec::new();
     for mut ev in trace.iter() {
